@@ -6,7 +6,7 @@ labeled pg(m+1, n, m).  With plane cliques as Lines the transversal count
 t is 0 or m according to whether the line and the plane are disjoint point
 sets.  Disjoint pairs number (n-m)(n-m^2) per plane, so both t values occur
 exactly when n > m^2; at the minimum n = m^2 the value t = m is constant.
-Everything below is measured by brute force over all non-incident pairs.
+Everything below is measured over every non-incident pair.
 """
 
 from prect import (build_l2k, build_line_graph, build_subplane_rect, classify_census,

@@ -22,6 +22,10 @@ DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
+class AnalysisError(ValueError):
+    """A search returned a witness that fails its own verification."""
+
+
 @dataclass
 class PlanarityReport:
     planar: bool
@@ -163,7 +167,9 @@ def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
     if g.nu <= exact_limit:
         chi, colors, exhausted = _exact_chromatic(g, node_budget)
         if not exhausted:
-            assert _proper(g, colors) and len(set(colors)) == chi
+            if not (_proper(g, colors) and len(set(colors)) == chi):
+                raise AnalysisError(f"exact search returned a coloring that is not "
+                                    f"a proper {chi}-coloring")
             report.exact_chromatic = chi
             report.witness = colors
     f = report.flags
@@ -308,6 +314,18 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
         rep.verdict = "r+1 (odd order)"
         return rep
 
+    assign, rep.nodes_expanded = _edge_coloring(g, r, node_budget)
+    if assign is not None:
+        if not _proper_edges(g, assign, r):
+            raise AnalysisError(f"edge-coloring search returned an assignment that "
+                                f"is not a proper {r}-edge-coloring")
+        rep.verdict = "r (coloring found)"
+        rep.witness = assign
+    return rep
+
+
+def _edge_coloring(g: LineGraph, r: int, node_budget: int):
+    """(an r-edge-coloring as {edge: color} or None, search nodes expanded)."""
     edges = list(g.edges())
     # Most-constrained-first static order: edges at a vertex stay together.
     edges.sort()
@@ -337,12 +355,7 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
                 return False
         return False
 
-    if place(0):
-        assert _proper_edges(g, assign, r)
-        rep.verdict = "r (coloring found)"
-        rep.witness = dict(assign)
-    rep.nodes_expanded = nodes
-    return rep
+    return (dict(assign) if place(0) else None), nodes
 
 
 def _proper_edges(g, assign, r) -> bool:

@@ -159,28 +159,32 @@ class IntersectionReport:
 def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionReport:
     """Pairwise intersection laws and the exactly-one covering of edges.
 
-    Two point cliques share at most one vertex, two plane cliques share at
-    most one vertex, a plane and a point clique share 0 or m vertices, and
-    each adjacent vertex pair lies in exactly one clique of each class.
+    A plane and a point clique share 0 or m vertices, counted from the point
+    cliques through each vertex of the plane, and each adjacent vertex pair
+    lies in exactly one clique of each class.  Two cliques of one class that
+    share two vertices cover that pair twice, so the cover checks also
+    certify that same-class cliques share at most one vertex; the doubly
+    covered pair is the witness.
     """
     rep = IntersectionReport()
     m = census.m
-    points = [frozenset(pc.vertices) for pc in census.point_cliques]
-    planes = [frozenset(pc.vertices) for pc in census.plane_cliques]
-
-    for fam, name in ((points, "point"), (planes, "plane")):
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                k = len(fam[i] & fam[j])
-                if k > 1:
-                    rep.violations.append((f"{name}-{name}", i, j, k))
+    npoints = len(census.point_cliques)
+    point_of = [[] for _ in range(g.nu)]
+    for j, pc in enumerate(census.point_cliques):
+        for v in pc.vertices:
+            point_of[v].append(j)
     sizes = set()
-    for i, a in enumerate(planes):
-        for j, b in enumerate(points):
-            k = len(a & b)
-            sizes.add(k)
-            if k not in (0, m):
-                rep.violations.append(("plane-point", i, j, k))
+    for i, pc in enumerate(census.plane_cliques):
+        shared = {}
+        for v in pc.vertices:
+            for j in point_of[v]:
+                shared[j] = shared.get(j, 0) + 1
+        if len(shared) < npoints:
+            sizes.add(0)
+        sizes.update(shared.values())
+        for j in sorted(shared):
+            if shared[j] != m:
+                rep.violations.append(("plane-point", i, j, shared[j]))
     rep.stats["plane_point_intersection_sizes"] = sorted(sizes)
 
     edge_pt = {}
@@ -190,7 +194,7 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             vs = pc.vertices
             for x in range(len(vs)):
                 for y in range(x + 1, len(vs)):
-                    key = (vs[x], vs[y])
+                    key = (vs[x], vs[y]) if vs[x] < vs[y] else (vs[y], vs[x])
                     store[key] = store.get(key, 0) + 1
     for u in range(g.nu):
         for v in iter_bits(g.rows[u] >> (u + 1) << (u + 1)):

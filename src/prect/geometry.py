@@ -4,12 +4,14 @@ Taking the point cliques as Lines over the graph's vertices yields a partial
 geometry: every non-incident Point-Line pair sees exactly m transversal
 Lines.  Taking the plane cliques instead gives a transversal count t of 0 or
 m depending on whether the line and the plane are disjoint point sets; both
-values occur exactly when n > m^2.  t is measured by brute force over all
-non-incident pairs, which is authoritative at desk scale.
+values occur exactly when n > m^2.  t is measured over every non-incident
+pair from a table of which Lines meet, built from the Lines through each
+Point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cliques import CliqueCensus
@@ -40,25 +42,33 @@ class GeometryReport:
 
 
 def _measure(lines, nu):
-    masks = [sum(1 << v for v in ln) for ln in lines]
+    """(Lines through each Point, t histogram, no two Lines share two Points).
+
+    meets[j] has bit i set when Lines i and j share a Point; t(p0, j) is the
+    number of Lines through p0 that meet Line j.  A pair of Lines found
+    together at a second Point shares two Points.
+    """
     on = [[] for _ in range(nu)]
     for i, ln in enumerate(lines):
         for v in ln:
             on[v].append(i)
-    hist = {}
-    for p0 in range(nu):
-        pbit = 1 << p0
-        mine = on[p0]
-        for j, mask in enumerate(masks):
-            if mask & pbit:
-                continue
-            t = sum(1 for i in mine if masks[i] & mask)
-            hist[t] = hist.get(t, 0) + 1
+    through = [sum(1 << i for i in mine) for mine in on]
+    meets = [0] * len(lines)
     pair_ok = True
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > 1:
+    for here, mine in zip(through, on):
+        for i in mine:
+            if meets[i] & here & ~(1 << i):
                 pair_ok = False
+            meets[i] |= here
+    hist = {}
+    for here, mine in zip(through, on):
+        ts = [(here & mj).bit_count() for mj in meets]
+        for j in mine:
+            ts[j] = -1  # incident pairs have no t
+        row = Counter(ts)  # keys in order of first j, as a loop over j would insert them
+        row.pop(-1, None)
+        for t, count in row.items():
+            hist[t] = hist.get(t, 0) + count
     return on, hist, pair_ok
 
 

@@ -236,7 +236,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
         mode = "full" if (rep.n is None or rep.n <= A6_FULL_DEFAULT_MAX_N) else "sampled"
     rep.a6_mode = mode
     if mode == "full":
-        ok6, wit6 = _a6_full(s)
+        ok6, wit6 = _a6_scan(s, _a6_candidates(s))
     elif mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, a6_samples, seed)
     else:
@@ -315,8 +315,8 @@ def _a6_quadruple_ok(s, cands, i, j):
     return bool(s.line_masks[g1] & s.line_masks[g2])
 
 
-def _a6_full(s):
-    table = _a6_candidates(s)
+def _a6_scan(s, table):
+    """Every quadruple of a candidate table, stopping at the first failure."""
     for l1, l2, cands in table:
         nc = len(cands)
         for i in range(nc):
@@ -335,7 +335,7 @@ def _a6_sampled(s, samples, seed):
         return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
     if total <= samples:
         # full enumeration is cheaper and stronger than sampling here
-        ok, wit = _a6_full(s)
+        ok, wit = _a6_scan(s, table)
         cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
         return ok, wit, cov
     cum = []

@@ -5,18 +5,22 @@ the special line through the common point, which yields the factorization of
 the graph into m+1 spanning (n-1)-regular subgraphs.
 
 Strong regularity is certified by direct counting over all vertex pairs plus
-the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J; no
-floating point is involved anywhere.
+the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J, checked
+entrywise from the bit rows: (A^2)[u,w] is the popcount of row u against
+column w, so the identity and the common-neighbor counts are read from the
+same popcounts.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._util import iter_bits
 from .construct import RectangleModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_CONNECTIVITY_MAX = 64
 
@@ -83,6 +87,9 @@ class LineGraph:
         return rows
 
     def adjacency_matrix(self) -> np.ndarray:
+        """The 0/1 adjacency matrix as an int64 numpy array (an oracle for tests)."""
+        import numpy as np
+
         a = np.zeros((self.nu, self.nu), dtype=np.int64)
         for u in range(self.nu):
             for v in iter_bits(self.rows[u]):
@@ -183,32 +190,14 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
     if bad is not None:
         cert.witness = {"check": "degree", "vertex": bad, "actual": g.degree(bad)}
 
-    pair_witness = None
-    rows = g.rows
-    for u in range(nu):
-        ru = rows[u]
-        for w in range(u + 1, nu):
-            common = (ru & rows[w]).bit_count()
-            want = lam if ru >> w & 1 else mu
-            if common != want:
-                pair_witness = {"check": "common_neighbors", "pair": (u, w),
-                                "adjacent": bool(ru >> w & 1),
-                                "expected": want, "actual": common}
-                break
-        if pair_witness:
-            break
+    pair_witness, spectral_witness = _square_check(g.rows, lam, mu, tau1, tau2)
     v["common_neighbor_counts"] = pair_witness is None
     if pair_witness and cert.witness is None:
         cert.witness = pair_witness
 
-    a = g.adjacency_matrix()
-    eye = np.eye(nu, dtype=np.int64)
-    lhs = (a - tau1 * eye) @ (a - tau2 * eye)
-    v["spectral_identity"] = bool((lhs == mu).all())
-    if not v["spectral_identity"] and cert.witness is None:
-        u, w = np.argwhere(lhs != mu)[0]
-        cert.witness = {"check": "spectral_identity", "entry": (int(u), int(w)),
-                        "actual": int(lhs[u, w]), "expected": mu}
+    v["spectral_identity"] = spectral_witness is None
+    if spectral_witness and cert.witness is None:
+        cert.witness = spectral_witness
 
     # Multiplicities f1, f2 solve 1+f1+f2 = nu and tau0+f1*tau1+f2*tau2 = 0.
     f0, f1, f2 = mult
@@ -216,6 +205,61 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
     v["trace_zero"] = cert.tau0 * f0 + tau1 * f1 + tau2 * f2 == 0
     v["trace_square"] = cert.tau0 ** 2 * f0 + tau1 ** 2 * f1 + tau2 ** 2 * f2 == nu * r
     return cert
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    cols = [0] * len(rows)
+    for u, ru in enumerate(rows):
+        bit = 1 << u
+        for w in iter_bits(ru):
+            cols[w] |= bit
+    return cols
+
+
+def _first_difference(xs: list[int], ys: list[int]) -> int:
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int):
+    """(first failing pair, first failing identity entry), each None if none fails.
+
+    (A^2)[u,w] is the popcount of rows[u] against column w.  Entry (u,w) of
+    (A - tau1*I)(A - tau2*I) is that count minus (tau1+tau2)*A[u,w] plus
+    tau1*tau2*[u = w] and must equal mu; off the diagonal this is the pair
+    count, since mu + tau1 + tau2 = lam.  Both witnesses are first in
+    row-major order (pairs with u < w only).  Symmetric rows give a
+    symmetric A^2, whose first failure lies on or above the diagonal, so
+    only those entries are computed.
+    """
+    nu = len(rows)
+    s, p = tau1 + tau2, tau1 * tau2
+    cols = _transpose(rows)
+    symmetric = cols == rows
+    pair = spectral = None
+    for u, ru in enumerate(rows):
+        lo = u if symmetric else 0
+        square = [(ru & c).bit_count() for c in cols[lo:]]  # (A^2)[u, lo:]
+        want = [mu] * (nu - lo)
+        for w in iter_bits(ru >> lo):
+            want[w] += s
+        want[u - lo] -= p
+        if spectral is None and square != want:
+            i = _first_difference(square, want)
+            spectral = {"check": "spectral_identity", "entry": (u, lo + i),
+                        "actual": square[i] - want[i] + mu, "expected": mu}
+        if pair is None:
+            start = u + 1 - lo
+            common = (square[start:] if symmetric
+                      else [(ru & rw).bit_count() for rw in rows[u + 1:]])
+            if common != want[start:]:
+                i = _first_difference(common, want[start:])
+                w = u + 1 + i
+                pair = {"check": "common_neighbors", "pair": (u, w),
+                        "adjacent": bool(ru >> w & 1),
+                        "expected": want[start + i], "actual": common[i]}
+        if pair and spectral:
+            break
+    return pair, spectral
 
 
 def diameter(g: LineGraph):

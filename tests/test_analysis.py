@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from prect.analysis import (chromatic_analysis, chromatic_index_bracket,
+from prect.analysis import (AnalysisError, chromatic_analysis, chromatic_index_bracket,
                             eulerian_verdict, hamiltonian_search, krein_check,
                             planarity_verdict, tensor_square_report, validate_cycle)
 from prect.linegraph import LineGraph, certify_srg
@@ -193,3 +193,68 @@ def test_eulerian_direct_check_detects_disconnection():
     g = LineGraph.from_edges(4, [(0, 1), (2, 3)])
     rep = eulerian_verdict(g, 1, 1)
     assert not rep.eulerian and not rep.connected
+
+
+def _improper_searches(monkeypatch):
+    """Make both coloring searches return a coloring that is not proper."""
+    import prect.analysis as analysis
+
+    monkeypatch.setattr(analysis, "_exact_chromatic",
+                        lambda g, node_budget: (1, [0] * g.nu, False))
+    monkeypatch.setattr(analysis, "_edge_coloring",
+                        lambda g, r, node_budget: ({e: 1 for e in g.edges()}, 1))
+
+
+def test_improper_witness_raises_analysis_error(g_l22, monkeypatch):
+    _improper_searches(monkeypatch)
+    cert = certify_srg(g_l22, 2, 4)
+    with pytest.raises(AnalysisError):
+        chromatic_analysis(g_l22, cert, 2, 4)
+    with pytest.raises(AnalysisError):
+        chromatic_index_bracket(g_l22, 2, 4)
+
+
+def test_improper_witness_is_a_cli_error(tmp_path, capsys, monkeypatch):
+    from prect.cli import main
+
+    out = tmp_path / "m.json"
+    main(["build", "--family", "l2k", "--k", "2", "--out", str(out)])
+    capsys.readouterr()
+    _improper_searches(monkeypatch)
+    assert main(["analyze", "--graph", str(out), "--budget-ms", "100"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_OPTIMIZED_RUN = """
+import prect.analysis as analysis
+from prect.construct import build_l2k
+from prect.linegraph import build_line_graph, certify_srg
+
+analysis._exact_chromatic = lambda g, node_budget: (1, [0] * g.nu, False)
+analysis._edge_coloring = lambda g, r, node_budget: ({e: 1 for e in g.edges()}, 1)
+g = build_line_graph(build_l2k(2))
+raised = 0
+for call in (lambda: analysis.chromatic_analysis(g, certify_srg(g, 2, 4), 2, 4),
+             lambda: analysis.chromatic_index_bracket(g, 2, 4)):
+    try:
+        call()
+    except analysis.AnalysisError:
+        raised += 1
+print(__debug__, raised)
+"""
+
+
+def test_witness_checks_survive_optimize_flag():
+    """Under python -O (asserts stripped, __debug__ False) both checks still raise."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import prect
+
+    src = str(Path(prect.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False", "2"]

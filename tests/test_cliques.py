@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from prect.cliques import (CliqueError, clique_intersections, enumerate_maximal_cliques,
@@ -135,3 +137,15 @@ def test_arbitrary_graph_enumeration():
     # 5-cycle: the maximal cliques are exactly the five edges
     c5 = LineGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert enumerate_maximal_cliques(c5) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("family,violation", [("point_cliques", "edge-point-cover"),
+                                              ("plane_cliques", "edge-plane-cover")])
+def test_duplicated_clique_fails_on_doubly_covered_pair(census_l22, g_l22, family, violation):
+    """Two same-class cliques sharing two vertices cover that pair twice."""
+    cliques = getattr(census_l22, family)
+    doubled = replace(census_l22, **{family: cliques + [cliques[3]]})
+    rep = clique_intersections(doubled, g_l22)
+    assert not rep.ok
+    u, v = cliques[3].vertices[:2]
+    assert (violation, u, v, 2) in rep.violations

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from prect.cliques import classify_census
-from prect.geometry import (build_plane_clique_structure, build_point_clique_geometry,
-                            transversal_double_count)
+from prect.geometry import (_measure, build_plane_clique_structure,
+                            build_point_clique_geometry, transversal_double_count)
 
 
 def test_point_clique_geometry_l22(census_l22, l22, g_l22):
@@ -74,3 +76,53 @@ def test_two_points_at_most_one_line(census_l23, l23):
     pl = build_plane_clique_structure(census_l23, l23)
     assert pt.checks["two_points_one_line"] == (True, True)
     assert pl.checks["two_points_one_line"] == (True, True)
+
+
+def _brute_force_measure(lines, nu):
+    """The per-pair oracle: t counted Line by Line for every non-incident pair."""
+    masks = [sum(1 << v for v in ln) for ln in lines]
+    on = [[] for _ in range(nu)]
+    for i, ln in enumerate(lines):
+        for v in ln:
+            on[v].append(i)
+    hist = {}
+    for p0 in range(nu):
+        pbit = 1 << p0
+        mine = on[p0]
+        for j, mask in enumerate(masks):
+            if mask & pbit:
+                continue
+            t = sum(1 for i in mine if masks[i] & mask)
+            hist[t] = hist.get(t, 0) + 1
+    pair_ok = True
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if (masks[i] & masks[j]).bit_count() > 1:
+                pair_ok = False
+    return on, hist, pair_ok
+
+
+def _check_against_oracle(lines, nu):
+    on, hist, pair_ok = _measure(lines, nu)
+    ref_on, ref_hist, ref_pair_ok = _brute_force_measure(lines, nu)
+    assert on == ref_on
+    assert list(hist.items()) == list(ref_hist.items())  # insertion order too
+    assert pair_ok == ref_pair_ok
+    return pair_ok
+
+
+def test_measure_matches_brute_force(census_l23, census_r39):
+    for census in (census_l23, census_r39):
+        nu = census.n * census.n
+        for fam in (census.point_cliques, census.plane_cliques):
+            assert _check_against_oracle([pc.vertices for pc in fam], nu)
+
+
+def test_measure_duplicated_plane_clique(census_l23, l23):
+    planes = census_l23.plane_cliques
+    lines = [pc.vertices for pc in planes] + [planes[5].vertices]
+    assert not _check_against_oracle(lines, 64)
+    doubled = replace(census_l23, plane_cliques=planes + [planes[5]])
+    rep = build_plane_clique_structure(doubled, l23)
+    assert rep.checks["two_points_one_line"] == (True, False)
+    assert not rep.ok

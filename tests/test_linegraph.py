@@ -7,8 +7,8 @@ import pytest
 
 from prect.construct import build_subplane_rect, common_point
 from prect.incidence import order_of
-from prect.linegraph import (GraphError, build_line_graph, certify_srg, diameter,
-                             expected_srg_parameters, factorization_check,
+from prect.linegraph import (GraphError, LineGraph, build_line_graph, certify_srg,
+                             diameter, expected_srg_parameters, factorization_check,
                              vertex_connectivity)
 
 
@@ -131,3 +131,93 @@ def test_srg_fails_with_witness_after_edge_removal(g_l22):
     cert = certify_srg(g_l22.copy_without_edge(0, 1), 2, 4)
     assert not cert.ok
     assert cert.witness is not None
+
+
+def _numpy_srg_reference(rows, m, n):
+    """Verdicts and first witness of the srg checks, recomputed with numpy.
+
+    Degree, then common neighbors ((A A^T)[u,w] over u < w against lam or
+    mu), then the identity (A - tau1*I)(A - tau2*I) = mu*J, each witness the
+    first failure that np.argwhere finds in row-major order.
+    """
+    nu, r, lam, mu = expected_srg_parameters(m, n)
+    tau1, tau2 = n - m - 1, -(m + 1)
+    a = np.zeros((nu, nu), dtype=np.int64)
+    for u, row in enumerate(rows):
+        for w in range(nu):
+            a[u, w] = row >> w & 1
+    eye = np.eye(nu, dtype=np.int64)
+    degrees = a.sum(axis=1)
+    common = a @ a.T
+    pair_bad = np.triu(common != np.where(a == 1, lam, mu), k=1)
+    lhs = (a - tau1 * eye) @ (a - tau2 * eye)
+    verdicts = {"degree_regular": bool((degrees == r).all()),
+                "common_neighbor_counts": not pair_bad.any(),
+                "spectral_identity": bool((lhs == mu).all())}
+    witnesses = []
+    if not verdicts["degree_regular"]:
+        v = int(np.argwhere(degrees != r)[0][0])
+        witnesses.append({"check": "degree", "vertex": v, "actual": int(degrees[v])})
+    if not verdicts["common_neighbor_counts"]:
+        u, w = (int(x) for x in np.argwhere(pair_bad)[0])
+        witnesses.append({"check": "common_neighbors", "pair": (u, w),
+                          "adjacent": bool(a[u, w]),
+                          "expected": lam if a[u, w] else mu, "actual": int(common[u, w])})
+    spectral = None
+    if not verdicts["spectral_identity"]:
+        u, w = (int(x) for x in np.argwhere(lhs != mu)[0])
+        spectral = {"check": "spectral_identity", "entry": (u, w),
+                    "actual": int(lhs[u, w]), "expected": mu}
+        witnesses.append(spectral)
+    return verdicts, (witnesses[0] if witnesses else None), spectral
+
+
+def _remove_edge(rows, u, w):
+    rows[u] &= ~(1 << w)
+    rows[w] &= ~(1 << u)
+
+
+def _flip_one_side(rows, u, w):
+    rows[u] ^= 1 << w
+
+
+def _self_loop(rows, u, w):
+    rows[u] |= 1 << u
+
+
+@pytest.mark.parametrize("mutate", [_remove_edge, _flip_one_side, _self_loop])
+@pytest.mark.parametrize("fix,m,n", [("g_l22", 2, 4), ("g_l23", 2, 8)])
+def test_srg_matches_numpy_reference_on_mutations(fix, m, n, mutate, request):
+    """The entrywise A^2 check gives numpy's verdicts and witnesses."""
+    from prect.linegraph import _square_check
+
+    g = request.getfixturevalue(fix)
+    for u, w in [(0, 1), (3, 11), (g.nu - 1, 5)]:
+        if mutate is _remove_edge and not g.adjacent(u, w):
+            continue
+        rows = list(g.rows)
+        mutate(rows, u, w)
+        mutated = LineGraph(g.nu, rows)
+        cert = certify_srg(mutated, m, n)
+        verdicts, witness, spectral = _numpy_srg_reference(rows, m, n)
+        assert spectral is not None
+        assert {k: cert.verdicts[k] for k in verdicts} == verdicts
+        assert not cert.ok
+        assert cert.witness == witness
+        _, _, lam, mu = expected_srg_parameters(m, n)
+        assert _square_check(rows, lam, mu, n - m - 1, -(m + 1))[1] == spectral
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import prect
+
+    src = str(Path(prect.__file__).resolve().parent.parent)
+    code = "import sys, prect.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
