@@ -203,17 +203,19 @@ def build_subplane_rect(p: int, e: int, k: int,
     special_labels.append("s_inf")
 
     # Ordinary lines <a,b,1>, a-major, restricted to the special-point union.
+    # Point t of block s_beta is [-beta:1:t], so <a,b,1> meets s_beta where
+    # t = a*beta - b, and meets s_inf = {[1:0:t]} where t = -a.
     line_coeffs = []
     lines = []
-    npts = len(point_coords)
+    inf_block = 1 + q * n
     for a_code in range(n):
         a = ctx.from_code(a_code)
+        a_beta = [ctx.mul_codes(a_code, beta_code) for beta_code in sub]
+        on_inf = inf_block + ctx.neg_code(a_code)
         for b_code in range(n):
-            b = ctx.from_code(b_code)
-            lc = LineCoeffs(a, b, one)
-            pts = [i for i in range(npts) if lc.contains(point_coords[i])]
-            line_coeffs.append(lc)
-            lines.append(tuple(pts))
+            line_coeffs.append(LineCoeffs(a, ctx.from_code(b_code), one))
+            lines.append(tuple([1 + i * n + ctx.sub_codes(ab, b_code)
+                                for i, ab in enumerate(a_beta)] + [on_inf]))
 
     structure = IncidenceStructure(labels, lines + special_pointsets, 0)
     family = "plane" if k == 1 else "subplane"

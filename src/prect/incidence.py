@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -236,7 +237,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
         mode = "full" if (rep.n is None or rep.n <= A6_FULL_DEFAULT_MAX_N) else "sampled"
     rep.a6_mode = mode
     if mode == "full":
-        ok6, wit6 = _a6_scan(s, _a6_candidates(s))
+        ok6, wit6 = _a6_scan(s)
     elif mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, a6_samples, seed)
     else:
@@ -270,110 +271,121 @@ def _find_quadrangle(s, cover):
     return None
 
 
-def _a6_candidates(s):
-    """Per intersecting ordinary pair, the candidate 'transversal' lines.
+def _a6_masks(s):
+    """through[p], the lines through point p, and nbr[i], the lines meeting line i."""
+    through = [sum(1 << i for i in ls) for ls in s.lines_at]
+    nbr = []
+    for i, t in enumerate(s.lines):
+        mask = 0
+        for p in t:
+            mask |= through[p]
+        nbr.append(mask & ~(1 << i))
+    return through, nbr
 
-    A candidate for the pair (l1, l2) is any line g other than l1, l2 that
-    meets both, excluding lines through the common point of l1 and l2; only
-    those can contribute four distinct intersection points.  Returns a list
-    of (l1, l2, [(g, point on l1, point on l2), ...]).
+
+def _a6_pairs(s, through, nbr):
+    """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first.
+
+    cmask holds the candidate 'transversal' lines of the pair: every line
+    other than l1, l2 that meets both, excluding lines through their common
+    point p (the highest one, should a broken structure give several); only
+    those can contribute four distinct intersection points.
     """
     masks = s.line_masks
-    nl = s.n_lines
-    nbr = [0] * nl
-    for i in range(nl):
-        mi = masks[i]
-        for j in range(i + 1, nl):
-            if mi & masks[j]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    out = []
     olines = s.ordinary_lines
     for x, l1 in enumerate(olines):
+        m1, n1 = masks[l1], nbr[l1]
         for l2 in olines[x + 1:]:
-            common = masks[l1] & masks[l2]
-            if not common:
-                continue
-            p = common.bit_length() - 1
-            cands = []
-            cmask = nbr[l1] & nbr[l2] & ~(1 << l1) & ~(1 << l2)
-            for g in iter_bits(cmask):
-                if masks[g] >> p & 1:
-                    continue
-                q1 = (masks[g] & masks[l1]).bit_length() - 1
-                q2 = (masks[g] & masks[l2]).bit_length() - 1
-                cands.append((g, q1, q2))
-            out.append((l1, l2, cands))
-    return out
+            common = m1 & masks[l2]
+            if common:
+                yield l1, l2, n1 & nbr[l2] & ~through[common.bit_length() - 1]
 
 
-def _a6_quadruple_ok(s, cands, i, j):
-    g1, a1, b1 = cands[i]
-    g2, a2, b2 = cands[j]
-    if a1 == a2 or b1 == b2:
-        return True  # fewer than four distinct points: nothing to check
-    return bool(s.line_masks[g1] & s.line_masks[g2])
-
-
-def _a6_scan(s, table):
-    """Every quadruple of a candidate table, stopping at the first failure."""
-    for l1, l2, cands in table:
-        nc = len(cands)
-        for i in range(nc):
-            for j in range(i + 1, nc):
-                if not _a6_quadruple_ok(s, cands, i, j):
-                    return False, {"l1": l1, "l2": l2,
-                                   "g1": cands[i][0], "g2": cands[j][0]}
+def _a6_scan(s):
+    """Every quadruple, one pair's candidate list at a time, stopping at the first failure."""
+    masks = s.line_masks
+    for l1, l2, cmask in _a6_pairs(s, *_a6_masks(s)):
+        m1, m2 = masks[l1], masks[l2]
+        cands = [(g, (masks[g] & m1).bit_length() - 1, (masks[g] & m2).bit_length() - 1)
+                 for g in iter_bits(cmask)]
+        for i, (g1, a1, b1) in enumerate(cands):
+            for g2, a2, b2 in cands[i + 1:]:
+                # four distinct points, yet g1 misses g2
+                if a1 != a2 and b1 != b2 and not masks[g1] & masks[g2]:
+                    return False, {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
     return True, None
 
 
 def _a6_sampled(s, samples, seed):
-    table = _a6_candidates(s)
-    weights = [comb2(len(c)) for _, _, c in table]
-    total = sum(weights)
+    """Seeded uniform draws over the quadruple space, pair by cumulative weight.
+
+    One pass stores each intersecting pair and its cumulative weight
+    C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own pair's
+    candidate mask and picks two of its set bits.
+    """
+    through, nbr = _a6_masks(s)
+    first, second, cum = array("i"), array("i"), array("q")
+    total = 0
+    for l1, l2, cmask in _a6_pairs(s, through, nbr):
+        total += comb2(cmask.bit_count())
+        first.append(l1)
+        second.append(l2)
+        cum.append(total)
     if total == 0:
         return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
     if total <= samples:
         # full enumeration is cheaper and stronger than sampling here
-        ok, wit = _a6_scan(s, table)
+        ok, wit = _a6_scan(s)
         cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
         return ok, wit, cov
-    cum = []
-    acc = 0
-    for w in weights:
-        acc += w
-        cum.append(acc)
-    rng = random.Random(seed)
+    masks = s.line_masks
+    getrandbits = random.Random(seed).getrandbits
+    nbits = total.bit_length()
     seen = bytearray((total + 7) // 8)
-    distinct = 0
+    drawn = distinct = 0
     witness = None
-    for _ in range(samples):
-        r = rng.randrange(total)
+    for drawn in range(1, samples + 1):
+        # Random(seed).randrange(total), inlined: the same rejection
+        # sampling on getrandbits, without two Python calls per draw.
+        r = getrandbits(nbits)
+        while r >= total:
+            r = getrandbits(nbits)
         t = bisect_right(cum, r)
-        base = cum[t - 1] if t else 0
-        rank = r - base
-        l1, l2, cands = table[t]
-        i, j = _unrank_pair(rank, len(cands))
+        l1, l2 = first[t], second[t]
+        m1, m2 = masks[l1], masks[l2]
+        cmask = nbr[l1] & nbr[l2] & ~through[(m1 & m2).bit_length() - 1]  # as in _a6_pairs
+        g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
         if not (seen[r >> 3] >> (r & 7) & 1):
             seen[r >> 3] |= 1 << (r & 7)
             distinct += 1
-        if not _a6_quadruple_ok(s, cands, i, j):
-            witness = {"l1": l1, "l2": l2, "g1": cands[i][0], "g2": cands[j][0]}
+        # four distinct points, yet g1 misses g2
+        mg1, mg2 = masks[g1], masks[g2]
+        if ((mg1 & m1).bit_length() != (mg2 & m1).bit_length()
+                and (mg1 & m2).bit_length() != (mg2 & m2).bit_length()
+                and not mg1 & mg2):
+            witness = {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
             break
-    coverage = {"space": total, "drawn": samples, "distinct": distinct,
+    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
                 "exhaustive": False}
     return witness is None, witness, coverage
 
 
-def _unrank_pair(rank, n):
-    """The rank-th pair (i, j) with i < j < n, in lexicographic order."""
-    i = 0
-    block = n - 1
+def _unrank_bits(rank, mask):
+    """Positions of the rank-th pair (i-th, j-th set bit of mask), i < j.
+
+    Pairs are ranked in lexicographic order.  The low set bits are cleared
+    while i is counted, so both bits are found in one pass.
+    """
+    block = mask.bit_count() - 1
     while rank >= block:
         rank -= block
-        i += 1
         block -= 1
-    return i, i + 1 + rank
+        mask &= mask - 1
+    low = mask & -mask
+    mask ^= low
+    for _ in range(rank):
+        mask &= mask - 1
+    return low.bit_length() - 1, (mask & -mask).bit_length() - 1
 
 
 def order_of(s: IncidenceStructure) -> tuple[int, int]:

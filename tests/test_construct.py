@@ -79,6 +79,18 @@ def test_incidence_matches_line_equation(r24):
             assert (pi in members) == lc.contains(pt)
 
 
+@pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3),
+                                   (7, 1, 1), (5, 1, 2), (3, 1, 3)])
+def test_ordinary_lines_match_brute_force_incidence(p, e, k):
+    # the builder places each line's points in closed form; test every point
+    # against every line equation instead
+    model = build_subplane_rect(p, e, k)
+    npts = len(model.point_coords)
+    expected = [tuple(i for i in range(npts) if lc.contains(model.point_coords[i]))
+                for lc in model.line_coeffs]
+    assert model.structure.lines[:model.num_ordinary_lines] == expected
+
+
 def test_common_point_spec_example(r24):
     # <1,1,1> meets <w,1,1> at [0,1,1], which lies on s_0
     n = 4

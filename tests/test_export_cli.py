@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -204,3 +205,34 @@ def test_cli_env_threads_recorded(tmp_path, capsys, monkeypatch):
     run_cli("verify", str(out), "--profile", "quick")
     rep = json.loads(capsys.readouterr().out)
     assert rep["details"]["threads"] == 4
+
+
+# SHA-256 of stdout for the smallest rungs, recorded before the A6 sampler
+# and the subplane builder were rewritten; every report must stay
+# byte-identical.  Models are read by relative path, since the path is part
+# of the report's params.
+GOLDEN_STDOUT = [
+    (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "2"), "r39.json",
+     "023d56516ad175cbc9b52a49f7de8419d7fe8b57ba187c1a0258b0499704a6f2"),
+    (("build", "--family", "subplane", "--p", "2", "--e", "2", "--k", "2"), "r416.json",
+     "20bdc8bf4274904de1cee6322d73579f689590b3347d8c851444e8ce65e261eb"),
+    (("build", "--family", "l2k", "--k", "3"), "l23.json",
+     "015b5a54eafdb1199ad1673d5e5b234c8b3e0b8d859bb1a01b91040a8ed052c2"),
+    (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
+     "4cadbde91c0b4e2ee528656d06a20ee07a64780e30d285489426e037e28c284a"),
+    (("verify", "l23.json", "--profile", "full"), None,
+     "0a3b5ec54fedcd95c3c6bd1f13ad8cfe0ba09aac74eaa25036896e18118e5a27"),
+    (("verify", "r416.json", "--profile", "full"), None,
+     "b50dbb480cdc9e12eda1a47d413c446667a528a1dd8c2a278db4efd5d9f05eec"),
+]
+
+
+def test_cli_stdout_matches_golden_hashes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRECT_THREADS", raising=False)
+    for argv, save_as, digest in GOLDEN_STDOUT:
+        run_cli(*argv)
+        out = capsys.readouterr().out
+        if save_as:
+            (tmp_path / save_as).write_text(out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from bisect import bisect_right
+
 import pytest
 
+from prect._util import comb2, iter_bits
 from prect.construct import build_l2k
-from prect.incidence import (IncidenceStructure, StructureError, check_axioms,
-                             elementary_counts, find_isomorphism, order_of)
+from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
+                             check_axioms, elementary_counts, find_isomorphism,
+                             order_of)
 
 
 def test_l22_all_axioms_pass(l22):
@@ -135,3 +141,208 @@ def test_find_isomorphism_identity_and_negative(l22):
     assert find_isomorphism(l22.structure, l22.structure) is not None
     other = build_l2k(3)
     assert find_isomorphism(l22.structure, other.structure) is None
+
+
+# -- A6 oracle: the table-based sampler that the streaming one replaced --
+#
+# Copied from the implementation that built every pair's candidate list up
+# front, with one change: "drawn" counts the draws made, not the draws asked
+# for, when a failing quadruple stops the run early.
+
+def _oracle_candidates(s):
+    masks = s.line_masks
+    nl = s.n_lines
+    nbr = [0] * nl
+    for i in range(nl):
+        mi = masks[i]
+        for j in range(i + 1, nl):
+            if mi & masks[j]:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    out = []
+    olines = s.ordinary_lines
+    for x, l1 in enumerate(olines):
+        for l2 in olines[x + 1:]:
+            common = masks[l1] & masks[l2]
+            if not common:
+                continue
+            p = common.bit_length() - 1
+            cands = []
+            cmask = nbr[l1] & nbr[l2] & ~(1 << l1) & ~(1 << l2)
+            for g in iter_bits(cmask):
+                if masks[g] >> p & 1:
+                    continue
+                q1 = (masks[g] & masks[l1]).bit_length() - 1
+                q2 = (masks[g] & masks[l2]).bit_length() - 1
+                cands.append((g, q1, q2))
+            out.append((l1, l2, cands))
+    return out
+
+
+def _oracle_quadruple_ok(s, cands, i, j):
+    g1, a1, b1 = cands[i]
+    g2, a2, b2 = cands[j]
+    if a1 == a2 or b1 == b2:
+        return True
+    return bool(s.line_masks[g1] & s.line_masks[g2])
+
+
+def _oracle_scan(s, table):
+    for l1, l2, cands in table:
+        nc = len(cands)
+        for i in range(nc):
+            for j in range(i + 1, nc):
+                if not _oracle_quadruple_ok(s, cands, i, j):
+                    return False, {"l1": l1, "l2": l2,
+                                   "g1": cands[i][0], "g2": cands[j][0]}
+    return True, None
+
+
+def _oracle_unrank_pair(rank, n):
+    i = 0
+    block = n - 1
+    while rank >= block:
+        rank -= block
+        i += 1
+        block -= 1
+    return i, i + 1 + rank
+
+
+def _oracle_sampled(s, samples, seed):
+    table = _oracle_candidates(s)
+    weights = [comb2(len(c)) for _, _, c in table]
+    total = sum(weights)
+    if total == 0:
+        return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
+    if total <= samples:
+        ok, wit = _oracle_scan(s, table)
+        cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
+        return ok, wit, cov
+    cum = []
+    acc = 0
+    for w in weights:
+        acc += w
+        cum.append(acc)
+    rng = random.Random(seed)
+    seen = bytearray((total + 7) // 8)
+    distinct = 0
+    drawn = 0
+    witness = None
+    for _ in range(samples):
+        drawn += 1
+        r = rng.randrange(total)
+        t = bisect_right(cum, r)
+        base = cum[t - 1] if t else 0
+        rank = r - base
+        l1, l2, cands = table[t]
+        i, j = _oracle_unrank_pair(rank, len(cands))
+        if not (seen[r >> 3] >> (r & 7) & 1):
+            seen[r >> 3] |= 1 << (r & 7)
+            distinct += 1
+        if not _oracle_quadruple_ok(s, cands, i, j):
+            witness = {"l1": l1, "l2": l2, "g1": cands[i][0], "g2": cands[j][0]}
+            break
+    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
+                "exhaustive": False}
+    return witness is None, witness, coverage
+
+
+def _mutants(s, seed):
+    """Broken copies of s: a point swapped between two ordinary lines, a point
+    of an ordinary line replaced, an ordinary line duplicated (three each)."""
+    rng = random.Random(seed)
+    ordinary = list(s.ordinary_lines)
+    others = [p for p in range(s.n_points) if p != s.special_point]
+    out = []
+    for _ in range(3):
+        lines = [list(t) for t in s.lines]
+        i, j = rng.sample(ordinary, 2)
+        a = rng.choice([p for p in lines[i] if p not in lines[j]])
+        b = rng.choice([p for p in lines[j] if p not in lines[i]])
+        lines[i][lines[i].index(a)] = b
+        lines[j][lines[j].index(b)] = a
+        out.append(("swap", lines))
+
+        lines = [list(t) for t in s.lines]
+        i = rng.choice(ordinary)
+        a = rng.choice(lines[i])
+        lines[i][lines[i].index(a)] = rng.choice([p for p in others if p not in lines[i]])
+        out.append(("replace", lines))
+
+        lines = [list(t) for t in s.lines]
+        out.append(("duplicate", lines + [lines[rng.choice(ordinary)]]))
+    return [(kind, IncidenceStructure(s.points, lines, s.special_point, validate=False))
+            for kind, lines in out]
+
+
+@pytest.mark.parametrize("name", ["l22", "l23", "r39", "r28"])
+def test_a6_matches_table_oracle_on_mutants(name, request):
+    s0 = request.getfixturevalue(name).structure
+    failing = {"full": 0, "sampled": 0, "upgraded": 0}
+    for seed, (kind, s) in enumerate([("none", s0)] + _mutants(s0, 11)):
+        where = f"{name} {kind} #{seed}"
+        ok, wit = _oracle_scan(s, _oracle_candidates(s))
+        rep = check_axioms(s, "full")
+        assert (rep.verdicts["A6"], rep.witnesses.get("A6")) == (ok, wit), where
+        failing["full"] += not ok
+
+        space = _oracle_sampled(s, 0, 0)[2]["space"]
+        assert space > 3, where
+        for mode, samples in (("sampled", space // 3), ("upgraded", space)):
+            ok, wit, cov = _oracle_sampled(s, samples, seed)
+            rep = check_axioms(s, "sampled", a6_samples=samples, seed=seed)
+            assert rep.verdicts["A6"] == ok, (where, mode)
+            assert rep.witnesses.get("A6") == wit, (where, mode)
+            assert rep.a6_coverage == cov, (where, mode)
+            assert cov["exhaustive"] == (mode == "upgraded")
+            assert ok or kind != "none"
+            failing[mode] += not ok
+    # the unmutated structure passes; the witness path was compared too
+    assert all(f > 0 for f in failing.values()), failing
+
+
+def test_unrank_bits_matches_unrank_pair():
+    rng = random.Random(5)
+    for width, k in ((3, 2), (8, 5), (40, 17), (700, 30)):
+        for _ in range(20):
+            bits = sorted(rng.sample(range(width), k))
+            mask = sum(1 << b for b in bits)
+            for rank in range(comb2(len(bits))):
+                i, j = _oracle_unrank_pair(rank, len(bits))
+                assert _unrank_bits(rank, mask) == (bits[i], bits[j])
+
+
+def test_sampled_a6_failure_reports_draws_made(r39):
+    s0 = r39.structure
+    lines = [list(t) for t in s0.lines]
+    lines[0][1] = next(p for p in range(1, s0.n_points) if p not in lines[0])
+    s = IncidenceStructure(s0.points, lines, s0.special_point, validate=False)
+    rep = check_axioms(s, "sampled", a6_samples=5000, seed=3)
+    cov = rep.a6_coverage
+    assert not cov["exhaustive"] and cov["space"] > 5000
+    assert not rep.verdicts["A6"]
+    assert 1 <= cov["distinct"] <= cov["drawn"] < 5000
+    # the witness re-checks from the line sets alone
+    w = rep.witnesses["A6"]
+    l1, l2, g1, g2 = (set(s.lines[w[k]]) for k in ("l1", "l2", "g1", "g2"))
+    assert w["l1"] in s.ordinary_lines and w["l2"] in s.ordinary_lines
+    assert l1 & l2
+    points = [l1 & g1, l1 & g2, l2 & g1, l2 & g2]
+    assert all(len(x) == 1 for x in points)
+    assert len(set.union(*points)) == 4
+    assert not g1 & g2
+
+
+@pytest.mark.parametrize("mode", ["sampled", "full"])
+def test_a6_memory_is_bounded(r416, mode):
+    s = r416.structure
+    tracemalloc.start()
+    try:
+        rep = check_axioms(s, mode, a6_samples=5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    if mode == "sampled":
+        assert not rep.a6_coverage["exhaustive"]
+    assert peak < 4 * 2 ** 20, peak
