@@ -395,74 +395,3 @@ def krein_check(cert: SrgCertificate) -> KreinReport:
         lhs2=(t + 1) * (r + t + 2 * s * t),
         rhs2=(r + t) * (s + 1) ** 2,
     )
-
-
-def tensor_square_report(g: LineGraph, parts: list[list[int]]) -> dict:
-    """Diagnostics for the 16-vertex graph against two descriptions.
-
-    Checks whether the given 4-vertex parts are cliques with cross-degree 2,
-    whether the stated 'adjacent to exactly one of the two' property holds
-    literally, and whether the graph is isomorphic to the categorical
-    product of K_4 with itself (adjacent iff both coordinates differ).
-    """
-    out = {}
-    part_cliques = all(g.adjacent(u, v) for p in parts
-                       for i, u in enumerate(p) for v in p[i + 1:])
-    out["parts_are_cliques"] = part_cliques
-    cross = True
-    exactly_one = True
-    for i, pi in enumerate(parts):
-        for j, pj in enumerate(parts):
-            if i == j:
-                continue
-            for v in pi:
-                friends = [u for u in pj if g.adjacent(v, u)]
-                if len(friends) != 2:
-                    cross = False
-                else:
-                    for x in pj:
-                        if x in friends:
-                            continue
-                        if sum(g.adjacent(x, u) for u in friends) != 1:
-                            exactly_one = False
-    out["cross_degree_two"] = cross
-    out["exactly_one_property"] = exactly_one
-
-    prod = LineGraph.from_edges(16, [
-        (4 * a + b, 4 * c + d)
-        for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-        if (4 * a + b) < (4 * c + d) and a != c and b != d
-    ])
-    out["isomorphic_to_categorical_k4xk4"] = _small_iso(g, prod)
-    return out
-
-
-def _small_iso(g1: LineGraph, g2: LineGraph) -> bool:
-    """Backtracking isomorphism test for small graphs (order <= 32)."""
-    if g1.nu != g2.nu or g1.num_edges != g2.num_edges:
-        return False
-    nu = g1.nu
-    mapping = [-1] * nu
-    used = [False] * nu
-
-    def ok(v, w):
-        for u in range(v):
-            if g1.adjacent(u, v) != g2.adjacent(mapping[u], w):
-                return False
-        return True
-
-    def extend(v):
-        if v == nu:
-            return True
-        for w in range(nu):
-            if used[w] or g1.degree(v) != g2.degree(w) or not ok(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return extend(0)

@@ -81,12 +81,12 @@ class BilinearGraph:
         return ctx.mul_codes(db[i], ctx.inv_code(da[i]))
 
 
-def build_hq2k(p: int, e: int, k: int, max_vertices: int = MAX_VERTICES) -> BilinearGraph:
+def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:
     """Build H_q(2,k) for q = p^e; adjacency by precomputed rank-1 deltas."""
     q = p ** e
     nu = q ** (2 * k)
-    if nu > max_vertices:
-        raise BilinearError(f"q^(2k) = {nu} beyond bound {max_vertices}")
+    if nu > MAX_VERTICES:
+        raise BilinearError(f"q^(2k) = {nu} beyond bound {MAX_VERTICES}")
     ctx = field_make(p, e)
 
     rows_of = list(product(range(q), repeat=k))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from . import __version__
 from .analysis import (chromatic_analysis, chromatic_index_bracket,
@@ -23,7 +23,7 @@ from .analysis import (chromatic_analysis, chromatic_index_bracket,
 from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from .cliques import classify_census, clique_intersections, extract_plane
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
-                     model_from_json, model_to_dict, to_dot)
+                     model_from_json, model_to_json, to_dot)
 from .geometry import build_plane_clique_structure, build_point_clique_geometry
 from .incidence import A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, check_axioms, elementary_counts, order_of
 from .linegraph import build_line_graph, certify_srg
@@ -48,25 +48,7 @@ class RunReport:
         return all(self.verdicts.values())
 
     def to_json(self) -> str:
-        d = {
-            "version": self.version,
-            "command": self.command,
-            "params": self.params,
-            "verdicts": self.verdicts,
-            "details": self.details,
-            "outputs": self.outputs,
-            "ok": self.ok,
-            "timings_ms": self.timings_ms,
-        }
-        return json.dumps(d, sort_keys=True)
-
-
-def _threads() -> int:
-    """PRECT_THREADS is accepted and recorded; computation is single-process."""
-    try:
-        return max(1, int(os.environ.get("PRECT_THREADS", "1")))
-    except ValueError:
-        return 1
+        return json.dumps({**asdict(self), "ok": self.ok}, sort_keys=True)
 
 
 def _write(path: str | None, text: str, report: RunReport):
@@ -78,13 +60,45 @@ def _write(path: str | None, text: str, report: RunReport):
         print(text)
 
 
-def _load_model(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return model_from_json(text)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed model file {path}: {exc}") from exc
+class _Run:
+    """One model file and the facts derived from it, each computed on first use."""
+
+    def __init__(self, path: str):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                self.model = model_from_json(fh.read())
+            except (KeyError, TypeError, IndexError) as exc:
+                raise ValueError(f"malformed model file {path}: {exc}") from exc
+
+    @cached_property
+    def order(self):
+        return order_of(self.model.structure)
+
+    @cached_property
+    def graph(self):
+        return build_line_graph(self.model)
+
+    @cached_property
+    def census(self):
+        return classify_census(self.graph, self.model)
+
+    @cached_property
+    def cert(self):
+        return certify_srg(self.graph, *self.order)
+
+    @cached_property
+    def iso(self):
+        """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k)."""
+        g, model = self.graph, self.model  # a broken model fails in the graph first
+        h = build_hq2k(model.p, model.e, model.k)
+        mapping = line_matrix_map(model, h)
+        return mapping, certify_isomorphism(g, h.graph, mapping)
+
+    @cached_property
+    def geometry(self):
+        """(point-clique geometry, plane-clique structure)."""
+        return (build_point_clique_geometry(self.census, self.model),
+                build_plane_clique_structure(self.census, self.model))
 
 
 def cmd_build(args, report: RunReport) -> int:
@@ -93,38 +107,34 @@ def cmd_build(args, report: RunReport) -> int:
     report.details["order"] = [m, n]
     report.details["ordinary_lines"] = model.num_ordinary_lines
     report.verdicts["built"] = True
-    _write(args.out, json.dumps(model_to_dict(model), sort_keys=True), report)
+    _write(args.out, model_to_json(model), report)
     print(f"order (m, n) = ({m}, {n})", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args, report: RunReport) -> int:
-    model = _load_model(args.model)
+    run = _Run(args.model)
+    model = run.model
     t0 = time.perf_counter()
-    timings = {}
-
-    a6_mode = "full" if args.profile == "full" else "sampled"
-    axioms = check_axioms(model.structure, a6_mode,
+    axioms = check_axioms(model.structure, "full" if args.profile == "full" else "sampled",
                           a6_samples=args.a6_samples, seed=args.seed)
     report.verdicts["axioms"] = axioms.ok
     report.details["axioms"] = {"verdicts": axioms.verdicts,
                                 "witnesses": _jsonable(axioms.witnesses),
                                 "a6_mode": axioms.a6_mode,
                                 "a6_coverage": axioms.a6_coverage}
-    timings["axioms"] = (time.perf_counter() - t0) * 1000
+    axioms_ms = (time.perf_counter() - t0) * 1000
 
-    m, n = order_of(model.structure)
+    m, n = run.order
     counts = elementary_counts(model.structure)
     report.verdicts["elementary_counts"] = counts.ok
     report.details["count_mismatches"] = _jsonable(counts.mismatches())
 
-    g = build_line_graph(model)
     trivial = m == n
     if not trivial:
-        cert = certify_srg(g, m, n)
-        report.verdicts["srg"] = cert.ok
-        report.details["srg"] = certificate_to_dict(cert)
-    census = classify_census(g, model)
+        report.verdicts["srg"] = run.cert.ok
+        report.details["srg"] = certificate_to_dict(run.cert)
+    census = run.census
     report.verdicts["census"] = census.ok
     report.details["census_counts"] = {
         "point_cliques": len(census.point_cliques),
@@ -135,56 +145,46 @@ def cmd_verify(args, report: RunReport) -> int:
 
     if args.profile == "full":
         if not trivial:
-            inter = clique_intersections(census, g)
-            report.verdicts["clique_intersections"] = inter.ok
+            report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
         planes_ok = all(extract_plane(pc, model).ok for pc in census.plane_cliques)
         report.verdicts["plane_extraction"] = planes_ok
         if model.family == "subplane":
-            h = build_hq2k(model.p, model.e, model.k)
-            iso = certify_isomorphism(g, h.graph, line_matrix_map(model, h))
-            report.verdicts["bilinear_isomorphism"] = iso.ok
+            report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
         if not trivial:
-            geo_pt = build_point_clique_geometry(census, model)
-            geo_pl = build_plane_clique_structure(census, model)
+            geo_pt, geo_pl = run.geometry
             report.verdicts["point_clique_geometry"] = geo_pt.ok
             report.verdicts["plane_clique_structure"] = geo_pl.ok
             report.details["pg_label"] = geo_pt.pg_label
             report.details["plane_t_histogram"] = {str(k): v for k, v in
                                                    sorted(geo_pl.t_histogram.items())}
-            report.verdicts["krein"] = krein_check(cert).ok
-            pl = planarity_verdict(g, m, n)
-            eu = eulerian_verdict(g, m, n)
-            report.details["planar"] = pl.planar
-            report.verdicts["eulerian_consistent"] = eu.consistent
+            report.verdicts["krein"] = krein_check(run.cert).ok
+            report.details["planar"] = planarity_verdict(run.graph, m, n).planar
+            report.verdicts["eulerian_consistent"] = eulerian_verdict(run.graph, m, n).consistent
 
     if args.timings:
-        timings["total"] = (time.perf_counter() - t0) * 1000
-        report.timings_ms = {k: round(v, 1) for k, v in timings.items()}
+        total_ms = (time.perf_counter() - t0) * 1000
+        report.timings_ms = {"axioms": round(axioms_ms, 1), "total": round(total_ms, 1)}
     print(report.to_json())
     return 0 if report.ok else 1
 
 
 def cmd_cliques(args, report: RunReport) -> int:
-    model = _load_model(args.model)
-    g = build_line_graph(model)
-    census = classify_census(g, model)
+    run = _Run(args.model)
+    census = run.census
     report.verdicts["census"] = census.ok
     report.details["counts"] = {"point": len(census.point_cliques),
                                 "plane": len(census.plane_cliques),
                                 "anomalous": len(census.anomalous)}
-    _write(args.out, json.dumps(census_to_dict(census, model), sort_keys=True), report)
+    _write(args.out, _EXPORTS["census", "json"](run), report)
     return 0 if report.ok else 1
 
 
 def cmd_iso(args, report: RunReport) -> int:
-    model = _load_model(args.model)
-    if model.family != "subplane" or model.line_coeffs is None:
+    run = _Run(args.model)
+    if run.model.family != "subplane" or run.model.line_coeffs is None:
         print("iso requires a coordinatized subplane model", file=sys.stderr)
         return 2
-    g = build_line_graph(model)
-    h = build_hq2k(model.p, model.e, model.k)
-    mapping = line_matrix_map(model, h)
-    iso = certify_isomorphism(g, h.graph, mapping)
+    mapping, iso = run.iso
     report.verdicts["bilinear_isomorphism"] = iso.ok
     report.details["pairs_checked"] = iso.pairs_checked
     if args.out:
@@ -194,14 +194,10 @@ def cmd_iso(args, report: RunReport) -> int:
 
 
 def cmd_geometry(args, report: RunReport) -> int:
-    model = _load_model(args.model)
-    g = build_line_graph(model)
-    census = classify_census(g, model)
-    geo_pt = build_point_clique_geometry(census, model)
-    geo_pl = build_plane_clique_structure(census, model)
+    geo_pt, geo_pl = _Run(args.model).geometry
     report.verdicts["point_clique_geometry"] = geo_pt.ok
     report.verdicts["plane_clique_structure"] = geo_pl.ok
-    payload = {
+    report.details["geometry"] = payload = {
         "point_cliques": {
             "pg_label": geo_pt.pg_label,
             "t_histogram": {str(k): v for k, v in sorted(geo_pt.t_histogram.items())},
@@ -215,15 +211,14 @@ def cmd_geometry(args, report: RunReport) -> int:
             "degenerate": geo_pl.degenerate,
         },
     }
-    report.details["geometry"] = payload
     _write(args.out, json.dumps(payload, sort_keys=True), report)
     return 0 if report.ok else 1
 
 
 def cmd_analyze(args, report: RunReport) -> int:
-    model = _load_model(args.graph)
-    m, n = order_of(model.structure)
-    g = build_line_graph(model)
+    run = _Run(args.graph)
+    m, n = run.order
+    g = run.graph
     budget = max(1, args.budget_ms) * NODES_PER_MS
 
     pl = planarity_verdict(g, m, n)
@@ -243,9 +238,8 @@ def cmd_analyze(args, report: RunReport) -> int:
         report.verdicts["hamilton_cycle_verified"] = ham.verified
 
     if m != n:
-        cert = certify_srg(g, m, n)
-        report.verdicts["srg"] = cert.ok
-        chi = chromatic_analysis(g, cert, m, n, exact_limit=args.exact_chi_limit,
+        report.verdicts["srg"] = run.cert.ok
+        chi = chromatic_analysis(g, run.cert, m, n, exact_limit=args.exact_chi_limit,
                                  node_budget=budget)
         report.details["chromatic"] = {
             "exact": chi.exact_chromatic,
@@ -256,8 +250,7 @@ def cmd_analyze(args, report: RunReport) -> int:
             "flags": chi.flags,
             "witness": chi.witness,
         }
-        kr = krein_check(cert)
-        report.verdicts["krein"] = kr.ok
+        report.verdicts["krein"] = krein_check(run.cert).ok
         eb = chromatic_index_bracket(g, m, n, node_budget=budget)
     else:
         eb = chromatic_index_bracket(g, node_budget=budget)
@@ -266,38 +259,29 @@ def cmd_analyze(args, report: RunReport) -> int:
         "verdict": eb.verdict,
         "flags": eb.flags,
     }
-    if args.out:
-        _write(args.out, report.to_json(), report)
-    else:
-        print(report.to_json())
+    _write(args.out, report.to_json(), report)
     return 0 if report.ok else 1
 
 
+# (what, format) -> the text that export writes
+_EXPORTS = {
+    ("model", "json"): lambda run: model_to_json(run.model),
+    ("graph", "graph6"): lambda run: graph6_str(run.graph),
+    ("graph", "dot"): lambda run: to_dot(run.graph),
+    ("census", "json"): lambda run: json.dumps(census_to_dict(run.census, run.model),
+                                               sort_keys=True),
+}
+
+
 def cmd_export(args, report: RunReport) -> int:
-    model = _load_model(args.model)
-    if args.what == "model":
-        if args.format != "json":
-            print("model exports as json only", file=sys.stderr)
-            return 2
-        _write(args.out, json.dumps(model_to_dict(model), sort_keys=True), report)
-    elif args.what == "graph":
-        g = build_line_graph(model)
-        if args.format == "graph6":
-            _write(args.out, graph6_str(g), report)
-        elif args.format == "dot":
-            _write(args.out, to_dot(g), report)
-        else:
-            print("graph exports as graph6 or dot", file=sys.stderr)
-            return 2
-    elif args.what == "census":
-        if args.format != "json":
-            print("census exports as json only", file=sys.stderr)
-            return 2
-        g = build_line_graph(model)
-        census = classify_census(g, model)
-        _write(args.out, json.dumps(census_to_dict(census, model), sort_keys=True), report)
-    else:
+    run = _Run(args.model)
+    writer = _EXPORTS.get((args.what, args.format))
+    if writer is None:
+        formats = [f for what, f in _EXPORTS if what == args.what]
+        allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
+        print(f"{args.what} exports as {allowed}", file=sys.stderr)
         return 2
+    _write(args.out, writer(run), report)
     report.verdicts["exported"] = True
     return 0
 
@@ -331,17 +315,12 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--a6-samples", type=int, default=A6_DEFAULT_SAMPLES)
     v.add_argument("--timings", action="store_true")
 
-    c = sub.add_parser("cliques", help="enumerate and classify maximal cliques")
-    c.add_argument("model")
-    c.add_argument("--out")
-
-    i = sub.add_parser("iso", help="certify the bilinear forms graph isomorphism")
-    i.add_argument("model")
-    i.add_argument("--out")
-
-    ge = sub.add_parser("geometry", help="partial geometry reports from the census")
-    ge.add_argument("model")
-    ge.add_argument("--out")
+    for name, help_ in (("cliques", "enumerate and classify maximal cliques"),
+                        ("iso", "certify the bilinear forms graph isomorphism"),
+                        ("geometry", "partial geometry reports from the census")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("model")
+        sp.add_argument("--out")
 
     an = sub.add_parser("analyze", help="graph properties and chromatic analysis")
     an.add_argument("--graph", required=True)
@@ -357,22 +336,14 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DISPATCH = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "cliques": cmd_cliques,
-    "iso": cmd_iso,
-    "geometry": cmd_geometry,
-    "analyze": cmd_analyze,
-    "export": cmd_export,
-}
+_DISPATCH = {"build": cmd_build, "verify": cmd_verify, "cliques": cmd_cliques, "iso": cmd_iso,
+             "geometry": cmd_geometry, "analyze": cmd_analyze, "export": cmd_export}
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     report = RunReport(version=__version__, command=args.cmd,
                        params={k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
-    report.details["threads"] = _threads()
     try:
         code = _DISPATCH[args.cmd](args, report)
     except (ValueError, OSError) as exc:

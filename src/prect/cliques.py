@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._util import comb2, iter_bits
+from ._util import iter_bits
 from .construct import RectangleModel
 from .incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
 from .linegraph import LineGraph
@@ -24,11 +24,10 @@ class CliqueError(ValueError):
     pass
 
 
-def enumerate_maximal_cliques(g: LineGraph,
-                              max_vertices: int = ENUMERATION_MAX_VERTICES) -> list[tuple[int, ...]]:
+def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     """All maximal cliques, each exactly once, via pivoting Bron-Kerbosch."""
-    if g.nu > max_vertices:
-        raise CliqueError(f"enumeration limited to {max_vertices} vertices")
+    if g.nu > ENUMERATION_MAX_VERTICES:
+        raise CliqueError(f"enumeration limited to {ENUMERATION_MAX_VERTICES} vertices")
     rows = g.rows
     out = []
 
@@ -267,10 +266,3 @@ def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction
     c["ordinary_points"] = (m * (m + 1), ext.ordinary_points)
     c["ordinary_lines"] = (m * m, ext.ordinary_lines)
     return ext
-
-
-def pair_cover_double_count(census: CliqueCensus, g: LineGraph) -> bool:
-    """Edge double count: point and plane cliques each cover all edges once."""
-    pt_pairs = sum(comb2(len(pc.vertices)) for pc in census.point_cliques)
-    pl_pairs = sum(comb2(len(pc.vertices)) for pc in census.plane_cliques)
-    return pt_pairs == pl_pairs == g.num_edges

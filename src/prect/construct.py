@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .gf import FieldCtx, FieldElement, field_make
 from .incidence import IncidenceStructure
 
-DEFAULT_L2K_MAX_K = 6
-DEFAULT_SUBPLANE_MAX_N = 256
+L2K_MAX_K = 6
+SUBPLANE_MAX_N = 256
 
 
 class BuildError(ValueError):
@@ -126,7 +126,7 @@ class RectangleModel:
         return [swap.get(lab, lab) for lab in self.special_labels]
 
 
-def build_l2k(k: int, max_k: int = DEFAULT_L2K_MAX_K) -> RectangleModel:
+def build_l2k(k: int) -> RectangleModel:
     """The narrow projective rectangle of order (2, 2^k), built from (Z_2)^k.
 
     Points are D, a_g, b_g, c_g for g in (Z_2)^k; the special lines are
@@ -136,8 +136,8 @@ def build_l2k(k: int, max_k: int = DEFAULT_L2K_MAX_K) -> RectangleModel:
     """
     if k < 1:
         raise BuildError("k must be >= 1")
-    if k > max_k:
-        raise BuildError(f"k = {k} beyond bound {max_k}")
+    if k > L2K_MAX_K:
+        raise BuildError(f"k = {k} beyond bound {L2K_MAX_K}")
     n = 1 << k
     points = ["D"] + [f"a{g}" for g in range(n)] + [f"b{g}" for g in range(n)] \
         + [f"c{g}" for g in range(n)]
@@ -156,8 +156,7 @@ def build_l2k(k: int, max_k: int = DEFAULT_L2K_MAX_K) -> RectangleModel:
                           special_labels=["A", "B", "C"])
 
 
-def build_subplane_rect(p: int, e: int, k: int,
-                        max_n: int = DEFAULT_SUBPLANE_MAX_N) -> RectangleModel:
+def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
     """The subplane construction R(q, q^k) inside the plane over GF(q^k).
 
     q = p^e.  k = 1 yields the full projective plane over GF(q), the trivial
@@ -168,8 +167,8 @@ def build_subplane_rect(p: int, e: int, k: int,
         raise BuildError("need e >= 1 and k >= 1")
     q = p ** e
     n = q ** k
-    if n > max_n:
-        raise BuildError(f"q^k = {n} beyond bound {max_n}")
+    if n > SUBPLANE_MAX_N:
+        raise BuildError(f"q^k = {n} beyond bound {SUBPLANE_MAX_N}")
     ctx = field_make(p, e * k)
     zero, one = ctx.zero, ctx.one
     sub = ctx.subfield_codes(q)

@@ -176,10 +176,6 @@ def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
     }
 
 
-def census_to_json(census: CliqueCensus, model: RectangleModel) -> str:
-    return json.dumps(census_to_dict(census, model), sort_keys=True)
-
-
 def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
     index = {lab: i for i, lab in enumerate(model.structure.points)}
     census = CliqueCensus(

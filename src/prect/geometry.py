@@ -158,22 +158,3 @@ def build_plane_clique_structure(census: CliqueCensus, model: RectangleModel) ->
             c["both_t_values_occur"] = ({0, m}, support)
             c["not_partial_geometry"] = (False, rep.is_partial_geometry)
     return rep
-
-
-def transversal_double_count(census: CliqueCensus, g, report: GeometryReport) -> bool:
-    """Sum of t over non-incident pairs equals the flag-based double count.
-
-    Each (P0, L0, L) with L on P0 meeting L0 and P0 not on L0 is counted
-    once through t and once by walking Lines L and their crossing Lines.
-    """
-    lines = [pc.vertices for pc in census.point_cliques]
-    masks = [sum(1 << v for v in ln) for ln in lines]
-    total_t = sum(t * c for t, c in report.t_histogram.items())
-    other = 0
-    for i, li in enumerate(masks):
-        for j, lj in enumerate(masks):
-            if i == j or not (li & lj):
-                continue
-            # points of line i that are not on line j
-            other += (li & ~lj).bit_count()
-    return total_t == other

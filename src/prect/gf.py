@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-DEFAULT_MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 20
 _TABLE_MAX_ORDER = 1 << 10
 
 
@@ -104,13 +104,13 @@ class FieldCtx:
     are pure.  Create contexts with field_make, which memoizes them.
     """
 
-    def __init__(self, p: int, m: int, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise FieldError(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        if p ** m > max_order:
-            raise FieldError(f"field order {p}^{m} exceeds bound {max_order}")
+        if p ** m > MAX_ORDER:
+            raise FieldError(f"field order {p}^{m} exceeds bound {MAX_ORDER}")
         self.p = p
         self.m = m
         self.order = p ** m
@@ -219,19 +219,9 @@ class FieldCtx:
             if self._inv_table is None:
                 self._inv_table = [0] * self.order
                 for x in range(1, self.order):
-                    self._inv_table[x] = self.pow_code_noinv(x, self.order - 2)
+                    self._inv_table[x] = self.pow_code(x, self.order - 2)
             return self._inv_table[a]
-        return self.pow_code_noinv(a, self.order - 2)
-
-    def pow_code_noinv(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_codes(result, base)
-            base = self.mul_codes(base, base)
-            e >>= 1
-        return result
+        return self.pow_code(a, self.order - 2)
 
     # -- element constructors --
 
@@ -279,17 +269,16 @@ class FieldCtx:
 
     def in_subfield_code(self, code: int, q: int) -> bool:
         self.subfield_degree(q)
-        return self.pow_code_noinv(code, q) == code
+        return self.pow_code(code, q) == code
 
     def subfield_codes(self, q: int) -> tuple[int, ...]:
-        e = self.subfield_degree(q)
+        self.subfield_degree(q)
         key = ("codes", q)
         if key not in self._subfield_cache:
-            codes = tuple(c for c in range(self.order) if self.pow_code_noinv(c, q) == c)
+            codes = tuple(c for c in range(self.order) if self.pow_code(c, q) == c)
             if len(codes) != q:
                 raise FieldError(f"subfield scan for q={q} found {len(codes)} elements")
             self._subfield_cache[key] = codes
-        del e
         return self._subfield_cache[key]
 
     def _subfield_setup(self, q: int):
@@ -459,9 +448,9 @@ class FieldElement:
 
 
 @lru_cache(maxsize=None)
-def field_make(p: int, m: int, max_order: int = DEFAULT_MAX_ORDER) -> FieldCtx:
+def field_make(p: int, m: int) -> FieldCtx:
     """Build (and memoize) GF(p^m) with its canonical modulus."""
-    return FieldCtx(p, m, max_order=max_order)
+    return FieldCtx(p, m)
 
 
 def in_subfield(x: FieldElement, q: int) -> bool:

@@ -146,16 +146,6 @@ class AxiomReport:
         return [a for a, v in self.verdicts.items() if not v]
 
 
-def _pair_cover(s: IncidenceStructure):
-    """Map unordered point pair -> list of covering line indices."""
-    cover = {}
-    for i, t in enumerate(s.lines):
-        for a in range(len(t)):
-            for b in range(a + 1, len(t)):
-                cover.setdefault((t[a], t[b]), []).append(i)
-    return cover
-
-
 def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
                  a6_samples: int = A6_DEFAULT_SAMPLES,
                  seed: int = A6_DEFAULT_SEED) -> AxiomReport:
@@ -169,29 +159,16 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
     enumeration, which is cheaper and conclusive.
     """
     rep = AxiomReport()
-    cover = _pair_cover(s)
+    through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
 
     # A1: every point pair on exactly one line.
-    a1_witness = None
-    for pair, lines in cover.items():
-        if len(lines) > 1:
-            a1_witness = {"pair": pair, "lines": lines, "defect": "covered more than once"}
-            break
-    if a1_witness is None:
-        np_ = s.n_points
-        for a in range(np_):
-            for b in range(a + 1, np_):
-                if (a, b) not in cover:
-                    a1_witness = {"pair": (a, b), "lines": [], "defect": "not covered"}
-                    break
-            if a1_witness:
-                break
+    a1_witness = _a1_witness(s)
     rep.verdicts["A1"] = a1_witness is None
     if a1_witness:
         rep.witnesses["A1"] = a1_witness
 
     # A2: four points, no three collinear.
-    witness4 = _find_quadrangle(s, cover)
+    witness4 = _find_quadrangle(s, through)
     rep.verdicts["A2"] = witness4 is not None
     if witness4 is not None:
         rep.witnesses["A2"] = {"points": witness4}
@@ -237,9 +214,9 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
         mode = "full" if (rep.n is None or rep.n <= A6_FULL_DEFAULT_MAX_N) else "sampled"
     rep.a6_mode = mode
     if mode == "full":
-        ok6, wit6 = _a6_scan(s)
+        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through))
     elif mode == "sampled":
-        ok6, wit6, rep.a6_coverage = _a6_sampled(s, a6_samples, seed)
+        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed)
     else:
         raise ValueError(f"unknown a6_mode {a6_mode!r}")
     rep.verdicts["A6"] = ok6
@@ -248,39 +225,77 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
     return rep
 
 
-def _find_quadrangle(s, cover):
-    """Four points with no three collinear, or None."""
+def _a1_witness(s):
+    """The first pair on two lines, else the first pair on none, else None.
 
-    def collinear(a, b, c):
-        key = (a, b) if a < b else (b, a)
-        for ln in cover.get(key, ()):
-            if c in s.lines[ln]:
-                return True
-        return False
+    The lines through a point p, taken as point masks, must cover every
+    other point exactly once: an overlap of two masks is a pair on two
+    lines, a point in no mask a pair on none.  Pairs on two lines are
+    ordered by the first line holding them, then by pair order within it;
+    the first uncovered pair is (p, q) for the least such p, then q.
+    """
+    masks = s.line_masks
+    everyone = (1 << s.n_points) - 1
+    twice = {}  # point -> mask of the points it shares two lines with
+    gap = None  # the least point missing a partner, and its missing partners
+    for p, ls in enumerate(s.lines_at):
+        seen = dup = 0
+        for i in ls:
+            dup |= seen & masks[i]
+            seen |= masks[i]
+        dup &= ~(1 << p)
+        if dup:
+            twice[p] = dup
+        elif gap is None and seen | 1 << p != everyone:
+            gap = p, everyone & ~(seen | 1 << p)
+    if twice:
+        for i, t in enumerate(s.lines):
+            for a in t:
+                # a smaller partner on line i would have been found at it already
+                both = twice.get(a, 0) & masks[i]
+                if both:
+                    b = (both & -both).bit_length() - 1
+                    lines = [j for j in s.lines_at[a] if masks[j] >> b & 1]
+                    return {"pair": (a, b), "lines": lines, "defect": "covered more than once"}
+    if gap:
+        p, missing = gap
+        return {"pair": (p, (missing & -missing).bit_length() - 1), "lines": [],
+                "defect": "not covered"}
+    return None
 
+
+def _find_quadrangle(s, through):
+    """Four points with no three collinear, or None.
+
+    Points a, b, c are collinear iff some line passes through all three,
+    that is iff through[a] & through[b] & through[c] is nonzero.
+    """
     np_ = s.n_points
     for a in range(np_):
+        ta = through[a]
         for b in range(a + 1, np_):
+            tb = through[b]
+            tab = ta & tb
             for c in range(b + 1, np_):
-                if collinear(a, b, c):
+                tc = through[c]
+                if tab & tc:
                     continue
+                pairs = tab | ta & tc | tb & tc  # lines through two of a, b, c
                 for d in range(c + 1, np_):
-                    if not (collinear(a, b, d) or collinear(a, c, d)
-                            or collinear(b, c, d)):
+                    if not pairs & through[d]:
                         return (a, b, c, d)
     return None
 
 
-def _a6_masks(s):
-    """through[p], the lines through point p, and nbr[i], the lines meeting line i."""
-    through = [sum(1 << i for i in ls) for ls in s.lines_at]
+def _a6_nbr(s, through):
+    """nbr[i], the lines meeting line i, from through[p], the lines through point p."""
     nbr = []
     for i, t in enumerate(s.lines):
         mask = 0
         for p in t:
             mask |= through[p]
         nbr.append(mask & ~(1 << i))
-    return through, nbr
+    return nbr
 
 
 def _a6_pairs(s, through, nbr):
@@ -301,10 +316,10 @@ def _a6_pairs(s, through, nbr):
                 yield l1, l2, n1 & nbr[l2] & ~through[common.bit_length() - 1]
 
 
-def _a6_scan(s):
+def _a6_scan(s, through, nbr):
     """Every quadruple, one pair's candidate list at a time, stopping at the first failure."""
     masks = s.line_masks
-    for l1, l2, cmask in _a6_pairs(s, *_a6_masks(s)):
+    for l1, l2, cmask in _a6_pairs(s, through, nbr):
         m1, m2 = masks[l1], masks[l2]
         cands = [(g, (masks[g] & m1).bit_length() - 1, (masks[g] & m2).bit_length() - 1)
                  for g in iter_bits(cmask)]
@@ -316,14 +331,14 @@ def _a6_scan(s):
     return True, None
 
 
-def _a6_sampled(s, samples, seed):
+def _a6_sampled(s, through, samples, seed):
     """Seeded uniform draws over the quadruple space, pair by cumulative weight.
 
     One pass stores each intersecting pair and its cumulative weight
     C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own pair's
     candidate mask and picks two of its set bits.
     """
-    through, nbr = _a6_masks(s)
+    nbr = _a6_nbr(s, through)
     first, second, cum = array("i"), array("i"), array("q")
     total = 0
     for l1, l2, cmask in _a6_pairs(s, through, nbr):
@@ -335,7 +350,7 @@ def _a6_sampled(s, samples, seed):
         return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
     if total <= samples:
         # full enumeration is cheaper and stronger than sampling here
-        ok, wit = _a6_scan(s)
+        ok, wit = _a6_scan(s, through, nbr)
         cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
         return ok, wit, cov
     masks = s.line_masks

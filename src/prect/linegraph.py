@@ -326,8 +326,7 @@ class ConnectivityResult:
     provenance: str
 
 
-def vertex_connectivity(g: LineGraph, mode: str = "exact",
-                        max_exact: int = EXACT_CONNECTIVITY_MAX) -> ConnectivityResult:
+def vertex_connectivity(g: LineGraph, mode: str = "exact") -> ConnectivityResult:
     """Vertex connectivity, exactly by max-flow or cited from the srg theorem.
 
     Exact mode builds the standard vertex-split flow network and minimizes
@@ -341,8 +340,8 @@ def vertex_connectivity(g: LineGraph, mode: str = "exact",
         return ConnectivityResult(degs.pop(), "cited", "by theorem")
     if mode != "exact":
         raise GraphError(f"unknown mode {mode!r}")
-    if g.nu > max_exact:
-        raise GraphError(f"exact connectivity limited to nu <= {max_exact}")
+    if g.nu > EXACT_CONNECTIVITY_MAX:
+        raise GraphError(f"exact connectivity limited to nu <= {EXACT_CONNECTIVITY_MAX}")
     if g.is_complete():
         return ConnectivityResult(g.nu - 1, "exact", "complete graph")
 

@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+import prect.cliques
+from prect._util import comb2
 from prect.cliques import (CliqueError, clique_intersections, enumerate_maximal_cliques,
-                           extract_plane, pair_cover_double_count)
+                           extract_plane)
 from prect.incidence import order_of
 from prect.linegraph import LineGraph
 
@@ -17,9 +19,10 @@ def test_k4_single_maximal_clique(g_pp2):
     assert cl == [(0, 1, 2, 3)]
 
 
-def test_enumeration_bound(g_l22):
+def test_enumeration_bound(g_l22, monkeypatch):
+    monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 8)
     with pytest.raises(CliqueError):
-        enumerate_maximal_cliques(g_l22, max_vertices=8)
+        enumerate_maximal_cliques(g_l22)
 
 
 def test_enumeration_no_duplicates_and_maximality(g_l22):
@@ -100,6 +103,13 @@ def test_point_cliques_same_special_line_disjoint(census_l22, l22):
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 assert not (group[i] & group[j])
+
+
+def pair_cover_double_count(census, g) -> bool:
+    """Edge double count: point and plane cliques each cover all edges once."""
+    pt_pairs = sum(comb2(len(pc.vertices)) for pc in census.point_cliques)
+    pl_pairs = sum(comb2(len(pc.vertices)) for pc in census.plane_cliques)
+    return pt_pairs == pl_pairs == g.num_edges
 
 
 def test_double_count_identity(census_l22, g_l22, census_l23, g_l23):

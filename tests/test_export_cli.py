@@ -197,42 +197,57 @@ def test_cli_unknown_family_errors(capsys):
         run_cli("build", "--family", "nope", "--k", "2")
 
 
-def test_cli_env_threads_recorded(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "m.json"
-    run_cli("build", "--family", "l2k", "--k", "2", "--out", str(out))
-    capsys.readouterr()
-    monkeypatch.setenv("PRECT_THREADS", "4")
-    run_cli("verify", str(out), "--profile", "quick")
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["details"]["threads"] == 4
-
-
-# SHA-256 of stdout for the smallest rungs, recorded before the A6 sampler
-# and the subplane builder were rewritten; every report must stay
-# byte-identical.  Models are read by relative path, since the path is part
-# of the report's params.
+# SHA-256 of [exit code, stdout, stderr, the --out file or None] for the
+# smallest rungs of every subcommand.  Recorded from the CLI as it was before
+# its subcommands shared one per-run fact cache, with the "threads" member
+# that reports carried then deleted; every report must stay byte-identical.
+# Models are read by relative path, since the path is part of the report's
+# params.
 GOLDEN_STDOUT = [
     (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "2"), "r39.json",
-     "023d56516ad175cbc9b52a49f7de8419d7fe8b57ba187c1a0258b0499704a6f2"),
+     "76326a3d3f479d61e287915dee075590b0ce637c3f26f4763d0dd59ad3e25f0f"),
     (("build", "--family", "subplane", "--p", "2", "--e", "2", "--k", "2"), "r416.json",
-     "20bdc8bf4274904de1cee6322d73579f689590b3347d8c851444e8ce65e261eb"),
+     "f998bd39603a67a597d514bf85de828258f228374057e77f8e7430fc21a88e51"),
     (("build", "--family", "l2k", "--k", "3"), "l23.json",
-     "015b5a54eafdb1199ad1673d5e5b234c8b3e0b8d859bb1a01b91040a8ed052c2"),
+     "214802c5154e2adeb939a4960664a8f34d7b1b10ccb5ef5a2660091de84f732e"),
+    (("build", "--family", "l2k", "--k", "2"), "l22.json",
+     "fc3e2879bbab55bd25d99f0fc6d634300d8d7e50f3ac2bf997416e40155774fe"),
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
-     "4cadbde91c0b4e2ee528656d06a20ee07a64780e30d285489426e037e28c284a"),
+     "1eb0daab1c3a520edc222779dc0cb390a7c147bdee002059637588bee919283b"),
     (("verify", "l23.json", "--profile", "full"), None,
-     "0a3b5ec54fedcd95c3c6bd1f13ad8cfe0ba09aac74eaa25036896e18118e5a27"),
+     "ffff2afdc0d3e0d1c9a98a2a58fc5962bb40fab461961e2ad4bd3280a5c898de"),
     (("verify", "r416.json", "--profile", "full"), None,
-     "b50dbb480cdc9e12eda1a47d413c446667a528a1dd8c2a278db4efd5d9f05eec"),
+     "49b23517bc9c6efb0940920d57c0de7720f105707eb26ed907a8ac11bea78a56"),
+    (("cliques", "r39.json"), None,
+     "675fe03fcf88ce49d62851ea74fc10f4b700147bdcd14464474acfb23f82baa2"),
+    (("geometry", "r39.json"), None,
+     "41b7421b4ed1363cd255998eac01be01d2f77ffc9ce9e8e84440a0c3c9145b79"),
+    (("iso", "r39.json"), None,
+     "36056012f06ab988ea20565e94329da4614e9ab26cd8d54fbf20e15b506aeb54"),
+    (("iso", "r39.json", "--out", "iso.json"), None,
+     "8982077144a904f40d8a7064209ac2bbccdbb81bc239faab2715e17e76d37723"),
+    (("iso", "l22.json"), None,
+     "bd014368ac66efa322fbcbb647e3a6c026ced9b35ca6e2729f98278163b52508"),
+    (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
+     "9f503fdc1de407d87fa4d679340eb05ec863ad5ff61a6a9db6ec5e8ed0ee7459"),
+    (("export", "r39.json", "--what", "model", "--format", "json"), None,
+     "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
+    (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
+     "b95f0806cd2a71c8faa635149478aa63275e92d404ec14099e06c920fcbc92ed"),
+    (("export", "r39.json", "--what", "census", "--format", "json"), None,
+     "f39c17dfcc964be0125324ea68241ac7a16aa3a09caa13220b17402fd80eb762"),
+    (("export", "r39.json", "--what", "model", "--format", "dot"), None,
+     "3f09b35b81a5218c0b2cc19f0a351b7a15b1d81f1f9b059f284b8e5811020962"),
 ]
 
 
 def test_cli_stdout_matches_golden_hashes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PRECT_THREADS", raising=False)
     for argv, save_as, digest in GOLDEN_STDOUT:
-        run_cli(*argv)
-        out = capsys.readouterr().out
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
         if save_as:
             (tmp_path / save_as).write_text(out)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        written = (tmp_path / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
+        run = json.dumps([code, out, err, written])
+        assert hashlib.sha256(run.encode()).hexdigest() == digest, argv

@@ -346,3 +346,107 @@ def test_a6_memory_is_bounded(r416, mode):
     if mode == "sampled":
         assert not rep.a6_coverage["exhaustive"]
     assert peak < 4 * 2 ** 20, peak
+
+
+# -- A1/A2 oracle: the pair-cover dict that the per-point masks replaced --
+
+def _oracle_pair_cover(s):
+    cover = {}
+    for i, t in enumerate(s.lines):
+        for a in range(len(t)):
+            for b in range(a + 1, len(t)):
+                cover.setdefault((t[a], t[b]), []).append(i)
+    return cover
+
+
+def _oracle_a1(s, cover):
+    for pair, lines in cover.items():
+        if len(lines) > 1:
+            return {"pair": pair, "lines": lines, "defect": "covered more than once"}
+    np_ = s.n_points
+    for a in range(np_):
+        for b in range(a + 1, np_):
+            if (a, b) not in cover:
+                return {"pair": (a, b), "lines": [], "defect": "not covered"}
+    return None
+
+
+def _oracle_find_quadrangle(s, cover):
+    def collinear(a, b, c):
+        key = (a, b) if a < b else (b, a)
+        for ln in cover.get(key, ()):
+            if c in s.lines[ln]:
+                return True
+        return False
+
+    np_ = s.n_points
+    for a in range(np_):
+        for b in range(a + 1, np_):
+            for c in range(b + 1, np_):
+                if collinear(a, b, c):
+                    continue
+                for d in range(c + 1, np_):
+                    if not (collinear(a, b, d) or collinear(a, c, d)
+                            or collinear(b, c, d)):
+                        return (a, b, c, d)
+    return None
+
+
+def _a1_a2_mutants(s, seed, count):
+    """Broken copies of s: a point swapped between two lines, a point replaced,
+    a line duplicated, a line extended by a point, and a line dropped."""
+    rng = random.Random(seed)
+    n_lines = s.n_lines
+    out = []
+    for x in range(count):
+        lines = [list(t) for t in s.lines]
+        kind = ("swap", "replace", "duplicate", "extend", "drop")[x % 5]
+        i, j = rng.sample(range(n_lines), 2)
+        if kind == "swap":
+            a = rng.choice([p for p in lines[i] if p not in lines[j]] or lines[i])
+            b = rng.choice([p for p in lines[j] if p not in lines[i]] or lines[j])
+            lines[i][lines[i].index(a)] = b
+            lines[j][lines[j].index(b)] = a
+            lines = [sorted(set(t)) for t in lines]
+        elif kind == "replace":
+            free = [p for p in range(s.n_points) if p not in lines[i]]
+            lines[i][rng.randrange(len(lines[i]))] = rng.choice(free)
+        elif kind == "duplicate":
+            lines.append(lines[i])
+        elif kind == "extend":
+            lines[i].append(rng.choice([p for p in range(s.n_points) if p not in lines[i]]))
+        else:
+            out.append(s.drop_line(i))
+            continue
+        out.append(IncidenceStructure(s.points, lines, s.special_point, validate=False))
+    return out
+
+
+def _near_pencil(size):
+    """All points but the last on one line: every four points have three collinear."""
+    lines = [tuple(range(size - 1))] + [(p, size - 1) for p in range(size - 1)]
+    return IncidenceStructure(list(range(size)), lines, 0, validate=False)
+
+
+@pytest.mark.parametrize("name", ["l22", "l23", "r39", "r28", "pp2"])
+def test_a1_a2_match_pair_cover_oracle(name, request):
+    s0 = request.getfixturevalue(name).structure
+    structures = [s0] + _a1_a2_mutants(s0, 17, 45)
+    if name == "pp2":
+        structures += [_near_pencil(k) for k in (4, 5, 9)]
+    failing = {"A1 twice": 0, "A1 uncovered": 0, "A2": 0}
+    for x, s in enumerate(structures):
+        cover = _oracle_pair_cover(s)
+        a1 = _oracle_a1(s, cover)
+        a2 = _oracle_find_quadrangle(s, cover)
+        rep = check_axioms(s, "sampled", a6_samples=0)  # A6 is not under test
+        assert rep.verdicts["A1"] == (a1 is None), (name, x)
+        assert rep.witnesses.get("A1") == a1, (name, x)
+        assert rep.verdicts["A2"] == (a2 is not None), (name, x)
+        assert rep.witnesses.get("A2", {}).get("points") == a2, (name, x)
+        if a1:
+            failing["A1 " + ("twice" if a1["lines"] else "uncovered")] += 1
+        failing["A2"] += a2 is None
+    # both kinds of A1 witness were compared; A2 fails on the near-pencils
+    assert failing["A1 twice"] and failing["A1 uncovered"], failing
+    assert failing["A2"] == (3 if name == "pp2" else 0), failing
