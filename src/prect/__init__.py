@@ -16,15 +16,14 @@ from .cliques import (classify_census, clique_intersections,
                       enumerate_maximal_cliques, extract_plane)
 from .construct import build_l2k, build_plane, build_subplane_rect, common_point
 from .geometry import build_plane_clique_structure, build_point_clique_geometry
-from .gf import FieldCtx, FieldElement, basis_coords, embed_subfield, field_make, in_subfield
+from .gf import FieldCtx, embed_subfield, field_make
 from .incidence import (IncidenceStructure, check_axioms, elementary_counts,
                         find_isomorphism, order_of)
 from .linegraph import (LineGraph, build_line_graph, certify_srg, diameter,
                         factorization_check, vertex_connectivity)
 
 __all__ = [
-    "FieldCtx", "FieldElement", "field_make", "in_subfield", "basis_coords",
-    "embed_subfield",
+    "FieldCtx", "field_make", "embed_subfield",
     "IncidenceStructure", "check_axioms", "order_of", "elementary_counts",
     "find_isomorphism",
     "build_l2k", "build_subplane_rect", "build_plane", "common_point",

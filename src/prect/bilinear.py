@@ -130,10 +130,9 @@ def map_line_to_matrix(line_index: int, model: RectangleModel) -> Matrix:
     """Rows B(a), B(b) of the line <a,b,1>, as ambient subfield codes."""
     if model.line_coeffs is None:
         raise BilinearError("need a coordinatized subplane model")
-    lc = model.line_coeffs[line_index]
-    ctx = model.ctx
-    q = model.q
-    return (ctx.basis_coords_code(lc.a.code, q), ctx.basis_coords_code(lc.b.code, q))
+    a, b, _ = model.line_coeffs[line_index]
+    ctx, q = model.ctx, model.q
+    return ctx.basis_coords_code(a, q), ctx.basis_coords_code(b, q)
 
 
 def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:

@@ -280,6 +280,7 @@ def cmd_export(args, report: RunReport) -> int:
         formats = [f for what, f in _EXPORTS if what == args.what]
         allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
         print(f"{args.what} exports as {allowed}", file=sys.stderr)
+        report.verdicts["exported"] = False
         return 2
     _write(args.out, writer(run), report)
     report.verdicts["exported"] = True

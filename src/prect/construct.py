@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldCtx, FieldElement, field_make
+from .gf import FieldCtx, field_make
 from .incidence import IncidenceStructure
 
 L2K_MAX_K = 6
@@ -26,47 +26,20 @@ class BuildError(ValueError):
     """Invalid construction parameters."""
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Homogeneous [x,y,z], normalized so the first nonzero coordinate is 1."""
-
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
-
-    @classmethod
-    def make(cls, x: FieldElement, y: FieldElement, z: FieldElement) -> "ProjPoint":
-        for lead in (x, y, z):
-            if lead:
-                inv = lead.inv()
-                return cls(x * inv, y * inv, z * inv)
-        raise BuildError("zero triple is not a projective point")
-
-    @property
-    def codes(self) -> tuple[int, int, int]:
-        return (self.x.code, self.y.code, self.z.code)
-
-    def __repr__(self):
-        return f"[{self.x}:{self.y}:{self.z}]"
+def normalize_point(ctx: FieldCtx, x: int, y: int, z: int) -> tuple[int, int, int]:
+    """Homogeneous [x,y,z] of codes, scaled so the first nonzero coordinate is 1."""
+    for lead in (x, y, z):
+        if lead:
+            inv = ctx.inv_code(lead)
+            return ctx.mul_codes(x, inv), ctx.mul_codes(y, inv), ctx.mul_codes(z, inv)
+    raise BuildError("zero triple is not a projective point")
 
 
-@dataclass(frozen=True)
-class LineCoeffs:
-    """Homogeneous line coefficients <a,b,c>; ordinary lines have c = 1."""
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-
-    @property
-    def codes(self) -> tuple[int, int, int]:
-        return (self.a.code, self.b.code, self.c.code)
-
-    def contains(self, pt: ProjPoint) -> bool:
-        return not (self.a * pt.x + self.b * pt.y + self.c * pt.z)
-
-    def __repr__(self):
-        return f"<{self.a},{self.b},{self.c}>"
+def on_line(ctx: FieldCtx, line, pt) -> bool:
+    """True iff a*x + b*y + c*z = 0 for the line <a,b,c> and the point [x:y:z]."""
+    (a, b, c), (x, y, z) = line, pt
+    mul, add = ctx.mul_codes, ctx.add_codes
+    return not add(add(mul(a, x), mul(b, y)), mul(c, z))
 
 
 class RectangleModel:
@@ -74,7 +47,9 @@ class RectangleModel:
 
     structure.lines lists the ordinary lines first, in construction order,
     followed by the m+1 special lines; graph vertices reuse those indices.
-    Combinatorial models (family "l2k") carry no coordinates.
+    Coordinates are (x, y, z) triples of field codes: points [x:y:z] and
+    line coefficients <a,b,c>.  Combinatorial models (family "l2k") carry
+    no coordinates.
     """
 
     def __init__(self, structure: IncidenceStructure, family: str,
@@ -93,8 +68,7 @@ class RectangleModel:
         self.special_coeffs = special_coeffs
         self.special_labels = special_labels
         if point_coords is not None:
-            self._point_index = {pt.codes: i for i, pt in enumerate(point_coords)
-                                 if pt is not None}
+            self._point_index = {pt: i for i, pt in enumerate(point_coords)}
         else:
             self._point_index = None
 
@@ -106,10 +80,10 @@ class RectangleModel:
     def num_ordinary_lines(self) -> int:
         return len(self.structure.ordinary_lines)
 
-    def point_index(self, pt: ProjPoint):
+    def point_index(self, pt: tuple[int, int, int]):
         if self._point_index is None:
             raise BuildError("model has no coordinates")
-        return self._point_index.get(pt.codes)
+        return self._point_index.get(pt)
 
     def special_position(self, structure_line_index: int) -> int:
         """Position of a special line inside the special block (0..m)."""
@@ -170,36 +144,23 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
     if n > SUBPLANE_MAX_N:
         raise BuildError(f"q^k = {n} beyond bound {SUBPLANE_MAX_N}")
     ctx = field_make(p, e * k)
-    zero, one = ctx.zero, ctx.one
     sub = ctx.subfield_codes(q)
 
-    # Points: D, then the s_beta blocks (beta over GF(q) in code order),
-    # then the s_inf block; each block enumerated over the field.
-    point_coords = [ProjPoint(zero, zero, one)]
+    # Points: D, then the s_beta blocks {[-beta:1:t]} (beta over GF(q) in
+    # code order), then the s_inf block {[1:0:t]}; t runs over the field.
+    point_coords = [(0, 0, 1)]
     labels = ["D"]
     special_pointsets = []
-    special_coeffs = []
-    special_labels = []
-    for beta_code in sub:
-        beta = ctx.from_code(beta_code)
+    for x, y in [(ctx.neg_code(beta_code), 1) for beta_code in sub] + [(1, 0)]:
         block = [0]
         for t_code in range(n):
-            pt = ProjPoint.make(-beta, one, ctx.from_code(t_code))
+            pt = normalize_point(ctx, x, y, t_code)
             block.append(len(point_coords))
             point_coords.append(pt)
-            labels.append(repr(pt))
+            labels.append("[" + ":".join(map(ctx.format_code, pt)) + "]")
         special_pointsets.append(tuple(block))
-        special_coeffs.append(LineCoeffs(one, beta, zero))
-        special_labels.append(f"s_{beta_code}")
-    block = [0]
-    for t_code in range(n):
-        pt = ProjPoint.make(one, zero, ctx.from_code(t_code))
-        block.append(len(point_coords))
-        point_coords.append(pt)
-        labels.append(repr(pt))
-    special_pointsets.append(tuple(block))
-    special_coeffs.append(LineCoeffs(zero, one, zero))
-    special_labels.append("s_inf")
+    special_coeffs = [(1, beta_code, 0) for beta_code in sub] + [(0, 1, 0)]
+    special_labels = [f"s_{beta_code}" for beta_code in sub] + ["s_inf"]
 
     # Ordinary lines <a,b,1>, a-major, restricted to the special-point union.
     # Point t of block s_beta is [-beta:1:t], so <a,b,1> meets s_beta where
@@ -208,11 +169,10 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
     lines = []
     inf_block = 1 + q * n
     for a_code in range(n):
-        a = ctx.from_code(a_code)
         a_beta = [ctx.mul_codes(a_code, beta_code) for beta_code in sub]
         on_inf = inf_block + ctx.neg_code(a_code)
         for b_code in range(n):
-            line_coeffs.append(LineCoeffs(a, ctx.from_code(b_code), one))
+            line_coeffs.append((a_code, b_code, 1))
             lines.append(tuple([1 + i * n + ctx.sub_codes(ab, b_code)
                                 for i, ab in enumerate(a_beta)] + [on_inf]))
 
@@ -231,7 +191,7 @@ def build_plane(p: int, e: int) -> RectangleModel:
 
 @dataclass(frozen=True)
 class CommonPoint:
-    point: ProjPoint
+    point: tuple[int, int, int]
     point_index: int
     special_line: int
     special_label: str
@@ -251,14 +211,15 @@ def common_point(l1: int, l2: int, model: RectangleModel):
         raise BuildError("common_point takes ordinary line indices")
     if l1 == l2:
         raise BuildError("lines must be distinct")
-    c1, c2 = model.line_coeffs[l1], model.line_coeffs[l2]
-    x = -(c2.b - c1.b)
-    y = c2.a - c1.a
-    z = c1.a * c2.b - c2.a * c1.b
+    ctx = model.ctx
+    (a1, b1, _), (a2, b2, _) = model.line_coeffs[l1], model.line_coeffs[l2]
+    x = ctx.neg_code(ctx.sub_codes(b2, b1))
+    y = ctx.sub_codes(a2, a1)
+    z = ctx.sub_codes(ctx.mul_codes(a1, b2), ctx.mul_codes(a2, b1))
     stored = set(model.structure.lines[l1]) & set(model.structure.lines[l2])
     if not (x or y or z):
         raise BuildError("identical line coefficients")
-    pt = ProjPoint.make(x, y, z)
+    pt = normalize_point(ctx, x, y, z)
     idx = model.point_index(pt)
     if idx is None:
         if stored:

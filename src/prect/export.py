@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 
 from .cliques import CliqueCensus, PlaneClique, PointClique
-from .construct import (LineCoeffs, ProjPoint, RectangleModel, build_l2k,
-                        build_subplane_rect)
+from .construct import RectangleModel, build_l2k, build_subplane_rect
 from .gf import field_make
 from .incidence import IncidenceStructure
 from .linegraph import LineGraph, SrgCertificate
@@ -84,11 +83,15 @@ def to_dot(g: LineGraph, name: str = "lines") -> str:
     return "\n".join(out) + "\n"
 
 
-# -- model JSON --
+# -- model JSON; field codes travel as coefficient vectors, constant term first --
 
-def _triple_coeffs(x, y, z):
-    # field elements travel as coefficient vectors, constant term first
-    return [list(x.coeffs), list(y.coeffs), list(z.coeffs)]
+def _vectors(ctx, triples):
+    return [[list(ctx.decode(c)) for c in t] for t in triples]
+
+
+def _codes(ctx, vectors):
+    enc = ctx.encode
+    return [(enc(list(x)), enc(list(y)), enc(list(z))) for x, y, z in vectors]
 
 
 def model_to_dict(model: RectangleModel) -> dict:
@@ -100,9 +103,9 @@ def model_to_dict(model: RectangleModel) -> dict:
         "special_labels": list(model.special_labels),
     }
     if model.point_coords is not None:
-        d["point_coords"] = [_triple_coeffs(pt.x, pt.y, pt.z) for pt in model.point_coords]
-        d["line_coeffs"] = [_triple_coeffs(lc.a, lc.b, lc.c) for lc in model.line_coeffs]
-        d["special_coeffs"] = [_triple_coeffs(lc.a, lc.b, lc.c) for lc in model.special_coeffs]
+        d["point_coords"] = _vectors(model.ctx, model.point_coords)
+        d["line_coeffs"] = _vectors(model.ctx, model.line_coeffs)
+        d["special_coeffs"] = _vectors(model.ctx, model.special_coeffs)
     if model.alt_special_labels():
         d["alt_special_labels"] = model.alt_special_labels()
     return d
@@ -125,10 +128,9 @@ def model_from_dict(d: dict) -> RectangleModel:
     point_coords = line_coeffs = special_coeffs = None
     if "point_coords" in d:
         ctx = field_make(params["p"], params["e"] * params["k"])
-        fc = ctx.element
-        point_coords = [ProjPoint(fc(x), fc(y), fc(z)) for x, y, z in d["point_coords"]]
-        line_coeffs = [LineCoeffs(fc(a), fc(b), fc(c)) for a, b, c in d["line_coeffs"]]
-        special_coeffs = [LineCoeffs(fc(a), fc(b), fc(c)) for a, b, c in d["special_coeffs"]]
+        point_coords = _codes(ctx, d["point_coords"])
+        line_coeffs = _codes(ctx, d["line_coeffs"])
+        special_coeffs = _codes(ctx, d["special_coeffs"])
     return RectangleModel(structure, d["family"], params["p"], params["e"], params["k"],
                           ctx=ctx, point_coords=point_coords, line_coeffs=line_coeffs,
                           special_coeffs=special_coeffs,

@@ -98,7 +98,7 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldCtx:
-    """A field GF(p^m) with its canonical modulus; shared by its elements.
+    """A field GF(p^m) with its canonical modulus, acting on element codes.
 
     Immutable after construction apart from internal caches; all operations
     are pure.  Create contexts with field_make, which memoizes them.
@@ -122,17 +122,6 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.m}))" if self.m > 1 else f"FieldCtx(GF({self.p}))"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
     # -- integer-coded element helpers --
 
     def decode(self, code: int) -> tuple[int, ...]:
@@ -149,6 +138,19 @@ class FieldCtx:
         for c in reversed(coeffs):
             code = code * self.p + (c % self.p)
         return code
+
+    def format_code(self, code: int) -> str:
+        """Polynomial label in the generator g: "0", "1+2g", "g^3"."""
+        terms = []
+        for i, c in enumerate(self.decode(code)):
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                head = "" if c == 1 else str(c)
+                terms.append(f"{head}g" if i == 1 else f"{head}g^{i}")
+        return "+".join(terms) if terms else "0"
 
     def add_codes(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -223,39 +225,6 @@ class FieldCtx:
             return self._inv_table[a]
         return self.pow_code(a, self.order - 2)
 
-    # -- element constructors --
-
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.order:
-            raise FieldError(f"code {code} out of range for order {self.order}")
-        return FieldElement(self, code)
-
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.encode(list(coeffs)))
-
-    def scalar(self, c: int) -> "FieldElement":
-        """The prime-subfield constant c mod p."""
-        return FieldElement(self, c % self.p)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """The residue class of x; a degree-m generator of the extension."""
-        if self.m == 1:
-            return FieldElement(self, 0)
-        return FieldElement(self, self.p)
-
-    def elements(self):
-        for code in range(self.order):
-            yield FieldElement(self, code)
-
     # -- subfields --
 
     def subfield_degree(self, q: int) -> int:
@@ -329,7 +298,10 @@ class FieldCtx:
         return out
 
     def basis_coords_code(self, code: int, q: int) -> tuple[int, ...]:
-        """Codes of the k GF(q)-coordinates of code over the power basis of gen."""
+        """Codes of the k GF(q)-coordinates of code over the basis 1, g, ..., g^(k-1).
+
+        g is the class of x.  The map is GF(q)-linear and bijective onto GF(q)^k.
+        """
         k, basis, minv = self._subfield_setup(q)
         p = self.p
         vec = self.decode(code)
@@ -344,11 +316,6 @@ class FieldCtx:
                     acc = self.add_codes(acc, self.mul_codes(cij, basis[j]))
             coords.append(acc)
         return tuple(coords)
-
-    def basis_coords(self, x: "FieldElement", q: int) -> tuple["FieldElement", ...]:
-        if x.ctx != self:
-            raise FieldError("element belongs to a different field context")
-        return tuple(FieldElement(self, c) for c in self.basis_coords_code(x.code, q))
 
 
 def _invert_matrix_modp(cols, p):
@@ -373,99 +340,10 @@ def _invert_matrix_modp(cols, p):
     return inv
 
 
-class FieldElement:
-    """An immutable, hashable element of a FieldCtx."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.decode(self.code)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise FieldError(f"cannot combine field element with {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise FieldError("field context mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.ctx, self.ctx.add_codes(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.ctx, self.ctx.sub_codes(self.code, other.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul_codes(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg_code(self.code))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul_codes(self.code, self.ctx.inv_code(other.code)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow_code(self.code, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv_code(self.code))
-
-    def in_subfield(self, q: int) -> bool:
-        return self.ctx.in_subfield_code(self.code, q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx == other.ctx
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.m, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}g" if i == 1 else f"{head}g^{i}")
-        return "+".join(terms) if terms else "0"
-
-
 @lru_cache(maxsize=None)
 def field_make(p: int, m: int) -> FieldCtx:
     """Build (and memoize) GF(p^m) with its canonical modulus."""
     return FieldCtx(p, m)
-
-
-def in_subfield(x: FieldElement, q: int) -> bool:
-    """True iff x lies in the subfield of order q, i.e. x**q == x."""
-    return x.ctx.in_subfield_code(x.code, q)
-
-
-def basis_coords(x: FieldElement, q: int) -> tuple[FieldElement, ...]:
-    """GF(q)-coordinates of x over the power basis {1, g, ..., g^(k-1)}.
-
-    g is the residue class of x in the ambient GF(q^k); the coordinates are
-    returned as ambient elements lying in the subfield, and the map is
-    GF(q)-linear and bijective onto GF(q)^k.
-    """
-    return x.ctx.basis_coords(x, q)
 
 
 def embed_subfield(small: FieldCtx, big: FieldCtx) -> list[int]:

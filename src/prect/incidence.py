@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from ._util import comb2, iter_bits
 
-A6_FULL_DEFAULT_MAX_N = 16
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
 
@@ -146,17 +145,16 @@ class AxiomReport:
         return [a for a, v in self.verdicts.items() if not v]
 
 
-def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
+def check_axioms(s: IncidenceStructure, a6_mode: str,
                  a6_samples: int = A6_DEFAULT_SAMPLES,
                  seed: int = A6_DEFAULT_SEED) -> AxiomReport:
     """Verify axioms A1 to A6, returning verdicts and witnesses.
 
-    a6_mode is "full", "sampled", or "auto"; auto runs the full quadruple
-    enumeration when the structure's n is at most A6_FULL_DEFAULT_MAX_N and
-    samples a6_samples quadruples (seeded, uniform over the quadruple space)
-    above that.  Sampled runs record their coverage of the space; when the
-    space is no larger than the sample count they upgrade to exhaustive
-    enumeration, which is cheaper and conclusive.
+    a6_mode is "full", the whole quadruple enumeration, or "sampled", which
+    draws a6_samples quadruples (seeded, uniform over the quadruple space).
+    Sampled runs record their coverage of the space; when the space is no
+    larger than the sample count they upgrade to exhaustive enumeration,
+    which is cheaper and conclusive.
     """
     rep = AxiomReport()
     through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
@@ -209,13 +207,10 @@ def check_axioms(s: IncidenceStructure, a6_mode: str = "auto",
     rep.counts["lines"] = s.n_lines
 
     # A6.
-    mode = a6_mode
-    if mode == "auto":
-        mode = "full" if (rep.n is None or rep.n <= A6_FULL_DEFAULT_MAX_N) else "sampled"
-    rep.a6_mode = mode
-    if mode == "full":
+    rep.a6_mode = a6_mode
+    if a6_mode == "full":
         ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through))
-    elif mode == "sampled":
+    elif a6_mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed)
     else:
         raise ValueError(f"unknown a6_mode {a6_mode!r}")

@@ -204,13 +204,11 @@ def test_criterion_09_chromatic_analysis(g_l22, g_r24, r24):
         # independent oracle 2: the coordinatized witness b = w*a + t gives
         # four independent sets partitioning the isomorphic graph of R(2,4)
         ctx = field_make(2, 2)
-        w = ctx.gen
+        w = 2  # the class of x
         classes = {t: [] for t in range(4)}
         for idx in range(16):
             a_code, b_code = divmod(idx, 4)
-            a, b = ctx.from_code(a_code), ctx.from_code(b_code)
-            t = b - w * a
-            classes[t.code].append(idx)
+            classes[ctx.sub_codes(b_code, ctx.mul_codes(w, a_code))].append(idx)
         assert sorted(v for cl in classes.values() for v in cl) == list(range(16))
         for cl in classes.values():
             assert len(cl) == 4

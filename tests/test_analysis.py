@@ -114,11 +114,11 @@ def test_chromatic_exact_l23_is_eight(g_l23, r28, g_r28):
     from prect.gf import field_make
 
     ctx = field_make(2, 3)
-    theta = ctx.gen
+    theta = 2  # the class of x
     classes = {}
     for idx in range(64):
         a_code, b_code = divmod(idx, 8)
-        t = (ctx.from_code(b_code) - theta * ctx.from_code(a_code)).code
+        t = ctx.sub_codes(b_code, ctx.mul_codes(theta, a_code))
         classes.setdefault(t, []).append(idx)
     assert len(classes) == 8
     for cl in classes.values():

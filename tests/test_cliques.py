@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
 import prect.cliques
-from prect._util import comb2
-from prect.cliques import (CliqueError, clique_intersections, enumerate_maximal_cliques,
-                           extract_plane)
-from prect.incidence import order_of
-from prect.linegraph import LineGraph
+from prect._util import comb2, iter_bits
+from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
+                           enumerate_maximal_cliques, extract_plane)
+from prect.construct import build_l2k, build_subplane_rect
+from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
+from prect.linegraph import LineGraph, build_line_graph
 
 
 def test_k4_single_maximal_clique(g_pp2):
@@ -132,6 +134,77 @@ def test_extract_plane_r39(census_r39, r39):
         assert ext.ok
         assert ext.ordinary_points == 12
         assert ext.ordinary_lines == 9
+
+
+def extract_plane_by_axioms(clique, model) -> bool:
+    """The plane check as it was before it counted: all six axioms on the
+    rebuilt plane (A6 exhaustively), its order and its elementary counts.
+    Returns the verdict of the old PlaneExtraction.ok."""
+    s = model.structure
+    m = model.m
+    pts = list(clique.plane_points)
+    back = {p: i for i, p in enumerate(pts)}
+    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
+    for si in s.special_lines:
+        lines.append(tuple(back[p] for p in s.lines[si] if p in back))
+    sub = IncidenceStructure([s.points[p] for p in pts], lines, back[s.special_point],
+                             validate=False)
+    checks = {"axioms": (True, check_axioms(sub, "full").ok)}
+    try:
+        checks["order"] = ((m, m), order_of(sub))
+    except Exception:
+        checks["order"] = ((m, m), None)
+    counts = elementary_counts(sub) if checks["order"][1] == (m, m) else None
+    checks["elementary_counts"] = (True, counts.ok if counts else False)
+    checks["ordinary_points"] = (m * (m + 1), len(pts) - 1)
+    checks["ordinary_lines"] = (m * m, len(clique.vertices))
+    return s.special_point in back and all(e == a for e, a in checks.values())
+
+
+def _plane_candidates(model, census, rng, randoms):
+    """Real plane cliques, each with one member swapped and with one point
+    added, point cliques, and random m^2-subsets of the ordinary lines."""
+    s = model.structure
+    masks = s.line_masks
+    nu = model.num_ordinary_lines
+
+    def candidate(vertices, extra=0):
+        union = 1 << s.special_point | extra
+        for v in vertices:
+            union |= masks[v]
+        return PlaneClique(tuple(sorted(vertices)), tuple(iter_bits(union)))
+
+    out = []
+    for pc in census.plane_cliques:
+        out.append(pc)
+        others = [v for v in range(nu) if v not in pc.vertices]
+        if others:
+            vs = list(pc.vertices)
+            vs[rng.randrange(len(vs))] = rng.choice(others)
+            out.append(candidate(vs))
+        outside = [p for p in range(s.n_points) if p not in pc.plane_points]
+        if outside:
+            out.append(candidate(pc.vertices, 1 << rng.choice(outside)))
+    out.extend(candidate(pc.vertices) for pc in census.point_cliques)
+    m2 = model.m ** 2
+    out.extend(candidate(rng.sample(range(nu), m2)) for _ in range(randoms))
+    return out
+
+
+def test_extract_plane_agrees_with_axiom_oracle():
+    rng = random.Random(2024)
+    models = [build_l2k(2), build_l2k(3), build_l2k(4), build_subplane_rect(3, 1, 2),
+              build_subplane_rect(2, 1, 3), build_subplane_rect(2, 1, 1),
+              build_subplane_rect(2, 1, 2), build_subplane_rect(2, 2, 2)]
+    total = passing = 0
+    for model in models:
+        census = classify_census(build_line_graph(model), model)
+        for pc in _plane_candidates(model, census, rng, randoms=150):
+            ok = extract_plane(pc, model).ok
+            assert ok == extract_plane_by_axioms(pc, model), (model.family, model.n, pc)
+            total += 1
+            passing += ok
+    assert total >= 2000 and passing >= 500, (total, passing)
 
 
 def test_census_anomalous_on_corrupted_graph(l22, g_l22):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from prect.construct import BuildError, build_l2k, build_plane, build_subplane_rect, common_point
+from prect.construct import (BuildError, build_l2k, build_plane, build_subplane_rect,
+                             common_point, on_line)
 from prect.incidence import check_axioms, find_isomorphism, order_of
 
 # The sixteen ordinary lines of the narrow rectangle with k = 2, with group
@@ -71,12 +72,12 @@ def test_incidence_matches_line_equation(r24):
         lc = r24.line_coeffs[li]
         members = set(s.lines[li])
         for pi, pt in enumerate(r24.point_coords):
-            assert (pi in members) == lc.contains(pt)
+            assert (pi in members) == on_line(r24.ctx, lc, pt)
     for pos, si in enumerate(s.special_lines):
         lc = r24.special_coeffs[pos]
         members = set(s.lines[si])
         for pi, pt in enumerate(r24.point_coords):
-            assert (pi in members) == lc.contains(pt)
+            assert (pi in members) == on_line(r24.ctx, lc, pt)
 
 
 @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3),
@@ -86,7 +87,7 @@ def test_ordinary_lines_match_brute_force_incidence(p, e, k):
     # against every line equation instead
     model = build_subplane_rect(p, e, k)
     npts = len(model.point_coords)
-    expected = [tuple(i for i in range(npts) if lc.contains(model.point_coords[i]))
+    expected = [tuple(i for i in range(npts) if on_line(model.ctx, lc, model.point_coords[i]))
                 for lc in model.line_coeffs]
     assert model.structure.lines[:model.num_ordinary_lines] == expected
 
@@ -98,7 +99,7 @@ def test_common_point_spec_example(r24):
     l2 = 2 * n + 1
     cp = common_point(l1, l2, r24)
     assert cp is not None
-    assert cp.point.codes == (0, 1, 1)
+    assert cp.point == (0, 1, 1)
     assert cp.special_label == "s_0"
 
 
@@ -108,7 +109,7 @@ def test_common_point_equal_a_goes_to_s_inf(r24):
     l2 = 1 * 4 + 3
     cp = common_point(l1, l2, r24)
     assert cp is not None
-    assert cp.point.codes[1] == 0
+    assert cp.point[1] == 0
     assert cp.special_label == "s_inf"
 
 

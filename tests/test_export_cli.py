@@ -44,8 +44,7 @@ def test_model_json_round_trip(l22, r39):
         assert (back.p, back.e, back.k, back.family) == \
             (model.p, model.e, model.k, model.family)
         if model.line_coeffs is not None:
-            assert [lc.codes for lc in back.line_coeffs] == \
-                [lc.codes for lc in model.line_coeffs]
+            assert back.line_coeffs == model.line_coeffs
         assert model_to_json(back) == model_to_json(model)
 
 
@@ -178,6 +177,17 @@ def test_cli_export_graph6_and_census_round_trip(tmp_path, capsys, l22, g_l22):
     assert census_to_dict(census, l22) == census_to_dict(direct, l22)
 
 
+def test_cli_export_rejected_format_fails(tmp_path, capsys):
+    model_file = tmp_path / "m.json"
+    run_cli("build", "--family", "l2k", "--k", "2", "--out", str(model_file))
+    capsys.readouterr()
+    assert run_cli("export", str(model_file), "--what", "model", "--format", "dot") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "model exports as json only"
+    rep = json.loads(err[1])
+    assert rep["ok"] is False and rep["verdicts"] == {"exported": False}
+
+
 def test_cli_analyze(tmp_path, capsys):
     out = tmp_path / "m.json"
     run_cli("build", "--family", "l2k", "--k", "2", "--out", str(out))
@@ -201,8 +211,11 @@ def test_cli_unknown_family_errors(capsys):
 # smallest rungs of every subcommand.  Recorded from the CLI as it was before
 # its subcommands shared one per-run fact cache, with the "threads" member
 # that reports carried then deleted; every report must stay byte-identical.
-# Models are read by relative path, since the path is part of the report's
-# params.
+# The PG(2,7) and R(3,27) builds (plane labels, g^2 terms with odd p) and the
+# R(4,16) line map (subfield coordinates with e > 1, read from a loaded model)
+# were recorded while field elements were still objects.  The rejected export
+# was re-recorded when it gained its failing "exported" verdict.  Models are
+# read by relative path, since the path is part of the report's params.
 GOLDEN_STDOUT = [
     (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "2"), "r39.json",
      "76326a3d3f479d61e287915dee075590b0ce637c3f26f4763d0dd59ad3e25f0f"),
@@ -212,6 +225,10 @@ GOLDEN_STDOUT = [
      "214802c5154e2adeb939a4960664a8f34d7b1b10ccb5ef5a2660091de84f732e"),
     (("build", "--family", "l2k", "--k", "2"), "l22.json",
      "fc3e2879bbab55bd25d99f0fc6d634300d8d7e50f3ac2bf997416e40155774fe"),
+    (("build", "--family", "plane", "--p", "7"), "pg27.json",
+     "4bfa986a65fa98adccc592b6c0a544051c4e327c777a07001459c0b39c826d61"),
+    (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "3"), "r327.json",
+     "2296883a27cb4a51434b304ed3d2255d8b22faa66eebde6e8a04b0463737b070"),
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
      "1eb0daab1c3a520edc222779dc0cb390a7c147bdee002059637588bee919283b"),
     (("verify", "l23.json", "--profile", "full"), None,
@@ -228,6 +245,8 @@ GOLDEN_STDOUT = [
      "8982077144a904f40d8a7064209ac2bbccdbb81bc239faab2715e17e76d37723"),
     (("iso", "l22.json"), None,
      "bd014368ac66efa322fbcbb647e3a6c026ced9b35ca6e2729f98278163b52508"),
+    (("iso", "r416.json", "--out", "iso.json"), None,
+     "5b5ae706f0eb0d7a0bace329beec0b5edbfdda7b0fb230e1367e12de5a21a6d0"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
      "9f503fdc1de407d87fa4d679340eb05ec863ad5ff61a6a9db6ec5e8ed0ee7459"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
@@ -237,7 +256,7 @@ GOLDEN_STDOUT = [
     (("export", "r39.json", "--what", "census", "--format", "json"), None,
      "f39c17dfcc964be0125324ea68241ac7a16aa3a09caa13220b17402fd80eb762"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
-     "3f09b35b81a5218c0b2cc19f0a351b7a15b1d81f1f9b059f284b8e5811020962"),
+     "0447b350204b163b14243786491245e72b37b0db6f265ecde2f7b35282d1725a"),
 ]
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prect.gf import (FieldError, basis_coords, canonical_modulus, embed_subfield,
-                      field_make, in_subfield)
+from prect.gf import FieldError, canonical_modulus, embed_subfield, field_make
 
 
 def brute_least_irreducible_quadratic(p):
@@ -22,7 +21,7 @@ def brute_least_irreducible_quadratic(p):
 def test_prime_field_degenerate_modulus():
     f2 = field_make(2, 1)
     assert f2.modulus == (0, 1)
-    assert (f2.one + f2.one).code == 0
+    assert f2.add_codes(1, 1) == 0
 
 
 def test_gf4_modulus_is_unique_irreducible():
@@ -61,75 +60,77 @@ def test_field_make_rejects_bad_parameters():
 
 def test_gf4_multiplication_forced_by_modulus():
     f4 = field_make(2, 2)
-    w = f4.gen
-    assert (w * w).coeffs == (1, 1)   # w^2 = w + 1
-    assert (w + w).code == 0
+    w = 2  # the class of x
+    assert f4.decode(f4.mul_codes(w, w)) == (1, 1)   # w^2 = w + 1
+    assert f4.add_codes(w, w) == 0
 
 
 def test_gf9_prime_subfield_arithmetic():
     f9 = field_make(3, 2)
-    two = f9.scalar(2)
-    assert (two * two) == f9.one
+    assert f9.mul_codes(2, 2) == 1
 
 
-def test_inverse_of_zero_and_context_mismatch():
-    f4 = field_make(2, 2)
-    f9 = field_make(3, 2)
+def test_inverse_of_zero():
     with pytest.raises(FieldError):
-        f4.zero.inv()
-    with pytest.raises(FieldError):
-        f4.one + f9.one
+        field_make(2, 2).inv_code(0)
+
+
+def test_format_code_polynomial_labels():
+    assert field_make(2, 4).format_code(0) == "0"
+    assert field_make(3, 2).format_code(1 + 2 * 3) == "1+2g"
+    assert field_make(2, 4).format_code(8) == "g^3"
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_field_axioms_exhaustive_small(p, m):
     ctx = field_make(p, m)
-    elems = list(ctx.elements())
+    add, mul = ctx.add_codes, ctx.mul_codes
+    elems = range(ctx.order)
     for x in elems:
-        assert x + ctx.zero == x and x * ctx.one == x
-        assert (x + (-x)).code == 0
+        assert add(x, 0) == x and mul(x, 1) == x
+        assert add(x, ctx.neg_code(x)) == 0
         if x:
-            assert x * x.inv() == ctx.one
+            assert mul(x, ctx.inv_code(x)) == 1
         for y in elems:
-            assert x + y == y + x and x * y == y * x
+            assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
     # associativity / distributivity on a coarser grid
     grid = elems[:: max(1, len(elems) // 6)]
     for x in grid:
         for y in grid:
             for z in grid:
-                assert (x + y) + z == x + (y + z)
-                assert (x * y) * z == x * (y * z)
-                assert x * (y + z) == x * y + x * z
+                assert add(add(x, y), z) == add(x, add(y, z))
+                assert mul(mul(x, y), z) == mul(x, mul(y, z))
+                assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
 @settings(max_examples=60, derandomize=True)
 @given(st.integers(0, 3 ** 4 - 1), st.integers(0, 3 ** 4 - 1), st.integers(0, 3 ** 4 - 1))
 def test_field_axioms_randomized_gf81(a, b, c):
     ctx = field_make(3, 4)
-    x, y, z = ctx.from_code(a), ctx.from_code(b), ctx.from_code(c)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
+    add, mul = ctx.add_codes, ctx.mul_codes
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 4), (5, 2)])
 def test_frobenius_fixes_whole_field(p, m):
     ctx = field_make(p, m)
-    for x in ctx.elements():
-        assert x ** (p ** m) == x
+    for x in range(ctx.order):
+        assert ctx.pow_code(x, p ** m) == x
 
 
 def test_in_subfield_basics():
     f4 = field_make(2, 2)
-    assert in_subfield(f4.one, 2)
-    assert not in_subfield(f4.gen, 2)
+    assert f4.in_subfield_code(1, 2)
+    assert not f4.in_subfield_code(2, 2)  # the class of x
     with pytest.raises(FieldError):
-        in_subfield(f4.one, 3)
+        f4.in_subfield_code(1, 3)
 
 
 def test_gf16_over_gf4_exactly_four_fixed_points():
     f16 = field_make(2, 4)
-    fixed = [x for x in f16.elements() if in_subfield(x, 4)]
+    fixed = [x for x in range(16) if f16.in_subfield_code(x, 4)]
     assert len(fixed) == 4
 
 
@@ -142,32 +143,31 @@ def test_in_subfield_agrees_with_canonical_embedding(p, m, q):
         e += 1
     small = field_make(p, e)
     image = set(embed_subfield(small, big))
-    members = {x.code for x in big.elements() if in_subfield(x, q)}
+    members = {x for x in range(big.order) if big.in_subfield_code(x, q)}
     assert image == members
 
 
 def test_basis_coords_examples():
     f4 = field_make(2, 2)
-    w = f4.gen
-    assert [c.code for c in basis_coords(w, 2)] == [0, 1]
-    assert [c.code for c in basis_coords(f4.zero, 2)] == [0, 0]
+    assert f4.basis_coords_code(2, 2) == (0, 1)  # the class of x
+    assert f4.basis_coords_code(0, 2) == (0, 0)
 
 
 def test_basis_coords_gf9_linearity_exhaustive():
     f9 = field_make(3, 2)
-    elems = list(f9.elements())
+    add, mul = f9.add_codes, f9.mul_codes
+    elems = range(9)
     for x in elems:
         for y in elems:
-            bx = basis_coords(x, 3)
-            by = basis_coords(y, 3)
-            bxy = basis_coords(x + y, 3)
-            assert all(u + v == w for u, v, w in zip(bx, by, bxy))
-    for lam_code in f9.subfield_codes(3):
-        lam = f9.from_code(lam_code)
+            bx = f9.basis_coords_code(x, 3)
+            by = f9.basis_coords_code(y, 3)
+            bxy = f9.basis_coords_code(add(x, y), 3)
+            assert all(add(u, v) == w for u, v, w in zip(bx, by, bxy))
+    for lam in f9.subfield_codes(3):
         for x in elems:
-            bx = basis_coords(x, 3)
-            blx = basis_coords(lam * x, 3)
-            assert all(lam * u == v for u, v in zip(bx, blx))
+            bx = f9.basis_coords_code(x, 3)
+            blx = f9.basis_coords_code(mul(lam, x), 3)
+            assert all(mul(lam, u) == v for u, v in zip(bx, blx))
 
 
 @pytest.mark.parametrize("p,e,k", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)])
@@ -175,13 +175,13 @@ def test_basis_coords_bijection_and_reconstruction(p, e, k):
     ctx = field_make(p, e * k)
     q = p ** e
     seen = set()
-    g = ctx.gen
-    for x in ctx.elements():
-        coords = basis_coords(x, q)
-        assert all(in_subfield(c, q) for c in coords)
-        seen.add(tuple(c.code for c in coords))
-        acc = ctx.zero
+    g = p  # the class of x
+    for x in range(ctx.order):
+        coords = ctx.basis_coords_code(x, q)
+        assert all(ctx.in_subfield_code(c, q) for c in coords)
+        seen.add(coords)
+        acc = 0
         for i, c in enumerate(coords):
-            acc = acc + c * g ** i
+            acc = ctx.add_codes(acc, ctx.mul_codes(c, ctx.pow_code(g, i)))
         assert acc == x
     assert len(seen) == q ** k

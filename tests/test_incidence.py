@@ -30,6 +30,13 @@ def test_r28_full_mode_passes(r28):
     assert check_axioms(r28.structure, "full").ok
 
 
+def test_a6_mode_is_full_or_sampled(l22):
+    with pytest.raises(ValueError, match="unknown a6_mode 'auto'"):
+        check_axioms(l22.structure, "auto")
+    with pytest.raises(TypeError):
+        check_axioms(l22.structure)
+
+
 def test_deleting_ordinary_line_breaks_a1(l22):
     broken = l22.structure.drop_line(0)
     rep = check_axioms(broken, "full")

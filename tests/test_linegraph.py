@@ -209,6 +209,7 @@ def test_srg_matches_numpy_reference_on_mutations(fix, m, n, mutate, request):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
+    # nor scipy: no CLI path uses either
     import os
     import subprocess
     import sys
@@ -217,7 +218,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     import prect
 
     src = str(Path(prect.__file__).resolve().parent.parent)
-    code = "import sys, prect.cli; print('numpy' in sys.modules)"
+    code = "import sys, prect.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
