@@ -26,26 +26,6 @@ class BilinearError(ValueError):
 Matrix = tuple[tuple[int, ...], tuple[int, ...]]  # two rows of entry codes
 
 
-def rank2xk(row_a, row_b, ctx: FieldCtx) -> int:
-    """Rank of the 2 x k matrix with the given rows of ctx element codes.
-
-    0 for the zero matrix; 1 when the matrix is nonzero and one row is a
-    scalar multiple of the other (a zero row counts); 2 otherwise.
-    """
-    za = all(c == 0 for c in row_a)
-    zb = all(c == 0 for c in row_b)
-    if za and zb:
-        return 0
-    if za or zb:
-        return 1
-    i = next(i for i, c in enumerate(row_a) if c)
-    lam = ctx.mul_codes(row_b[i], ctx.inv_code(row_a[i]))
-    for a, b in zip(row_a, row_b):
-        if ctx.mul_codes(lam, a) != b:
-            return 2
-    return 1
-
-
 class BilinearGraph:
     """H_q(2,k) with vertices indexed rowA-major over entry codes."""
 
@@ -61,24 +41,6 @@ class BilinearGraph:
     @property
     def nu(self) -> int:
         return self.graph.nu
-
-    def difference_class(self, u: int, v: int):
-        """Direction of a rank-1 difference: an entry-code ratio (alpha, beta).
-
-        Returns "inf" when the top row of the difference is zero (so the
-        difference is (0, w)), else the code lam with bottom = lam * top.
-        Raises unless the difference has rank 1.
-        """
-        ma, mb = self.matrices[u], self.matrices[v]
-        ctx = self.ctx
-        da = tuple(ctx.sub_codes(x, y) for x, y in zip(ma[0], mb[0]))
-        db = tuple(ctx.sub_codes(x, y) for x, y in zip(ma[1], mb[1]))
-        if rank2xk(da, db, ctx) != 1:
-            raise BilinearError(f"difference of {u} and {v} is not rank 1")
-        if all(c == 0 for c in da):
-            return "inf"
-        i = next(i for i, c in enumerate(da) if c)
-        return ctx.mul_codes(db[i], ctx.inv_code(da[i]))
 
 
 def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:

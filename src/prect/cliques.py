@@ -211,7 +211,7 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
 
 @dataclass
 class PlaneExtraction:
-    structure: IncidenceStructure
+    structure: IncidenceStructure | None  # None when the plane points miss D or a member point
     point_map: list[int]  # plane point index -> model point index
     order: int
     ordinary_points: int
@@ -242,21 +242,16 @@ def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction
     lies on two lines, which would share two points; the lines cover
     v C(m+1, 2) = C(v, 2) pairs of points, so each pair lies on exactly one.
     Conversely, the lines of a projective plane of order m meet pairwise.
+
+    Plane points that miss D, or a point of a member line, fail at once,
+    with no structure built.
     """
     s = model.structure
     m = model.m
     pts = list(clique.plane_points)
     back = {p: i for i, p in enumerate(pts)}
-
-    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
-    for si in s.special_lines:
-        restricted = tuple(back[p] for p in s.lines[si] if p in back)
-        lines.append(restricted)
-    sub = IncidenceStructure([s.points[p] for p in pts], lines, back[s.special_point],
-                             validate=False)
-
     ext = PlaneExtraction(
-        structure=sub,
+        structure=None,
         point_map=pts,
         order=m,
         ordinary_points=len(pts) - 1,
@@ -264,6 +259,17 @@ def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction
         contains_special_point=s.special_point in back,
     )
     c = ext.checks
+    c["member_points_inside"] = (True, all(p in back for v in clique.vertices
+                                           for p in s.lines[v]))
+    if not (ext.contains_special_point and c["member_points_inside"][1]):
+        return ext
+
+    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
+    for si in s.special_lines:
+        restricted = tuple(back[p] for p in s.lines[si] if p in back)
+        lines.append(restricted)
+    sub = ext.structure = IncidenceStructure([s.points[p] for p in pts], lines,
+                                             back[s.special_point], validate=False)
     size = m * m + m + 1
     c["points"] = (size, sub.n_points)
     c["lines"] = (size, sub.n_lines)

@@ -13,8 +13,6 @@ report use that numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf import FieldCtx, field_make
 from .incidence import IncidenceStructure
 
@@ -33,13 +31,6 @@ def normalize_point(ctx: FieldCtx, x: int, y: int, z: int) -> tuple[int, int, in
             inv = ctx.inv_code(lead)
             return ctx.mul_codes(x, inv), ctx.mul_codes(y, inv), ctx.mul_codes(z, inv)
     raise BuildError("zero triple is not a projective point")
-
-
-def on_line(ctx: FieldCtx, line, pt) -> bool:
-    """True iff a*x + b*y + c*z = 0 for the line <a,b,c> and the point [x:y:z]."""
-    (a, b, c), (x, y, z) = line, pt
-    mul, add = ctx.mul_codes, ctx.add_codes
-    return not add(add(mul(a, x), mul(b, y)), mul(c, z))
 
 
 class RectangleModel:
@@ -67,10 +58,6 @@ class RectangleModel:
         self.line_coeffs = line_coeffs
         self.special_coeffs = special_coeffs
         self.special_labels = special_labels
-        if point_coords is not None:
-            self._point_index = {pt: i for i, pt in enumerate(point_coords)}
-        else:
-            self._point_index = None
 
     @property
     def trivial(self) -> bool:
@@ -79,11 +66,6 @@ class RectangleModel:
     @property
     def num_ordinary_lines(self) -> int:
         return len(self.structure.ordinary_lines)
-
-    def point_index(self, pt: tuple[int, int, int]):
-        if self._point_index is None:
-            raise BuildError("model has no coordinates")
-        return self._point_index.get(pt)
 
     def special_position(self, structure_line_index: int) -> int:
         """Position of a special line inside the special block (0..m)."""
@@ -187,54 +169,3 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
 def build_plane(p: int, e: int) -> RectangleModel:
     """The projective plane over GF(p^e) as a trivial rectangle."""
     return build_subplane_rect(p, e, 1)
-
-
-@dataclass(frozen=True)
-class CommonPoint:
-    point: tuple[int, int, int]
-    point_index: int
-    special_line: int
-    special_label: str
-
-
-def common_point(l1: int, l2: int, model: RectangleModel):
-    """Common point of two ordinary lines of a subplane model, or None.
-
-    Evaluates [-(b2-b1), a2-a1, a1*b2-a2*b1] and keeps it only if it lies in
-    the model's point set; the result is checked against the stored point
-    sets, which are authoritative.
-    """
-    if model.line_coeffs is None:
-        raise BuildError("common_point needs a coordinatized model")
-    nu = model.num_ordinary_lines
-    if not (0 <= l1 < nu and 0 <= l2 < nu):
-        raise BuildError("common_point takes ordinary line indices")
-    if l1 == l2:
-        raise BuildError("lines must be distinct")
-    ctx = model.ctx
-    (a1, b1, _), (a2, b2, _) = model.line_coeffs[l1], model.line_coeffs[l2]
-    x = ctx.neg_code(ctx.sub_codes(b2, b1))
-    y = ctx.sub_codes(a2, a1)
-    z = ctx.sub_codes(ctx.mul_codes(a1, b2), ctx.mul_codes(a2, b1))
-    stored = set(model.structure.lines[l1]) & set(model.structure.lines[l2])
-    if not (x or y or z):
-        raise BuildError("identical line coefficients")
-    pt = normalize_point(ctx, x, y, z)
-    idx = model.point_index(pt)
-    if idx is None:
-        if stored:
-            raise StructureMismatch(l1, l2, stored, None)
-        return None
-    if stored != {idx}:
-        raise StructureMismatch(l1, l2, stored, idx)
-    special = model.structure.special_line_of_point(idx)
-    return CommonPoint(pt, idx, special,
-                       model.special_labels[model.special_position(special)])
-
-
-class StructureMismatch(RuntimeError):
-    """Coordinate formula and stored incidence disagree (should not happen)."""
-
-    def __init__(self, l1, l2, stored, computed):
-        super().__init__(
-            f"lines {l1},{l2}: stored intersection {stored}, formula gave {computed}")

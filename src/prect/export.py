@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .cliques import CliqueCensus, PlaneClique, PointClique
+from .cliques import CliqueCensus
 from .construct import RectangleModel, build_l2k, build_subplane_rect
 from .gf import field_make
 from .incidence import IncidenceStructure
@@ -42,28 +42,6 @@ def graph6_bytes(g: LineGraph) -> bytes:
 
 def graph6_str(g: LineGraph) -> str:
     return graph6_bytes(g).decode("ascii")
-
-
-def parse_graph6(text: str) -> LineGraph:
-    data = [b - 63 for b in text.strip().encode("ascii")]
-    if data[0] == 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        data = data[4:]
-    else:
-        n = data[0]
-        data = data[1:]
-    bits = []
-    for b in data:
-        bits.extend((b >> s) & 1 for s in range(5, -1, -1))
-    rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
-    return LineGraph(n, rows)
 
 
 # -- DOT with edge color classes as attributes --
@@ -176,20 +154,6 @@ def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
         ],
         "anomalous": [list(c) for c in census.anomalous],
     }
-
-
-def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
-    index = {lab: i for i, lab in enumerate(model.structure.points)}
-    census = CliqueCensus(
-        point_cliques=[PointClique(tuple(pc["vertices"]), index[pc["point"]])
-                       for pc in d["point_cliques"]],
-        plane_cliques=[PlaneClique(tuple(pc["vertices"]),
-                                   tuple(index[p] for p in pc["plane_points"]))
-                       for pc in d["plane_cliques"]],
-        anomalous=[tuple(c) for c in d["anomalous"]],
-        m=d["m"], n=d["n"], trivial=d["trivial"],
-    )
-    return census
 
 
 def certificate_to_dict(cert: SrgCertificate) -> dict:

@@ -236,10 +236,6 @@ class FieldCtx:
                 break
         raise FieldError(f"{q} is not a subfield order of GF({self.p}^{self.m})")
 
-    def in_subfield_code(self, code: int, q: int) -> bool:
-        self.subfield_degree(q)
-        return self.pow_code(code, q) == code
-
     def subfield_codes(self, q: int) -> tuple[int, ...]:
         self.subfield_degree(q)
         key = ("codes", q)
@@ -250,94 +246,27 @@ class FieldCtx:
             self._subfield_cache[key] = codes
         return self._subfield_cache[key]
 
-    def _subfield_setup(self, q: int):
-        """Row-reduced GF(p)-machinery for coordinates over GF(q).
-
-        Returns (k, subfield GF(p)-basis codes, inverse change-of-basis rows)
-        where the change of basis sends GF(p)-coordinates in the mixed basis
-        {s_j * g^i} to plain polynomial coefficients.
-        """
-        key = ("coords", q)
-        if key in self._subfield_cache:
-            return self._subfield_cache[key]
-        e = self.subfield_degree(q)
-        k = self.m // e
-        p = self.p
-
-        # GF(p)-basis of the subfield: greedy rank selection over its codes.
-        basis = []
-        echelon = []  # rows (list of coeffs) in reduced form, with pivot info
-        for code in self.subfield_codes(q):
-            vec = list(self.decode(code))
-            red = vec[:]
-            for pivot, row in echelon:
-                f = red[pivot]
-                if f:
-                    red = [(x - f * y) % p for x, y in zip(red, row)]
-            piv = next((i for i, x in enumerate(red) if x), None)
-            if piv is not None:
-                inv = pow(red[piv], p - 2, p)
-                red = [(x * inv) % p for x in red]
-                echelon.append((piv, red))
-                basis.append(code)
-            if len(basis) == e:
-                break
-        if len(basis) != e:
-            raise FieldError("subfield basis extraction failed")
-
-        # Columns of M: coefficients of s_j * g^i, ordered i-major.
-        gpow = 1
-        cols = []
-        for _ in range(k):
-            for s in basis:
-                cols.append(list(self.decode(self.mul_codes(s, gpow))))
-            gpow = self.mul_codes(gpow, self.p if self.m > 1 else 1)
-        minv = _invert_matrix_modp([list(col) for col in cols], p)
-        out = (k, tuple(basis), minv)
-        self._subfield_cache[key] = out
-        return out
-
     def basis_coords_code(self, code: int, q: int) -> tuple[int, ...]:
         """Codes of the k GF(q)-coordinates of code over the basis 1, g, ..., g^(k-1).
 
         g is the class of x.  The map is GF(q)-linear and bijective onto GF(q)^k.
+        It is read from a table of every sum c_0 + c_1*g + ... + c_(k-1)*g^(k-1)
+        with c_i in GF(q), built on first use.
         """
-        k, basis, minv = self._subfield_setup(q)
-        p = self.p
-        vec = self.decode(code)
-        sol = [sum(minv[r][c] * vec[c] for c in range(self.m)) % p for r in range(self.m)]
-        coords = []
-        e = len(basis)
-        for i in range(k):
-            acc = 0
-            for j in range(e):
-                cij = sol[i * e + j]
-                if cij:
-                    acc = self.add_codes(acc, self.mul_codes(cij, basis[j]))
-            coords.append(acc)
-        return tuple(coords)
-
-
-def _invert_matrix_modp(cols, p):
-    """Invert the matrix whose columns are given, over GF(p).  Rows returned."""
-    n = len(cols)
-    a = [[cols[c][r] % p for c in range(n)] for r in range(n)]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise FieldError("singular change-of-basis matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = pow(a[col][col], p - 2, p)
-        a[col] = [(x * f) % p for x in a[col]]
-        inv[col] = [(x * f) % p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[col])]
-    return inv
+        key = ("coords", q)
+        if key not in self._subfield_cache:
+            k = self.m // self.subfield_degree(q)
+            powers = [self.pow_code(self.p, i) for i in range(k)]  # code p is the class of x
+            table = {}
+            for coords in product(self.subfield_codes(q), repeat=k):
+                acc = 0
+                for c, gi in zip(coords, powers):
+                    acc = self.add_codes(acc, self.mul_codes(c, gi))
+                table[acc] = coords
+            if len(table) != self.order:
+                raise FieldError(f"1, g, ..., g^{k - 1} is not a GF({q})-basis of {self!r}")
+            self._subfield_cache[key] = table
+        return self._subfield_cache[key][code]
 
 
 @lru_cache(maxsize=None)

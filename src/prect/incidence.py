@@ -16,7 +16,6 @@ Structures here are purely index-based; coordinates live in prect.construct.
 
 from __future__ import annotations
 
-import json
 import random
 from array import array
 from bisect import bisect_right
@@ -102,27 +101,12 @@ class IncidenceStructure:
             "lines": [[self.points[p] for p in t] for t in self.lines],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict, *, validate: bool = True) -> "IncidenceStructure":
         points = list(d["points"])
         index = {lab: i for i, lab in enumerate(points)}
         lines = [[index[lab] for lab in ln] for ln in d["lines"]]
         return cls(points, lines, index[d["special_point"]], validate=validate)
-
-    @classmethod
-    def from_json(cls, text: str, *, validate: bool = True) -> "IncidenceStructure":
-        return cls.from_json_dict(json.loads(text), validate=validate)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IncidenceStructure)
-            and self.points == other.points
-            and self.lines == other.lines
-            and self.special_point == other.special_point
-        )
 
 
 @dataclass
@@ -312,16 +296,22 @@ def _a6_pairs(s, through, nbr):
 
 
 def _a6_scan(s, through, nbr):
-    """Every quadruple, one pair's candidate list at a time, stopping at the first failure."""
+    """Every quadruple, one pair's candidate list at a time, stopping at the first failure.
+
+    Only a g2 that misses g1 can fail, so g2 runs over the candidates above
+    g1 outside nbr[g1]; the first failure is the same as over all pairs.
+    """
     masks = s.line_masks
     for l1, l2, cmask in _a6_pairs(s, through, nbr):
         m1, m2 = masks[l1], masks[l2]
-        cands = [(g, (masks[g] & m1).bit_length() - 1, (masks[g] & m2).bit_length() - 1)
-                 for g in iter_bits(cmask)]
-        for i, (g1, a1, b1) in enumerate(cands):
-            for g2, a2, b2 in cands[i + 1:]:
-                # four distinct points, yet g1 misses g2
-                if a1 != a2 and b1 != b2 and not masks[g1] & masks[g2]:
+        for g1 in iter_bits(cmask):
+            miss = cmask & ~nbr[g1] & -(2 << g1)
+            if not miss:
+                continue
+            a1, b1 = (masks[g1] & m1).bit_length(), (masks[g1] & m2).bit_length()
+            for g2 in iter_bits(miss):
+                # four distinct points (the highest common points differ), yet g1 misses g2
+                if (masks[g2] & m1).bit_length() != a1 and (masks[g2] & m2).bit_length() != b1:
                     return False, {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
     return True, None
 
@@ -460,88 +450,3 @@ def elementary_counts(s: IncidenceStructure) -> CountReport:
     if not rep.trivial:
         c["nontrivial_n_ge_m_squared"] = (True, n >= m * m)
     return rep
-
-
-def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
-    """Search for an incidence isomorphism mapping D to D.
-
-    Returns a point map (list over s1 points) or None.  Backtracking with
-    forced propagation: points are ordered so that most images are forced by
-    lines containing two already-mapped points; practical at desk scale.
-    """
-    if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
-            or len(s1.special_lines) != len(s2.special_lines)):
-        return None
-
-    def profile(s, p):
-        return tuple(sorted(len(s.lines[i]) for i in s.lines_at[p]))
-
-    prof2 = {}
-    for p in range(s2.n_points):
-        prof2.setdefault(profile(s2, p), []).append(p)
-
-    lineset2 = {t: i for i, t in enumerate(s2.lines)}
-
-    # Order: D first, then repeatedly a point on a line with the most
-    # already-ordered points (so its image is usually forced).
-    order = [s1.special_point]
-    placed = {s1.special_point}
-    while len(order) < s1.n_points:
-        best, best_key = None, (-1, -1)
-        for p in range(s1.n_points):
-            if p in placed:
-                continue
-            forced = max((sum(q in placed for q in s1.lines[i])
-                          for i in s1.lines_at[p]), default=0)
-            key = (forced, len(s1.lines_at[p]))
-            if key > best_key:
-                best, best_key = p, key
-        order.append(best)
-        placed.add(best)
-
-    mapping = {}
-    used = set()
-
-    def consistent(p, q):
-        for i in s1.lines_at[p]:
-            mapped = [mapping[r] for r in s1.lines[i] if r in mapping]
-            if not mapped:
-                continue
-            # q and all mapped points of this line must be collinear in s2
-            # on a line of the same size.
-            common = None
-            for r in mapped + [q]:
-                ls = set(s2.lines_at[r])
-                common = ls if common is None else common & ls
-            ok = any(len(s2.lines[j]) == len(s1.lines[i]) for j in common) if common else False
-            if not ok:
-                return False
-        return True
-
-    def extend(idx):
-        if idx == len(order):
-            return True
-        p = order[idx]
-        if p == s1.special_point:
-            cands = [s2.special_point]
-        else:
-            cands = prof2.get(profile(s1, p), [])
-        for q in cands:
-            if q in used or not consistent(p, q):
-                continue
-            mapping[p] = q
-            used.add(q)
-            if extend(idx + 1):
-                return True
-            del mapping[p]
-            used.discard(q)
-        return False
-
-    if not extend(0):
-        return None
-    pm = [mapping[p] for p in range(s1.n_points)]
-    # Full verification: the induced line map must be a bijection.
-    images = {tuple(sorted(pm[p] for p in t)) for t in s1.lines}
-    if images != set(lineset2):
-        return None
-    return pm

@@ -1,0 +1,164 @@
+"""Test-only oracles and graph builders shared by several test modules.
+
+Each oracle recomputes a fact by a route independent of the library code
+that the tests check: numpy for the adjacency matrix, the coordinate
+formula for common points, and a backtracking search for incidence
+isomorphisms.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from prect._util import iter_bits
+from prect.construct import BuildError, RectangleModel, normalize_point
+from prect.incidence import IncidenceStructure
+from prect.linegraph import LineGraph
+
+
+def graph_from_edges(nu: int, edges) -> LineGraph:
+    rows = [0] * nu
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return LineGraph(nu, rows)
+
+
+def without_edge(g: LineGraph, u: int, v: int) -> LineGraph:
+    """A copy of g with the edge uv removed and no edge coloring."""
+    assert g.adjacent(u, v), (u, v)
+    rows = list(g.rows)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return LineGraph(g.nu, rows)
+
+
+def adjacency_matrix(g: LineGraph) -> np.ndarray:
+    """The 0/1 adjacency matrix as an int64 numpy array."""
+    a = np.zeros((g.nu, g.nu), dtype=np.int64)
+    for u in range(g.nu):
+        for v in iter_bits(g.rows[u]):
+            a[u, v] = 1
+    return a
+
+
+@dataclass(frozen=True)
+class CommonPoint:
+    point: tuple[int, int, int]
+    point_index: int
+    special_line: int
+    special_label: str
+
+
+def common_point(l1: int, l2: int, model: RectangleModel):
+    """Common point of two ordinary lines of a subplane model, or None.
+
+    The meet of <a1,b1,1> and <a2,b2,1> is [-(b2-b1) : a2-a1 : a1*b2-a2*b1];
+    it is None when that point is not among the model's points.  Only the
+    line coefficients and point coordinates are read, never the stored
+    point sets, which the tests compare against.
+    """
+    if model.line_coeffs is None:
+        raise BuildError("common_point needs a coordinatized model")
+    nu = model.num_ordinary_lines
+    if not (0 <= l1 < nu and 0 <= l2 < nu):
+        raise BuildError("common_point takes ordinary line indices")
+    ctx = model.ctx
+    (a1, b1, _), (a2, b2, _) = model.line_coeffs[l1], model.line_coeffs[l2]
+    x = ctx.neg_code(ctx.sub_codes(b2, b1))
+    y = ctx.sub_codes(a2, a1)
+    z = ctx.sub_codes(ctx.mul_codes(a1, b2), ctx.mul_codes(a2, b1))
+    pt = normalize_point(ctx, x, y, z)  # BuildError when l1 = l2
+    if pt not in model.point_coords:
+        return None
+    idx = model.point_coords.index(pt)
+    special = model.structure.special_line_of_point(idx)
+    return CommonPoint(pt, idx, special,
+                       model.special_labels[model.special_position(special)])
+
+
+def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
+    """Search for an incidence isomorphism mapping D to D.
+
+    Returns a point map (list over s1 points) or None.  Backtracking with
+    forced propagation: points are ordered so that most images are forced by
+    lines containing two already-mapped points; practical at desk scale.
+    """
+    if (s1.n_points != s2.n_points or s1.n_lines != s2.n_lines
+            or len(s1.special_lines) != len(s2.special_lines)):
+        return None
+
+    def profile(s, p):
+        return tuple(sorted(len(s.lines[i]) for i in s.lines_at[p]))
+
+    prof2 = {}
+    for p in range(s2.n_points):
+        prof2.setdefault(profile(s2, p), []).append(p)
+
+    lineset2 = {t: i for i, t in enumerate(s2.lines)}
+
+    # Order: D first, then repeatedly a point on a line with the most
+    # already-ordered points (so its image is usually forced).
+    order = [s1.special_point]
+    placed = {s1.special_point}
+    while len(order) < s1.n_points:
+        best, best_key = None, (-1, -1)
+        for p in range(s1.n_points):
+            if p in placed:
+                continue
+            forced = max((sum(q in placed for q in s1.lines[i])
+                          for i in s1.lines_at[p]), default=0)
+            key = (forced, len(s1.lines_at[p]))
+            if key > best_key:
+                best, best_key = p, key
+        order.append(best)
+        placed.add(best)
+
+    mapping = {}
+    used = set()
+
+    def consistent(p, q):
+        for i in s1.lines_at[p]:
+            mapped = [mapping[r] for r in s1.lines[i] if r in mapping]
+            if not mapped:
+                continue
+            # q and all mapped points of this line must be collinear in s2
+            # on a line of the same size.
+            common = None
+            for r in mapped + [q]:
+                ls = set(s2.lines_at[r])
+                common = ls if common is None else common & ls
+            ok = any(len(s2.lines[j]) == len(s1.lines[i]) for j in common) if common else False
+            if not ok:
+                return False
+        return True
+
+    def extend(idx):
+        if idx == len(order):
+            return True
+        p = order[idx]
+        if p == s1.special_point:
+            cands = [s2.special_point]
+        else:
+            cands = prof2.get(profile(s1, p), [])
+        for q in cands:
+            if q in used or not consistent(p, q):
+                continue
+            mapping[p] = q
+            used.add(q)
+            if extend(idx + 1):
+                return True
+            del mapping[p]
+            used.discard(q)
+        return False
+
+    if not extend(0):
+        return None
+    pm = [mapping[p] for p in range(s1.n_points)]
+    # Full verification: the induced line map must be a bijection.
+    images = {tuple(sorted(pm[p] for p in t)) for t in s1.lines}
+    if images != set(lineset2):
+        return None
+    return pm

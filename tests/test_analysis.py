@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import graph_from_edges
 from prect.analysis import (AnalysisError, chromatic_analysis, chromatic_index_bracket,
                             eulerian_verdict, hamiltonian_search, krein_check,
                             planarity_verdict, validate_cycle)
@@ -94,9 +95,9 @@ def test_chromatic_exact_k4(g_pp2):
 def test_chromatic_exact_known_small_graphs():
     from prect.analysis import _exact_chromatic
 
-    c5 = LineGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert _exact_chromatic(c5, 10 ** 6)[0] == 3
-    petersen = LineGraph.from_edges(10, [
+    petersen = graph_from_edges(10, [
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
         (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
     assert _exact_chromatic(petersen, 10 ** 6)[0] == 3
@@ -208,7 +209,7 @@ def tensor_square_report(g: LineGraph, parts: list[list[int]]) -> dict:
     out["cross_degree_two"] = cross
     out["exactly_one_property"] = exactly_one
 
-    prod = LineGraph.from_edges(16, [
+    prod = graph_from_edges(16, [
         (4 * a + b, 4 * c + d)
         for a in range(4) for b in range(4) for c in range(4) for d in range(4)
         if (4 * a + b) < (4 * c + d) and a != c and b != d
@@ -261,7 +262,7 @@ def test_tensor_square_report(g_l22):
 
 
 def test_eulerian_direct_check_detects_disconnection():
-    g = LineGraph.from_edges(4, [(0, 1), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (2, 3)])
     rep = eulerian_verdict(g, 1, 1)
     assert not rep.eulerian and not rep.connected
 

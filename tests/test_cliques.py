@@ -8,12 +8,13 @@ from dataclasses import replace
 import pytest
 
 import prect.cliques
+from oracles import graph_from_edges, without_edge
 from prect._util import comb2, iter_bits
 from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
 from prect.construct import build_l2k, build_subplane_rect
 from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
-from prect.linegraph import LineGraph, build_line_graph
+from prect.linegraph import build_line_graph
 
 
 def test_k4_single_maximal_clique(g_pp2):
@@ -136,6 +137,18 @@ def test_extract_plane_r39(census_r39, r39):
         assert ext.ordinary_lines == 9
 
 
+def test_extract_plane_fails_on_points_missing_from_the_plane(census_l22, l22):
+    pc = census_l22.plane_cliques[0]
+    d = l22.structure.special_point
+    without_d = replace(pc, plane_points=tuple(p for p in pc.plane_points if p != d))
+    ext = extract_plane(without_d, l22)
+    assert not ext.ok and not ext.contains_special_point
+    member = l22.structure.lines[pc.vertices[0]][0]
+    without_member = replace(pc, plane_points=tuple(p for p in pc.plane_points if p != member))
+    ext = extract_plane(without_member, l22)
+    assert not ext.ok and ext.contains_special_point
+
+
 def extract_plane_by_axioms(clique, model) -> bool:
     """The plane check as it was before it counted: all six axioms on the
     rebuilt plane (A6 exhaustively), its order and its elementary counts.
@@ -211,14 +224,14 @@ def test_census_anomalous_on_corrupted_graph(l22, g_l22):
     # removing an edge creates maximal cliques that are neither kind
     from prect.cliques import classify_census
 
-    broken = g_l22.copy_without_edge(0, 1)
+    broken = without_edge(g_l22, 0, 1)
     census = classify_census(broken, l22)
     assert not census.ok
 
 
 def test_arbitrary_graph_enumeration():
     # 5-cycle: the maximal cliques are exactly the five edges
-    c5 = LineGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert enumerate_maximal_cliques(c5) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 

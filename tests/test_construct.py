@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from prect.construct import (BuildError, build_l2k, build_plane, build_subplane_rect,
-                             common_point, on_line)
-from prect.incidence import check_axioms, find_isomorphism, order_of
+from oracles import common_point, find_isomorphism
+from prect.construct import BuildError, build_l2k, build_plane, build_subplane_rect
+from prect.gf import FieldCtx
+from prect.incidence import check_axioms, order_of
 
 # The sixteen ordinary lines of the narrow rectangle with k = 2, with group
 # elements indexed 0..3 (identity first).  Line u*4+v is {a_u, b_{u^v}, c_v}.
@@ -16,6 +17,13 @@ L22_LINE_TABLE = [
     ("a2", "b2", "c0"), ("a2", "b3", "c1"), ("a2", "b0", "c2"), ("a2", "b1", "c3"),
     ("a3", "b3", "c0"), ("a3", "b2", "c1"), ("a3", "b1", "c2"), ("a3", "b0", "c3"),
 ]
+
+
+def on_line(ctx: FieldCtx, line, pt) -> bool:
+    """True iff a*x + b*y + c*z = 0 for the line <a,b,c> and the point [x:y:z]."""
+    (a, b, c), (x, y, z) = line, pt
+    mul, add = ctx.mul_codes, ctx.add_codes
+    return not add(add(mul(a, x), mul(b, y)), mul(c, z))
 
 
 def test_l22_line_table(l22):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import find_isomorphism
 from prect.analysis import eulerian_verdict, krein_check
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from prect.cliques import classify_census, clique_intersections, extract_plane
 from prect.construct import build_l2k, build_subplane_rect
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
-from prect.incidence import check_axioms, elementary_counts, find_isomorphism, order_of
+from prect.incidence import check_axioms, elementary_counts, order_of
 from prect.linegraph import build_line_graph, certify_srg, diameter, factorization_check
 
 

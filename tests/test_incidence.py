@@ -1,4 +1,4 @@
-"""Axiom checking, counts, mutations, and the structure JSON round trip."""
+"""Axiom checking, counts and mutations."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ from bisect import bisect_right
 
 import pytest
 
+from oracles import find_isomorphism
 from prect._util import comb2, iter_bits
 from prect.construct import build_l2k
 from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
-                             check_axioms, elementary_counts, find_isomorphism,
-                             order_of)
+                             check_axioms, elementary_counts, order_of)
 
 
 def test_l22_all_axioms_pass(l22):
@@ -131,12 +131,6 @@ def test_sampled_a6_upgrades_to_exhaustive_on_small_spaces(l23):
     cov = rep.a6_coverage
     assert cov["exhaustive"] and cov["drawn"] == cov["space"] == cov["distinct"]
     assert rep.verdicts["A6"]
-
-
-def test_structure_json_round_trip(l22):
-    s = l22.structure
-    back = IncidenceStructure.from_json(s.to_json())
-    assert back == s
 
 
 def test_validate_rejects_short_lines():

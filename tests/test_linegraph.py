@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from prect.construct import build_subplane_rect, common_point
+import prect
+from oracles import adjacency_matrix, common_point, graph_from_edges, without_edge
+from prect.construct import build_subplane_rect
 from prect.incidence import order_of
 from prect.linegraph import (GraphError, LineGraph, build_line_graph, certify_srg,
                              diameter, expected_srg_parameters, factorization_check,
@@ -57,7 +65,7 @@ def test_adjacency_from_common_point_matches_sets(r24, g_r24):
 
 def test_a_squared_identity(g_l22):
     # A^2 = r*I + lam*A + mu*(J - I - A) entrywise over the integers
-    a = g_l22.adjacency_matrix()
+    a = adjacency_matrix(g_l22)
     nu = g_l22.nu
     r, lam, mu = 9, 4, 6
     eye = np.eye(nu, dtype=np.int64)
@@ -123,12 +131,77 @@ def test_vertex_connectivity_bound(g_r39):
 
 
 def test_connectivity_drops_after_edge_removal(g_pp2):
-    g = g_pp2.copy_without_edge(0, 1)
+    g = without_edge(g_pp2, 0, 1)
     assert vertex_connectivity(g, "exact").value == 2
 
 
+def _maxflow_connectivity(g):
+    """Vertex connectivity by scipy's max-flow on the vertex-split network,
+    minimized over every non-adjacent pair."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    nu = g.nu
+    if g.is_complete():
+        return nu - 1
+    rows_idx, cols_idx, caps = [], [], []
+    for v in range(nu):
+        rows_idx.append(v)          # v_in -> v_out, capacity 1
+        cols_idx.append(v + nu)
+        caps.append(1)
+    for u, v in g.edges():
+        rows_idx += [u + nu, v + nu]
+        cols_idx += [v, u]
+        caps += [nu, nu]            # any capacity >= nu acts as infinity here
+    mat = csr_matrix((caps, (rows_idx, cols_idx)), shape=(2 * nu, 2 * nu))
+    return min((maximum_flow(mat, s + nu, t).flow_value
+                for s in range(nu) for t in range(s + 1, nu) if not g.adjacent(s, t)),
+               default=nu - 1)
+
+
+def test_vertex_connectivity_matches_maxflow_oracle(g_l22, g_pp2, g_l23):
+    rng = random.Random(5)
+    graphs = [g_l22, g_pp2, without_edge(g_pp2, 0, 1), g_l23]
+    for _ in range(120):
+        nu = rng.randint(2, 20)
+        density = rng.random()
+        graphs.append(graph_from_edges(nu, [(u, v) for u in range(nu) for v in range(u + 1, nu)
+                                            if rng.random() < density]))
+    values = [vertex_connectivity(g, "exact").value for g in graphs]
+    assert values == [_maxflow_connectivity(g) for g in graphs]
+    assert values[:4] == [9, 3, 2, 21]
+    assert values.count(0) >= 10 and max(values[4:]) >= 10  # disconnected and dense cases
+
+
+def test_library_runs_without_numpy_and_scipy(tmp_path):
+    src = Path(prect.__file__).resolve().parent.parent
+    demo = src.parent / "demos" / "02_line_graph_strong_regularity.py"
+    code = """if True:
+        import importlib, pkgutil, runpy, sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None  # any import of them fails
+        import prect
+        for mod in pkgutil.iter_modules(prect.__path__):
+            importlib.import_module("prect." + mod.name)
+        from prect.cli import main
+        from prect.construct import build_l2k
+        from prect.linegraph import LineGraph, build_line_graph, vertex_connectivity
+        assert vertex_connectivity(build_line_graph(build_l2k(2)), "exact").value == 9
+        k4_minus_edge = LineGraph(4, [0b1100, 0b1100, 0b1011, 0b0111])
+        assert vertex_connectivity(k4_minus_edge, "exact").value == 2
+        assert main(["build", "--family", "l2k", "--k", "2", "--out", "l22.json"]) == 0
+        assert main(["verify", "l22.json", "--profile", "full"]) == 0
+        runpy.run_path(sys.argv[1], run_name="__main__")
+        print("stdlib only")
+    """
+    proc = subprocess.run([sys.executable, "-c", code, str(demo)], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "stdlib only"
+
+
 def test_srg_fails_with_witness_after_edge_removal(g_l22):
-    cert = certify_srg(g_l22.copy_without_edge(0, 1), 2, 4)
+    cert = certify_srg(without_edge(g_l22, 0, 1), 2, 4)
     assert not cert.ok
     assert cert.witness is not None
 
@@ -210,13 +283,6 @@ def test_srg_matches_numpy_reference_on_mutations(fix, m, n, mutate, request):
 
 def test_importing_the_cli_leaves_numpy_unloaded():
     # nor scipy: no CLI path uses either
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import prect
-
     src = str(Path(prect.__file__).resolve().parent.parent)
     code = "import sys, prect.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
