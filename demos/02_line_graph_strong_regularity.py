@@ -28,7 +28,7 @@ for label, model, m, n in instances:
           f"{cert.multiplicities}  -> all checks: {cert.ok}")
     assert cert.ok
 
-    fact = factorization_check(g, m, n)
+    fact = factorization_check(g, model)
     print(f"   factorization: {fact.num_classes} color classes, "
           f"each {n - 1}-regular and spanning: {fact.ok}")
     assert fact.ok
@@ -37,8 +37,8 @@ g22 = build_line_graph(build_l2k(2))
 print(f"diameter of G(L_2^2): {diameter(g22)} (nontrivial rectangles give 2)")
 
 kappa = vertex_connectivity(g22, "exact")
-print(f"vertex connectivity of G(L_2^2) by max-flow over all non-adjacent "
-      f"pairs: {kappa.value} (equals r = 9)")
+print(f"vertex connectivity of G(L_2^2) by augmenting paths over the "
+      f"Esfahanian-Hakimi pairs: {kappa.value} (equals r = 9)")
 assert kappa.value == 9
 
 big = build_line_graph(build_subplane_rect(3, 1, 2))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, inf
 
 from ._util import iter_bits
-from .linegraph import LineGraph, SrgCertificate, diameter
+from .linegraph import LineGraph, SrgCertificate, eccentricity
 
 DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -59,7 +59,7 @@ class EulerianReport:
 def eulerian_verdict(g: LineGraph, m: int, n: int) -> EulerianReport:
     """Direct even-degree plus connectivity check against the parity rule."""
     degrees_even = all(g.degree(v) % 2 == 0 for v in range(g.nu))
-    connected = diameter(g) != inf
+    connected = g.nu == 0 or eccentricity(g, 0) != inf
     return EulerianReport(
         eulerian=degrees_even and connected,
         predicate=(m % 2 == 1) or (n % 2 == 1),

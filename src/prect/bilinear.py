@@ -4,7 +4,7 @@ Vertices of the graph are all 2 x k matrices over GF(q); two are adjacent
 when their difference has rank 1.  A line <a,b,1> of the subplane
 construction maps to the matrix whose rows are the GF(q)-coordinate vectors
 of a and b over the power basis; the isomorphism is certified through that
-explicit map over every vertex pair, never by graph-isomorphism search.
+explicit map row by row, never by graph-isomorphism search.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ._util import iter_bits
 from .construct import RectangleModel
-from .gf import FieldCtx, embed_subfield, field_make
+from .gf import FieldCtx, add_digits, embed_subfield, field_make
 from .linegraph import LineGraph
 
 MAX_VERTICES = 1 << 16
@@ -27,65 +28,48 @@ Matrix = tuple[tuple[int, ...], tuple[int, ...]]  # two rows of entry codes
 
 
 class BilinearGraph:
-    """H_q(2,k) with vertices indexed rowA-major over entry codes."""
+    """H_q(2,k); vertex u is the matrix whose 2k entry codes, row A first,
+    are the base-q digits of u, most significant first."""
 
-    def __init__(self, graph: LineGraph, ctx: FieldCtx, q: int, k: int,
-                 matrices: list[Matrix], index: dict[Matrix, int]):
+    def __init__(self, graph: LineGraph, ctx: FieldCtx, q: int, k: int):
         self.graph = graph
         self.ctx = ctx
         self.q = q
         self.k = k
-        self.matrices = matrices
-        self.index = index
 
     @property
     def nu(self) -> int:
         return self.graph.nu
 
 
+def _vertex(codes, q: int) -> int:
+    """Vertex number of the matrix with these entry codes, row A first."""
+    return sum(c * q ** i for i, c in enumerate(reversed(codes)))
+
+
 def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:
-    """Build H_q(2,k) for q = p^e; adjacency by precomputed rank-1 deltas."""
+    """Build H_q(2,k) for q = p^e as a Cayley graph on GF(q)^(2 x k).
+
+    Read in base p, a vertex number lists the GF(p)-coefficients of its 2k
+    entries, so matrix addition is digit-wise addition mod p, and u is
+    adjacent to u + d for each rank-1 matrix d.
+    """
     q = p ** e
     nu = q ** (2 * k)
     if nu > MAX_VERTICES:
         raise BilinearError(f"q^(2k) = {nu} beyond bound {MAX_VERTICES}")
     ctx = field_make(p, e)
 
-    rows_of = list(product(range(q), repeat=k))
-    matrices: list[Matrix] = []
-    index: dict[Matrix, int] = {}
-    for ra in rows_of:
-        for rb in rows_of:
-            index[(ra, rb)] = len(matrices)
-            matrices.append((ra, rb))
-
-    # Rank-1 matrices (alpha*v, beta*v): v over projective representatives.
-    reps = []
-    for v in rows_of:
-        i = next((i for i, c in enumerate(v) if c), None)
-        if i is not None and v[i] == 1:
-            reps.append(v)
-    deltas = []
-    for v in reps:
-        for alpha in range(q):
-            for beta in range(q):
-                if alpha == 0 and beta == 0:
-                    continue
-                top = tuple(ctx.mul_codes(alpha, c) for c in v)
-                bot = tuple(ctx.mul_codes(beta, c) for c in v)
-                deltas.append((top, bot))
+    # Rank-1 matrices (a*v, b*v): v over projective representatives.
+    reps = [v for v in product(range(q), repeat=k) if any(v) and next(c for c in v if c) == 1]
+    deltas = [_vertex([ctx.mul_codes(a, c) for c in v] + [ctx.mul_codes(b, c) for c in v], q)
+              for v in reps for a in range(q) for b in range(q) if a or b]
     expected = (q + 1) * (q ** k - 1)
     if len(set(deltas)) != expected:
         raise BilinearError("rank-1 delta enumeration is off")
 
-    adj = [0] * nu
-    for i, (ra, rb) in enumerate(matrices):
-        for da, db in deltas:
-            na = tuple(ctx.add_codes(x, y) for x, y in zip(ra, da))
-            nb = tuple(ctx.add_codes(x, y) for x, y in zip(rb, db))
-            adj[i] |= 1 << index[(na, nb)]
-    graph = LineGraph(nu, adj)
-    return BilinearGraph(graph, ctx, q, k, matrices, index)
+    adj = [sum(1 << add_digits(u, d, p, 2 * k * e) for d in deltas) for u in range(nu)]
+    return BilinearGraph(LineGraph(nu, adj), ctx, q, k)
 
 
 def map_line_to_matrix(line_index: int, model: RectangleModel) -> Matrix:
@@ -110,8 +94,7 @@ def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:
     mapping = []
     for l in range(model.num_ordinary_lines):
         ra, rb = map_line_to_matrix(l, model)
-        key = (tuple(back[c] for c in ra), tuple(back[c] for c in rb))
-        mapping.append(h.index[key])
+        mapping.append(_vertex([back[c] for c in ra + rb], h.q))
     return mapping
 
 
@@ -131,26 +114,33 @@ class IsoReport:
 def certify_isomorphism(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> IsoReport:
     """Check that mapping is a bijection preserving adjacency both ways.
 
-    All nu^2 ordered-collapsed pairs are compared; the first violating pair
-    is returned as a witness.
+    Row u of g1, carried through the mapping, is compared with row mapping[u]
+    of g2.  The witness is the first pair u < v, in row-major order, whose
+    adjacency differs; pairs_checked counts the pairs up to it, all
+    nu(nu-1)/2 when none differs.
     """
     nu = g1.nu
     rep = IsoReport(nu=nu, bijective=False, edge_preserving=False)
     if g2.nu != nu or len(mapping) != nu:
         rep.witness = {"check": "sizes", "nu1": nu, "nu2": g2.nu, "map": len(mapping)}
         return rep
-    rep.bijective = len(set(mapping)) == nu
+    rep.bijective = sorted(mapping) == list(range(nu))
     if not rep.bijective:
         rep.witness = {"check": "bijection"}
         return rep
-    for u in range(nu):
-        mu_ = mapping[u]
-        for v in range(u + 1, nu):
-            rep.pairs_checked += 1
-            if g1.adjacent(u, v) != g2.adjacent(mu_, mapping[v]):
-                rep.witness = {"check": "edge", "pair": (u, v),
-                               "images": (mu_, mapping[v]),
-                               "adjacent_in_source": g1.adjacent(u, v)}
-                return rep
+    inverse = sorted(range(nu), key=mapping.__getitem__)
+    for u, row in enumerate(g1.rows):
+        image = 0
+        for v in iter_bits(row):
+            image |= 1 << mapping[v]
+        later = [inverse[w] for w in iter_bits(image ^ g2.rows[mapping[u]]) if inverse[w] > u]
+        if later:
+            v = min(later)
+            rep.pairs_checked = u * (2 * nu - u - 1) // 2 + v - u
+            rep.witness = {"check": "edge", "pair": (u, v),
+                           "images": (mapping[u], mapping[v]),
+                           "adjacent_in_source": g1.adjacent(u, v)}
+            return rep
+    rep.pairs_checked = nu * (nu - 1) // 2
     rep.edge_preserving = True
     return rep

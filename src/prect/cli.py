@@ -267,7 +267,7 @@ def cmd_analyze(args, report: RunReport) -> int:
 _EXPORTS = {
     ("model", "json"): lambda run: model_to_json(run.model),
     ("graph", "graph6"): lambda run: graph6_str(run.graph),
-    ("graph", "dot"): lambda run: to_dot(run.graph),
+    ("graph", "dot"): lambda run: to_dot(run.graph, run.model),
     ("census", "json"): lambda run: json.dumps(census_to_dict(run.census, run.model),
                                                sort_keys=True),
 }

@@ -12,7 +12,7 @@ from .cliques import CliqueCensus
 from .construct import RectangleModel, build_l2k, build_subplane_rect
 from .gf import field_make
 from .incidence import IncidenceStructure
-from .linegraph import LineGraph, SrgCertificate
+from .linegraph import LineGraph, SrgCertificate, edge_class
 
 
 class ExportError(ValueError):
@@ -44,19 +44,20 @@ def graph6_str(g: LineGraph) -> str:
     return graph6_bytes(g).decode("ascii")
 
 
-# -- DOT with edge color classes as attributes --
+# -- DOT with edge classes as attributes --
 
-def to_dot(g: LineGraph, name: str = "lines") -> str:
-    out = [f"graph {name} {{"]
+def to_dot(g: LineGraph, model: RectangleModel) -> str:
+    """DOT text; each edge carries the label of its special line (see edge_class)."""
+    labels = model.special_labels
+    out = ["graph lines {"]
     for u in range(g.nu):
         out.append(f"  {u};")
     for u, v in g.edges():
-        if g.edge_colors is not None:
-            c = g.color_of(u, v)
-            label = g.color_names[c] if g.color_names else str(c)
-            out.append(f'  {u} -- {v} [class="{label}"];')
-        else:
-            out.append(f"  {u} -- {v};")
+        c = edge_class(model, u, v)
+        if c is None:
+            raise ExportError(f"lines {u} and {v} meet in a point on no unique special line")
+        label = labels[c] if labels else str(c)
+        out.append(f'  {u} -- {v} [class="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -97,6 +97,20 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+def add_digits(a: int, b: int, p: int, digits: int) -> int:
+    """Digit-wise sum mod p of two numbers of `digits` base-p digits: GF(p)^digits addition."""
+    if p == 2:
+        return a ^ b
+    out = 0
+    mult = 1
+    for _ in range(digits):
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        out += ((ra + rb) % p) * mult
+        mult *= p
+    return out
+
+
 class FieldCtx:
     """A field GF(p^m) with its canonical modulus, acting on element codes.
 
@@ -153,16 +167,7 @@ class FieldCtx:
         return "+".join(terms) if terms else "0"
 
     def add_codes(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            a, ra = divmod(a, self.p)
-            b, rb = divmod(b, self.p)
-            out += ((ra + rb) % self.p) * mult
-            mult *= self.p
-        return out
+        return add_digits(a, b, self.p, self.m)
 
     def neg_code(self, a: int) -> int:
         if self.p == 2:

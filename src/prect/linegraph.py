@@ -1,8 +1,8 @@
 """The graph of lines: vertices are ordinary lines, edges mean concurrence.
 
-Adjacency is held as packed bit rows (Python ints).  Each edge is colored by
-the special line through the common point, which yields the factorization of
-the graph into m+1 spanning (n-1)-regular subgraphs.
+Adjacency is held as packed bit rows (Python ints).  The class of an edge,
+read from the model, is the special line through the common point; the
+classes factor the graph into m+1 spanning (n-1)-regular subgraphs.
 
 Strong regularity is certified by direct counting over all vertex pairs plus
 the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J, checked
@@ -14,6 +14,7 @@ same popcounts.  No floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from ._util import iter_bits
 from .construct import RectangleModel
@@ -26,14 +27,11 @@ class GraphError(ValueError):
 
 
 class LineGraph:
-    """Undirected graph with bitmask rows and an optional edge coloring."""
+    """Undirected graph with bitmask rows."""
 
-    def __init__(self, nu: int, rows: list[int], edge_colors: dict | None = None,
-                 color_names: list[str] | None = None):
+    def __init__(self, nu: int, rows: list[int]):
         self.nu = nu
         self.rows = rows
-        self.edge_colors = edge_colors
-        self.color_names = color_names
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -50,53 +48,55 @@ class LineGraph:
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in range(self.nu)) // 2
 
-    def color_of(self, u: int, v: int):
-        return self.edge_colors[(u, v) if u < v else (v, u)]
-
-    def color_rows(self, color: int) -> list[int]:
-        rows = [0] * self.nu
-        for (u, v), c in self.edge_colors.items():
-            if c == color:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return rows
-
     def is_complete(self) -> bool:
         full = (1 << self.nu) - 1
         return all(self.rows[v] == full & ~(1 << v) for v in range(self.nu))
 
 
+def _point_class(model: RectangleModel, p: int):
+    """Position of the special line through point p, or None if not unique."""
+    special = model.structure.special_line_of_point(p)
+    return model.special_position(special) if special is not None else None
+
+
+def edge_class(model: RectangleModel, u: int, v: int):
+    """Position of the special line through the highest common point of lines u
+    and v other than D (the only one, under A1); None if there is no such
+    point, or no unique special line through it."""
+    s = model.structure
+    common = s.line_masks[u] & s.line_masks[v] & ~(1 << s.special_point)
+    return _point_class(model, common.bit_length() - 1) if common else None
+
+
 def build_line_graph(model: RectangleModel) -> LineGraph:
-    """Graph of lines of a rectangle model, with edges colored by special line.
+    """Graph of lines of a rectangle model.
 
     Vertices are the ordinary lines in construction order.  Two lines are
-    adjacent iff their stored point sets meet; the common point lies on
-    exactly one special line, whose position is the edge color.
+    adjacent iff their stored point sets meet outside D: each point joins
+    its pencil of ordinary lines.  A pair that meets again must keep the
+    class of the point where it met last, if that point has one; otherwise
+    A1 is broken and GraphError names the first such pair.
     """
     s = model.structure
     nu = model.num_ordinary_lines
+    masks = s.line_masks
     rows = [0] * nu
-    colors = {}
     for p in range(s.n_points):
         if p == s.special_point:
             continue
-        through = [i for i in s.lines_at[p] if i < nu]
-        if not through:
+        pencil = sum(1 << i for i in s.lines_at[p] if i < nu)
+        if not pencil:
             continue
-        special = s.special_line_of_point(p)
-        c = model.special_position(special) if special is not None else None
-        for x in range(len(through)):
-            u = through[x]
-            for y in range(x + 1, len(through)):
-                v = through[y]
-                key = (u, v) if u < v else (v, u)
-                prev = colors.get(key)
+        c = _point_class(model, p)
+        below = (1 << p) - 1 & ~(1 << s.special_point)
+        for u in iter_bits(pencil):
+            for v in iter_bits(rows[u] & pencil & -(2 << u)):  # met before p
+                prev = _point_class(model, (masks[u] & masks[v] & below).bit_length() - 1)
                 if prev is not None and prev != c:
-                    raise GraphError(f"edge {key} gets two colors (A1 broken?)")
-                colors[key] = c
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return LineGraph(nu, rows, colors, list(model.special_labels))
+                    raise GraphError(f"edge {(u, v)} gets two colors (A1 broken?)")
+        for u in iter_bits(pencil):
+            rows[u] |= pencil ^ (1 << u)
+    return LineGraph(nu, rows)
 
 
 @dataclass
@@ -227,26 +227,26 @@ def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int):
     return pair, spectral
 
 
+def eccentricity(g: LineGraph, src: int):
+    """Greatest distance from src, by breadth-first search; inf if some vertex is unreached."""
+    full = (1 << g.nu) - 1
+    reached = frontier = 1 << src
+    depth = 0
+    while reached != full:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.rows[v]
+        frontier = nxt & ~reached
+        if not frontier:
+            return inf
+        reached |= frontier
+        depth += 1
+    return depth
+
+
 def diameter(g: LineGraph):
     """Exact diameter via breadth-first search from every vertex."""
-    full = (1 << g.nu) - 1
-    worst = 0
-    for src in range(g.nu):
-        reached = 1 << src
-        frontier = reached
-        depth = 0
-        while reached != full:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.rows[v]
-            nxt &= ~reached
-            if not nxt:
-                return float("inf")
-            reached |= nxt
-            frontier = nxt
-            depth += 1
-        worst = max(worst, depth)
-    return worst
+    return max((eccentricity(g, v) for v in range(g.nu)), default=0)
 
 
 @dataclass
@@ -265,23 +265,24 @@ class FactorizationReport:
                 and all(self.spanning.values()))
 
 
-def factorization_check(g: LineGraph, m: int, n: int) -> FactorizationReport:
-    """Each edge-color class must be a spanning (n-1)-regular subgraph."""
-    if g.edge_colors is None:
-        raise GraphError("graph carries no edge coloring")
-    classes = sorted({c for c in g.edge_colors.values()})
-    degrees = {}
-    spanning = {}
-    witness = None
-    for c in classes:
-        rows = g.color_rows(c)
+def factorization_check(g: LineGraph, model: RectangleModel) -> FactorizationReport:
+    """Each edge class (see edge_class) must be a spanning (n-1)-regular subgraph."""
+    n = model.n
+    class_rows = {}
+    for u, v in g.edges():
+        rows = class_rows.setdefault(edge_class(model, u, v), [0] * g.nu)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    degrees, spanning, witness = {}, {}, None
+    for c in sorted(class_rows):
+        rows = class_rows[c]
         degs = {row.bit_count() for row in rows}
         degrees[c] = degs
         spanning[c] = 0 not in degs
         if degs != {n - 1} and witness is None:
             bad = next(v for v in range(g.nu) if rows[v].bit_count() != n - 1)
             witness = {"color": c, "vertex": bad, "degree": rows[bad].bit_count()}
-    return FactorizationReport(len(classes), m + 1, n - 1, degrees, spanning, witness)
+    return FactorizationReport(len(class_rows), model.m + 1, n - 1, degrees, spanning, witness)
 
 
 @dataclass

@@ -2,20 +2,24 @@
 
 Each oracle recomputes a fact by a route independent of the library code
 that the tests check: numpy for the adjacency matrix, the coordinate
-formula for common points, and a backtracking search for incidence
-isomorphisms.
+formula for common points, a backtracking search for incidence
+isomorphisms, a pair-by-pair build of the colored graph of lines, H_q(2,k)
+built from a table of matrices, and an isomorphism probe on every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from prect._util import iter_bits
+from prect.bilinear import BilinearError, IsoReport
 from prect.construct import BuildError, RectangleModel, normalize_point
+from prect.gf import field_make
 from prect.incidence import IncidenceStructure
-from prect.linegraph import LineGraph
+from prect.linegraph import GraphError, LineGraph
 
 
 def graph_from_edges(nu: int, edges) -> LineGraph:
@@ -27,7 +31,7 @@ def graph_from_edges(nu: int, edges) -> LineGraph:
 
 
 def without_edge(g: LineGraph, u: int, v: int) -> LineGraph:
-    """A copy of g with the edge uv removed and no edge coloring."""
+    """A copy of g with the edge uv removed."""
     assert g.adjacent(u, v), (u, v)
     rows = list(g.rows)
     rows[u] &= ~(1 << v)
@@ -162,3 +166,101 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
     if images != set(lineset2):
         return None
     return pm
+
+
+def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
+    """The graph of lines and its edge colors, pair by pair.
+
+    Returns the graph and a dict from each edge (u, v), u < v, to the
+    position of the special line through the common point of u and v.  A
+    pair that meets again in a point of another color raises GraphError.
+    """
+    s = model.structure
+    nu = model.num_ordinary_lines
+    rows = [0] * nu
+    colors = {}
+    for p in range(s.n_points):
+        if p == s.special_point:
+            continue
+        through = [i for i in s.lines_at[p] if i < nu]
+        if not through:
+            continue
+        special = s.special_line_of_point(p)
+        c = model.special_position(special) if special is not None else None
+        for x in range(len(through)):
+            u = through[x]
+            for y in range(x + 1, len(through)):
+                v = through[y]
+                key = (u, v) if u < v else (v, u)
+                prev = colors.get(key)
+                if prev is not None and prev != c:
+                    raise GraphError(f"edge {key} gets two colors (A1 broken?)")
+                colors[key] = c
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return LineGraph(nu, rows), colors
+
+
+def hq2k_with_matrices(p: int, e: int, k: int) -> tuple[LineGraph, list, dict]:
+    """H_q(2,k) as (graph, matrices, index), adjacency by tuple lookup.
+
+    matrices[u] is the pair of rows of entry codes of vertex u, and index is
+    its inverse; rows run over product(range(q), repeat=k), row A major.
+    """
+    q = p ** e
+    nu = q ** (2 * k)
+    ctx = field_make(p, e)
+    rows_of = list(product(range(q), repeat=k))
+    matrices = []
+    index = {}
+    for ra in rows_of:
+        for rb in rows_of:
+            index[(ra, rb)] = len(matrices)
+            matrices.append((ra, rb))
+    reps = []
+    for v in rows_of:
+        i = next((i for i, c in enumerate(v) if c), None)
+        if i is not None and v[i] == 1:
+            reps.append(v)
+    deltas = []
+    for v in reps:
+        for alpha in range(q):
+            for beta in range(q):
+                if alpha == 0 and beta == 0:
+                    continue
+                top = tuple(ctx.mul_codes(alpha, c) for c in v)
+                bot = tuple(ctx.mul_codes(beta, c) for c in v)
+                deltas.append((top, bot))
+    if len(set(deltas)) != (q + 1) * (q ** k - 1):
+        raise BilinearError("rank-1 delta enumeration is off")
+    adj = [0] * nu
+    for i, (ra, rb) in enumerate(matrices):
+        for da, db in deltas:
+            na = tuple(ctx.add_codes(x, y) for x, y in zip(ra, da))
+            nb = tuple(ctx.add_codes(x, y) for x, y in zip(rb, db))
+            adj[i] |= 1 << index[(na, nb)]
+    return LineGraph(nu, adj), matrices, index
+
+
+def isomorphism_by_pairs(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> IsoReport:
+    """IsoReport from an adjacency probe on every pair u < v, in row-major order."""
+    nu = g1.nu
+    rep = IsoReport(nu=nu, bijective=False, edge_preserving=False)
+    if g2.nu != nu or len(mapping) != nu:
+        rep.witness = {"check": "sizes", "nu1": nu, "nu2": g2.nu, "map": len(mapping)}
+        return rep
+    rep.bijective = len(set(mapping)) == nu
+    if not rep.bijective:
+        rep.witness = {"check": "bijection"}
+        return rep
+    for u in range(nu):
+        mu_ = mapping[u]
+        for v in range(u + 1, nu):
+            rep.pairs_checked += 1
+            if g1.adjacent(u, v) != g2.adjacent(mu_, mapping[v]):
+                rep.witness = {"check": "edge", "pair": (u, v),
+                               "images": (mu_, mapping[v]),
+                               "adjacent_in_source": g1.adjacent(u, v)}
+                return rep
+    rep.edge_preserving = True
+    return rep

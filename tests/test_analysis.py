@@ -261,6 +261,10 @@ def test_tensor_square_report(g_l22):
     assert not rep["exactly_one_property"]
 
 
+def test_eulerian_connectivity_of_the_empty_graph():
+    assert eulerian_verdict(LineGraph(0, []), 1, 1).connected
+
+
 def test_eulerian_direct_check_detects_disconnection():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     rep = eulerian_verdict(g, 1, 1)

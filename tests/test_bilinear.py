@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from oracles import without_edge
+from oracles import hq2k_with_matrices, isomorphism_by_pairs, without_edge
 from prect.bilinear import (BilinearError, BilinearGraph, build_hq2k, certify_isomorphism,
                             line_matrix_map, map_line_to_matrix)
 from prect.cliques import enumerate_maximal_cliques
 from prect.gf import FieldCtx, field_make
+from prect.linegraph import edge_class
 
 
 def rank2xk(row_a, row_b, ctx: FieldCtx) -> int:
@@ -31,13 +34,23 @@ def rank2xk(row_a, row_b, ctx: FieldCtx) -> int:
     return 1
 
 
+def matrix_of(h: BilinearGraph, u: int):
+    """The two rows of entry codes of vertex u of h: its 2k base-q digits, row A first."""
+    digits = []
+    for _ in range(2 * h.k):
+        u, c = divmod(u, h.q)
+        digits.append(c)
+    digits.reverse()
+    return tuple(digits[:h.k]), tuple(digits[h.k:])
+
+
 def difference_class(h: BilinearGraph, u: int, v: int):
     """Direction of the rank-1 difference of vertices u and v of h.
 
     "inf" when the top row of the difference is zero, else the code lam
     with bottom = lam * top.
     """
-    ma, mb = h.matrices[u], h.matrices[v]
+    ma, mb = matrix_of(h, u), matrix_of(h, v)
     ctx = h.ctx
     da = tuple(ctx.sub_codes(x, y) for x, y in zip(ma[0], mb[0]))
     db = tuple(ctx.sub_codes(x, y) for x, y in zip(ma[1], mb[1]))
@@ -103,10 +116,54 @@ def test_hq2k_adjacency_is_rank_one():
     h = build_hq2k(3, 1, 2)
     for u in range(h.nu):
         for v in range(u + 1, h.nu):
-            ma, mb = h.matrices[u], h.matrices[v]
+            ma, mb = matrix_of(h, u), matrix_of(h, v)
             da = tuple(h.ctx.sub_codes(x, y) for x, y in zip(ma[0], mb[0]))
             db = tuple(h.ctx.sub_codes(x, y) for x, y in zip(ma[1], mb[1]))
             assert h.graph.adjacent(u, v) == (rank2xk(da, db, h.ctx) == 1)
+
+
+@pytest.mark.parametrize("p,e,k", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                                   (3, 1, 3)])
+def test_hq2k_matches_matrix_table_oracle(p, e, k):
+    h = build_hq2k(p, e, k)
+    graph, matrices, index = hq2k_with_matrices(p, e, k)
+    assert h.graph.rows == graph.rows
+    assert [matrix_of(h, u) for u in range(h.nu)] == matrices
+    assert all(index[matrices[u]] == u for u in range(h.nu))
+
+
+@pytest.mark.parametrize("fix,hparams", [
+    ("r24", (2, 1, 2)),
+    ("r28", (2, 1, 3)),
+    ("r39", (3, 1, 2)),
+    ("r416", (2, 2, 2)),
+])
+def test_isomorphism_report_matches_pairwise_oracle(fix, hparams, request):
+    """An equal IsoReport, field by field, on the true map and on broken ones:
+    two entries swapped, an edge removed on either side, a short map and a
+    repeated entry."""
+    model = request.getfixturevalue(fix)
+    g = request.getfixturevalue("g_" + fix)
+    h = build_hq2k(*hparams)
+    mapping = line_matrix_map(model, h)
+    rng = random.Random(str(hparams))
+    cases = [(g, h.graph, mapping), (g, h.graph, mapping[:-1]),
+             (g, h.graph, mapping[:-1] + mapping[:1])]
+    for _ in range(35):
+        broken = list(mapping)
+        i, j = rng.sample(range(g.nu), 2)
+        broken[i], broken[j] = broken[j], broken[i]
+        cases.append((g, h.graph, broken))
+    edges = list(g.edges())
+    for u, v in rng.sample(edges, 10):
+        cases.append((without_edge(g, u, v), h.graph, mapping))
+        cases.append((g, without_edge(h.graph, mapping[u], mapping[v]), mapping))
+    failures = 0
+    for g1, g2, f in cases:
+        rep = certify_isomorphism(g1, g2, f)
+        assert rep == isomorphism_by_pairs(g1, g2, f)
+        failures += not rep.ok
+    assert failures == len(cases) - 1
 
 
 def test_map_line_to_matrix_examples(r24):
@@ -161,7 +218,7 @@ def test_difference_class_matches_edge_color(r39, g_r39):
             if not g_r39.adjacent(u, v):
                 continue
             cls = difference_class(h, mapping[u], mapping[v])
-            label = g_r39.color_names[g_r39.color_of(u, v)]
+            label = r39.special_labels[edge_class(r39, u, v)]
             if cls == "inf":
                 assert label == "s_inf"
             else:

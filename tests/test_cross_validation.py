@@ -37,12 +37,12 @@ def test_r525_axioms_and_counts(r525):
     assert elementary_counts(r525.structure).ok
 
 
-def test_r525_srg_and_graph_laws(g_r525):
+def test_r525_srg_and_graph_laws(r525, g_r525):
     cert = certify_srg(g_r525, 5, 25)
     assert cert.parameters == (625, 144, 43, 30)
     assert cert.ok
     assert diameter(g_r525) == 2
-    assert factorization_check(g_r525, 5, 25).ok
+    assert factorization_check(g_r525, r525).ok
     assert eulerian_verdict(g_r525, 5, 25).consistent
     assert krein_check(cert).ok
 

@@ -67,10 +67,27 @@ def test_graph6_path_graph():
     assert graph6_str(p4) == chr(63 + 4) + chr(63 + 0b101001)
 
 
-def test_dot_carries_edge_colors(g_r24):
-    dot = to_dot(g_r24)
+def test_dot_carries_edge_colors(r24, g_r24):
+    dot = to_dot(g_r24, r24)
     assert 'class="s_0"' in dot and 'class="s_inf"' in dot
     assert dot.count(" -- ") == g_r24.num_edges
+
+
+def test_cli_dot_export_of_a_point_off_every_special_line_is_an_error(tmp_path, capsys):
+    """A DOT edge whose common point lies on no special line has no class: a
+    typed error with exit 2, not a traceback."""
+    out = tmp_path / "m.json"
+    run_cli("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "2",
+            "--out", str(out))
+    d = json.loads(out.read_text())
+    s_inf = next(ln for ln in d["structure"]["lines"] if "D" in ln and "[1:0:1]" in ln)
+    s_inf.remove("[1:0:1]")
+    out.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("export", str(out), "--what", "graph", "--format", "dot") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "special line" in captured.err
 
 
 def test_model_json_round_trip(l22, r39):
@@ -294,6 +311,12 @@ GOLDEN_STDOUT = [
      "f39c17dfcc964be0125324ea68241ac7a16aa3a09caa13220b17402fd80eb762"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
      "0447b350204b163b14243786491245e72b37b0db6f265ecde2f7b35282d1725a"),
+    (("export", "l23.json", "--what", "graph", "--format", "dot"), None,
+     "20f2bd72fd63c9ec85e1b880d81e591526bd0a6cf78e41077176aac24d410918"),
+    (("export", "r39.json", "--what", "graph", "--format", "dot"), None,
+     "79dc5c66254fc7fce9fabd67fcd28c9b0be96b50ace9d44d2e27969fd85a3c1b"),
+    (("export", "r416.json", "--what", "graph", "--format", "dot"), None,
+     "11e75c0751abe3239ed61763476657456c4005397726b627f49decc539457963"),
 ]
 
 

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import prect
-from oracles import adjacency_matrix, common_point, graph_from_edges, without_edge
-from prect.construct import build_subplane_rect
-from prect.incidence import order_of
+from oracles import (adjacency_matrix, colored_line_graph, common_point, graph_from_edges,
+                     without_edge)
+from prect.construct import RectangleModel, build_l2k, build_subplane_rect
+from prect.incidence import IncidenceStructure, order_of
 from prect.linegraph import (GraphError, LineGraph, build_line_graph, certify_srg,
-                             diameter, expected_srg_parameters, factorization_check,
+                             diameter, edge_class, expected_srg_parameters, factorization_check,
                              vertex_connectivity)
 
 
@@ -60,7 +61,7 @@ def test_adjacency_from_common_point_matches_sets(r24, g_r24):
             assert (cp is not None) == g_r24.adjacent(u, v)
             if cp is not None:
                 pos = r24.special_position(cp.special_line)
-                assert g_r24.color_of(u, v) == pos
+                assert edge_class(r24, u, v) == pos
 
 
 def test_a_squared_identity(g_l22):
@@ -96,19 +97,127 @@ def test_diameter_r327():
 ])
 def test_factorization_classes(fix, m, n, request):
     g = request.getfixturevalue(fix)
-    rep = factorization_check(g, m, n)
+    rep = factorization_check(g, request.getfixturevalue(fix.removeprefix("g_")))
     assert rep.ok
     assert rep.num_classes == m + 1
     assert all(d == {n - 1} for d in rep.class_degrees.values())
 
 
-def test_color_classes_partition_edges(g_l22):
-    assert len(g_l22.edge_colors) == g_l22.num_edges
+def test_color_classes_partition_edges(l22, g_l22):
+    classes = [edge_class(l22, u, v) for u, v in g_l22.edges()]
+    assert len(classes) == g_l22.num_edges
     per_color = {}
-    for c in g_l22.edge_colors.values():
+    for c in classes:
         per_color[c] = per_color.get(c, 0) + 1
     # three classes, (n-1)-regular means nu*(n-1)/2 edges each
     assert per_color == {0: 24, 1: 24, 2: 24}
+
+
+def _with_lines(model: RectangleModel, lines) -> RectangleModel:
+    s = model.structure
+    structure = IncidenceStructure(s.points, lines, s.special_point, validate=False)
+    return RectangleModel(structure, model.family, model.p, model.e, model.k, ctx=model.ctx,
+                          point_coords=model.point_coords, line_coeffs=model.line_coeffs,
+                          special_coeffs=model.special_coeffs,
+                          special_labels=model.special_labels)
+
+
+def _moved_point(model: RectangleModel, rng: random.Random) -> RectangleModel:
+    """model with one point moved from one ordinary line to another, which breaks A1."""
+    lines = [list(t) for t in model.structure.lines]
+    while True:
+        l1, l2 = rng.sample(range(model.num_ordinary_lines), 2)
+        x = rng.choice(lines[l1])
+        if x not in lines[l2]:
+            break
+    lines[l1].remove(x)
+    lines[l2].append(x)
+    return _with_lines(model, lines)
+
+
+def _special_point_dropped(model: RectangleModel, rng: random.Random) -> RectangleModel:
+    """model with one ordinary point taken off its special line, so it has no class."""
+    s = model.structure
+    lines = [list(t) for t in s.lines]
+    i, p = rng.choice([(i, p) for i in s.special_lines for p in lines[i]
+                       if p != s.special_point])
+    lines[i].remove(p)
+    return _with_lines(model, lines)
+
+
+def _line_absorbed(model: RectangleModel, rng: random.Random) -> RectangleModel:
+    """model with six points taken off their special lines, then one ordinary line
+    joined to another, so that pairs of lines share three or more points."""
+    for _ in range(6):
+        model = _special_point_dropped(model, rng)
+    lines = [list(t) for t in model.structure.lines]
+    l1, l2 = rng.sample(range(model.num_ordinary_lines), 2)
+    lines[l2] = sorted(set(lines[l2]) | set(lines[l1]))
+    return _with_lines(model, lines)
+
+
+def _classless_point_added(model: RectangleModel, rng: random.Random) -> RectangleModel:
+    """model with a point x of the lowest special line taken off it and added to an
+    ordinary line l.  The lines through x meet l at x first, of no class, and
+    then at a later point of some class, which builds without error."""
+    s = model.structure
+    lines = [list(t) for t in s.lines]
+    first = lines[s.special_lines[0]]
+    x = rng.choice([p for p in first if p != s.special_point])
+    first.remove(x)
+    rng.choice([t for t in lines[:model.num_ordinary_lines] if x not in t]).append(x)
+    return _with_lines(model, lines)
+
+
+def _graph_outcome(model: RectangleModel):
+    """(rows, edge class of each edge), or the GraphError text, from the library."""
+    try:
+        g = build_line_graph(model)
+    except GraphError as exc:
+        return str(exc)
+    return g.rows, {(u, v): edge_class(model, u, v) for u, v in g.edges()}
+
+
+def _oracle_outcome(model: RectangleModel):
+    try:
+        g, colors = colored_line_graph(model)
+    except GraphError as exc:
+        return str(exc)
+    return g.rows, colors
+
+
+def test_build_line_graph_matches_pairwise_oracle():
+    """Same rows and edge classes, or the same GraphError at the same first pair,
+    as the pair-by-pair colored build, on valid models and A1-broken mutants:
+    a moved point, with or without a point of no class, and a line absorbed
+    into another after several points lose their class, and a point of no
+    class added to a line, which builds with edges of class None."""
+    models = [build_l2k(2), build_l2k(3), build_l2k(4), build_subplane_rect(2, 1, 2),
+              build_subplane_rect(3, 1, 2), build_subplane_rect(2, 1, 3),
+              build_subplane_rect(2, 2, 2), build_subplane_rect(7, 1, 1)]
+    for model in models:
+        got = _graph_outcome(model)
+        assert not isinstance(got, str) and None not in got[1].values()
+        assert got == _oracle_outcome(model)
+    rng = random.Random(11)
+    errors = classless = 0
+    for i in range(160):
+        model = models[i % len(models)]
+        if i % 4 == 3:  # a point with no class, then a moved point
+            model = _special_point_dropped(model, rng)
+        mutant = _moved_point(model, rng)
+        got = _graph_outcome(mutant)
+        assert got == _oracle_outcome(mutant), i
+        errors += isinstance(got, str)
+    for i in range(80):
+        mutant = _line_absorbed(models[i % len(models)], rng)
+        assert _graph_outcome(mutant) == _oracle_outcome(mutant), i
+    for model in models:
+        mutant = _classless_point_added(model, rng)
+        got = _graph_outcome(mutant)
+        assert got == _oracle_outcome(mutant)
+        classless += None in got[1].values()
+    assert errors >= 100 and classless == len(models)
 
 
 def test_vertex_connectivity_exact_l22(g_l22):
