@@ -8,9 +8,10 @@ partial geometries), analysis (coloring, cycles, Krein), export and cli.
 
 __version__ = "0.1.0"
 
-from .analysis import (chromatic_analysis, chromatic_index_bracket,
-                       eulerian_verdict, hamiltonian_search, krein_check,
-                       planarity_verdict, validate_cycle)
+from .analysis import (chromatic_analysis, chromatic_by_construction,
+                       chromatic_index_bracket, chromatic_index_by_construction,
+                       eulerian_verdict, hamiltonian_by_construction, hamiltonian_search,
+                       krein_check, planarity_verdict, validate_cycle)
 from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map, map_line_to_matrix
 from .cliques import (classify_census, clique_intersections,
                       enumerate_maximal_cliques, extract_plane)
@@ -33,6 +34,7 @@ __all__ = [
     "certify_isomorphism",
     "build_point_clique_geometry", "build_plane_clique_structure",
     "planarity_verdict", "eulerian_verdict", "hamiltonian_search",
-    "validate_cycle", "chromatic_analysis", "chromatic_index_bracket",
-    "krein_check",
+    "hamiltonian_by_construction", "validate_cycle", "chromatic_analysis",
+    "chromatic_by_construction", "chromatic_index_bracket",
+    "chromatic_index_by_construction", "krein_check",
 ]

@@ -1,8 +1,12 @@
 """Elementary graph properties of the graph of lines.
 
 Planarity and Eulerian verdicts come with the degree/parity reasoning that
-justifies them; Hamiltonicity is a budgeted search whose timeout is reported
-as inconclusive, never as a negative.  The chromatic report carries three
+justifies them.  A Hamilton cycle, an n-coloring and, for even n, an
+r-edge-coloring are read off the model (the *_by_construction functions)
+and each is checked by its validator before it is reported; a witness that
+fails its check raises AnalysisError.  The budgeted searches
+(hamiltonian_search, chromatic_analysis, chromatic_index_bracket) remain as
+independent oracles on small graphs.  The chromatic report carries three
 lower bounds separately (the eigenvalue bound min(mult2, 1 - tau2/tau1), the
 claimed bound (n-1)(n-m), and the clique bound n) exactly because they can
 disagree; any inconsistency between them and the exact value is flagged,
@@ -16,14 +20,19 @@ from fractions import Fraction
 from math import ceil, inf
 
 from ._util import iter_bits
+from .construct import RectangleModel
+from .gf import field_make
 from .linegraph import LineGraph, SrgCertificate, eccentricity
 
 DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
+# The witnesses cost O(edges), but the srg certificate analyze reports costs
+# nu^2 popcounts of nu-bit rows, growing as nu^3: 8-11 s at nu = 4096.
+ANALYSIS_MAX_VERTICES = 4096
 
 
 class AnalysisError(ValueError):
-    """A search returned a witness that fails its own verification."""
+    """A witness fails its own verification, or cannot be read off the model."""
 
 
 @dataclass
@@ -75,13 +84,14 @@ class HamiltonianReport:
     nodes_expanded: int
     budget_exhausted: bool
     condition_n_le_3m_plus_1: bool | None = None
+    provenance: str | None = None
 
 
 def validate_cycle(g: LineGraph, seq: list[int]) -> bool:
     """Edge-by-edge validation of a closed vertex sequence as a Hamilton cycle."""
     if len(seq) != g.nu + 1 or seq[0] != seq[-1]:
         return False
-    if len(set(seq[:-1])) != g.nu:
+    if set(seq[:-1]) != set(range(g.nu)):
         return False
     return all(g.adjacent(seq[i], seq[i + 1]) for i in range(g.nu))
 
@@ -130,6 +140,15 @@ def hamiltonian_search(g: LineGraph, node_budget: int = DEFAULT_NODE_BUDGET,
     return HamiltonianReport(None, False, nodes, res == "budget", cond)
 
 
+def hamiltonian_by_construction(g: LineGraph, model: RectangleModel,
+                                m: int, n: int) -> HamiltonianReport:
+    """The Hamilton cycle rook_walk reads off the model, validated edge by edge."""
+    cycle = rook_walk(model)
+    if not validate_cycle(g, cycle):
+        raise AnalysisError("the rook's-graph walk is not a Hamilton cycle of the graph")
+    return HamiltonianReport(cycle, True, 0, False, n <= 3 * m + 1, "rook's-graph walk")
+
+
 @dataclass
 class ChromaticReport:
     exact_chromatic: int | None
@@ -139,6 +158,7 @@ class ChromaticReport:
     claimed_bound: int
     clique_lower_bound: int
     flags: dict = field(default_factory=dict)
+    provenance: str | None = None
 
 
 def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
@@ -151,32 +171,60 @@ def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
     n.  The exact search is DSATUR-seeded branch and bound within a node
     budget; its witness coloring is verified proper before being reported.
     """
-    mult2 = cert.multiplicities[2]
-    ratio = Fraction(1) - Fraction(cert.tau2, cert.tau1) if cert.tau1 else Fraction(0)
-    hmin = min(Fraction(mult2), ratio)
-    haemers = ceil(hmin)
-    claimed = (n - 1) * (n - m)
-    report = ChromaticReport(
-        exact_chromatic=None,
-        witness=None,
-        haemers_bound=haemers,
-        haemers_exact=f"min({mult2}, {ratio})",
-        claimed_bound=claimed,
-        clique_lower_bound=n,
-    )
+    report = _chromatic_bounds(cert, m, n)
     if g.nu <= exact_limit:
         chi, colors, exhausted = _exact_chromatic(g, node_budget)
         if not exhausted:
-            if not (_proper(g, colors) and len(set(colors)) == chi):
-                raise AnalysisError(f"exact search returned a coloring that is not "
-                                    f"a proper {chi}-coloring")
-            report.exact_chromatic = chi
-            report.witness = colors
+            _accept_coloring(report, g, chi, colors, "exact search")
+    _flag_chromatic(report)
+    return report
+
+
+def chromatic_by_construction(g: LineGraph, model: RectangleModel, cert: SrgCertificate,
+                              m: int, n: int) -> ChromaticReport:
+    """The bounds of chromatic_analysis with chi = n certified from the model.
+
+    The ordinary lines through one point are an n-clique of g, and
+    net_coloring gives a proper n-coloring; both are checked against g.
+    """
+    report = _chromatic_bounds(cert, m, n)
+    clique = _point_clique(model, _special_points(model, 0)[0])
+    mask = sum(1 << v for v in clique)
+    if not all((g.rows[v] | 1 << v) & mask == mask for v in clique):
+        raise AnalysisError(f"the {model.n} ordinary lines through one point are not a clique")
+    colors, report.provenance = net_coloring(model)
+    _accept_coloring(report, g, model.n, colors, report.provenance)
+    _flag_chromatic(report)
+    return report
+
+
+def _chromatic_bounds(cert: SrgCertificate, m: int, n: int) -> ChromaticReport:
+    mult2 = cert.multiplicities[2]
+    ratio = Fraction(1) - Fraction(cert.tau2, cert.tau1) if cert.tau1 else Fraction(0)
+    return ChromaticReport(
+        exact_chromatic=None,
+        witness=None,
+        haemers_bound=ceil(min(Fraction(mult2), ratio)),
+        haemers_exact=f"min({mult2}, {ratio})",
+        claimed_bound=(n - 1) * (n - m),
+        clique_lower_bound=n,
+    )
+
+
+def _accept_coloring(report: ChromaticReport, g: LineGraph, chi: int, colors, source: str):
+    if not (len(colors) == g.nu and _proper(g, colors) and len(set(colors)) == chi):
+        raise AnalysisError(f"{source} gave a coloring that is not a proper {chi}-coloring")
+    report.exact_chromatic = chi
+    report.witness = colors
+
+
+def _flag_chromatic(report: ChromaticReport):
     f = report.flags
     exact = report.exact_chromatic
+    haemers, claimed = report.haemers_bound, report.claimed_bound
     f["exact_computed"] = exact is not None
     if exact is not None:
-        f["exact_ge_clique_bound"] = exact >= n
+        f["exact_ge_clique_bound"] = exact >= report.clique_lower_bound
         f["exact_ge_haemers_bound"] = exact >= haemers
         f["exact_ge_claimed_bound"] = exact >= claimed
         f["claimed_bound_consistent"] = exact >= claimed
@@ -184,7 +232,6 @@ def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
             f["note"] = (f"exact chromatic number {exact} is below the claimed "
                          f"lower bound {claimed}; the eigenvalue bound evaluates "
                          f"to {haemers}")
-    return report
 
 
 def _proper(g: LineGraph, colors) -> bool:
@@ -288,6 +335,7 @@ class EdgeColorReport:
     witness: dict | None
     nodes_expanded: int
     flags: dict = field(default_factory=dict)
+    provenance: str | None = None
 
 
 def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = None,
@@ -300,6 +348,33 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
     r^0.9 and the hypothesis m+1 >= (n-1)^(1/9) are evaluated exactly as
     integer power comparisons and recorded as informational flags.
     """
+    rep = _edge_bracket(g, m, n)
+    if rep.nu_odd:
+        return rep
+    assign, rep.nodes_expanded = _edge_coloring(g, rep.r, node_budget)
+    if assign is not None:
+        _check_edge_coloring(rep, g, assign.items(), "edge-coloring search")
+        rep.witness = assign
+    return rep
+
+
+def chromatic_index_by_construction(g: LineGraph, model: RectangleModel, m: int | None = None,
+                                    n: int | None = None) -> EdgeColorReport:
+    """The bracket and flags of chromatic_index_bracket, settled from the model.
+
+    Odd order forces r+1; otherwise net_one_factorization gives an
+    r-edge-coloring, checked against g as it is generated.  It is not kept
+    (it has up to nu*r/2 entries): rep.witness stays None, and the same
+    coloring is net_one_factorization(model) again.
+    """
+    rep = _edge_bracket(g, m, n)
+    if not rep.nu_odd:
+        rep.provenance = "net 1-factorization"
+        _check_edge_coloring(rep, g, net_one_factorization(model), rep.provenance)
+    return rep
+
+
+def _edge_bracket(g: LineGraph, m: int | None, n: int | None) -> EdgeColorReport:
     degs = {g.degree(v) for v in range(g.nu)}
     if len(degs) != 1:
         raise ValueError("chromatic index bracket needs a regular graph")
@@ -312,16 +387,14 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
         rep.flags["m_plus_1_ge_ninth_root"] = (m + 1) ** 9 >= n - 1
     if rep.nu_odd:
         rep.verdict = "r+1 (odd order)"
-        return rep
-
-    assign, rep.nodes_expanded = _edge_coloring(g, r, node_budget)
-    if assign is not None:
-        if not _proper_edges(g, assign, r):
-            raise AnalysisError(f"edge-coloring search returned an assignment that "
-                                f"is not a proper {r}-edge-coloring")
-        rep.verdict = "r (coloring found)"
-        rep.witness = assign
     return rep
+
+
+def _check_edge_coloring(rep: EdgeColorReport, g: LineGraph, pairs, source: str):
+    if not _proper_edges(g, pairs, rep.r):
+        raise AnalysisError(f"{source} gave an assignment that is not a proper "
+                            f"{rep.r}-edge-coloring")
+    rep.verdict = "r (coloring found)"
 
 
 def _edge_coloring(g: LineGraph, r: int, node_budget: int):
@@ -358,16 +431,145 @@ def _edge_coloring(g: LineGraph, r: int, node_budget: int):
     return (dict(assign) if place(0) else None), nodes
 
 
-def _proper_edges(g, assign, r) -> bool:
-    if len(assign) != g.num_edges or any(c > r for c in assign.values()):
-        return False
-    seen = [set() for _ in range(g.nu)]
-    for (u, v), c in assign.items():
-        if c in seen[u] or c in seen[v]:
+def _proper_edges(g, pairs, r) -> bool:
+    """The ((u, v), color) pairs give every edge u < v of g exactly one of
+    the colors 1..r, with no color twice at a vertex."""
+    in_use = [0] * g.nu   # bit c: color c is in use at the vertex
+    colored = [0] * g.nu  # bit v of entry u: edge (u, v) has its color
+    count = 0
+    for (u, v), c in pairs:
+        if not (0 <= u < v < g.nu and g.adjacent(u, v) and 1 <= c <= r) \
+                or colored[u] >> v & 1:
             return False
-        seen[u].add(c)
-        seen[v].add(c)
-    return True
+        bit = 1 << c
+        if (in_use[u] | in_use[v]) & bit:
+            return False
+        in_use[u] |= bit
+        in_use[v] |= bit
+        colored[u] |= 1 << v
+        count += 1
+    return count == g.num_edges
+
+
+# -- witnesses read off the model; vertex v is the ordinary line structure.lines[v] --
+
+def _special_points(model: RectangleModel, j: int) -> list[int]:
+    """The n points other than D of the j-th special line, in stored order."""
+    s = model.structure
+    if j >= len(s.special_lines):
+        raise AnalysisError(f"the model has no special line {j}")
+    points = [p for p in s.lines[s.special_lines[j]] if p != s.special_point]
+    if len(points) != model.n:
+        raise AnalysisError(f"special line {j} has {len(points)} points besides D, "
+                            f"not n = {model.n}")
+    return points
+
+
+def _positions(model: RectangleModel, j: int) -> list[int]:
+    """For each ordinary line, the position of its point among _special_points(j)."""
+    points = _special_points(model, j)
+    where = {p: i for i, p in enumerate(points)}
+    on_j = sum(1 << p for p in points)
+    out = []
+    for v, mask in enumerate(model.structure.line_masks[:model.num_ordinary_lines]):
+        hit = mask & on_j
+        if hit & (hit - 1) or not hit:
+            raise AnalysisError(f"line {v} meets special line {j} in {hit.bit_count()} "
+                                f"points, not one")
+        out.append(where[hit.bit_length() - 1])
+    return out
+
+
+def _point_clique(model: RectangleModel, p: int) -> list[int]:
+    """The n ordinary lines through point p."""
+    s = model.structure
+    clique = [v for v in s.lines_at[p] if v < model.num_ordinary_lines]
+    if len(clique) != model.n:
+        raise AnalysisError(f"point {s.points[p]} lies on {len(clique)} ordinary lines, "
+                            f"not n = {model.n}")
+    return clique
+
+
+def net_coloring(model: RectangleModel) -> tuple[list[int], str]:
+    """(a color per ordinary line, its provenance): n classes of n disjoint lines.
+
+    A color class is one more parallel class of the (m+1)-net of point
+    cliques.  L_2^k: line (u, v), with u and v the positions of its points
+    on the special lines A and C, gets u + omega*v in GF(2^k) for omega the
+    class of x, outside GF(2); u + omega*v = u' + omega*v' with u != u' or
+    v != v' forces u + u' = omega*(v + v'), so the lines meet neither on A,
+    nor on C, nor (as u + u' = v + v' would give omega = 1) on B.
+    R(q, q^k): line <a,b,1> gets b - alpha*a for alpha the class of x, outside
+    GF(q); two lines meet off D on s_beta or s_inf iff (b - b')/(a - a') is
+    in GF(q) or a = a', so equal colors never meet.  The classes are the
+    cosets of a linear rank-distance-2 MRD code.
+    """
+    if model.k < 2:
+        raise AnalysisError("a trivial model has no coloring beyond its point cliques")
+    if model.family == "l2k":
+        mul = field_make(2, model.k).mul_codes
+        return ([u ^ mul(2, v) for u, v in zip(_positions(model, 0), _positions(model, 2))],
+                "(Z_2)^k orthogonal mate")
+    if model.line_coeffs is None:
+        raise AnalysisError("the model carries no line coefficients")
+    ctx = model.ctx
+    colors = []
+    for v, (a, b, c) in enumerate(model.line_coeffs):
+        if c != 1:
+            raise AnalysisError(f"line {v} has coefficients not of the form <a,b,1>")
+        colors.append(ctx.sub_codes(b, ctx.mul_codes(ctx.p, a)))
+    return colors, "MRD coset"
+
+
+def net_one_factorization(model: RectangleModel):
+    """An r-edge-coloring for even n, as ((u, v), color) pairs with u < v.
+
+    Every edge lies in exactly one point clique, a copy of K_n, and the point
+    cliques of one special line are disjoint.  Special line j gets colors
+    j(n-1)+1 .. (j+1)(n-1), and each of its cliques the round-robin
+    1-factorization: members a < b < n-1 get (a+b)/2 mod n-1, members
+    a < n-1 = b get a.
+    """
+    n = model.n
+    if n % 2:
+        raise AnalysisError(f"K_{n} has no 1-factorization: n is odd")
+    half = n // 2  # the inverse of 2 mod n-1
+    for j in range(len(model.structure.special_lines)):
+        base = j * (n - 1) + 1
+        for p in _special_points(model, j):
+            clique = _point_clique(model, p)
+            last = clique[-1]
+            for a, u in enumerate(clique[:-1]):
+                for b in range(a + 1, n - 1):
+                    yield (u, clique[b]), base + (a + b) * half % (n - 1)
+                yield (u, last), base + a
+
+
+def rook_walk(model: RectangleModel) -> list[int]:
+    """A closed walk through every ordinary line once.
+
+    The point cliques of special lines 0 and 1 form a rook's graph
+    K_n x K_n: cell (i, j) is the ordinary line through the i-th point of
+    one and the j-th point of the other.  The walk snakes row by row over
+    columns 1..n-1, then returns up column 0; consecutive cells share a row
+    or a column, so consecutive lines meet.  A cell that holds two lines
+    raises AnalysisError.
+    """
+    n = model.n
+    if model.num_ordinary_lines != n * n:
+        raise AnalysisError(f"{model.num_ordinary_lines} ordinary lines, not n^2 = {n * n}")
+    grid = [-1] * (n * n)
+    for v, (i, j) in enumerate(zip(_positions(model, 0), _positions(model, 1))):
+        if grid[i * n + j] >= 0:
+            raise AnalysisError(f"lines {grid[i * n + j]} and {v} meet both special "
+                                f"lines 0 and 1 in the same points")
+        grid[i * n + j] = v
+    walk = []
+    for i in range(n):
+        columns = range(1, n) if i % 2 == 0 else range(n - 1, 0, -1)
+        walk += [grid[i * n + j] for j in columns]
+    walk += [grid[i * n] for i in range(n - 1, -1, -1)]
+    return walk + walk[:1]
 
 
 @dataclass

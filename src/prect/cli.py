@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from . import __version__
-from .analysis import (chromatic_analysis, chromatic_index_bracket,
-                       eulerian_verdict, hamiltonian_search, krein_check,
-                       planarity_verdict)
+from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
+                       chromatic_index_by_construction, eulerian_verdict,
+                       hamiltonian_by_construction, krein_check, planarity_verdict)
 from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from .cliques import classify_census, clique_intersections, extract_plane
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
@@ -28,7 +28,9 @@ from .geometry import build_plane_clique_structure, build_point_clique_geometry
 from .incidence import A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, check_axioms, elementary_counts, order_of
 from .linegraph import build_line_graph, certify_srg
 
-NODES_PER_MS = 1000  # deterministic search budget per budget-ms unit
+# search nodes per --budget-ms unit; only perfbench/tracer.py still runs the
+# budgeted searches, since analyze builds its witnesses instead
+NODES_PER_MS = 1000
 
 
 @dataclass
@@ -99,6 +101,23 @@ class _Run:
         """(point-clique geometry, plane-clique structure)."""
         return (build_point_clique_geometry(self.census, self.model),
                 build_plane_clique_structure(self.census, self.model))
+
+    # -- witnesses read off the model, each checked against the graph --
+
+    @cached_property
+    def hamiltonian(self):
+        return hamiltonian_by_construction(self.graph, self.model, *self.order)
+
+    @cached_property
+    def chromatic(self):
+        return chromatic_by_construction(self.graph, self.model, self.cert, *self.order)
+
+    @cached_property
+    def chromatic_index(self):
+        m, n = self.order
+        if m == n:  # the flags compare srg eigenvalues, which a trivial model lacks
+            return chromatic_index_by_construction(self.graph, self.model)
+        return chromatic_index_by_construction(self.graph, self.model, m, n)
 
 
 def cmd_build(args, report: RunReport) -> int:
@@ -217,30 +236,31 @@ def cmd_geometry(args, report: RunReport) -> int:
 
 def cmd_analyze(args, report: RunReport) -> int:
     run = _Run(args.graph)
+    nu = run.model.num_ordinary_lines
+    if nu > ANALYSIS_MAX_VERTICES:
+        raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
+                            f"the model has {nu}")
     m, n = run.order
     g = run.graph
-    budget = max(1, args.budget_ms) * NODES_PER_MS
 
     pl = planarity_verdict(g, m, n)
     eu = eulerian_verdict(g, m, n)
-    ham = hamiltonian_search(g, node_budget=budget, m=m, n=n)
+    ham = run.hamiltonian
     report.verdicts["eulerian_consistent"] = eu.consistent
     report.details["planar"] = {"planar": pl.planar, "reason": pl.reason}
     report.details["eulerian"] = {"eulerian": eu.eulerian, "predicate": eu.predicate}
     report.details["hamiltonian"] = {
-        "found": ham.cycle is not None,
+        "found": True,
         "verified": ham.verified,
         "condition_n_le_3m_plus_1": ham.condition_n_le_3m_plus_1,
-        "budget_exhausted": ham.budget_exhausted,
         "cycle": ham.cycle,
+        "provenance": ham.provenance,
     }
-    if ham.cycle is not None:
-        report.verdicts["hamilton_cycle_verified"] = ham.verified
+    report.verdicts["hamilton_cycle_verified"] = ham.verified
 
     if m != n:
         report.verdicts["srg"] = run.cert.ok
-        chi = chromatic_analysis(g, run.cert, m, n, exact_limit=args.exact_chi_limit,
-                                 node_budget=budget)
+        chi = run.chromatic
         report.details["chromatic"] = {
             "exact": chi.exact_chromatic,
             "haemers_bound": chi.haemers_bound,
@@ -249,15 +269,15 @@ def cmd_analyze(args, report: RunReport) -> int:
             "clique_lower_bound": chi.clique_lower_bound,
             "flags": chi.flags,
             "witness": chi.witness,
+            "provenance": chi.provenance,
         }
         report.verdicts["krein"] = krein_check(run.cert).ok
-        eb = chromatic_index_bracket(g, m, n, node_budget=budget)
-    else:
-        eb = chromatic_index_bracket(g, node_budget=budget)
+    eb = run.chromatic_index
     report.details["chromatic_index"] = {
         "bracket": list(eb.bracket),
         "verdict": eb.verdict,
         "flags": eb.flags,
+        "provenance": eb.provenance,
     }
     _write(args.out, report.to_json(), report)
     return 0 if report.ok else 1
@@ -325,8 +345,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="graph properties and chromatic analysis")
     an.add_argument("--graph", required=True)
-    an.add_argument("--exact-chi-limit", type=int, default=100)
-    an.add_argument("--budget-ms", type=int, default=60000)
+    an.add_argument("--exact-chi-limit", type=int, default=100,
+                    help="no effect: chi is read off the model, not searched for")
+    an.add_argument("--budget-ms", type=int, default=60000,
+                    help="no effect: every witness is read off the model, not searched for")
     an.add_argument("--out")
 
     ex = sub.add_parser("export", help="export a model, graph, or census")

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import prect
+
 from oracles import graph_from_edges
-from prect.analysis import (AnalysisError, chromatic_analysis, chromatic_index_bracket,
-                            eulerian_verdict, hamiltonian_search, krein_check,
-                            planarity_verdict, validate_cycle)
-from prect.linegraph import LineGraph, certify_srg
+from prect.analysis import (AnalysisError, _exact_chromatic, _proper, _proper_edges,
+                            chromatic_analysis, chromatic_by_construction,
+                            chromatic_index_bracket, chromatic_index_by_construction,
+                            eulerian_verdict, hamiltonian_by_construction,
+                            hamiltonian_search, krein_check, net_coloring,
+                            net_one_factorization, planarity_verdict, rook_walk,
+                            validate_cycle)
+from prect.construct import build_l2k, build_subplane_rect
+from prect.export import model_from_dict, model_to_dict
+from prect.linegraph import LineGraph, build_line_graph, certify_srg
 
 KNOWN_HAMILTON_CYCLE = [4, 5, 6, 7, 8, 9, 10, 11, 3, 2, 1, 0, 15, 14, 13, 12, 4]
 
@@ -45,6 +59,12 @@ def test_validate_cycle_rejects_bad_sequences(g_l22):
     non_edge = [0, 6] + KNOWN_HAMILTON_CYCLE[2:]                 # l_0, l_6 disjoint
     assert not g_l22.adjacent(0, 6)
     assert not validate_cycle(g_l22, non_edge)
+
+
+def test_validate_cycle_rejects_vertices_out_of_range(g_l22):
+    for bad in (-1, g_l22.nu):
+        seq = [bad] + KNOWN_HAMILTON_CYCLE[1:-1] + [bad]
+        assert not validate_cycle(g_l22, seq)
 
 
 def test_hamiltonian_search_l22(g_l22):
@@ -290,15 +310,30 @@ def test_improper_witness_raises_analysis_error(g_l22, monkeypatch):
         chromatic_index_bracket(g_l22, 2, 4)
 
 
+def _improper_constructors(monkeypatch, which):
+    """Make one witness constructor return a witness that is not proper."""
+    import prect.analysis as analysis
+
+    broken = {
+        "net_coloring": lambda model: ([0] * model.num_ordinary_lines, "constant"),
+        "net_one_factorization": lambda model: (
+            (e, 1) for e in build_line_graph(model).edges()),
+        "rook_walk": lambda model: list(range(model.num_ordinary_lines)) + [0],
+    }
+    monkeypatch.setattr(analysis, which, broken[which])
+
+
 def test_improper_witness_is_a_cli_error(tmp_path, capsys, monkeypatch):
     from prect.cli import main
 
     out = tmp_path / "m.json"
     main(["build", "--family", "l2k", "--k", "2", "--out", str(out)])
     capsys.readouterr()
-    _improper_searches(monkeypatch)
-    assert main(["analyze", "--graph", str(out), "--budget-ms", "100"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for which in ("net_coloring", "net_one_factorization", "rook_walk"):
+        with monkeypatch.context() as patch:
+            _improper_constructors(patch, which)
+            assert main(["analyze", "--graph", str(out)]) == 2, which
+        assert capsys.readouterr().err.startswith("error: "), which
 
 
 _OPTIMIZED_RUN = """
@@ -306,12 +341,15 @@ import prect.analysis as analysis
 from prect.construct import build_l2k
 from prect.linegraph import build_line_graph, certify_srg
 
-analysis._exact_chromatic = lambda g, node_budget: (1, [0] * g.nu, False)
-analysis._edge_coloring = lambda g, r, node_budget: ({e: 1 for e in g.edges()}, 1)
-g = build_line_graph(build_l2k(2))
+model = build_l2k(2)
+g = build_line_graph(model)
+analysis.net_coloring = lambda model: ([0] * g.nu, "constant")
+analysis.net_one_factorization = lambda model: ((e, 1) for e in g.edges())
+analysis.rook_walk = lambda model: list(range(g.nu)) + [0]
 raised = 0
-for call in (lambda: analysis.chromatic_analysis(g, certify_srg(g, 2, 4), 2, 4),
-             lambda: analysis.chromatic_index_bracket(g, 2, 4)):
+for call in (lambda: analysis.chromatic_by_construction(g, model, certify_srg(g, 2, 4), 2, 4),
+             lambda: analysis.chromatic_index_by_construction(g, model, 2, 4),
+             lambda: analysis.hamiltonian_by_construction(g, model, 2, 4)):
     try:
         call()
     except analysis.AnalysisError:
@@ -320,17 +358,168 @@ print(__debug__, raised)
 """
 
 
-def test_witness_checks_survive_optimize_flag():
-    """Under python -O (asserts stripped, __debug__ False) both checks still raise."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import prect
-
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(prect.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["False", "2"]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_witness_checks_survive_optimize_flag():
+    """Under python -O (asserts stripped, __debug__ False) every check still raises."""
+    proc = _run_python("-O", "-c", _OPTIMIZED_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "3"]
+
+
+# -- witnesses read off the model, against the validators and the search --
+
+WITNESS_MODELS = {
+    "L_2^2": lambda: build_l2k(2),
+    "L_2^3": lambda: build_l2k(3),
+    "L_2^4": lambda: build_l2k(4),
+    "L_2^5": lambda: build_l2k(5),
+    "R(2,4)": lambda: build_subplane_rect(2, 1, 2),
+    "R(3,9)": lambda: build_subplane_rect(3, 1, 2),
+    "R(2,8)": lambda: build_subplane_rect(2, 1, 3),
+    "R(4,16)": lambda: build_subplane_rect(2, 2, 2),
+    "R(5,25)": lambda: build_subplane_rect(5, 1, 2),
+    "R(2,32)": lambda: build_subplane_rect(2, 1, 5),
+    "PG(2,2)": lambda: build_subplane_rect(2, 1, 1),
+    "PG(2,7)": lambda: build_subplane_rect(7, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_MODELS)
+def test_constructed_witnesses_pass_their_validators(name):
+    model = WITNESS_MODELS[name]()
+    g = build_line_graph(model)
+    n = model.n
+    assert validate_cycle(g, rook_walk(model))
+
+    r = g.degree(0)
+    if n % 2 == 0:
+        assign = dict(net_one_factorization(model))
+        assert _proper_edges(g, assign.items(), r)
+        assert len(set(assign.values())) == r
+    else:
+        with pytest.raises(AnalysisError):
+            next(net_one_factorization(model))
+
+    if model.m == n:  # a plane: chi is nu, the graph is complete
+        with pytest.raises(AnalysisError):
+            net_coloring(model)
+        return
+    colors, provenance = net_coloring(model)
+    assert provenance == ("(Z_2)^k orthogonal mate" if model.family == "l2k" else "MRD coset")
+    assert _proper(g, colors) and sorted(set(colors)) == list(range(n))
+
+
+@pytest.mark.parametrize("name", ["L_2^2", "R(2,4)", "R(3,9)"])
+def test_constructed_chi_equals_exact_search(name):
+    model = WITNESS_MODELS[name]()
+    g = build_line_graph(model)
+    m, n = model.m, model.n
+    rep = chromatic_by_construction(g, model, certify_srg(g, m, n), m, n)
+    chi, _, exhausted = _exact_chromatic(g, 10 ** 6)
+    assert not exhausted and rep.exact_chromatic == chi == n
+    assert rep.flags["claimed_bound_consistent"] is False
+
+
+def test_constructed_reports(g_l22, l22, g_r39, r39):
+    ham = hamiltonian_by_construction(g_l22, l22, 2, 4)
+    assert ham.verified and ham.provenance == "rook's-graph walk"
+    assert ham.condition_n_le_3m_plus_1 is True
+    eb = chromatic_index_by_construction(g_l22, l22, 2, 4)
+    assert eb.verdict == "r (coloring found)" and eb.provenance == "net 1-factorization"
+    assert eb.flags == chromatic_index_bracket(g_l22, 2, 4).flags
+    odd = chromatic_index_by_construction(g_r39, r39, 3, 9)
+    assert odd.verdict == "r+1 (odd order)" and odd.provenance is None
+
+
+def test_proper_edges_rejects_a_non_edge_and_a_repeated_edge(g_l22):
+    r = g_l22.degree(0)
+    pairs = list(net_one_factorization(build_l2k(2)))
+    assert _proper_edges(g_l22, pairs, r)
+    (u, v), c = pairs[0]
+    w = next(w for w in range(u + 1, g_l22.nu) if not g_l22.adjacent(u, w))
+    assert not _proper_edges(g_l22, [((u, w), c)] + pairs[1:], r)
+    # edge (0, 1) twice in two colors, standing in for the uncolored (2, 3)
+    two_edges = graph_from_edges(4, [(0, 1), (2, 3)])
+    assert _proper_edges(two_edges, [((0, 1), 1), ((2, 3), 1)], 2)
+    assert not _proper_edges(two_edges, [((0, 1), 1), ((0, 1), 2)], 2)
+
+
+def test_cli_analyze_runs_no_search(tmp_path, capsys, monkeypatch):
+    import prect.analysis as analysis
+    from prect.cli import main
+
+    def boom(*args, **kwargs):
+        raise AssertionError("analyze ran a search")
+
+    out = tmp_path / "l24.json"
+    main(["build", "--family", "l2k", "--k", "4", "--out", str(out)])
+    capsys.readouterr()
+    for name in ("_exact_chromatic", "_edge_coloring", "hamiltonian_search"):
+        monkeypatch.setattr(analysis, name, boom)
+    assert main(["analyze", "--graph", str(out)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["details"]["chromatic"]["exact"] == 16
+    assert rep["details"]["chromatic_index"]["verdict"] == "r (coloring found)"
+
+
+def _swap_line_coeffs(d):
+    d["line_coeffs"][0], d["line_coeffs"][1] = d["line_coeffs"][1], d["line_coeffs"][0]
+
+
+def _line_off_special_line_c(d):
+    """Line 0 trades its point on C for a new point on no special line."""
+    d["structure"]["points"].append("x")
+    line = d["structure"]["lines"][0]
+    line[:] = ["x" if p.startswith("c") else p for p in line]
+
+
+@pytest.mark.parametrize("build,mutate", [
+    (lambda: build_subplane_rect(3, 1, 2), _swap_line_coeffs),
+    (lambda: build_l2k(3), _line_off_special_line_c),
+], ids=["R(3,9) swapped line_coeffs", "L_2^3 line off C"])
+def test_mutant_models_are_typed_cli_errors(build, mutate, tmp_path, capsys):
+    from prect.cli import main
+
+    d = model_to_dict(build())
+    mutate(d)
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(d))
+    model_from_dict(d)  # the mutant loads
+    assert main(["analyze", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_SHALLOW_RUN = """
+import sys
+sys.setrecursionlimit(300)
+from prect.cli import main
+sys.exit(main(["analyze", "--graph", sys.argv[1]]))
+"""
+
+
+def test_cli_analyze_on_l25_needs_no_deep_recursion(tmp_path):
+    """No recursion on the analyze path grows with nu: L_2^5 (nu = 1024) at depth 300."""
+    from prect.cli import main
+
+    out = tmp_path / "l25.json"
+    main(["build", "--family", "l2k", "--k", "5", "--out", str(out)])
+    proc = _run_python("-c", _SHALLOW_RUN, str(out))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["details"]["chromatic"]["exact"] == 32
+
+
+def test_cli_analyze_refuses_past_its_vertex_bound(tmp_path, capsys):
+    from prect.cli import main
+
+    out = tmp_path / "r2128.json"
+    main(["build", "--family", "subplane", "--p", "2", "--k", "7", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["analyze", "--graph", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: analysis limited to 4096 vertices, "
+                                       "the model has 16384\n")

@@ -268,8 +268,12 @@ def test_cli_unknown_family_errors(capsys):
 # The PG(2,7) and R(3,27) builds (plane labels, g^2 terms with odd p) and the
 # R(4,16) line map (subfield coordinates with e > 1, read from a loaded model)
 # were recorded while field elements were still objects.  The rejected export
-# was re-recorded when it gained its failing "exported" verdict.  Models are
-# read by relative path, since the path is part of the report's params.
+# was re-recorded when it gained its failing "exported" verdict.  The analyze
+# report was re-recorded (after its old digest was confirmed) when its
+# witnesses came to be read off the model: a different Hamilton cycle and
+# coloring, a provenance for each witness, and no budget_exhausted field.
+# Models are read by relative path, since the path is part of the report's
+# params.
 GOLDEN_STDOUT = [
     (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "2"), "r39.json",
      "76326a3d3f479d61e287915dee075590b0ce637c3f26f4763d0dd59ad3e25f0f"),
@@ -302,7 +306,7 @@ GOLDEN_STDOUT = [
     (("iso", "r416.json", "--out", "iso.json"), None,
      "5b5ae706f0eb0d7a0bace329beec0b5edbfdda7b0fb230e1367e12de5a21a6d0"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
-     "9f503fdc1de407d87fa4d679340eb05ec863ad5ff61a6a9db6ec5e8ed0ee7459"),
+     "58ac29c89cb6084cdbfa27489640be8f08dcedbd972806d05129170fefe714ad"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
      "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
