@@ -6,6 +6,10 @@ plane clique (the m^2 ordinary lines of one maximal subplane); anything else
 is anomalous and falsifies the rectangle property.  When n = m^2 the two
 kinds have equal size, so classification tests for a common point before
 looking at sizes.
+
+On a graph that translation_group certifies as a Cayley graph, the
+enumeration expands only the cliques through vertex 0 and translates them:
+each maximal clique C is c + (C - c) for its least vertex c.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from ._util import iter_bits
 from .construct import RectangleModel
 from .incidence import IncidenceStructure
-from .linegraph import LineGraph
+from .linegraph import LineGraph, translation_group
 
 ENUMERATION_MAX_VERTICES = 1024
 
@@ -25,7 +29,13 @@ class CliqueError(ValueError):
 
 
 def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
-    """All maximal cliques, each exactly once, via pivoting Bron-Kerbosch."""
+    """All maximal cliques, each exactly once, sorted, via pivoting Bron-Kerbosch.
+
+    On a certified Cayley graph Bron-Kerbosch runs from R = {0}, P = N(0)
+    only.  Translations are automorphisms, so the translates of those
+    cliques are all the maximal cliques; the translate by t is kept when t
+    is its least vertex, which happens once for each.
+    """
     if g.nu > ENUMERATION_MAX_VERTICES:
         raise CliqueError(f"enumeration limited to {ENUMERATION_MAX_VERTICES} vertices")
     rows = g.rows
@@ -46,7 +56,20 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
             p_mask &= ~bit
             x_mask |= bit
 
-    expand(0, (1 << g.nu) - 1, 0)
+    group = translation_group(g)
+    if group is None:
+        expand(0, (1 << g.nu) - 1, 0)
+    else:
+        expand(1, rows[0], 0)  # the maximal cliques through vertex 0
+        lowest = [i for _, _, i in group.steps()]
+        for clique in out[:]:
+            # [j]: the clique translated by the latest t whose digits below j
+            # are 0, which for t's lowest nonzero digit i is t - p^i
+            last = [clique] * group.d
+            for t, i in enumerate(lowest, 1):
+                last[:i + 1] = [group.step(last[i], i)] * (i + 1)
+                if not last[0] & (1 << t) - 1:
+                    out.append(last[0])
     cliques = sorted(tuple(iter_bits(mask)) for mask in out)
     return cliques
 
@@ -101,6 +124,9 @@ def classify_census(g: LineGraph, model: RectangleModel,
     masks = s.line_masks
     D = s.special_point
     for cl in cliques:
+        if not cl:  # the one maximal clique of a graph with no vertices
+            census.anomalous.append(cl)
+            continue
         common = masks[cl[0]]
         for v in cl[1:]:
             common &= masks[v]

@@ -20,11 +20,15 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from ._util import comb2, iter_bits
 
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
+# bytes per draw when sampled A6 keeps the drawn ranks instead of a bitmap:
+# an array entry, and a list slot and an int object in its sorted copy
+_RANK_BYTES = 48
 
 
 class StructureError(ValueError):
@@ -321,7 +325,9 @@ def _a6_sampled(s, through, samples, seed):
 
     One pass stores each intersecting pair and its cumulative weight
     C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own pair's
-    candidate mask and picks two of its set bits.
+    candidate mask and picks two of its set bits.  The distinct draws are
+    counted with a bitmap over the space, or, when that would be larger,
+    from the sorted list of the drawn ranks.
     """
     nbr = _a6_nbr(s, through)
     first, second, cum = array("i"), array("i"), array("q")
@@ -341,7 +347,8 @@ def _a6_sampled(s, through, samples, seed):
     masks = s.line_masks
     getrandbits = random.Random(seed).getrandbits
     nbits = total.bit_length()
-    seen = bytearray((total + 7) // 8)
+    seen = bytearray((total + 7) // 8) if (total + 7) // 8 <= _RANK_BYTES * samples else None
+    ranks = array("q")
     drawn = distinct = 0
     witness = None
     for drawn in range(1, samples + 1):
@@ -355,7 +362,9 @@ def _a6_sampled(s, through, samples, seed):
         m1, m2 = masks[l1], masks[l2]
         cmask = nbr[l1] & nbr[l2] & ~through[(m1 & m2).bit_length() - 1]  # as in _a6_pairs
         g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
-        if not (seen[r >> 3] >> (r & 7) & 1):
+        if seen is None:
+            ranks.append(r)
+        elif not (seen[r >> 3] >> (r & 7) & 1):
             seen[r >> 3] |= 1 << (r & 7)
             distinct += 1
         # four distinct points, yet g1 misses g2
@@ -365,6 +374,8 @@ def _a6_sampled(s, through, samples, seed):
                 and not mg1 & mg2):
             witness = {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
             break
+    if seen is None:
+        distinct = sum(1 for _ in groupby(sorted(ranks)))
     coverage = {"space": total, "drawn": drawn, "distinct": distinct,
                 "exhaustive": False}
     return witness is None, witness, coverage

@@ -9,12 +9,20 @@ the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J, checked
 entrywise from the bit rows: (A^2)[u,w] is the popcount of row u against
 column w, so the identity and the common-neighbor counts are read from the
 same popcounts.  No floating point is involved anywhere.
+
+The built models number their lines so that the graph is a Cayley graph on
+GF(p)^d, vertex x being the vector of its base-p digits: L_2^k on
+(Z_2)^(2k), R(q, q^k) on the pairs (a, b) of <a,b,1>, like H_q(2,k).
+translation_group certifies that from the bit rows alone; every
+translation is then an automorphism, and the srg check and the clique
+census (see cliques) do the work of vertex 0 only.  Any other graph, such
+as a model whose lines were renumbered, takes the all-vertex loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isqrt
 
 from ._util import iter_bits
 from .construct import RectangleModel
@@ -51,6 +59,62 @@ class LineGraph:
     def is_complete(self) -> bool:
         full = (1 << self.nu) - 1
         return all(self.rows[v] == full & ~(1 << v) for v in range(self.nu))
+
+
+class Translations:
+    """The translations of GF(p)^d, acting on masks of nu = p^d vertex bits.
+
+    Vertex x is the vector of its base-p digits, digit i of weight p^i;
+    translation by t moves bit x to bit x + t, added digit by digit mod p.
+    """
+
+    def __init__(self, p: int, d: int):
+        self.p, self.d = p, d
+        self.nu = nu = p ** d
+        self._top = []  # [i]: the vertices whose digit i is p - 1
+        for i in range(d):
+            w = p ** i
+            tile = sum(1 << x for x in range(0, nu, p * w))
+            self._top.append(((1 << w) - 1) * tile << (p - 1) * w)
+
+    def step(self, mask: int, i: int) -> int:
+        """mask translated by p^i, the unit vector of digit i: digit i
+        goes up by one, and from p - 1 back to 0."""
+        w, top = self.p ** i, self._top[i]
+        return (mask & ~top) << w | (mask & top) >> (self.p - 1) * w
+
+    def steps(self):
+        """(t, t - p^i, i) for t = 1..nu-1, i the lowest nonzero digit of t."""
+        for t in range(1, self.nu):
+            i, w = 0, 1
+            while t // w % self.p == 0:
+                i, w = i + 1, w * self.p
+            yield t, t - w, i
+
+
+def translation_group(g: LineGraph) -> Translations | None:
+    """The translations of GF(p)^d if g is a Cayley graph on it, else None.
+
+    g is certified when nu = p^d for a prime p, vertex 0 has no loop, each
+    neighbour s of 0 is adjacent to 0 (so N(0) = -N(0)), and every row t is
+    row t - p^i translated by p^i, i the lowest nonzero digit of t.  By
+    induction on t, row t is then N(0) translated by t: every translation
+    is an automorphism, and the rows are symmetric.  Costs nu translations
+    of one row.
+    """
+    nu, rows = g.nu, g.rows
+    if nu < 2 or rows[0] & 1:
+        return None
+    p = next((f for f in range(2, isqrt(nu) + 1) if nu % f == 0), nu)
+    d, rest = 0, nu
+    while rest % p == 0:
+        d, rest = d + 1, rest // p
+    if rest != 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
+        return None
+    group = Translations(p, d)
+    if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
+        return group
+    return None
 
 
 def _point_class(model: RectangleModel, p: int):
@@ -194,14 +258,20 @@ def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int):
     count, since mu + tau1 + tau2 = lam.  Both witnesses are first in
     row-major order (pairs with u < w only).  Symmetric rows give a
     symmetric A^2, whose first failure lies on or above the diagonal, so
-    only those entries are computed.
+    only those entries are computed.  On a certified Cayley graph (see
+    translation_group) (A^2)[u,w] = (A^2)[0,w-u] and the wanted entries
+    translate alike, so a failure anywhere fails row 0 too, which comes
+    first: row 0 is the only one computed.
     """
     nu = len(rows)
     s, p = tau1 + tau2, tau1 * tau2
-    cols = _transpose(rows)
-    symmetric = cols == rows
+    if translation_group(LineGraph(nu, rows)) is not None:
+        cols, symmetric, last = rows, True, 1
+    else:
+        cols = _transpose(rows)
+        symmetric, last = cols == rows, nu
     pair = spectral = None
-    for u, ru in enumerate(rows):
+    for u, ru in enumerate(rows[:last]):
         lo = u if symmetric else 0
         square = [(ru & c).bit_count() for c in cols[lo:]]  # (A^2)[u, lo:]
         want = [mu] * (nu - lo)

@@ -4,20 +4,23 @@ Each oracle recomputes a fact by a route independent of the library code
 that the tests check: numpy for the adjacency matrix, the coordinate
 formula for common points, a backtracking search for incidence
 isomorphisms, a pair-by-pair build of the colored graph of lines, H_q(2,k)
-built from a table of matrices, and an isomorphism probe on every pair.
+built from a table of matrices, an isomorphism probe on every pair, and
+digit-by-digit addition for the translations of a Cayley graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from prect._util import iter_bits
 from prect.bilinear import BilinearError, IsoReport
-from prect.construct import BuildError, RectangleModel, normalize_point
-from prect.gf import field_make
+from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
+                             normalize_point)
+from prect.gf import add_digits, field_make
 from prect.incidence import IncidenceStructure
 from prect.linegraph import GraphError, LineGraph
 
@@ -264,3 +267,39 @@ def isomorphism_by_pairs(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> Is
                 return rep
     rep.edge_preserving = True
     return rep
+
+
+# Built models whose line numbering makes the graph of lines a Cayley graph
+# on GF(p)^d; PG(2,7) is the complete graph on GF(7)^2.
+CAYLEY_LADDER = {
+    "L_2^2": lambda: build_l2k(2), "L_2^3": lambda: build_l2k(3),
+    "L_2^4": lambda: build_l2k(4), "L_2^5": lambda: build_l2k(5),
+    "R(2,4)": lambda: build_subplane_rect(2, 1, 2), "R(3,9)": lambda: build_subplane_rect(3, 1, 2),
+    "R(2,8)": lambda: build_subplane_rect(2, 1, 3), "R(4,16)": lambda: build_subplane_rect(2, 2, 2),
+    "R(5,25)": lambda: build_subplane_rect(5, 1, 2), "R(3,27)": lambda: build_subplane_rect(3, 1, 3),
+    "PG(2,7)": lambda: build_subplane_rect(7, 1, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def ladder_model(name: str) -> RectangleModel:
+    return CAYLEY_LADDER[name]()
+
+
+def cayley_prime(g: LineGraph):
+    """p if g is the Cayley graph Cay(GF(p)^d, N(0)), with N(0) = -N(0) and
+    no loop, under digit-by-digit addition of vertex numbers; else None."""
+    nu = g.nu
+    p = next((f for f in range(2, nu + 1) if nu % f == 0), None)  # least prime factor
+    d = 0
+    while p and p ** d < nu:
+        d += 1
+    if p is None or p ** d != nu:
+        return None
+    n0 = list(iter_bits(g.rows[0]))
+    negated = sorted(sum(-(s // p ** i) % p * p ** i for i in range(d)) for s in n0)
+    if 0 in n0 or negated != n0:
+        return None
+    if any(g.rows[x] != sum(1 << add_digits(x, s, p, d) for s in n0) for x in range(nu)):
+        return None
+    return p

@@ -8,13 +8,13 @@ from dataclasses import replace
 import pytest
 
 import prect.cliques
-from oracles import graph_from_edges, without_edge
+from oracles import CAYLEY_LADDER, graph_from_edges, ladder_model, without_edge
 from prect._util import comb2, iter_bits
 from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
 from prect.construct import build_l2k, build_subplane_rect
 from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
-from prect.linegraph import build_line_graph
+from prect.linegraph import build_line_graph, translation_group
 
 
 def test_k4_single_maximal_clique(g_pp2):
@@ -245,3 +245,26 @@ def test_duplicated_clique_fails_on_doubly_covered_pair(census_l22, g_l22, famil
     assert not rep.ok
     u, v = cliques[3].vertices[:2]
     assert (violation, u, v, 2) in rep.violations
+
+
+@pytest.mark.parametrize("name", list(CAYLEY_LADDER))
+def test_translated_census_equals_the_all_vertex_enumeration(name, monkeypatch):
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    assert translation_group(g) is not None
+    cliques = enumerate_maximal_cliques(g)
+    census = classify_census(g, model, cliques)
+    monkeypatch.setattr(prect.cliques, "translation_group", lambda g: None)
+    assert enumerate_maximal_cliques(g) == cliques
+    assert classify_census(g, model) == census
+    assert census.ok
+
+
+@pytest.mark.parametrize("name", ["L_2^2", "L_2^3", "R(3,9)", "R(2,8)"])
+def test_enumeration_matches_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = build_line_graph(ladder_model(name))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.nu))
+    h.add_edges_from(g.edges())
+    assert enumerate_maximal_cliques(g) == sorted(tuple(sorted(c)) for c in nx.find_cliques(h))

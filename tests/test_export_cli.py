@@ -334,3 +334,57 @@ def test_cli_stdout_matches_golden_hashes(tmp_path, capsys, monkeypatch):
         written = (tmp_path / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
         run = json.dumps([code, out, err, written])
         assert hashlib.sha256(run.encode()).hexdigest() == digest, argv
+
+
+def _built(tmp_path, name, *args) -> dict:
+    out = tmp_path / name
+    assert run_cli("build", *args, "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+def test_cli_model_without_ordinary_lines_fails_its_census(tmp_path, capsys):
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    d["structure"]["lines"] = d["structure"]["lines"][16:]  # the three special lines
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    for argv in (("verify", str(path)), ("verify", str(path), "--profile", "full"),
+                 ("cliques", str(path)), ("geometry", str(path))):
+        assert run_cli(*argv) == 1, argv
+        out, err = capsys.readouterr()
+        rep = json.loads(out if argv[0] == "verify" else err.splitlines()[-1])
+        assert rep["ok"] is False
+        if argv[0] != "geometry":
+            assert rep["verdicts"]["census"] is False
+
+
+@pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),
+                                  ("--family", "subplane", "--p", "3", "--k", "2")])
+def test_cli_renumbered_model_is_not_translation_certified_and_passes(tmp_path, capsys, args):
+    from prect.linegraph import translation_group
+
+    d = _built(tmp_path, "m.json", *args)
+    lines = d["structure"]["lines"]
+    lines[0], lines[5] = lines[5], lines[0]
+    if "line_coeffs" in d:
+        d["line_coeffs"][0], d["line_coeffs"][5] = d["line_coeffs"][5], d["line_coeffs"][0]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    assert translation_group(build_line_graph(model_from_json(path.read_text()))) is None
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", "full") == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["verdicts"]["srg"] and rep["verdicts"]["census"]
+
+
+def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
+    _built(tmp_path, "m.json", "--family", "subplane", "--p", "2", "--k", "2")
+    capsys.readouterr()
+    run_cli("verify", str(tmp_path / "m.json"), "--timings")
+    quick = json.loads(capsys.readouterr().out)["timings_ms"]
+    assert set(quick) == {"axioms", "total", "graph", "cert", "census"}
+    run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
+    full = json.loads(capsys.readouterr().out)["timings_ms"]
+    assert set(full) == set(quick) | {"iso", "geometry"}
+    assert all(t >= 0 for t in full.values())
+    assert sum(full[k] for k in ("graph", "cert", "census", "iso", "geometry")) <= full["total"]

@@ -8,6 +8,7 @@ from bisect import bisect_right
 
 import pytest
 
+import prect.incidence
 from oracles import find_isomorphism
 from prect._util import comb2, iter_bits
 from prect.construct import build_l2k
@@ -301,6 +302,22 @@ def test_a6_matches_table_oracle_on_mutants(name, request):
     # the unmutated structure passes; the witness path was compared too
     assert all(f > 0 for f in failing.values()), failing
 
+
+
+@pytest.mark.parametrize("name", ["l23", "r39"])
+def test_sampled_a6_without_the_bitmap_matches_the_oracle(name, request, monkeypatch):
+    """With no room for the bitmap, the sorted drawn ranks give the same coverage."""
+    monkeypatch.setattr(prect.incidence, "_RANK_BYTES", 0)
+    s0 = request.getfixturevalue(name).structure
+    failing = 0
+    for seed, (kind, s) in enumerate([("none", s0)] + _mutants(s0, 11)):
+        samples = _oracle_sampled(s, 0, 0)[2]["space"] // 3
+        ok, wit, cov = _oracle_sampled(s, samples, seed)
+        rep = check_axioms(s, "sampled", a6_samples=samples, seed=seed)
+        assert (rep.verdicts["A6"], rep.witnesses.get("A6"), rep.a6_coverage) == (ok, wit, cov), kind
+        assert cov["distinct"] < cov["drawn"] or not ok
+        failing += not ok
+    assert failing
 
 def test_unrank_bits_matches_unrank_pair():
     rng = random.Random(5)

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import prect
-from oracles import (adjacency_matrix, colored_line_graph, common_point, graph_from_edges,
-                     without_edge)
+from oracles import (CAYLEY_LADDER, adjacency_matrix, cayley_prime, colored_line_graph,
+                     common_point, graph_from_edges, ladder_model, without_edge)
+from prect._util import iter_bits
 from prect.construct import RectangleModel, build_l2k, build_subplane_rect
+from prect.gf import add_digits
 from prect.incidence import IncidenceStructure, order_of
 from prect.linegraph import (GraphError, LineGraph, build_line_graph, certify_srg,
                              diameter, edge_class, expected_srg_parameters, factorization_check,
-                             vertex_connectivity)
+                             translation_group, vertex_connectivity)
 
 
 def test_l22_graph_shape(g_l22):
@@ -397,3 +399,81 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False False"
+
+
+# -- translation certificate: the graph of lines as a Cayley graph --
+
+def _renumbered(g: LineGraph, a: int, b: int) -> LineGraph:
+    """g with the numbers of vertices a and b exchanged."""
+    perm = list(range(g.nu))
+    perm[a], perm[b] = b, a
+    rows = [0] * g.nu
+    for u in range(g.nu):
+        rows[perm[u]] = sum(1 << perm[v] for v in iter_bits(g.rows[u]))
+    return LineGraph(g.nu, rows)
+
+
+def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
+    """The Cayley graph g on GF(p)^d with s and -s dropped from N(0)."""
+    d = 0
+    while p ** d < g.nu:
+        d += 1
+    minus_s = sum(-(s // p ** i) % p * p ** i for i in range(d))
+    rows = list(g.rows)
+    for x in range(g.nu):
+        for t in (s, minus_s):
+            rows[x] &= ~(1 << add_digits(x, t, p, d))
+    return LineGraph(g.nu, rows)
+
+
+@pytest.mark.parametrize("name", list(CAYLEY_LADDER))
+def test_translation_group_matches_digit_addition_oracle(name):
+    g = build_line_graph(ladder_model(name))
+    group = translation_group(g)
+    assert group is not None and group.p == cayley_prime(g)
+    for bad in (_renumbered(g, 0, g.nu - 1), _renumbered(g, 1, 2)):
+        assert translation_group(bad) is cayley_prime(bad) is None or g.is_complete(), name
+    assert translation_group(without_edge(g, 0, g.rows[0].bit_length() - 1)) is None
+
+
+def test_translation_group_on_small_graphs():
+    cycle = lambda nu: graph_from_edges(nu, [(v, (v + 1) % nu) for v in range(nu)])  # noqa: E731
+    looped = LineGraph(2, [0b11, 0b11])
+    one_way = LineGraph(3, [0b010, 0b100, 0b001])  # x -> x+1 on GF(3): N(0) != -N(0)
+    cases = {"C5": (cycle(5), 5), "C4": (cycle(4), 2), "C6": (cycle(6), None),
+             "K2": (graph_from_edges(2, [(0, 1)]), 2), "K1": (LineGraph(1, [0]), None),
+             "empty": (LineGraph(0, []), None), "looped": (looped, None),
+             "one-way": (one_way, None)}
+    for name, (g, p) in cases.items():
+        group = translation_group(g)
+        assert (group and group.p) == p == cayley_prime(g), name
+
+
+@pytest.mark.parametrize("name", list(CAYLEY_LADDER))
+def test_srg_certificate_equals_the_all_rows_check(name, monkeypatch):
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    m, n = order_of(model.structure)
+    cert = certify_srg(g, m, n)
+    monkeypatch.setattr(prect.linegraph, "translation_group", lambda g: None)
+    assert certify_srg(g, m, n) == cert
+    assert cert.ok or m == n
+
+
+@pytest.mark.parametrize("name", ["L_2^2", "L_2^3", "R(2,4)", "R(3,9)"])
+def test_srg_witnesses_on_a_certified_non_srg_graph(name, monkeypatch):
+    """A Cayley graph that is not srg: row 0 gives the all-rows witnesses."""
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    m, n = order_of(model.structure)
+    p = translation_group(g).p
+    for s in (g.rows[0] & -g.rows[0]).bit_length() - 1, g.rows[0].bit_length() - 1:
+        h = _cayley_without(g, p, s)
+        assert translation_group(h) is not None
+        cert = certify_srg(h, m, n)
+        verdicts, witness, _ = _numpy_srg_reference(h.rows, m, n)
+        assert {k: cert.verdicts[k] for k in verdicts} == verdicts
+        assert cert.witness == witness and not cert.ok
+        with monkeypatch.context() as mp:
+            mp.setattr(prect.linegraph, "translation_group", lambda g: None)
+            assert certify_srg(h, m, n) == cert
