@@ -21,7 +21,7 @@ from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_constr
                        chromatic_index_by_construction, eulerian_verdict,
                        hamiltonian_by_construction, krein_check, planarity_verdict)
 from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
-from .cliques import classify_census, clique_intersections, extract_plane
+from .cliques import check_enumeration_bound, classify_census, clique_intersections, extract_plane
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
                      model_from_json, model_to_json, to_dot)
 from .geometry import build_plane_clique_structure, build_point_clique_geometry
@@ -153,6 +153,7 @@ def cmd_build(args, report: RunReport) -> int:
 def cmd_verify(args, report: RunReport) -> int:
     run = _Run(args.model)
     model = run.model
+    check_enumeration_bound(model.num_ordinary_lines)  # the census would refuse after A6
     t0 = time.perf_counter()
     axioms = check_axioms(model.structure, "full" if args.profile == "full" else "sampled",
                           a6_samples=args.a6_samples, seed=args.seed)
@@ -184,7 +185,8 @@ def cmd_verify(args, report: RunReport) -> int:
     if args.profile == "full":
         if not trivial:
             report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
-        planes_ok = all(extract_plane(pc, model).ok for pc in census.plane_cliques)
+        planes_ok = (len(census.plane_cliques) == census.expected_counts[1]
+                     and all(extract_plane(pc, model).ok for pc in census.plane_cliques))
         report.verdicts["plane_extraction"] = planes_ok
         if model.family == "subplane":
             report.verdicts["bilinear_isomorphism"] = run.iso[1].ok

@@ -28,6 +28,12 @@ class CliqueError(ValueError):
     pass
 
 
+def check_enumeration_bound(nu: int):
+    """Raise CliqueError when a graph of nu vertices is past the enumeration bound."""
+    if nu > ENUMERATION_MAX_VERTICES:
+        raise CliqueError(f"enumeration limited to {ENUMERATION_MAX_VERTICES} vertices")
+
+
 def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     """All maximal cliques, each exactly once, sorted, via pivoting Bron-Kerbosch.
 
@@ -36,8 +42,7 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     cliques are all the maximal cliques; the translate by t is kept when t
     is its least vertex, which happens once for each.
     """
-    if g.nu > ENUMERATION_MAX_VERTICES:
-        raise CliqueError(f"enumeration limited to {ENUMERATION_MAX_VERTICES} vertices")
+    check_enumeration_bound(g.nu)
     rows = g.rows
     out = []
 
@@ -103,6 +108,18 @@ class CliqueCensus:
     def mismatches(self) -> dict:
         return {k: v for k, v in self.checks.items() if v[0] != v[1]}
 
+    @property
+    def expected_counts(self) -> tuple[int, int]:
+        """(point cliques, plane cliques) of a rectangle of order (m, n).
+
+        A plane's graph of lines is complete, so its one maximal clique is a
+        plane clique and no pencil is maximal.
+        """
+        m, n = self.m, self.n
+        if self.trivial:
+            return 0, 1
+        return (m + 1) * n, n * n * (n - 1) // (m * m * (m - 1))
+
 
 def classify_census(g: LineGraph, model: RectangleModel,
                     cliques: list[tuple[int, ...]] | None = None) -> CliqueCensus:
@@ -150,9 +167,9 @@ def classify_census(g: LineGraph, model: RectangleModel,
     c = census.checks
     c["anomalous"] = (0, len(census.anomalous))
     if not model.trivial:
-        c["point_clique_count"] = ((m + 1) * n, len(census.point_cliques))
-        plane_expected = n * n * (n - 1) // (m * m * (m - 1))
-        c["plane_clique_count"] = (plane_expected, len(census.plane_cliques))
+        points_expected, planes_expected = census.expected_counts
+        c["point_clique_count"] = (points_expected, len(census.point_cliques))
+        c["plane_clique_count"] = (planes_expected, len(census.plane_cliques))
         c["point_clique_sizes"] = ({n}, {len(pc.vertices) for pc in census.point_cliques})
         c["plane_clique_sizes"] = ({m * m}, {len(pc.vertices) for pc in census.plane_cliques})
         c["max_clique_size"] = (n, max(len(cl) for cl in cliques))
@@ -190,9 +207,15 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     share two vertices cover that pair twice, so the cover checks also
     certify that same-class cliques share at most one vertex; the doubly
     covered pair is the witness.  A cover violation records the count 0, or
-    2 for two or more.
+    2 for two or more.  A class with other than its expected number of
+    cliques is a violation too, so that no law holds over zero cliques.
     """
     rep = IntersectionReport()
+    for label, cliques, expected in zip(("point-clique-count", "plane-clique-count"),
+                                        (census.point_cliques, census.plane_cliques),
+                                        census.expected_counts):
+        if len(cliques) != expected:
+            rep.violations.append((label, expected, len(cliques)))
     m = census.m
     npoints = len(census.point_cliques)
     point_of = [[] for _ in range(g.nu)]

@@ -125,7 +125,8 @@ def build_plane_clique_structure(census: CliqueCensus, model: RectangleModel) ->
     they share a point; disjoint pairs number (n-m)(n-m^2) per plane, so for
     n > m^2 both values occur and the structure is not a partial geometry,
     while at the minimum n = m^2 the value t = m is constant.  Trivial
-    rectangles degenerate (the single plane clique meets every vertex).
+    rectangles degenerate (the single plane clique meets every vertex).  The
+    number of plane cliques is checked, so that no model passes over none.
     """
     m, n = census.m, census.n
     nu = n * n
@@ -146,6 +147,7 @@ def build_plane_clique_structure(census: CliqueCensus, model: RectangleModel) ->
         degenerate=not hist,
     )
     c = rep.checks
+    c["num_lines"] = (census.expected_counts[1], len(lines))
     c["two_points_one_line"] = (True, pair_ok)
     if not rep.degenerate:
         c["t_within_0_m"] = (True, support <= {0, m})

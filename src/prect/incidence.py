@@ -121,7 +121,6 @@ class AxiomReport:
     witnesses: dict = field(default_factory=dict)
     m: int | None = None
     n: int | None = None
-    counts: dict = field(default_factory=dict)
     a6_mode: str = "full"
     a6_coverage: dict | None = None
 
@@ -167,8 +166,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
 
     # A4: the special point exists and partitions the lines.
     rep.verdicts["A4"] = True
-    rep.counts["special_lines"] = len(s.special_lines)
-    rep.counts["ordinary_lines"] = len(s.ordinary_lines)
 
     # A5: each special line meets every other line exactly once.
     a5_witness = None
@@ -191,8 +188,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     if len(sizes) == 1 and s.special_lines:
         rep.m = len(s.special_lines) - 1
         rep.n = sizes.pop() - 1
-    rep.counts["points"] = s.n_points
-    rep.counts["lines"] = s.n_lines
 
     # A6.
     rep.a6_mode = a6_mode

@@ -4,8 +4,9 @@ Each oracle recomputes a fact by a route independent of the library code
 that the tests check: numpy for the adjacency matrix, the coordinate
 formula for common points, a backtracking search for incidence
 isomorphisms, a pair-by-pair build of the colored graph of lines, H_q(2,k)
-built from a table of matrices, an isomorphism probe on every pair, and
-digit-by-digit addition for the translations of a Cayley graph.
+built from a table of matrices, an isomorphism probe on every pair,
+digit-by-digit addition for the translations of a Cayley graph, and a
+schoolbook product in GF(p)[x] modulo the field's modulus.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from prect._util import iter_bits
 from prect.bilinear import BilinearError, IsoReport
 from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
                              normalize_point)
+from prect.export import model_from_dict, model_to_dict
 from prect.gf import add_digits, field_make
 from prect.incidence import IncidenceStructure
 from prect.linegraph import GraphError, LineGraph
@@ -303,3 +305,30 @@ def cayley_prime(g: LineGraph):
     if any(g.rows[x] != sum(1 << add_digits(x, s, p, d) for s in n0) for x in range(nu)):
         return None
     return p
+
+
+def schoolbook_product(p: int, modulus, a: int, b: int) -> int:
+    """a * b on base-p element codes of GF(p)[x]/(modulus), modulus monic.
+
+    Long multiplication of the digit vectors, then long division from the
+    top degree down; no library field code is used.
+    """
+    m = len(modulus) - 1
+    da = [a // p ** i % p for i in range(m)]
+    db = [b // p ** i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):  # x^top = x^(top-m) (x^m - modulus)
+        lead = prod[top] % p
+        for i, c in enumerate(modulus[:m]):
+            prod[top - m + i] -= lead * c
+    return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
+
+
+def without_ordinary_lines(model: RectangleModel) -> RectangleModel:
+    """The model with its ordinary lines deleted, so its graph of lines is empty."""
+    d = model_to_dict(model)
+    d["structure"]["lines"] = d["structure"]["lines"][model.num_ordinary_lines:]
+    return model_from_dict(d)

@@ -12,7 +12,8 @@ import pytest
 
 import prect
 
-from oracles import graph_from_edges
+from oracles import graph_from_edges, without_edge
+from prect._util import iter_bits
 from prect.analysis import (AnalysisError, _exact_chromatic, _proper, _proper_edges,
                             chromatic_analysis, chromatic_by_construction,
                             chromatic_index_bracket, chromatic_index_by_construction,
@@ -190,6 +191,15 @@ def test_krein_conditions_pass(fix, m, n, request):
     cert = certify_srg(request.getfixturevalue(fix), m, n)
     rep = krein_check(cert)
     assert rep.ok
+
+
+def test_krein_fails_with_a_failed_certificate(g_l22):
+    """The formula eigenvalues pass Krein, but describe the graph only when it is srg."""
+    assert krein_check(certify_srg(g_l22, 2, 4)).srg
+    for g in (LineGraph(0, []), without_edge(g_l22, 0, next(iter_bits(g_l22.rows[0])))):
+        rep = krein_check(certify_srg(g, 2, 4))
+        assert (rep.lhs1, rep.rhs1, rep.lhs2, rep.rhs2) == (8, 40, 0, 24)
+        assert not rep.srg and not rep.ok
 
 
 def test_krein_values_l22(g_l22):

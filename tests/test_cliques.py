@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 import prect.cliques
-from oracles import CAYLEY_LADDER, graph_from_edges, ladder_model, without_edge
+from oracles import (CAYLEY_LADDER, graph_from_edges, ladder_model, without_edge,
+                     without_ordinary_lines)
 from prect._util import comb2, iter_bits
 from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
@@ -245,6 +246,28 @@ def test_duplicated_clique_fails_on_doubly_covered_pair(census_l22, g_l22, famil
     assert not rep.ok
     u, v = cliques[3].vertices[:2]
     assert (violation, u, v, 2) in rep.violations
+
+
+@pytest.mark.parametrize("k,expected", [(1, (0, 1)), (2, (12, 12)), (3, (24, 112))])
+def test_empty_clique_families_fail_their_verdicts(k, expected):
+    """Deleting every ordinary line leaves no clique; no clique verdict holds vacuously."""
+    from prect.geometry import build_plane_clique_structure
+
+    model = build_l2k(k)
+    g = build_line_graph(model)
+    census = classify_census(g, model)
+    assert census.expected_counts == expected
+    # the intersection laws describe nontrivial rectangles only
+    assert clique_intersections(census, g).ok == (k > 1)
+    assert build_plane_clique_structure(census, model).ok
+    empty = without_ordinary_lines(model)
+    g = build_line_graph(empty)
+    census = classify_census(g, empty)
+    assert not census.point_cliques and not census.plane_cliques
+    rep = clique_intersections(census, g)
+    assert ("plane-clique-count", expected[1], 0) in rep.violations
+    assert not rep.ok
+    assert not build_plane_clique_structure(census, empty).ok
 
 
 @pytest.mark.parametrize("name", list(CAYLEY_LADDER))

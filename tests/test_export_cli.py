@@ -343,11 +343,15 @@ def _built(tmp_path, name, *args) -> dict:
 
 
 def test_cli_model_without_ordinary_lines_fails_its_census(tmp_path, capsys):
+    """Krein and the clique verdicts fail too, instead of holding over zero
+    cliques, and the full report keeps the verdict keys of the intact model."""
     d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", "full") == 0
+    intact = json.loads(capsys.readouterr().out)["verdicts"]
     d["structure"]["lines"] = d["structure"]["lines"][16:]  # the three special lines
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(d, sort_keys=True))
-    capsys.readouterr()
     for argv in (("verify", str(path)), ("verify", str(path), "--profile", "full"),
                  ("cliques", str(path)), ("geometry", str(path))):
         assert run_cli(*argv) == 1, argv
@@ -356,6 +360,44 @@ def test_cli_model_without_ordinary_lines_fails_its_census(tmp_path, capsys):
         assert rep["ok"] is False
         if argv[0] != "geometry":
             assert rep["verdicts"]["census"] is False
+        if "full" in argv:
+            assert set(rep["verdicts"]) == set(intact)
+            for v in ("krein", "clique_intersections", "plane_extraction",
+                      "plane_clique_structure"):
+                assert rep["verdicts"][v] is False, v
+
+
+def test_cli_plane_without_ordinary_lines_fails_its_plane_verdicts(tmp_path, capsys):
+    """A trivial model expects one plane clique, so none fails extraction and structure."""
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "1")
+    d["structure"]["lines"] = d["structure"]["lines"][4:]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", "full") == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"]["plane_extraction"] is False
+    assert run_cli("geometry", str(path)) == 1
+    rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert rep["verdicts"]["plane_clique_structure"] is False
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsys,
+                                                                 monkeypatch, profile):
+    import prect.cli
+    import prect.cliques
+
+    _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    capsys.readouterr()
+
+    def no_axioms(*args, **kwargs):
+        raise AssertionError("A6 ran before the bound was checked")
+
+    monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 15)
+    monkeypatch.setattr(prect.cli, "check_axioms", no_axioms)
+    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: enumeration limited to 15 vertices\n"
 
 
 @pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prect.gf import FieldCtx, FieldError, canonical_modulus, embed_subfield, field_make
+from oracles import schoolbook_product
+from prect.gf import (MAX_ORDER, FieldCtx, FieldError, canonical_modulus, embed_subfield,
+                     field_make, is_prime)
 
 
 def brute_least_irreducible_quadratic(p):
@@ -56,6 +58,49 @@ def test_field_make_rejects_bad_parameters():
         field_make(2, 0)
     with pytest.raises(FieldError):
         field_make(2, 25)  # 2^25 over the default bound
+
+
+def _prime_power(q):
+    """(p, m) with p^m = q, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
+
+
+def test_max_order_is_accepted_and_the_next_field_order_refused():
+    p, m = _prime_power(MAX_ORDER)
+    ctx = FieldCtx(p, m)
+    assert ctx.mul_codes(ctx.order - 1, ctx.inv_code(ctx.order - 1)) == 1
+    nxt = next(q for q in range(MAX_ORDER + 1, 2 * MAX_ORDER) if _prime_power(q))
+    with pytest.raises(FieldError, match="exceeds bound"):
+        FieldCtx(*_prime_power(nxt))
+
+
+NONPRIME_ORDERS_TO_256 = [(p, m) for p in range(2, 17) if is_prime(p)
+                          for m in range(2, 9) if p ** m <= 256]
+
+
+@pytest.mark.parametrize("p,m", NONPRIME_ORDERS_TO_256)
+def test_lookups_match_the_schoolbook_product(p, m):
+    ctx = field_make(p, m)
+    q = ctx.order
+    table = [[schoolbook_product(p, ctx.modulus, a, b) for b in range(q)] for a in range(q)]
+    for a in range(q):
+        assert [ctx.mul_codes(a, b) for b in range(q)] == table[a], a
+        digits = [a // p ** i % p for i in range(m)]
+        assert ctx.neg_code(a) == sum(-c % p * p ** i for i, c in enumerate(digits))
+    assert [ctx.pow_code(0, e) for e in range(3)] == [1, 0, 0]
+    for a in range(1, q):
+        inv = ctx.inv_code(a)
+        assert table[a][inv] == 1
+        power = 1
+        for e in range(q + 1):
+            assert ctx.pow_code(a, e) == power, (a, e)
+            assert table[power][ctx.pow_code(a, -e)] == 1, (a, -e)
+            power = table[power][a]
 
 
 def test_gf4_multiplication_forced_by_modulus():
