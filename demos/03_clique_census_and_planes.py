@@ -4,13 +4,12 @@ Point cliques are the n lines through one ordinary point; plane cliques are
 the m^2 ordinary lines of one maximal subplane.  The census enumerates all
 maximal cliques (Bron-Kerbosch with pivoting on bitsets), classifies them by
 the common-point test, and checks every counting formula.  Each plane clique
-is then rebuilt into an incidence structure and re-verified as a projective
-plane of order m containing D.
+is then checked, on the point masks of its lines and of the special lines
+cut down to it, to be a projective plane of order m containing D.
 """
 
 from prect import (build_l2k, build_line_graph, classify_census,
-                   clique_intersections, enumerate_maximal_cliques, extract_plane,
-                   order_of)
+                   clique_intersections, enumerate_maximal_cliques, extract_plane)
 
 model = build_l2k(3)
 g = build_line_graph(model)
@@ -32,7 +31,7 @@ assert inter.ok
 # Rebuild one plane and verify it is a Fano plane containing D.
 first = census.plane_cliques[0]
 ext = extract_plane(first, model)
-print(f"plane of clique {first.vertices}: order {order_of(ext.structure)}, "
+print(f"plane of clique {first.vertices}: order {ext.order}, "
       f"{ext.ordinary_points} ordinary points, {ext.ordinary_lines} ordinary "
       f"lines, contains D: {ext.contains_special_point}")
 assert ext.ok

@@ -89,6 +89,9 @@ def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:
     """
     if (model.q, model.k) != (h.q, h.k):
         raise BilinearError("model and bilinear graph have different (q, k)")
+    coeffs, nu = model.line_coeffs, model.num_ordinary_lines
+    if coeffs is not None and len(coeffs) != nu:
+        raise BilinearError(f"{len(coeffs)} line coefficient triples for {nu} ordinary lines")
     fwd = embed_subfield(h.ctx, model.ctx)
     back = {big: small for small, big in enumerate(fwd)}
     mapping = []

@@ -14,11 +14,11 @@ each maximal clique C is c + (C - c) for its least vertex c.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ._util import iter_bits
 from .construct import RectangleModel
-from .incidence import IncidenceStructure
 from .linegraph import LineGraph, translation_group
 
 ENUMERATION_MAX_VERTICES = 1024
@@ -99,7 +99,20 @@ class CliqueCensus:
     m: int
     n: int
     trivial: bool
+    nu: int  # the graph's vertex count
     checks: dict = field(default_factory=dict)
+    # [v]: bit j set when point (plane) clique j holds vertex v; built from
+    # the classes on every construction, replace() included
+    point_of: list[int] = field(init=False, repr=False)
+    plane_of: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.point_of, self.plane_of = [0] * self.nu, [0] * self.nu
+        for masks, cliques in ((self.point_of, self.point_cliques),
+                               (self.plane_of, self.plane_cliques)):
+            for j, clique in enumerate(cliques):
+                for v in clique.vertices:
+                    masks[v] |= 1 << j
 
     @property
     def ok(self) -> bool:
@@ -136,13 +149,13 @@ def classify_census(g: LineGraph, model: RectangleModel,
         cliques = enumerate_maximal_cliques(g)
     s = model.structure
     m, n = model.m, model.n
-    census = CliqueCensus([], [], [], m, n, model.trivial)
+    points, planes, anomalous = [], [], []
 
     masks = s.line_masks
     D = s.special_point
     for cl in cliques:
         if not cl:  # the one maximal clique of a graph with no vertices
-            census.anomalous.append(cl)
+            anomalous.append(cl)
             continue
         common = masks[cl[0]]
         for v in cl[1:]:
@@ -151,19 +164,20 @@ def classify_census(g: LineGraph, model: RectangleModel,
             pt = common.bit_length() - 1
             pencil = tuple(i for i in s.lines_at[pt] if i < g.nu)
             if common.bit_count() == 1 and cl == pencil and len(cl) == n:
-                census.point_cliques.append(PointClique(cl, pt))
+                points.append(PointClique(cl, pt))
                 continue
-            census.anomalous.append(cl)
+            anomalous.append(cl)
             continue
         if len(cl) == m * m:
             union = 0
             for v in cl:
                 union |= masks[v]
             union |= 1 << D
-            census.plane_cliques.append(PlaneClique(cl, tuple(iter_bits(union))))
+            planes.append(PlaneClique(cl, tuple(iter_bits(union))))
         else:
-            census.anomalous.append(cl)
+            anomalous.append(cl)
 
+    census = CliqueCensus(points, planes, anomalous, m, n, model.trivial, g.nu)
     c = census.checks
     c["anomalous"] = (0, len(census.anomalous))
     if not model.trivial:
@@ -173,16 +187,9 @@ def classify_census(g: LineGraph, model: RectangleModel,
         c["point_clique_sizes"] = ({n}, {len(pc.vertices) for pc in census.point_cliques})
         c["plane_clique_sizes"] = ({m * m}, {len(pc.vertices) for pc in census.plane_cliques})
         c["max_clique_size"] = (n, max(len(cl) for cl in cliques))
-        pt_member = [0] * g.nu
-        pl_member = [0] * g.nu
-        for pc in census.point_cliques:
-            for v in pc.vertices:
-                pt_member[v] += 1
-        for pc in census.plane_cliques:
-            for v in pc.vertices:
-                pl_member[v] += 1
-        c["point_cliques_per_vertex"] = ({m + 1}, set(pt_member))
-        c["plane_cliques_per_vertex"] = ({(n - 1) // (m - 1)}, set(pl_member))
+        c["point_cliques_per_vertex"] = ({m + 1}, {b.bit_count() for b in census.point_of})
+        c["plane_cliques_per_vertex"] = ({(n - 1) // (m - 1)},
+                                         {b.bit_count() for b in census.plane_of})
         sets = {pc.vertices for pc in census.point_cliques}
         c["classes_set_distinct"] = (0, sum(pc.vertices in sets for pc in census.plane_cliques))
     return census
@@ -208,7 +215,8 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     certify that same-class cliques share at most one vertex; the doubly
     covered pair is the witness.  A cover violation records the count 0, or
     2 for two or more.  A class with other than its expected number of
-    cliques is a violation too, so that no law holds over zero cliques.
+    cliques is a violation too, so that no law holds over zero cliques.  A
+    class expected to be empty, the point cliques of a plane, covers no edge.
     """
     rep = IntersectionReport()
     for label, cliques, expected in zip(("point-clique-count", "plane-clique-count"),
@@ -218,16 +226,9 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             rep.violations.append((label, expected, len(cliques)))
     m = census.m
     npoints = len(census.point_cliques)
-    point_of = [[] for _ in range(g.nu)]
-    for j, pc in enumerate(census.point_cliques):
-        for v in pc.vertices:
-            point_of[v].append(j)
     sizes = set()
     for i, pc in enumerate(census.plane_cliques):
-        shared = {}
-        for v in pc.vertices:
-            for j in point_of[v]:
-                shared[j] = shared.get(j, 0) + 1
+        shared = Counter(j for v in pc.vertices for j in iter_bits(census.point_of[v]))
         if len(shared) < npoints:
             sizes.add(0)
         sizes.update(shared.values())
@@ -237,8 +238,11 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     rep.stats["plane_point_intersection_sizes"] = sorted(sizes)
 
     covered = [0] * g.nu
-    for label, cliques in (("edge-point-cover", census.point_cliques),
-                           ("edge-plane-cover", census.plane_cliques)):
+    for label, cliques, expected in zip(("edge-point-cover", "edge-plane-cover"),
+                                        (census.point_cliques, census.plane_cliques),
+                                        census.expected_counts):
+        if not expected:
+            continue
         once, twice = [0] * g.nu, [0] * g.nu  # partners in one clique, in two
         for pc in cliques:
             members = sum(1 << v for v in pc.vertices)
@@ -257,8 +261,6 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
 
 @dataclass
 class PlaneExtraction:
-    structure: IncidenceStructure | None  # None when the plane points miss D or a member point
-    point_map: list[int]  # plane point index -> model point index
     order: int
     ordinary_points: int
     ordinary_lines: int
@@ -289,40 +291,32 @@ def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction
     v C(m+1, 2) = C(v, 2) pairs of points, so each pair lies on exactly one.
     Conversely, the lines of a projective plane of order m meet pairwise.
 
-    Plane points that miss D, or a point of a member line, fail at once,
-    with no structure built.
+    The lines are the model's point masks: a member line's mask, and a
+    special line's mask AND the plane's.  Plane points that miss D, or a
+    point of a member line, fail at once, before any line is counted.
     """
     s = model.structure
     m = model.m
-    pts = list(clique.plane_points)
-    back = {p: i for i, p in enumerate(pts)}
+    masks = s.line_masks
+    plane = sum(1 << p for p in clique.plane_points)
     ext = PlaneExtraction(
-        structure=None,
-        point_map=pts,
         order=m,
-        ordinary_points=len(pts) - 1,
+        ordinary_points=len(clique.plane_points) - 1,
         ordinary_lines=len(clique.vertices),
-        contains_special_point=s.special_point in back,
+        contains_special_point=bool(plane >> s.special_point & 1),
     )
     c = ext.checks
-    c["member_points_inside"] = (True, all(p in back for v in clique.vertices
-                                           for p in s.lines[v]))
+    c["member_points_inside"] = (True, all(not masks[v] & ~plane for v in clique.vertices))
     if not (ext.contains_special_point and c["member_points_inside"][1]):
         return ext
 
-    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
-    for si in s.special_lines:
-        restricted = tuple(back[p] for p in s.lines[si] if p in back)
-        lines.append(restricted)
-    sub = ext.structure = IncidenceStructure([s.points[p] for p in pts], lines,
-                                             back[s.special_point], validate=False)
+    lines = [masks[v] for v in clique.vertices] + [masks[i] & plane for i in s.special_lines]
     size = m * m + m + 1
-    c["points"] = (size, sub.n_points)
-    c["lines"] = (size, sub.n_lines)
-    c["line_sizes"] = ({m + 1}, {len(t) for t in sub.lines})
-    masks = sub.line_masks
-    c["lines_meet_once"] = ({1}, {(a & b).bit_count() for i, a in enumerate(masks)
-                                  for b in masks[i + 1:]})
+    c["points"] = (size, len(clique.plane_points))
+    c["lines"] = (size, len(lines))
+    c["line_sizes"] = ({m + 1}, {b.bit_count() for b in lines})
+    c["lines_meet_once"] = ({1}, {(a & b).bit_count() for i, a in enumerate(lines)
+                                  for b in lines[i + 1:]})
     c["ordinary_points"] = (m * (m + 1), ext.ordinary_points)
     c["ordinary_lines"] = (m * m, ext.ordinary_lines)
     return ext

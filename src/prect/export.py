@@ -102,7 +102,7 @@ def model_from_dict(d: dict) -> RectangleModel:
     field context implied by the parameters.
     """
     params = d["params"]
-    structure = IncidenceStructure.from_json_dict(d["structure"], validate=False)
+    structure = IncidenceStructure.from_json_dict(d["structure"])
     ctx = None
     point_coords = line_coeffs = special_coeffs = None
     if "point_coords" in d:

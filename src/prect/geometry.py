@@ -5,8 +5,8 @@ geometry: every non-incident Point-Line pair sees exactly m transversal
 Lines.  Taking the plane cliques instead gives a transversal count t of 0 or
 m depending on whether the line and the plane are disjoint point sets; both
 values occur exactly when n > m^2.  t is measured over every non-incident
-pair from a table of which Lines meet, built from the Lines through each
-Point.
+pair from a table of which Lines meet, built from the census's masks of the
+Lines through each Point.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ._util import iter_bits
 from .cliques import CliqueCensus
 from .construct import RectangleModel
 
@@ -41,43 +42,47 @@ class GeometryReport:
         return {k: v for k, v in self.checks.items() if v[0] != v[1]}
 
 
-def _measure(lines, nu):
-    """(Lines through each Point, t histogram, no two Lines share two Points).
+def _measure(through, num_lines):
+    """(t histogram, no two Lines share two Points) of num_lines Lines.
 
-    meets[j] has bit i set when Lines i and j share a Point; t(p0, j) is the
-    number of Lines through p0 that meet Line j.  A pair of Lines found
-    together at a second Point shares two Points.
+    through[p] has bit i set when Line i holds Point p.  meets[j] has bit i
+    set when Lines i and j share a Point; t(p0, j) is the number of Lines
+    through p0 that meet Line j.  A pair of Lines found together at a second
+    Point shares two Points.
     """
-    on = [[] for _ in range(nu)]
-    for i, ln in enumerate(lines):
-        for v in ln:
-            on[v].append(i)
-    through = [sum(1 << i for i in mine) for mine in on]
-    meets = [0] * len(lines)
+    meets = [0] * num_lines
     pair_ok = True
-    for here, mine in zip(through, on):
-        for i in mine:
+    for here in through:
+        for i in iter_bits(here):
             if meets[i] & here & ~(1 << i):
                 pair_ok = False
             meets[i] |= here
     hist = {}
-    for here, mine in zip(through, on):
+    for here in through:
         ts = [(here & mj).bit_count() for mj in meets]
-        for j in mine:
+        for j in iter_bits(here):
             ts[j] = -1  # incident pairs have no t
         row = Counter(ts)  # keys in order of first j, as a loop over j would insert them
         row.pop(-1, None)
         for t, count in row.items():
             hist[t] = hist.get(t, 0) + count
-    return on, hist, pair_ok
+    return hist, pair_ok
 
 
-def _line_count_formula(count, m, n):
-    if count == (m + 1) * n:
-        return "(m+1)n"
-    if count == m * n:
-        return "mn"
-    return None
+def _report(kind: str, census: CliqueCensus) -> GeometryReport:
+    """The measured report of one clique class as Lines over the graph's vertices."""
+    lines = getattr(census, kind)
+    through = census.point_of if kind == "point_cliques" else census.plane_of
+    hist, pair_ok = _measure(through, len(lines))
+    constant = next(iter(hist)) if len(hist) == 1 else None
+    return GeometryReport(
+        kind=kind, num_points=census.nu, num_lines=len(lines),
+        points_per_line={len(ln.vertices) for ln in lines},
+        lines_per_point={b.bit_count() for b in through},
+        t_histogram=hist, constant_t=constant,
+        is_partial_geometry=constant is not None and pair_ok,
+        pg_label=None, line_count_matches=None, degenerate=not hist,
+        checks={"two_points_one_line": (True, pair_ok)})
 
 
 def build_point_clique_geometry(census: CliqueCensus, model: RectangleModel) -> GeometryReport:
@@ -86,35 +91,23 @@ def build_point_clique_geometry(census: CliqueCensus, model: RectangleModel) -> 
     Verifies n Points per Line, m+1 Lines per Point, any two Points on at
     most one Line, and constant t = m over all non-incident pairs.  The
     measured Line count is reported against both candidate formulas
-    (m+1)n and mn.
+    (m+1)n and mn.  A plane's complete graph has no maximal point clique, so
+    on a trivial model only the Line count, 0, is checked.
     """
     m, n = census.m, census.n
-    nu = n * n
-    lines = [pc.vertices for pc in census.point_cliques]
-    on, hist, pair_ok = _measure(lines, nu)
-    constant = next(iter(hist)) if len(hist) == 1 else None
-    is_pg = (constant is not None and pair_ok
-             and {len(ln) for ln in lines} == {n}
-             and {len(o) for o in on} == {m + 1})
-    rep = GeometryReport(
-        kind="point_cliques",
-        num_points=nu,
-        num_lines=len(lines),
-        points_per_line={len(ln) for ln in lines},
-        lines_per_point={len(o) for o in on},
-        t_histogram=hist,
-        constant_t=constant,
-        is_partial_geometry=is_pg,
-        pg_label=f"pg({m + 1},{n},{m})" if is_pg and constant == m else None,
-        line_count_matches=_line_count_formula(len(lines), m, n),
-        degenerate=not hist,
-    )
+    rep = _report("point_cliques", census)
+    rep.line_count_matches = {(m + 1) * n: "(m+1)n", m * n: "mn"}.get(rep.num_lines)
+    rep.is_partial_geometry &= rep.points_per_line == {n} and rep.lines_per_point == {m + 1}
+    if rep.is_partial_geometry and rep.constant_t == m:
+        rep.pg_label = f"pg({m + 1},{n},{m})"
+    if census.trivial:
+        rep.checks = {"num_lines": (census.expected_counts[0], rep.num_lines)}
+        return rep
     c = rep.checks
     c["points_per_line"] = ({n}, rep.points_per_line)
     c["lines_per_point"] = ({m + 1}, rep.lines_per_point)
-    c["two_points_one_line"] = (True, pair_ok)
-    c["constant_t"] = (m, constant)
-    c["num_points"] = (n * n, nu)
+    c["constant_t"] = (m, rep.constant_t)
+    c["num_points"] = (n * n, rep.num_points)
     return rep
 
 
@@ -129,33 +122,17 @@ def build_plane_clique_structure(census: CliqueCensus, model: RectangleModel) ->
     number of plane cliques is checked, so that no model passes over none.
     """
     m, n = census.m, census.n
-    nu = n * n
-    lines = [pc.vertices for pc in census.plane_cliques]
-    on, hist, pair_ok = _measure(lines, nu)
-    support = set(hist)
-    rep = GeometryReport(
-        kind="plane_cliques",
-        num_points=nu,
-        num_lines=len(lines),
-        points_per_line={len(ln) for ln in lines},
-        lines_per_point={len(o) for o in on},
-        t_histogram=hist,
-        constant_t=next(iter(hist)) if len(hist) == 1 else None,
-        is_partial_geometry=len(support) == 1 and pair_ok,
-        pg_label=None,
-        line_count_matches=None,
-        degenerate=not hist,
-    )
+    rep = _report("plane_cliques", census)
+    support = set(rep.t_histogram)
     c = rep.checks
-    c["num_lines"] = (census.expected_counts[1], len(lines))
-    c["two_points_one_line"] = (True, pair_ok)
+    c["num_lines"] = (census.expected_counts[1], rep.num_lines)
     if not rep.degenerate:
         c["t_within_0_m"] = (True, support <= {0, m})
         # A line misses a plane iff it avoids all m in-plane points on each
         # of its m+1 special lines, which counts to (n-m)(n-m^2) per plane;
         # t = 0 therefore occurs iff n > m^2.
-        zeros = hist.get(0, 0)
-        c["disjoint_pair_count"] = ((n - m) * (n - m * m) * len(lines), zeros)
+        zeros = rep.t_histogram.get(0, 0)
+        c["disjoint_pair_count"] = ((n - m) * (n - m * m) * rep.num_lines, zeros)
         if not census.trivial and n > m * m:
             c["both_t_values_occur"] = ({0, m}, support)
             c["not_partial_geometry"] = (False, rep.is_partial_geometry)

@@ -38,12 +38,12 @@ class StructureError(ValueError):
 class IncidenceStructure:
     """Points, lines as point-index sets, and a designated special point.
 
-    Lines are stored as sorted duplicate-free tuples and must have at least
-    three points each; pass validate=False to build deliberately broken
-    structures for mutation tests (only the sortedness is still enforced).
+    Lines are stored as sorted duplicate-free tuples.  A line of fewer than
+    three points is kept, so that mutated structures can be built; A3
+    reports it with its index.
     """
 
-    def __init__(self, points, lines, special_point: int, *, validate: bool = True):
+    def __init__(self, points, lines, special_point: int):
         self.points = list(points)
         if len(set(self.points)) != len(self.points):
             raise StructureError("duplicate point labels")
@@ -61,8 +61,6 @@ class IncidenceStructure:
         for t in self.lines:
             if t and not (0 <= t[0] and t[-1] < np_):
                 raise StructureError(f"line {t!r} has point index out of range")
-            if validate and len(t) < 3:
-                raise StructureError(f"line {t!r} has fewer than three points")
 
         self.line_masks = [sum(1 << p for p in t) for t in self.lines]
         self.lines_at = [[] for _ in range(np_)]
@@ -94,7 +92,7 @@ class IncidenceStructure:
     def drop_line(self, line_index: int) -> "IncidenceStructure":
         """Copy of the structure with one line removed (for mutation tests)."""
         lines = [t for i, t in enumerate(self.lines) if i != line_index]
-        return IncidenceStructure(self.points, lines, self.special_point, validate=False)
+        return IncidenceStructure(self.points, lines, self.special_point)
 
     # -- JSON interchange: labels only, geometry lives elsewhere --
 
@@ -106,11 +104,11 @@ class IncidenceStructure:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict, *, validate: bool = True) -> "IncidenceStructure":
+    def from_json_dict(cls, d: dict) -> "IncidenceStructure":
         points = list(d["points"])
         index = {lab: i for i, lab in enumerate(points)}
         lines = [[index[lab] for lab in ln] for ln in d["lines"]]
-        return cls(points, lines, index[d["special_point"]], validate=validate)
+        return cls(points, lines, index[d["special_point"]])
 
 
 @dataclass

@@ -5,8 +5,9 @@ that the tests check: numpy for the adjacency matrix, the coordinate
 formula for common points, a backtracking search for incidence
 isomorphisms, a pair-by-pair build of the colored graph of lines, H_q(2,k)
 built from a table of matrices, an isomorphism probe on every pair,
-digit-by-digit addition for the translations of a Cayley graph, and a
-schoolbook product in GF(p)[x] modulo the field's modulus.
+digit-by-digit addition for the translations of a Cayley graph, a
+schoolbook product in GF(p)[x] modulo the field's modulus, and the six
+axioms on each plane rebuilt from a plane clique.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from prect.construct import (BuildError, RectangleModel, build_l2k, build_subpla
                              normalize_point)
 from prect.export import model_from_dict, model_to_dict
 from prect.gf import add_digits, field_make
-from prect.incidence import IncidenceStructure
+from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
 from prect.linegraph import GraphError, LineGraph
 
 
@@ -332,3 +333,27 @@ def without_ordinary_lines(model: RectangleModel) -> RectangleModel:
     d = model_to_dict(model)
     d["structure"]["lines"] = d["structure"]["lines"][model.num_ordinary_lines:]
     return model_from_dict(d)
+
+
+def extract_plane_by_axioms(clique, model) -> bool:
+    """The plane check as it was before it counted: all six axioms on the
+    rebuilt plane (A6 exhaustively), its order and its elementary counts.
+    Returns the verdict of the old PlaneExtraction.ok."""
+    s = model.structure
+    m = model.m
+    pts = list(clique.plane_points)
+    back = {p: i for i, p in enumerate(pts)}
+    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
+    for si in s.special_lines:
+        lines.append(tuple(back[p] for p in s.lines[si] if p in back))
+    sub = IncidenceStructure([s.points[p] for p in pts], lines, back[s.special_point])
+    checks = {"axioms": (True, check_axioms(sub, "full").ok)}
+    try:
+        checks["order"] = ((m, m), order_of(sub))
+    except Exception:
+        checks["order"] = ((m, m), None)
+    counts = elementary_counts(sub) if checks["order"][1] == (m, m) else None
+    checks["elementary_counts"] = (True, counts.ok if counts else False)
+    checks["ordinary_points"] = (m * (m + 1), len(pts) - 1)
+    checks["ordinary_lines"] = (m * m, len(clique.vertices))
+    return s.special_point in back and all(e == a for e, a in checks.values())

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from oracles import adjacency_matrix, without_edge
+from oracles import adjacency_matrix, extract_plane_by_axioms, without_edge
 from prect.analysis import (chromatic_analysis, eulerian_verdict, krein_check,
                             planarity_verdict, validate_cycle)
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from prect.cliques import clique_intersections, extract_plane
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
-from prect.incidence import check_axioms, order_of
+from prect.incidence import check_axioms
 from prect.linegraph import certify_srg, vertex_connectivity
 from prect.gf import field_make
 
@@ -100,7 +100,7 @@ def test_criterion_05_plane_extraction(census_l22, l22, census_r39, r39):
             for pc in census.plane_cliques:
                 ext = extract_plane(pc, model)
                 assert ext.ok, ext.checks
-                assert order_of(ext.structure) == (m, m)
+                assert extract_plane_by_axioms(pc, model)
                 assert ext.contains_special_point
                 assert ext.ordinary_points == m * (m + 1)
 

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import prect.cliques
-from oracles import (CAYLEY_LADDER, graph_from_edges, ladder_model, without_edge,
-                     without_ordinary_lines)
+from oracles import (CAYLEY_LADDER, extract_plane_by_axioms, graph_from_edges, ladder_model,
+                     without_edge, without_ordinary_lines)
 from prect._util import comb2, iter_bits
 from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
+from prect.cli import main
 from prect.construct import build_l2k, build_subplane_rect
-from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
+from prect.export import model_from_json
 from prect.linegraph import build_line_graph, translation_group
 
 
@@ -73,6 +79,13 @@ def test_l22_per_vertex_memberships(census_l22):
     assert (in_point, in_plane) == (3, 3)
 
 
+def test_membership_index_matches_the_cliques(census_l23):
+    for cliques, index in ((census_l23.point_cliques, census_l23.point_of),
+                           (census_l23.plane_cliques, census_l23.plane_of)):
+        assert index == [sum(1 << j for j, c in enumerate(cliques) if v in c.vertices)
+                         for v in range(census_l23.nu)]
+
+
 def test_example_point_clique_l1_l4_l11_l14(census_l22, l22):
     """The four lines through b_1 form a point clique, not a plane clique."""
     target = (1, 4, 11, 14)
@@ -125,8 +138,8 @@ def test_extract_plane_l22_all_fano(census_l22, l22):
     for pc in census_l22.plane_cliques:
         ext = extract_plane(pc, l22)
         assert ext.ok, ext.checks
-        assert order_of(ext.structure) == (2, 2)
-        assert ext.structure.n_points == 7
+        assert extract_plane_by_axioms(pc, l22)
+        assert ext.checks["points"] == (7, 7)
         assert ext.contains_special_point
 
 
@@ -148,31 +161,6 @@ def test_extract_plane_fails_on_points_missing_from_the_plane(census_l22, l22):
     without_member = replace(pc, plane_points=tuple(p for p in pc.plane_points if p != member))
     ext = extract_plane(without_member, l22)
     assert not ext.ok and ext.contains_special_point
-
-
-def extract_plane_by_axioms(clique, model) -> bool:
-    """The plane check as it was before it counted: all six axioms on the
-    rebuilt plane (A6 exhaustively), its order and its elementary counts.
-    Returns the verdict of the old PlaneExtraction.ok."""
-    s = model.structure
-    m = model.m
-    pts = list(clique.plane_points)
-    back = {p: i for i, p in enumerate(pts)}
-    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
-    for si in s.special_lines:
-        lines.append(tuple(back[p] for p in s.lines[si] if p in back))
-    sub = IncidenceStructure([s.points[p] for p in pts], lines, back[s.special_point],
-                             validate=False)
-    checks = {"axioms": (True, check_axioms(sub, "full").ok)}
-    try:
-        checks["order"] = ((m, m), order_of(sub))
-    except Exception:
-        checks["order"] = ((m, m), None)
-    counts = elementary_counts(sub) if checks["order"][1] == (m, m) else None
-    checks["elementary_counts"] = (True, counts.ok if counts else False)
-    checks["ordinary_points"] = (m * (m + 1), len(pts) - 1)
-    checks["ordinary_lines"] = (m * m, len(clique.vertices))
-    return s.special_point in back and all(e == a for e, a in checks.values())
 
 
 def _plane_candidates(model, census, rng, randoms):
@@ -257,8 +245,7 @@ def test_empty_clique_families_fail_their_verdicts(k, expected):
     g = build_line_graph(model)
     census = classify_census(g, model)
     assert census.expected_counts == expected
-    # the intersection laws describe nontrivial rectangles only
-    assert clique_intersections(census, g).ok == (k > 1)
+    assert clique_intersections(census, g).ok
     assert build_plane_clique_structure(census, model).ok
     empty = without_ordinary_lines(model)
     g = build_line_graph(empty)
@@ -291,3 +278,33 @@ def test_enumeration_matches_networkx(name):
     h.add_nodes_from(range(g.nu))
     h.add_edges_from(g.edges())
     assert enumerate_maximal_cliques(g) == sorted(tuple(sorted(c)) for c in nx.find_cliques(h))
+
+
+_SHALLOW_CLIQUES = """
+import sys
+sys.setrecursionlimit(60)
+from prect.cli import main
+sys.exit(main(["cliques", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["as-built", "lines-0-5-swapped"])
+def test_cli_cliques_on_l25_runs_at_recursion_depth_60(tmp_path, swapped):
+    """Bron-Kerbosch recursion is bounded by the clique size, n = 32 on L_2^5.
+    Swapping two lines leaves no translation certificate, so the census
+    runs the all-vertex enumeration; both run at depth 60."""
+    path = tmp_path / "l25.json"
+    assert main(["build", "--family", "l2k", "--k", "5", "--out", str(path)]) == 0
+    if swapped:
+        d = json.loads(path.read_text())
+        lines = d["structure"]["lines"]
+        lines[0], lines[5] = lines[5], lines[0]
+        path.write_text(json.dumps(d, sort_keys=True))
+    certified = translation_group(build_line_graph(model_from_json(path.read_text())))
+    assert (certified is None) == swapped
+    src = str(Path(prect.cliques.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLIQUES, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-500:]
+    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["counts"]
+    assert counts == {"point": 96, "plane": 7936, "anomalous": 0}

@@ -46,7 +46,7 @@ def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
                                    tuple(index[p] for p in pc["plane_points"]))
                        for pc in d["plane_cliques"]],
         anomalous=[tuple(c) for c in d["anomalous"]],
-        m=d["m"], n=d["n"], trivial=d["trivial"],
+        m=d["m"], n=d["n"], trivial=d["trivial"], nu=model.num_ordinary_lines,
     )
 
 
@@ -272,6 +272,8 @@ def test_cli_unknown_family_errors(capsys):
 # report was re-recorded (after its old digest was confirmed) when its
 # witnesses came to be read off the model: a different Hamilton cycle and
 # coloring, a provenance for each witness, and no budget_exhausted field.
+# The geometry and cliques runs on L_2^3 with --out (both t values, the
+# written census) were recorded before the census kept its membership index.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -297,6 +299,10 @@ GOLDEN_STDOUT = [
      "675fe03fcf88ce49d62851ea74fc10f4b700147bdcd14464474acfb23f82baa2"),
     (("geometry", "r39.json"), None,
      "41b7421b4ed1363cd255998eac01be01d2f77ffc9ce9e8e84440a0c3c9145b79"),
+    (("geometry", "l23.json", "--out", "geo.json"), None,
+     "1be69160bad70c9d5ee4efbbcbdcd3a5669b0c619eac3d17654c4a80c299e082"),
+    (("cliques", "l23.json", "--out", "census.json"), None,
+     "af5d465f6c519d59901f097eeece93e8f8c28ed623aae3d0da7397c998fe94f7"),
     (("iso", "r39.json"), None,
      "36056012f06ab988ea20565e94329da4614e9ab26cd8d54fbf20e15b506aeb54"),
     (("iso", "r39.json", "--out", "iso.json"), None,
@@ -379,6 +385,52 @@ def test_cli_plane_without_ordinary_lines_fails_its_plane_verdicts(tmp_path, cap
     assert run_cli("geometry", str(path)) == 1
     rep = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert rep["verdicts"]["plane_clique_structure"] is False
+
+
+@pytest.mark.parametrize("args", [("--family", "plane", "--p", "2"),
+                                  ("--family", "plane", "--p", "3"),
+                                  ("--family", "plane", "--p", "7"),
+                                  ("--family", "l2k", "--k", "1")],
+                         ids=["PG(2,2)", "PG(2,3)", "PG(2,7)", "L_2^1"])
+def test_cli_geometry_passes_on_a_projective_plane(tmp_path, capsys, args):
+    """A plane's graph of lines is complete, so no point clique is maximal:
+    the point-clique geometry checks that it has no Lines.  With the
+    ordinary lines deleted the plane clique is missing, and geometry fails."""
+    d = _built(tmp_path, "m.json", *args)
+    capsys.readouterr()
+    assert run_cli("geometry", str(tmp_path / "m.json")) == 0
+    rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert rep["verdicts"] == {"plane_clique_structure": True, "point_clique_geometry": True}
+    assert rep["details"]["geometry"]["point_cliques"]["num_lines"] == 0
+    s = d["structure"]
+    s["lines"] = [ln for ln in s["lines"] if s["special_point"] in ln]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    assert run_cli("geometry", str(path)) == 1
+    rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert rep["verdicts"] == {"plane_clique_structure": False, "point_clique_geometry": True}
+
+
+def test_cli_extra_ordinary_line_fails_its_geometry_without_a_traceback(tmp_path, capsys):
+    """L_2^2 with a 17th ordinary line {a0, a1, a2}: the geometries measure the
+    graph's 17 vertices, and the point-clique geometry expects n^2 = 16."""
+    from prect.geometry import build_point_clique_geometry
+
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    d["structure"]["lines"].insert(16, ["a0", "a1", "a2"])
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", "full") == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert not verdicts["point_clique_geometry"] and not verdicts["plane_clique_structure"]
+    assert run_cli("geometry", str(path)) == 1
+    rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert rep["verdicts"] == {"plane_clique_structure": False, "point_clique_geometry": False}
+    model = model_from_json(path.read_text())
+    census = classify_census(build_line_graph(model), model)
+    assert census.nu == 17
+    assert build_point_clique_geometry(census, model).mismatches()["num_points"] == (16, 17)
 
 
 @pytest.mark.parametrize("profile", ["quick", "full"])

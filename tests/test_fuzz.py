@@ -1,0 +1,103 @@
+"""Mutated model files through every CLI subcommand: a verdict or a typed error.
+
+Each example takes the JSON of L_2^2, R(3,9) or PG(2,3), applies one
+mutation of its incidence structure (drop or add an incidence, duplicate a
+line, relabel D, or add an ordinary line through three points of one
+special line), and runs verify (both profiles), cliques, geometry, iso,
+analyze and export --what census on it through prect.cli.main.  Each run
+must return an exit code of 0, 1 or 2 and raise nothing: a broken model
+gives failing verdicts or an "error:" line, never a traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from prect.cli import main
+
+BUILDS = {
+    "L_2^2": ("--family", "l2k", "--k", "2"),
+    "R(3,9)": ("--family", "subplane", "--p", "3", "--k", "2"),
+    "PG(2,3)": ("--family", "plane", "--p", "3"),
+}
+
+MUTATIONS = ["drop incidence", "add incidence", "duplicate line", "relabel D", "special triple"]
+
+COMMANDS = [
+    ("verify", "{}", "--a6-samples", "2000", "--seed", "3"),
+    ("verify", "{}", "--profile", "full"),
+    ("cliques", "{}"),
+    ("geometry", "{}"),
+    ("iso", "{}"),
+    ("analyze", "--graph", "{}"),
+    ("export", "{}", "--what", "census"),
+]
+
+
+def _run(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@lru_cache(maxsize=None)
+def _model_json(name: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        assert _run("build", *BUILDS[name], "--out", path) == 0
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def _mutate(d: dict, kind: str, draw) -> str:
+    """Apply one mutation to the structure of model dict d; describe it.
+
+    A model file lists its ordinary lines before its special ones, so a new
+    line goes in front of the special block and a copy next to its original.
+    """
+    s = d["structure"]
+    lines, points, special = s["lines"], s["points"], s["special_point"]
+    if kind == "relabel D":
+        s["special_point"] = draw(st.sampled_from([p for p in points if p != special]))
+        return f"D -> {s['special_point']}"
+    if kind == "special triple":
+        specials = [ln for ln in lines if special in ln]
+        on = draw(st.sampled_from(specials))
+        triple = draw(st.lists(st.sampled_from([p for p in on if p != special]),
+                               min_size=3, max_size=3, unique=True))
+        lines.insert(lines.index(specials[0]), sorted(triple))
+        return f"new line {triple}"
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop incidence":
+        p = lines[i].pop(draw(st.integers(0, len(lines[i]) - 1)))
+        return f"line {i} loses {p}"
+    if kind == "add incidence":
+        p = draw(st.sampled_from([p for p in points if p not in lines[i]]))
+        lines[i].append(p)
+        return f"line {i} gains {p}"
+    lines.insert(i, list(lines[i]))
+    return f"line {i} duplicated"
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("name", sorted(BUILDS))
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_model_gives_a_verdict_or_a_typed_error(name, kind, data):
+    d = json.loads(_model_json(name))
+    note(_mutate(d, kind, data.draw))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh, sort_keys=True)
+        for argv in COMMANDS:
+            argv = [a.format(path) for a in argv]
+            assert _run(*argv) in (0, 1, 2), argv

@@ -118,13 +118,13 @@ def _brute_force_measure(lines, nu):
         for j in range(i + 1, len(masks)):
             if (masks[i] & masks[j]).bit_count() > 1:
                 pair_ok = False
-    return on, hist, pair_ok
+    return hist, pair_ok
 
 
-def _check_against_oracle(lines, nu):
-    on, hist, pair_ok = _measure(lines, nu)
-    ref_on, ref_hist, ref_pair_ok = _brute_force_measure(lines, nu)
-    assert on == ref_on
+def _check_against_oracle(lines, through):
+    """_measure on the census masks against the oracle on the vertex tuples."""
+    hist, pair_ok = _measure(through, len(lines))
+    ref_hist, ref_pair_ok = _brute_force_measure(lines, len(through))
     assert list(hist.items()) == list(ref_hist.items())  # insertion order too
     assert pair_ok == ref_pair_ok
     return pair_ok
@@ -132,16 +132,17 @@ def _check_against_oracle(lines, nu):
 
 def test_measure_matches_brute_force(census_l23, census_r39):
     for census in (census_l23, census_r39):
-        nu = census.n * census.n
-        for fam in (census.point_cliques, census.plane_cliques):
-            assert _check_against_oracle([pc.vertices for pc in fam], nu)
+        assert census.nu == census.n * census.n
+        for fam, through in ((census.point_cliques, census.point_of),
+                             (census.plane_cliques, census.plane_of)):
+            assert _check_against_oracle([pc.vertices for pc in fam], through)
 
 
 def test_measure_duplicated_plane_clique(census_l23, l23):
     planes = census_l23.plane_cliques
-    lines = [pc.vertices for pc in planes] + [planes[5].vertices]
-    assert not _check_against_oracle(lines, 64)
     doubled = replace(census_l23, plane_cliques=planes + [planes[5]])
+    assert not _check_against_oracle([pc.vertices for pc in doubled.plane_cliques],
+                                     doubled.plane_of)
     rep = build_plane_clique_structure(doubled, l23)
     assert rep.checks["two_points_one_line"] == (True, False)
     assert not rep.ok

@@ -134,9 +134,16 @@ def test_sampled_a6_upgrades_to_exhaustive_on_small_spaces(l23):
     assert rep.verdicts["A6"]
 
 
-def test_validate_rejects_short_lines():
-    with pytest.raises(StructureError):
-        IncidenceStructure(["D", "a", "b"], [(0, 1)], 0)
+def test_two_point_line_fails_a3_with_its_index(l22):
+    """A short line is kept by the structure and reported by A3."""
+    s = l22.structure
+    i = s.ordinary_lines[5]
+    lines = [t[1:] if j == i else t for j, t in enumerate(s.lines)]
+    short = IncidenceStructure(s.points, lines, s.special_point)
+    assert len(short.lines[i]) == 2
+    rep = check_axioms(short, "full")
+    assert rep.verdicts["A3"] is False
+    assert rep.witnesses["A3"] == {"lines": [i]}
 
 
 def test_find_isomorphism_identity_and_negative(l22):
@@ -273,7 +280,7 @@ def _mutants(s, seed):
 
         lines = [list(t) for t in s.lines]
         out.append(("duplicate", lines + [lines[rng.choice(ordinary)]]))
-    return [(kind, IncidenceStructure(s.points, lines, s.special_point, validate=False))
+    return [(kind, IncidenceStructure(s.points, lines, s.special_point))
             for kind, lines in out]
 
 
@@ -334,7 +341,7 @@ def test_sampled_a6_failure_reports_draws_made(r39):
     s0 = r39.structure
     lines = [list(t) for t in s0.lines]
     lines[0][1] = next(p for p in range(1, s0.n_points) if p not in lines[0])
-    s = IncidenceStructure(s0.points, lines, s0.special_point, validate=False)
+    s = IncidenceStructure(s0.points, lines, s0.special_point)
     rep = check_axioms(s, "sampled", a6_samples=5000, seed=3)
     cov = rep.a6_coverage
     assert not cov["exhaustive"] and cov["space"] > 5000
@@ -436,14 +443,14 @@ def _a1_a2_mutants(s, seed, count):
         else:
             out.append(s.drop_line(i))
             continue
-        out.append(IncidenceStructure(s.points, lines, s.special_point, validate=False))
+        out.append(IncidenceStructure(s.points, lines, s.special_point))
     return out
 
 
 def _near_pencil(size):
     """All points but the last on one line: every four points have three collinear."""
     lines = [tuple(range(size - 1))] + [(p, size - 1) for p in range(size - 1)]
-    return IncidenceStructure(list(range(size)), lines, 0, validate=False)
+    return IncidenceStructure(list(range(size)), lines, 0)
 
 
 @pytest.mark.parametrize("name", ["l22", "l23", "r39", "r28", "pp2"])

@@ -117,7 +117,7 @@ def test_color_classes_partition_edges(l22, g_l22):
 
 def _with_lines(model: RectangleModel, lines) -> RectangleModel:
     s = model.structure
-    structure = IncidenceStructure(s.points, lines, s.special_point, validate=False)
+    structure = IncidenceStructure(s.points, lines, s.special_point)
     return RectangleModel(structure, model.family, model.p, model.e, model.k, ctx=model.ctx,
                           point_coords=model.point_coords, line_coeffs=model.line_coeffs,
                           special_coeffs=model.special_coeffs,
