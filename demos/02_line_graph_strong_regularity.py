@@ -10,8 +10,10 @@ factors into m+1 spanning (n-1)-regular subgraphs, one per special line.
 All of it is certified by exact integer counting here.
 """
 
-from prect import (build_l2k, build_subplane_rect, build_line_graph, certify_srg,
-                   diameter, factorization_check, vertex_connectivity)
+from collections import Counter
+
+from prect import build_l2k, build_subplane_rect, build_line_graph, certify_srg
+from prect.linegraph import eccentricity, edge_class, translation_group
 
 instances = [
     ("L_2^2", build_l2k(2), 2, 4),
@@ -28,20 +30,25 @@ for label, model, m, n in instances:
           f"{cert.multiplicities}  -> all checks: {cert.ok}")
     assert cert.ok
 
-    fact = factorization_check(g, model)
-    print(f"   factorization: {fact.num_classes} color classes, "
-          f"each {n - 1}-regular and spanning: {fact.ok}")
-    assert fact.ok
+    # edges of each special line's class at each vertex: n-1 for all m+1 classes
+    per_vertex = Counter()
+    for u, v in g.edges():
+        c = edge_class(model, u, v)
+        per_vertex[u, c] += 1
+        per_vertex[v, c] += 1
+    classes = {c for _, c in per_vertex}
+    factored = (None not in classes and len(per_vertex) == g.nu * (m + 1)
+                and set(per_vertex.values()) == {n - 1})
+    print(f"   factorization: {len(classes)} color classes, "
+          f"each {n - 1}-regular and spanning: {factored}")
+    assert factored
 
 g22 = build_line_graph(build_l2k(2))
-print(f"diameter of G(L_2^2): {diameter(g22)} (nontrivial rectangles give 2)")
+assert translation_group(g22) is not None  # every vertex looks like vertex 0
+print(f"diameter of G(L_2^2), the eccentricity of vertex 0 in a certified Cayley "
+      f"graph: {eccentricity(g22, 0)} (nontrivial rectangles give 2)")
 
-kappa = vertex_connectivity(g22, "exact")
-print(f"vertex connectivity of G(L_2^2) by augmenting paths over the "
-      f"Esfahanian-Hakimi pairs: {kappa.value} (equals r = 9)")
-assert kappa.value == 9
-
-big = build_line_graph(build_subplane_rect(3, 1, 2))
-print(f"connectivity of G(R(3,9)), cited mode: "
-      f"{vertex_connectivity(big, 'cited').value} (= r, by the srg theorem)")
+cert = certify_srg(build_line_graph(build_subplane_rect(3, 1, 2)), 3, 9)
+print(f"connectivity of G(R(3,9)), cited: {cert.r} (= r, by the Brouwer-Mesner "
+      f"theorem on a certified srg: {cert.ok})")
 print("done.")

@@ -19,15 +19,13 @@ from .construct import build_l2k, build_plane, build_subplane_rect
 from .geometry import build_plane_clique_structure, build_point_clique_geometry
 from .gf import FieldCtx, embed_subfield, field_make
 from .incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
-from .linegraph import (LineGraph, build_line_graph, certify_srg, diameter,
-                        factorization_check, vertex_connectivity)
+from .linegraph import LineGraph, build_line_graph, certify_srg
 
 __all__ = [
     "FieldCtx", "field_make", "embed_subfield",
     "IncidenceStructure", "check_axioms", "order_of", "elementary_counts",
     "build_l2k", "build_subplane_rect", "build_plane",
-    "LineGraph", "build_line_graph", "certify_srg", "diameter",
-    "factorization_check", "vertex_connectivity",
+    "LineGraph", "build_line_graph", "certify_srg",
     "enumerate_maximal_cliques", "classify_census", "clique_intersections",
     "extract_plane",
     "build_hq2k", "map_line_to_matrix", "line_matrix_map",

@@ -84,18 +84,19 @@ def map_line_to_matrix(line_index: int, model: RectangleModel) -> Matrix:
 def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:
     """Vertex map: ordinary line index -> H_q(2,k) vertex index.
 
+    One entry per line coefficient triple the model has; certify_isomorphism
+    reports a count that differs from the ordinary lines as its sizes check.
     Entries of the line matrices live in the ambient subfield; they are
     carried to H's standalone GF(q) through the canonical field embedding.
     """
     if (model.q, model.k) != (h.q, h.k):
         raise BilinearError("model and bilinear graph have different (q, k)")
-    coeffs, nu = model.line_coeffs, model.num_ordinary_lines
-    if coeffs is not None and len(coeffs) != nu:
-        raise BilinearError(f"{len(coeffs)} line coefficient triples for {nu} ordinary lines")
+    if model.line_coeffs is None:
+        raise BilinearError("need a coordinatized subplane model")
     fwd = embed_subfield(h.ctx, model.ctx)
     back = {big: small for small, big in enumerate(fwd)}
     mapping = []
-    for l in range(model.num_ordinary_lines):
+    for l in range(len(model.line_coeffs)):
         ra, rb = map_line_to_matrix(l, model)
         mapping.append(_vertex([back[c] for c in ra + rb], h.q))
     return mapping

@@ -110,7 +110,7 @@ class _Run:
     @_timed_fact
     def iso(self):
         """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k)."""
-        g, model = self.graph, self.model  # a broken model fails in the graph first
+        g, model = self.graph, self.model
         h = build_hq2k(model.p, model.e, model.k)
         mapping = line_matrix_map(model, h)
         return mapping, certify_isomorphism(g, h.graph, mapping)

@@ -55,7 +55,8 @@ def to_dot(g: LineGraph, model: RectangleModel) -> str:
     for u, v in g.edges():
         c = edge_class(model, u, v)
         if c is None:
-            raise ExportError(f"lines {u} and {v} meet in a point on no unique special line")
+            raise ExportError(f"lines {u} and {v} meet more than once, or in a point "
+                              f"on no unique special line")
         label = labels[c] if labels else str(c)
         out.append(f'  {u} -- {v} [class="{label}"];')
     out.append("}")
@@ -99,10 +100,17 @@ def model_from_dict(d: dict) -> RectangleModel:
 
     The incidence structure is taken from the file as-is (so deliberately
     corrupted files stay corrupted); coordinates are reattached through the
-    field context implied by the parameters.
+    field context implied by the parameters.  The file must list its special
+    lines last, since graph vertex v is structure line v for every ordinary
+    line v; ExportError names the first special line out of place.
     """
     params = d["params"]
     structure = IncidenceStructure.from_json_dict(d["structure"])
+    nu = len(structure.ordinary_lines)
+    if structure.special_lines and structure.special_lines[0] < nu:
+        raise ExportError(f"line {structure.special_lines[0]} passes through the special point "
+                          f"{d['structure']['special_point']} but comes before an ordinary "
+                          f"line: special lines come last in a model file")
     ctx = None
     point_coords = line_coeffs = special_coeffs = None
     if "point_coords" in d:

@@ -117,8 +117,6 @@ class AxiomReport:
 
     verdicts: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
-    m: int | None = None
-    n: int | None = None
     a6_mode: str = "full"
     a6_coverage: dict | None = None
 
@@ -181,11 +179,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     rep.verdicts["A5"] = a5_witness is None
     if a5_witness:
         rep.witnesses["A5"] = a5_witness
-
-    sizes = {len(s.lines[i]) for i in s.special_lines}
-    if len(sizes) == 1 and s.special_lines:
-        rep.m = len(s.special_lines) - 1
-        rep.n = sizes.pop() - 1
 
     # A6.
     rep.a6_mode = a6_mode

@@ -1,8 +1,10 @@
 """The graph of lines: vertices are ordinary lines, edges mean concurrence.
 
 Adjacency is held as packed bit rows (Python ints).  The class of an edge,
-read from the model, is the special line through the common point; the
-classes factor the graph into m+1 spanning (n-1)-regular subgraphs.
+read from the model, is the special line through the common point.  Under
+A1 and A5, with n ordinary lines on each ordinary point, the classes factor
+the graph into m+1 spanning (n-1)-regular subgraphs: class j at u is the
+pencil of u's point on special line j, minus u.
 
 Strong regularity is certified by direct counting over all vertex pairs plus
 the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J, checked
@@ -26,12 +28,6 @@ from math import inf, isqrt
 
 from ._util import iter_bits
 from .construct import RectangleModel
-
-EXACT_CONNECTIVITY_MAX = 64
-
-
-class GraphError(ValueError):
-    pass
 
 
 class LineGraph:
@@ -117,19 +113,16 @@ def translation_group(g: LineGraph) -> Translations | None:
     return None
 
 
-def _point_class(model: RectangleModel, p: int):
-    """Position of the special line through point p, or None if not unique."""
-    special = model.structure.special_line_of_point(p)
-    return model.special_position(special) if special is not None else None
-
-
 def edge_class(model: RectangleModel, u: int, v: int):
-    """Position of the special line through the highest common point of lines u
-    and v other than D (the only one, under A1); None if there is no such
-    point, or no unique special line through it."""
+    """Position of the special line through the common point of lines u and v
+    other than D; None unless they share exactly one such point and one
+    special line passes through it."""
     s = model.structure
     common = s.line_masks[u] & s.line_masks[v] & ~(1 << s.special_point)
-    return _point_class(model, common.bit_length() - 1) if common else None
+    if common.bit_count() != 1:
+        return None
+    special = s.special_line_of_point(common.bit_length() - 1)
+    return model.special_position(special) if special is not None else None
 
 
 def build_line_graph(model: RectangleModel) -> LineGraph:
@@ -137,27 +130,16 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
 
     Vertices are the ordinary lines in construction order.  Two lines are
     adjacent iff their stored point sets meet outside D: each point joins
-    its pencil of ordinary lines.  A pair that meets again must keep the
-    class of the point where it met last, if that point has one; otherwise
-    A1 is broken and GraphError names the first such pair.
+    its pencil of ordinary lines.  A1 is not checked here; check_axioms
+    reports two lines that meet twice with a witness.
     """
     s = model.structure
     nu = model.num_ordinary_lines
-    masks = s.line_masks
     rows = [0] * nu
-    for p in range(s.n_points):
+    for p, lines in enumerate(s.lines_at):
         if p == s.special_point:
             continue
-        pencil = sum(1 << i for i in s.lines_at[p] if i < nu)
-        if not pencil:
-            continue
-        c = _point_class(model, p)
-        below = (1 << p) - 1 & ~(1 << s.special_point)
-        for u in iter_bits(pencil):
-            for v in iter_bits(rows[u] & pencil & -(2 << u)):  # met before p
-                prev = _point_class(model, (masks[u] & masks[v] & below).bit_length() - 1)
-                if prev is not None and prev != c:
-                    raise GraphError(f"edge {(u, v)} gets two colors (A1 broken?)")
+        pencil = sum(1 << i for i in lines if i < nu)
         for u in iter_bits(pencil):
             rows[u] |= pencil ^ (1 << u)
     return LineGraph(nu, rows)
@@ -312,139 +294,3 @@ def eccentricity(g: LineGraph, src: int):
         reached |= frontier
         depth += 1
     return depth
-
-
-def diameter(g: LineGraph):
-    """Exact diameter via breadth-first search from every vertex."""
-    return max((eccentricity(g, v) for v in range(g.nu)), default=0)
-
-
-@dataclass
-class FactorizationReport:
-    num_classes: int
-    expected_classes: int
-    expected_degree: int
-    class_degrees: dict
-    spanning: dict
-    witness: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return (self.num_classes == self.expected_classes
-                and all(d == {self.expected_degree} for d in self.class_degrees.values())
-                and all(self.spanning.values()))
-
-
-def factorization_check(g: LineGraph, model: RectangleModel) -> FactorizationReport:
-    """Each edge class (see edge_class) must be a spanning (n-1)-regular subgraph."""
-    n = model.n
-    class_rows = {}
-    for u, v in g.edges():
-        rows = class_rows.setdefault(edge_class(model, u, v), [0] * g.nu)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    degrees, spanning, witness = {}, {}, None
-    for c in sorted(class_rows):
-        rows = class_rows[c]
-        degs = {row.bit_count() for row in rows}
-        degrees[c] = degs
-        spanning[c] = 0 not in degs
-        if degs != {n - 1} and witness is None:
-            bad = next(v for v in range(g.nu) if rows[v].bit_count() != n - 1)
-            witness = {"color": c, "vertex": bad, "degree": rows[bad].bit_count()}
-    return FactorizationReport(len(class_rows), model.m + 1, n - 1, degrees, spanning, witness)
-
-
-@dataclass
-class ConnectivityResult:
-    value: int
-    mode: str
-    provenance: str
-
-
-def vertex_connectivity(g: LineGraph, mode: str = "exact") -> ConnectivityResult:
-    """Vertex connectivity, exactly by augmenting paths or cited from the srg theorem.
-
-    Exact mode minimizes the local connectivity over the pairs of Esfahanian
-    and Hakimi (Networks, 1984): a minimum-degree vertex v against each of
-    its non-neighbours, and each non-adjacent pair of neighbours of v.  A
-    minimum cut either misses v, and then separates v from a non-neighbour,
-    or contains v, and then separates two of its neighbours.  Complete
-    graphs return nu-1.  Cited mode returns the degree r with provenance
-    "by theorem".
-    """
-    if mode == "cited":
-        degs = {g.degree(v) for v in range(g.nu)}
-        if len(degs) != 1:
-            raise GraphError("cited mode needs a regular graph")
-        return ConnectivityResult(degs.pop(), "cited", "by theorem")
-    if mode != "exact":
-        raise GraphError(f"unknown mode {mode!r}")
-    if g.nu > EXACT_CONNECTIVITY_MAX:
-        raise GraphError(f"exact connectivity limited to nu <= {EXACT_CONNECTIVITY_MAX}")
-    if g.is_complete():
-        return ConnectivityResult(g.nu - 1, "exact", "complete graph")
-
-    rows = g.rows
-    v = min(range(g.nu), key=g.degree)
-    nv = rows[v]
-    pairs = [(v, w) for w in iter_bits((1 << g.nu) - 1 & ~nv & ~(1 << v))]
-    pairs += [(x, y) for x in iter_bits(nv) for y in iter_bits(nv & ~rows[x] & -(2 << x))]
-    best = g.nu - 1
-    for s, t in pairs:
-        best = _local_connectivity(rows, s, t, best)
-    return ConnectivityResult(best, "exact",
-                              "augmenting paths over the Esfahanian-Hakimi pairs")
-
-
-def _local_connectivity(rows: list[int], s: int, t: int, limit: int) -> int:
-    """The number of internally disjoint s-t paths, s and t non-adjacent, capped at limit.
-
-    Unit-capacity augmenting paths (Even and Tarjan, SIAM J. Comput. 1975)
-    on the vertex-split network: every vertex x is an arc x_in -> x_out of
-    capacity 1, and every edge xy the arcs x_out -> y_in and y_out -> x_in.
-    Bit x of used says that the arc of x carries flow, bit x of into[y] that
-    x_out -> y_in does.  Each breadth-first search from s_out to t_in adds
-    one path; a node's parent equal to itself stands for the arc of x.
-    """
-    used = 0
-    into = [0] * len(rows)
-    flow = 0
-    while flow < limit:
-        par_in, par_out = {}, {}
-        seen_in = seen_out = 1 << s
-        queue = [(s, True)]  # (vertex, out side)
-        for x, out in queue:
-            if out:  # forward along edges, or back along the used arc of x
-                new = (rows[x] | used & 1 << x) & ~seen_in
-                seen_in |= new
-                for y in iter_bits(new):
-                    par_in[y] = x
-                    queue.append((y, False))
-                if new >> t & 1:
-                    break
-            else:  # along the free arc of x, or back along an edge into x
-                new = (into[x] | ~used & 1 << x) & ~seen_out
-                seen_out |= new
-                for y in iter_bits(new):
-                    par_out[y] = x
-                    queue.append((y, True))
-        else:
-            return flow
-        y, out = t, False
-        while not (out and y == s):
-            if out:
-                x = par_out[y]
-                if x == y:
-                    used |= 1 << y
-                else:
-                    into[x] &= ~(1 << y)
-            else:
-                x = par_in[y]
-                if x == y:
-                    used &= ~(1 << y)
-                else:
-                    into[y] |= 1 << x
-            y, out = x, not out
-        flow += 1
-    return flow

@@ -8,6 +8,11 @@ built from a table of matrices, an isomorphism probe on every pair,
 digit-by-digit addition for the translations of a Cayley graph, a
 schoolbook product in GF(p)[x] modulo the field's modulus, and the six
 axioms on each plane rebuilt from a plane clique.
+
+It also keeps the graph facts that verify's certificates imply and that no
+CLI path computes: the diameter, the factorization into edge classes and
+the exact vertex connectivity; and a re-check of verify's A1 witness on the
+model file's structure.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from prect.construct import (BuildError, RectangleModel, build_l2k, build_subpla
 from prect.export import model_from_dict, model_to_dict
 from prect.gf import add_digits, field_make
 from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
-from prect.linegraph import GraphError, LineGraph
+from prect.linegraph import LineGraph, eccentricity, edge_class
 
 
 def graph_from_edges(nu: int, edges) -> LineGraph:
@@ -178,8 +183,9 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
     """The graph of lines and its edge colors, pair by pair.
 
     Returns the graph and a dict from each edge (u, v), u < v, to the
-    position of the special line through the common point of u and v.  A
-    pair that meets again in a point of another color raises GraphError.
+    position of the special line through the common point of u and v, or
+    None when no unique special line passes through it, or when the pair
+    meets again in another point.
     """
     s = model.structure
     nu = model.num_ordinary_lines
@@ -189,8 +195,6 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
         if p == s.special_point:
             continue
         through = [i for i in s.lines_at[p] if i < nu]
-        if not through:
-            continue
         special = s.special_line_of_point(p)
         c = model.special_position(special) if special is not None else None
         for x in range(len(through)):
@@ -198,13 +202,145 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
             for y in range(x + 1, len(through)):
                 v = through[y]
                 key = (u, v) if u < v else (v, u)
-                prev = colors.get(key)
-                if prev is not None and prev != c:
-                    raise GraphError(f"edge {key} gets two colors (A1 broken?)")
-                colors[key] = c
+                colors[key] = None if key in colors else c
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return LineGraph(nu, rows), colors
+
+
+def diameter(g: LineGraph):
+    """Exact diameter via breadth-first search from every vertex."""
+    return max((eccentricity(g, v) for v in range(g.nu)), default=0)
+
+
+@dataclass
+class FactorizationReport:
+    num_classes: int
+    expected_classes: int
+    expected_degree: int
+    class_degrees: dict
+    spanning: dict
+    witness: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return (self.num_classes == self.expected_classes
+                and all(d == {self.expected_degree} for d in self.class_degrees.values())
+                and all(self.spanning.values()))
+
+
+def factorization_check(g: LineGraph, model: RectangleModel) -> FactorizationReport:
+    """Each edge class (see edge_class) must be a spanning (n-1)-regular subgraph."""
+    n = model.n
+    class_rows = {}
+    for u, v in g.edges():
+        rows = class_rows.setdefault(edge_class(model, u, v), [0] * g.nu)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    degrees, spanning, witness = {}, {}, None
+    for c in sorted(class_rows):
+        rows = class_rows[c]
+        degs = {row.bit_count() for row in rows}
+        degrees[c] = degs
+        spanning[c] = 0 not in degs
+        if degs != {n - 1} and witness is None:
+            bad = next(v for v in range(g.nu) if rows[v].bit_count() != n - 1)
+            witness = {"color": c, "vertex": bad, "degree": rows[bad].bit_count()}
+    return FactorizationReport(len(class_rows), model.m + 1, n - 1, degrees, spanning, witness)
+
+
+def vertex_connectivity(g: LineGraph) -> int:
+    """Vertex connectivity, exactly, by augmenting paths.
+
+    Minimizes the local connectivity over the pairs of Esfahanian and
+    Hakimi (Networks, 1984): a minimum-degree vertex v against each of its
+    non-neighbours, and each non-adjacent pair of neighbours of v.  A
+    minimum cut either misses v, and then separates v from a non-neighbour,
+    or contains v, and then separates two of its neighbours.  Complete
+    graphs give nu-1.
+    """
+    if g.is_complete():
+        return g.nu - 1
+    rows = g.rows
+    v = min(range(g.nu), key=g.degree)
+    nv = rows[v]
+    pairs = [(v, w) for w in iter_bits((1 << g.nu) - 1 & ~nv & ~(1 << v))]
+    pairs += [(x, y) for x in iter_bits(nv) for y in iter_bits(nv & ~rows[x] & -(2 << x))]
+    best = g.nu - 1
+    for s, t in pairs:
+        best = _local_connectivity(rows, s, t, best)
+    return best
+
+
+def _local_connectivity(rows: list[int], s: int, t: int, limit: int) -> int:
+    """The number of internally disjoint s-t paths, s and t non-adjacent, capped at limit.
+
+    Unit-capacity augmenting paths (Even and Tarjan, SIAM J. Comput. 1975)
+    on the vertex-split network: every vertex x is an arc x_in -> x_out of
+    capacity 1, and every edge xy the arcs x_out -> y_in and y_out -> x_in.
+    Bit x of used says that the arc of x carries flow, bit x of into[y] that
+    x_out -> y_in does.  Each breadth-first search from s_out to t_in adds
+    one path; a node's parent equal to itself stands for the arc of x.
+    """
+    used = 0
+    into = [0] * len(rows)
+    flow = 0
+    while flow < limit:
+        par_in, par_out = {}, {}
+        seen_in = seen_out = 1 << s
+        queue = [(s, True)]  # (vertex, out side)
+        for x, out in queue:
+            if out:  # forward along edges, or back along the used arc of x
+                new = (rows[x] | used & 1 << x) & ~seen_in
+                seen_in |= new
+                for y in iter_bits(new):
+                    par_in[y] = x
+                    queue.append((y, False))
+                if new >> t & 1:
+                    break
+            else:  # along the free arc of x, or back along an edge into x
+                new = (into[x] | ~used & 1 << x) & ~seen_out
+                seen_out |= new
+                for y in iter_bits(new):
+                    par_out[y] = x
+                    queue.append((y, True))
+        else:
+            return flow
+        y, out = t, False
+        while not (out and y == s):
+            if out:
+                x = par_out[y]
+                if x == y:
+                    used |= 1 << y
+                else:
+                    into[x] &= ~(1 << y)
+            else:
+                x = par_in[y]
+                if x == y:
+                    used &= ~(1 << y)
+                else:
+                    into[y] |= 1 << x
+            y, out = x, not out
+        flow += 1
+    return flow
+
+
+def recheck_a1_witness(structure: dict, axioms: dict):
+    """Assert that the A1 witness in a verify report's axioms details holds
+    on the model file's structure: the pair lies on exactly the listed
+    lines, two or more of them when covered more than once, and on none
+    when not covered.  Nothing to check when A1 passed."""
+    if axioms["verdicts"]["A1"]:
+        return
+    witness = axioms["witnesses"]["A1"]
+    s = IncidenceStructure.from_json_dict(structure)
+    a, b = witness["pair"]
+    holding = [i for i, t in enumerate(s.lines) if a in t and b in t]
+    assert a != b and witness["lines"] == holding, witness
+    if witness["defect"] == "covered more than once":
+        assert len(holding) >= 2, witness
+    else:
+        assert witness["defect"] == "not covered" and not holding, witness
 
 
 def hq2k_with_matrices(p: int, e: int, k: int) -> tuple[LineGraph, list, dict]:

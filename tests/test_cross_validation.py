@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import find_isomorphism
+from oracles import diameter, factorization_check, find_isomorphism
 from prect.analysis import eulerian_verdict, krein_check
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from prect.cliques import classify_census, clique_intersections, extract_plane
 from prect.construct import build_l2k, build_subplane_rect
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
 from prect.incidence import check_axioms, elementary_counts, order_of
-from prect.linegraph import build_line_graph, certify_srg, diameter, factorization_check
+from prect.linegraph import build_line_graph, certify_srg
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from oracles import graph_from_edges
+from oracles import graph_from_edges, recheck_a1_witness
 from prect.cli import main
 from prect.cliques import CliqueCensus, PlaneClique, PointClique, classify_census
 from prect.construct import RectangleModel
@@ -291,6 +292,8 @@ GOLDEN_STDOUT = [
      "2296883a27cb4a51434b304ed3d2255d8b22faa66eebde6e8a04b0463737b070"),
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
      "1eb0daab1c3a520edc222779dc0cb390a7c147bdee002059637588bee919283b"),
+    (("verify", "r39.json", "--profile", "full"), None,
+     "3b99dac7a1bedc2e664de0e64489b3fbe6e305bf7932e00311a387d85522008c"),
     (("verify", "l23.json", "--profile", "full"), None,
      "ffff2afdc0d3e0d1c9a98a2a58fc5962bb40fab461961e2ad4bd3280a5c898de"),
     (("verify", "r416.json", "--profile", "full"), None,
@@ -313,6 +316,8 @@ GOLDEN_STDOUT = [
      "5b5ae706f0eb0d7a0bace329beec0b5edbfdda7b0fb230e1367e12de5a21a6d0"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
      "58ac29c89cb6084cdbfa27489640be8f08dcedbd972806d05129170fefe714ad"),
+    (("analyze", "--graph", "r39.json"), None,
+     "8c5418279fc7f8f632440916c4a01c60ca6f41a94bccacfa7394d0ff6817614a"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
      "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
@@ -482,3 +487,87 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     assert set(full) == set(quick) | {"iso", "geometry"}
     assert all(t >= 0 for t in full.values())
     assert sum(full[k] for k in ("graph", "cert", "census", "iso", "geometry")) <= full["total"]
+
+
+def _moved_point(d: dict, rng: random.Random) -> dict:
+    """Model dict d with one point moved from one ordinary line to another."""
+    s = d["structure"]
+    ordinary = [ln for ln in s["lines"] if s["special_point"] not in ln]
+    while True:
+        l1, l2 = rng.sample(ordinary, 2)
+        x = rng.choice(l1)
+        if x not in l2:
+            break
+    l1.remove(x)
+    l2.append(x)
+    return d
+
+
+@pytest.mark.parametrize("args", [("--family", "l2k", "--k", "2"),
+                                  ("--family", "subplane", "--p", "3", "--k", "2")])
+def test_cli_moved_point_fails_a1_with_a_witness_and_no_dot_export(tmp_path, capsys, args):
+    """verify exits 1 with an A1 witness that re-checks on the file: the pair
+    lies on every listed line, and on two or more.  Two lines then meet
+    twice, so their edge has no class and the DOT export exits 2."""
+    rng = random.Random(7)
+    for i in range(4):
+        d = _moved_point(_built(tmp_path, "m.json", *args), rng)
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(d, sort_keys=True))
+        capsys.readouterr()
+        for profile in ("quick", "full"):
+            assert run_cli("verify", str(path), "--profile", profile) == 1, i
+            axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
+            assert axioms["witnesses"]["A1"]["defect"] == "covered more than once"
+            recheck_a1_witness(d["structure"], axioms)
+        assert run_cli("export", str(path), "--what", "graph", "--format", "dot") == 2, i
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: lines ") and "more than once" in err
+
+
+def test_cli_extra_line_fails_the_isomorphism_and_keeps_the_report(tmp_path, capsys):
+    """R(3,9) plus an ordinary line through three points of one special line:
+    82 ordinary lines, 81 coefficient triples.  The isomorphism fails its
+    sizes check, and verify still reports every other verdict."""
+    from prect.cli import _Run
+
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    lines = d["structure"]["lines"]
+    specials = [ln for ln in lines if d["structure"]["special_point"] in ln]
+    lines.insert(lines.index(specials[0]), specials[1][1:4])
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("iso", str(path)) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"bilinear_isomorphism": False}
+    assert run_cli("verify", str(path), "--profile", "full") == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(verdicts) == 11 and verdicts["bilinear_isomorphism"] is False
+    assert _Run(str(path)).iso[1].witness == {"check": "sizes", "nu1": 82, "nu2": 81, "map": 81}
+
+
+def test_cli_relabelled_special_point_names_the_misplaced_line(tmp_path, capsys):
+    """With D relabelled, the lines through the new D are special but come
+    before ordinary lines; every subcommand refuses the file by that line."""
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    d["structure"]["special_point"] = "a1"
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    first = next(i for i, ln in enumerate(d["structure"]["lines"]) if "a1" in ln)
+    capsys.readouterr()
+    for argv in (("verify", str(path)), ("cliques", str(path)), ("analyze", "--graph", str(path))):
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: line {first} passes through the special point a1 but comes before an "
+            f"ordinary line: special lines come last in a model file\n")
+
+
+def test_cli_subplane_model_without_coordinates_is_a_typed_error(tmp_path, capsys):
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "2", "--k", "2")
+    for key in ("point_coords", "line_coeffs", "special_coeffs"):
+        del d[key]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", "full") == 2
+    assert capsys.readouterr().err == "error: need a coordinatized subplane model\n"

@@ -6,7 +6,9 @@ line, relabel D, or add an ordinary line through three points of one
 special line), and runs verify (both profiles), cliques, geometry, iso,
 analyze and export --what census on it through prect.cli.main.  Each run
 must return an exit code of 0, 1 or 2 and raise nothing: a broken model
-gives failing verdicts or an "error:" line, never a traceback.
+gives failing verdicts or an "error:" line, never a traceback.  A failing
+A1 verdict of verify must carry a witness that re-checks on the mutated
+structure.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from oracles import recheck_a1_witness
 from prect.cli import main
 
 BUILDS = {
@@ -43,16 +46,18 @@ COMMANDS = [
 ]
 
 
-def _run(*argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv))
+def _run(*argv) -> tuple[int, str]:
+    """Exit code and stdout of one CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv)), out.getvalue()
 
 
 @lru_cache(maxsize=None)
 def _model_json(name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
-        assert _run("build", *BUILDS[name], "--out", path) == 0
+        assert _run("build", *BUILDS[name], "--out", path)[0] == 0
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 
@@ -100,4 +105,7 @@ def test_mutated_model_gives_a_verdict_or_a_typed_error(name, kind, data):
             json.dump(d, fh, sort_keys=True)
         for argv in COMMANDS:
             argv = [a.format(path) for a in argv]
-            assert _run(*argv) in (0, 1, 2), argv
+            code, out = _run(*argv)
+            assert code in (0, 1, 2), argv
+            if argv[0] == "verify" and code != 2:
+                recheck_a1_witness(d["structure"], json.loads(out)["details"]["axioms"])

@@ -19,7 +19,7 @@ from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
 def test_l22_all_axioms_pass(l22):
     rep = check_axioms(l22.structure, "full")
     assert rep.ok and rep.failing() == []
-    assert (rep.m, rep.n) == (2, 4)
+    assert order_of(l22.structure) == (2, 4)
 
 
 def test_r39_full_mode_passes(r39):
