@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 def iter_bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
@@ -13,3 +15,45 @@ def iter_bits(mask: int):
 
 def comb2(n: int) -> int:
     return n * (n - 1) // 2
+
+
+class Translations:
+    """The translations of GF(p)^d, acting on masks of nu = p^d vertex bits.
+
+    Vertex x is the vector of its base-p digits, digit i of weight p^i;
+    translation by t moves bit x to bit x + t, added digit by digit mod p.
+    """
+
+    def __init__(self, p: int, d: int):
+        self.p, self.d = p, d
+        self.nu = nu = p ** d
+        self._top = []  # [i]: the vertices whose digit i is p - 1
+        for i in range(d):
+            w = p ** i
+            tile = sum(1 << x for x in range(0, nu, p * w))
+            self._top.append(((1 << w) - 1) * tile << (p - 1) * w)
+
+    def step(self, mask: int, i: int) -> int:
+        """mask translated by p^i, the unit vector of digit i: digit i
+        goes up by one, and from p - 1 back to 0."""
+        w, top = self.p ** i, self._top[i]
+        return (mask & ~top) << w | (mask & top) >> (self.p - 1) * w
+
+    def steps(self):
+        """(t, t - p^i, i) for t = 1..nu-1, i the lowest nonzero digit of t."""
+        for t in range(1, self.nu):
+            i, w = 0, 1
+            while t // w % self.p == 0:
+                i, w = i + 1, w * self.p
+            yield t, t - w, i
+
+
+def translations_of(nu: int) -> Translations | None:
+    """The translations of GF(p)^d when nu = p^d for a prime p and d >= 1, else None."""
+    if nu < 2:
+        return None
+    p = next((f for f in range(2, isqrt(nu) + 1) if nu % f == 0), nu)
+    d, rest = 0, nu
+    while rest % p == 0:
+        d, rest = d + 1, rest // p
+    return Translations(p, d) if rest == 1 else None

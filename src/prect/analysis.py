@@ -379,7 +379,7 @@ def chromatic_index_by_construction(g: LineGraph, model: RectangleModel, m: int 
 def _edge_bracket(g: LineGraph, m: int | None, n: int | None) -> EdgeColorReport:
     degs = {g.degree(v) for v in range(g.nu)}
     if len(degs) != 1:
-        raise ValueError("chromatic index bracket needs a regular graph")
+        raise AnalysisError("chromatic index bracket needs a regular graph")
     r = degs.pop()
     rep = EdgeColorReport(r, (r, r + 1), g.nu % 2 == 1, "unresolved", None, 0)
     if m is not None and n is not None:

@@ -21,7 +21,8 @@ from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_constr
                        chromatic_index_by_construction, eulerian_verdict,
                        hamiltonian_by_construction, krein_check, planarity_verdict)
 from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
-from .cliques import check_enumeration_bound, classify_census, clique_intersections, extract_plane
+from .cliques import (check_enumeration_bound, classify_census, clique_intersections,
+                      plane_extraction)
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
                      model_from_json, model_to_json, to_dot)
 from .geometry import build_plane_clique_structure, build_point_clique_geometry
@@ -96,6 +97,11 @@ class _Run:
         return order_of(self.model.structure)
 
     @_timed_fact
+    def translations(self):
+        """The incidence translations (IncidenceStructure.translations), or None."""
+        return self.model.structure.translations
+
+    @_timed_fact
     def graph(self):
         return build_line_graph(self.model)
 
@@ -153,8 +159,12 @@ def cmd_build(args, report: RunReport) -> int:
 def cmd_verify(args, report: RunReport) -> int:
     run = _Run(args.model)
     model = run.model
-    check_enumeration_bound(model.num_ordinary_lines)  # the census would refuse after A6
     t0 = time.perf_counter()
+    # the census would refuse after A6
+    check_enumeration_bound(model.num_ordinary_lines, lambda: run.graph)
+    if args.profile == "full":
+        run.translations  # certified once, for full A6 and the plane extraction
+    t_axioms = time.perf_counter()
     axioms = check_axioms(model.structure, "full" if args.profile == "full" else "sampled",
                           a6_samples=args.a6_samples, seed=args.seed)
     report.verdicts["axioms"] = axioms.ok
@@ -162,7 +172,7 @@ def cmd_verify(args, report: RunReport) -> int:
                                 "witnesses": _jsonable(axioms.witnesses),
                                 "a6_mode": axioms.a6_mode,
                                 "a6_coverage": axioms.a6_coverage}
-    axioms_ms = (time.perf_counter() - t0) * 1000
+    axioms_ms = (time.perf_counter() - t_axioms) * 1000
 
     m, n = run.order
     counts = elementary_counts(model.structure)
@@ -185,9 +195,7 @@ def cmd_verify(args, report: RunReport) -> int:
     if args.profile == "full":
         if not trivial:
             report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
-        planes_ok = (len(census.plane_cliques) == census.expected_counts[1]
-                     and all(extract_plane(pc, model).ok for pc in census.plane_cliques))
-        report.verdicts["plane_extraction"] = planes_ok
+        report.verdicts["plane_extraction"] = plane_extraction(census, model)
         if model.family == "subplane":
             report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
         if not trivial:
@@ -267,42 +275,57 @@ def cmd_analyze(args, report: RunReport) -> int:
 
     pl = planarity_verdict(g, m, n)
     eu = eulerian_verdict(g, m, n)
-    ham = run.hamiltonian
     report.verdicts["eulerian_consistent"] = eu.consistent
     report.details["planar"] = {"planar": pl.planar, "reason": pl.reason}
     report.details["eulerian"] = {"eulerian": eu.eulerian, "predicate": eu.predicate}
-    report.details["hamiltonian"] = {
-        "found": True,
-        "verified": ham.verified,
-        "condition_n_le_3m_plus_1": ham.condition_n_le_3m_plus_1,
-        "cycle": ham.cycle,
-        "provenance": ham.provenance,
-    }
-    report.verdicts["hamilton_cycle_verified"] = ham.verified
+    ham = _witnessed(report, "hamilton_cycle_verified", "hamiltonian", lambda: run.hamiltonian)
+    if ham:
+        report.details["hamiltonian"] = {
+            "found": True,
+            "verified": ham.verified,
+            "condition_n_le_3m_plus_1": ham.condition_n_le_3m_plus_1,
+            "cycle": ham.cycle,
+            "provenance": ham.provenance,
+        }
+        report.verdicts["hamilton_cycle_verified"] = ham.verified
 
     if m != n:
         report.verdicts["srg"] = run.cert.ok
-        chi = run.chromatic
-        report.details["chromatic"] = {
-            "exact": chi.exact_chromatic,
-            "haemers_bound": chi.haemers_bound,
-            "haemers_exact": chi.haemers_exact,
-            "claimed_bound": chi.claimed_bound,
-            "clique_lower_bound": chi.clique_lower_bound,
-            "flags": chi.flags,
-            "witness": chi.witness,
-            "provenance": chi.provenance,
-        }
+        chi = _witnessed(report, "chromatic_verified", "chromatic", lambda: run.chromatic)
+        if chi:
+            report.details["chromatic"] = {
+                "exact": chi.exact_chromatic,
+                "haemers_bound": chi.haemers_bound,
+                "haemers_exact": chi.haemers_exact,
+                "claimed_bound": chi.claimed_bound,
+                "clique_lower_bound": chi.clique_lower_bound,
+                "flags": chi.flags,
+                "witness": chi.witness,
+                "provenance": chi.provenance,
+            }
         report.verdicts["krein"] = krein_check(run.cert).ok
-    eb = run.chromatic_index
-    report.details["chromatic_index"] = {
-        "bracket": list(eb.bracket),
-        "verdict": eb.verdict,
-        "flags": eb.flags,
-        "provenance": eb.provenance,
-    }
+    eb = _witnessed(report, "chromatic_index_verified", "chromatic_index",
+                    lambda: run.chromatic_index)
+    if eb:
+        report.details["chromatic_index"] = {
+            "bracket": list(eb.bracket),
+            "verdict": eb.verdict,
+            "flags": eb.flags,
+            "provenance": eb.provenance,
+        }
     _write(args.out, report.to_json(), report)
     return 0 if report.ok else 1
+
+
+def _witnessed(report: RunReport, verdict: str, detail: str, read):
+    """read(), a witness read off the model; or, when it fails its check,
+    None and a failing verdict whose witness is the AnalysisError message."""
+    try:
+        return read()
+    except AnalysisError as exc:
+        report.verdicts[verdict] = False
+        report.details[detail] = {"verified": False, "witness": str(exc)}
+        return None
 
 
 # (what, format) -> the text that export writes

@@ -9,7 +9,18 @@ looking at sizes.
 
 On a graph that translation_group certifies as a Cayley graph, the
 enumeration expands only the cliques through vertex 0 and translates them:
-each maximal clique C is c + (C - c) for its least vertex c.
+each maximal clique C is c + (C - c) for its least vertex c.  Such a graph
+may have up to CAYLEY_MAX_VERTICES vertices, any other graph up to
+ENUMERATION_MAX_VERTICES.
+
+The facts read off the census go the same way.  CliqueCensus.translations
+shows a clique class closed under the translations; then every clique of
+it is a translate of one through vertex 0.  clique_intersections on such
+classes of a certified graph checks the planes through vertex 0 and the
+pairs of row 0, and plane_extraction, on a model whose incidence
+translations are certified too, extracts the planes through vertex 0.  A
+class or graph that fails its certificate takes the all-vertex loops,
+which give the same verdicts.
 """
 
 from __future__ import annotations
@@ -17,21 +28,41 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ._util import iter_bits
+from ._util import Translations, iter_bits, translations_of
 from .construct import RectangleModel
 from .linegraph import LineGraph, translation_group
 
 ENUMERATION_MAX_VERTICES = 1024
+# past ENUMERATION_MAX_VERTICES only the translates of the cliques through
+# vertex 0 are enumerated: verify --profile full took 3.2-4.5 s and 100 MB
+# on L_2^6, 4.5-5.1 s and 30 MB on R(8,64), nu = 4096 (README, "Scale")
+CAYLEY_MAX_VERTICES = 4096
 
 
 class CliqueError(ValueError):
     pass
 
 
-def check_enumeration_bound(nu: int):
-    """Raise CliqueError when a graph of nu vertices is past the enumeration bound."""
-    if nu > ENUMERATION_MAX_VERTICES:
-        raise CliqueError(f"enumeration limited to {ENUMERATION_MAX_VERTICES} vertices")
+def check_enumeration_bound(nu: int, graph):
+    """Raise CliqueError when a graph of nu vertices is past the enumeration
+    bound: CAYLEY_MAX_VERTICES if translation_group certifies graph() and
+    it is not complete, else ENUMERATION_MAX_VERTICES.  graph() is called
+    only when nu lies between the two, so no graph is built that its size
+    alone refuses.
+
+    A complete graph, a plane's, keeps the lower bound although it is
+    certified: all its lines meet, so sampled A6 lists nu^2/2 pairs (8.4
+    million on PG(2,64), where verify --profile quick had not ended after
+    5 minutes).
+    """
+    if nu > CAYLEY_MAX_VERTICES:
+        bound = CAYLEY_MAX_VERTICES
+    elif nu > ENUMERATION_MAX_VERTICES and (translation_group(graph()) is None
+                                            or graph().is_complete()):
+        bound = ENUMERATION_MAX_VERTICES
+    else:
+        return
+    raise CliqueError(f"enumeration limited to {bound} vertices")
 
 
 def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
@@ -42,24 +73,32 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     cliques are all the maximal cliques; the translate by t is kept when t
     is its least vertex, which happens once for each.
     """
-    check_enumeration_bound(g.nu)
+    check_enumeration_bound(g.nu, lambda: g)
     rows = g.rows
     out = []
 
     def expand(r_mask: int, p_mask: int, x_mask: int):
-        if not p_mask and not x_mask:
-            out.append(r_mask)
-            return
-        pivot, best = -1, -1
-        for u in iter_bits(p_mask | x_mask):
-            deg = (rows[u] & p_mask).bit_count()
-            if deg > best:
-                pivot, best = u, deg
-        for v in iter_bits(p_mask & ~rows[pivot]):
-            bit = 1 << v
-            expand(r_mask | bit, p_mask & rows[v], x_mask & rows[v])
-            p_mask &= ~bit
-            x_mask |= bit
+        while p_mask or x_mask:
+            pivot, best = -1, -1
+            for u in iter_bits(p_mask | x_mask):
+                deg = (rows[u] & p_mask).bit_count()
+                if deg > best:
+                    pivot, best = u, deg
+            branches = p_mask & ~rows[pivot]
+            if branches & (branches - 1):
+                for v in iter_bits(branches):
+                    bit = 1 << v
+                    expand(r_mask | bit, p_mask & rows[v], x_mask & rows[v])
+                    p_mask &= ~bit
+                    x_mask |= bit
+                return
+            if not branches:
+                return
+            # a lone branch is the last call, so it is taken in place: a run
+            # of them, as in a complete graph, costs no recursion depth
+            v = branches.bit_length() - 1
+            r_mask, p_mask, x_mask = r_mask | branches, p_mask & rows[v], x_mask & rows[v]
+        out.append(r_mask)
 
     group = translation_group(g)
     if group is None:
@@ -105,6 +144,7 @@ class CliqueCensus:
     # the classes on every construction, replace() included
     point_of: list[int] = field(init=False, repr=False)
     plane_of: list[int] = field(init=False, repr=False)
+    _translations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.point_of, self.plane_of = [0] * self.nu, [0] * self.nu
@@ -117,6 +157,23 @@ class CliqueCensus:
     @property
     def ok(self) -> bool:
         return not self.anomalous and all(e == a for e, a in self.checks.values())
+
+    def translations(self, kind: str) -> Translations | None:
+        """The translations of GF(p)^d, nu = p^d, if the class kind
+        ("point_cliques" or "plane_cliques") is closed under them as a set
+        with no repeated clique; else None.
+
+        Closure under the d generators, d set lookups a clique, is closure
+        under the group, so every clique of the class is a translate of
+        one through vertex 0.  Computed once per class.
+        """
+        if kind not in self._translations:
+            group, cliques = translations_of(self.nu), getattr(self, kind)
+            masks = {sum(1 << v for v in c.vertices) for c in cliques}
+            closed = (group is not None and len(masks) == len(cliques)
+                      and all(group.step(x, i) in masks for i in range(group.d) for x in masks))
+            self._translations[kind] = group if closed else None
+        return self._translations[kind]
 
     def mismatches(self) -> dict:
         return {k: v for k, v in self.checks.items() if v[0] != v[1]}
@@ -217,6 +274,13 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     2 for two or more.  A class with other than its expected number of
     cliques is a violation too, so that no law holds over zero cliques.  A
     class expected to be empty, the point cliques of a plane, covers no edge.
+
+    When translation_group certifies g and both classes are closed under
+    its translations (CliqueCensus.translations), a translation moves any
+    violation to one of a plane through vertex 0, or of a pair (0, v); only
+    those are checked.  Sorted cliques put the planes through vertex 0
+    first, so the verdict, the stats and the first violation are those of
+    the check of every plane and pair.
     """
     rep = IntersectionReport()
     for label, cliques, expected in zip(("point-clique-count", "plane-clique-count"),
@@ -226,8 +290,13 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             rep.violations.append((label, expected, len(cliques)))
     m = census.m
     npoints = len(census.point_cliques)
+    orbit = (g.nu == census.nu and translation_group(g) is not None
+             and census.translations("point_cliques") is not None
+             and census.translations("plane_cliques") is not None)
+    planes = iter_bits(census.plane_of[0]) if orbit else range(len(census.plane_cliques))
     sizes = set()
-    for i, pc in enumerate(census.plane_cliques):
+    for i in planes:
+        pc = census.plane_cliques[i]
         shared = Counter(j for v in pc.vertices for j in iter_bits(census.point_of[v]))
         if len(shared) < npoints:
             sizes.add(0)
@@ -237,23 +306,27 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
                 rep.violations.append(("plane-point", i, j, shared[j]))
     rep.stats["plane_point_intersection_sizes"] = sorted(sizes)
 
+    rows = g.rows[:1] if orbit else g.rows
     covered = [0] * g.nu
-    for label, cliques, expected in zip(("edge-point-cover", "edge-plane-cover"),
-                                        (census.point_cliques, census.plane_cliques),
-                                        census.expected_counts):
+    for label, cliques, holding, expected in zip(("edge-point-cover", "edge-plane-cover"),
+                                                 (census.point_cliques, census.plane_cliques),
+                                                 (census.point_of, census.plane_of),
+                                                 census.expected_counts):
         if not expected:
             continue
+        if orbit:  # once[0] and twice[0] need only the cliques through vertex 0
+            cliques = [cliques[j] for j in iter_bits(holding[0])]
         once, twice = [0] * g.nu, [0] * g.nu  # partners in one clique, in two
         for pc in cliques:
             members = sum(1 << v for v in pc.vertices)
             for v in pc.vertices:
                 twice[v] |= once[v] & members
                 once[v] |= members ^ (1 << v)
-        for u, row in enumerate(g.rows):
+        for u, row in enumerate(rows):
             for v in iter_bits(row & (~once[u] | twice[u]) & -(2 << u)):
                 rep.violations.append((label, u, v, 2 if twice[u] >> v & 1 else 0))
             covered[u] |= once[u]
-    for u, row in enumerate(g.rows):
+    for u, row in enumerate(rows):
         for v in iter_bits(covered[u] & ~row & -(2 << u)):
             rep.violations.append(("cover-of-nonedge", u, v, 0))
     return rep
@@ -271,6 +344,28 @@ class PlaneExtraction:
     def ok(self) -> bool:
         return (self.contains_special_point
                 and all(e == a for e, a in self.checks.values()))
+
+
+def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
+    """Whether the census has its expected number of plane cliques and each
+    rebuilds a plane of order m (extract_plane).
+
+    When the model's incidence translations are certified
+    (IncidenceStructure.translations) and the plane class is closed under
+    them, each plane clique is a translate of one through vertex 0 by an
+    incidence automorphism fixing D, which keeps every count extract_plane
+    makes; only the planes through vertex 0 are extracted.  This reads each
+    clique's plane_points as the union of its lines plus D, as
+    classify_census builds them.
+    """
+    planes = census.plane_cliques
+    if len(planes) != census.expected_counts[1]:
+        return False
+    group = model.structure.translations
+    if (group is not None and group.nu == census.nu
+            and census.translations("plane_cliques") is not None):
+        planes = [planes[j] for j in iter_bits(census.plane_of[0])]
+    return all(extract_plane(pc, model).ok for pc in planes)
 
 
 def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction:

@@ -7,6 +7,13 @@ m depending on whether the line and the plane are disjoint point sets; both
 values occur exactly when n > m^2.  t is measured over every non-incident
 pair from a table of which Lines meet, built from the census's masks of the
 Lines through each Point.
+
+When the class is closed under the translations of the vertices
+(CliqueCensus.translations), they act regularly on the Points and map Lines
+to Lines, so only Point 0 is measured: the t histogram is nu times its
+histogram at Point 0, and two Lines share two Points iff two Lines through
+Point 0 share a second one.  Any other class takes the all-Point
+measurement, up to ENUMERATION_MAX_VERTICES Points.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ._util import iter_bits
-from .cliques import CliqueCensus
+from .cliques import ENUMERATION_MAX_VERTICES, CliqueCensus, CliqueError
 from .construct import RectangleModel
 
 
@@ -69,11 +76,41 @@ def _measure(through, num_lines):
     return hist, pair_ok
 
 
+def _measure_at_zero(lines, through):
+    """_measure at Point 0 only, its histogram multiplied by the number of Points.
+
+    t(0, j) counts the Lines i through Point 0 with j among the Lines
+    meeting i, read off through[v] for the Points v of Line i.  Lines
+    through Point 0 share a second Point iff their other Points overlap.
+    """
+    here = through[0]
+    t = Counter()
+    others = 0
+    pair_ok = True
+    for i in iter_bits(here):
+        members = sum(1 << v for v in lines[i].vertices)
+        pair_ok &= not others & members & ~1
+        others |= members & ~1
+        meets = 0
+        for v in lines[i].vertices:
+            meets |= through[v]
+        t.update(iter_bits(meets & ~here))
+    row = Counter(t.values())
+    row[0] = len(lines) - here.bit_count() - len(t)
+    return {k: len(through) * c for k, c in sorted(row.items()) if c}, pair_ok
+
+
 def _report(kind: str, census: CliqueCensus) -> GeometryReport:
     """The measured report of one clique class as Lines over the graph's vertices."""
     lines = getattr(census, kind)
     through = census.point_of if kind == "point_cliques" else census.plane_of
-    hist, pair_ok = _measure(through, len(lines))
+    if census.translations(kind) is not None:
+        hist, pair_ok = _measure_at_zero(lines, through)
+    elif census.nu > ENUMERATION_MAX_VERTICES:
+        raise CliqueError(f"the {kind} geometry of a class not closed under translation "
+                          f"is limited to {ENUMERATION_MAX_VERTICES} Points")
+    else:
+        hist, pair_ok = _measure(through, len(lines))
     constant = next(iter(hist)) if len(hist) == 1 else None
     return GeometryReport(
         kind=kind, num_points=census.nu, num_lines=len(lines),

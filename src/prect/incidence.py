@@ -12,6 +12,13 @@ satisfying six axioms:
       them in four distinct points meet each other.
 
 Structures here are purely index-based; coordinates live in prect.construct.
+
+The built models number their ordinary lines 0..nu-1 so that translation
+of GF(p)^d on the line indices, nu = p^d, extends to incidence
+automorphisms fixing D (IncidenceStructure.translations certifies this
+from the structure).  Full A6 on a certified structure that passes A1 then
+scans only the pairs that start with line 0; any other structure, such as
+one whose lines were renumbered, takes the scan over every pair.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 
-from ._util import comb2, iter_bits
+from ._util import Translations, comb2, iter_bits, translations_of
 
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
@@ -89,6 +97,44 @@ class IncidenceStructure:
         hits = [i for i in self.lines_at[p] if self.is_special_line(i)]
         return hits[0] if len(hits) == 1 else None
 
+    @cached_property
+    def translations(self) -> Translations | None:
+        """The translations of GF(p)^d on the ordinary lines, if each extends
+        to an automorphism of the structure; else None.
+
+        The ordinary lines must be lines 0..nu-1, nu = p^d, line x the vector
+        of its base-p digits.  For the translation by p^i, the image of a
+        point other than D is the point whose pencil of ordinary lines is
+        the translate of its own; pencils must be distinct, so the map is a
+        bijection, and D is fixed.  Then P is on line x iff x is in P's
+        pencil iff x + p^i is in the image's pencil, so ordinary line x maps
+        onto x + p^i; each special line must map onto a special line, and
+        the special lines must be distinct.  Computed once per structure;
+        costs O(d * incidences).
+        """
+        nu = len(self.ordinary_lines)
+        group = translations_of(nu)
+        if group is None or self.ordinary_lines[-1] != nu - 1:
+            return None
+        D = self.special_point
+        pencils = [sum(1 << i for i in ls if i < nu) for ls in self.lines_at]
+        point_of = {b: p for p, b in enumerate(pencils) if p != D}
+        specials = {self.line_masks[j] for j in self.special_lines}
+        if len(point_of) != self.n_points - 1 or len(specials) != len(self.special_lines):
+            return None
+        for i in range(group.d):
+            image = [D] * self.n_points
+            for p, b in enumerate(pencils):
+                if p != D:
+                    q = point_of.get(group.step(b, i))
+                    if q is None:
+                        return None
+                    image[p] = q
+            if any(sum(1 << image[p] for p in self.lines[j]) not in specials
+                   for j in self.special_lines):
+                return None
+        return group
+
     def drop_line(self, line_index: int) -> "IncidenceStructure":
         """Copy of the structure with one line removed (for mutation tests)."""
         lines = [t for i, t in enumerate(self.lines) if i != line_index]
@@ -138,6 +184,13 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     Sampled runs record their coverage of the space; when the space is no
     larger than the sample count they upgrade to exhaustive enumeration,
     which is cheaper and conclusive.
+
+    Full A6 on a structure that passes A1 and whose translations are
+    certified scans only the pairs (0, l2).  A translation by -l1 moves any
+    failing quadruple to one that starts with line 0, whose block comes
+    first in the scan over every pair, so the verdict and the witness are
+    those of that scan.  A1 makes the common point of two lines, and so the
+    candidates of a pair, commute with the translations.
     """
     rep = AxiomReport()
     through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
@@ -182,8 +235,11 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
 
     # A6.
     rep.a6_mode = a6_mode
-    if a6_mode == "full":
-        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through))
+    if a6_mode == "full" and a1_witness is None and s.translations is not None:
+        nbr0 = _a6_nbr(s, through, [0])[0]
+        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through, [0, *iter_bits(nbr0)]), 1)
+    elif a6_mode == "full":
+        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through, range(s.n_lines)))
     elif a6_mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed)
     else:
@@ -256,19 +312,21 @@ def _find_quadrangle(s, through):
     return None
 
 
-def _a6_nbr(s, through):
-    """nbr[i], the lines meeting line i, from through[p], the lines through point p."""
-    nbr = []
-    for i, t in enumerate(s.lines):
+def _a6_nbr(s, through, lines):
+    """nbr[i], the lines meeting line i, for each i in lines (0 for the
+    others), from through[p], the lines through point p."""
+    nbr = [0] * s.n_lines
+    for i in lines:
         mask = 0
-        for p in t:
+        for p in s.lines[i]:
             mask |= through[p]
-        nbr.append(mask & ~(1 << i))
+        nbr[i] = mask & ~(1 << i)
     return nbr
 
 
-def _a6_pairs(s, through, nbr):
-    """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first.
+def _a6_pairs(s, through, nbr, blocks=None):
+    """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first, for l1
+    among the first `blocks` ordinary lines (all of them by default).
 
     cmask holds the candidate 'transversal' lines of the pair: every line
     other than l1, l2 that meets both, excluding lines through their common
@@ -277,7 +335,7 @@ def _a6_pairs(s, through, nbr):
     """
     masks = s.line_masks
     olines = s.ordinary_lines
-    for x, l1 in enumerate(olines):
+    for x, l1 in enumerate(olines[:blocks]):
         m1, n1 = masks[l1], nbr[l1]
         for l2 in olines[x + 1:]:
             common = m1 & masks[l2]
@@ -285,14 +343,15 @@ def _a6_pairs(s, through, nbr):
                 yield l1, l2, n1 & nbr[l2] & ~through[common.bit_length() - 1]
 
 
-def _a6_scan(s, through, nbr):
-    """Every quadruple, one pair's candidate list at a time, stopping at the first failure.
+def _a6_scan(s, through, nbr, blocks=None):
+    """Every quadruple of the pairs of _a6_pairs, one pair's candidate list at
+    a time, stopping at the first failure.
 
     Only a g2 that misses g1 can fail, so g2 runs over the candidates above
     g1 outside nbr[g1]; the first failure is the same as over all pairs.
     """
     masks = s.line_masks
-    for l1, l2, cmask in _a6_pairs(s, through, nbr):
+    for l1, l2, cmask in _a6_pairs(s, through, nbr, blocks):
         m1, m2 = masks[l1], masks[l2]
         for g1 in iter_bits(cmask):
             miss = cmask & ~nbr[g1] & -(2 << g1)
@@ -315,7 +374,7 @@ def _a6_sampled(s, through, samples, seed):
     counted with a bitmap over the space, or, when that would be larger,
     from the sorted list of the drawn ranks.
     """
-    nbr = _a6_nbr(s, through)
+    nbr = _a6_nbr(s, through, range(s.n_lines))
     first, second, cum = array("i"), array("i"), array("q")
     total = 0
     for l1, l2, cmask in _a6_pairs(s, through, nbr):

@@ -24,9 +24,9 @@ as a model whose lines were renumbered, takes the all-vertex loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isqrt
+from math import inf
 
-from ._util import iter_bits
+from ._util import Translations, iter_bits, translations_of
 from .construct import RectangleModel
 
 
@@ -57,37 +57,6 @@ class LineGraph:
         return all(self.rows[v] == full & ~(1 << v) for v in range(self.nu))
 
 
-class Translations:
-    """The translations of GF(p)^d, acting on masks of nu = p^d vertex bits.
-
-    Vertex x is the vector of its base-p digits, digit i of weight p^i;
-    translation by t moves bit x to bit x + t, added digit by digit mod p.
-    """
-
-    def __init__(self, p: int, d: int):
-        self.p, self.d = p, d
-        self.nu = nu = p ** d
-        self._top = []  # [i]: the vertices whose digit i is p - 1
-        for i in range(d):
-            w = p ** i
-            tile = sum(1 << x for x in range(0, nu, p * w))
-            self._top.append(((1 << w) - 1) * tile << (p - 1) * w)
-
-    def step(self, mask: int, i: int) -> int:
-        """mask translated by p^i, the unit vector of digit i: digit i
-        goes up by one, and from p - 1 back to 0."""
-        w, top = self.p ** i, self._top[i]
-        return (mask & ~top) << w | (mask & top) >> (self.p - 1) * w
-
-    def steps(self):
-        """(t, t - p^i, i) for t = 1..nu-1, i the lowest nonzero digit of t."""
-        for t in range(1, self.nu):
-            i, w = 0, 1
-            while t // w % self.p == 0:
-                i, w = i + 1, w * self.p
-            yield t, t - w, i
-
-
 def translation_group(g: LineGraph) -> Translations | None:
     """The translations of GF(p)^d if g is a Cayley graph on it, else None.
 
@@ -98,16 +67,10 @@ def translation_group(g: LineGraph) -> Translations | None:
     is an automorphism, and the rows are symmetric.  Costs nu translations
     of one row.
     """
-    nu, rows = g.nu, g.rows
-    if nu < 2 or rows[0] & 1:
+    rows = g.rows
+    group = translations_of(g.nu)
+    if group is None or rows[0] & 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
         return None
-    p = next((f for f in range(2, isqrt(nu) + 1) if nu % f == 0), nu)
-    d, rest = 0, nu
-    while rest % p == 0:
-        d, rest = d + 1, rest // p
-    if rest != 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
-        return None
-    group = Translations(p, d)
     if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
         return group
     return None

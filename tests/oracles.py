@@ -7,7 +7,9 @@ isomorphisms, a pair-by-pair build of the colored graph of lines, H_q(2,k)
 built from a table of matrices, an isomorphism probe on every pair,
 digit-by-digit addition for the translations of a Cayley graph, a
 schoolbook product in GF(p)[x] modulo the field's modulus, and the six
-axioms on each plane rebuilt from a plane clique.
+axioms on each plane rebuilt from a plane clique.  twisted_r39 is a
+translation-invariant structure that fails A6, so that a failing input
+reaches the orbit paths.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -469,6 +471,31 @@ def without_ordinary_lines(model: RectangleModel) -> RectangleModel:
     d = model_to_dict(model)
     d["structure"]["lines"] = d["structure"]["lines"][model.num_ordinary_lines:]
     return model_from_dict(d)
+
+
+def twisted_r39() -> RectangleModel:
+    """R(3,9) with 2a replaced by L.a, L = [[0,1],[1,1]] over GF(3): a
+    translation-invariant structure that is not a projective rectangle.
+
+    Points are D and four special lines of 9 points each, point t of
+    special line j (t in GF(3)^2, digit-numbered) at 1 + 9j + t.  Ordinary
+    line (a, b), a-major and digit-numbered, meets the special lines at -b,
+    a - b, L.a - b and -a.  Translating every line by (a', b') shifts each
+    special line by a constant, so the translations of GF(3)^4 are
+    automorphisms; A1-A5 hold, A6 fails.
+    """
+    vec = lambda code: (code % 3, code // 3)  # noqa: E731
+    code = lambda v: v[0] % 3 + 3 * (v[1] % 3)  # noqa: E731
+    points = ["D"] + [f"s{j}:{t}" for j in range(4) for t in range(9)]
+    lines = []
+    for a in map(vec, range(9)):
+        for b in map(vec, range(9)):
+            meets = [(-b[0], -b[1]), (a[0] - b[0], a[1] - b[1]),
+                     (a[1] - b[0], a[0] + a[1] - b[1]), (-a[0], -a[1])]
+            lines.append([1 + 9 * j + code(t) for j, t in enumerate(meets)])
+    specials = [[0] + [1 + 9 * j + t for t in range(9)] for j in range(4)]
+    return RectangleModel(IncidenceStructure(points, lines + specials, 0), "twisted", 3, 1, 2,
+                          special_labels=[f"s{j}" for j in range(4)])
 
 
 def extract_plane_by_axioms(clique, model) -> bool:

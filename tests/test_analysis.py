@@ -333,17 +333,34 @@ def _improper_constructors(monkeypatch, which):
     monkeypatch.setattr(analysis, which, broken[which])
 
 
-def test_improper_witness_is_a_cli_error(tmp_path, capsys, monkeypatch):
+def test_improper_witness_is_a_failing_cli_verdict(tmp_path, capsys, monkeypatch):
+    """The failed witness becomes a failing verdict with its message; the
+    rest of the report is kept and is that of the intact run."""
     from prect.cli import main
 
     out = tmp_path / "m.json"
     main(["build", "--family", "l2k", "--k", "2", "--out", str(out)])
     capsys.readouterr()
-    for which in ("net_coloring", "net_one_factorization", "rook_walk"):
+    assert main(["analyze", "--graph", str(out)]) == 0
+    intact = json.loads(capsys.readouterr().out)
+    for which, verdict, detail in (("net_coloring", "chromatic_verified", "chromatic"),
+                                   ("net_one_factorization", "chromatic_index_verified",
+                                    "chromatic_index"),
+                                   ("rook_walk", "hamilton_cycle_verified", "hamiltonian")):
         with monkeypatch.context() as patch:
             _improper_constructors(patch, which)
-            assert main(["analyze", "--graph", str(out)]) == 2, which
-        assert capsys.readouterr().err.startswith("error: "), which
+            assert main(["analyze", "--graph", str(out)]) == 1, which
+        out_, err = capsys.readouterr()
+        rep = json.loads(out_)
+        assert err == "" and rep["ok"] is False, which
+        assert [v for v, ok in rep["verdicts"].items() if not ok] == [verdict], which
+        assert rep["details"][detail]["verified"] is False, which
+        assert "not a proper" in rep["details"][detail]["witness"] or \
+            "not a Hamilton cycle" in rep["details"][detail]["witness"], which
+        for key in set(intact["details"]) - {detail}:
+            assert rep["details"][key] == intact["details"][key], (which, key)
+        assert {v for v in rep["verdicts"] if v != verdict} == \
+            set(intact["verdicts"]) - {verdict}, which
 
 
 _OPTIMIZED_RUN = """
@@ -492,7 +509,10 @@ def _line_off_special_line_c(d):
     (lambda: build_subplane_rect(3, 1, 2), _swap_line_coeffs),
     (lambda: build_l2k(3), _line_off_special_line_c),
 ], ids=["R(3,9) swapped line_coeffs", "L_2^3 line off C"])
-def test_mutant_models_are_typed_cli_errors(build, mutate, tmp_path, capsys):
+def test_mutant_models_are_failing_cli_verdicts(build, mutate, tmp_path, capsys):
+    """The coloring read off the mutant fails its check: a failing verdict
+    with the message as its witness, next to the planarity, Eulerian, srg
+    and Krein results."""
     from prect.cli import main
 
     d = model_to_dict(build())
@@ -500,9 +520,16 @@ def test_mutant_models_are_typed_cli_errors(build, mutate, tmp_path, capsys):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(d))
     model_from_dict(d)  # the mutant loads
-    assert main(["analyze", "--graph", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert main(["analyze", "--graph", str(path)]) == 1
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert err == "" and rep["ok"] is False
+    assert rep["verdicts"]["chromatic_verified"] is False
+    assert rep["details"]["chromatic"] == {"verified": False,
+                                           "witness": rep["details"]["chromatic"]["witness"]}
+    assert isinstance(rep["details"]["chromatic"]["witness"], str)
+    assert {"eulerian_consistent", "srg", "krein"} <= set(rep["verdicts"])
+    assert {"planar", "eulerian", "hamiltonian"} <= set(rep["details"])
 
 
 _SHALLOW_RUN = """

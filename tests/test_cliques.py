@@ -30,9 +30,26 @@ def test_k4_single_maximal_clique(g_pp2):
 
 
 def test_enumeration_bound(g_l22, monkeypatch):
+    """Past ENUMERATION_MAX_VERTICES only a graph that translation_group
+    certifies is enumerated, up to CAYLEY_MAX_VERTICES."""
+    cliques = enumerate_maximal_cliques(g_l22)
+    uncertified = without_edge(g_l22, 0, g_l22.rows[0].bit_length() - 1)
+    assert translation_group(uncertified) is None
     monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 8)
-    with pytest.raises(CliqueError):
+    with pytest.raises(CliqueError, match="limited to 8 vertices"):
+        enumerate_maximal_cliques(uncertified)
+    assert enumerate_maximal_cliques(g_l22) == cliques
+    monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 15)
+    with pytest.raises(CliqueError, match="limited to 15 vertices"):
         enumerate_maximal_cliques(g_l22)
+
+
+def test_complete_graph_keeps_the_general_enumeration_bound(g_pp2, monkeypatch):
+    """A plane's complete graph is certified, yet keeps ENUMERATION_MAX_VERTICES."""
+    assert translation_group(g_pp2) is not None and g_pp2.is_complete()
+    monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 3)
+    with pytest.raises(CliqueError, match="limited to 3 vertices"):
+        enumerate_maximal_cliques(g_pp2)
 
 
 def test_enumeration_no_duplicates_and_maximality(g_l22):
@@ -286,6 +303,19 @@ sys.setrecursionlimit(60)
 from prect.cli import main
 sys.exit(main(["cliques", sys.argv[1]]))
 """
+
+
+def test_cli_cliques_on_a_plane_runs_at_recursion_depth_60(tmp_path):
+    """PG(2,16) is a complete graph on 256 vertices: a chain of lone
+    Bron-Kerbosch branches, taken in place rather than by recursion."""
+    path = tmp_path / "pg16.json"
+    assert main(["build", "--family", "plane", "--p", "2", "--e", "4", "--out", str(path)]) == 0
+    src = str(Path(prect.cliques.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLIQUES, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-500:]
+    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["counts"]
+    assert counts == {"point": 0, "plane": 1, "anomalous": 0}
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["as-built", "lines-0-5-swapped"])

@@ -290,6 +290,8 @@ GOLDEN_STDOUT = [
      "4bfa986a65fa98adccc592b6c0a544051c4e327c777a07001459c0b39c826d61"),
     (("build", "--family", "subplane", "--p", "3", "--e", "1", "--k", "3"), "r327.json",
      "2296883a27cb4a51434b304ed3d2255d8b22faa66eebde6e8a04b0463737b070"),
+    (("build", "--family", "l2k", "--k", "4"), "l24.json",
+     "c74b0c9d907672667562b4aa97617afd4e29a49afdab2cc7b465ea0b58ef753f"),
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
      "1eb0daab1c3a520edc222779dc0cb390a7c147bdee002059637588bee919283b"),
     (("verify", "r39.json", "--profile", "full"), None,
@@ -298,12 +300,18 @@ GOLDEN_STDOUT = [
      "ffff2afdc0d3e0d1c9a98a2a58fc5962bb40fab461961e2ad4bd3280a5c898de"),
     (("verify", "r416.json", "--profile", "full"), None,
      "49b23517bc9c6efb0940920d57c0de7720f105707eb26ed907a8ac11bea78a56"),
+    (("verify", "l24.json", "--profile", "full"), None,
+     "353abf4b0c285041aa5753e0ca1441cadfae8d1f8be5cba7063059cc4b767a53"),
+    (("verify", "pg27.json", "--profile", "full"), None,
+     "522ea1b27a966c8e55c13b95eef6d4322db3a5905ae65bee91b2e36b01084e50"),
     (("cliques", "r39.json"), None,
      "675fe03fcf88ce49d62851ea74fc10f4b700147bdcd14464474acfb23f82baa2"),
     (("geometry", "r39.json"), None,
      "41b7421b4ed1363cd255998eac01be01d2f77ffc9ce9e8e84440a0c3c9145b79"),
     (("geometry", "l23.json", "--out", "geo.json"), None,
      "1be69160bad70c9d5ee4efbbcbdcd3a5669b0c619eac3d17654c4a80c299e082"),
+    (("geometry", "l24.json"), None,
+     "420a81b4cd86c22fb3f54204c0a51179789a5cf29a6133c33a4261dd5a49e2e9"),
     (("cliques", "l23.json", "--out", "census.json"), None,
      "af5d465f6c519d59901f097eeece93e8f8c28ed623aae3d0da7397c998fe94f7"),
     (("iso", "r39.json"), None,
@@ -444,17 +452,30 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     import prect.cli
     import prect.cliques
 
-    _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    lines = d["structure"]["lines"]
+    lines[0], lines[5] = lines[5], lines[0]
+    (tmp_path / "swapped.json").write_text(json.dumps(d, sort_keys=True))
     capsys.readouterr()
 
-    def no_axioms(*args, **kwargs):
-        raise AssertionError("A6 ran before the bound was checked")
+    def too_early(*args, **kwargs):
+        raise AssertionError("ran before the bound was checked")
 
+    # between the bounds the certified graph runs, the swapped one is refused
     monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 15)
-    monkeypatch.setattr(prect.cli, "check_axioms", no_axioms)
-    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 2
+    monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
+    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(prect.cli, "check_axioms", too_early)
+    assert run_cli("verify", str(tmp_path / "swapped.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
+    # past both bounds the size alone refuses, before any graph is built
+    monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 14)
+    monkeypatch.setattr(prect.cli, "build_line_graph", too_early)
+    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: enumeration limited to 14 vertices\n"
 
 
 @pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),
@@ -484,9 +505,10 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     assert set(quick) == {"axioms", "total", "graph", "cert", "census"}
     run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
     full = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(full) == set(quick) | {"iso", "geometry"}
+    assert set(full) == set(quick) | {"iso", "geometry", "translations"}
     assert all(t >= 0 for t in full.values())
-    assert sum(full[k] for k in ("graph", "cert", "census", "iso", "geometry")) <= full["total"]
+    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "iso",
+                                 "geometry")) <= full["total"]
 
 
 def _moved_point(d: dict, rng: random.Random) -> dict:

@@ -1,0 +1,167 @@
+"""The orbit paths of verify --profile full against the all-vertex paths.
+
+A model whose incidence translations are certified runs full A6 over the
+pairs (0, l2) and extracts the planes through vertex 0; a clique class
+closed under translation gives the intersection laws and both geometries
+from vertex 0.  Patching the certificates to None forces the all-vertex
+loops, which must give the same verdicts, histograms and first witnesses:
+on the certified rungs, on the planes PG(2, q), on twisted_r39 (certified,
+yet failing A6 and the census) and on a census with a repeated plane
+clique, which takes the all-vertex path.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from dataclasses import replace
+
+import pytest
+
+from oracles import CAYLEY_LADDER, ladder_model, twisted_r39
+from prect.cli import main
+from prect.cliques import (CliqueCensus, CliqueError, classify_census, clique_intersections,
+                           extract_plane, plane_extraction)
+from prect.construct import build_l2k, build_plane, build_subplane_rect
+from prect.export import model_to_dict
+from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
+from prect.incidence import IncidenceStructure, check_axioms
+from prect.linegraph import build_line_graph, translation_group
+
+PLANES = {"PG(2,2)": lambda: build_plane(2, 1), "PG(2,3)": lambda: build_plane(3, 1),
+          "PG(2,4)": lambda: build_plane(2, 2)}
+MODELS = {**{name: lambda name=name: ladder_model(name) for name in CAYLEY_LADDER},
+          **PLANES, "twisted R(3,9)": twisted_r39}
+
+
+def _all_vertex(mp):
+    mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
+    mp.setattr(CliqueCensus, "translations", lambda census, kind: None)
+
+
+def _facts(model, g, census):
+    """Everything verify --profile full reads off the paths, and first witnesses."""
+    axioms = check_axioms(model.structure, "full")
+    inter = clique_intersections(census, g)
+    return {"axioms": (axioms.verdicts, axioms.witnesses),
+            "intersections": (inter.ok, inter.stats, inter.violations[:1]),
+            "planes": plane_extraction(census, model),
+            "point_geometry": build_point_clique_geometry(census, model),
+            "plane_structure": build_plane_clique_structure(census, model)}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_orbit_paths_equal_the_all_vertex_paths(name, monkeypatch):
+    model = MODELS[name]()
+    g = build_line_graph(model)
+    census = classify_census(g, model)
+    group = model.structure.translations
+    assert group is not None and translation_group(g) is not None
+    assert (group.p, group.d) == (translation_group(g).p, translation_group(g).d)
+    assert census.translations("point_cliques") and census.translations("plane_cliques")
+    orbit = _facts(model, g, census)
+    with monkeypatch.context() as mp:
+        _all_vertex(mp)
+        assert _facts(model, g, census) == orbit
+    if name == "twisted R(3,9)":
+        verdicts, witnesses = orbit["axioms"]
+        assert [a for a, ok in verdicts.items() if not ok] == ["A6"]
+        assert witnesses["A6"] == {"l1": 0, "l2": 1, "g1": 10, "g2": 18}
+        assert not census.ok
+    else:
+        assert orbit["axioms"][0]["A6"] and orbit["planes"]
+        assert orbit["intersections"][0] or census.trivial
+
+
+def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23, monkeypatch):
+    planes = census_l23.plane_cliques
+    census = replace(census_l23, plane_cliques=planes + [planes[-1]])
+    assert census.translations("plane_cliques") is None
+    assert census.translations("point_cliques") is not None
+    facts = _facts(l23, g_l23, census)
+    assert not facts["intersections"][0] and not facts["planes"]
+    assert not facts["plane_structure"].ok
+    with monkeypatch.context() as mp:
+        _all_vertex(mp)
+        assert _facts(l23, g_l23, census) == facts
+
+
+def test_all_point_geometry_keeps_the_enumeration_bound(census_l23, l23, monkeypatch):
+    """Only a class closed under translation is measured past the bound."""
+    planes = census_l23.plane_cliques
+    census = replace(census_l23, plane_cliques=planes + [planes[-1]])
+    monkeypatch.setattr("prect.geometry.ENUMERATION_MAX_VERTICES", 32)
+    assert build_point_clique_geometry(census, l23).ok
+    with pytest.raises(CliqueError, match="limited to 32 Points"):
+        build_plane_clique_structure(census, l23)
+
+
+def test_plane_extraction_reads_the_planes_through_vertex_0(l23, census_l23, monkeypatch):
+    """Only the planes through vertex 0 are extracted on a certified model."""
+    seen = []
+
+    def spy(clique, model):
+        seen.append(clique.vertices)
+        return extract_plane(clique, model)
+
+    monkeypatch.setattr("prect.cliques.extract_plane", spy)
+    assert plane_extraction(census_l23, l23)
+    assert seen and all(0 in vs for vs in seen)
+    assert len(seen) == (l23.n - 1) // (l23.m - 1)
+
+
+def _renumbered(model):
+    """The model with ordinary lines 0 and 5 swapped."""
+    d = model_to_dict(model)
+    lines = d["structure"]["lines"]
+    lines[0], lines[5] = lines[5], lines[0]
+    return IncidenceStructure(d["structure"]["points"], [
+        [d["structure"]["points"].index(p) for p in ln] for ln in lines],
+        d["structure"]["points"].index(d["structure"]["special_point"]))
+
+
+def _special_lines_traded(model):
+    """The model with the first points of special lines 0 and 1 traded."""
+    s = model.structure
+    a, b = s.special_lines[:2]
+    pa, pb = s.lines[a][1], s.lines[b][1]
+    lines = [list(ln) for ln in s.lines]
+    lines[a][1], lines[b][1] = pb, pa
+    return IncidenceStructure(s.points, lines, s.special_point)
+
+
+@pytest.mark.parametrize("name", ["L_2^2", "L_2^3", "R(3,9)", "R(4,16)"])
+def test_incidence_certificate_rejects_renumbered_and_traded_models(name):
+    model = ladder_model(name)
+    assert model.structure.translations is not None
+    renumbered, traded = _renumbered(model), _special_lines_traded(model)
+    assert renumbered.translations is None and traded.translations is None
+    assert check_axioms(renumbered, "full").ok
+    assert not check_axioms(traded, "full").verdicts["A5"]
+
+
+def test_planes_are_certified_and_no_ordinary_lines_is_not():
+    assert build_l2k(1).structure.translations is not None  # the Fano plane, nu = 4
+    assert build_subplane_rect(3, 1, 1).structure.translations is not None
+    empty = IncidenceStructure(range(3), [(0, 1, 2)], 0)
+    assert empty.translations is None  # no ordinary lines
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", ["L_2^3", "R(3,9)", "PG(2,3)", "twisted R(3,9)"])
+def test_cli_verify_full_is_the_same_on_both_paths(name, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_to_dict(MODELS[name]()), sort_keys=True))
+    for command in (("verify", str(path), "--profile", "full"), ("geometry", str(path))):
+        orbit = _cli(*command)
+        with monkeypatch.context() as mp:
+            _all_vertex(mp)
+            assert _cli(*command) == orbit, command
+        assert orbit[0] == (1 if name == "twisted R(3,9)" else 0), command
