@@ -17,17 +17,13 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from . import __version__
-from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
-                       chromatic_index_by_construction, eulerian_verdict,
-                       hamiltonian_by_construction, krein_check, planarity_verdict)
-from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
-from .cliques import (check_enumeration_bound, classify_census, clique_intersections,
-                      plane_extraction)
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
                      model_from_json, model_to_json, to_dot)
-from .geometry import build_plane_clique_structure, build_point_clique_geometry
 from .incidence import A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, check_axioms, elementary_counts, order_of
-from .linegraph import build_line_graph, certify_srg
+
+# The stage modules (linegraph, cliques, bilinear, geometry, analysis) are
+# imported by the facts and subcommands that use them, so each subcommand
+# loads only the stages it runs: build none of them.
 
 # search nodes per --budget-ms unit; only perfbench/tracer.py still runs the
 # budgeted searches, since analyze builds its witnesses instead
@@ -103,19 +99,34 @@ class _Run:
 
     @_timed_fact
     def graph(self):
+        from .linegraph import build_line_graph
+
         return build_line_graph(self.model)
 
     @_timed_fact
     def census(self):
+        from .cliques import classify_census
+
         return classify_census(self.graph, self.model)
 
     @_timed_fact
+    def closure(self):
+        """Each census class closed under translation (CliqueCensus.translations),
+        checked once for the intersection laws, plane extraction and geometries."""
+        return {kind: self.census.translations(kind)
+                for kind in ("point_cliques", "plane_cliques")}
+
+    @_timed_fact
     def cert(self):
+        from .linegraph import certify_srg
+
         return certify_srg(self.graph, *self.order)
 
     @_timed_fact
     def iso(self):
         """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k)."""
+        from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
+
         g, model = self.graph, self.model
         h = build_hq2k(model.p, model.e, model.k)
         mapping = line_matrix_map(model, h)
@@ -124,6 +135,8 @@ class _Run:
     @_timed_fact
     def geometry(self):
         """(point-clique geometry, plane-clique structure)."""
+        from .geometry import build_plane_clique_structure, build_point_clique_geometry
+
         return (build_point_clique_geometry(self.census, self.model),
                 build_plane_clique_structure(self.census, self.model))
 
@@ -131,14 +144,20 @@ class _Run:
 
     @cached_property
     def hamiltonian(self):
+        from .analysis import hamiltonian_by_construction
+
         return hamiltonian_by_construction(self.graph, self.model, *self.order)
 
     @cached_property
     def chromatic(self):
+        from .analysis import chromatic_by_construction
+
         return chromatic_by_construction(self.graph, self.model, self.cert, *self.order)
 
     @cached_property
     def chromatic_index(self):
+        from .analysis import chromatic_index_by_construction
+
         m, n = self.order
         if m == n:  # the flags compare srg eigenvalues, which a trivial model lacks
             return chromatic_index_by_construction(self.graph, self.model)
@@ -157,6 +176,10 @@ def cmd_build(args, report: RunReport) -> int:
 
 
 def cmd_verify(args, report: RunReport) -> int:
+    from .cliques import check_enumeration_bound, clique_intersections, plane_extraction
+
+    if args.a6_samples < 1:
+        raise ValueError(f"--a6-samples must be at least 1, not {args.a6_samples}")
     run = _Run(args.model)
     model = run.model
     t0 = time.perf_counter()
@@ -193,12 +216,15 @@ def cmd_verify(args, report: RunReport) -> int:
     }
 
     if args.profile == "full":
+        run.closure  # checked once, for the intersection laws, extraction and geometries
         if not trivial:
             report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
         report.verdicts["plane_extraction"] = plane_extraction(census, model)
         if model.family == "subplane":
             report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
         if not trivial:
+            from .analysis import eulerian_verdict, krein_check, planarity_verdict
+
             geo_pt, geo_pl = run.geometry
             report.verdicts["point_clique_geometry"] = geo_pt.ok
             report.verdicts["plane_clique_structure"] = geo_pl.ok
@@ -265,6 +291,9 @@ def cmd_geometry(args, report: RunReport) -> int:
 
 
 def cmd_analyze(args, report: RunReport) -> int:
+    from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, eulerian_verdict, krein_check,
+                           planarity_verdict)
+
     run = _Run(args.graph)
     nu = run.model.num_ordinary_lines
     if nu > ANALYSIS_MAX_VERTICES:
@@ -320,6 +349,8 @@ def cmd_analyze(args, report: RunReport) -> int:
 def _witnessed(report: RunReport, verdict: str, detail: str, read):
     """read(), a witness read off the model; or, when it fails its check,
     None and a failing verdict whose witness is the AnalysisError message."""
+    from .analysis import AnalysisError
+
     try:
         return read()
     except AnalysisError as exc:

@@ -7,12 +7,15 @@ construction order, so outputs are byte-stable for fixed inputs.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .cliques import CliqueCensus
 from .construct import RectangleModel, build_l2k, build_subplane_rect
 from .gf import field_make
 from .incidence import IncidenceStructure
-from .linegraph import LineGraph, SrgCertificate, edge_class
+
+if TYPE_CHECKING:  # annotations only: build and a model export never load these stages
+    from .cliques import CliqueCensus
+    from .linegraph import LineGraph, SrgCertificate
 
 
 class ExportError(ValueError):
@@ -48,6 +51,8 @@ def graph6_str(g: LineGraph) -> str:
 
 def to_dot(g: LineGraph, model: RectangleModel) -> str:
     """DOT text; each edge carries the label of its special line (see edge_class)."""
+    from .linegraph import edge_class
+
     labels = model.special_labels
     out = ["graph lines {"]
     for u in range(g.nu):
@@ -57,6 +62,9 @@ def to_dot(g: LineGraph, model: RectangleModel) -> str:
         if c is None:
             raise ExportError(f"lines {u} and {v} meet more than once, or in a point "
                               f"on no unique special line")
+        if labels and c >= len(labels):
+            raise ExportError(f"lines {u} and {v} meet on special line {c}, but the model "
+                              f"labels only {len(labels)} special lines")
         label = labels[c] if labels else str(c)
         out.append(f'  {u} -- {v} [class="{label}"];')
     out.append("}")

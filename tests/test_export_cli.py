@@ -91,6 +91,38 @@ def test_cli_dot_export_of_a_point_off_every_special_line_is_an_error(tmp_path, 
     assert captured.err.startswith("error: ") and "special line" in captured.err
 
 
+def test_cli_dot_export_of_an_unlabelled_special_line_is_an_error(tmp_path, capsys):
+    """PG(2,3) with one point moved off a special line onto a new line [D, x]
+    has five special lines and four labels: the edges at x have no label, a
+    typed error with exit 2, not an IndexError."""
+    d = _built(tmp_path, "m.json", "--family", "plane", "--p", "3")
+    s = d["structure"]
+    first = next(ln for ln in s["lines"] if s["special_point"] in ln)
+    x = next(p for p in first if p != s["special_point"])
+    first.remove(x)
+    s["lines"].append([s["special_point"], x])
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("export", str(path), "--what", "graph", "--format", "dot") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: lines ")
+    assert err.endswith("but the model labels only 4 special lines\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_cli_verify_rejects_fewer_than_one_a6_sample(tmp_path, capsys, samples, profile):
+    """No draws would pass sampled A6 over nothing: exit 2 and an error line,
+    before the model is read."""
+    _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    capsys.readouterr()
+    assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile,
+                   "--a6-samples", samples) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --a6-samples must be at least 1, not {samples}\n"
+
+
 def test_model_json_round_trip(l22, r39):
     for model in (l22, r39):
         back = model_from_json(model_to_json(model))
@@ -451,6 +483,7 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
                                                                  monkeypatch, profile):
     import prect.cli
     import prect.cliques
+    import prect.linegraph
 
     d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
     lines = d["structure"]["lines"]
@@ -472,7 +505,7 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
     # past both bounds the size alone refuses, before any graph is built
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 14)
-    monkeypatch.setattr(prect.cli, "build_line_graph", too_early)
+    monkeypatch.setattr(prect.linegraph, "build_line_graph", too_early)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 14 vertices\n"
@@ -505,9 +538,9 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     assert set(quick) == {"axioms", "total", "graph", "cert", "census"}
     run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
     full = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(full) == set(quick) | {"iso", "geometry", "translations"}
+    assert set(full) == set(quick) | {"iso", "geometry", "translations", "closure"}
     assert all(t >= 0 for t in full.values())
-    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "iso",
+    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "closure", "iso",
                                  "geometry")) <= full["total"]
 
 

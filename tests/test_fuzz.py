@@ -4,11 +4,11 @@ Each example takes the JSON of L_2^2, R(3,9) or PG(2,3), applies one
 mutation of its incidence structure (drop or add an incidence, duplicate a
 line, relabel D, or add an ordinary line through three points of one
 special line), and runs verify (both profiles), cliques, geometry, iso,
-analyze and export --what census on it through prect.cli.main.  Each run
-must return an exit code of 0, 1 or 2 and raise nothing: a broken model
-gives failing verdicts or an "error:" line, never a traceback.  A failing
-A1 verdict of verify must carry a witness that re-checks on the mutated
-structure.
+analyze, export --what census and the DOT graph export on it through
+prect.cli.main.  Each run must return an exit code of 0, 1 or 2 and raise
+nothing: a broken model gives failing verdicts or an "error:" line, never a
+traceback.  A failing A1 verdict of verify must carry a witness that
+re-checks on the mutated structure.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ COMMANDS = [
     ("iso", "{}"),
     ("analyze", "--graph", "{}"),
     ("export", "{}", "--what", "census"),
+    ("export", "{}", "--what", "graph", "--format", "dot"),
 ]
 
 
