@@ -17,8 +17,10 @@ The built models number their ordinary lines 0..nu-1 so that translation
 of GF(p)^d on the line indices, nu = p^d, extends to incidence
 automorphisms fixing D (IncidenceStructure.translations certifies this
 from the structure).  Full A6 on a certified structure that passes A1 then
-scans only the pairs that start with line 0; any other structure, such as
-one whose lines were renumbered, takes the scan over every pair.
+scans only the pairs that start with line 0, and sampled A6 runs that scan
+and, when it passes, only counts its draws; any other structure, such as
+one whose lines were renumbered, takes the scan over every pair or tests
+each draw.
 """
 
 from __future__ import annotations
@@ -191,6 +193,12 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     first in the scan over every pair, so the verdict and the witness are
     those of that scan.  A1 makes the common point of two lines, and so the
     candidates of a pair, commute with the translations.
+
+    Sampled A6 on such a structure runs the same scan first.  If it passes,
+    no quadruple of the space fails, so neither does any draw: the verdict
+    is true with no witness, every sample is drawn, and the draws are only
+    counted, giving the coverage the per-draw test would give.  If the
+    scan fails, or the structure is not certified, each draw is tested.
     """
     rep = AxiomReport()
     through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
@@ -235,13 +243,13 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
 
     # A6.
     rep.a6_mode = a6_mode
-    if a6_mode == "full" and a1_witness is None and s.translations is not None:
-        nbr0 = _a6_nbr(s, through, [0])[0]
-        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through, [0, *iter_bits(nbr0)]), 1)
+    certified = a1_witness is None and s.translations is not None
+    if a6_mode == "full" and certified:
+        ok6, wit6 = _a6_scan(s, through, _a6_nbr0(s, through), 1)
     elif a6_mode == "full":
         ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through, range(s.n_lines)))
     elif a6_mode == "sampled":
-        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed)
+        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed, certified)
     else:
         raise ValueError(f"unknown a6_mode {a6_mode!r}")
     rep.verdicts["A6"] = ok6
@@ -324,6 +332,13 @@ def _a6_nbr(s, through, lines):
     return nbr
 
 
+def _a6_nbr0(s, through):
+    """nbr of _a6_nbr for line 0 and the lines meeting it: what the pairs
+    (0, l2) read."""
+    nbr0 = _a6_nbr(s, through, [0])[0]
+    return _a6_nbr(s, through, [0, *iter_bits(nbr0)])
+
+
 def _a6_pairs(s, through, nbr, blocks=None):
     """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first, for l1
     among the first `blocks` ordinary lines (all of them by default).
@@ -365,31 +380,78 @@ def _a6_scan(s, through, nbr, blocks=None):
     return True, None
 
 
-def _a6_sampled(s, through, samples, seed):
+def _a6_sampled(s, through, samples, seed, certified):
     """Seeded uniform draws over the quadruple space, pair by cumulative weight.
 
-    One pass stores each intersecting pair and its cumulative weight
-    C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own pair's
-    candidate mask and picks two of its set bits.  The distinct draws are
-    counted with a bitmap over the space, or, when that would be larger,
-    from the sorted list of the drawn ranks.
+    certified says that A1 holds and the translations are certified.  Then
+    the line-0 scan of full A6 runs first, and if it passes, every
+    quadruple passes (see check_axioms), so every seeded draw would pass:
+    A6 holds with no witness, all samples are drawn, and only the distinct
+    ranks among the same draws are counted.  The space comes from line 0,
+    nu * sum over l2 of C(candidates(0, l2), 2) / 2: translation by -l1
+    maps pair (l1, l2) onto (0, l2 - l1), and the candidate counts are
+    symmetric under v -> -v, as (0, v) and (-v, 0) are translates.
+
+    Otherwise one pass stores each intersecting pair and its cumulative
+    weight C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own
+    pair's candidate mask, picks two of its set bits and tests them.  The
+    distinct draws are counted with a bitmap over the space, or, when that
+    would be larger, from the sorted list of the drawn ranks.
     """
-    nbr = _a6_nbr(s, through, range(s.n_lines))
-    first, second, cum = array("i"), array("i"), array("q")
-    total = 0
-    for l1, l2, cmask in _a6_pairs(s, through, nbr):
-        total += comb2(cmask.bit_count())
-        first.append(l1)
-        second.append(l2)
-        cum.append(total)
+    proven = False
+    if certified:
+        nbr = _a6_nbr0(s, through)
+        proven = _a6_scan(s, through, nbr, 1)[0]
+    if proven:
+        nu = len(s.ordinary_lines)
+        total = nu * sum(comb2(c.bit_count()) for *_, c in _a6_pairs(s, through, nbr, 1)) // 2
+        test = None
+    else:
+        nbr = _a6_nbr(s, through, range(s.n_lines))
+        first, second, cum = array("i"), array("i"), array("q")
+        total = 0
+        for l1, l2, cmask in _a6_pairs(s, through, nbr):
+            total += comb2(cmask.bit_count())
+            first.append(l1)
+            second.append(l2)
+            cum.append(total)
+        masks = s.line_masks
+
+        def test(r):
+            t = bisect_right(cum, r)
+            l1, l2 = first[t], second[t]
+            m1, m2 = masks[l1], masks[l2]
+            cmask = nbr[l1] & nbr[l2] & ~through[(m1 & m2).bit_length() - 1]  # as in _a6_pairs
+            g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
+            # four distinct points, yet g1 misses g2
+            mg1, mg2 = masks[g1], masks[g2]
+            if ((mg1 & m1).bit_length() != (mg2 & m1).bit_length()
+                    and (mg1 & m2).bit_length() != (mg2 & m2).bit_length()
+                    and not mg1 & mg2):
+                return {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
+            return None
+
     if total == 0:
         return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
     if total <= samples:
         # full enumeration is cheaper and stronger than sampling here
-        ok, wit = _a6_scan(s, through, nbr)
+        ok, wit = (True, None) if proven else _a6_scan(s, through, nbr)
         cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
         return ok, wit, cov
-    masks = s.line_masks
+    drawn, distinct, witness = _a6_draws(total, samples, seed, test)
+    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
+                "exhaustive": False}
+    return witness is None, witness, coverage
+
+
+def _a6_draws(total, samples, seed, test):
+    """(drawn, distinct, witness) of up to `samples` seeded ranks below total.
+
+    Each rank is Random(seed).randrange(total), inlined: the same rejection
+    sampling on getrandbits, without two Python calls per draw.  The draws
+    stop at the first rank whose test(rank) is a witness; test None draws
+    them all.
+    """
     getrandbits = random.Random(seed).getrandbits
     nbits = total.bit_length()
     seen = bytearray((total + 7) // 8) if (total + 7) // 8 <= _RANK_BYTES * samples else None
@@ -397,33 +459,21 @@ def _a6_sampled(s, through, samples, seed):
     drawn = distinct = 0
     witness = None
     for drawn in range(1, samples + 1):
-        # Random(seed).randrange(total), inlined: the same rejection
-        # sampling on getrandbits, without two Python calls per draw.
         r = getrandbits(nbits)
         while r >= total:
             r = getrandbits(nbits)
-        t = bisect_right(cum, r)
-        l1, l2 = first[t], second[t]
-        m1, m2 = masks[l1], masks[l2]
-        cmask = nbr[l1] & nbr[l2] & ~through[(m1 & m2).bit_length() - 1]  # as in _a6_pairs
-        g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
         if seen is None:
             ranks.append(r)
         elif not (seen[r >> 3] >> (r & 7) & 1):
             seen[r >> 3] |= 1 << (r & 7)
             distinct += 1
-        # four distinct points, yet g1 misses g2
-        mg1, mg2 = masks[g1], masks[g2]
-        if ((mg1 & m1).bit_length() != (mg2 & m1).bit_length()
-                and (mg1 & m2).bit_length() != (mg2 & m2).bit_length()
-                and not mg1 & mg2):
-            witness = {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
-            break
+        if test is not None:
+            witness = test(r)
+            if witness:
+                break
     if seen is None:
         distinct = sum(1 for _ in groupby(sorted(ranks)))
-    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
-                "exhaustive": False}
-    return witness is None, witness, coverage
+    return drawn, distinct, witness
 
 
 def _unrank_bits(rank, mask):

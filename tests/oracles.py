@@ -9,7 +9,8 @@ digit-by-digit addition for the translations of a Cayley graph, a
 schoolbook product in GF(p)[x] modulo the field's modulus, and the six
 axioms on each plane rebuilt from a plane clique.  twisted_r39 is a
 translation-invariant structure that fails A6, so that a failing input
-reaches the orbit paths.
+reaches the orbit paths; invariant_mutant makes more such structures from
+one mutation of line 0.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -496,6 +497,57 @@ def twisted_r39() -> RectangleModel:
     specials = [[0] + [1 + 9 * j + t for t in range(9)] for j in range(4)]
     return RectangleModel(IncidenceStructure(points, lines + specials, 0), "twisted", 3, 1, 2,
                           special_labels=[f"s{j}" for j in range(4)])
+
+
+INVARIANT_MUTATIONS = ["drop point", "add point", "swap point", "slide point"]
+
+
+def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[IncidenceStructure, str]:
+    """s with one mutation of ordinary line 0 applied to every translate,
+    and a description of it; choose(options) picks one of a list.
+
+    s must have certified translations of GF(p)^d.  Translation by t sends
+    a point other than D to the point whose pencil of ordinary lines is its
+    own pencil plus t, added digit by digit, and fixes D; ordinary line t of
+    the mutant is the image of the mutated line 0 under it, and the special
+    lines are kept.  So the translations stay automorphisms, as in
+    twisted_r39, and the mutant reaches the orbit paths unless its pencils
+    collide.  kind is one of INVARIANT_MUTATIONS: drop a point of line 0,
+    add a point, swap one for a point off the line, or slide one along its
+    special line.
+    """
+    group = s.translations
+    assert group is not None, "the structure's translations are not certified"
+    D, nu, p, d = s.special_point, group.nu, group.p, group.d
+    pencils = [[i for i in ls if i < nu] for ls in s.lines_at]
+    point_of = {tuple(sorted(pen)): q for q, pen in enumerate(pencils) if q != D}
+    line0 = list(s.lines[0])
+    off = [q for q in range(s.n_points) if q != D and q not in line0]
+    if kind == "drop point":
+        q = choose(line0)
+        line0.remove(q)
+        what = f"line 0 loses {s.points[q]}"
+    elif kind == "add point":
+        q = choose(off)
+        line0.append(q)
+        what = f"line 0 gains {s.points[q]}"
+    else:
+        q = choose(line0)
+        if kind == "slide point":
+            along = s.lines[s.special_line_of_point(q)]
+            off = [x for x in along if x != D and x not in line0]
+        new = choose(off)
+        line0[line0.index(q)] = new
+        what = f"line 0 trades {s.points[q]} for {s.points[new]}"
+
+    def image(q, t):
+        if q == D:
+            return D
+        return point_of[tuple(sorted(add_digits(x, t, p, d) for x in pencils[q]))]
+
+    lines = [[image(q, t) for q in line0] for t in range(nu)]
+    lines += [s.lines[j] for j in s.special_lines]
+    return IncidenceStructure(s.points, lines, D), f"every translate of {what}"
 
 
 def extract_plane_by_axioms(clique, model) -> bool:

@@ -372,6 +372,13 @@ GOLDEN_STDOUT = [
      "79dc5c66254fc7fce9fabd67fcd28c9b0be96b50ace9d44d2e27969fd85a3c1b"),
     (("export", "r416.json", "--what", "graph", "--format", "dot"), None,
      "11e75c0751abe3239ed61763476657456c4005397726b627f49decc539457963"),
+    # sampled A6 past the space with the bitmap, and the exhaustive upgrade
+    (("verify", "r327.json", "--profile", "quick", "--seed", "1", "--a6-samples", "100000"), None,
+     "d4babaef66b6d292f6a6581c54e34860a0c526c960ad35f40dcf4de096640d63"),
+    (("verify", "pg27.json", "--profile", "quick", "--seed", "1", "--a6-samples", "100000"), None,
+     "190e6e19a617cb97fd46523e63dad027cc403d0ead73f7cd243db58ad1b7ca1f"),
+    (("verify", "l24.json", "--profile", "quick"), None,
+     "3551e48b38b045099d3ec1e52f301a196cfbf45b646fbf3897a3aa36aecf0612"),
 ]
 
 

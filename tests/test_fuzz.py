@@ -9,6 +9,11 @@ prect.cli.main.  Each run must return an exit code of 0, 1 or 2 and raise
 nothing: a broken model gives failing verdicts or an "error:" line, never a
 traceback.  A failing A1 verdict of verify must carry a witness that
 re-checks on the mutated structure.
+
+Those mutations break the translation certificate, so a second test takes
+translation-invariant mutants (one mutation of line 0, applied to every
+translate) through verify in both profiles: the certified paths must give
+the A6 verdict, witness and coverage of the uncertified ones.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from oracles import recheck_a1_witness
+from oracles import INVARIANT_MUTATIONS, invariant_mutant, recheck_a1_witness
 from prect.cli import main
+from prect.export import model_from_dict
+from prect.incidence import IncidenceStructure
 
 BUILDS = {
     "L_2^2": ("--family", "l2k", "--k", "2"),
@@ -110,3 +117,36 @@ def test_mutated_model_gives_a_verdict_or_a_typed_error(name, kind, data):
             assert code in (0, 1, 2), argv
             if argv[0] == "verify" and code != 2:
                 recheck_a1_witness(d["structure"], json.loads(out)["details"]["axioms"])
+
+
+VERIFY_COMMANDS = [COMMANDS[0], COMMANDS[1], ("verify", "{}", "--a6-samples", "300", "--seed", "8")]
+
+
+def _a6(out: str):
+    axioms = json.loads(out)["details"]["axioms"]
+    return axioms["verdicts"]["A6"], axioms["witnesses"].get("A6"), axioms["a6_coverage"]
+
+
+@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
+@pytest.mark.parametrize("name", sorted(BUILDS))
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
+    d = json.loads(_model_json(name))
+    mutant, what = invariant_mutant(model_from_dict(d).structure, kind,
+                                    lambda options: data.draw(st.sampled_from(options)))
+    note(what)
+    d["structure"] = mutant.to_json_dict()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(d, fh, sort_keys=True)
+        for argv in VERIFY_COMMANDS:
+            argv = [a.format(path) for a in argv]
+            code, out = _run(*argv)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
+                uncertified = _run(*argv)
+            assert code in (0, 1, 2) and code == uncertified[0], argv
+            if code != 2:
+                assert _a6(out) == _a6(uncertified[1]), argv

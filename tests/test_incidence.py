@@ -9,7 +9,7 @@ from bisect import bisect_right
 import pytest
 
 import prect.incidence
-from oracles import find_isomorphism
+from oracles import CAYLEY_LADDER, find_isomorphism, ladder_model, twisted_r39
 from prect._util import comb2, iter_bits
 from prect.construct import build_l2k
 from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
@@ -217,8 +217,8 @@ def _oracle_unrank_pair(rank, n):
     return i, i + 1 + rank
 
 
-def _oracle_sampled(s, samples, seed):
-    table = _oracle_candidates(s)
+def _oracle_sampled(s, samples, seed, table=None):
+    table = table or _oracle_candidates(s)
     weights = [comb2(len(c)) for _, _, c in table]
     total = sum(weights)
     if total == 0:
@@ -325,6 +325,38 @@ def test_sampled_a6_without_the_bitmap_matches_the_oracle(name, request, monkeyp
         assert cov["distinct"] < cov["drawn"] or not ok
         failing += not ok
     assert failing
+
+
+@pytest.mark.parametrize("name", [*CAYLEY_LADDER, "twisted R(3,9)"])
+def test_sampled_a6_on_a_certified_model_matches_the_oracle(name, monkeypatch):
+    """A certified model counts its draws after the line-0 scan; the oracle
+    and the uncertified path test each draw.  Verdict, witness and coverage
+    agree in all three regimes: the exhaustive upgrade, the bitmap and the
+    sorted ranks.  twisted R(3,9) is certified, but its line-0 scan fails."""
+    s = twisted_r39().structure if name.startswith("twisted") else ladder_model(name).structure
+    assert s.translations is not None
+    table = _oracle_candidates(s)
+    space = sum(comb2(len(cands)) for *_, cands in table)
+    m, n = order_of(s)
+    assert space == n * n * (m + 1) * (n - 1) // 2 * comb2(m * m)  # edges * C(m^2, 2)
+    regimes = [("bitmap", max(space // 300, min(space - 1, 500)), 48),
+               ("ranks", min(space - 1, 2000), 0)]
+    if space <= 50000:
+        regimes.append(("upgrade", space, 48))
+    for regime, samples, rank_bytes in regimes:
+        monkeypatch.setattr(prect.incidence, "_RANK_BYTES", rank_bytes)
+        assert ((space + 7) // 8 <= rank_bytes * samples) == (regime != "ranks")
+        for seed in (0, 1, 2):
+            ok, wit, cov = _oracle_sampled(s, samples, seed, table)
+            rep = check_axioms(s, "sampled", a6_samples=samples, seed=seed)
+            assert (rep.verdicts["A6"], rep.witnesses.get("A6"), rep.a6_coverage) == \
+                (ok, wit, cov), (regime, seed)
+            assert cov["space"] == space and cov["exhaustive"] == (regime == "upgrade")
+            assert ok == (name in CAYLEY_LADDER)
+            with monkeypatch.context() as mp:
+                mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
+                assert check_axioms(s, "sampled", a6_samples=samples, seed=seed) == rep
+
 
 def test_unrank_bits_matches_unrank_pair():
     rng = random.Random(5)

@@ -7,7 +7,8 @@ from vertex 0.  Patching the certificates to None forces the all-vertex
 loops, which must give the same verdicts, histograms and first witnesses:
 on the certified rungs, on the planes PG(2, q), on twisted_r39 (certified,
 yet failing A6 and the census) and on a census with a repeated plane
-clique, which takes the all-vertex path.
+clique, which takes the all-vertex path.  Sampled A6 on a certified model
+whose line-0 scan passes tests no draw.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import CAYLEY_LADDER, ladder_model, twisted_r39
+from oracles import CAYLEY_LADDER, invariant_mutant, ladder_model, twisted_r39
 from prect.cli import main
 from prect.cliques import (CliqueCensus, CliqueError, classify_census, clique_intersections,
                            extract_plane, plane_extraction)
@@ -139,6 +140,37 @@ def test_incidence_certificate_rejects_renumbered_and_traded_models(name):
     assert renumbered.translations is None and traded.translations is None
     assert check_axioms(renumbered, "full").ok
     assert not check_axioms(traded, "full").verdicts["A5"]
+
+
+class _Drawn(Exception):
+    pass
+
+
+def _no_unranking(rank, mask):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("name", ["L_2^4", "R(3,9)", "R(4,16)", "PG(2,7)"])
+def test_sampled_a6_on_a_certified_model_tests_no_draw(name, monkeypatch):
+    """After the line-0 scan passes, sampled A6 only counts its draws; the
+    renumbered model is not certified and tests each draw."""
+    monkeypatch.setattr("prect.incidence._unrank_bits", _no_unranking)
+    model = ladder_model(name)
+    rep = check_axioms(model.structure, "sampled", a6_samples=3000, seed=5)
+    assert rep.ok and rep.a6_coverage["drawn"] == 3000 and not rep.a6_coverage["exhaustive"]
+    with pytest.raises(_Drawn):
+        check_axioms(_renumbered(model), "sampled", a6_samples=3000, seed=5)
+
+
+def test_sampled_a6_tests_each_draw_when_the_scan_proves_nothing(monkeypatch):
+    """twisted R(3,9) fails its line-0 scan; PG(2,3) with a point added to
+    every ordinary line is certified and passes the scan, but breaks A1."""
+    monkeypatch.setattr("prect.incidence._unrank_bits", _no_unranking)
+    thick, _ = invariant_mutant(build_plane(3, 1).structure, "add point", lambda opts: opts[0])
+    assert thick.translations is not None and not check_axioms(thick, "full").verdicts["A1"]
+    for s in (twisted_r39().structure, thick):
+        with pytest.raises(_Drawn):
+            check_axioms(s, "sampled", a6_samples=300, seed=5)
 
 
 def test_planes_are_certified_and_no_ordinary_lines_is_not():
