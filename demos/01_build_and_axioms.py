@@ -8,8 +8,8 @@ the trivial case, then runs the full axiom checker and the elementary
 count checks on each.
 """
 
-from prect import (build_l2k, build_plane, build_subplane_rect, check_axioms,
-                   elementary_counts, order_of)
+from prect import (IncidenceStructure, build_l2k, build_plane, build_subplane_rect,
+                   check_axioms, elementary_counts, order_of)
 
 for label, model in [
     ("L_2^2 (narrow, order (2,4))", build_l2k(2)),
@@ -34,8 +34,8 @@ for label, model in [
 
 # Mutation sanity: removing any ordinary line must break axiom A1.
 print("== mutation check on L_2^2")
-l22 = build_l2k(2)
-broken = l22.structure.drop_line(0)
+s = build_l2k(2).structure
+broken = IncidenceStructure(s.points, s.lines[1:], s.special_point)
 report = check_axioms(broken, "full")
 print(f"   after deleting line l_0: A1 = {report.verdicts['A1']}, "
       f"witness = {report.witnesses['A1']}")

@@ -13,7 +13,7 @@ All of it is certified by exact integer counting here.
 from collections import Counter
 
 from prect import build_l2k, build_subplane_rect, build_line_graph, certify_srg
-from prect.linegraph import eccentricity, edge_class, translation_group
+from prect.linegraph import eccentricity, edge_class
 
 instances = [
     ("L_2^2", build_l2k(2), 2, 4),
@@ -44,7 +44,8 @@ for label, model, m, n in instances:
     assert factored
 
 g22 = build_line_graph(build_l2k(2))
-assert translation_group(g22) is not None  # every vertex looks like vertex 0
+# the model's incidence certificate: every vertex looks like vertex 0
+assert g22.translations is not None
 print(f"diameter of G(L_2^2), the eccentricity of vertex 0 in a certified Cayley "
       f"graph: {eccentricity(g22, 0)} (nontrivial rectangles give 2)")
 

@@ -27,9 +27,9 @@ from .linegraph import LineGraph, SrgCertificate, eccentricity
 DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
 # The witnesses cost O(edges).  The srg certificate analyze reports computes
-# row 0 of A^2 (nu popcounts of nu-bit rows) on a graph that translation_group
-# certifies, and every row on any other: analyze R(8,64), nu = 4096, took
-# 4.3 s and 27 MB.
+# row 0 of A^2 (nu popcounts of nu-bit rows) on a graph that carries the
+# model's translation certificate, and every row on any other: analyze
+# R(8,64), nu = 4096, took 4.3 s and 27 MB.
 ANALYSIS_MAX_VERTICES = 4096
 
 

@@ -7,20 +7,21 @@ is anomalous and falsifies the rectangle property.  When n = m^2 the two
 kinds have equal size, so classification tests for a common point before
 looking at sizes.
 
-On a graph that translation_group certifies as a Cayley graph, the
-enumeration expands only the cliques through vertex 0 and translates them:
-each maximal clique C is c + (C - c) for its least vertex c.  Such a graph
-may have up to CAYLEY_MAX_VERTICES vertices, any other graph up to
+On a graph that carries the model's incidence certificate
+(LineGraph.translations, see build_line_graph), the enumeration expands
+only the cliques through vertex 0 and translates them: each maximal clique
+C is c + (C - c) for its least vertex c.  Such a graph may have up to
+CAYLEY_MAX_VERTICES vertices, any other graph up to
 ENUMERATION_MAX_VERTICES.
 
-The facts read off the census go the same way.  CliqueCensus.translations
-shows a clique class closed under the translations; then every clique of
-it is a translate of one through vertex 0.  clique_intersections on such
-classes of a certified graph checks the planes through vertex 0 and the
-pairs of row 0, and plane_extraction, on a model whose incidence
-translations are certified too, extracts the planes through vertex 0.  A
-class or graph that fails its certificate takes the all-vertex loops,
-which give the same verdicts.
+The facts read off the census go the same way.  A census that
+classify_census enumerated on a certified graph carries the certificate
+(CliqueCensus.translations): a translation maps maximal cliques to maximal
+cliques, pencils to pencils and m^2-cliques to m^2-cliques, so every clique
+is a translate of one through vertex 0.  clique_intersections,
+plane_extraction and the geometries then work from vertex 0.  Any other
+census (built with dataclasses.replace, by hand, or from cliques the caller
+supplies) takes the all-vertex loops, which give the same verdicts.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ._util import Translations, iter_bits, translations_of
+from ._util import Translations, iter_bits
 from .construct import RectangleModel
-from .linegraph import LineGraph, translation_group
+from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the translates of the cliques through
-# vertex 0 are enumerated: verify --profile full took 3.2-4.5 s and 100 MB
-# on L_2^6, 4.5-5.1 s and 30 MB on R(8,64), nu = 4096 (README, "Scale")
+# vertex 0 are enumerated: verify --profile full took 1.6-2.3 s and 82 MB
+# on L_2^6, 3.8-4.8 s and 30 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 
@@ -43,37 +44,43 @@ class CliqueError(ValueError):
     pass
 
 
-def check_enumeration_bound(nu: int, graph):
-    """Raise CliqueError when a graph of nu vertices is past the enumeration
-    bound: CAYLEY_MAX_VERTICES if translation_group certifies graph() and
-    it is not complete, else ENUMERATION_MAX_VERTICES.  graph() is called
-    only when nu lies between the two, so no graph is built that its size
-    alone refuses.
+def _check_size(nu: int, cayley: bool):
+    """Raise CliqueError past CAYLEY_MAX_VERTICES, or past
+    ENUMERATION_MAX_VERTICES unless cayley (certified and not complete).
 
     A complete graph, a plane's, keeps the lower bound although it is
     certified: all its lines meet, so sampled A6 lists nu^2/2 pairs (8.4
     million on PG(2,64), where verify --profile quick had not ended after
     5 minutes).
     """
-    if nu > CAYLEY_MAX_VERTICES:
-        bound = CAYLEY_MAX_VERTICES
-    elif nu > ENUMERATION_MAX_VERTICES and (translation_group(graph()) is None
-                                            or graph().is_complete()):
-        bound = ENUMERATION_MAX_VERTICES
-    else:
-        return
-    raise CliqueError(f"enumeration limited to {bound} vertices")
+    bound = (CAYLEY_MAX_VERTICES if cayley or nu > CAYLEY_MAX_VERTICES
+             else ENUMERATION_MAX_VERTICES)
+    if nu > bound:
+        raise CliqueError(f"enumeration limited to {bound} vertices")
+
+
+def check_enumeration_bound(model: RectangleModel):
+    """Raise CliqueError when the graph of lines of model is past the
+    enumeration bound, read off the structure before any graph is built:
+    the certificate is computed only between the two bounds, and the
+    certified graph is complete iff the pencils of line 0's points, which
+    make vertex 0's row, hold every ordinary line."""
+    s, nu = model.structure, model.num_ordinary_lines
+    _check_size(nu, ENUMERATION_MAX_VERTICES < nu <= CAYLEY_MAX_VERTICES
+                and s.translations is not None
+                and len({i for p in s.lines[0] for i in s.lines_at[p] if i < nu}) < nu)
 
 
 def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     """All maximal cliques, each exactly once, sorted, via pivoting Bron-Kerbosch.
 
-    On a certified Cayley graph Bron-Kerbosch runs from R = {0}, P = N(0)
-    only.  Translations are automorphisms, so the translates of those
-    cliques are all the maximal cliques; the translate by t is kept when t
-    is its least vertex, which happens once for each.
+    On a certified Cayley graph (LineGraph.translations) Bron-Kerbosch runs
+    from R = {0}, P = N(0) only.  Translations are automorphisms, so the
+    translates of those cliques are all the maximal cliques; the translate
+    by t is kept when t is its least vertex, which happens once for each.
     """
-    check_enumeration_bound(g.nu, lambda: g)
+    group = g.translations
+    _check_size(g.nu, group is not None and g.rows[0] != (1 << g.nu) - 2)
     rows = g.rows
     out = []
 
@@ -100,7 +107,6 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
             r_mask, p_mask, x_mask = r_mask | branches, p_mask & rows[v], x_mask & rows[v]
         out.append(r_mask)
 
-    group = translation_group(g)
     if group is None:
         expand(0, (1 << g.nu) - 1, 0)
     else:
@@ -144,7 +150,10 @@ class CliqueCensus:
     # the classes on every construction, replace() included
     point_of: list[int] = field(init=False, repr=False)
     plane_of: list[int] = field(init=False, repr=False)
-    _translations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the incidence certificate under which both classes are closed, set by
+    # classify_census only; replace() and hand-built censuses have none
+    translations: Translations | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         self.point_of, self.plane_of = [0] * self.nu, [0] * self.nu
@@ -157,23 +166,6 @@ class CliqueCensus:
     @property
     def ok(self) -> bool:
         return not self.anomalous and all(e == a for e, a in self.checks.values())
-
-    def translations(self, kind: str) -> Translations | None:
-        """The translations of GF(p)^d, nu = p^d, if the class kind
-        ("point_cliques" or "plane_cliques") is closed under them as a set
-        with no repeated clique; else None.
-
-        Closure under the d generators, d set lookups a clique, is closure
-        under the group, so every clique of the class is a translate of
-        one through vertex 0.  Computed once per class.
-        """
-        if kind not in self._translations:
-            group, cliques = translations_of(self.nu), getattr(self, kind)
-            masks = {sum(1 << v for v in c.vertices) for c in cliques}
-            closed = (group is not None and len(masks) == len(cliques)
-                      and all(group.step(x, i) in masks for i in range(group.d) for x in masks))
-            self._translations[kind] = group if closed else None
-        return self._translations[kind]
 
     def mismatches(self) -> dict:
         return {k: v for k, v in self.checks.items() if v[0] != v[1]}
@@ -200,9 +192,11 @@ def classify_census(g: LineGraph, model: RectangleModel,
     size m^2 is a plane clique; anything else is anomalous.  For nontrivial
     rectangles the counting identities are checked: (m+1)n point cliques,
     n^2(n-1)/(m^2(m-1)) plane cliques, each vertex in m+1 point cliques and
-    (n-1)/(m-1) plane cliques, maximum size n.
+    (n-1)/(m-1) plane cliques, maximum size n.  Cliques enumerated here on a
+    graph that carries the model's certificate give a census that carries it.
     """
-    if cliques is None:
+    own = cliques is None
+    if own:
         cliques = enumerate_maximal_cliques(g)
     s = model.structure
     m, n = model.m, model.n
@@ -235,6 +229,8 @@ def classify_census(g: LineGraph, model: RectangleModel,
             anomalous.append(cl)
 
     census = CliqueCensus(points, planes, anomalous, m, n, model.trivial, g.nu)
+    if own and g.translations is not None and g.translations is s.translations:
+        census.translations = g.translations
     c = census.checks
     c["anomalous"] = (0, len(census.anomalous))
     if not model.trivial:
@@ -275,10 +271,10 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     cliques is a violation too, so that no law holds over zero cliques.  A
     class expected to be empty, the point cliques of a plane, covers no edge.
 
-    When translation_group certifies g and both classes are closed under
-    its translations (CliqueCensus.translations), a translation moves any
-    violation to one of a plane through vertex 0, or of a pair (0, v); only
-    those are checked.  Sorted cliques put the planes through vertex 0
+    When the census and g carry the same certificate
+    (CliqueCensus.translations), a translation moves any violation to one
+    of a plane through vertex 0, or of a pair (0, v); only those are
+    checked.  Sorted cliques put the planes through vertex 0
     first, so the verdict, the stats and the first violation are those of
     the check of every plane and pair.
     """
@@ -290,9 +286,7 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             rep.violations.append((label, expected, len(cliques)))
     m = census.m
     npoints = len(census.point_cliques)
-    orbit = (g.nu == census.nu and translation_group(g) is not None
-             and census.translations("point_cliques") is not None
-             and census.translations("plane_cliques") is not None)
+    orbit = census.translations is not None and g.translations is census.translations
     planes = iter_bits(census.plane_of[0]) if orbit else range(len(census.plane_cliques))
     sizes = set()
     for i in planes:
@@ -350,20 +344,19 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     """Whether the census has its expected number of plane cliques and each
     rebuilds a plane of order m (extract_plane).
 
-    When the model's incidence translations are certified
-    (IncidenceStructure.translations) and the plane class is closed under
-    them, each plane clique is a translate of one through vertex 0 by an
-    incidence automorphism fixing D, which keeps every count extract_plane
-    makes; only the planes through vertex 0 are extracted.  This reads each
+    When the census carries the model's incidence certificate
+    (CliqueCensus.translations), each plane clique is a translate of one
+    through vertex 0 by an incidence automorphism fixing D, which keeps
+    every count extract_plane makes; only the planes through vertex 0 are
+    extracted.  This reads each
     clique's plane_points as the union of its lines plus D, as
     classify_census builds them.
     """
     planes = census.plane_cliques
     if len(planes) != census.expected_counts[1]:
         return False
-    group = model.structure.translations
-    if (group is not None and group.nu == census.nu
-            and census.translations("plane_cliques") is not None):
+    group = census.translations
+    if group is not None and group is model.structure.translations:
         planes = [planes[j] for j in iter_bits(census.plane_of[0])]
     return all(extract_plane(pc, model).ok for pc in planes)
 

@@ -8,12 +8,12 @@ values occur exactly when n > m^2.  t is measured over every non-incident
 pair from a table of which Lines meet, built from the census's masks of the
 Lines through each Point.
 
-When the class is closed under the translations of the vertices
-(CliqueCensus.translations), they act regularly on the Points and map Lines
-to Lines, so only Point 0 is measured: the t histogram is nu times its
-histogram at Point 0, and two Lines share two Points iff two Lines through
-Point 0 share a second one.  Any other class takes the all-Point
-measurement, up to ENUMERATION_MAX_VERTICES Points.
+When the census carries the model's incidence certificate
+(CliqueCensus.translations), the translations act regularly on the Points
+and map Lines to Lines, so only Point 0 is measured: the t histogram is nu
+times its histogram at Point 0, and two Lines share two Points iff two
+Lines through Point 0 share a second one.  Any other census takes the
+all-Point measurement, up to ENUMERATION_MAX_VERTICES Points.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def _report(kind: str, census: CliqueCensus) -> GeometryReport:
     """The measured report of one clique class as Lines over the graph's vertices."""
     lines = getattr(census, kind)
     through = census.point_of if kind == "point_cliques" else census.plane_of
-    if census.translations(kind) is not None:
+    if census.translations is not None:
         hist, pair_ok = _measure_at_zero(lines, through)
     elif census.nu > ENUMERATION_MAX_VERTICES:
-        raise CliqueError(f"the {kind} geometry of a class not closed under translation "
+        raise CliqueError(f"the {kind} geometry of a census without a translation certificate "
                           f"is limited to {ENUMERATION_MAX_VERTICES} Points")
     else:
         hist, pair_ok = _measure(through, len(lines))

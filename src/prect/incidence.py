@@ -137,11 +137,6 @@ class IncidenceStructure:
                 return None
         return group
 
-    def drop_line(self, line_index: int) -> "IncidenceStructure":
-        """Copy of the structure with one line removed (for mutation tests)."""
-        lines = [t for i, t in enumerate(self.lines) if i != line_index]
-        return IncidenceStructure(self.points, lines, self.special_point)
-
     # -- JSON interchange: labels only, geometry lives elsewhere --
 
     def to_json_dict(self) -> dict:

@@ -15,10 +15,12 @@ same popcounts.  No floating point is involved anywhere.
 The built models number their lines so that the graph is a Cayley graph on
 GF(p)^d, vertex x being the vector of its base-p digits: L_2^k on
 (Z_2)^(2k), R(q, q^k) on the pairs (a, b) of <a,b,1>, like H_q(2,k).
-translation_group certifies that from the bit rows alone; every
+build_line_graph attaches the model's incidence certificate
+(IncidenceStructure.translations) as LineGraph.translations; every
 translation is then an automorphism, and the srg check and the clique
 census (see cliques) do the work of vertex 0 only.  Any other graph, such
-as a model whose lines were renumbered, takes the all-vertex loops.
+as a model whose lines were renumbered or one built by hand, carries no
+certificate and takes the all-vertex loops.
 """
 
 from __future__ import annotations
@@ -26,16 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-from ._util import Translations, iter_bits, translations_of
+from ._util import Translations, iter_bits
 from .construct import RectangleModel
 
 
 class LineGraph:
-    """Undirected graph with bitmask rows."""
+    """Undirected graph with bitmask rows; translations, when given, certify
+    it as a Cayley graph on GF(p)^d, nu = p^d: row x is row 0 translated by x."""
 
-    def __init__(self, nu: int, rows: list[int]):
+    def __init__(self, nu: int, rows: list[int], translations: Translations | None = None):
         self.nu = nu
         self.rows = rows
+        self.translations = translations
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -57,25 +61,6 @@ class LineGraph:
         return all(self.rows[v] == full & ~(1 << v) for v in range(self.nu))
 
 
-def translation_group(g: LineGraph) -> Translations | None:
-    """The translations of GF(p)^d if g is a Cayley graph on it, else None.
-
-    g is certified when nu = p^d for a prime p, vertex 0 has no loop, each
-    neighbour s of 0 is adjacent to 0 (so N(0) = -N(0)), and every row t is
-    row t - p^i translated by p^i, i the lowest nonzero digit of t.  By
-    induction on t, row t is then N(0) translated by t: every translation
-    is an automorphism, and the rows are symmetric.  Costs nu translations
-    of one row.
-    """
-    rows = g.rows
-    group = translations_of(g.nu)
-    if group is None or rows[0] & 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
-        return None
-    if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
-        return group
-    return None
-
-
 def edge_class(model: RectangleModel, u: int, v: int):
     """Position of the special line through the common point of lines u and v
     other than D; None unless they share exactly one such point and one
@@ -95,6 +80,10 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
     adjacent iff their stored point sets meet outside D: each point joins
     its pencil of ordinary lines.  A1 is not checked here; check_axioms
     reports two lines that meet twice with a witness.
+
+    The model's incidence certificate goes with the graph: each translation
+    fixes D and sends ordinary line x to x + t, so it preserves "meet
+    outside D", A1 or not.
     """
     s = model.structure
     nu = model.num_ordinary_lines
@@ -105,7 +94,7 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
         pencil = sum(1 << i for i in lines if i < nu)
         for u in iter_bits(pencil):
             rows[u] |= pencil ^ (1 << u)
-    return LineGraph(nu, rows)
+    return LineGraph(nu, rows, s.translations)  # its nu is the count of ordinary lines
 
 
 @dataclass
@@ -164,7 +153,8 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
     if bad is not None:
         cert.witness = {"check": "degree", "vertex": bad, "actual": g.degree(bad)}
 
-    pair_witness, spectral_witness = _square_check(g.rows, lam, mu, tau1, tau2)
+    pair_witness, spectral_witness = _square_check(g.rows, lam, mu, tau1, tau2,
+                                                   g.translations is not None)
     v["common_neighbor_counts"] = pair_witness is None
     if pair_witness and cert.witness is None:
         cert.witness = pair_witness
@@ -194,7 +184,8 @@ def _first_difference(xs: list[int], ys: list[int]) -> int:
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
-def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int):
+def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int,
+                  cayley: bool = False):
     """(first failing pair, first failing identity entry), each None if none fails.
 
     (A^2)[u,w] is the popcount of rows[u] against column w.  Entry (u,w) of
@@ -203,14 +194,14 @@ def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int):
     count, since mu + tau1 + tau2 = lam.  Both witnesses are first in
     row-major order (pairs with u < w only).  Symmetric rows give a
     symmetric A^2, whose first failure lies on or above the diagonal, so
-    only those entries are computed.  On a certified Cayley graph (see
-    translation_group) (A^2)[u,w] = (A^2)[0,w-u] and the wanted entries
-    translate alike, so a failure anywhere fails row 0 too, which comes
-    first: row 0 is the only one computed.
+    only those entries are computed.  On a certified Cayley graph (cayley,
+    see LineGraph.translations) (A^2)[u,w] = (A^2)[0,w-u] and the wanted
+    entries translate alike, so a failure anywhere fails row 0 too, which
+    comes first: row 0 is the only one computed.
     """
     nu = len(rows)
     s, p = tau1 + tau2, tau1 * tau2
-    if translation_group(LineGraph(nu, rows)) is not None:
+    if cayley:
         cols, symmetric, last = rows, True, 1
     else:
         cols = _transpose(rows)

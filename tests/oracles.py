@@ -10,7 +10,12 @@ schoolbook product in GF(p)[x] modulo the field's modulus, and the six
 axioms on each plane rebuilt from a plane clique.  twisted_r39 is a
 translation-invariant structure that fails A6, so that a failing input
 reaches the orbit paths; invariant_mutant makes more such structures from
-one mutation of line 0.
+one mutation of line 0.  translation_group and census_closed are the
+graph-level and census-level translation checks the library no longer runs:
+they show, independently of the incidence certificate that replaced them,
+that a certified model's graph is a Cayley graph and its clique classes are
+closed under translation.  drop_line makes a structure with one line
+removed.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -26,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from prect._util import iter_bits
+from prect._util import Translations, iter_bits, translations_of
 from prect.bilinear import BilinearError, IsoReport
 from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
                              normalize_point)
@@ -42,6 +47,12 @@ def graph_from_edges(nu: int, edges) -> LineGraph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return LineGraph(nu, rows)
+
+
+def drop_line(s: IncidenceStructure, line_index: int) -> IncidenceStructure:
+    """Copy of the structure with one line removed."""
+    lines = [t for i, t in enumerate(s.lines) if i != line_index]
+    return IncidenceStructure(s.points, lines, s.special_point)
 
 
 def without_edge(g: LineGraph, u: int, v: int) -> LineGraph:
@@ -445,6 +456,36 @@ def cayley_prime(g: LineGraph):
     if any(g.rows[x] != sum(1 << add_digits(x, s, p, d) for s in n0) for x in range(nu)):
         return None
     return p
+
+
+def translation_group(g: LineGraph) -> Translations | None:
+    """The translations of GF(p)^d if g is a Cayley graph on it, else None,
+    read from the bit rows alone.
+
+    g is certified when nu = p^d for a prime p, vertex 0 has no loop, each
+    neighbour s of 0 is adjacent to 0 (so N(0) = -N(0)), and every row t is
+    row t - p^i translated by p^i, i the lowest nonzero digit of t.  By
+    induction on t, row t is then N(0) translated by t: every translation
+    is an automorphism, and the rows are symmetric.
+    """
+    rows = g.rows
+    group = translations_of(g.nu)
+    if group is None or rows[0] & 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
+        return None
+    if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
+        return group
+    return None
+
+
+def census_closed(census, kind: str) -> bool:
+    """Whether the clique class kind ("point_cliques" or "plane_cliques") is
+    closed as a set under the translations of GF(p)^d, nu = p^d, with no
+    repeated clique; closure under the d generators is closure under the
+    group."""
+    group, cliques = translations_of(census.nu), getattr(census, kind)
+    masks = {sum(1 << v for v in c.vertices) for c in cliques}
+    return (group is not None and len(masks) == len(cliques)
+            and all(group.step(x, i) in masks for i in range(group.d) for x in masks))
 
 
 def schoolbook_product(p: int, modulus, a: int, b: int) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from oracles import (adjacency_matrix, extract_plane_by_axioms, vertex_connectivity,
-                     without_edge)
+from oracles import (adjacency_matrix, drop_line, extract_plane_by_axioms,
+                     vertex_connectivity, without_edge)
 from prect.analysis import (chromatic_analysis, eulerian_verdict, krein_check,
                             planarity_verdict, validate_cycle)
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
@@ -247,7 +247,7 @@ def test_criterion_10_krein(g_l22, g_l23, g_r39, g_r416):
 
 def test_criterion_11_mutation_sensitivity(l22, g_l22):
     with criterion(11, "mutation sensitivity"):
-        broken = l22.structure.drop_line(0)
+        broken = drop_line(l22.structure, 0)
         rep = check_axioms(broken, "full")
         assert not rep.verdicts["A1"]
         a, b = rep.witnesses["A1"]["pair"]

@@ -14,14 +14,14 @@ import pytest
 
 import prect.cliques
 from oracles import (CAYLEY_LADDER, extract_plane_by_axioms, graph_from_edges, ladder_model,
-                     without_edge, without_ordinary_lines)
+                     translation_group, without_edge, without_ordinary_lines)
 from prect._util import comb2, iter_bits
 from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
 from prect.cli import main
 from prect.construct import build_l2k, build_subplane_rect
 from prect.export import model_from_json
-from prect.linegraph import build_line_graph, translation_group
+from prect.linegraph import LineGraph, build_line_graph
 
 
 def test_k4_single_maximal_clique(g_pp2):
@@ -30,11 +30,11 @@ def test_k4_single_maximal_clique(g_pp2):
 
 
 def test_enumeration_bound(g_l22, monkeypatch):
-    """Past ENUMERATION_MAX_VERTICES only a graph that translation_group
-    certifies is enumerated, up to CAYLEY_MAX_VERTICES."""
+    """Past ENUMERATION_MAX_VERTICES only a graph that carries the model's
+    incidence certificate is enumerated, up to CAYLEY_MAX_VERTICES."""
     cliques = enumerate_maximal_cliques(g_l22)
     uncertified = without_edge(g_l22, 0, g_l22.rows[0].bit_length() - 1)
-    assert translation_group(uncertified) is None
+    assert uncertified.translations is None and translation_group(uncertified) is None
     monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 8)
     with pytest.raises(CliqueError, match="limited to 8 vertices"):
         enumerate_maximal_cliques(uncertified)
@@ -46,7 +46,7 @@ def test_enumeration_bound(g_l22, monkeypatch):
 
 def test_complete_graph_keeps_the_general_enumeration_bound(g_pp2, monkeypatch):
     """A plane's complete graph is certified, yet keeps ENUMERATION_MAX_VERTICES."""
-    assert translation_group(g_pp2) is not None and g_pp2.is_complete()
+    assert g_pp2.translations is not None and g_pp2.is_complete()
     monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 3)
     with pytest.raises(CliqueError, match="limited to 3 vertices"):
         enumerate_maximal_cliques(g_pp2)
@@ -275,15 +275,18 @@ def test_empty_clique_families_fail_their_verdicts(k, expected):
 
 
 @pytest.mark.parametrize("name", list(CAYLEY_LADDER))
-def test_translated_census_equals_the_all_vertex_enumeration(name, monkeypatch):
+def test_translated_census_equals_the_all_vertex_enumeration(name):
     model = ladder_model(name)
     g = build_line_graph(model)
-    assert translation_group(g) is not None
+    assert g.translations is not None
     cliques = enumerate_maximal_cliques(g)
-    census = classify_census(g, model, cliques)
-    monkeypatch.setattr(prect.cliques, "translation_group", lambda g: None)
-    assert enumerate_maximal_cliques(g) == cliques
-    assert classify_census(g, model) == census
+    census = classify_census(g, model)
+    assert census.translations is g.translations
+    supplied = classify_census(g, model, cliques)
+    assert supplied.translations is None and supplied == census
+    uncertified = LineGraph(g.nu, g.rows)  # no certificate: the all-vertex enumeration
+    assert enumerate_maximal_cliques(uncertified) == cliques
+    assert classify_census(uncertified, model) == census
     assert census.ok
 
 
@@ -330,7 +333,7 @@ def test_cli_cliques_on_l25_runs_at_recursion_depth_60(tmp_path, swapped):
         lines = d["structure"]["lines"]
         lines[0], lines[5] = lines[5], lines[0]
         path.write_text(json.dumps(d, sort_keys=True))
-    certified = translation_group(build_line_graph(model_from_json(path.read_text())))
+    certified = build_line_graph(model_from_json(path.read_text())).translations
     assert (certified is None) == swapped
     src = str(Path(prect.cliques.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLIQUES, str(path)],

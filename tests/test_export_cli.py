@@ -337,15 +337,15 @@ GOLDEN_STDOUT = [
     (("verify", "pg27.json", "--profile", "full"), None,
      "522ea1b27a966c8e55c13b95eef6d4322db3a5905ae65bee91b2e36b01084e50"),
     (("cliques", "r39.json"), None,
-     "675fe03fcf88ce49d62851ea74fc10f4b700147bdcd14464474acfb23f82baa2"),
+     "f64e4f80f4c3f6df80a8004cf3c24521e49083065fa92570782b78daf75cceb4"),
     (("geometry", "r39.json"), None,
-     "41b7421b4ed1363cd255998eac01be01d2f77ffc9ce9e8e84440a0c3c9145b79"),
+     "d480b560220b8a6357975be506b9ba4e1900225b47acb393c013a8526ef61122"),
     (("geometry", "l23.json", "--out", "geo.json"), None,
-     "1be69160bad70c9d5ee4efbbcbdcd3a5669b0c619eac3d17654c4a80c299e082"),
+     "f3ac1acf6729cf5de17091d474ba7de8bd8e2e3cee471236240e720fd1486c31"),
     (("geometry", "l24.json"), None,
-     "420a81b4cd86c22fb3f54204c0a51179789a5cf29a6133c33a4261dd5a49e2e9"),
+     "2c87bd9faaf16a007f99ae2cf6f788c0603b0a83449ebb7ea8c6513977dfc8f4"),
     (("cliques", "l23.json", "--out", "census.json"), None,
-     "af5d465f6c519d59901f097eeece93e8f8c28ed623aae3d0da7397c998fe94f7"),
+     "7aa82600e231741a2a213ab373a75684336ad90d29c0b8571014ad1481908683"),
     (("iso", "r39.json"), None,
      "36056012f06ab988ea20565e94329da4614e9ab26cd8d54fbf20e15b506aeb54"),
     (("iso", "r39.json", "--out", "iso.json"), None,
@@ -452,7 +452,8 @@ def test_cli_geometry_passes_on_a_projective_plane(tmp_path, capsys, args):
     capsys.readouterr()
     assert run_cli("geometry", str(tmp_path / "m.json")) == 0
     rep = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert rep["verdicts"] == {"plane_clique_structure": True, "point_clique_geometry": True}
+    assert rep["verdicts"] == {"A1": True, "plane_clique_structure": True,
+                               "point_clique_geometry": True}
     assert rep["details"]["geometry"]["point_cliques"]["num_lines"] == 0
     s = d["structure"]
     s["lines"] = [ln for ln in s["lines"] if s["special_point"] in ln]
@@ -460,7 +461,32 @@ def test_cli_geometry_passes_on_a_projective_plane(tmp_path, capsys, args):
     path.write_text(json.dumps(d, sort_keys=True))
     assert run_cli("geometry", str(path)) == 1
     rep = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert rep["verdicts"] == {"plane_clique_structure": False, "point_clique_geometry": True}
+    assert rep["verdicts"] == {"A1": False, "plane_clique_structure": False,
+                               "point_clique_geometry": True}
+
+
+def test_cli_cliques_and_geometry_report_a1_with_its_witness(tmp_path, capsys):
+    """PG(2,3) with a point added to ordinary line 0 fails A1: cliques and
+    geometry exit 1 like verify and report verify's witness, which re-checks
+    on the mutated structure; the intact plane passes A1 with no witness."""
+    d = _built(tmp_path, "m.json", "--family", "plane", "--p", "3")
+    s = d["structure"]
+    s["lines"][0].append(next(p for p in s["points"]
+                              if p not in s["lines"][0] and p != s["special_point"]))
+    path = tmp_path / "thick.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == 1
+    axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
+    recheck_a1_witness(s, axioms)
+    for command in ("cliques", "geometry"):
+        assert run_cli(command, str(tmp_path / "m.json")) == 0
+        rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rep["verdicts"]["A1"] is True and "A1" not in rep["details"]
+        assert run_cli(command, str(path)) == 1
+        rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rep["verdicts"]["A1"] is False
+        assert rep["details"]["A1"] == axioms["witnesses"]["A1"]
 
 
 def test_cli_extra_ordinary_line_fails_its_geometry_without_a_traceback(tmp_path, capsys):
@@ -478,7 +504,8 @@ def test_cli_extra_ordinary_line_fails_its_geometry_without_a_traceback(tmp_path
     assert not verdicts["point_clique_geometry"] and not verdicts["plane_clique_structure"]
     assert run_cli("geometry", str(path)) == 1
     rep = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert rep["verdicts"] == {"plane_clique_structure": False, "point_clique_geometry": False}
+    assert rep["verdicts"] == {"A1": False, "plane_clique_structure": False,
+                               "point_clique_geometry": False}
     model = model_from_json(path.read_text())
     census = classify_census(build_line_graph(model), model)
     assert census.nu == 17
@@ -521,8 +548,6 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
 @pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),
                                   ("--family", "subplane", "--p", "3", "--k", "2")])
 def test_cli_renumbered_model_is_not_translation_certified_and_passes(tmp_path, capsys, args):
-    from prect.linegraph import translation_group
-
     d = _built(tmp_path, "m.json", *args)
     lines = d["structure"]["lines"]
     lines[0], lines[5] = lines[5], lines[0]
@@ -530,7 +555,7 @@ def test_cli_renumbered_model_is_not_translation_certified_and_passes(tmp_path, 
         d["line_coeffs"][0], d["line_coeffs"][5] = d["line_coeffs"][5], d["line_coeffs"][0]
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(d, sort_keys=True))
-    assert translation_group(build_line_graph(model_from_json(path.read_text()))) is None
+    assert build_line_graph(model_from_json(path.read_text())).translations is None
     capsys.readouterr()
     assert run_cli("verify", str(path), "--profile", "full") == 0
     rep = json.loads(capsys.readouterr().out)
@@ -545,9 +570,9 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     assert set(quick) == {"axioms", "total", "graph", "cert", "census"}
     run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
     full = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(full) == set(quick) | {"iso", "geometry", "translations", "closure"}
+    assert set(full) == set(quick) | {"iso", "geometry", "translations"}
     assert all(t >= 0 for t in full.values())
-    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "closure", "iso",
+    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "iso",
                                  "geometry")) <= full["total"]
 
 

@@ -10,10 +10,13 @@ nothing: a broken model gives failing verdicts or an "error:" line, never a
 traceback.  A failing A1 verdict of verify must carry a witness that
 re-checks on the mutated structure.
 
-Those mutations break the translation certificate, so a second test takes
+Those mutations break the translation certificate, so two more tests take
 translation-invariant mutants (one mutation of line 0, applied to every
-translate) through verify in both profiles: the certified paths must give
-the A6 verdict, witness and coverage of the uncertified ones.
+translate) through the orbit paths.  Through verify in both profiles the
+certified paths must give the A6 verdict, witness and coverage of the
+uncertified ones; through cliques and geometry, whose census carries the
+certificate in place of a closure check, the same exit code, stdout and
+stderr.
 """
 
 from __future__ import annotations
@@ -54,11 +57,16 @@ COMMANDS = [
 ]
 
 
+def _cli(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(list(argv)), out.getvalue(), err.getvalue()
+
+
 def _run(*argv) -> tuple[int, str]:
     """Exit code and stdout of one CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        return main(list(argv)), out.getvalue()
+    return _cli(*argv)[:2]
 
 
 @lru_cache(maxsize=None)
@@ -127,11 +135,9 @@ def _a6(out: str):
     return axioms["verdicts"]["A6"], axioms["witnesses"].get("A6"), axioms["a6_coverage"]
 
 
-@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
-@pytest.mark.parametrize("name", sorted(BUILDS))
-@settings(max_examples=6, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
+@contextlib.contextmanager
+def _invariant_mutant_file(name: str, kind: str, data):
+    """The path of a model file of name whose structure is an invariant mutant."""
     d = json.loads(_model_json(name))
     mutant, what = invariant_mutant(model_from_dict(d).structure, kind,
                                     lambda options: data.draw(st.sampled_from(options)))
@@ -141,6 +147,15 @@ def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
         path = os.path.join(tmp, "m.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh, sort_keys=True)
+        yield path
+
+
+@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
+@pytest.mark.parametrize("name", sorted(BUILDS))
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
+    with _invariant_mutant_file(name, kind, data) as path:
         for argv in VERIFY_COMMANDS:
             argv = [a.format(path) for a in argv]
             code, out = _run(*argv)
@@ -150,3 +165,18 @@ def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
             assert code in (0, 1, 2) and code == uncertified[0], argv
             if code != 2:
                 assert _a6(out) == _a6(uncertified[1]), argv
+
+
+@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
+@pytest.mark.parametrize("name", sorted(BUILDS))
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invariant_mutant_gives_the_uncertified_census_and_geometry(name, kind, data):
+    """Any exception, KeyError, IndexError or RecursionError included, fails the test."""
+    with _invariant_mutant_file(name, kind, data) as path:
+        for argv in (("cliques", path), ("geometry", path)):
+            certified = _cli(*argv)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
+                assert _cli(*argv) == certified, argv
+            assert certified[0] in (0, 1, 2), argv

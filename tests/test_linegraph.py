@@ -14,13 +14,13 @@ import pytest
 import prect
 from oracles import (CAYLEY_LADDER, adjacency_matrix, cayley_prime, colored_line_graph,
                      common_point, diameter, factorization_check, graph_from_edges,
-                     ladder_model, vertex_connectivity, without_edge)
+                     ladder_model, translation_group, vertex_connectivity, without_edge)
 from prect._util import iter_bits
 from prect.construct import RectangleModel, build_l2k, build_subplane_rect
 from prect.gf import add_digits
 from prect.incidence import IncidenceStructure, order_of
 from prect.linegraph import (LineGraph, build_line_graph, certify_srg, edge_class,
-                             expected_srg_parameters, translation_group)
+                             expected_srg_parameters)
 
 
 def test_l22_graph_shape(g_l22):
@@ -405,7 +405,8 @@ def _renumbered(g: LineGraph, a: int, b: int) -> LineGraph:
 
 
 def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
-    """The Cayley graph g on GF(p)^d with s and -s dropped from N(0)."""
+    """The Cayley graph g on GF(p)^d with s and -s dropped from N(0),
+    certified by the oracle's translation_group."""
     d = 0
     while p ** d < g.nu:
         d += 1
@@ -414,7 +415,9 @@ def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
     for x in range(g.nu):
         for t in (s, minus_s):
             rows[x] &= ~(1 << add_digits(x, t, p, d))
-    return LineGraph(g.nu, rows)
+    h = LineGraph(g.nu, rows)
+    h.translations = translation_group(h)
+    return h
 
 
 @pytest.mark.parametrize("name", list(CAYLEY_LADDER))
@@ -422,6 +425,7 @@ def test_translation_group_matches_digit_addition_oracle(name):
     g = build_line_graph(ladder_model(name))
     group = translation_group(g)
     assert group is not None and group.p == cayley_prime(g)
+    assert (group.p, group.d) == (g.translations.p, g.translations.d)
     for bad in (_renumbered(g, 0, g.nu - 1), _renumbered(g, 1, 2)):
         assert translation_group(bad) is cayley_prime(bad) is None or g.is_complete(), name
     assert translation_group(without_edge(g, 0, g.rows[0].bit_length() - 1)) is None
@@ -441,30 +445,28 @@ def test_translation_group_on_small_graphs():
 
 
 @pytest.mark.parametrize("name", list(CAYLEY_LADDER))
-def test_srg_certificate_equals_the_all_rows_check(name, monkeypatch):
+def test_srg_certificate_equals_the_all_rows_check(name):
     model = ladder_model(name)
     g = build_line_graph(model)
     m, n = order_of(model.structure)
     cert = certify_srg(g, m, n)
-    monkeypatch.setattr(prect.linegraph, "translation_group", lambda g: None)
-    assert certify_srg(g, m, n) == cert
+    assert g.translations is not None
+    assert certify_srg(LineGraph(g.nu, g.rows), m, n) == cert  # no certificate: every row
     assert cert.ok or m == n
 
 
 @pytest.mark.parametrize("name", ["L_2^2", "L_2^3", "R(2,4)", "R(3,9)"])
-def test_srg_witnesses_on_a_certified_non_srg_graph(name, monkeypatch):
+def test_srg_witnesses_on_a_certified_non_srg_graph(name):
     """A Cayley graph that is not srg: row 0 gives the all-rows witnesses."""
     model = ladder_model(name)
     g = build_line_graph(model)
     m, n = order_of(model.structure)
-    p = translation_group(g).p
+    p = g.translations.p
     for s in (g.rows[0] & -g.rows[0]).bit_length() - 1, g.rows[0].bit_length() - 1:
         h = _cayley_without(g, p, s)
-        assert translation_group(h) is not None
+        assert h.translations is not None
         cert = certify_srg(h, m, n)
         verdicts, witness, _ = _numpy_srg_reference(h.rows, m, n)
         assert {k: cert.verdicts[k] for k in verdicts} == verdicts
         assert cert.witness == witness and not cert.ok
-        with monkeypatch.context() as mp:
-            mp.setattr(prect.linegraph, "translation_group", lambda g: None)
-            assert certify_srg(h, m, n) == cert
+        assert certify_srg(LineGraph(h.nu, h.rows), m, n) == cert

@@ -1,14 +1,16 @@
 """The orbit paths of verify --profile full against the all-vertex paths.
 
 A model whose incidence translations are certified runs full A6 over the
-pairs (0, l2) and extracts the planes through vertex 0; a clique class
-closed under translation gives the intersection laws and both geometries
-from vertex 0.  Patching the certificates to None forces the all-vertex
-loops, which must give the same verdicts, histograms and first witnesses:
-on the certified rungs, on the planes PG(2, q), on twisted_r39 (certified,
-yet failing A6 and the census) and on a census with a repeated plane
-clique, which takes the all-vertex path.  Sampled A6 on a certified model
-whose line-0 scan passes tests no draw.
+pairs (0, l2); its graph of lines and its census carry the certificate, so
+the enumeration, the intersection laws, the plane extraction and both
+geometries work from vertex 0.  Patching the certificate to None forces the
+all-vertex loops, which must give the same verdicts, histograms and first
+witnesses: on the certified rungs, on the planes PG(2, q), on twisted_r39
+(certified, yet failing A6 and the census) and on a census with a repeated
+plane clique, which carries no certificate.  The oracles' graph-level check
+and census-closure scan confirm each certificate attached, on those models
+and on invariant mutants.  Sampled A6 on a certified model whose line-0
+scan passes tests no draw.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import CAYLEY_LADDER, invariant_mutant, ladder_model, twisted_r39
+from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, invariant_mutant,
+                     ladder_model, translation_group, twisted_r39)
 from prect.cli import main
-from prect.cliques import (CliqueCensus, CliqueError, classify_census, clique_intersections,
-                           extract_plane, plane_extraction)
+from prect.cliques import (CliqueError, classify_census, clique_intersections, extract_plane,
+                           plane_extraction)
 from prect.construct import build_l2k, build_plane, build_subplane_rect
-from prect.export import model_to_dict
+from prect.export import model_from_dict, model_to_dict
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
 from prect.incidence import IncidenceStructure, check_axioms
-from prect.linegraph import build_line_graph, translation_group
+from prect.linegraph import build_line_graph
 
 PLANES = {"PG(2,2)": lambda: build_plane(2, 1), "PG(2,3)": lambda: build_plane(3, 1),
           "PG(2,4)": lambda: build_plane(2, 2)}
@@ -38,7 +41,6 @@ MODELS = {**{name: lambda name=name: ladder_model(name) for name in CAYLEY_LADDE
 
 def _all_vertex(mp):
     mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
-    mp.setattr(CliqueCensus, "translations", lambda census, kind: None)
 
 
 def _facts(model, g, census):
@@ -58,13 +60,15 @@ def test_orbit_paths_equal_the_all_vertex_paths(name, monkeypatch):
     g = build_line_graph(model)
     census = classify_census(g, model)
     group = model.structure.translations
-    assert group is not None and translation_group(g) is not None
-    assert (group.p, group.d) == (translation_group(g).p, translation_group(g).d)
-    assert census.translations("point_cliques") and census.translations("plane_cliques")
+    assert group is not None and g.translations is group and census.translations is group
     orbit = _facts(model, g, census)
     with monkeypatch.context() as mp:
         _all_vertex(mp)
-        assert _facts(model, g, census) == orbit
+        g_all = build_line_graph(model)
+        census_all = classify_census(g_all, model)
+        assert g_all.translations is None and census_all.translations is None
+        assert g_all.rows == g.rows and census_all == census
+        assert _facts(model, g_all, census_all) == orbit
     if name == "twisted R(3,9)":
         verdicts, witnesses = orbit["axioms"]
         assert [a for a, ok in verdicts.items() if not ok] == ["A6"]
@@ -75,11 +79,42 @@ def test_orbit_paths_equal_the_all_vertex_paths(name, monkeypatch):
         assert orbit["intersections"][0] or census.trivial
 
 
+def _mutant(name, kind, choose):
+    """The model name with an invariant mutant (oracles.invariant_mutant) as its structure."""
+    model = MODELS[name]()
+    d = model_to_dict(model)
+    d["structure"] = invariant_mutant(model.structure, kind, choose)[0].to_json_dict()
+    return model_from_dict(d)
+
+
+SOUNDNESS = {**MODELS, **{
+    f"{name} {kind} {end}": lambda name=name, kind=kind, i=i: _mutant(name, kind,
+                                                                      lambda opts: opts[i])
+    for name in ("L_2^2", "R(3,9)", "PG(2,3)") for kind in INVARIANT_MUTATIONS
+    for end, i in (("first", 0), ("last", -1))}}
+
+
+@pytest.mark.parametrize("name", list(SOUNDNESS))
+def test_the_incidence_certificate_certifies_the_graph_and_the_census(name):
+    """Where the structure's translations are certified, the graph of lines
+    is a Cayley graph under the same (p, d) by the bit-row check, and both
+    clique classes are closed by the set scan; elsewhere neither carries a
+    certificate."""
+    model = SOUNDNESS[name]()
+    group = model.structure.translations
+    g = build_line_graph(model)
+    census = classify_census(g, model)
+    assert g.translations is group and census.translations is group
+    if group is not None:
+        oracle = translation_group(g)
+        assert oracle is not None and (oracle.p, oracle.d) == (group.p, group.d)
+        assert census_closed(census, "point_cliques") and census_closed(census, "plane_cliques")
+
+
 def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23, monkeypatch):
     planes = census_l23.plane_cliques
     census = replace(census_l23, plane_cliques=planes + [planes[-1]])
-    assert census.translations("plane_cliques") is None
-    assert census.translations("point_cliques") is not None
+    assert census_l23.translations is not None and census.translations is None
     facts = _facts(l23, g_l23, census)
     assert not facts["intersections"][0] and not facts["planes"]
     assert not facts["plane_structure"].ok
@@ -89,13 +124,15 @@ def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23,
 
 
 def test_all_point_geometry_keeps_the_enumeration_bound(census_l23, l23, monkeypatch):
-    """Only a class closed under translation is measured past the bound."""
+    """Only a census that carries the certificate is measured past the
+    bound; a replaced census carries none, so both its geometries refuse."""
     planes = census_l23.plane_cliques
     census = replace(census_l23, plane_cliques=planes + [planes[-1]])
     monkeypatch.setattr("prect.geometry.ENUMERATION_MAX_VERTICES", 32)
-    assert build_point_clique_geometry(census, l23).ok
-    with pytest.raises(CliqueError, match="limited to 32 Points"):
-        build_plane_clique_structure(census, l23)
+    assert build_point_clique_geometry(census_l23, l23).ok
+    for build in (build_point_clique_geometry, build_plane_clique_structure):
+        with pytest.raises(CliqueError, match="limited to 32 Points"):
+            build(census, l23)
 
 
 def test_plane_extraction_reads_the_planes_through_vertex_0(l23, census_l23, monkeypatch):
@@ -191,7 +228,8 @@ def _cli(*argv):
 def test_cli_verify_full_is_the_same_on_both_paths(name, tmp_path, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model_to_dict(MODELS[name]()), sort_keys=True))
-    for command in (("verify", str(path), "--profile", "full"), ("geometry", str(path))):
+    for command in (("verify", str(path), "--profile", "full"), ("cliques", str(path)),
+                    ("geometry", str(path))):
         orbit = _cli(*command)
         with monkeypatch.context() as mp:
             _all_vertex(mp)
