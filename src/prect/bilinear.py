@@ -17,7 +17,9 @@ from .construct import RectangleModel
 from .gf import FieldCtx, add_digits, embed_subfield, field_make
 from .linegraph import LineGraph
 
-MAX_VERTICES = 1 << 16
+# iso on R(2,128), nu = 2^14, took 21.9 s and 97 MB; at 2^16 the two
+# nu^2-bit graphs alone would take 2 x 512 MiB (README, "Scale")
+MAX_VERTICES = 1 << 14
 
 
 class BilinearError(ValueError):

@@ -106,8 +106,11 @@ class _Run:
 
     @_timed_fact
     def census(self):
-        from .cliques import classify_census
+        """The clique census; past the enumeration bound it refuses before the
+        graph of lines is built."""
+        from .cliques import check_enumeration_bound, classify_census
 
+        check_enumeration_bound(self.model)
         return classify_census(self.graph, self.model)
 
     @_timed_fact
@@ -118,13 +121,15 @@ class _Run:
 
     @_timed_fact
     def iso(self):
-        """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k)."""
+        """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k).
+
+        H is built first, so past its bound the graph of lines is never built."""
         from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 
-        g, model = self.graph, self.model
+        model = self.model
         h = build_hq2k(model.p, model.e, model.k)
         mapping = line_matrix_map(model, h)
-        return mapping, certify_isomorphism(g, h.graph, mapping)
+        return mapping, certify_isomorphism(self.graph, h.graph, mapping)
 
     @_timed_fact
     def geometry(self):
@@ -133,29 +138,6 @@ class _Run:
 
         return (build_point_clique_geometry(self.census, self.model),
                 build_plane_clique_structure(self.census, self.model))
-
-    # -- witnesses read off the model, each checked against the graph --
-
-    @cached_property
-    def hamiltonian(self):
-        from .analysis import hamiltonian_by_construction
-
-        return hamiltonian_by_construction(self.graph, self.model, *self.order)
-
-    @cached_property
-    def chromatic(self):
-        from .analysis import chromatic_by_construction
-
-        return chromatic_by_construction(self.graph, self.model, self.cert, *self.order)
-
-    @cached_property
-    def chromatic_index(self):
-        from .analysis import chromatic_index_by_construction
-
-        m, n = self.order
-        if m == n:  # the flags compare srg eigenvalues, which a trivial model lacks
-            return chromatic_index_by_construction(self.graph, self.model)
-        return chromatic_index_by_construction(self.graph, self.model, m, n)
 
 
 def cmd_build(args, report: RunReport) -> int:
@@ -295,8 +277,9 @@ def cmd_geometry(args, report: RunReport) -> int:
 
 
 def cmd_analyze(args, report: RunReport) -> int:
-    from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, eulerian_verdict, krein_check,
-                           planarity_verdict)
+    from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
+                           chromatic_index_by_construction, eulerian_verdict,
+                           hamiltonian_by_construction, krein_check, planarity_verdict)
 
     run = _Run(args.graph)
     nu = run.model.num_ordinary_lines
@@ -304,14 +287,15 @@ def cmd_analyze(args, report: RunReport) -> int:
         raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
                             f"the model has {nu}")
     m, n = run.order
-    g = run.graph
+    g, model = run.graph, run.model
 
     pl = planarity_verdict(g, m, n)
     eu = eulerian_verdict(g, m, n)
     report.verdicts["eulerian_consistent"] = eu.consistent
     report.details["planar"] = {"planar": pl.planar, "reason": pl.reason}
     report.details["eulerian"] = {"eulerian": eu.eulerian, "predicate": eu.predicate}
-    ham = _witnessed(report, "hamilton_cycle_verified", "hamiltonian", lambda: run.hamiltonian)
+    ham = _witnessed(report, "hamilton_cycle_verified", "hamiltonian",
+                     lambda: hamiltonian_by_construction(g, model, m, n))
     if ham:
         report.details["hamiltonian"] = {
             "found": True,
@@ -324,7 +308,8 @@ def cmd_analyze(args, report: RunReport) -> int:
 
     if m != n:
         report.verdicts["srg"] = run.cert.ok
-        chi = _witnessed(report, "chromatic_verified", "chromatic", lambda: run.chromatic)
+        chi = _witnessed(report, "chromatic_verified", "chromatic",
+                         lambda: chromatic_by_construction(g, model, run.cert, m, n))
         if chi:
             report.details["chromatic"] = {
                 "exact": chi.exact_chromatic,
@@ -337,8 +322,10 @@ def cmd_analyze(args, report: RunReport) -> int:
                 "provenance": chi.provenance,
             }
         report.verdicts["krein"] = krein_check(run.cert).ok
+    # the flags compare srg eigenvalues, which a trivial model lacks
+    order = (m, n) if m != n else ()
     eb = _witnessed(report, "chromatic_index_verified", "chromatic_index",
-                    lambda: run.chromatic_index)
+                    lambda: chromatic_index_by_construction(g, model, *order))
     if eb:
         report.details["chromatic_index"] = {
             "bracket": list(eb.bracket),

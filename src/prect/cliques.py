@@ -18,10 +18,14 @@ The facts read off the census go the same way.  A census that
 classify_census enumerated on a certified graph carries the certificate
 (CliqueCensus.translations): a translation maps maximal cliques to maximal
 cliques, pencils to pencils and m^2-cliques to m^2-cliques, so every clique
-is a translate of one through vertex 0.  clique_intersections,
-plane_extraction and the geometries then work from vertex 0.  Any other
-census (built with dataclasses.replace, by hand, or from cliques the caller
-supplies) takes the all-vertex loops, which give the same verdicts.
+is a translate of one through vertex 0.  CliqueCensus.certified_by makes
+the one orbit decision: the census carries a certificate, and it is the
+object the caller's graph (clique_intersections) or model
+(plane_extraction and the geometries) holds.  Then those work from vertex
+0.  Any other census (built with dataclasses.replace, by hand, or from
+cliques the caller supplies), or one paired with a graph or model that
+holds another certificate, takes the all-vertex loops, which give the same
+verdicts.
 """
 
 from __future__ import annotations
@@ -163,6 +167,11 @@ class CliqueCensus:
                 for v in clique.vertices:
                     masks[v] |= 1 << j
 
+    def certified_by(self, translations: Translations | None) -> bool:
+        """Whether the census stands for its orbit: it carries a certificate,
+        and that is translations, the one the caller's graph or model holds."""
+        return self.translations is not None and self.translations is translations
+
     @property
     def ok(self) -> bool:
         return not self.anomalous and all(e == a for e, a in self.checks.values())
@@ -271,8 +280,8 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     cliques is a violation too, so that no law holds over zero cliques.  A
     class expected to be empty, the point cliques of a plane, covers no edge.
 
-    When the census and g carry the same certificate
-    (CliqueCensus.translations), a translation moves any violation to one
+    When the census stands for its orbit under g's certificate
+    (CliqueCensus.certified_by), a translation moves any violation to one
     of a plane through vertex 0, or of a pair (0, v); only those are
     checked.  Sorted cliques put the planes through vertex 0
     first, so the verdict, the stats and the first violation are those of
@@ -286,7 +295,7 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             rep.violations.append((label, expected, len(cliques)))
     m = census.m
     npoints = len(census.point_cliques)
-    orbit = census.translations is not None and g.translations is census.translations
+    orbit = census.certified_by(g.translations)
     planes = iter_bits(census.plane_of[0]) if orbit else range(len(census.plane_cliques))
     sizes = set()
     for i in planes:
@@ -344,19 +353,17 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     """Whether the census has its expected number of plane cliques and each
     rebuilds a plane of order m (extract_plane).
 
-    When the census carries the model's incidence certificate
-    (CliqueCensus.translations), each plane clique is a translate of one
-    through vertex 0 by an incidence automorphism fixing D, which keeps
-    every count extract_plane makes; only the planes through vertex 0 are
-    extracted.  This reads each
-    clique's plane_points as the union of its lines plus D, as
-    classify_census builds them.
+    When the census stands for its orbit under the model's incidence
+    certificate (CliqueCensus.certified_by), each plane clique is a
+    translate of one through vertex 0 by an incidence automorphism fixing
+    D, which keeps every count extract_plane makes; only the planes through
+    vertex 0 are extracted.  This reads each clique's plane_points as the
+    union of its lines plus D, as classify_census builds them.
     """
     planes = census.plane_cliques
     if len(planes) != census.expected_counts[1]:
         return False
-    group = census.translations
-    if group is not None and group is model.structure.translations:
+    if census.certified_by(model.structure.translations):
         planes = [planes[j] for j in iter_bits(census.plane_of[0])]
     return all(extract_plane(pc, model).ok for pc in planes)
 

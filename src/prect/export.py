@@ -32,15 +32,10 @@ def graph6_bytes(g: LineGraph) -> bytes:
         head = bytes([126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)])
     else:
         head = bytes([63 + n])
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.adjacent(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytes(63 + int("".join(map(str, bits[i:i + 6])), 2)
-                 for i in range(0, len(bits), 6)) if bits else b""
-    return head + body
+    # column j holds the pairs (i, j), i < j, in order of i: row j's low j bits, reversed
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + bytes(63 + int(bits[i:i + 6], 2) for i in range(0, len(bits), 6))
 
 
 def graph6_str(g: LineGraph) -> str:

@@ -4,16 +4,15 @@ Taking the point cliques as Lines over the graph's vertices yields a partial
 geometry: every non-incident Point-Line pair sees exactly m transversal
 Lines.  Taking the plane cliques instead gives a transversal count t of 0 or
 m depending on whether the line and the plane are disjoint point sets; both
-values occur exactly when n > m^2.  t is measured over every non-incident
-pair from a table of which Lines meet, built from the census's masks of the
-Lines through each Point.
+values occur exactly when n > m^2.  One measurement reads t at a Point
+from the census's masks of the Lines through each Point (_measure).
 
-When the census carries the model's incidence certificate
-(CliqueCensus.translations), the translations act regularly on the Points
-and map Lines to Lines, so only Point 0 is measured: the t histogram is nu
-times its histogram at Point 0, and two Lines share two Points iff two
-Lines through Point 0 share a second one.  Any other census takes the
-all-Point measurement, up to ENUMERATION_MAX_VERTICES Points.
+When the census stands for its orbit under the model's incidence
+certificate (CliqueCensus.certified_by), the translations act regularly on
+the Points and map Lines to Lines, so only Point 0 is measured: the t
+histogram is nu times its histogram at Point 0, and two Lines share two
+Points iff two Lines through Point 0 share a second one.  Any other census
+is measured at every Point, up to ENUMERATION_MAX_VERTICES Points.
 """
 
 from __future__ import annotations
@@ -49,68 +48,59 @@ class GeometryReport:
         return {k: v for k, v in self.checks.items() if v[0] != v[1]}
 
 
-def _measure(through, num_lines):
-    """(t histogram, no two Lines share two Points) of num_lines Lines.
+def _measure(lines, through, points):
+    """(t histogram, no two Lines share two Points) summed over the given Points.
 
-    through[p] has bit i set when Line i holds Point p.  meets[j] has bit i
-    set when Lines i and j share a Point; t(p0, j) is the number of Lines
-    through p0 that meet Line j.  A pair of Lines found together at a second
-    Point shares two Points.
+    through[p] has bit i set when Line i holds Point p.  t(p, j), for a Line
+    j not through p, counts the Lines i through p that meet j: j is among
+    the Lines meeting i, the OR of through[v] over the Points v of Line i,
+    computed once per Line, on first use.  Those masks are added up as
+    binary counters, bit j of digits[b] being digit b of t(p, j), and the
+    Lines not through p are split by each digit in turn.  Two Lines through
+    p share a second Point iff their other Points overlap.
     """
-    meets = [0] * num_lines
+    known = {}  # i: (the Points of Line i, the Lines meeting it)
+    hist = Counter()
     pair_ok = True
-    for here in through:
+    for p in points:
+        here = through[p]
+        others = 0
+        digits = []
         for i in iter_bits(here):
-            if meets[i] & here & ~(1 << i):
-                pair_ok = False
-            meets[i] |= here
-    hist = {}
-    for here in through:
-        ts = [(here & mj).bit_count() for mj in meets]
-        for j in iter_bits(here):
-            ts[j] = -1  # incident pairs have no t
-        row = Counter(ts)  # keys in order of first j, as a loop over j would insert them
-        row.pop(-1, None)
-        for t, count in row.items():
-            hist[t] = hist.get(t, 0) + count
-    return hist, pair_ok
+            if i not in known:
+                meets = 0
+                for v in lines[i].vertices:
+                    meets |= through[v]
+                known[i] = sum(1 << v for v in lines[i].vertices), meets
+            mine, carry = known[i]
+            mine &= ~(1 << p)
+            pair_ok &= not others & mine
+            others |= mine
+            carry &= ~here
+            for b, digit in enumerate(digits):
+                digits[b], carry = digit ^ carry, digit & carry
+            if carry:
+                digits.append(carry)
+        groups = [(0, (1 << len(lines)) - 1 & ~here)]  # (t so far, its Lines)
+        for b, digit in enumerate(digits):
+            groups = [(t + (bit << b), part) for t, rest in groups
+                      for bit, part in ((0, rest & ~digit), (1, rest & digit)) if part]
+        for t, part in groups:
+            hist[t] += part.bit_count()
+    return {t: c for t, c in sorted(hist.items()) if c}, pair_ok
 
 
-def _measure_at_zero(lines, through):
-    """_measure at Point 0 only, its histogram multiplied by the number of Points.
-
-    t(0, j) counts the Lines i through Point 0 with j among the Lines
-    meeting i, read off through[v] for the Points v of Line i.  Lines
-    through Point 0 share a second Point iff their other Points overlap.
-    """
-    here = through[0]
-    t = Counter()
-    others = 0
-    pair_ok = True
-    for i in iter_bits(here):
-        members = sum(1 << v for v in lines[i].vertices)
-        pair_ok &= not others & members & ~1
-        others |= members & ~1
-        meets = 0
-        for v in lines[i].vertices:
-            meets |= through[v]
-        t.update(iter_bits(meets & ~here))
-    row = Counter(t.values())
-    row[0] = len(lines) - here.bit_count() - len(t)
-    return {k: len(through) * c for k, c in sorted(row.items()) if c}, pair_ok
-
-
-def _report(kind: str, census: CliqueCensus) -> GeometryReport:
+def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryReport:
     """The measured report of one clique class as Lines over the graph's vertices."""
     lines = getattr(census, kind)
     through = census.point_of if kind == "point_cliques" else census.plane_of
-    if census.translations is not None:
-        hist, pair_ok = _measure_at_zero(lines, through)
-    elif census.nu > ENUMERATION_MAX_VERTICES:
+    orbit = census.certified_by(model.structure.translations)
+    if not orbit and census.nu > ENUMERATION_MAX_VERTICES:
         raise CliqueError(f"the {kind} geometry of a census without a translation certificate "
                           f"is limited to {ENUMERATION_MAX_VERTICES} Points")
-    else:
-        hist, pair_ok = _measure(through, len(lines))
+    hist, pair_ok = _measure(lines, through, [0] if orbit else range(census.nu))
+    if orbit:
+        hist = {t: census.nu * c for t, c in hist.items()}
     constant = next(iter(hist)) if len(hist) == 1 else None
     return GeometryReport(
         kind=kind, num_points=census.nu, num_lines=len(lines),
@@ -132,7 +122,7 @@ def build_point_clique_geometry(census: CliqueCensus, model: RectangleModel) -> 
     on a trivial model only the Line count, 0, is checked.
     """
     m, n = census.m, census.n
-    rep = _report("point_cliques", census)
+    rep = _report("point_cliques", census, model)
     rep.line_count_matches = {(m + 1) * n: "(m+1)n", m * n: "mn"}.get(rep.num_lines)
     rep.is_partial_geometry &= rep.points_per_line == {n} and rep.lines_per_point == {m + 1}
     if rep.is_partial_geometry and rep.constant_t == m:
@@ -159,7 +149,7 @@ def build_plane_clique_structure(census: CliqueCensus, model: RectangleModel) ->
     number of plane cliques is checked, so that no model passes over none.
     """
     m, n = census.m, census.n
-    rep = _report("plane_cliques", census)
+    rep = _report("plane_cliques", census, model)
     support = set(rep.t_histogram)
     c = rep.checks
     c["num_lines"] = (census.expected_counts[1], rep.num_lines)

@@ -107,9 +107,14 @@ def test_hq2k_shape(p, e, k, nu, r):
     assert r == (q + 1) * (q ** k - 1)
 
 
-def test_hq2k_bound():
-    with pytest.raises(BilinearError):
-        build_hq2k(2, 1, 9)
+def test_hq2k_bound(monkeypatch):
+    def built(*args):
+        raise AssertionError("H was built past its bound")
+
+    monkeypatch.setattr("prect.bilinear.field_make", built)
+    for k in (8, 9):  # q^(2k) = 2^16 and 2^18, past the bound of 2^14
+        with pytest.raises(BilinearError, match="beyond bound 16384"):
+            build_hq2k(2, 1, k)
 
 
 def test_hq2k_adjacency_is_rank_one():

@@ -512,6 +512,10 @@ def test_cli_extra_ordinary_line_fails_its_geometry_without_a_traceback(tmp_path
     assert build_point_clique_geometry(census, model).mismatches()["num_points"] == (16, 17)
 
 
+def _too_early(*args, **kwargs):
+    raise AssertionError("ran before the bound was checked")
+
+
 @pytest.mark.parametrize("profile", ["quick", "full"])
 def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsys,
                                                                  monkeypatch, profile):
@@ -525,24 +529,58 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     (tmp_path / "swapped.json").write_text(json.dumps(d, sort_keys=True))
     capsys.readouterr()
 
-    def too_early(*args, **kwargs):
-        raise AssertionError("ran before the bound was checked")
-
     # between the bounds the certified graph runs, the swapped one is refused
     monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 15)
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 0
     capsys.readouterr()
-    monkeypatch.setattr(prect.cli, "check_axioms", too_early)
+    monkeypatch.setattr(prect.cli, "check_axioms", _too_early)
     assert run_cli("verify", str(tmp_path / "swapped.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
     # past both bounds the size alone refuses, before any graph is built
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 14)
-    monkeypatch.setattr(prect.linegraph, "build_line_graph", too_early)
+    monkeypatch.setattr(prect.linegraph, "build_line_graph", _too_early)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 14 vertices\n"
+
+
+@pytest.mark.parametrize("command", [("cliques",), ("geometry",),
+                                     ("export", "--what", "census")])
+def test_cli_census_refuses_past_the_enumeration_bound_before_the_graph(tmp_path, capsys,
+                                                                        monkeypatch, command):
+    import prect.cliques
+    import prect.linegraph
+
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    lines = d["structure"]["lines"]
+    lines[0], lines[5] = lines[5], lines[0]
+    (tmp_path / "swapped.json").write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+
+    monkeypatch.setattr(prect.linegraph, "build_line_graph", _too_early)
+    monkeypatch.setattr(prect.cliques, "ENUMERATION_MAX_VERTICES", 15)
+    # between the bounds the swapped model, which is not certified, is refused
+    monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
+    assert run_cli(command[0], str(tmp_path / "swapped.json"), *command[1:]) == 2
+    assert capsys.readouterr() == ("", "error: enumeration limited to 15 vertices\n")
+    monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 14)
+    assert run_cli(command[0], str(tmp_path / "m.json"), *command[1:]) == 2
+    assert capsys.readouterr() == ("", "error: enumeration limited to 14 vertices\n")
+
+
+def test_cli_iso_refuses_past_its_bound_before_the_graph(tmp_path, capsys, monkeypatch):
+    import prect.bilinear
+    import prect.linegraph
+
+    _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    capsys.readouterr()
+
+    monkeypatch.setattr(prect.linegraph, "build_line_graph", _too_early)
+    monkeypatch.setattr(prect.bilinear, "MAX_VERTICES", 80)
+    assert run_cli("iso", str(tmp_path / "m.json")) == 2
+    assert capsys.readouterr() == ("", "error: q^(2k) = 81 beyond bound 80\n")
 
 
 @pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),

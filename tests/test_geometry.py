@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from prect.cliques import classify_census
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prect.cliques import PlaneClique, classify_census
 from prect.geometry import (_measure, build_plane_clique_structure,
                             build_point_clique_geometry)
 
@@ -121,12 +124,19 @@ def _brute_force_measure(lines, nu):
     return hist, pair_ok
 
 
-def _check_against_oracle(lines, through):
-    """_measure on the census masks against the oracle on the vertex tuples."""
-    hist, pair_ok = _measure(through, len(lines))
-    ref_hist, ref_pair_ok = _brute_force_measure(lines, len(through))
-    assert list(hist.items()) == list(ref_hist.items())  # insertion order too
+def _check_against_oracle(lines, through, closed=True):
+    """_measure on the census masks against the oracle on the vertex tuples,
+    at every Point and, for a class closed under the translations, at Point 0
+    scaled by the number of Points."""
+    nu = len(through)
+    ref_hist, ref_pair_ok = _brute_force_measure([ln.vertices for ln in lines], nu)
+    hist, pair_ok = _measure(lines, through, range(nu))
+    assert list(hist.items()) == sorted(ref_hist.items())
     assert pair_ok == ref_pair_ok
+    if closed:
+        hist, pair_ok = _measure(lines, through, [0])
+        assert [(t, nu * c) for t, c in hist.items()] == sorted(ref_hist.items())
+        assert pair_ok == ref_pair_ok
     return pair_ok
 
 
@@ -135,14 +145,24 @@ def test_measure_matches_brute_force(census_l23, census_r39):
         assert census.nu == census.n * census.n
         for fam, through in ((census.point_cliques, census.point_of),
                              (census.plane_cliques, census.plane_of)):
-            assert _check_against_oracle([pc.vertices for pc in fam], through)
+            assert _check_against_oracle(fam, through)
 
 
 def test_measure_duplicated_plane_clique(census_l23, l23):
     planes = census_l23.plane_cliques
     doubled = replace(census_l23, plane_cliques=planes + [planes[5]])
-    assert not _check_against_oracle([pc.vertices for pc in doubled.plane_cliques],
-                                     doubled.plane_of)
+    assert not _check_against_oracle(doubled.plane_cliques, doubled.plane_of, closed=False)
     rep = build_plane_clique_structure(doubled, l23)
     assert rep.checks["two_points_one_line"] == (True, False)
     assert not rep.ok
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda nu: st.tuples(
+    st.just(nu), st.lists(st.sets(st.integers(0, nu - 1), min_size=1), max_size=20))))
+def test_measure_matches_brute_force_on_any_lines(family):
+    """Any family of Lines, repeated ones and t up to 20 included, measured at every Point."""
+    nu, sets = family
+    lines = [PlaneClique(tuple(sorted(vs)), ()) for vs in sets]
+    through = [sum(1 << i for i, ln in enumerate(lines) if p in ln.vertices) for p in range(nu)]
+    _check_against_oracle(lines, through, closed=False)

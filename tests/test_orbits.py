@@ -7,10 +7,11 @@ geometries work from vertex 0.  Patching the certificate to None forces the
 all-vertex loops, which must give the same verdicts, histograms and first
 witnesses: on the certified rungs, on the planes PG(2, q), on twisted_r39
 (certified, yet failing A6 and the census) and on a census with a repeated
-plane clique, which carries no certificate.  The oracles' graph-level check
-and census-closure scan confirm each certificate attached, on those models
-and on invariant mutants.  Sampled A6 on a certified model whose line-0
-scan passes tests no draw.
+plane clique, which carries no certificate.  A census paired with a graph
+or a model that holds another certificate takes those loops too.  The
+oracles' graph-level check and census-closure scan confirm each
+certificate attached, on those models and on invariant mutants.  Sampled
+A6 on a certified model whose line-0 scan passes tests no draw.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 
 from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, invariant_mutant,
                      ladder_model, translation_group, twisted_r39)
+from prect._util import iter_bits
 from prect.cli import main
 from prect.cliques import (CliqueError, classify_census, clique_intersections, extract_plane,
                            plane_extraction)
@@ -31,7 +33,7 @@ from prect.construct import build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
 from prect.incidence import IncidenceStructure, check_axioms
-from prect.linegraph import build_line_graph
+from prect.linegraph import LineGraph, build_line_graph
 
 PLANES = {"PG(2,2)": lambda: build_plane(2, 1), "PG(2,3)": lambda: build_plane(3, 1),
           "PG(2,4)": lambda: build_plane(2, 2)}
@@ -121,6 +123,49 @@ def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23,
     with monkeypatch.context() as mp:
         _all_vertex(mp)
         assert _facts(l23, g_l23, census) == facts
+
+
+def test_a_census_under_another_certificate_takes_the_all_vertex_path(census_l23, l23, g_l23,
+                                                                       monkeypatch):
+    """A census stands for its orbit only under the very certificate it
+    carries.  Paired with the graph or the model of an equal L_2^3 that
+    holds its own, the intersection laws read every row (a non-edge covered
+    by a clique is found at (u, v) = (1, v) only there), every plane is
+    extracted, and both geometries are measured at every Point, so they
+    refuse past a lowered bound."""
+    other = build_l2k(3)
+    g_other = build_line_graph(other)
+    assert census_l23.certified_by(g_l23.translations)
+    assert census_l23.certified_by(l23.structure.translations)
+    assert not census_l23.certified_by(g_other.translations)
+    assert not census_l23.certified_by(other.structure.translations)
+    assert g_other.rows == g_l23.rows
+
+    v = next(w for w in iter_bits(g_l23.rows[1]) if w > 1)
+    rows = list(g_l23.rows)
+    rows[1] ^= 1 << v
+    rows[v] ^= 1 << 1
+    assert clique_intersections(census_l23, LineGraph(g_l23.nu, rows, g_l23.translations)).ok
+    inter = clique_intersections(census_l23, LineGraph(g_l23.nu, rows, g_other.translations))
+    assert inter.violations == [("cover-of-nonedge", 1, v, 0)]
+
+    seen = []
+
+    def spy(clique, model):
+        seen.append(clique.vertices)
+        return extract_plane(clique, model)
+
+    monkeypatch.setattr("prect.cliques.extract_plane", spy)
+    assert plane_extraction(census_l23, other)
+    assert seen == [pc.vertices for pc in census_l23.plane_cliques]
+
+    for build in (build_point_clique_geometry, build_plane_clique_structure):
+        assert build(census_l23, other) == build(census_l23, l23)
+    monkeypatch.setattr("prect.geometry.ENUMERATION_MAX_VERTICES", 32)
+    for build in (build_point_clique_geometry, build_plane_clique_structure):
+        assert build(census_l23, l23).ok
+        with pytest.raises(CliqueError, match="limited to 32 Points"):
+            build(census_l23, other)
 
 
 def test_all_point_geometry_keeps_the_enumeration_bound(census_l23, l23, monkeypatch):
