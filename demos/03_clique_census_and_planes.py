@@ -5,7 +5,9 @@ the m^2 ordinary lines of one maximal subplane.  The census enumerates all
 maximal cliques (Bron-Kerbosch with pivoting on bitsets), classifies them by
 the common-point test, and checks every counting formula.  Each plane clique
 is then checked, on the point masks of its lines and of the special lines
-cut down to it, to be a projective plane of order m containing D.
+cut down to it, to be a projective plane of order m.  A clique is its
+sorted vertex tuple; its plane's points (its lines' points plus D) are read
+off the model.
 """
 
 from prect import (build_l2k, build_line_graph, classify_census,
@@ -28,12 +30,11 @@ inter = clique_intersections(census, g)
 print(f"intersection laws (pairwise sizes, exactly-one edge cover): {inter.ok}")
 assert inter.ok
 
-# Rebuild one plane and verify it is a Fano plane containing D.
+# Rebuild one plane and verify it is a Fano plane.
 first = census.plane_cliques[0]
 ext = extract_plane(first, model)
-print(f"plane of clique {first.vertices}: order {ext.order}, "
-      f"{ext.ordinary_points} ordinary points, {ext.ordinary_lines} ordinary "
-      f"lines, contains D: {ext.contains_special_point}")
+print(f"plane of clique {first}: order {ext.order}, "
+      f"{ext.ordinary_points} ordinary points, {ext.ordinary_lines} ordinary lines")
 assert ext.ok
 
 # The classification is by common point, not size: with n = m^2 (k = 2) the
@@ -41,9 +42,7 @@ assert ext.ok
 small = build_l2k(2)
 gs = build_line_graph(small)
 cs = classify_census(gs, small)
-sizes = ({len(c.vertices) for c in cs.point_cliques},
-         {len(c.vertices) for c in cs.plane_cliques})
-print(f"L_2^2 censored sizes (point, plane): {sizes} -> equal, classes still disjoint")
-assert not ({c.vertices for c in cs.point_cliques}
-            & {c.vertices for c in cs.plane_cliques})
+sizes = ({len(c) for c in cs.point_cliques}, {len(c) for c in cs.plane_cliques})
+print(f"L_2^2 census sizes (point, plane): {sizes} -> equal, classes still disjoint")
+assert not set(cs.point_cliques) & set(cs.plane_cliques)
 print("done.")

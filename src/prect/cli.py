@@ -160,8 +160,8 @@ def cmd_verify(args, report: RunReport) -> int:
     run = _Run(args.model)
     model = run.model
     t0 = time.perf_counter()
-    if args.profile == "full" and model.num_ordinary_lines <= CAYLEY_MAX_VERTICES:
-        run.translations  # certified once, for the bound, full A6, the graph and the census
+    if model.num_ordinary_lines <= CAYLEY_MAX_VERTICES:
+        run.translations  # certified once, for the bound, A6, the graph and the census
     check_enumeration_bound(model)  # the census would refuse after A6
     t_axioms = time.perf_counter()
     axioms = check_axioms(model.structure, "full" if args.profile == "full" else "sampled",
@@ -243,6 +243,7 @@ def cmd_iso(args, report: RunReport) -> int:
     if run.model.family != "subplane" or run.model.line_coeffs is None:
         print("iso requires a coordinatized subplane model", file=sys.stderr)
         return 2
+    _a1(run, report)
     mapping, iso = run.iso
     report.verdicts["bilinear_isomorphism"] = iso.ok
     report.details["pairs_checked"] = iso.pairs_checked

@@ -5,7 +5,9 @@ either a point clique (all n ordinary lines through one ordinary point) or a
 plane clique (the m^2 ordinary lines of one maximal subplane); anything else
 is anomalous and falsifies the rectangle property.  When n = m^2 the two
 kinds have equal size, so classification tests for a common point before
-looking at sizes.
+looking at sizes.  A clique is its sorted vertex tuple; its point (the one
+common point of its lines) or its plane (its lines' points plus D) is read
+off the model where used, by export.census_to_dict and extract_plane.
 
 On a graph that carries the model's incidence certificate
 (LineGraph.translations, see build_line_graph), the enumeration expands
@@ -129,21 +131,9 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
 
 
 @dataclass
-class PointClique:
-    vertices: tuple[int, ...]
-    point: int  # structure point index shared by every member line
-
-
-@dataclass
-class PlaneClique:
-    vertices: tuple[int, ...]
-    plane_points: tuple[int, ...]  # union of member lines plus D
-
-
-@dataclass
 class CliqueCensus:
-    point_cliques: list[PointClique]
-    plane_cliques: list[PlaneClique]
+    point_cliques: list[tuple[int, ...]]
+    plane_cliques: list[tuple[int, ...]]
     anomalous: list[tuple[int, ...]]
     m: int
     n: int
@@ -164,7 +154,7 @@ class CliqueCensus:
         for masks, cliques in ((self.point_of, self.point_cliques),
                                (self.plane_of, self.plane_cliques)):
             for j, clique in enumerate(cliques):
-                for v in clique.vertices:
+                for v in clique:
                     masks[v] |= 1 << j
 
     def certified_by(self, translations: Translations | None) -> bool:
@@ -212,7 +202,6 @@ def classify_census(g: LineGraph, model: RectangleModel,
     points, planes, anomalous = [], [], []
 
     masks = s.line_masks
-    D = s.special_point
     for cl in cliques:
         if not cl:  # the one maximal clique of a graph with no vertices
             anomalous.append(cl)
@@ -221,19 +210,11 @@ def classify_census(g: LineGraph, model: RectangleModel,
         for v in cl[1:]:
             common &= masks[v]
         if common:
-            pt = common.bit_length() - 1
-            pencil = tuple(i for i in s.lines_at[pt] if i < g.nu)
-            if common.bit_count() == 1 and cl == pencil and len(cl) == n:
-                points.append(PointClique(cl, pt))
-                continue
-            anomalous.append(cl)
-            continue
-        if len(cl) == m * m:
-            union = 0
-            for v in cl:
-                union |= masks[v]
-            union |= 1 << D
-            planes.append(PlaneClique(cl, tuple(iter_bits(union))))
+            pencil = tuple(i for i in s.lines_at[common.bit_length() - 1] if i < g.nu)
+            full = common.bit_count() == 1 and cl == pencil and len(cl) == n
+            (points if full else anomalous).append(cl)
+        elif len(cl) == m * m:
+            planes.append(cl)
         else:
             anomalous.append(cl)
 
@@ -246,14 +227,12 @@ def classify_census(g: LineGraph, model: RectangleModel,
         points_expected, planes_expected = census.expected_counts
         c["point_clique_count"] = (points_expected, len(census.point_cliques))
         c["plane_clique_count"] = (planes_expected, len(census.plane_cliques))
-        c["point_clique_sizes"] = ({n}, {len(pc.vertices) for pc in census.point_cliques})
-        c["plane_clique_sizes"] = ({m * m}, {len(pc.vertices) for pc in census.plane_cliques})
+        c["point_clique_sizes"] = ({n}, {len(pc) for pc in census.point_cliques})
+        c["plane_clique_sizes"] = ({m * m}, {len(pc) for pc in census.plane_cliques})
         c["max_clique_size"] = (n, max(len(cl) for cl in cliques))
         c["point_cliques_per_vertex"] = ({m + 1}, {b.bit_count() for b in census.point_of})
         c["plane_cliques_per_vertex"] = ({(n - 1) // (m - 1)},
                                          {b.bit_count() for b in census.plane_of})
-        sets = {pc.vertices for pc in census.point_cliques}
-        c["classes_set_distinct"] = (0, sum(pc.vertices in sets for pc in census.plane_cliques))
     return census
 
 
@@ -299,8 +278,7 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     planes = iter_bits(census.plane_of[0]) if orbit else range(len(census.plane_cliques))
     sizes = set()
     for i in planes:
-        pc = census.plane_cliques[i]
-        shared = Counter(j for v in pc.vertices for j in iter_bits(census.point_of[v]))
+        shared = Counter(j for v in census.plane_cliques[i] for j in iter_bits(census.point_of[v]))
         if len(shared) < npoints:
             sizes.add(0)
         sizes.update(shared.values())
@@ -321,8 +299,8 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             cliques = [cliques[j] for j in iter_bits(holding[0])]
         once, twice = [0] * g.nu, [0] * g.nu  # partners in one clique, in two
         for pc in cliques:
-            members = sum(1 << v for v in pc.vertices)
-            for v in pc.vertices:
+            members = sum(1 << v for v in pc)
+            for v in pc:
                 twice[v] |= once[v] & members
                 once[v] |= members ^ (1 << v)
         for u, row in enumerate(rows):
@@ -340,13 +318,11 @@ class PlaneExtraction:
     order: int
     ordinary_points: int
     ordinary_lines: int
-    contains_special_point: bool
     checks: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return (self.contains_special_point
-                and all(e == a for e, a in self.checks.values()))
+        return all(e == a for e, a in self.checks.values())
 
 
 def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
@@ -357,8 +333,7 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     certificate (CliqueCensus.certified_by), each plane clique is a
     translate of one through vertex 0 by an incidence automorphism fixing
     D, which keeps every count extract_plane makes; only the planes through
-    vertex 0 are extracted.  This reads each clique's plane_points as the
-    union of its lines plus D, as classify_census builds them.
+    vertex 0 are extracted.
     """
     planes = census.plane_cliques
     if len(planes) != census.expected_counts[1]:
@@ -368,7 +343,16 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     return all(extract_plane(pc, model).ok for pc in planes)
 
 
-def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction:
+def plane_mask(clique: tuple[int, ...], model: RectangleModel) -> int:
+    """The points of a plane clique's plane as a mask: its lines' points plus D."""
+    s = model.structure
+    mask = 1 << s.special_point
+    for v in clique:
+        mask |= s.line_masks[v]
+    return mask
+
+
+def extract_plane(clique: tuple[int, ...], model: RectangleModel) -> PlaneExtraction:
     """Rebuild the plane of a plane clique and verify it is a plane of order m.
 
     The plane's points are the union of the member lines plus D; its lines
@@ -387,27 +371,17 @@ def extract_plane(clique: PlaneClique, model: RectangleModel) -> PlaneExtraction
     Conversely, the lines of a projective plane of order m meet pairwise.
 
     The lines are the model's point masks: a member line's mask, and a
-    special line's mask AND the plane's.  Plane points that miss D, or a
-    point of a member line, fail at once, before any line is counted.
+    special line's mask AND the plane's.
     """
-    s = model.structure
-    m = model.m
+    s, m = model.structure, model.m
     masks = s.line_masks
-    plane = sum(1 << p for p in clique.plane_points)
-    ext = PlaneExtraction(
-        order=m,
-        ordinary_points=len(clique.plane_points) - 1,
-        ordinary_lines=len(clique.vertices),
-        contains_special_point=bool(plane >> s.special_point & 1),
-    )
-    c = ext.checks
-    c["member_points_inside"] = (True, all(not masks[v] & ~plane for v in clique.vertices))
-    if not (ext.contains_special_point and c["member_points_inside"][1]):
-        return ext
-
-    lines = [masks[v] for v in clique.vertices] + [masks[i] & plane for i in s.special_lines]
+    plane = plane_mask(clique, model)
+    ext = PlaneExtraction(order=m, ordinary_points=plane.bit_count() - 1,
+                          ordinary_lines=len(clique))
+    lines = [masks[v] for v in clique] + [masks[i] & plane for i in s.special_lines]
     size = m * m + m + 1
-    c["points"] = (size, len(clique.plane_points))
+    c = ext.checks
+    c["points"] = (size, plane.bit_count())
     c["lines"] = (size, len(lines))
     c["line_sizes"] = ({m + 1}, {b.bit_count() for b in lines})
     c["lines_meet_once"] = ({1}, {(a & b).bit_count() for i, a in enumerate(lines)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from ._util import iter_bits
 from .construct import RectangleModel, build_l2k, build_subplane_rect
 from .gf import field_make
 from .incidence import IncidenceStructure
@@ -151,19 +152,29 @@ def build_model(family: str, p: int | None = None, e: int | None = None,
 # -- census JSON --
 
 def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
-    pts = model.structure.points
+    """The census as JSON; a point clique is labelled by the one point its
+    lines share, a plane clique by its plane's points, read off the model."""
+    from .cliques import plane_mask
+
+    pts, masks = model.structure.points, model.structure.line_masks
+
+    def point(clique):
+        mask = masks[clique[0]]
+        for v in clique[1:]:
+            mask &= masks[v]
+        return pts[mask.bit_length() - 1]
+
+    def plane(clique):
+        return [pts[p] for p in iter_bits(plane_mask(clique, model))]
+
     return {
         "m": census.m,
         "n": census.n,
         "trivial": census.trivial,
-        "point_cliques": [
-            {"vertices": list(pc.vertices), "point": pts[pc.point]}
-            for pc in census.point_cliques
-        ],
-        "plane_cliques": [
-            {"vertices": list(pc.vertices), "plane_points": [pts[p] for p in pc.plane_points]}
-            for pc in census.plane_cliques
-        ],
+        "point_cliques": [{"vertices": list(pc), "point": point(pc)}
+                          for pc in census.point_cliques],
+        "plane_cliques": [{"vertices": list(pc), "plane_points": plane(pc)}
+                          for pc in census.plane_cliques],
         "anomalous": [list(c) for c in census.anomalous],
     }
 

@@ -69,9 +69,9 @@ def _measure(lines, through, points):
         for i in iter_bits(here):
             if i not in known:
                 meets = 0
-                for v in lines[i].vertices:
+                for v in lines[i]:
                     meets |= through[v]
-                known[i] = sum(1 << v for v in lines[i].vertices), meets
+                known[i] = sum(1 << v for v in lines[i]), meets
             mine, carry = known[i]
             mine &= ~(1 << p)
             pair_ok &= not others & mine
@@ -104,7 +104,7 @@ def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryR
     constant = next(iter(hist)) if len(hist) == 1 else None
     return GeometryReport(
         kind=kind, num_points=census.nu, num_lines=len(lines),
-        points_per_line={len(ln.vertices) for ln in lines},
+        points_per_line={len(ln) for ln in lines},
         lines_per_point={b.bit_count() for b in through},
         t_histogram=hist, constant_t=constant,
         is_partial_geometry=constant is not None and pair_ok,

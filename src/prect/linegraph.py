@@ -31,6 +31,14 @@ from math import inf
 from ._util import Translations, iter_bits
 from .construct import RectangleModel
 
+# the largest graph of lines measured: its graph6 export on R(2,128), nu =
+# 2^14, took 12.9 s and 319 MB (README, "Scale")
+MAX_VERTICES = 1 << 14
+
+
+class LineGraphError(ValueError):
+    pass
+
 
 class LineGraph:
     """Undirected graph with bitmask rows; translations, when given, certify
@@ -83,10 +91,14 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
 
     The model's incidence certificate goes with the graph: each translation
     fixes D and sends ordinary line x to x + t, so it preserves "meet
-    outside D", A1 or not.
+    outside D", A1 or not.  Past MAX_VERTICES it raises LineGraphError
+    before any row is built.
     """
     s = model.structure
     nu = model.num_ordinary_lines
+    if nu > MAX_VERTICES:
+        raise LineGraphError(f"graph of lines limited to {MAX_VERTICES} vertices, "
+                             f"the model has {nu}")
     rows = [0] * nu
     for p, lines in enumerate(s.lines_at):
         if p == s.special_point:

@@ -19,8 +19,9 @@ removed.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
-the exact vertex connectivity; and a re-check of verify's A1 witness on the
-model file's structure.
+the exact vertex connectivity; and re-checks, on the model file's point
+sets, of the witnesses the CLI reports: the axioms', an anomalous clique of
+the census, and the pair of a failing isomorphism.
 """
 
 from __future__ import annotations
@@ -339,22 +340,115 @@ def _local_connectivity(rows: list[int], s: int, t: int, limit: int) -> int:
     return flow
 
 
-def recheck_a1_witness(structure: dict, axioms: dict):
-    """Assert that the A1 witness in a verify report's axioms details holds
-    on the model file's structure: the pair lies on exactly the listed
-    lines, two or more of them when covered more than once, and on none
-    when not covered.  Nothing to check when A1 passed."""
-    if axioms["verdicts"]["A1"]:
-        return
-    witness = axioms["witnesses"]["A1"]
+def _raw(structure: dict) -> tuple[list[set], int, int]:
+    """(each line's point set, D, the number of ordinary lines) of a model
+    file's structure; the ordinary lines are those missing D."""
     s = IncidenceStructure.from_json_dict(structure)
-    a, b = witness["pair"]
-    holding = [i for i, t in enumerate(s.lines) if a in t and b in t]
-    assert a != b and witness["lines"] == holding, witness
-    if witness["defect"] == "covered more than once":
-        assert len(holding) >= 2, witness
-    else:
-        assert witness["defect"] == "not covered" and not holding, witness
+    lines = [set(t) for t in s.lines]
+    return lines, s.special_point, sum(s.special_point not in t for t in lines)
+
+
+def recheck_witnesses(structure: dict, axioms: dict):
+    """Assert that the axiom witnesses of a report hold on the model file's
+    structure, from its point sets alone.  axioms holds "verdicts" and
+    "witnesses", as verify's axioms details do; a verdict missing from it
+    is not checked.
+
+    A1: the pair lies on exactly the listed lines, two or more of them when
+    covered more than once, and on none when not covered.  A2: the
+    quadrangle, which a passing verdict carries, has four points with no
+    three on a line.  A3: the listed lines are every line of fewer than 3
+    points.  A5: the special line meets the listed line in the listed
+    number of points, other than 1.  A6: ordinary lines l1, l2 meet, lines
+    g1 and g2 meet each of them, and g1 misses g2; where A1 holds, each g
+    meets l1 and l2 in two distinct points.  Where A1 fails, l1 and l2 may
+    meet twice, and check_axioms, which sets aside only the lines through
+    the highest of their common points, may name a g through the other one,
+    so the four points are not required to be distinct there.  A failing
+    A1, A3, A5 or A6 carries a witness, and a passing one none.
+    """
+    verdicts, witnesses = axioms["verdicts"], axioms["witnesses"]
+    lines, D, _ = _raw(structure)
+    for axiom in ("A1", "A3", "A5", "A6"):
+        if axiom in verdicts:
+            assert verdicts[axiom] == (axiom not in witnesses), (axiom, axioms)
+    if "A2" in verdicts:
+        assert verdicts["A2"] == ("A2" in witnesses), axioms
+    if "A1" in witnesses:
+        witness = witnesses["A1"]
+        a, b = witness["pair"]
+        holding = [i for i, t in enumerate(lines) if a in t and b in t]
+        assert a != b and witness["lines"] == holding, witness
+        if witness["defect"] == "covered more than once":
+            assert len(holding) >= 2, witness
+        else:
+            assert witness["defect"] == "not covered" and not holding, witness
+    if "A2" in witnesses:
+        quad = witnesses["A2"]["points"]
+        assert len(set(quad)) == 4, quad
+        assert all(len(t & set(quad)) <= 2 for t in lines), quad
+    if "A3" in witnesses:
+        assert witnesses["A3"]["lines"] == [i for i, t in enumerate(lines) if len(t) < 3]
+    if "A5" in witnesses:
+        witness = witnesses["A5"]
+        si, j, hits = witness["special"], witness["line"], witness["common_points"]
+        assert D in lines[si] and j != si and hits != 1, witness
+        assert len(lines[si] & lines[j]) == hits, witness
+    if "A6" in witnesses:
+        witness = witnesses["A6"]
+        l1, l2, g1, g2 = (witness[key] for key in ("l1", "l2", "g1", "g2"))
+        assert len({l1, l2, g1, g2}) == 4 and D not in lines[l1] | lines[l2], witness
+        assert lines[l1] & lines[l2] and not lines[g1] & lines[g2], witness
+        for g in (g1, g2):
+            assert lines[g] & lines[l1] and lines[g] & lines[l2], witness
+            if "A1" not in witnesses:  # each meet is one point, and the two differ
+                assert lines[g] & lines[l1] != lines[g] & lines[l2], witness
+
+
+def recheck_anomalous_clique(model: dict, clique):
+    """Assert that an anomalous clique of a census holds on the model file:
+    a maximal clique of the graph of lines, adjacency being a common point
+    other than D, that is neither the full pencil of one point (of n lines)
+    nor, with no common point, of size m^2."""
+    lines, D, nu = _raw(model["structure"])
+    q = model["params"]["p"] ** model["params"]["e"]
+    m, n = q, q ** model["params"]["k"]
+    members = set(clique)
+    assert members <= set(range(nu)) and len(members) == len(clique), clique
+
+    def meets(u, v):
+        return bool(lines[u] & lines[v] - {D})
+
+    assert all(meets(u, v) for u in clique for v in clique if u < v), clique
+    assert not any(all(meets(w, u) for u in clique) for w in range(nu) if w not in members), clique
+    common = set.intersection(*(lines[v] for v in clique)) if clique else set()
+    pencils = [sorted(i for i in range(nu) if p in lines[i]) for p in common]
+    assert not (pencils == [sorted(clique)] and len(clique) == n), clique
+    assert common or len(clique) != m * m, clique
+
+
+def recheck_iso_witness(model: dict, mapping: list[int], witness: dict):
+    """Assert that a failing isomorphism's witness holds: the sizes of the
+    graph of lines, H_q(2,k) (hq2k_with_matrices) and the map differ, or the
+    map is no bijection, or the pair's adjacency, a common point other than
+    D, differs from that of its images in H."""
+    lines, D, nu = _raw(model["structure"])
+    h = hq2k_with_matrices(model["params"]["p"], model["params"]["e"], model["params"]["k"])[0]
+    sizes_agree = nu == h.nu == len(mapping)
+    if witness["check"] == "sizes":
+        assert (witness["nu1"], witness["nu2"], witness["map"]) == (nu, h.nu, len(mapping))
+        assert not sizes_agree, witness
+        return
+    assert sizes_agree, witness
+    if witness["check"] == "bijection":
+        assert sorted(mapping) != list(range(nu)), witness
+        return
+    assert witness["check"] == "edge", witness
+    u, v = witness["pair"]
+    assert u < v and tuple(witness["images"]) == (mapping[u], mapping[v]), witness
+    source = bool(lines[u] & lines[v] - {D})
+    assert witness["adjacent_in_source"] == source, witness
+    assert h.adjacent(mapping[u], mapping[v]) != source, witness
 
 
 def hq2k_with_matrices(p: int, e: int, k: int) -> tuple[LineGraph, list, dict]:
@@ -483,7 +577,7 @@ def census_closed(census, kind: str) -> bool:
     repeated clique; closure under the d generators is closure under the
     group."""
     group, cliques = translations_of(census.nu), getattr(census, kind)
-    masks = {sum(1 << v for v in c.vertices) for c in cliques}
+    masks = {sum(1 << v for v in c) for c in cliques}
     return (group is not None and len(masks) == len(cliques)
             and all(group.step(x, i) in masks for i in range(group.d) for x in masks))
 
@@ -594,12 +688,13 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
 def extract_plane_by_axioms(clique, model) -> bool:
     """The plane check as it was before it counted: all six axioms on the
     rebuilt plane (A6 exhaustively), its order and its elementary counts.
-    Returns the verdict of the old PlaneExtraction.ok."""
+    The plane's points are those of the clique's lines plus D, gathered
+    from the point lists.  Returns the verdict of the old PlaneExtraction.ok."""
     s = model.structure
     m = model.m
-    pts = list(clique.plane_points)
+    pts = sorted({s.special_point}.union(*(s.lines[v] for v in clique)))
     back = {p: i for i, p in enumerate(pts)}
-    lines = [tuple(back[p] for p in s.lines[v]) for v in clique.vertices]
+    lines = [tuple(back[p] for p in s.lines[v]) for v in clique]
     for si in s.special_lines:
         lines.append(tuple(back[p] for p in s.lines[si] if p in back))
     sub = IncidenceStructure([s.points[p] for p in pts], lines, back[s.special_point])
@@ -611,5 +706,5 @@ def extract_plane_by_axioms(clique, model) -> bool:
     counts = elementary_counts(sub) if checks["order"][1] == (m, m) else None
     checks["elementary_counts"] = (True, counts.ok if counts else False)
     checks["ordinary_points"] = (m * (m + 1), len(pts) - 1)
-    checks["ordinary_lines"] = (m * m, len(clique.vertices))
-    return s.special_point in back and all(e == a for e, a in checks.values())
+    checks["ordinary_lines"] = (m * m, len(clique))
+    return all(e == a for e, a in checks.values())

@@ -15,12 +15,12 @@ import pytest
 import prect.cliques
 from oracles import (CAYLEY_LADDER, extract_plane_by_axioms, graph_from_edges, ladder_model,
                      translation_group, without_edge, without_ordinary_lines)
-from prect._util import comb2, iter_bits
-from prect.cliques import (CliqueError, PlaneClique, classify_census, clique_intersections,
+from prect._util import comb2
+from prect.cliques import (CliqueError, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
 from prect.cli import main
 from prect.construct import build_l2k, build_subplane_rect
-from prect.export import model_from_json
+from prect.export import model_from_dict, model_from_json, model_to_dict
 from prect.linegraph import LineGraph, build_line_graph
 
 
@@ -71,15 +71,15 @@ def test_l22_census_counts(census_l22):
     assert len(census_l22.plane_cliques) == 12
     assert census_l22.anomalous == []
     assert census_l22.ok, census_l22.mismatches()
-    assert {len(pc.vertices) for pc in census_l22.point_cliques} == {4}
-    assert {len(pc.vertices) for pc in census_l22.plane_cliques} == {4}
+    assert {len(pc) for pc in census_l22.point_cliques} == {4}
+    assert {len(pc) for pc in census_l22.plane_cliques} == {4}
 
 
 def test_l23_census_counts(census_l23):
     assert len(census_l23.point_cliques) == 24
     assert len(census_l23.plane_cliques) == 112
-    assert {len(pc.vertices) for pc in census_l23.point_cliques} == {8}
-    assert {len(pc.vertices) for pc in census_l23.plane_cliques} == {4}
+    assert {len(pc) for pc in census_l23.point_cliques} == {8}
+    assert {len(pc) for pc in census_l23.plane_cliques} == {4}
     assert census_l23.ok
 
 
@@ -91,30 +91,30 @@ def test_r39_census_counts(census_r39):
 
 def test_l22_per_vertex_memberships(census_l22):
     # vertex l_0 lies in m+1 = 3 point cliques and (n-1)/(m-1) = 3 plane cliques
-    in_point = sum(0 in pc.vertices for pc in census_l22.point_cliques)
-    in_plane = sum(0 in pc.vertices for pc in census_l22.plane_cliques)
+    in_point = sum(0 in pc for pc in census_l22.point_cliques)
+    in_plane = sum(0 in pc for pc in census_l22.plane_cliques)
     assert (in_point, in_plane) == (3, 3)
 
 
 def test_membership_index_matches_the_cliques(census_l23):
     for cliques, index in ((census_l23.point_cliques, census_l23.point_of),
                            (census_l23.plane_cliques, census_l23.plane_of)):
-        assert index == [sum(1 << j for j, c in enumerate(cliques) if v in c.vertices)
+        assert index == [sum(1 << j for j, c in enumerate(cliques) if v in c)
                          for v in range(census_l23.nu)]
 
 
 def test_example_point_clique_l1_l4_l11_l14(census_l22, l22):
     """The four lines through b_1 form a point clique, not a plane clique."""
     target = (1, 4, 11, 14)
-    pcs = {pc.vertices: pc.point for pc in census_l22.point_cliques}
-    assert target in pcs
-    assert l22.structure.points[pcs[target]] == "b1"
-    assert target not in {pc.vertices for pc in census_l22.plane_cliques}
+    assert target in census_l22.point_cliques
+    assert target not in census_l22.plane_cliques
+    s = l22.structure
+    assert [s.points[p] for p in set.intersection(*(set(s.lines[v]) for v in target))] == ["b1"]
 
 
 def test_plane_count_per_line_l23(census_l23):
     for v in range(64):
-        assert sum(v in pc.vertices for pc in census_l23.plane_cliques) == 7
+        assert sum(v in pc for pc in census_l23.plane_cliques) == 7
 
 
 def test_intersection_laws_l22(census_l22, g_l22):
@@ -132,7 +132,8 @@ def test_point_cliques_same_special_line_disjoint(census_l22, l22):
     s = l22.structure
     by_special = {}
     for pc in census_l22.point_cliques:
-        by_special.setdefault(s.special_line_of_point(pc.point), []).append(set(pc.vertices))
+        (point,) = set.intersection(*(set(s.lines[v]) for v in pc))
+        by_special.setdefault(s.special_line_of_point(point), []).append(set(pc))
     for group in by_special.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
@@ -141,8 +142,8 @@ def test_point_cliques_same_special_line_disjoint(census_l22, l22):
 
 def pair_cover_double_count(census, g) -> bool:
     """Edge double count: point and plane cliques each cover all edges once."""
-    pt_pairs = sum(comb2(len(pc.vertices)) for pc in census.point_cliques)
-    pl_pairs = sum(comb2(len(pc.vertices)) for pc in census.plane_cliques)
+    pt_pairs = sum(comb2(len(pc)) for pc in census.point_cliques)
+    pl_pairs = sum(comb2(len(pc)) for pc in census.plane_cliques)
     return pt_pairs == pl_pairs == g.num_edges
 
 
@@ -157,7 +158,6 @@ def test_extract_plane_l22_all_fano(census_l22, l22):
         assert ext.ok, ext.checks
         assert extract_plane_by_axioms(pc, l22)
         assert ext.checks["points"] == (7, 7)
-        assert ext.contains_special_point
 
 
 def test_extract_plane_r39(census_r39, r39):
@@ -168,45 +168,23 @@ def test_extract_plane_r39(census_r39, r39):
         assert ext.ordinary_lines == 9
 
 
-def test_extract_plane_fails_on_points_missing_from_the_plane(census_l22, l22):
-    pc = census_l22.plane_cliques[0]
-    d = l22.structure.special_point
-    without_d = replace(pc, plane_points=tuple(p for p in pc.plane_points if p != d))
-    ext = extract_plane(without_d, l22)
-    assert not ext.ok and not ext.contains_special_point
-    member = l22.structure.lines[pc.vertices[0]][0]
-    without_member = replace(pc, plane_points=tuple(p for p in pc.plane_points if p != member))
-    ext = extract_plane(without_member, l22)
-    assert not ext.ok and ext.contains_special_point
-
-
 def _plane_candidates(model, census, rng, randoms):
-    """Real plane cliques, each with one member swapped and with one point
-    added, point cliques, and random m^2-subsets of the ordinary lines."""
-    s = model.structure
-    masks = s.line_masks
+    """Real plane cliques, each with one member swapped and with one member
+    dropped, point cliques, and random m^2-subsets of the ordinary lines."""
     nu = model.num_ordinary_lines
-
-    def candidate(vertices, extra=0):
-        union = 1 << s.special_point | extra
-        for v in vertices:
-            union |= masks[v]
-        return PlaneClique(tuple(sorted(vertices)), tuple(iter_bits(union)))
-
     out = []
     for pc in census.plane_cliques:
         out.append(pc)
-        others = [v for v in range(nu) if v not in pc.vertices]
+        others = [v for v in range(nu) if v not in pc]
         if others:
-            vs = list(pc.vertices)
+            vs = list(pc)
             vs[rng.randrange(len(vs))] = rng.choice(others)
-            out.append(candidate(vs))
-        outside = [p for p in range(s.n_points) if p not in pc.plane_points]
-        if outside:
-            out.append(candidate(pc.vertices, 1 << rng.choice(outside)))
-    out.extend(candidate(pc.vertices) for pc in census.point_cliques)
+            out.append(tuple(sorted(vs)))
+        i = rng.randrange(len(pc))
+        out.append(pc[:i] + pc[i + 1:])
+    out.extend(census.point_cliques)
     m2 = model.m ** 2
-    out.extend(candidate(rng.sample(range(nu), m2)) for _ in range(randoms))
+    out.extend(tuple(sorted(rng.sample(range(nu), m2))) for _ in range(randoms))
     return out
 
 
@@ -224,6 +202,29 @@ def test_extract_plane_agrees_with_axiom_oracle():
             total += 1
             passing += ok
     assert total >= 2000 and passing >= 500, (total, passing)
+
+
+def test_classify_keeps_the_one_point_and_the_full_pencil_tests(l22, g_l22):
+    """The n lines through b1, supplied as a clique, are a point clique of
+    L_2^2.  With a new point on exactly those lines they share two points,
+    and with a new ordinary line through b1 they are no longer its full
+    pencil: both times the clique is anomalous, although it has size n.  The
+    n + 1 lines through b1 are then its full pencil, anomalous by size."""
+    pencil = (1, 4, 11, 14)
+    assert classify_census(g_l22, l22, [pencil]).point_cliques == [pencil]
+    twin = model_to_dict(l22)
+    twin["structure"]["points"].append("z")
+    for v in pencil:
+        twin["structure"]["lines"][v].append("z")
+    extra = model_to_dict(l22)
+    lines, d = extra["structure"]["lines"], extra["structure"]["special_point"]
+    special = next(ln for ln in lines if d in ln and "b1" in ln)
+    lines.insert(16, ["b1"] + [p for p in special if p not in (d, "b1")][:2])
+    for model in map(model_from_dict, (twin, extra)):
+        census = classify_census(build_line_graph(model), model, [pencil])
+        assert census.point_cliques == [] and census.anomalous == [pencil]
+    whole = pencil + (16,)
+    assert classify_census(build_line_graph(model), model, [whole]).anomalous == [whole]
 
 
 def test_census_anomalous_on_corrupted_graph(l22, g_l22):
@@ -249,7 +250,7 @@ def test_duplicated_clique_fails_on_doubly_covered_pair(census_l22, g_l22, famil
     doubled = replace(census_l22, **{family: cliques + [cliques[3]]})
     rep = clique_intersections(doubled, g_l22)
     assert not rep.ok
-    u, v = cliques[3].vertices[:2]
+    u, v = cliques[3][:2]
     assert (violation, u, v, 2) in rep.violations
 
 

@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from oracles import graph_from_edges, recheck_a1_witness
+from oracles import graph_from_edges, recheck_witnesses
 from prect.cli import main
-from prect.cliques import CliqueCensus, PlaneClique, PointClique, classify_census
+from prect.cliques import CliqueCensus, classify_census
 from prect.construct import RectangleModel
 from prect.export import census_to_dict, graph6_str, model_from_json, model_to_json, to_dot
 from prect.linegraph import LineGraph, build_line_graph
@@ -39,13 +39,9 @@ def parse_graph6(text: str) -> LineGraph:
 
 
 def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
-    index = {lab: i for i, lab in enumerate(model.structure.points)}
     return CliqueCensus(
-        point_cliques=[PointClique(tuple(pc["vertices"]), index[pc["point"]])
-                       for pc in d["point_cliques"]],
-        plane_cliques=[PlaneClique(tuple(pc["vertices"]),
-                                   tuple(index[p] for p in pc["plane_points"]))
-                       for pc in d["plane_cliques"]],
+        point_cliques=[tuple(pc["vertices"]) for pc in d["point_cliques"]],
+        plane_cliques=[tuple(pc["vertices"]) for pc in d["plane_cliques"]],
         anomalous=[tuple(c) for c in d["anomalous"]],
         m=d["m"], n=d["n"], trivial=d["trivial"], nu=model.num_ordinary_lines,
     )
@@ -307,6 +303,9 @@ def test_cli_unknown_family_errors(capsys):
 # coloring, a provenance for each witness, and no budget_exhausted field.
 # The geometry and cliques runs on L_2^3 with --out (both t values, the
 # written census) were recorded before the census kept its membership index.
+# The L_2^4 and R(3,27) census exports were recorded while the census still
+# stored each clique's point or plane.  The iso reports of R(3,9) and R(4,16)
+# were re-recorded when iso came to report A1: each gained "A1": true only.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -347,13 +346,13 @@ GOLDEN_STDOUT = [
     (("cliques", "l23.json", "--out", "census.json"), None,
      "7aa82600e231741a2a213ab373a75684336ad90d29c0b8571014ad1481908683"),
     (("iso", "r39.json"), None,
-     "36056012f06ab988ea20565e94329da4614e9ab26cd8d54fbf20e15b506aeb54"),
+     "792d071c57505142f4db4ebcbf4b1e619a8bd4badbf258fdca05d4566f0a0a80"),
     (("iso", "r39.json", "--out", "iso.json"), None,
-     "8982077144a904f40d8a7064209ac2bbccdbb81bc239faab2715e17e76d37723"),
+     "eebb4295a9278c31f7e16f0780267a947be7b5832a64076ceb45aee483a682fe"),
     (("iso", "l22.json"), None,
      "bd014368ac66efa322fbcbb647e3a6c026ced9b35ca6e2729f98278163b52508"),
     (("iso", "r416.json", "--out", "iso.json"), None,
-     "5b5ae706f0eb0d7a0bace329beec0b5edbfdda7b0fb230e1367e12de5a21a6d0"),
+     "6d949e2f172c7b97b6096888cdc3f427491f3b0fa6ba5c1c68a58aabe905d3a8"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
      "58ac29c89cb6084cdbfa27489640be8f08dcedbd972806d05129170fefe714ad"),
     (("analyze", "--graph", "r39.json"), None,
@@ -364,6 +363,11 @@ GOLDEN_STDOUT = [
      "b95f0806cd2a71c8faa635149478aa63275e92d404ec14099e06c920fcbc92ed"),
     (("export", "r39.json", "--what", "census", "--format", "json"), None,
      "f39c17dfcc964be0125324ea68241ac7a16aa3a09caa13220b17402fd80eb762"),
+    # censuses with n > m^2, where the plane cliques are smaller than the point cliques
+    (("export", "l24.json", "--what", "census", "--format", "json"), None,
+     "2bdca081bdfcc958491fa7df96c3caa87e7e34959fe3d0c0f3b46cec4409591f"),
+    (("cliques", "r327.json", "--out", "census.json"), None,
+     "ba922b4b2c955965509f3a539b73aa7896e74febd41863c18596c0c3923a10e4"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
      "0447b350204b163b14243786491245e72b37b0db6f265ecde2f7b35282d1725a"),
     (("export", "l23.json", "--what", "graph", "--format", "dot"), None,
@@ -478,7 +482,7 @@ def test_cli_cliques_and_geometry_report_a1_with_its_witness(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", str(path)) == 1
     axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
-    recheck_a1_witness(s, axioms)
+    recheck_witnesses(s, axioms)
     for command in ("cliques", "geometry"):
         assert run_cli(command, str(tmp_path / "m.json")) == 0
         rep = json.loads(capsys.readouterr().err.splitlines()[-1])
@@ -487,6 +491,31 @@ def test_cli_cliques_and_geometry_report_a1_with_its_witness(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert rep["verdicts"]["A1"] is False
         assert rep["details"]["A1"] == axioms["witnesses"]["A1"]
+
+
+def test_cli_iso_reports_a1_with_its_witness(tmp_path, capsys):
+    """R(3,9) with a new point added to every ordinary line, each its own:
+    the graph of lines is unchanged, so the isomorphism holds, but A1 fails
+    and iso exits 1 with verify's witness; the intact model passes A1."""
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    s = d["structure"]
+    for i in range(81):
+        s["points"].append(f"x{i}")
+        s["lines"][i].append(f"x{i}")
+    path = tmp_path / "own.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == 1
+    axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
+    recheck_witnesses(s, axioms)
+    assert run_cli("iso", str(tmp_path / "m.json")) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdicts"] == {"A1": True, "bilinear_isomorphism": True}
+    assert "A1" not in rep["details"]
+    assert run_cli("iso", str(path)) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdicts"] == {"A1": False, "bilinear_isomorphism": True}
+    assert rep["details"]["A1"] == axioms["witnesses"]["A1"]
 
 
 def test_cli_extra_ordinary_line_fails_its_geometry_without_a_traceback(tmp_path, capsys):
@@ -583,6 +612,26 @@ def test_cli_iso_refuses_past_its_bound_before_the_graph(tmp_path, capsys, monke
     assert capsys.readouterr() == ("", "error: q^(2k) = 81 beyond bound 80\n")
 
 
+@pytest.mark.parametrize("fmt", ["graph6", "dot"])
+def test_cli_export_graph_refuses_past_the_graph_bound(tmp_path, capsys, monkeypatch, fmt):
+    """export --what graph has no bound of its own: build_line_graph refuses
+    a model past its bound, a LineGraphError, and export exits 2."""
+    import prect.linegraph
+
+    _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    capsys.readouterr()
+    argv = ("export", str(tmp_path / "m.json"), "--what", "graph", "--format", fmt)
+    monkeypatch.setattr(prect.linegraph, "MAX_VERTICES", 16)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(prect.linegraph, "MAX_VERTICES", 15)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", "error: graph of lines limited to 15 vertices, "
+                                       "the model has 16\n")
+    with pytest.raises(prect.linegraph.LineGraphError):
+        prect.linegraph.build_line_graph(model_from_json((tmp_path / "m.json").read_text()))
+
+
 @pytest.mark.parametrize("args", [("--family", "l2k", "--k", "3"),
                                   ("--family", "subplane", "--p", "3", "--k", "2")])
 def test_cli_renumbered_model_is_not_translation_certified_and_passes(tmp_path, capsys, args):
@@ -605,10 +654,10 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     capsys.readouterr()
     run_cli("verify", str(tmp_path / "m.json"), "--timings")
     quick = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(quick) == {"axioms", "total", "graph", "cert", "census"}
+    assert set(quick) == {"axioms", "total", "translations", "graph", "cert", "census"}
     run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
     full = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(full) == set(quick) | {"iso", "geometry", "translations"}
+    assert set(full) == set(quick) | {"iso", "geometry"}
     assert all(t >= 0 for t in full.values())
     assert sum(full[k] for k in ("graph", "translations", "cert", "census", "iso",
                                  "geometry")) <= full["total"]
@@ -644,7 +693,7 @@ def test_cli_moved_point_fails_a1_with_a_witness_and_no_dot_export(tmp_path, cap
             assert run_cli("verify", str(path), "--profile", profile) == 1, i
             axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
             assert axioms["witnesses"]["A1"]["defect"] == "covered more than once"
-            recheck_a1_witness(d["structure"], axioms)
+            recheck_witnesses(d["structure"], axioms)
         assert run_cli("export", str(path), "--what", "graph", "--format", "dot") == 2, i
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: lines ") and "more than once" in err
@@ -653,7 +702,8 @@ def test_cli_moved_point_fails_a1_with_a_witness_and_no_dot_export(tmp_path, cap
 def test_cli_extra_line_fails_the_isomorphism_and_keeps_the_report(tmp_path, capsys):
     """R(3,9) plus an ordinary line through three points of one special line:
     82 ordinary lines, 81 coefficient triples.  The isomorphism fails its
-    sizes check, and verify still reports every other verdict."""
+    sizes check, A1 fails on the three collinear points, and verify still
+    reports every other verdict."""
     from prect.cli import _Run
 
     d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
@@ -664,7 +714,8 @@ def test_cli_extra_line_fails_the_isomorphism_and_keeps_the_report(tmp_path, cap
     path.write_text(json.dumps(d, sort_keys=True))
     capsys.readouterr()
     assert run_cli("iso", str(path)) == 1
-    assert json.loads(capsys.readouterr().out)["verdicts"] == {"bilinear_isomorphism": False}
+    assert json.loads(capsys.readouterr().out)["verdicts"] == {"A1": False,
+                                                              "bilinear_isomorphism": False}
     assert run_cli("verify", str(path), "--profile", "full") == 1
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert len(verdicts) == 11 and verdicts["bilinear_isomorphism"] is False

@@ -7,8 +7,10 @@ special line), and runs verify (both profiles), cliques, geometry, iso,
 analyze, export --what census and the DOT graph export on it through
 prect.cli.main.  Each run must return an exit code of 0, 1 or 2 and raise
 nothing: a broken model gives failing verdicts or an "error:" line, never a
-traceback.  A failing A1 verdict of verify must carry a witness that
-re-checks on the mutated structure.
+traceback.  Every failing verdict's witness must re-check on the mutated
+model file (tests/oracles): the axiom witnesses of verify and the A1
+witness of cliques, geometry and iso; each anomalous clique of the census
+that cliques and export write; and the pair of a failing isomorphism.
 
 Those mutations break the translation certificate, so two more tests take
 translation-invariant mutants (one mutation of line 0, applied to every
@@ -32,8 +34,9 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from oracles import INVARIANT_MUTATIONS, invariant_mutant, recheck_a1_witness
-from prect.cli import main
+from oracles import (INVARIANT_MUTATIONS, invariant_mutant, recheck_anomalous_clique,
+                     recheck_iso_witness, recheck_witnesses)
+from prect.cli import _Run, main
 from prect.export import model_from_dict
 from prect.incidence import IncidenceStructure
 
@@ -67,6 +70,25 @@ def _cli(*argv) -> tuple[int, str, str]:
 def _run(*argv) -> tuple[int, str]:
     """Exit code and stdout of one CLI run."""
     return _cli(*argv)[:2]
+
+
+def _recheck(argv, out: str, err: str):
+    """Re-check, on the model file, the witness of each failing verdict of a
+    run that gave one (exit 0 or 1)."""
+    command, path = argv[0], argv[1]
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh)
+    report = json.loads(err.splitlines()[-1] if command in ("cliques", "geometry", "export")
+                        else out)
+    recheck_witnesses(d["structure"], report["details"]["axioms"] if command == "verify" else
+                      {"verdicts": report["verdicts"], "witnesses": report["details"]})
+    if report["verdicts"].get("bilinear_isomorphism") is False:
+        mapping, iso = _Run(path).iso
+        assert not iso.ok
+        recheck_iso_witness(d, mapping, iso.witness)
+    if command == "cliques" or command == "export" and "census" in argv:
+        for clique in json.loads(out)["anomalous"]:
+            recheck_anomalous_clique(d, clique)
 
 
 @lru_cache(maxsize=None)
@@ -121,10 +143,10 @@ def test_mutated_model_gives_a_verdict_or_a_typed_error(name, kind, data):
             json.dump(d, fh, sort_keys=True)
         for argv in COMMANDS:
             argv = [a.format(path) for a in argv]
-            code, out = _run(*argv)
+            code, out, err = _cli(*argv)
             assert code in (0, 1, 2), argv
-            if argv[0] == "verify" and code != 2:
-                recheck_a1_witness(d["structure"], json.loads(out)["details"]["axioms"])
+            if code != 2 and argv[0] != "analyze":  # analyze reports no such witness
+                _recheck(argv, out, err)
 
 
 VERIFY_COMMANDS = [COMMANDS[0], COMMANDS[1], ("verify", "{}", "--a6-samples", "300", "--seed", "8")]
@@ -158,13 +180,14 @@ def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
     with _invariant_mutant_file(name, kind, data) as path:
         for argv in VERIFY_COMMANDS:
             argv = [a.format(path) for a in argv]
-            code, out = _run(*argv)
+            code, out, err = _cli(*argv)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
                 uncertified = _run(*argv)
             assert code in (0, 1, 2) and code == uncertified[0], argv
             if code != 2:
                 assert _a6(out) == _a6(uncertified[1]), argv
+                _recheck(argv, out, err)
 
 
 @pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
@@ -180,3 +203,5 @@ def test_invariant_mutant_gives_the_uncertified_census_and_geometry(name, kind, 
                 mp.setattr(IncidenceStructure, "translations", property(lambda s: None))
                 assert _cli(*argv) == certified, argv
             assert certified[0] in (0, 1, 2), argv
+            if certified[0] != 2:
+                _recheck(argv, *certified[1:])

@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prect.cliques import PlaneClique, classify_census
+from prect.cliques import classify_census
 from prect.geometry import (_measure, build_plane_clique_structure,
                             build_point_clique_geometry)
 
@@ -18,7 +18,7 @@ def transversal_double_count(census, g, report) -> bool:
     Each (P0, L0, L) with L on P0 meeting L0 and P0 not on L0 is counted
     once through t and once by walking Lines L and their crossing Lines.
     """
-    lines = [pc.vertices for pc in census.point_cliques]
+    lines = census.point_cliques
     masks = [sum(1 << v for v in ln) for ln in lines]
     total_t = sum(t * c for t, c in report.t_histogram.items())
     other = 0
@@ -129,7 +129,7 @@ def _check_against_oracle(lines, through, closed=True):
     at every Point and, for a class closed under the translations, at Point 0
     scaled by the number of Points."""
     nu = len(through)
-    ref_hist, ref_pair_ok = _brute_force_measure([ln.vertices for ln in lines], nu)
+    ref_hist, ref_pair_ok = _brute_force_measure(lines, nu)
     hist, pair_ok = _measure(lines, through, range(nu))
     assert list(hist.items()) == sorted(ref_hist.items())
     assert pair_ok == ref_pair_ok
@@ -163,6 +163,6 @@ def test_measure_duplicated_plane_clique(census_l23, l23):
 def test_measure_matches_brute_force_on_any_lines(family):
     """Any family of Lines, repeated ones and t up to 20 included, measured at every Point."""
     nu, sets = family
-    lines = [PlaneClique(tuple(sorted(vs)), ()) for vs in sets]
-    through = [sum(1 << i for i, ln in enumerate(lines) if p in ln.vertices) for p in range(nu)]
+    lines = [tuple(sorted(vs)) for vs in sets]
+    through = [sum(1 << i for i, ln in enumerate(lines) if p in ln) for p in range(nu)]
     _check_against_oracle(lines, through, closed=False)

@@ -152,12 +152,12 @@ def test_a_census_under_another_certificate_takes_the_all_vertex_path(census_l23
     seen = []
 
     def spy(clique, model):
-        seen.append(clique.vertices)
+        seen.append(clique)
         return extract_plane(clique, model)
 
     monkeypatch.setattr("prect.cliques.extract_plane", spy)
     assert plane_extraction(census_l23, other)
-    assert seen == [pc.vertices for pc in census_l23.plane_cliques]
+    assert seen == census_l23.plane_cliques
 
     for build in (build_point_clique_geometry, build_plane_clique_structure):
         assert build(census_l23, other) == build(census_l23, l23)
@@ -185,7 +185,7 @@ def test_plane_extraction_reads_the_planes_through_vertex_0(l23, census_l23, mon
     seen = []
 
     def spy(clique, model):
-        seen.append(clique.vertices)
+        seen.append(clique)
         return extract_plane(clique, model)
 
     monkeypatch.setattr("prect.cliques.extract_plane", spy)
