@@ -1,28 +1,31 @@
 """Elementary graph properties of the graph of lines.
 
-Planarity and Eulerian verdicts come with the degree/parity reasoning that
-justifies them.  A Hamilton cycle, an n-coloring and, for even n, an
-r-edge-coloring are read off the model (the *_by_construction functions)
-and each is checked by its validator before it is reported; a witness that
-fails its check raises AnalysisError.  The budgeted searches
-(hamiltonian_search, chromatic_analysis, chromatic_index_bracket) remain as
-independent oracles on small graphs.  The chromatic report carries three
-lower bounds separately (the eigenvalue bound min(mult2, 1 - tau2/tau1), the
-claimed bound (n-1)(n-m), and the clique bound n) exactly because they can
+A Hamilton cycle, an n-coloring and, for even n, an r-edge-coloring are
+read off the model (the *_by_construction functions) and each is checked by
+its validator before it is reported; a witness that fails its check raises
+AnalysisError.  The budgeted searches (hamiltonian_search,
+chromatic_analysis, chromatic_index_bracket) remain as independent oracles
+on small graphs.  The chromatic report carries three lower bounds
+separately (the eigenvalue bound min(mult2, 1 - tau2/tau1), the claimed
+bound (n-1)(n-m), and the clique bound n) exactly because they can
 disagree; any inconsistency between them and the exact value is flagged,
 not hidden.
+
+The planarity, Eulerian and Krein verdicts live in linegraph, so that
+verify reports them without loading this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil
 
 from ._util import iter_bits
 from .construct import RectangleModel
 from .gf import field_make
-from .linegraph import LineGraph, SrgCertificate, eccentricity
+from .linegraph import LineGraph, SrgCertificate
+# re-exported for perfbench/tracer.py, which imports them from here
+from .linegraph import eulerian_verdict, krein_check, planarity_verdict  # noqa: F401
 
 DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -37,56 +40,14 @@ class AnalysisError(ValueError):
     """A witness fails its own verification, or cannot be read off the model."""
 
 
-@dataclass
-class PlanarityReport:
-    planar: bool
-    reason: str
-    is_k4: bool = False
-
-
-def planarity_verdict(g: LineGraph, m: int, n: int) -> PlanarityReport:
-    """Nonplanar whenever the degree reaches 6; the (2,2) case is K_4."""
-    if m == 2 and n == 2:
-        is_k4 = g.nu == 4 and g.is_complete()
-        return PlanarityReport(is_k4, "graph is K_4, drawable in the plane", is_k4)
-    r = (m + 1) * (n - 1)
-    if r >= 6:
-        return PlanarityReport(False, f"regular of degree {r} >= 6")
-    return PlanarityReport(False, f"unexpected parameters m={m}, n={n}")
-
-
-@dataclass
-class EulerianReport:
-    eulerian: bool
-    predicate: bool  # m or n odd
-    connected: bool
-    degrees_even: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.eulerian == self.predicate
-
-
-def eulerian_verdict(g: LineGraph, m: int, n: int) -> EulerianReport:
-    """Direct even-degree plus connectivity check against the parity rule."""
-    degrees_even = all(g.degree(v) % 2 == 0 for v in range(g.nu))
-    connected = g.nu == 0 or eccentricity(g, 0) != inf
-    return EulerianReport(
-        eulerian=degrees_even and connected,
-        predicate=(m % 2 == 1) or (n % 2 == 1),
-        connected=connected,
-        degrees_even=degrees_even,
-    )
-
-
-@dataclass
 class HamiltonianReport:
-    cycle: list[int] | None
-    verified: bool
-    nodes_expanded: int
-    budget_exhausted: bool
-    condition_n_le_3m_plus_1: bool | None = None
-    provenance: str | None = None
+    def __init__(self, cycle: list[int] | None, verified: bool, nodes_expanded: int,
+                 budget_exhausted: bool, condition_n_le_3m_plus_1: bool | None = None,
+                 provenance: str | None = None):
+        self.cycle, self.verified = cycle, verified
+        self.nodes_expanded, self.budget_exhausted = nodes_expanded, budget_exhausted
+        self.condition_n_le_3m_plus_1 = condition_n_le_3m_plus_1
+        self.provenance = provenance
 
 
 def validate_cycle(g: LineGraph, seq: list[int]) -> bool:
@@ -151,16 +112,15 @@ def hamiltonian_by_construction(g: LineGraph, model: RectangleModel,
     return HamiltonianReport(cycle, True, 0, False, n <= 3 * m + 1, "rook's-graph walk")
 
 
-@dataclass
 class ChromaticReport:
-    exact_chromatic: int | None
-    witness: list[int] | None
-    haemers_bound: int
-    haemers_exact: str
-    claimed_bound: int
-    clique_lower_bound: int
-    flags: dict = field(default_factory=dict)
-    provenance: str | None = None
+    def __init__(self, haemers_bound: int, haemers_exact: str, claimed_bound: int,
+                 clique_lower_bound: int):
+        self.exact_chromatic: int | None = None
+        self.witness: list[int] | None = None
+        self.haemers_bound, self.haemers_exact = haemers_bound, haemers_exact
+        self.claimed_bound, self.clique_lower_bound = claimed_bound, clique_lower_bound
+        self.flags = {}
+        self.provenance: str | None = None
 
 
 def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
@@ -204,8 +164,6 @@ def _chromatic_bounds(cert: SrgCertificate, m: int, n: int) -> ChromaticReport:
     mult2 = cert.multiplicities[2]
     ratio = Fraction(1) - Fraction(cert.tau2, cert.tau1) if cert.tau1 else Fraction(0)
     return ChromaticReport(
-        exact_chromatic=None,
-        witness=None,
         haemers_bound=ceil(min(Fraction(mult2), ratio)),
         haemers_exact=f"min({mult2}, {ratio})",
         claimed_bound=(n - 1) * (n - m),
@@ -328,16 +286,14 @@ def _exact_chromatic(g: LineGraph, node_budget: int):
     return best_k, [c - 1 for c in best], False
 
 
-@dataclass
 class EdgeColorReport:
-    r: int
-    bracket: tuple[int, int]
-    nu_odd: bool
-    verdict: str  # "r+1 (odd order)", "r (coloring found)", "unresolved"
-    witness: dict | None
-    nodes_expanded: int
-    flags: dict = field(default_factory=dict)
-    provenance: str | None = None
+    def __init__(self, r: int, bracket: tuple[int, int], nu_odd: bool):
+        self.r, self.bracket, self.nu_odd = r, bracket, nu_odd
+        self.verdict = "unresolved"  # or "r+1 (odd order)", "r (coloring found)"
+        self.witness: dict | None = None
+        self.nodes_expanded = 0
+        self.flags = {}
+        self.provenance: str | None = None
 
 
 def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = None,
@@ -381,7 +337,7 @@ def _edge_bracket(g: LineGraph, m: int | None, n: int | None) -> EdgeColorReport
     if len(degs) != 1:
         raise AnalysisError("chromatic index bracket needs a regular graph")
     r = degs.pop()
-    rep = EdgeColorReport(r, (r, r + 1), g.nu % 2 == 1, "unresolved", None, 0)
+    rep = EdgeColorReport(r, (r, r + 1), g.nu % 2 == 1)
     if m is not None and n is not None:
         tau1, tau2 = n - m - 1, -(m + 1)
         x = max(tau1, -tau2)
@@ -572,34 +528,3 @@ def rook_walk(model: RectangleModel) -> list[int]:
         walk += [grid[i * n + j] for j in columns]
     walk += [grid[i * n] for i in range(n - 1, -1, -1)]
     return walk + walk[:1]
-
-
-@dataclass
-class KreinReport:
-    srg: bool  # the certificate passed, so its eigenvalues are the graph's
-    lhs1: int
-    rhs1: int
-    lhs2: int
-    rhs2: int
-
-    @property
-    def ok(self) -> bool:
-        return self.srg and self.lhs1 <= self.rhs1 and self.lhs2 <= self.rhs2
-
-
-def krein_check(cert: SrgCertificate) -> KreinReport:
-    """Both Krein conditions on the certified parameters, exactly.
-
-    (tau1+1)(r + tau1 + 2*tau1*tau2) <= (r + tau1)(tau2 + 1)^2 and the dual
-    with tau1 and tau2 swapped; every strongly regular graph must pass.  The
-    eigenvalues are the expected parameters' formulas, which describe the
-    graph only when the certificate passes, so a failed certificate fails.
-    """
-    r, s, t = cert.tau0, cert.tau1, cert.tau2
-    return KreinReport(
-        srg=cert.ok,
-        lhs1=(s + 1) * (r + s + 2 * s * t),
-        rhs1=(r + s) * (t + 1) ** 2,
-        lhs2=(t + 1) * (r + t + 2 * s * t),
-        rhs2=(r + t) * (s + 1) ** 2,
-    )

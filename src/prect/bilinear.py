@@ -9,7 +9,6 @@ explicit map row by row, never by graph-isomorphism search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from ._util import iter_bits
@@ -104,13 +103,11 @@ def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:
     return mapping
 
 
-@dataclass
 class IsoReport:
-    nu: int
-    bijective: bool
-    edge_preserving: bool
-    witness: dict | None = None
-    pairs_checked: int = 0
+    def __init__(self, nu: int, bijective: bool, edge_preserving: bool):
+        self.nu, self.bijective, self.edge_preserving = nu, bijective, edge_preserving
+        self.witness: dict | None = None
+        self.pairs_checked = 0
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from . import __version__
@@ -31,24 +30,20 @@ from .incidence import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, _a1_witness, check_
 NODES_PER_MS = 1000
 
 
-@dataclass
 class RunReport:
     """Deterministic record of one CLI invocation."""
 
-    version: str
-    command: str
-    params: dict
-    verdicts: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    timings_ms: dict | None = None
+    def __init__(self, version: str, command: str, params: dict):
+        self.version, self.command, self.params = version, command, params
+        self.verdicts, self.details, self.outputs = {}, {}, []
+        self.timings_ms: dict | None = None
 
     @property
     def ok(self) -> bool:
         return all(self.verdicts.values())
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "ok": self.ok}, sort_keys=True)
+        return json.dumps({**vars(self), "ok": self.ok}, sort_keys=True)
 
 
 def _write(path: str | None, text: str, report: RunReport):
@@ -198,7 +193,7 @@ def cmd_verify(args, report: RunReport) -> int:
         if model.family == "subplane":
             report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
         if not trivial:
-            from .analysis import eulerian_verdict, krein_check, planarity_verdict
+            from .linegraph import eulerian_verdict, krein_check, planarity_verdict
 
             geo_pt, geo_pl = run.geometry
             report.verdicts["point_clique_geometry"] = geo_pt.ok
@@ -279,8 +274,8 @@ def cmd_geometry(args, report: RunReport) -> int:
 
 def cmd_analyze(args, report: RunReport) -> int:
     from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
-                           chromatic_index_by_construction, eulerian_verdict,
-                           hamiltonian_by_construction, krein_check, planarity_verdict)
+                           chromatic_index_by_construction, hamiltonian_by_construction)
+    from .linegraph import eulerian_verdict, krein_check, planarity_verdict
 
     run = _Run(args.graph)
     nu = run.model.num_ordinary_lines

@@ -24,16 +24,14 @@ is a translate of one through vertex 0.  CliqueCensus.certified_by makes
 the one orbit decision: the census carries a certificate, and it is the
 object the caller's graph (clique_intersections) or model
 (plane_extraction and the geometries) holds.  Then those work from vertex
-0.  Any other census (built with dataclasses.replace, by hand, or from
-cliques the caller supplies), or one paired with a graph or model that
-holds another certificate, takes the all-vertex loops, which give the same
-verdicts.
+0.  Any other census (built by calling CliqueCensus, or from cliques the
+caller supplies), or one paired with a graph or model that holds another
+certificate, takes the all-vertex loops, which give the same verdicts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from ._util import Translations, iter_bits
 from .construct import RectangleModel
@@ -130,32 +128,19 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     return cliques
 
 
-@dataclass
 class CliqueCensus:
-    point_cliques: list[tuple[int, ...]]
-    plane_cliques: list[tuple[int, ...]]
-    anomalous: list[tuple[int, ...]]
-    m: int
-    n: int
-    trivial: bool
-    nu: int  # the graph's vertex count
-    checks: dict = field(default_factory=dict)
-    # [v]: bit j set when point (plane) clique j holds vertex v; built from
-    # the classes on every construction, replace() included
-    point_of: list[int] = field(init=False, repr=False)
-    plane_of: list[int] = field(init=False, repr=False)
-    # the incidence certificate under which both classes are closed, set by
-    # classify_census only; replace() and hand-built censuses have none
-    translations: Translations | None = field(default=None, init=False, repr=False,
-                                              compare=False)
-
-    def __post_init__(self):
-        self.point_of, self.plane_of = [0] * self.nu, [0] * self.nu
-        for masks, cliques in ((self.point_of, self.point_cliques),
-                               (self.plane_of, self.plane_cliques)):
-            for j, clique in enumerate(cliques):
-                for v in clique:
-                    masks[v] |= 1 << j
+    def __init__(self, point_cliques: list[tuple[int, ...]], plane_cliques: list[tuple[int, ...]],
+                 anomalous: list[tuple[int, ...]], m: int, n: int, trivial: bool, nu: int):
+        self.point_cliques, self.plane_cliques = point_cliques, plane_cliques
+        self.anomalous = anomalous
+        self.m, self.n, self.trivial = m, n, trivial
+        self.nu = nu  # the graph's vertex count
+        self.checks = {}
+        # [v]: bit j set when point (plane) clique j holds vertex v
+        self.point_of, self.plane_of = _holding(point_cliques, nu), _holding(plane_cliques, nu)
+        # the incidence certificate under which both classes are closed, set
+        # by classify_census only; a census built any other way has none
+        self.translations: Translations | None = None
 
     def certified_by(self, translations: Translations | None) -> bool:
         """Whether the census stands for its orbit: it carries a certificate,
@@ -180,6 +165,25 @@ class CliqueCensus:
         if self.trivial:
             return 0, 1
         return (m + 1) * n, n * n * (n - 1) // (m * m * (m - 1))
+
+
+def _holding(cliques: list[tuple[int, ...]], nu: int) -> list[int]:
+    """[v]: the mask of the indices of the cliques that hold vertex v.
+
+    Each mask is formed once, from a byte array as long as its highest
+    index needs, not by one OR per membership, which copies the mask."""
+    indices = [[] for _ in range(nu)]
+    for j, clique in enumerate(cliques):
+        for v in clique:
+            indices[v].append(j)
+    masks = []
+    for held in indices:
+        bits = bytearray(held[-1] // 8 + 1 if held else 0)
+        for j in held:
+            bits[j >> 3] |= 1 << (j & 7)
+        masks.append(int.from_bytes(bits, "little"))
+        held.clear()  # so that the lists and the masks are not held at once
+    return masks
 
 
 def classify_census(g: LineGraph, model: RectangleModel,
@@ -236,10 +240,9 @@ def classify_census(g: LineGraph, model: RectangleModel,
     return census
 
 
-@dataclass
 class IntersectionReport:
-    violations: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    def __init__(self):
+        self.violations, self.stats = [], {}
 
     @property
     def ok(self) -> bool:
@@ -313,12 +316,11 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     return rep
 
 
-@dataclass
 class PlaneExtraction:
-    order: int
-    ordinary_points: int
-    ordinary_lines: int
-    checks: dict = field(default_factory=dict)
+    def __init__(self, order: int, ordinary_points: int, ordinary_lines: int):
+        self.order = order
+        self.ordinary_points, self.ordinary_lines = ordinary_points, ordinary_lines
+        self.checks = {}
 
     @property
     def ok(self) -> bool:

@@ -18,27 +18,25 @@ is measured at every Point, up to ENUMERATION_MAX_VERTICES Points.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from ._util import iter_bits
 from .cliques import ENUMERATION_MAX_VERTICES, CliqueCensus, CliqueError
 from .construct import RectangleModel
 
 
-@dataclass
 class GeometryReport:
-    kind: str  # "point_cliques" or "plane_cliques"
-    num_points: int
-    num_lines: int
-    points_per_line: set
-    lines_per_point: set
-    t_histogram: dict
-    constant_t: int | None
-    is_partial_geometry: bool
-    pg_label: str | None
-    line_count_matches: str | None  # which Line-count formula the data matches
-    degenerate: bool
-    checks: dict = field(default_factory=dict)
+    def __init__(self, kind: str, num_points: int, num_lines: int, points_per_line: set,
+                 lines_per_point: set, t_histogram: dict, constant_t: int | None,
+                 is_partial_geometry: bool, checks: dict):
+        self.kind = kind  # "point_cliques" or "plane_cliques"
+        self.num_points, self.num_lines = num_points, num_lines
+        self.points_per_line, self.lines_per_point = points_per_line, lines_per_point
+        self.t_histogram, self.constant_t = t_histogram, constant_t
+        self.is_partial_geometry = is_partial_geometry
+        self.pg_label: str | None = None
+        self.line_count_matches: str | None = None  # which Line-count formula the data matches
+        self.degenerate = not t_histogram
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -108,7 +106,6 @@ def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryR
         lines_per_point={b.bit_count() for b in through},
         t_histogram=hist, constant_t=constant,
         is_partial_geometry=constant is not None and pair_ok,
-        pg_label=None, line_count_matches=None, degenerate=not hist,
         checks={"two_points_one_line": (True, pair_ok)})
 
 

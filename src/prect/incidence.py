@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 
@@ -154,14 +153,13 @@ class IncidenceStructure:
         return cls(points, lines, index[d["special_point"]])
 
 
-@dataclass
 class AxiomReport:
     """Per-axiom verdicts with re-checkable witnesses on failure."""
 
-    verdicts: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    a6_mode: str = "full"
-    a6_coverage: dict | None = None
+    def __init__(self, a6_mode: str):
+        self.verdicts, self.witnesses = {}, {}
+        self.a6_mode = a6_mode
+        self.a6_coverage: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -195,7 +193,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     counted, giving the coverage the per-draw test would give.  If the
     scan fails, or the structure is not certified, each draw is tested.
     """
-    rep = AxiomReport()
+    rep = AxiomReport(a6_mode)
     through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
 
     # A1: every point pair on exactly one line.
@@ -237,7 +235,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
         rep.witnesses["A5"] = a5_witness
 
     # A6.
-    rep.a6_mode = a6_mode
     certified = a1_witness is None and s.translations is not None
     if a6_mode == "full" and certified:
         ok6, wit6 = _a6_scan(s, through, _a6_nbr0(s, through), 1)
@@ -340,8 +337,8 @@ def _a6_pairs(s, through, nbr, blocks=None):
 
     cmask holds the candidate 'transversal' lines of the pair: every line
     other than l1, l2 that meets both, excluding lines through their common
-    point p (the highest one, should a broken structure give several); only
-    those can contribute four distinct intersection points.
+    point (through any of them, should a broken structure give several);
+    only those can contribute four distinct intersection points.
     """
     masks = s.line_masks
     olines = s.ordinary_lines
@@ -350,7 +347,17 @@ def _a6_pairs(s, through, nbr, blocks=None):
         for l2 in olines[x + 1:]:
             common = m1 & masks[l2]
             if common:
-                yield l1, l2, n1 & nbr[l2] & ~through[common.bit_length() - 1]
+                cmask = n1 & nbr[l2] & ~through[common.bit_length() - 1]
+                if common & (common - 1):  # they meet again, so A1 fails
+                    cmask = _off_common(cmask, common, through)
+                yield l1, l2, cmask
+
+
+def _off_common(cmask, common, through):
+    """cmask without the lines through any point of common."""
+    for p in iter_bits(common):
+        cmask &= ~through[p]
+    return cmask
 
 
 def _a6_scan(s, through, nbr, blocks=None):
@@ -416,7 +423,10 @@ def _a6_sampled(s, through, samples, seed, certified):
             t = bisect_right(cum, r)
             l1, l2 = first[t], second[t]
             m1, m2 = masks[l1], masks[l2]
-            cmask = nbr[l1] & nbr[l2] & ~through[(m1 & m2).bit_length() - 1]  # as in _a6_pairs
+            common = m1 & m2
+            cmask = nbr[l1] & nbr[l2] & ~through[common.bit_length() - 1]  # as in _a6_pairs
+            if common & (common - 1):
+                cmask = _off_common(cmask, common, through)
             g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
             # four distinct points, yet g1 misses g2
             mg1, mg2 = masks[g1], masks[g2]
@@ -499,14 +509,12 @@ def order_of(s: IncidenceStructure) -> tuple[int, int]:
     return len(s.special_lines) - 1, sizes.pop() - 1
 
 
-@dataclass
 class CountReport:
     """Elementary count checks; each entry is (expected, actual)."""
 
-    m: int
-    n: int
-    trivial: bool
-    checks: dict = field(default_factory=dict)
+    def __init__(self, m: int, n: int, trivial: bool):
+        self.m, self.n, self.trivial = m, n, trivial
+        self.checks = {}
 
     @property
     def ok(self) -> bool:

@@ -21,11 +21,14 @@ translation is then an automorphism, and the srg check and the clique
 census (see cliques) do the work of vertex 0 only.  Any other graph, such
 as a model whose lines were renumbered or one built by hand, carries no
 certificate and takes the all-vertex loops.
+
+The planarity, Eulerian and Krein verdicts read only the graph, (m, n) and
+the srg certificate, so they live here: verify reports them without
+loading analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 
 from ._util import Translations, iter_bits
@@ -109,20 +112,16 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
     return LineGraph(nu, rows, s.translations)  # its nu is the count of ordinary lines
 
 
-@dataclass
 class SrgCertificate:
     """Exact strong-regularity evidence for expected parameters (nu,r,lam,mu)."""
 
-    nu: int
-    r: int
-    lam: int
-    mu: int
-    tau0: int
-    tau1: int
-    tau2: int
-    multiplicities: tuple[int, int, int]
-    verdicts: dict = field(default_factory=dict)
-    witness: dict | None = None
+    def __init__(self, nu: int, r: int, lam: int, mu: int, tau0: int, tau1: int, tau2: int,
+                 multiplicities: tuple[int, int, int]):
+        self.nu, self.r, self.lam, self.mu = nu, r, lam, mu
+        self.tau0, self.tau1, self.tau2 = tau0, tau1, tau2
+        self.multiplicities = multiplicities
+        self.verdicts = {}
+        self.witness: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -260,3 +259,70 @@ def eccentricity(g: LineGraph, src: int):
         reached |= frontier
         depth += 1
     return depth
+
+
+class PlanarityReport:
+    def __init__(self, planar: bool, reason: str, is_k4: bool = False):
+        self.planar, self.reason, self.is_k4 = planar, reason, is_k4
+
+
+def planarity_verdict(g: LineGraph, m: int, n: int) -> PlanarityReport:
+    """Nonplanar whenever the degree reaches 6; the (2,2) case is K_4."""
+    if m == 2 and n == 2:
+        is_k4 = g.nu == 4 and g.is_complete()
+        return PlanarityReport(is_k4, "graph is K_4, drawable in the plane", is_k4)
+    r = (m + 1) * (n - 1)
+    if r >= 6:
+        return PlanarityReport(False, f"regular of degree {r} >= 6")
+    return PlanarityReport(False, f"unexpected parameters m={m}, n={n}")
+
+
+class EulerianReport:
+    def __init__(self, eulerian: bool, predicate: bool, connected: bool, degrees_even: bool):
+        self.eulerian = eulerian
+        self.predicate = predicate  # m or n odd
+        self.connected, self.degrees_even = connected, degrees_even
+
+    @property
+    def consistent(self) -> bool:
+        return self.eulerian == self.predicate
+
+
+def eulerian_verdict(g: LineGraph, m: int, n: int) -> EulerianReport:
+    """Direct even-degree plus connectivity check against the parity rule."""
+    degrees_even = all(g.degree(v) % 2 == 0 for v in range(g.nu))
+    connected = g.nu == 0 or eccentricity(g, 0) != inf
+    return EulerianReport(
+        eulerian=degrees_even and connected,
+        predicate=(m % 2 == 1) or (n % 2 == 1),
+        connected=connected,
+        degrees_even=degrees_even,
+    )
+
+
+class KreinReport:
+    def __init__(self, srg: bool, lhs1: int, rhs1: int, lhs2: int, rhs2: int):
+        self.srg = srg  # the certificate passed, so its eigenvalues are the graph's
+        self.lhs1, self.rhs1, self.lhs2, self.rhs2 = lhs1, rhs1, lhs2, rhs2
+
+    @property
+    def ok(self) -> bool:
+        return self.srg and self.lhs1 <= self.rhs1 and self.lhs2 <= self.rhs2
+
+
+def krein_check(cert: SrgCertificate) -> KreinReport:
+    """Both Krein conditions on the certified parameters, exactly.
+
+    (tau1+1)(r + tau1 + 2*tau1*tau2) <= (r + tau1)(tau2 + 1)^2 and the dual
+    with tau1 and tau2 swapped; every strongly regular graph must pass.  The
+    eigenvalues are the expected parameters' formulas, which describe the
+    graph only when the certificate passes, so a failed certificate fails.
+    """
+    r, s, t = cert.tau0, cert.tau1, cert.tau2
+    return KreinReport(
+        srg=cert.ok,
+        lhs1=(s + 1) * (r + s + 2 * s * t),
+        rhs1=(r + s) * (t + 1) ** 2,
+        lhs2=(t + 1) * (r + t + 2 * s * t),
+        rhs2=(r + t) * (s + 1) ** 2,
+    )

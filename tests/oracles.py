@@ -34,6 +34,7 @@ import numpy as np
 
 from prect._util import Translations, iter_bits, translations_of
 from prect.bilinear import BilinearError, IsoReport
+from prect.cliques import CliqueCensus
 from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
                              normalize_point)
 from prect.export import model_from_dict, model_to_dict
@@ -360,12 +361,10 @@ def recheck_witnesses(structure: dict, axioms: dict):
     three on a line.  A3: the listed lines are every line of fewer than 3
     points.  A5: the special line meets the listed line in the listed
     number of points, other than 1.  A6: ordinary lines l1, l2 meet, lines
-    g1 and g2 meet each of them, and g1 misses g2; where A1 holds, each g
-    meets l1 and l2 in two distinct points.  Where A1 fails, l1 and l2 may
-    meet twice, and check_axioms, which sets aside only the lines through
-    the highest of their common points, may name a g through the other one,
-    so the four points are not required to be distinct there.  A failing
-    A1, A3, A5 or A6 carries a witness, and a passing one none.
+    g1 and g2 meet each of them, and g1 misses g2; no g passes through a
+    common point of l1 and l2, of which there may be several where A1
+    fails, so each g meets l1 and l2 in distinct points.  A failing A1, A3,
+    A5 or A6 carries a witness, and a passing one none.
     """
     verdicts, witnesses = axioms["verdicts"], axioms["witnesses"]
     lines, D, _ = _raw(structure)
@@ -398,11 +397,11 @@ def recheck_witnesses(structure: dict, axioms: dict):
         witness = witnesses["A6"]
         l1, l2, g1, g2 = (witness[key] for key in ("l1", "l2", "g1", "g2"))
         assert len({l1, l2, g1, g2}) == 4 and D not in lines[l1] | lines[l2], witness
-        assert lines[l1] & lines[l2] and not lines[g1] & lines[g2], witness
+        common = lines[l1] & lines[l2]
+        assert common and not lines[g1] & lines[g2], witness
         for g in (g1, g2):
             assert lines[g] & lines[l1] and lines[g] & lines[l2], witness
-            if "A1" not in witnesses:  # each meet is one point, and the two differ
-                assert lines[g] & lines[l1] != lines[g] & lines[l2], witness
+            assert not lines[g] & common, witness
 
 
 def recheck_anomalous_clique(model: dict, clique):
@@ -569,6 +568,25 @@ def translation_group(g: LineGraph) -> Translations | None:
     if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
         return group
     return None
+
+
+def fields(report) -> dict:
+    """The attributes of a report, as == compared them when the report was a
+    dataclass: all of them, but for CliqueCensus.translations, which was not
+    compared."""
+    return {k: v for k, v in vars(report).items()
+            if not (isinstance(report, CliqueCensus) and k == "translations")}
+
+
+def census_with(census: CliqueCensus, **classes) -> CliqueCensus:
+    """A new CliqueCensus with some of its clique classes replaced, and the
+    other classes, m, n, trivial, nu and checks kept; like any census not
+    made by classify_census, it carries no translations."""
+    kept = {k: getattr(census, k) for k in ("point_cliques", "plane_cliques", "anomalous")}
+    copy = CliqueCensus(**{**kept, **classes}, m=census.m, n=census.n, trivial=census.trivial,
+                        nu=census.nu)
+    copy.checks = census.checks
+    return copy
 
 
 def census_closed(census, kind: str) -> bool:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import hq2k_with_matrices, isomorphism_by_pairs, without_edge
+from oracles import fields, hq2k_with_matrices, isomorphism_by_pairs, without_edge
 from prect.bilinear import (BilinearError, BilinearGraph, build_hq2k, certify_isomorphism,
                             line_matrix_map, map_line_to_matrix)
 from prect.cliques import enumerate_maximal_cliques
@@ -166,7 +166,7 @@ def test_isomorphism_report_matches_pairwise_oracle(fix, hparams, request):
     failures = 0
     for g1, g2, f in cases:
         rep = certify_isomorphism(g1, g2, f)
-        assert rep == isomorphism_by_pairs(g1, g2, f)
+        assert fields(rep) == fields(isomorphism_by_pairs(g1, g2, f))
         failures += not rep.ok
     assert failures == len(cases) - 1
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import census_with
 from prect.cliques import classify_census
 from prect.geometry import (_measure, build_plane_clique_structure,
                             build_point_clique_geometry)
@@ -150,7 +149,7 @@ def test_measure_matches_brute_force(census_l23, census_r39):
 
 def test_measure_duplicated_plane_clique(census_l23, l23):
     planes = census_l23.plane_cliques
-    doubled = replace(census_l23, plane_cliques=planes + [planes[5]])
+    doubled = census_with(census_l23, plane_cliques=planes + [planes[5]])
     assert not _check_against_oracle(doubled.plane_cliques, doubled.plane_of, closed=False)
     rep = build_plane_clique_structure(doubled, l23)
     assert rep.checks["two_points_one_line"] == (True, False)

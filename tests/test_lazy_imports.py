@@ -2,8 +2,11 @@
 
 The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
-`prect build` process compiles six modules, not twelve.  Every run here is a
-fresh interpreter, since one test process has long since loaded them all.
+`prect build` process compiles six modules, not twelve.  verify reads its
+planarity, Eulerian and Krein verdicts from linegraph, so it never loads
+analysis.  No module imports dataclasses, which would load inspect.  Every
+run here is a fresh interpreter, since one test process has long since
+loaded them all.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ ROOT = SRC.parent
 
 BUILD = {"cli", "export", "construct", "gf", "incidence", "_util"}
 QUICK = BUILD | {"linegraph", "cliques"}
-FULL = QUICK | {"geometry", "analysis"}
+FULL = QUICK | {"geometry"}
 
 # argv with {} for the model file's directory, and the prect.* modules it loads
 SUBCOMMANDS = {
@@ -51,7 +54,8 @@ _LOADED = """if True:
     import prect.cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = prect.cli.main(sys.argv[1:])
-    print(json.dumps([code, sorted(k[6:] for k in sys.modules if k.startswith("prect."))]))
+    print(json.dumps([code, sorted(k[6:] for k in sys.modules if k.startswith("prect.")),
+                      [k for k in ("dataclasses", "inspect") if k in sys.modules]]))
 """
 
 
@@ -72,16 +76,27 @@ def models(tmp_path_factory):
 
 def test_the_module_sets_cover_the_package():
     every = {m.name for m in pkgutil.iter_modules(prect.__path__)}
-    assert every == FULL | {"bilinear"}
+    assert every == FULL | {"bilinear", "analysis"}
     assert set().union(*(s for _, s in SUBCOMMANDS.values())) == every
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_each_subcommand_loads_only_the_stages_it_runs(models, name):
     argv, expected = SUBCOMMANDS[name]
-    code, loaded = json.loads(_fresh(_LOADED, *(a.format(models) for a in argv)))
+    code, loaded, heavy = json.loads(_fresh(_LOADED, *(a.format(models) for a in argv)))
     assert code == 0
     assert set(loaded) == expected
+    assert heavy == []
+
+
+def test_no_module_imports_dataclasses():
+    """dataclasses loads inspect, about 10 ms of every process's start."""
+    for path in (SRC / "prect").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, path.name
 
 
 def test_importing_prect_loads_no_module():
@@ -119,5 +134,8 @@ def test_the_names_the_benchmark_tracer_imports_still_import():
                 for alias in node.names]
     assert ("prect.cli", "NODES_PER_MS") in imported
     assert ("prect.analysis", "hamiltonian_search") in imported
+    # the three verdicts moved to linegraph; analysis re-exports them
+    for name in ("planarity_verdict", "eulerian_verdict", "krein_check"):
+        assert ("prect.analysis", name) in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
