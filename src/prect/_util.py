@@ -17,6 +17,29 @@ def comb2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+class Checks:
+    """A report that passes when each of its checks, {name: (expected,
+    actual)}, got what it expected."""
+
+    @property
+    def ok(self) -> bool:
+        return all(e == a for e, a in self.checks.values())
+
+    def mismatches(self) -> dict:
+        return {k: v for k, v in self.checks.items() if v[0] != v[1]}
+
+
+class Verdicts:
+    """A report that passes when each of its verdicts, {name: bool}, holds."""
+
+    @property
+    def ok(self) -> bool:
+        return all(self.verdicts.values())
+
+    def failing(self) -> list[str]:
+        return [k for k, v in self.verdicts.items() if not v]
+
+
 class Translations:
     """The translations of GF(p)^d, acting on masks of nu = p^d vertex bits.
 

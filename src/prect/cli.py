@@ -16,6 +16,7 @@ import time
 from functools import cached_property
 
 from . import __version__
+from ._util import Verdicts
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
                      model_from_json, model_to_json, to_dot)
 from .incidence import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, _a1_witness, check_axioms,
@@ -30,17 +31,13 @@ from .incidence import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, _a1_witness, check_
 NODES_PER_MS = 1000
 
 
-class RunReport:
+class RunReport(Verdicts):
     """Deterministic record of one CLI invocation."""
 
     def __init__(self, version: str, command: str, params: dict):
         self.version, self.command, self.params = version, command, params
         self.verdicts, self.details, self.outputs = {}, {}, []
         self.timings_ms: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
 
     def to_json(self) -> str:
         return json.dumps({**vars(self), "ok": self.ok}, sort_keys=True)
@@ -221,14 +218,19 @@ def _a1(run: _Run, report: RunReport):
         report.details["A1"] = _jsonable(witness)
 
 
-def cmd_cliques(args, report: RunReport) -> int:
-    run = _Run(args.model)
+def _census_verdicts(run: _Run, report: RunReport):
+    """A1 with its witness, the census verdict and the clique counts."""
     _a1(run, report)
     census = run.census
     report.verdicts["census"] = census.ok
     report.details["counts"] = {"point": len(census.point_cliques),
                                 "plane": len(census.plane_cliques),
                                 "anomalous": len(census.anomalous)}
+
+
+def cmd_cliques(args, report: RunReport) -> int:
+    run = _Run(args.model)
+    _census_verdicts(run, report)
     _write(args.out, _EXPORTS["census", "json"](run), report)
     return 0 if report.ok else 1
 
@@ -365,9 +367,11 @@ def cmd_export(args, report: RunReport) -> int:
         print(f"{args.what} exports as {allowed}", file=sys.stderr)
         report.verdicts["exported"] = False
         return 2
+    if args.what == "census":
+        _census_verdicts(run, report)
     _write(args.out, writer(run), report)
     report.verdicts["exported"] = True
-    return 0
+    return 0 if report.ok else 1
 
 
 def _jsonable(obj):
@@ -417,7 +421,8 @@ def make_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("export", help="export a model, graph, or census")
     ex.add_argument("model")
     ex.add_argument("--what", choices=["model", "graph", "census"], default="graph")
-    ex.add_argument("--format", choices=["json", "dot", "graph6"], default="json")
+    ex.add_argument("--format", choices=["json", "dot", "graph6"],
+                    help="default: graph6 for the graph, json otherwise")
     ex.add_argument("--out")
     return ap
 
@@ -428,6 +433,8 @@ _DISPATCH = {"build": cmd_build, "verify": cmd_verify, "cliques": cmd_cliques, "
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    if args.cmd == "export" and args.format is None:  # the first format of --what
+        args.format = next(f for what, f in _EXPORTS if what == args.what)
     report = RunReport(version=__version__, command=args.cmd,
                        params={k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
     try:

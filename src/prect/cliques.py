@@ -33,13 +33,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._util import Translations, iter_bits
+from ._util import Checks, Translations, iter_bits
 from .construct import RectangleModel
 from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the translates of the cliques through
-# vertex 0 are enumerated: verify --profile full took 1.6-2.3 s and 82 MB
+# vertex 0 are enumerated: verify --profile full took 1.25-1.27 s and 86 MB
 # on L_2^6, 3.8-4.8 s and 30 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
@@ -53,9 +53,10 @@ def _check_size(nu: int, cayley: bool):
     ENUMERATION_MAX_VERTICES unless cayley (certified and not complete).
 
     A complete graph, a plane's, keeps the lower bound although it is
-    certified: all its lines meet, so sampled A6 lists nu^2/2 pairs (8.4
-    million on PG(2,64), where verify --profile quick had not ended after
-    5 minutes).
+    certified.  A plane that passes A1 proves A6 from line 0, but one that
+    fails A1 can keep its certificate (one point added to every ordinary
+    line) and then takes A6 over every pair: all its lines meet, so that is
+    nu^2/2 pairs, 8.4 million on PG(2,64) (README, "Scale").
     """
     bound = (CAYLEY_MAX_VERTICES if cayley or nu > CAYLEY_MAX_VERTICES
              else ENUMERATION_MAX_VERTICES)
@@ -128,7 +129,7 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
     return cliques
 
 
-class CliqueCensus:
+class CliqueCensus(Checks):
     def __init__(self, point_cliques: list[tuple[int, ...]], plane_cliques: list[tuple[int, ...]],
                  anomalous: list[tuple[int, ...]], m: int, n: int, trivial: bool, nu: int):
         self.point_cliques, self.plane_cliques = point_cliques, plane_cliques
@@ -149,10 +150,7 @@ class CliqueCensus:
 
     @property
     def ok(self) -> bool:
-        return not self.anomalous and all(e == a for e, a in self.checks.values())
-
-    def mismatches(self) -> dict:
-        return {k: v for k, v in self.checks.items() if v[0] != v[1]}
+        return not self.anomalous and super().ok
 
     @property
     def expected_counts(self) -> tuple[int, int]:
@@ -316,15 +314,11 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     return rep
 
 
-class PlaneExtraction:
+class PlaneExtraction(Checks):
     def __init__(self, order: int, ordinary_points: int, ordinary_lines: int):
         self.order = order
         self.ordinary_points, self.ordinary_lines = ordinary_points, ordinary_lines
         self.checks = {}
-
-    @property
-    def ok(self) -> bool:
-        return all(e == a for e, a in self.checks.values())
 
 
 def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:

@@ -137,6 +137,8 @@ def build_model(family: str, p: int | None = None, e: int | None = None,
     if family == "l2k":
         if k is None:
             raise ExportError("family l2k needs k")
+        if p is not None or e not in (None, 1):
+            raise ExportError("family l2k takes no p, and no e other than 1")
         return build_l2k(k)
     if family == "subplane":
         if None in (p, e, k):
@@ -145,6 +147,8 @@ def build_model(family: str, p: int | None = None, e: int | None = None,
     if family == "plane":
         if None in (p, e):
             raise ExportError("family plane needs p, e")
+        if k not in (None, 1):
+            raise ExportError("family plane has k = 1")
         return build_subplane_rect(p, e, 1)
     raise ExportError(f"unknown family {family!r}")
 

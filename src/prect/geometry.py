@@ -19,16 +19,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._util import iter_bits
+from ._util import Checks, iter_bits
 from .cliques import ENUMERATION_MAX_VERTICES, CliqueCensus, CliqueError
 from .construct import RectangleModel
 
 
-class GeometryReport:
-    def __init__(self, kind: str, num_points: int, num_lines: int, points_per_line: set,
+class GeometryReport(Checks):
+    def __init__(self, num_points: int, num_lines: int, points_per_line: set,
                  lines_per_point: set, t_histogram: dict, constant_t: int | None,
                  is_partial_geometry: bool, checks: dict):
-        self.kind = kind  # "point_cliques" or "plane_cliques"
         self.num_points, self.num_lines = num_points, num_lines
         self.points_per_line, self.lines_per_point = points_per_line, lines_per_point
         self.t_histogram, self.constant_t = t_histogram, constant_t
@@ -37,13 +36,6 @@ class GeometryReport:
         self.line_count_matches: str | None = None  # which Line-count formula the data matches
         self.degenerate = not t_histogram
         self.checks = checks
-
-    @property
-    def ok(self) -> bool:
-        return all(e == a for e, a in self.checks.values())
-
-    def mismatches(self) -> dict:
-        return {k: v for k, v in self.checks.items() if v[0] != v[1]}
 
 
 def _measure(lines, through, points):
@@ -101,7 +93,7 @@ def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryR
         hist = {t: census.nu * c for t, c in hist.items()}
     constant = next(iter(hist)) if len(hist) == 1 else None
     return GeometryReport(
-        kind=kind, num_points=census.nu, num_lines=len(lines),
+        num_points=census.nu, num_lines=len(lines),
         points_per_line={len(ln) for ln in lines},
         lines_per_point={b.bit_count() for b in through},
         t_histogram=hist, constant_t=constant,

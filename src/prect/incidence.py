@@ -31,7 +31,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import groupby
 
-from ._util import Translations, comb2, iter_bits, translations_of
+from ._util import Checks, Translations, Verdicts, comb2, iter_bits, translations_of
 
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
@@ -153,20 +153,13 @@ class IncidenceStructure:
         return cls(points, lines, index[d["special_point"]])
 
 
-class AxiomReport:
+class AxiomReport(Verdicts):
     """Per-axiom verdicts with re-checkable witnesses on failure."""
 
     def __init__(self, a6_mode: str):
         self.verdicts, self.witnesses = {}, {}
         self.a6_mode = a6_mode
         self.a6_coverage: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
-
-    def failing(self) -> list[str]:
-        return [a for a, v in self.verdicts.items() if not v]
 
 
 def check_axioms(s: IncidenceStructure, a6_mode: str,
@@ -331,33 +324,30 @@ def _a6_nbr0(s, through):
     return _a6_nbr(s, through, [0, *iter_bits(nbr0)])
 
 
+def _a6_candidates(through, nbr, l1, l2, common):
+    """The candidate 'transversal' lines of the pair l1, l2, whose common
+    points are the set bits of common: every line that meets both, less
+    the lines through each common point (one point unless A1 fails).  Only
+    those can meet l1 and l2 in four distinct points."""
+    cmask = nbr[l1] & nbr[l2] & ~through[common.bit_length() - 1]
+    if common & (common - 1):  # they meet again, so A1 fails
+        for p in iter_bits(common):
+            cmask &= ~through[p]
+    return cmask
+
+
 def _a6_pairs(s, through, nbr, blocks=None):
     """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first, for l1
-    among the first `blocks` ordinary lines (all of them by default).
-
-    cmask holds the candidate 'transversal' lines of the pair: every line
-    other than l1, l2 that meets both, excluding lines through their common
-    point (through any of them, should a broken structure give several);
-    only those can contribute four distinct intersection points.
-    """
+    among the first `blocks` ordinary lines (all of them by default); cmask
+    is the pair's _a6_candidates."""
     masks = s.line_masks
     olines = s.ordinary_lines
     for x, l1 in enumerate(olines[:blocks]):
-        m1, n1 = masks[l1], nbr[l1]
+        m1 = masks[l1]
         for l2 in olines[x + 1:]:
             common = m1 & masks[l2]
             if common:
-                cmask = n1 & nbr[l2] & ~through[common.bit_length() - 1]
-                if common & (common - 1):  # they meet again, so A1 fails
-                    cmask = _off_common(cmask, common, through)
-                yield l1, l2, cmask
-
-
-def _off_common(cmask, common, through):
-    """cmask without the lines through any point of common."""
-    for p in iter_bits(common):
-        cmask &= ~through[p]
-    return cmask
+                yield l1, l2, _a6_candidates(through, nbr, l1, l2, common)
 
 
 def _a6_scan(s, through, nbr, blocks=None):
@@ -395,8 +385,8 @@ def _a6_sampled(s, through, samples, seed, certified):
     symmetric under v -> -v, as (0, v) and (-v, 0) are translates.
 
     Otherwise one pass stores each intersecting pair and its cumulative
-    weight C(candidates, 2), 16 bytes a pair; a draw rebuilds only its own
-    pair's candidate mask, picks two of its set bits and tests them.  The
+    weight C(candidates, 2), 16 bytes a pair; a draw rebuilds its own
+    pair's _a6_candidates, picks two of its set bits and tests them.  The
     distinct draws are counted with a bitmap over the space, or, when that
     would be larger, from the sorted list of the drawn ranks.
     """
@@ -423,10 +413,7 @@ def _a6_sampled(s, through, samples, seed, certified):
             t = bisect_right(cum, r)
             l1, l2 = first[t], second[t]
             m1, m2 = masks[l1], masks[l2]
-            common = m1 & m2
-            cmask = nbr[l1] & nbr[l2] & ~through[common.bit_length() - 1]  # as in _a6_pairs
-            if common & (common - 1):
-                cmask = _off_common(cmask, common, through)
+            cmask = _a6_candidates(through, nbr, l1, l2, m1 & m2)
             g1, g2 = _unrank_bits(r - (cum[t - 1] if t else 0), cmask)
             # four distinct points, yet g1 misses g2
             mg1, mg2 = masks[g1], masks[g2]
@@ -509,19 +496,12 @@ def order_of(s: IncidenceStructure) -> tuple[int, int]:
     return len(s.special_lines) - 1, sizes.pop() - 1
 
 
-class CountReport:
-    """Elementary count checks; each entry is (expected, actual)."""
+class CountReport(Checks):
+    """Elementary count checks."""
 
     def __init__(self, m: int, n: int, trivial: bool):
         self.m, self.n, self.trivial = m, n, trivial
         self.checks = {}
-
-    @property
-    def ok(self) -> bool:
-        return all(e == a for e, a in self.checks.values())
-
-    def mismatches(self) -> dict:
-        return {k: v for k, v in self.checks.items() if v[0] != v[1]}
 
 
 def elementary_counts(s: IncidenceStructure) -> CountReport:

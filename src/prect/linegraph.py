@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import inf
 
-from ._util import Translations, iter_bits
+from ._util import Translations, Verdicts, iter_bits
 from .construct import RectangleModel
 
 # the largest graph of lines measured: its graph6 export on R(2,128), nu =
@@ -112,7 +112,7 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
     return LineGraph(nu, rows, s.translations)  # its nu is the count of ordinary lines
 
 
-class SrgCertificate:
+class SrgCertificate(Verdicts):
     """Exact strong-regularity evidence for expected parameters (nu,r,lam,mu)."""
 
     def __init__(self, nu: int, r: int, lam: int, mu: int, tau0: int, tau1: int, tau2: int,
@@ -122,10 +122,6 @@ class SrgCertificate:
         self.multiplicities = multiplicities
         self.verdicts = {}
         self.witness: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return all(self.verdicts.values())
 
     @property
     def parameters(self) -> tuple[int, int, int, int]:
@@ -278,10 +274,10 @@ def planarity_verdict(g: LineGraph, m: int, n: int) -> PlanarityReport:
 
 
 class EulerianReport:
-    def __init__(self, eulerian: bool, predicate: bool, connected: bool, degrees_even: bool):
+    def __init__(self, eulerian: bool, predicate: bool, connected: bool):
         self.eulerian = eulerian
         self.predicate = predicate  # m or n odd
-        self.connected, self.degrees_even = connected, degrees_even
+        self.connected = connected
 
     @property
     def consistent(self) -> bool:
@@ -296,7 +292,6 @@ def eulerian_verdict(g: LineGraph, m: int, n: int) -> EulerianReport:
         eulerian=degrees_even and connected,
         predicate=(m % 2 == 1) or (n % 2 == 1),
         connected=connected,
-        degrees_even=degrees_even,
     )
 
 

@@ -71,6 +71,8 @@ def test_l22_census_counts(census_l22):
     assert len(census_l22.plane_cliques) == 12
     assert census_l22.anomalous == []
     assert census_l22.ok, census_l22.mismatches()
+    # an anomalous clique fails the census even where its checks all pass
+    assert not census_with(census_l22, anomalous=[census_l22.point_cliques[0]]).ok
     assert {len(pc) for pc in census_l22.point_cliques} == {4}
     assert {len(pc) for pc in census_l22.plane_cliques} == {4}
 

@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from oracles import graph_from_edges, recheck_witnesses
+from oracles import graph_from_edges, recheck_witnesses, twisted_r39
 from prect.cli import main
 from prect.cliques import CliqueCensus, classify_census
-from prect.construct import RectangleModel
-from prect.export import census_to_dict, graph6_str, model_from_json, model_to_json, to_dot
+from prect.construct import RectangleModel, build_plane, build_subplane_rect
+from prect.export import (census_to_dict, graph6_str, model_from_json, model_to_dict,
+                          model_to_json, to_dot)
 from prect.linegraph import LineGraph, build_line_graph
 
 
@@ -271,6 +272,56 @@ def test_cli_export_rejected_format_fails(tmp_path, capsys):
     assert rep["ok"] is False and rep["verdicts"] == {"exported": False}
 
 
+@pytest.mark.parametrize("what,fmt", [(None, "graph6"), ("graph", "graph6"), ("model", "json"),
+                                      ("census", "json")])
+def test_cli_export_without_format_takes_the_first_of_what(tmp_path, capsys, what, fmt):
+    """The bare command exports the graph as graph6; the report's params
+    record the format taken, and the bytes are those of naming it."""
+    model_file = tmp_path / "m.json"
+    run_cli("build", "--family", "l2k", "--k", "2", "--out", str(model_file))
+    capsys.readouterr()
+    what_args = ("--what", what) if what else ()
+    assert run_cli("export", str(model_file), *what_args) == 0
+    bare = capsys.readouterr()
+    rep = json.loads(bare.err.splitlines()[-1])
+    assert rep["params"]["format"] == fmt and rep["params"]["what"] == (what or "graph")
+    assert run_cli("export", str(model_file), "--what", what or "graph", "--format", fmt) == 0
+    assert capsys.readouterr() == bare
+
+
+def test_cli_export_census_fails_with_the_verdicts_of_cliques(tmp_path, capsys, monkeypatch):
+    """PG(2,3) with one new point on every ordinary line fails A1 and its
+    census: export writes the census, and exits 1 with the verdicts,
+    witness and counts that cliques reports."""
+    monkeypatch.chdir(tmp_path)
+    _write_golden_mutants(tmp_path)
+    assert run_cli("cliques", "thick.json") == 1
+    cliques = capsys.readouterr()
+    assert run_cli("export", "thick.json", "--what", "census") == 1
+    export = capsys.readouterr()
+    assert export.out == cliques.out
+    rep, want = json.loads(export.err), json.loads(cliques.err)
+    assert rep["verdicts"] == {**want["verdicts"], "exported": True}
+    assert rep["verdicts"]["A1"] is False and rep["verdicts"]["census"] is False
+    assert rep["details"] == want["details"] and "A1" in rep["details"]
+
+
+@pytest.mark.parametrize("args", [("--family", "plane", "--p", "3", "--k", "5"),
+                                  ("--family", "l2k", "--k", "2", "--p", "7"),
+                                  ("--family", "l2k", "--k", "2", "--e", "3")],
+                         ids=["plane-k", "l2k-p", "l2k-e"])
+def test_cli_build_refuses_a_parameter_its_family_ignores(tmp_path, capsys, args):
+    out = tmp_path / "m.json"
+    assert run_cli("build", *args, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: family ")
+    assert not out.exists()
+
+
+def test_cli_build_takes_the_k_a_plane_fixes(tmp_path, capsys):
+    assert run_cli("build", "--family", "plane", "--p", "3", "--k", "1",
+                   "--out", str(tmp_path / "pg.json")) == 0
+
+
 def test_cli_analyze(tmp_path, capsys):
     out = tmp_path / "m.json"
     run_cli("build", "--family", "l2k", "--k", "2", "--out", str(out))
@@ -306,6 +357,9 @@ def test_cli_unknown_family_errors(capsys):
 # The L_2^4 and R(3,27) census exports were recorded while the census still
 # stored each clique's point or plane.  The iso reports of R(3,9) and R(4,16)
 # were re-recorded when iso came to report A1: each gained "A1": true only.
+# The two census exports were re-recorded (after their old digests were
+# confirmed) when export came to judge the census as cliques does: each
+# report gained "A1": true, "census": true and the clique counts only.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -362,10 +416,10 @@ GOLDEN_STDOUT = [
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
      "b95f0806cd2a71c8faa635149478aa63275e92d404ec14099e06c920fcbc92ed"),
     (("export", "r39.json", "--what", "census", "--format", "json"), None,
-     "f39c17dfcc964be0125324ea68241ac7a16aa3a09caa13220b17402fd80eb762"),
+     "423488398a92dc8ec3308bbd12cc8a4cfbd5415ea28e63bbe47b259c8f7947b3"),
     # censuses with n > m^2, where the plane cliques are smaller than the point cliques
     (("export", "l24.json", "--what", "census", "--format", "json"), None,
-     "2bdca081bdfcc958491fa7df96c3caa87e7e34959fe3d0c0f3b46cec4409591f"),
+     "61286214e304ed4dc08174ebc84bf2b2f40c7fe262165505ca41a576bd9cb000"),
     (("cliques", "r327.json", "--out", "census.json"), None,
      "ba922b4b2c955965509f3a539b73aa7896e74febd41863c18596c0c3923a10e4"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
@@ -396,6 +450,65 @@ def test_cli_stdout_matches_golden_hashes(tmp_path, capsys, monkeypatch):
         written = (tmp_path / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
         run = json.dumps([code, out, err, written])
         assert hashlib.sha256(run.encode()).hexdigest() == digest, argv
+
+
+def _write_golden_mutants(where):
+    """R(3,9) with ordinary lines 0 and 5 swapped in its file (a rectangle,
+    uncertified), twisted R(3,9) (certified, fails A6) and PG(2,3) with one
+    new point on its 9 ordinary lines (certified, fails A1: every pair of
+    ordinary lines meets twice)."""
+    d = model_to_dict(build_subplane_rect(3, 1, 2))
+    lines = d["structure"]["lines"]
+    lines[0], lines[5] = lines[5], lines[0]
+    (where / "swapped.json").write_text(json.dumps(d, sort_keys=True))
+    (where / "twisted.json").write_text(json.dumps(model_to_dict(twisted_r39()), sort_keys=True))
+    d = model_to_dict(build_plane(3, 1))
+    d["structure"]["points"].append("x")
+    for line in d["structure"]["lines"][:9]:
+        line.append("x")
+    (where / "thick.json").write_text(json.dumps(d, sort_keys=True))
+
+
+# As GOLDEN_STDOUT, for the models of _write_golden_mutants: the all-vertex
+# census, the all-pairs A6 scan, per-draw sampling and the A6 candidates of
+# pairs that meet twice.
+GOLDEN_MUTANTS = [
+    (("verify", "swapped.json", "--profile", "full"),
+     "22036be2665c6faef2b10b6f900de43b4c5a130fbe0451015a25f91e3494395e"),
+    (("verify", "swapped.json", "--seed", "3", "--a6-samples", "2000"),
+     "905e2098b8a03d732d18d16462bc1dd7145824cef0dd3be09c4ef250355f42ce"),
+    (("cliques", "swapped.json"),
+     "84fd05a0b9b0a6de02d2638571450900db15f487a38dba74b4de5027f23e26de"),
+    (("geometry", "swapped.json"),
+     "a1cabbb252d37fe8a9ad3a2bec0fd0daba7baa23940bbde8d7c3a5306c8b2923"),
+    (("verify", "twisted.json", "--profile", "full"),
+     "9a69eaecef43cd3eac3565aaabb4bbadfadaefff44eb9a3f3b979aca1ca86e82"),
+    (("verify", "twisted.json", "--seed", "3", "--a6-samples", "2000"),
+     "7a6027415fa85808999dba14e283bcd4108290b3f114065f04bfce630ba9da8a"),
+    (("cliques", "twisted.json"),
+     "9af5265470a79ac5ceee8664596a9736259e67f2dcc9ecf438c1ecfb81f1f5a4"),
+    (("geometry", "twisted.json"),
+     "cb943ee148b8805a21b24288b602b196d89e7b93a0669dd17fcc43559abbb12c"),
+    (("verify", "thick.json", "--profile", "full"),
+     "035559d0872ca1cc319a6eeaa105bb22616345f72f4da15c9499d2d56eae0984"),
+    (("verify", "thick.json", "--seed", "3", "--a6-samples", "2000"),
+     "4132991579da80c9ef5ba47cbf1fa36ace4c13d6ff4633e06b4bea83f14daa7a"),
+    (("cliques", "thick.json"),
+     "c54d5de48c22fc73afdd43d31101258f7b646c25129630f3fc2f42de5b4207a1"),
+    (("geometry", "thick.json"),
+     "be35ff3a5c3b78acef497220f5d2cf22b1b04a623fcde86033ada65d6523babb"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_MUTANTS, ids=[" ".join(a) for a, _ in GOLDEN_MUTANTS])
+def test_cli_stdout_matches_golden_hashes_off_the_built_models(tmp_path, capsys, monkeypatch,
+                                                               argv, digest):
+    monkeypatch.chdir(tmp_path)
+    _write_golden_mutants(tmp_path)
+    code = run_cli(*argv)
+    out, err = capsys.readouterr()
+    run = json.dumps([code, out, err, None])
+    assert hashlib.sha256(run.encode()).hexdigest() == digest
 
 
 def _built(tmp_path, name, *args) -> dict:

@@ -410,6 +410,7 @@ def test_sampled_a6_failure_reports_draws_made(r39):
     cov = rep.a6_coverage
     assert not cov["exhaustive"] and cov["space"] > 5000
     assert not rep.verdicts["A6"]
+    assert not rep.ok and "A6" in rep.failing() and "A2" not in rep.failing()
     assert 1 <= cov["distinct"] <= cov["drawn"] < 5000
     # the witness re-checks from the line sets alone
     w = rep.witnesses["A6"]

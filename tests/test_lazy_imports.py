@@ -4,9 +4,10 @@ The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
 `prect build` process compiles six modules, not twelve.  verify reads its
 planarity, Eulerian and Krein verdicts from linegraph, so it never loads
-analysis.  No module imports dataclasses, which would load inspect.  Every
-run here is a fresh interpreter, since one test process has long since
-loaded them all.
+analysis.  No module imports dataclasses, which would load inspect, and no
+report class outside _util restates the ok rule of its checks or verdicts.
+Every run here is a fresh interpreter, since one test process has long
+since loaded them all.
 """
 
 from __future__ import annotations
@@ -97,6 +98,29 @@ def test_no_module_imports_dataclasses():
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             assert "dataclasses" not in names, path.name
+
+
+def test_report_verdict_rules_live_in_util():
+    """Every report states ok, mismatches and failing through _util.Checks
+    or _util.Verdicts: no other class defines mismatches or failing, or an
+    ok that is all(...) over its checks or verdicts."""
+    for path in (SRC / "prect").glob("*.py"):
+        if path.name == "_util.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                where = f"{path.name}: {cls.name}.{fn.name}"
+                assert fn.name not in ("mismatches", "failing"), where
+                if fn.name == "ok":
+                    for call in ast.walk(fn):
+                        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "all":
+                            reads = {n.attr for n in ast.walk(call) if isinstance(n, ast.Attribute)
+                                     and getattr(n.value, "id", None) == "self"}
+                            assert not reads & {"checks", "verdicts"}, where
 
 
 def test_importing_prect_loads_no_module():
