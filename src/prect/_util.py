@@ -17,6 +17,37 @@ def comb2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def holders(blocks, n: int) -> list[int]:
+    """[v]: the mask of the indices of the blocks that hold v, for v < n.
+
+    Each mask is formed once, from a byte array as long as its highest
+    index needs, not by one OR per membership, which copies the mask."""
+    indices = [[] for _ in range(n)]
+    for j, block in enumerate(blocks):
+        for v in block:
+            indices[v].append(j)
+    masks = []
+    for held in indices:
+        bits = bytearray(held[-1] // 8 + 1 if held else 0)
+        for j in held:
+            bits[j >> 3] |= 1 << (j & 7)
+        masks.append(int.from_bytes(bits, "little"))
+        held.clear()  # so that the lists and the masks are not held at once
+    return masks
+
+
+def meeting(blocks, held: list[int], which) -> list[int]:
+    """[i]: the mask of the other blocks that share an element with block i,
+    for each i in which (0 for the others); held is holders(blocks, n)."""
+    out = [0] * len(blocks)
+    for i in which:
+        mask = 0
+        for v in blocks[i]:
+            mask |= held[v]
+        out[i] = mask & ~(1 << i)
+    return out
+
+
 class Checks:
     """A report that passes when each of its checks, {name: (expected,
     actual)}, got what it expected."""

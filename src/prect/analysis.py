@@ -441,7 +441,7 @@ def _positions(model: RectangleModel, j: int) -> list[int]:
 def _point_clique(model: RectangleModel, p: int) -> list[int]:
     """The n ordinary lines through point p."""
     s = model.structure
-    clique = [v for v in s.lines_at[p] if v < model.num_ordinary_lines]
+    clique = list(iter_bits(s.through[p] & (1 << model.num_ordinary_lines) - 1))
     if len(clique) != model.n:
         raise AnalysisError(f"point {s.points[p]} lies on {len(clique)} ordinary lines, "
                             f"not n = {model.n}")

@@ -19,8 +19,8 @@ from . import __version__
 from ._util import Verdicts
 from .export import (build_model, census_to_dict, certificate_to_dict, graph6_str,
                      model_from_json, model_to_json, to_dot)
-from .incidence import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, _a1_witness, check_axioms,
-                        elementary_counts, order_of)
+from .incidence import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, StructureError, _a1_witness,
+                        check_axioms, elementary_counts, order_of)
 
 # The stage modules (linegraph, cliques, bilinear, geometry, analysis) are
 # imported by the facts and subcommands that use them, so each subcommand
@@ -165,7 +165,20 @@ def cmd_verify(args, report: RunReport) -> int:
                                 "a6_coverage": axioms.a6_coverage}
     axioms_ms = (time.perf_counter() - t_axioms) * 1000
 
-    m, n = run.order
+    def done():
+        if args.timings:
+            total_ms = (time.perf_counter() - t0) * 1000
+            report.timings_ms = {**run.timings_ms, "axioms": round(axioms_ms, 1),
+                                 "total": round(total_ms, 1)}
+        print(report.to_json())
+        return 0 if report.ok else 1
+
+    try:
+        m, n = run.order
+    except StructureError as exc:  # the axiom verdicts and witnesses still stand
+        report.verdicts["order"] = False
+        report.details["order"] = str(exc)
+        return done()
     counts = elementary_counts(model.structure)
     report.verdicts["elementary_counts"] = counts.ok
     report.details["count_mismatches"] = _jsonable(counts.mismatches())
@@ -201,13 +214,7 @@ def cmd_verify(args, report: RunReport) -> int:
             report.verdicts["krein"] = krein_check(run.cert).ok
             report.details["planar"] = planarity_verdict(run.graph, m, n).planar
             report.verdicts["eulerian_consistent"] = eulerian_verdict(run.graph, m, n).consistent
-
-    if args.timings:
-        total_ms = (time.perf_counter() - t0) * 1000
-        report.timings_ms = {**run.timings_ms, "axioms": round(axioms_ms, 1),
-                             "total": round(total_ms, 1)}
-    print(report.to_json())
-    return 0 if report.ok else 1
+    return done()
 
 
 def _a1(run: _Run, report: RunReport):

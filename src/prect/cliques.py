@@ -33,14 +33,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._util import Checks, Translations, iter_bits
+from ._util import Checks, Translations, holders, iter_bits, meeting
 from .construct import RectangleModel
 from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the translates of the cliques through
 # vertex 0 are enumerated: verify --profile full took 1.25-1.27 s and 86 MB
-# on L_2^6, 3.8-4.8 s and 30 MB on R(8,64), nu = 4096 (README, "Scale")
+# on L_2^6, 4.25-4.45 s and 26 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 
@@ -68,12 +68,12 @@ def check_enumeration_bound(model: RectangleModel):
     """Raise CliqueError when the graph of lines of model is past the
     enumeration bound, read off the structure before any graph is built:
     the certificate is computed only between the two bounds, and the
-    certified graph is complete iff the pencils of line 0's points, which
-    make vertex 0's row, hold every ordinary line."""
+    certified graph is complete iff vertex 0's row, the concurrence mask of
+    line 0 restricted to the ordinary lines, holds every other vertex."""
     s, nu = model.structure, model.num_ordinary_lines
     _check_size(nu, ENUMERATION_MAX_VERTICES < nu <= CAYLEY_MAX_VERTICES
                 and s.translations is not None
-                and len({i for p in s.lines[0] for i in s.lines_at[p] if i < nu}) < nu)
+                and meeting(s.lines, s.through, [0])[0] & (1 << nu) - 1 != (1 << nu) - 2)
 
 
 def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
@@ -138,7 +138,7 @@ class CliqueCensus(Checks):
         self.nu = nu  # the graph's vertex count
         self.checks = {}
         # [v]: bit j set when point (plane) clique j holds vertex v
-        self.point_of, self.plane_of = _holding(point_cliques, nu), _holding(plane_cliques, nu)
+        self.point_of, self.plane_of = holders(point_cliques, nu), holders(plane_cliques, nu)
         # the incidence certificate under which both classes are closed, set
         # by classify_census only; a census built any other way has none
         self.translations: Translations | None = None
@@ -163,25 +163,6 @@ class CliqueCensus(Checks):
         if self.trivial:
             return 0, 1
         return (m + 1) * n, n * n * (n - 1) // (m * m * (m - 1))
-
-
-def _holding(cliques: list[tuple[int, ...]], nu: int) -> list[int]:
-    """[v]: the mask of the indices of the cliques that hold vertex v.
-
-    Each mask is formed once, from a byte array as long as its highest
-    index needs, not by one OR per membership, which copies the mask."""
-    indices = [[] for _ in range(nu)]
-    for j, clique in enumerate(cliques):
-        for v in clique:
-            indices[v].append(j)
-    masks = []
-    for held in indices:
-        bits = bytearray(held[-1] // 8 + 1 if held else 0)
-        for j in held:
-            bits[j >> 3] |= 1 << (j & 7)
-        masks.append(int.from_bytes(bits, "little"))
-        held.clear()  # so that the lists and the masks are not held at once
-    return masks
 
 
 def classify_census(g: LineGraph, model: RectangleModel,
@@ -212,7 +193,7 @@ def classify_census(g: LineGraph, model: RectangleModel,
         for v in cl[1:]:
             common &= masks[v]
         if common:
-            pencil = tuple(i for i in s.lines_at[common.bit_length() - 1] if i < g.nu)
+            pencil = tuple(iter_bits(s.through[common.bit_length() - 1] & (1 << g.nu) - 1))
             full = common.bit_count() == 1 and cl == pencil and len(cl) == n
             (points if full else anomalous).append(cl)
         elif len(cl) == m * m:

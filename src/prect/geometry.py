@@ -5,7 +5,8 @@ geometry: every non-incident Point-Line pair sees exactly m transversal
 Lines.  Taking the plane cliques instead gives a transversal count t of 0 or
 m depending on whether the line and the plane are disjoint point sets; both
 values occur exactly when n > m^2.  One measurement reads t at a Point
-from the census's masks of the Lines through each Point (_measure).
+from the census's masks of the Lines through each Point and the Lines'
+concurrence masks (_measure).
 
 When the census stands for its orbit under the model's incidence
 certificate (CliqueCensus.certified_by), the translations act regularly on
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._util import Checks, iter_bits
+from ._util import Checks, iter_bits, meeting
 from .cliques import ENUMERATION_MAX_VERTICES, CliqueCensus, CliqueError
 from .construct import RectangleModel
 
@@ -41,29 +42,26 @@ class GeometryReport(Checks):
 def _measure(lines, through, points):
     """(t histogram, no two Lines share two Points) summed over the given Points.
 
-    through[p] has bit i set when Line i holds Point p.  t(p, j), for a Line
-    j not through p, counts the Lines i through p that meet j: j is among
-    the Lines meeting i, the OR of through[v] over the Points v of Line i,
-    computed once per Line, on first use.  Those masks are added up as
+    through[p] has bit i set when Line i holds Point p (_util.holders).
+    t(p, j), for a Line j not through p, counts the Lines i through p that
+    meet j: j is in the concurrence mask of Line i (_util.meeting), computed
+    once for each Line through a given Point.  Those masks are added up as
     binary counters, bit j of digits[b] being digit b of t(p, j), and the
     Lines not through p are split by each digit in turn.  Two Lines through
     p share a second Point iff their other Points overlap.
     """
-    known = {}  # i: (the Points of Line i, the Lines meeting it)
+    pencils = [list(iter_bits(through[p])) for p in points]  # the Lines through each Point
+    used = {i for pencil in pencils for i in pencil}
+    meets = meeting(lines, through, used)
+    own = {i: sum(1 << v for v in lines[i]) for i in used}  # the Points of each Line
     hist = Counter()
     pair_ok = True
-    for p in points:
+    for p, pencil in zip(points, pencils):
         here = through[p]
         others = 0
         digits = []
-        for i in iter_bits(here):
-            if i not in known:
-                meets = 0
-                for v in lines[i]:
-                    meets |= through[v]
-                known[i] = sum(1 << v for v in lines[i]), meets
-            mine, carry = known[i]
-            mine &= ~(1 << p)
+        for i in pencil:
+            mine, carry = own[i] & ~(1 << p), meets[i]
             pair_ok &= not others & mine
             others |= mine
             carry &= ~here

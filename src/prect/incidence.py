@@ -12,6 +12,9 @@ satisfying six axioms:
       them in four distinct points meet each other.
 
 Structures here are purely index-based; coordinates live in prect.construct.
+Their one incidence index is IncidenceStructure.through, the lines through
+each point; the concurrence masks read off it (_util.meeting) are A6's
+table of the lines meeting each line and the graph of lines' rows.
 
 The built models number their ordinary lines 0..nu-1 so that translation
 of GF(p)^d on the line indices, nu = p^d, extends to incidence
@@ -31,7 +34,8 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import groupby
 
-from ._util import Checks, Translations, Verdicts, comb2, iter_bits, translations_of
+from ._util import (Checks, Translations, Verdicts, comb2, holders, iter_bits, meeting,
+                    translations_of)
 
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
@@ -72,15 +76,15 @@ class IncidenceStructure:
                 raise StructureError(f"line {t!r} has point index out of range")
 
         self.line_masks = [sum(1 << p for p in t) for t in self.lines]
-        self.lines_at = [[] for _ in range(np_)]
-        for i, t in enumerate(self.lines):
-            for p in t:
-                self.lines_at[p].append(i)
-        self.lines_at = [tuple(ls) for ls in self.lines_at]
         self.special_lines = tuple(i for i, t in enumerate(self.lines)
                                    if special_point in t)
         self.ordinary_lines = tuple(i for i, t in enumerate(self.lines)
                                     if special_point not in t)
+
+    @cached_property
+    def through(self) -> list[int]:
+        """[p]: the mask of the lines through point p, built on first use."""
+        return holders(self.lines, self.n_points)
 
     @property
     def n_points(self) -> int:
@@ -90,12 +94,9 @@ class IncidenceStructure:
     def n_lines(self) -> int:
         return len(self.lines)
 
-    def is_special_line(self, i: int) -> bool:
-        return self.special_point in self.lines[i]
-
     def special_line_of_point(self, p: int):
         """Index of the unique special line through an ordinary point, if unique."""
-        hits = [i for i in self.lines_at[p] if self.is_special_line(i)]
+        hits = [i for i in self.special_lines if self.through[p] >> i & 1]
         return hits[0] if len(hits) == 1 else None
 
     @cached_property
@@ -118,7 +119,7 @@ class IncidenceStructure:
         if group is None or self.ordinary_lines[-1] != nu - 1:
             return None
         D = self.special_point
-        pencils = [sum(1 << i for i in ls if i < nu) for ls in self.lines_at]
+        pencils = [b & (1 << nu) - 1 for b in self.through]
         point_of = {b: p for p, b in enumerate(pencils) if p != D}
         specials = {self.line_masks[j] for j in self.special_lines}
         if len(point_of) != self.n_points - 1 or len(specials) != len(self.special_lines):
@@ -187,7 +188,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     scan fails, or the structure is not certified, each draw is tested.
     """
     rep = AxiomReport(a6_mode)
-    through = [sum(1 << i for i in ls) for ls in s.lines_at]  # lines through each point
+    through = s.through
 
     # A1: every point pair on exactly one line.
     a1_witness = _a1_witness(s)
@@ -211,30 +212,25 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     rep.verdicts["A4"] = True
 
     # A5: each special line meets every other line exactly once.
-    a5_witness = None
-    for si in s.special_lines:
-        mask = s.line_masks[si]
-        for j in range(s.n_lines):
-            if j == si:
-                continue
-            hits = (mask & s.line_masks[j]).bit_count()
-            if hits != 1:
-                a5_witness = {"special": si, "line": j, "common_points": hits}
-                break
-        if a5_witness:
-            break
+    masks = s.line_masks
+    hits = ((si, j, (masks[si] & masks[j]).bit_count()) for si in s.special_lines
+            for j in range(s.n_lines) if j != si)
+    a5_witness = next(({"special": si, "line": j, "common_points": h}
+                       for si, j, h in hits if h != 1), None)
     rep.verdicts["A5"] = a5_witness is None
     if a5_witness:
         rep.witnesses["A5"] = a5_witness
 
-    # A6.
+    # A6: nbr[i], the lines meeting line i, for every line; on a certified
+    # structure for line 0 and its neighbours, which the pairs (0, l2) read.
     certified = a1_witness is None and s.translations is not None
-    if a6_mode == "full" and certified:
-        ok6, wit6 = _a6_scan(s, through, _a6_nbr0(s, through), 1)
-    elif a6_mode == "full":
-        ok6, wit6 = _a6_scan(s, through, _a6_nbr(s, through, range(s.n_lines)))
+    which = ([0, *iter_bits(meeting(s.lines, through, [0])[0])] if certified
+             else range(s.n_lines))
+    nbr = meeting(s.lines, through, which)
+    if a6_mode == "full":
+        ok6, wit6 = _a6_scan(s, through, nbr, 1 if certified else None)
     elif a6_mode == "sampled":
-        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, a6_samples, seed, certified)
+        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, nbr, a6_samples, seed, certified)
     else:
         raise ValueError(f"unknown a6_mode {a6_mode!r}")
     rep.verdicts["A6"] = ok6
@@ -248,24 +244,36 @@ def _a1_witness(s):
 
     The lines through a point p, taken as point masks, must cover every
     other point exactly once: an overlap of two masks is a pair on two
-    lines, a point in no mask a pair on none.  Pairs on two lines are
-    ordered by the first line holding them, then by pair order within it;
-    the first uncovered pair is (p, q) for the least such p, then q.
+    lines, a point in no mask a pair on none.  A walk over the lines ORs
+    each line's mask into the masks of its points.  When every point's
+    masks cover every point, and the lines hold C(points, 2) pairs counted
+    with multiplicity, no pair is on two lines; otherwise a second walk
+    also finds the overlaps.  Pairs on two lines are ordered by the first
+    line holding them, then by pair order within it; the first uncovered
+    pair is (p, q) for the least such p, then q.
     """
     masks = s.line_masks
-    everyone = (1 << s.n_points) - 1
+    np_ = s.n_points
+    everyone = (1 << np_) - 1
+    seen = [0] * np_
+    for t, mask in zip(s.lines, masks):
+        for p in t:
+            seen[p] |= mask
+    if seen.count(everyone) == np_ and sum(comb2(len(t)) for t in s.lines) == comb2(np_):
+        return None
+    seen, dup = [0] * np_, [0] * np_  # [p]: partners on a line, on two lines
+    for t, mask in zip(s.lines, masks):
+        for p in t:
+            dup[p] |= seen[p] & mask
+            seen[p] |= mask
     twice = {}  # point -> mask of the points it shares two lines with
     gap = None  # the least point missing a partner, and its missing partners
-    for p, ls in enumerate(s.lines_at):
-        seen = dup = 0
-        for i in ls:
-            dup |= seen & masks[i]
-            seen |= masks[i]
-        dup &= ~(1 << p)
-        if dup:
-            twice[p] = dup
-        elif gap is None and seen | 1 << p != everyone:
-            gap = p, everyone & ~(seen | 1 << p)
+    for p, (cover, more) in enumerate(zip(seen, dup)):
+        more &= ~(1 << p)
+        if more:
+            twice[p] = more
+        elif gap is None and cover | 1 << p != everyone:
+            gap = p, everyone & ~(cover | 1 << p)
     if twice:
         for i, t in enumerate(s.lines):
             for a in t:
@@ -273,7 +281,7 @@ def _a1_witness(s):
                 both = twice.get(a, 0) & masks[i]
                 if both:
                     b = (both & -both).bit_length() - 1
-                    lines = [j for j in s.lines_at[a] if masks[j] >> b & 1]
+                    lines = list(iter_bits(s.through[a] & s.through[b]))
                     return {"pair": (a, b), "lines": lines, "defect": "covered more than once"}
     if gap:
         p, missing = gap
@@ -303,25 +311,6 @@ def _find_quadrangle(s, through):
                     if not pairs & through[d]:
                         return (a, b, c, d)
     return None
-
-
-def _a6_nbr(s, through, lines):
-    """nbr[i], the lines meeting line i, for each i in lines (0 for the
-    others), from through[p], the lines through point p."""
-    nbr = [0] * s.n_lines
-    for i in lines:
-        mask = 0
-        for p in s.lines[i]:
-            mask |= through[p]
-        nbr[i] = mask & ~(1 << i)
-    return nbr
-
-
-def _a6_nbr0(s, through):
-    """nbr of _a6_nbr for line 0 and the lines meeting it: what the pairs
-    (0, l2) read."""
-    nbr0 = _a6_nbr(s, through, [0])[0]
-    return _a6_nbr(s, through, [0, *iter_bits(nbr0)])
 
 
 def _a6_candidates(through, nbr, l1, l2, common):
@@ -372,34 +361,34 @@ def _a6_scan(s, through, nbr, blocks=None):
     return True, None
 
 
-def _a6_sampled(s, through, samples, seed, certified):
+def _a6_sampled(s, through, nbr, samples, seed, certified):
     """Seeded uniform draws over the quadruple space, pair by cumulative weight.
 
-    certified says that A1 holds and the translations are certified.  Then
-    the line-0 scan of full A6 runs first, and if it passes, every
-    quadruple passes (see check_axioms), so every seeded draw would pass:
-    A6 holds with no witness, all samples are drawn, and only the distinct
-    ranks among the same draws are counted.  The space comes from line 0,
-    nu * sum over l2 of C(candidates(0, l2), 2) / 2: translation by -l1
-    maps pair (l1, l2) onto (0, l2 - l1), and the candidate counts are
-    symmetric under v -> -v, as (0, v) and (-v, 0) are translates.
+    certified says that A1 holds, the translations are certified and nbr
+    holds line 0 and its neighbours only.  Then the line-0 scan of full A6
+    runs first, and if it passes, every quadruple passes (see check_axioms),
+    so every seeded draw would pass: A6 holds with no witness, all samples
+    are drawn, and only the distinct ranks among the same draws are
+    counted.  The space comes from line 0, nu * sum over l2 of
+    C(candidates(0, l2), 2) / 2: translation by -l1 maps pair (l1, l2) onto
+    (0, l2 - l1), and the candidate counts are symmetric under v -> -v, as
+    (0, v) and (-v, 0) are translates.
 
-    Otherwise one pass stores each intersecting pair and its cumulative
-    weight C(candidates, 2), 16 bytes a pair; a draw rebuilds its own
-    pair's _a6_candidates, picks two of its set bits and tests them.  The
-    distinct draws are counted with a bitmap over the space, or, when that
-    would be larger, from the sorted list of the drawn ranks.
+    Otherwise nbr is widened to every line, and one pass stores each
+    intersecting pair and its cumulative weight C(candidates, 2), 16 bytes
+    a pair; a draw rebuilds its own pair's _a6_candidates, picks two of its
+    set bits and tests them.  The distinct draws are counted with a bitmap
+    over the space, or, when that would be larger, from the sorted list of
+    the drawn ranks.
     """
-    proven = False
-    if certified:
-        nbr = _a6_nbr0(s, through)
-        proven = _a6_scan(s, through, nbr, 1)[0]
+    proven = certified and _a6_scan(s, through, nbr, 1)[0]
     if proven:
         nu = len(s.ordinary_lines)
         total = nu * sum(comb2(c.bit_count()) for *_, c in _a6_pairs(s, through, nbr, 1)) // 2
         test = None
     else:
-        nbr = _a6_nbr(s, through, range(s.n_lines))
+        if certified:  # nbr covers line 0 and its neighbours only
+            nbr = meeting(s.lines, through, range(s.n_lines))
         first, second, cum = array("i"), array("i"), array("q")
         total = 0
         for l1, l2, cmask in _a6_pairs(s, through, nbr):
@@ -513,27 +502,20 @@ def elementary_counts(s: IncidenceStructure) -> CountReport:
     m, n = order_of(s)
     rep = CountReport(m=m, n=n, trivial=(m == n))
     c = rep.checks
-    D = s.special_point
 
     c["ordinary_line_count"] = (n * n, len(s.ordinary_lines))
     sizes = {len(s.lines[i]) for i in s.ordinary_lines}
     c["ordinary_line_size"] = ({m + 1}, sizes if sizes else {m + 1})
-    ordinary_points = [p for p in range(s.n_points) if p != D]
+    ordinary_points = [p for p in range(s.n_points) if p != s.special_point]
     c["ordinary_point_count"] = ((m + 1) * n, len(ordinary_points))
-    per_point = {len([i for i in s.lines_at[p] if not s.is_special_line(i)])
-                 for p in ordinary_points}
+    ordinary = sum(1 << i for i in s.ordinary_lines)
+    per_point = {(s.through[p] & ordinary).bit_count() for p in ordinary_points}
     c["ordinary_lines_per_ordinary_point"] = ({n}, per_point)
 
-    # Special lines minus D partition the ordinary points.
-    seen = 0
-    disjoint = True
-    for i in s.special_lines:
-        mask = s.line_masks[i] & ~(1 << D)
-        if seen & mask:
-            disjoint = False
-        seen |= mask
-    full = (1 << s.n_points) - 1 & ~(1 << D)
-    c["special_partition"] = ((True, True), (disjoint, seen == full))
+    # Special lines minus D partition the ordinary points: (disjoint, covering).
+    special = sum(1 << i for i in s.special_lines)
+    on = {(s.through[p] & special).bit_count() for p in ordinary_points}
+    c["special_partition"] = ((True, True), (on <= {0, 1}, 0 not in on))
 
     c["n_ge_m_ge_2"] = (True, n >= m >= 2)
     if not rep.trivial:

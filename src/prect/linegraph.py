@@ -1,10 +1,13 @@
 """The graph of lines: vertices are ordinary lines, edges mean concurrence.
 
-Adjacency is held as packed bit rows (Python ints).  The class of an edge,
-read from the model, is the special line through the common point.  Under
-A1 and A5, with n ordinary lines on each ordinary point, the classes factor
-the graph into m+1 spanning (n-1)-regular subgraphs: class j at u is the
-pencil of u's point on special line j, minus u.
+Adjacency is held as packed bit rows (Python ints).  Row u is the
+structure's concurrence mask of line u (_util.meeting over
+IncidenceStructure.through), the mask A6 reads, restricted to the ordinary
+lines.  The class of an edge, read from the model, is the special line
+through the common point.  Under A1 and A5, with n ordinary lines on each
+ordinary point, the classes factor the graph into m+1 spanning
+(n-1)-regular subgraphs: class j at u is the pencil of u's point on
+special line j, minus u.
 
 Strong regularity is certified by direct counting over all vertex pairs plus
 the exact integer matrix identity (A - tau1*I)(A - tau2*I) = mu*J, checked
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from math import inf
 
-from ._util import Translations, Verdicts, iter_bits
+from ._util import Translations, Verdicts, iter_bits, meeting
 from .construct import RectangleModel
 
 # the largest graph of lines measured: its graph6 export on R(2,128), nu =
@@ -88,9 +91,10 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
     """Graph of lines of a rectangle model.
 
     Vertices are the ordinary lines in construction order.  Two lines are
-    adjacent iff their stored point sets meet outside D: each point joins
-    its pencil of ordinary lines.  A1 is not checked here; check_axioms
-    reports two lines that meet twice with a witness.
+    adjacent iff their stored point sets meet (outside D, as ordinary lines
+    miss it): row u is the concurrence mask of line u restricted to the
+    ordinary lines.  A1 is not checked here; check_axioms reports two lines
+    that meet twice with a witness.
 
     The model's incidence certificate goes with the graph: each translation
     fixes D and sends ordinary line x to x + t, so it preserves "meet
@@ -102,13 +106,8 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
     if nu > MAX_VERTICES:
         raise LineGraphError(f"graph of lines limited to {MAX_VERTICES} vertices, "
                              f"the model has {nu}")
-    rows = [0] * nu
-    for p, lines in enumerate(s.lines_at):
-        if p == s.special_point:
-            continue
-        pencil = sum(1 << i for i in lines if i < nu)
-        for u in iter_bits(pencil):
-            rows[u] |= pencil ^ (1 << u)
+    ordinary = (1 << nu) - 1
+    rows = [row & ordinary for row in meeting(s.lines, s.through, range(nu))[:nu]]
     return LineGraph(nu, rows, s.translations)  # its nu is the count of ordinary lines
 
 

@@ -15,7 +15,8 @@ graph-level and census-level translation checks the library no longer runs:
 they show, independently of the incidence certificate that replaced them,
 that a certified model's graph is a Cayley graph and its clique classes are
 closed under translation.  drop_line makes a structure with one line
-removed.
+removed.  lines_at is the oracles' own point index, read off s.lines, so
+that they share none of the library's incidence index.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -49,6 +50,15 @@ def graph_from_edges(nu: int, edges) -> LineGraph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return LineGraph(nu, rows)
+
+
+def lines_at(s: IncidenceStructure) -> list[list[int]]:
+    """[p]: the indices of the lines through point p, ascending, from s.lines."""
+    at = [[] for _ in range(s.n_points)]
+    for i, t in enumerate(s.lines):
+        for p in t:
+            at[p].append(i)
+    return at
 
 
 def drop_line(s: IncidenceStructure, line_index: int) -> IncidenceStructure:
@@ -121,12 +131,14 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
             or len(s1.special_lines) != len(s2.special_lines)):
         return None
 
-    def profile(s, p):
-        return tuple(sorted(len(s.lines[i]) for i in s.lines_at[p]))
+    at1, at2 = lines_at(s1), lines_at(s2)
+
+    def profile(s, at, p):
+        return tuple(sorted(len(s.lines[i]) for i in at[p]))
 
     prof2 = {}
     for p in range(s2.n_points):
-        prof2.setdefault(profile(s2, p), []).append(p)
+        prof2.setdefault(profile(s2, at2, p), []).append(p)
 
     lineset2 = {t: i for i, t in enumerate(s2.lines)}
 
@@ -140,8 +152,8 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
             if p in placed:
                 continue
             forced = max((sum(q in placed for q in s1.lines[i])
-                          for i in s1.lines_at[p]), default=0)
-            key = (forced, len(s1.lines_at[p]))
+                          for i in at1[p]), default=0)
+            key = (forced, len(at1[p]))
             if key > best_key:
                 best, best_key = p, key
         order.append(best)
@@ -151,7 +163,7 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
     used = set()
 
     def consistent(p, q):
-        for i in s1.lines_at[p]:
+        for i in at1[p]:
             mapped = [mapping[r] for r in s1.lines[i] if r in mapping]
             if not mapped:
                 continue
@@ -159,7 +171,7 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
             # on a line of the same size.
             common = None
             for r in mapped + [q]:
-                ls = set(s2.lines_at[r])
+                ls = set(at2[r])
                 common = ls if common is None else common & ls
             ok = any(len(s2.lines[j]) == len(s1.lines[i]) for j in common) if common else False
             if not ok:
@@ -173,7 +185,7 @@ def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
         if p == s1.special_point:
             cands = [s2.special_point]
         else:
-            cands = prof2.get(profile(s1, p), [])
+            cands = prof2.get(profile(s1, at1, p), [])
         for q in cands:
             if q in used or not consistent(p, q):
                 continue
@@ -207,12 +219,12 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
     nu = model.num_ordinary_lines
     rows = [0] * nu
     colors = {}
-    for p in range(s.n_points):
+    for p, lines in enumerate(lines_at(s)):
         if p == s.special_point:
             continue
-        through = [i for i in s.lines_at[p] if i < nu]
-        special = s.special_line_of_point(p)
-        c = model.special_position(special) if special is not None else None
+        through = [i for i in lines if i < nu]
+        special = [i for i in lines if s.special_point in s.lines[i]]
+        c = model.special_position(special[0]) if len(special) == 1 else None
         for x in range(len(through)):
             u = through[x]
             for y in range(x + 1, len(through)):
@@ -672,7 +684,7 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
     group = s.translations
     assert group is not None, "the structure's translations are not certified"
     D, nu, p, d = s.special_point, group.nu, group.p, group.d
-    pencils = [[i for i in ls if i < nu] for ls in s.lines_at]
+    pencils = [[i for i in ls if i < nu] for ls in lines_at(s)]
     point_of = {tuple(sorted(pen)): q for q, pen in enumerate(pencils) if q != D}
     line0 = list(s.lines[0])
     off = [q for q in range(s.n_points) if q != D and q not in line0]

@@ -606,6 +606,31 @@ def test_cli_cliques_and_geometry_report_a1_with_its_witness(tmp_path, capsys):
         assert rep["details"]["A1"] == axioms["witnesses"]["A1"]
 
 
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_cli_verify_keeps_the_axiom_verdicts_when_the_order_cannot_be_read(tmp_path, capsys,
+                                                                          profile):
+    """L_2^2 with c3 dropped from special line C: the special lines have
+    unequal sizes, so the order cannot be read.  verify exits 1 with a
+    failing order verdict beside the axiom verdicts, whose witnesses re-check
+    on the file; cliques reports the same A1 witness."""
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    s = d["structure"]
+    next(ln for ln in s["lines"] if s["special_point"] in ln and "c3" in ln).remove("c3")
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", profile) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"axioms": False, "order": False}
+    assert report["details"]["order"] == "special lines have unequal sizes [4, 5]"
+    axioms = report["details"]["axioms"]
+    assert axioms["witnesses"]["A1"] == {"defect": "not covered", "lines": [], "pair": [0, 12]}
+    recheck_witnesses(s, axioms)
+    assert run_cli("cliques", str(path)) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["details"]["A1"] == \
+        axioms["witnesses"]["A1"]
+
+
 def test_cli_iso_reports_a1_with_its_witness(tmp_path, capsys):
     """R(3,9) with a new point added to every ordinary line, each its own:
     the graph of lines is unchanged, so the isomorphism holds, but A1 fails

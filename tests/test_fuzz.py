@@ -10,7 +10,9 @@ nothing: a broken model gives failing verdicts or an "error:" line, never a
 traceback.  Every failing verdict's witness must re-check on the mutated
 model file (tests/oracles): the axiom witnesses of verify and the A1
 witness of cliques, geometry and iso; each anomalous clique of the census
-that cliques and export write; and the pair of a failing isomorphism.
+that cliques and export write; and the pair of a failing isomorphism.  The
+structure's incidence index, IncidenceStructure.through, must equal the
+oracles' own point index on every mutant.
 
 Those mutations break the translation certificate, so two more tests take
 translation-invariant mutants (one mutation of line 0, applied to every
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from oracles import (INVARIANT_MUTATIONS, invariant_mutant, recheck_anomalous_clique,
+from oracles import (INVARIANT_MUTATIONS, invariant_mutant, lines_at, recheck_anomalous_clique,
                      recheck_iso_witness, recheck_witnesses)
 from prect.cli import _Run, main
 from prect.export import model_from_dict
@@ -130,6 +132,12 @@ def _mutate(d: dict, kind: str, draw) -> str:
     return f"line {i} duplicated"
 
 
+def _check_index(structure: dict):
+    """IncidenceStructure.through against the oracles' own point index."""
+    s = IncidenceStructure.from_json_dict(structure)
+    assert s.through == [sum(1 << i for i in ls) for ls in lines_at(s)]
+
+
 @pytest.mark.parametrize("kind", MUTATIONS)
 @pytest.mark.parametrize("name", sorted(BUILDS))
 @settings(max_examples=6, derandomize=True, deadline=None)
@@ -137,6 +145,7 @@ def _mutate(d: dict, kind: str, draw) -> str:
 def test_mutated_model_gives_a_verdict_or_a_typed_error(name, kind, data):
     d = json.loads(_model_json(name))
     note(_mutate(d, kind, data.draw))
+    _check_index(d["structure"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -165,6 +174,7 @@ def _invariant_mutant_file(name: str, kind: str, data):
                                     lambda options: data.draw(st.sampled_from(options)))
     note(what)
     d["structure"] = mutant.to_json_dict()
+    _check_index(d["structure"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -106,6 +106,22 @@ def test_elementary_counts_l23(l23):
     assert rep.checks["ordinary_point_count"] == (24, 24)
 
 
+def test_elementary_counts_special_partition(l22):
+    """Each special line of L_2^2 also takes one point of the next: the
+    special lines still cover the ordinary points, but overlap.  Dropping a
+    point from each instead leaves the lines disjoint, but not covering."""
+    s = l22.structure
+    specials = [list(s.lines[i]) for i in s.special_lines]
+    firsts = [next(p for p in ln if p != s.special_point) for ln in specials]
+    for shift, check in ((1, (False, True)), (0, (True, False))):
+        lines = [list(t) for t in s.lines[:len(s.ordinary_lines)]]
+        for j, ln in enumerate(specials):
+            other = firsts[(j + shift) % len(firsts)]
+            lines.append(ln + [other] if shift else [p for p in ln if p != other])
+        rep = elementary_counts(IncidenceStructure(s.points, lines, s.special_point))
+        assert rep.mismatches()["special_partition"] == ((True, True), check)
+
+
 def test_elementary_counts_trivial_plane(pp2):
     rep = elementary_counts(pp2.structure)
     assert rep.ok and rep.trivial
