@@ -76,30 +76,36 @@ class Translations:
 
     Vertex x is the vector of its base-p digits, digit i of weight p^i;
     translation by t moves bit x to bit x + t, added digit by digit mod p.
+    A graph of lines or H_q(2,k) carries them: row x is row 0 translated by x.
     """
 
     def __init__(self, p: int, d: int):
         self.p, self.d = p, d
         self.nu = nu = p ** d
-        self._top = []  # [i]: the vertices whose digit i is p - 1
+        self._moves = []  # [i]: p^i, the vertices whose digit i is p - 1, the rest, (p - 1)p^i
+        self._lowest = []  # [t - 1]: the lowest nonzero digit of t, for 0 < t < p^i
         for i in range(d):
             w = p ** i
             tile = sum(1 << x for x in range(0, nu, p * w))
-            self._top.append(((1 << w) - 1) * tile << (p - 1) * w)
+            top = ((1 << w) - 1) * tile << (p - 1) * w
+            self._moves.append((w, top, ~top, (p - 1) * w))
+            self._lowest = (self._lowest + [i]) * (p - 1) + self._lowest
 
     def step(self, mask: int, i: int) -> int:
         """mask translated by p^i, the unit vector of digit i: digit i
         goes up by one, and from p - 1 back to 0."""
-        w, top = self.p ** i, self._top[i]
-        return (mask & ~top) << w | (mask & top) >> (self.p - 1) * w
+        w, top, rest, back = self._moves[i]
+        return (mask & rest) << w | (mask & top) >> back
 
-    def steps(self):
-        """(t, t - p^i, i) for t = 1..nu-1, i the lowest nonzero digit of t."""
-        for t in range(1, self.nu):
-            i, w = 0, 1
-            while t // w % self.p == 0:
-                i, w = i + 1, w * self.p
-            yield t, t - w, i
+    def translates(self, mask: int):
+        """mask translated by t, for t = 0..nu-1: translate t is translate
+        t - p^i moved by step(., i), i the lowest nonzero digit of t."""
+        yield mask
+        step = self.step
+        last = [mask] * self.d  # [j]: the latest translate by a t whose digits below j are 0
+        for i in self._lowest:
+            last[:i + 1] = [step(last[i], i)] * (i + 1)
+            yield last[0]
 
 
 def translations_of(nu: int) -> Translations | None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from ._util import iter_bits
+from ._util import Translations, iter_bits
 from .construct import RectangleModel
-from .gf import FieldCtx, add_digits, embed_subfield, field_make
+from .gf import FieldCtx, embed_subfield, field_make
 from .linegraph import LineGraph
 
-# iso on R(2,128), nu = 2^14, took 21.9 s and 97 MB; at 2^16 the two
+# iso on R(2,128), nu = 2^14, took 17.1 s and 129 MB; at 2^16 the two
 # nu^2-bit graphs alone would take 2 x 512 MiB (README, "Scale")
 MAX_VERTICES = 1 << 14
 
@@ -53,7 +53,8 @@ def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:
 
     Read in base p, a vertex number lists the GF(p)-coefficients of its 2k
     entries, so matrix addition is digit-wise addition mod p, and u is
-    adjacent to u + d for each rank-1 matrix d.
+    adjacent to u + d for each rank-1 matrix d: row u is row 0 translated by
+    u, and the graph carries those translations (LineGraph.translations).
     """
     q = p ** e
     nu = q ** (2 * k)
@@ -65,12 +66,12 @@ def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:
     reps = [v for v in product(range(q), repeat=k) if any(v) and next(c for c in v if c) == 1]
     deltas = [_vertex([ctx.mul_codes(a, c) for c in v] + [ctx.mul_codes(b, c) for c in v], q)
               for v in reps for a in range(q) for b in range(q) if a or b]
-    expected = (q + 1) * (q ** k - 1)
-    if len(set(deltas)) != expected:
+    row0 = sum(1 << d for d in set(deltas))
+    if row0.bit_count() != (q + 1) * (q ** k - 1):
         raise BilinearError("rank-1 delta enumeration is off")
 
-    adj = [sum(1 << add_digits(u, d, p, 2 * k * e) for d in deltas) for u in range(nu)]
-    return BilinearGraph(LineGraph(nu, adj), ctx, q, k)
+    group = Translations(p, 2 * k * e)
+    return BilinearGraph(LineGraph(nu, list(group.translates(row0)), group), ctx, q, k)
 
 
 def map_line_to_matrix(line_index: int, model: RectangleModel) -> Matrix:

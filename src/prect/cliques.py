@@ -9,11 +9,11 @@ looking at sizes.  A clique is its sorted vertex tuple; its point (the one
 common point of its lines) or its plane (its lines' points plus D) is read
 off the model where used, by export.census_to_dict and extract_plane.
 
-On a graph that carries the model's incidence certificate
-(LineGraph.translations, see build_line_graph), the enumeration expands
-only the cliques through vertex 0 and translates them: each maximal clique
-C is c + (C - c) for its least vertex c.  Such a graph may have up to
-CAYLEY_MAX_VERTICES vertices, any other graph up to
+On a graph that carries translations (LineGraph.translations), a model's
+certificate (see build_line_graph) or H_q(2,k)'s group, the enumeration
+expands only the cliques through vertex 0 and walks their translates: each
+maximal clique C is c + (C - c) for its least vertex c.  Such a graph may
+have up to CAYLEY_MAX_VERTICES vertices, any other graph up to
 ENUMERATION_MAX_VERTICES.
 
 The facts read off the census go the same way.  A census that
@@ -40,7 +40,7 @@ from .linegraph import LineGraph
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the translates of the cliques through
 # vertex 0 are enumerated: verify --profile full took 1.25-1.27 s and 86 MB
-# on L_2^6, 4.25-4.45 s and 26 MB on R(8,64), nu = 4096 (README, "Scale")
+# on L_2^6, 2.02-3.86 s and 26 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 
@@ -116,17 +116,9 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
         expand(0, (1 << g.nu) - 1, 0)
     else:
         expand(1, rows[0], 0)  # the maximal cliques through vertex 0
-        lowest = [i for _, _, i in group.steps()]
-        for clique in out[:]:
-            # [j]: the clique translated by the latest t whose digits below j
-            # are 0, which for t's lowest nonzero digit i is t - p^i
-            last = [clique] * group.d
-            for t, i in enumerate(lowest, 1):
-                last[:i + 1] = [group.step(last[i], i)] * (i + 1)
-                if not last[0] & (1 << t) - 1:
-                    out.append(last[0])
-    cliques = sorted(tuple(iter_bits(mask)) for mask in out)
-    return cliques
+        out = [c for clique in out for t, c in enumerate(group.translates(clique))
+               if not c & (1 << t) - 1]
+    return sorted(tuple(iter_bits(mask)) for mask in out)
 
 
 class CliqueCensus(Checks):
@@ -184,14 +176,11 @@ def classify_census(g: LineGraph, model: RectangleModel,
     m, n = model.m, model.n
     points, planes, anomalous = [], [], []
 
-    masks = s.line_masks
     for cl in cliques:
         if not cl:  # the one maximal clique of a graph with no vertices
             anomalous.append(cl)
             continue
-        common = masks[cl[0]]
-        for v in cl[1:]:
-            common &= masks[v]
+        common = common_points(cl, model)
         if common:
             pencil = tuple(iter_bits(s.through[common.bit_length() - 1] & (1 << g.nu) - 1))
             full = common.bit_count() == 1 and cl == pencil and len(cl) == n
@@ -318,6 +307,16 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     if census.certified_by(model.structure.translations):
         planes = [planes[j] for j in iter_bits(census.plane_of[0])]
     return all(extract_plane(pc, model).ok for pc in planes)
+
+
+def common_points(clique: tuple[int, ...], model: RectangleModel) -> int:
+    """The points that all of a nonempty clique's lines hold, as a mask; a
+    point clique's point is its one bit."""
+    masks = model.structure.line_masks
+    mask = masks[clique[0]]
+    for v in clique[1:]:
+        mask &= masks[v]
+    return mask
 
 
 def plane_mask(clique: tuple[int, ...], model: RectangleModel) -> int:

@@ -99,6 +99,31 @@ def model_to_json(model: RectangleModel) -> str:
     return json.dumps(model_to_dict(model), sort_keys=True)
 
 
+def _power_is(base: int, exp: int, value: int) -> bool:
+    """Whether base^exp == value, for base >= 2, never forming a power past value."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > value:
+            return False
+    return power == value
+
+
+def _check_params(params: dict):
+    """Raise ExportError, naming the field, unless p >= 2, e >= 1 and k >= 1
+    are integers and the stored q, m and n are p^e, q and q^k."""
+    for name, least in (("p", 2), ("e", 1), ("k", 1)):
+        if type(params[name]) is not int or params[name] < least:
+            raise ExportError(f"model parameter {name} = {params[name]!r} is not an integer "
+                              f">= {least}")
+    p, e, k = params["p"], params["e"], params["k"]
+    for name, base, exp, formula in (("q", p, e, "p^e"), ("m", p, e, "q"),
+                                     ("n", params["q"], k, "q^k")):  # q is checked first
+        if type(params[name]) is not int or not _power_is(base, exp, params[name]):
+            raise ExportError(f"model parameter {name} = {params[name]!r} is not {formula} "
+                              f"for p = {p}, e = {e}, k = {k}")
+
+
 def model_from_dict(d: dict) -> RectangleModel:
     """Rebuild a model from JSON, keeping whatever incidence the file states.
 
@@ -106,9 +131,11 @@ def model_from_dict(d: dict) -> RectangleModel:
     corrupted files stay corrupted); coordinates are reattached through the
     field context implied by the parameters.  The file must list its special
     lines last, since graph vertex v is structure line v for every ordinary
-    line v; ExportError names the first special line out of place.
+    line v; ExportError names the first special line out of place, or the
+    first parameter that is malformed or disagrees with p, e and k.
     """
     params = d["params"]
+    _check_params(params)
     structure = IncidenceStructure.from_json_dict(d["structure"])
     nu = len(structure.ordinary_lines)
     if structure.special_lines and structure.special_lines[0] < nu:
@@ -158,15 +185,12 @@ def build_model(family: str, p: int | None = None, e: int | None = None,
 def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
     """The census as JSON; a point clique is labelled by the one point its
     lines share, a plane clique by its plane's points, read off the model."""
-    from .cliques import plane_mask
+    from .cliques import common_points, plane_mask
 
-    pts, masks = model.structure.points, model.structure.line_masks
+    pts = model.structure.points
 
     def point(clique):
-        mask = masks[clique[0]]
-        for v in clique[1:]:
-            mask &= masks[v]
-        return pts[mask.bit_length() - 1]
+        return pts[common_points(clique, model).bit_length() - 1]
 
     def plane(clique):
         return [pts[p] for p in iter_bits(plane_mask(clique, model))]

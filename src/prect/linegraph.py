@@ -21,9 +21,10 @@ GF(p)^d, vertex x being the vector of its base-p digits: L_2^k on
 build_line_graph attaches the model's incidence certificate
 (IncidenceStructure.translations) as LineGraph.translations; every
 translation is then an automorphism, and the srg check and the clique
-census (see cliques) do the work of vertex 0 only.  Any other graph, such
-as a model whose lines were renumbered or one built by hand, carries no
-certificate and takes the all-vertex loops.
+census (see cliques) do the work of vertex 0 only.  build_hq2k certifies
+H_q(2,k) alike: its rows are the translates of row 0.  Any other graph,
+such as a model whose lines were renumbered or one built by hand, carries
+no certificate and takes the all-vertex loops.
 
 The planarity, Eulerian and Krein verdicts read only the graph, (m, n) and
 the srg certificate, so they live here: verify reports them without

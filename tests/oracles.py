@@ -577,9 +577,13 @@ def translation_group(g: LineGraph) -> Translations | None:
     group = translations_of(g.nu)
     if group is None or rows[0] & 1 or not all(rows[s] & 1 for s in iter_bits(rows[0])):
         return None
-    if all(rows[t] == group.step(rows[prev], i) for t, prev, i in group.steps()):
-        return group
-    return None
+    for t in range(1, g.nu):
+        i, w = 0, 1  # t's lowest nonzero digit, and its weight p^i
+        while t // w % group.p == 0:
+            i, w = i + 1, w * group.p
+        if rows[t] != group.step(rows[t - w], i):
+            return None
+    return group
 
 
 def fields(report) -> dict:

@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from oracles import fields, hq2k_with_matrices, isomorphism_by_pairs, without_edge
+from oracles import (fields, hq2k_with_matrices, isomorphism_by_pairs, translation_group,
+                     without_edge)
 from prect.bilinear import (BilinearError, BilinearGraph, build_hq2k, certify_isomorphism,
                             line_matrix_map, map_line_to_matrix)
 from prect.cliques import enumerate_maximal_cliques
 from prect.gf import FieldCtx, field_make
-from prect.linegraph import edge_class
+from prect.linegraph import LineGraph, certify_srg, edge_class
 
 
 def rank2xk(row_a, row_b, ctx: FieldCtx) -> int:
@@ -127,14 +128,44 @@ def test_hq2k_adjacency_is_rank_one():
             assert h.graph.adjacent(u, v) == (rank2xk(da, db, h.ctx) == 1)
 
 
-@pytest.mark.parametrize("p,e,k", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2),
-                                   (3, 1, 3)])
+HQ2K_PARAMS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3)]
+
+
+@pytest.mark.parametrize("p,e,k", HQ2K_PARAMS)
 def test_hq2k_matches_matrix_table_oracle(p, e, k):
     h = build_hq2k(p, e, k)
     graph, matrices, index = hq2k_with_matrices(p, e, k)
     assert h.graph.rows == graph.rows
     assert [matrix_of(h, u) for u in range(h.nu)] == matrices
     assert all(index[matrices[u]] == u for u in range(h.nu))
+
+
+@pytest.mark.parametrize("p,e,k", HQ2K_PARAMS)
+def test_hq2k_with_and_without_its_translations(p, e, k):
+    """H carries the translations of GF(p)^(2ke), and the vertex-0 paths they
+    select give the cliques and the srg certificate of the all-vertex paths."""
+    h = build_hq2k(p, e, k)
+    group, bare = h.graph.translations, LineGraph(h.nu, h.graph.rows)
+    assert (group.p, group.d) == (p, 2 * k * e)
+    oracle = translation_group(h.graph)
+    assert (oracle.p, oracle.d) == (group.p, group.d)
+    assert enumerate_maximal_cliques(h.graph) == enumerate_maximal_cliques(bare)
+    q = p ** e
+    assert fields(certify_srg(h.graph, q, q ** k)) == fields(certify_srg(bare, q, q ** k))
+
+
+def test_hq2k_cliques_past_the_uncertified_bound():
+    """H_7(2,2), nu = 2401: its (q+1)q^2 point and plane cliques, of size
+    q^2 = 49, each listed once, each a clique and none extendable."""
+    h = build_hq2k(7, 1, 2)
+    cliques = enumerate_maximal_cliques(h.graph)
+    assert len(cliques) == 2 * 8 * 49 and {len(c) for c in cliques} == {49}
+    assert len(set(cliques)) == len(cliques)
+    for c in cliques:
+        common = (1 << h.nu) - 1
+        for v in c:
+            common &= h.graph.rows[v] | 1 << v
+        assert common == sum(1 << v for v in c)
 
 
 @pytest.mark.parametrize("fix,hparams", [

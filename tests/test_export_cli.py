@@ -885,3 +885,34 @@ def test_cli_subplane_model_without_coordinates_is_a_typed_error(tmp_path, capsy
     capsys.readouterr()
     assert run_cli("verify", str(path), "--profile", "full") == 2
     assert capsys.readouterr().err == "error: need a coordinatized subplane model\n"
+
+
+MALFORMED_PARAMS = [
+    ("e", -1, "e = -1 is not an integer >= 1"),
+    ("e", 0, "e = 0 is not an integer >= 1"),
+    ("p", 1, "p = 1 is not an integer >= 2"),
+    ("k", 0, "k = 0 is not an integer >= 1"),
+    ("e", 1.0, "e = 1.0 is not an integer >= 1"),
+    ("k", "4", "k = '4' is not an integer >= 1"),
+    ("p", True, "p = True is not an integer >= 2"),
+    ("q", 4, "q = 4 is not p^e for p = 2, e = 1, k = 4"),
+    ("m", 3, "m = 3 is not q for p = 2, e = 1, k = 4"),
+    ("n", 17, "n = 17 is not q^k for p = 2, e = 1, k = 4"),
+    ("n", 16.0, "n = 16.0 is not q^k for p = 2, e = 1, k = 4"),
+    ("e", 10 ** 18, "q = 2 is not p^e for p = 2, e = 1000000000000000000, k = 4"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", MALFORMED_PARAMS,
+                         ids=[f"{f}={v!r}" for f, v, _ in MALFORMED_PARAMS])
+def test_cli_malformed_model_parameters_are_a_typed_error(tmp_path, capsys, field, value,
+                                                          message):
+    """A parameter that is not an integer in range, or a q, m or n that is not
+    p^e, q or q^k, exits 2 naming the field, before any check expects a float."""
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "4")
+    d["params"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("verify", str(path), "--profile", "full") == 2
+    assert capsys.readouterr() == ("", f"error: model parameter {message}\n")

@@ -1,17 +1,23 @@
-"""The incidence index helpers against a brute-force set oracle.
+"""The incidence index helpers against a brute-force set oracle, and the
+translate walk against digit addition.
 
 holders(blocks, n)[v] is the mask of the blocks that hold v, and
 meeting(blocks, held, which)[i] the mask of the other blocks that share an
 element with block i, for i in which.  The oracle reads both off the blocks
-as sets, pair by pair.
+as sets, pair by pair.  Translations(p, d).translates(mask) lists mask
+translated by t for t = 0..p^d-1; the oracle adds t to each bit digit by
+digit mod p.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prect._util import holders, meeting
+from prect._util import Translations, holders, meeting
 
 
 def _oracle(blocks, n, which):
@@ -43,3 +49,19 @@ def test_holders_and_meeting_match_the_set_oracle(data):
                       if blocks else st.just([]))
     held = holders(blocks, n)
     assert (held, meeting(blocks, held, which)) == _oracle(blocks, n, which)
+
+
+def _digit_sum(x: int, t: int, p: int, d: int) -> int:
+    return sum((x // p ** i + t // p ** i) % p * p ** i for i in range(d))
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (3, 3)])
+def test_translates_match_digit_addition(p, d):
+    nu, group = p ** d, Translations(p, d)
+    rng = random.Random(f"{p},{d}")
+    for mask in [0, 1, 1 << nu - 1, (1 << nu) - 1] + [rng.getrandbits(nu) for _ in range(20)]:
+        walk = list(group.translates(mask))
+        assert len(walk) == nu
+        bits = [x for x in range(nu) if mask >> x & 1]
+        for t, moved in enumerate(walk):
+            assert moved == sum(1 << _digit_sum(x, t, p, d) for x in bits), (mask, t)
