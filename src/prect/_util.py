@@ -107,6 +107,29 @@ class Translations:
             last[:i + 1] = [step(last[i], i)] * (i + 1)
             yield last[0]
 
+    def translate(self, mask: int, t: int) -> int:
+        """mask translated by t: step(., i) once for each unit of digit i of t."""
+        for i in range(self.d):
+            t, a = divmod(t, self.p)
+            for _ in range(a):
+                mask = self.step(mask, i)
+        return mask
+
+    def negate(self, x: int) -> int:
+        """The vertex -x, each digit negated mod p."""
+        p, y, w = self.p, 0, 1
+        while x:
+            x, a = divmod(x, p)
+            y += -a % p * w
+            w *= p
+        return y
+
+    def shift(self, vertices, t: int) -> list[int]:
+        """The vertices translated by t: in their order when p = 2, else ascending."""
+        if self.p == 2:
+            return [x ^ t for x in vertices]
+        return list(iter_bits(self.translate(sum(1 << x for x in vertices), t)))
+
 
 def translations_of(nu: int) -> Translations | None:
     """The translations of GF(p)^d when nu = p^d for a prime p and d >= 1, else None."""

@@ -190,9 +190,9 @@ def cmd_verify(args, report: RunReport) -> int:
     census = run.census
     report.verdicts["census"] = census.ok
     report.details["census_counts"] = {
-        "point_cliques": len(census.point_cliques),
-        "plane_cliques": len(census.plane_cliques),
-        "anomalous": len(census.anomalous),
+        "point_cliques": census.count("point_cliques"),
+        "plane_cliques": census.count("plane_cliques"),
+        "anomalous": census.count("anomalous"),
         "mismatches": _jsonable(census.mismatches()),
     }
 
@@ -230,9 +230,9 @@ def _census_verdicts(run: _Run, report: RunReport):
     _a1(run, report)
     census = run.census
     report.verdicts["census"] = census.ok
-    report.details["counts"] = {"point": len(census.point_cliques),
-                                "plane": len(census.plane_cliques),
-                                "anomalous": len(census.anomalous)}
+    report.details["counts"] = {"point": census.count("point_cliques"),
+                                "plane": census.count("plane_cliques"),
+                                "anomalous": census.count("anomalous")}
 
 
 def cmd_cliques(args, report: RunReport) -> int:
@@ -291,7 +291,13 @@ def cmd_analyze(args, report: RunReport) -> int:
     if nu > ANALYSIS_MAX_VERTICES:
         raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
                             f"the model has {nu}")
-    m, n = run.order
+    try:
+        m, n = run.order
+    except StructureError as exc:  # as in verify: a failing verdict, not an error
+        report.verdicts["order"] = False
+        report.details["order"] = str(exc)
+        _write(args.out, report.to_json(), report)
+        return 1
     g, model = run.graph, run.model
 
     pl = planarity_verdict(g, m, n)

@@ -16,31 +16,37 @@ maximal clique C is c + (C - c) for its least vertex c.  Such a graph may
 have up to CAYLEY_MAX_VERTICES vertices, any other graph up to
 ENUMERATION_MAX_VERTICES.
 
-The facts read off the census go the same way.  A census that
-classify_census enumerated on a certified graph carries the certificate
-(CliqueCensus.translations): a translation maps maximal cliques to maximal
-cliques, pencils to pencils and m^2-cliques to m^2-cliques, so every clique
-is a translate of one through vertex 0.  CliqueCensus.certified_by makes
-the one orbit decision: the census carries a certificate, and it is the
-object the caller's graph (clique_intersections) or model
-(plane_extraction and the geometries) holds.  Then those work from vertex
-0.  Any other census (built by calling CliqueCensus, or from cliques the
-caller supplies), or one paired with a graph or model that holds another
-certificate, takes the all-vertex loops, which give the same verdicts.
+The census goes further.  On a graph that holds the model's certificate,
+classify_census expands and classifies only the cliques through vertex 0,
+and the census keeps them with the certificate (CliqueCensus.translations):
+a translation maps maximal cliques to maximal cliques, pencils to pencils
+and m^2-cliques to m^2-cliques, so every clique is a translate of a kept
+one, and the class counts, the sizes and the per-vertex counts follow from
+the kept cliques.  The sorted list of every clique is built only when read,
+by the census JSON (export.census_to_dict) and the all-vertex paths.
+CliqueCensus.certified_by makes the one orbit decision: the census carries
+a certificate, and it is the object the caller's graph
+(clique_intersections) or model (plane_extraction and the geometries)
+holds.  Then those work from vertex 0 and the kept cliques, translating
+them to another vertex where they need it.  Any other census (built by
+calling CliqueCensus, or from cliques the caller supplies), or one paired
+with a graph or model that holds another certificate, takes the all-vertex
+loops over every clique, which give the same verdicts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from ._util import Checks, Translations, holders, iter_bits, meeting
 from .construct import RectangleModel
 from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
-# past ENUMERATION_MAX_VERTICES only the translates of the cliques through
-# vertex 0 are enumerated: verify --profile full took 1.25-1.27 s and 86 MB
-# on L_2^6, 2.02-3.86 s and 26 MB on R(8,64), nu = 4096 (README, "Scale")
+# past ENUMERATION_MAX_VERTICES only the cliques through vertex 0 are
+# expanded: verify --profile full took 0.14-0.17 s and 22 MB on L_2^6,
+# 1.55-1.76 s and 25 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 
@@ -76,17 +82,9 @@ def check_enumeration_bound(model: RectangleModel):
                 and meeting(s.lines, s.through, [0])[0] & (1 << nu) - 1 != (1 << nu) - 2)
 
 
-def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
-    """All maximal cliques, each exactly once, sorted, via pivoting Bron-Kerbosch.
-
-    On a certified Cayley graph (LineGraph.translations) Bron-Kerbosch runs
-    from R = {0}, P = N(0) only.  Translations are automorphisms, so the
-    translates of those cliques are all the maximal cliques; the translate
-    by t is kept when t is its least vertex, which happens once for each.
-    """
-    group = g.translations
-    _check_size(g.nu, group is not None and g.rows[0] != (1 << g.nu) - 2)
-    rows = g.rows
+def _bron_kerbosch(rows: list[int], r_mask: int, p_mask: int) -> list[int]:
+    """The maximal cliques that hold r_mask and lie within r_mask | p_mask,
+    as masks, by pivoting Bron-Kerbosch."""
     out = []
 
     def expand(r_mask: int, p_mask: int, x_mask: int):
@@ -112,28 +110,93 @@ def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
             r_mask, p_mask, x_mask = r_mask | branches, p_mask & rows[v], x_mask & rows[v]
         out.append(r_mask)
 
-    if group is None:
-        expand(0, (1 << g.nu) - 1, 0)
-    else:
-        expand(1, rows[0], 0)  # the maximal cliques through vertex 0
-        out = [c for clique in out for t, c in enumerate(group.translates(clique))
-               if not c & (1 << t) - 1]
+    expand(r_mask, p_mask, 0)
+    return out
+
+
+def _cliques_through_0(g: LineGraph) -> list[tuple[int, ...]]:
+    """The maximal cliques through vertex 0 of a certified graph, sorted.
+
+    They are 0 and the maximal cliques of the subgraph on N(0), which is
+    expanded on its own rows: neighbour v of 0 is renumbered by its rank in
+    N(0), so a row has deg(0) bits rather than nu."""
+    row0 = g.rows[0]
+    _check_size(g.nu, row0 != (1 << g.nu) - 2)
+    near = list(iter_bits(row0))
+    rank = {v: i for i, v in enumerate(near)}
+    rows = [sum(1 << rank[u] for u in iter_bits(g.rows[v] & row0)) for v in near]
+    return sorted((0, *(near[i] for i in iter_bits(mask)))
+                  for mask in _bron_kerbosch(rows, 0, (1 << len(near)) - 1))
+
+
+def _all_translates(cliques: list[tuple[int, ...]], group: Translations) -> list[tuple[int, ...]]:
+    """Every translate of the given cliques through vertex 0, each once,
+    sorted: the translate by t is kept when t is its least vertex, which
+    happens once for each."""
+    out = []
+    for clique in cliques:
+        mask = sum(1 << v for v in clique)
+        out.extend(c for t, c in enumerate(group.translates(mask)) if not c & (1 << t) - 1)
     return sorted(tuple(iter_bits(mask)) for mask in out)
 
 
+def enumerate_maximal_cliques(g: LineGraph) -> list[tuple[int, ...]]:
+    """All maximal cliques, each exactly once, sorted, via pivoting Bron-Kerbosch.
+
+    On a certified Cayley graph (LineGraph.translations) Bron-Kerbosch runs
+    from R = {0}, P = N(0) only.  Translations are automorphisms, so the
+    translates of those cliques are all the maximal cliques.
+    """
+    if g.translations is not None:
+        return _all_translates(_cliques_through_0(g), g.translations)
+    _check_size(g.nu, False)
+    return sorted(tuple(iter_bits(mask)) for mask in _bron_kerbosch(g.rows, 0, (1 << g.nu) - 1))
+
+
 class CliqueCensus(Checks):
+    """The maximal cliques of a graph of lines, as sorted vertex tuples, in
+    three classes: point_cliques, plane_cliques and anomalous.
+
+    A census that carries translations (set by classify_census on a graph
+    that holds the model's certificate) keeps only the cliques of each class
+    through vertex 0, in kept[class].  Every clique is one of them
+    translated, so they give the class counts (count), the clique sizes and
+    the cliques through any vertex v (kept ones translated by v).  The
+    sorted lists of every clique, and the membership masks point_of and
+    plane_of, are built from them on first read (_all_translates), which
+    only the census JSON and the all-vertex paths do.  A census without
+    translations keeps every clique.
+    """
+
     def __init__(self, point_cliques: list[tuple[int, ...]], plane_cliques: list[tuple[int, ...]],
-                 anomalous: list[tuple[int, ...]], m: int, n: int, trivial: bool, nu: int):
-        self.point_cliques, self.plane_cliques = point_cliques, plane_cliques
-        self.anomalous = anomalous
+                 anomalous: list[tuple[int, ...]], m: int, n: int, trivial: bool, nu: int,
+                 translations: Translations | None = None):
+        self.kept = {"point_cliques": point_cliques, "plane_cliques": plane_cliques,
+                     "anomalous": anomalous}
         self.m, self.n, self.trivial = m, n, trivial
         self.nu = nu  # the graph's vertex count
+        self.translations = translations
         self.checks = {}
-        # [v]: bit j set when point (plane) clique j holds vertex v
-        self.point_of, self.plane_of = holders(point_cliques, nu), holders(plane_cliques, nu)
-        # the incidence certificate under which both classes are closed, set
-        # by classify_census only; a census built any other way has none
-        self.translations: Translations | None = None
+
+    def _every(self, kind: str) -> list[tuple[int, ...]]:
+        kept = self.kept[kind]
+        return kept if self.translations is None else _all_translates(kept, self.translations)
+
+    point_cliques = cached_property(lambda self: self._every("point_cliques"))
+    plane_cliques = cached_property(lambda self: self._every("plane_cliques"))
+    anomalous = cached_property(lambda self: self._every("anomalous"))
+    # [v]: bit j set when point (plane) clique j holds vertex v
+    point_of = cached_property(lambda self: holders(self.point_cliques, self.nu))
+    plane_of = cached_property(lambda self: holders(self.plane_cliques, self.nu))
+
+    def count(self, kind: str) -> int:
+        """The number of cliques of a class.  Under translations, k cliques
+        of size s through vertex 0 stand for nu k / s cliques, since every
+        vertex lies in k of them."""
+        kept = self.kept[kind]
+        if self.translations is None:
+            return len(kept)
+        return sum(self.nu * k // s for s, k in Counter(map(len, kept)).items())
 
     def certified_by(self, translations: Translations | None) -> bool:
         """Whether the census stands for its orbit: it carries a certificate,
@@ -142,7 +205,7 @@ class CliqueCensus(Checks):
 
     @property
     def ok(self) -> bool:
-        return not self.anomalous and super().ok
+        return not self.count("anomalous") and super().ok
 
     @property
     def expected_counts(self) -> tuple[int, int]:
@@ -166,13 +229,19 @@ def classify_census(g: LineGraph, model: RectangleModel,
     size m^2 is a plane clique; anything else is anomalous.  For nontrivial
     rectangles the counting identities are checked: (m+1)n point cliques,
     n^2(n-1)/(m^2(m-1)) plane cliques, each vertex in m+1 point cliques and
-    (n-1)/(m-1) plane cliques, maximum size n.  Cliques enumerated here on a
-    graph that carries the model's certificate give a census that carries it.
+    (n-1)/(m-1) plane cliques, maximum size n.  With no cliques supplied, on
+    a graph that carries the model's certificate, only the cliques through
+    vertex 0 are enumerated and classified, and the census carries the
+    certificate (CliqueCensus); on any other graph every clique is.
     """
-    own = cliques is None
-    if own:
-        cliques = enumerate_maximal_cliques(g)
     s = model.structure
+    group = None
+    if cliques is None:
+        if g.translations is not None and g.translations is s.translations:
+            group = g.translations
+            cliques = _cliques_through_0(g)
+        else:
+            cliques = enumerate_maximal_cliques(g)
     m, n = model.m, model.n
     points, planes, anomalous = [], [], []
 
@@ -190,21 +259,23 @@ def classify_census(g: LineGraph, model: RectangleModel,
         else:
             anomalous.append(cl)
 
-    census = CliqueCensus(points, planes, anomalous, m, n, model.trivial, g.nu)
-    if own and g.translations is not None and g.translations is s.translations:
-        census.translations = g.translations
+    census = CliqueCensus(points, planes, anomalous, m, n, model.trivial, g.nu, group)
     c = census.checks
-    c["anomalous"] = (0, len(census.anomalous))
+    c["anomalous"] = (0, census.count("anomalous"))
     if not model.trivial:
         points_expected, planes_expected = census.expected_counts
-        c["point_clique_count"] = (points_expected, len(census.point_cliques))
-        c["plane_clique_count"] = (planes_expected, len(census.plane_cliques))
-        c["point_clique_sizes"] = ({n}, {len(pc) for pc in census.point_cliques})
-        c["plane_clique_sizes"] = ({m * m}, {len(pc) for pc in census.plane_cliques})
+        c["point_clique_count"] = (points_expected, census.count("point_cliques"))
+        c["plane_clique_count"] = (planes_expected, census.count("plane_cliques"))
+        c["point_clique_sizes"] = ({n}, {len(pc) for pc in points})
+        c["plane_clique_sizes"] = ({m * m}, {len(pc) for pc in planes})
         c["max_clique_size"] = (n, max(len(cl) for cl in cliques))
-        c["point_cliques_per_vertex"] = ({m + 1}, {b.bit_count() for b in census.point_of})
-        c["plane_cliques_per_vertex"] = ({(n - 1) // (m - 1)},
-                                         {b.bit_count() for b in census.plane_of})
+        if group is None:
+            per_vertex = ({b.bit_count() for b in census.point_of},
+                          {b.bit_count() for b in census.plane_of})
+        else:  # every vertex lies in as many cliques of a class as vertex 0
+            per_vertex = {len(points)}, {len(planes)}
+        c["point_cliques_per_vertex"] = ({m + 1}, per_vertex[0])
+        c["plane_cliques_per_vertex"] = ({(n - 1) // (m - 1)}, per_vertex[1])
     return census
 
 
@@ -233,43 +304,65 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     When the census stands for its orbit under g's certificate
     (CliqueCensus.certified_by), a translation moves any violation to one
     of a plane through vertex 0, or of a pair (0, v); only those are
-    checked.  Sorted cliques put the planes through vertex 0
-    first, so the verdict, the stats and the first violation are those of
-    the check of every plane and pair.
+    checked, from the kept cliques, the point cliques through a vertex v
+    being the kept ones translated by v.  Sorted cliques put the planes
+    through vertex 0 first, so the verdict, the stats and the first
+    violation are those of the check of every plane and pair.
     """
     rep = IntersectionReport()
-    for label, cliques, expected in zip(("point-clique-count", "plane-clique-count"),
-                                        (census.point_cliques, census.plane_cliques),
-                                        census.expected_counts):
-        if len(cliques) != expected:
-            rep.violations.append((label, expected, len(cliques)))
+    kinds = ("point_cliques", "plane_cliques")
+    for label, kind, expected in zip(("point-clique-count", "plane-clique-count"), kinds,
+                                     census.expected_counts):
+        if census.count(kind) != expected:
+            rep.violations.append((label, expected, census.count(kind)))
     m = census.m
-    npoints = len(census.point_cliques)
+    npoints = census.count("point_cliques")
     orbit = census.certified_by(g.translations)
-    planes = iter_bits(census.plane_of[0]) if orbit else range(len(census.plane_cliques))
+    if orbit:
+        group, kept = census.translations, census.kept["point_cliques"]
+        masks = [sum(1 << v for v in pc) for pc in kept]
+        cliques = census.kept
+
+        def shared_with(plane):
+            # the point clique pc + v through v shares |(plane - v) & pc| vertices
+            # with the plane, and is found once at each of them
+            found, odd = Counter(), {}
+            whole = sum(1 << v for v in plane)
+            for v in plane:
+                moved = group.translate(whole, group.negate(v))
+                for pc, mask in zip(kept, masks):
+                    k = (moved & mask).bit_count()
+                    found[k] += 1
+                    if k != m:
+                        odd[tuple(sorted(group.shift(pc, v)))] = k
+            return sum(c // k for k, c in found.items()), set(found), sorted(odd.items())
+    else:
+        points, point_of = census.point_cliques, census.point_of
+        cliques = {kind: getattr(census, kind) for kind in kinds}
+
+        def shared_with(plane):
+            shared = Counter(j for v in plane for j in iter_bits(point_of[v]))
+            return (len(shared), set(shared.values()),
+                    [(points[j], k) for j, k in sorted(shared.items()) if k != m])
+
     sizes = set()
-    for i in planes:
-        shared = Counter(j for v in census.plane_cliques[i] for j in iter_bits(census.point_of[v]))
-        if len(shared) < npoints:
+    for plane in cliques["plane_cliques"]:
+        # (point cliques met, the vertices they share, those that share other than m)
+        met, found, odd = shared_with(plane)
+        sizes |= found
+        if met < npoints:
             sizes.add(0)
-        sizes.update(shared.values())
-        for j in sorted(shared):
-            if shared[j] != m:
-                rep.violations.append(("plane-point", i, j, shared[j]))
+        rep.violations.extend(("plane-point", plane, pc, k) for pc, k in odd)
     rep.stats["plane_point_intersection_sizes"] = sorted(sizes)
 
-    rows = g.rows[:1] if orbit else g.rows
+    rows = g.rows[:1] if orbit else g.rows  # once[0] and twice[0] need only the kept cliques
     covered = [0] * g.nu
-    for label, cliques, holding, expected in zip(("edge-point-cover", "edge-plane-cover"),
-                                                 (census.point_cliques, census.plane_cliques),
-                                                 (census.point_of, census.plane_of),
-                                                 census.expected_counts):
+    for label, kind, expected in zip(("edge-point-cover", "edge-plane-cover"), kinds,
+                                     census.expected_counts):
         if not expected:
             continue
-        if orbit:  # once[0] and twice[0] need only the cliques through vertex 0
-            cliques = [cliques[j] for j in iter_bits(holding[0])]
         once, twice = [0] * g.nu, [0] * g.nu  # partners in one clique, in two
-        for pc in cliques:
+        for pc in cliques[kind]:
             members = sum(1 << v for v in pc)
             for v in pc:
                 twice[v] |= once[v] & members
@@ -298,14 +391,13 @@ def plane_extraction(census: CliqueCensus, model: RectangleModel) -> bool:
     When the census stands for its orbit under the model's incidence
     certificate (CliqueCensus.certified_by), each plane clique is a
     translate of one through vertex 0 by an incidence automorphism fixing
-    D, which keeps every count extract_plane makes; only the planes through
-    vertex 0 are extracted.
+    D, which keeps every count extract_plane makes; only the kept planes,
+    those through vertex 0, are extracted.
     """
-    planes = census.plane_cliques
-    if len(planes) != census.expected_counts[1]:
+    if census.count("plane_cliques") != census.expected_counts[1]:
         return False
-    if census.certified_by(model.structure.translations):
-        planes = [planes[j] for j in iter_bits(census.plane_of[0])]
+    orbit = census.certified_by(model.structure.translations)
+    planes = census.kept["plane_cliques"] if orbit else census.plane_cliques
     return all(extract_plane(pc, model).ok for pc in planes)
 
 

@@ -32,7 +32,8 @@ import random
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from itertools import groupby
+from itertools import islice, repeat
+from operator import ne
 
 from ._util import (Checks, Translations, Verdicts, comb2, holders, iter_bits, meeting,
                     translations_of)
@@ -42,6 +43,8 @@ A6_DEFAULT_SEED = 0
 # bytes per draw when sampled A6 keeps the drawn ranks instead of a bitmap:
 # an array entry, and a list slot and an int object in its sorted copy
 _RANK_BYTES = 48
+_SLICE = 1 << 16  # bytes of the bitmap of drawn ranks counted at once
+_BITS = tuple(1 << i for i in range(8))  # [i]: bit i of a byte of that bitmap
 
 
 class StructureError(ValueError):
@@ -431,29 +434,44 @@ def _a6_draws(total, samples, seed, test):
     Each rank is Random(seed).randrange(total), inlined: the same rejection
     sampling on getrandbits, without two Python calls per draw.  The draws
     stop at the first rank whose test(rank) is a witness; test None draws
-    them all.
+    them all, and with a bitmap in a loop of its own that only marks them.
+    The distinct ranks are the set bits of a bitmap over the space, or, when
+    that would be larger, the steps of their sorted list.
     """
     getrandbits = random.Random(seed).getrandbits
     nbits = total.bit_length()
     seen = bytearray((total + 7) // 8) if (total + 7) // 8 <= _RANK_BYTES * samples else None
     ranks = array("q")
-    drawn = distinct = 0
+    drawn = 0
     witness = None
-    for drawn in range(1, samples + 1):
-        r = getrandbits(nbits)
-        while r >= total:
+    if test is None and seen is not None:  # proven: the draws are only marked
+        bit = _BITS
+        for _ in repeat(None, samples):
             r = getrandbits(nbits)
-        if seen is None:
-            ranks.append(r)
-        elif not (seen[r >> 3] >> (r & 7) & 1):
-            seen[r >> 3] |= 1 << (r & 7)
-            distinct += 1
-        if test is not None:
-            witness = test(r)
-            if witness:
-                break
-    if seen is None:
-        distinct = sum(1 for _ in groupby(sorted(ranks)))
+            while r >= total:
+                r = getrandbits(nbits)
+            seen[r >> 3] |= bit[r & 7]
+        drawn = samples
+    else:
+        for drawn in range(1, samples + 1):
+            r = getrandbits(nbits)
+            while r >= total:
+                r = getrandbits(nbits)
+            if seen is None:
+                ranks.append(r)
+            else:
+                seen[r >> 3] |= 1 << (r & 7)
+            if test is not None:
+                witness = test(r)
+                if witness:
+                    break
+    if seen is not None:  # counted a slice at a time, so no int as large as seen is made
+        view = memoryview(seen)
+        distinct = sum(int.from_bytes(view[i:i + _SLICE], "little").bit_count()
+                       for i in range(0, len(seen), _SLICE))
+    else:
+        ranks = sorted(ranks)
+        distinct = sum(map(ne, ranks, islice(ranks, 1, None))) + bool(ranks)
     return drawn, distinct, witness
 
 

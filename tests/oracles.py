@@ -586,12 +586,18 @@ def translation_group(g: LineGraph) -> Translations | None:
     return group
 
 
+CENSUS_FIELDS = ("point_cliques", "plane_cliques", "anomalous", "point_of", "plane_of",
+                 "m", "n", "trivial", "nu", "checks")
+
+
 def fields(report) -> dict:
     """The attributes of a report, as == compared them when the report was a
-    dataclass: all of them, but for CliqueCensus.translations, which was not
-    compared."""
-    return {k: v for k, v in vars(report).items()
-            if not (isinstance(report, CliqueCensus) and k == "translations")}
+    dataclass.  A CliqueCensus compares by what it stands for: every clique
+    of each class, sorted, the membership masks, its order and its checks;
+    not by the cliques it keeps or the translations it carries."""
+    if isinstance(report, CliqueCensus):
+        return {k: getattr(report, k) for k in CENSUS_FIELDS}
+    return vars(report)
 
 
 def census_with(census: CliqueCensus, **classes) -> CliqueCensus:
@@ -603,6 +609,24 @@ def census_with(census: CliqueCensus, **classes) -> CliqueCensus:
                         nu=census.nu)
     copy.checks = census.checks
     return copy
+
+
+def t_histogram(lines, nu: int) -> tuple[dict, bool]:
+    """(t histogram, no two Lines share two Points) of a family of Lines
+    over the Points 0..nu-1, pair by pair with plain sets: for each Point p
+    and each Line j not through p, t counts the Lines through p that meet j.
+    A repeated Line counts once for each time it is listed."""
+    sets = [frozenset(ln) for ln in lines]
+    hist = {}
+    for p in range(nu):
+        mine = [a for a in sets if p in a]
+        near = frozenset().union(*mine)
+        for b in sets:
+            if p not in b:
+                t = 0 if b.isdisjoint(near) else sum(1 for a in mine if a & b)
+                hist[t] = hist.get(t, 0) + 1
+    pair_ok = all(len(a & b) <= 1 for i, a in enumerate(sets) for b in sets[i + 1:])
+    return dict(sorted(hist.items())), pair_ok
 
 
 def census_closed(census, kind: str) -> bool:

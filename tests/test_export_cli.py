@@ -631,6 +631,27 @@ def test_cli_verify_keeps_the_axiom_verdicts_when_the_order_cannot_be_read(tmp_p
         axioms["witnesses"]["A1"]
 
 
+def test_cli_analyze_reports_an_order_that_cannot_be_read(tmp_path, capsys):
+    """The same file through analyze: exit 1 with a failing order verdict
+    and its message, on stdout or in the --out file, and nothing on stderr."""
+    d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
+    s = d["structure"]
+    next(ln for ln in s["lines"] if s["special_point"] in ln and "c3" in ln).remove("c3")
+    path = tmp_path / "dropped.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli("analyze", "--graph", str(path)) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["verdicts"] == {"order": False} and not report["ok"]
+    assert report["details"] == {"order": "special lines have unequal sizes [4, 5]"}
+    written = tmp_path / "report.json"
+    assert run_cli("analyze", "--graph", str(path), "--out", str(written)) == 1
+    assert capsys.readouterr() == ("", "")
+    assert {**json.loads(written.read_text()), "outputs": [], "params": None} == \
+        {**report, "params": None}
+
+
 def test_cli_iso_reports_a1_with_its_witness(tmp_path, capsys):
     """R(3,9) with a new point added to every ordinary line, each its own:
     the graph of lines is unchanged, so the isomorphism holds, but A1 fails

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import census_with
-from prect.cliques import classify_census
-from prect.geometry import (_measure, build_plane_clique_structure,
+from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_with, invariant_mutant,
+                     ladder_model, t_histogram)
+from prect._util import Translations
+from prect.cliques import classify_census, enumerate_maximal_cliques
+from prect.construct import build_l2k, build_plane, build_subplane_rect
+from prect.export import model_from_dict, model_to_dict
+from prect.geometry import (_measure, _measure_at_0, build_plane_clique_structure,
                             build_point_clique_geometry)
+from prect.linegraph import build_line_graph
 
 
 def transversal_double_count(census, g, report) -> bool:
@@ -99,58 +105,35 @@ def test_two_points_at_most_one_line(census_l23, l23):
     assert pl.checks["two_points_one_line"] == (True, True)
 
 
-def _brute_force_measure(lines, nu):
-    """The per-pair oracle: t counted Line by Line for every non-incident pair."""
-    masks = [sum(1 << v for v in ln) for ln in lines]
-    on = [[] for _ in range(nu)]
-    for i, ln in enumerate(lines):
-        for v in ln:
-            on[v].append(i)
-    hist = {}
-    for p0 in range(nu):
-        pbit = 1 << p0
-        mine = on[p0]
-        for j, mask in enumerate(masks):
-            if mask & pbit:
-                continue
-            t = sum(1 for i in mine if masks[i] & mask)
-            hist[t] = hist.get(t, 0) + 1
-    pair_ok = True
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > 1:
-                pair_ok = False
-    return hist, pair_ok
-
-
-def _check_against_oracle(lines, through, closed=True):
+def _check_against_oracle(lines, through):
     """_measure on the census masks against the oracle on the vertex tuples,
-    at every Point and, for a class closed under the translations, at Point 0
-    scaled by the number of Points."""
+    at every Point."""
     nu = len(through)
-    ref_hist, ref_pair_ok = _brute_force_measure(lines, nu)
-    hist, pair_ok = _measure(lines, through, range(nu))
-    assert list(hist.items()) == sorted(ref_hist.items())
+    ref_hist, ref_pair_ok = t_histogram(lines, nu)
+    hist, pair_ok = _measure(lines, through)
+    assert hist == ref_hist and list(hist) == sorted(hist)
     assert pair_ok == ref_pair_ok
-    if closed:
-        hist, pair_ok = _measure(lines, through, [0])
-        assert [(t, nu * c) for t, c in hist.items()] == sorted(ref_hist.items())
-        assert pair_ok == ref_pair_ok
     return pair_ok
 
 
 def test_measure_matches_brute_force(census_l23, census_r39):
+    """At every Point, and, for a census that carries its translations, at
+    Point 0 from the kept Lines, scaled by the number of Points."""
     for census in (census_l23, census_r39):
-        assert census.nu == census.n * census.n
-        for fam, through in ((census.point_cliques, census.point_of),
-                             (census.plane_cliques, census.plane_of)):
-            assert _check_against_oracle(fam, through)
+        assert census.nu == census.n * census.n and census.translations is not None
+        for kind, through in (("point_cliques", census.point_of),
+                              ("plane_cliques", census.plane_of)):
+            lines = getattr(census, kind)
+            assert _check_against_oracle(lines, through)
+            ref_hist, _ = t_histogram(lines, census.nu)
+            hist, pair_ok = _measure_at_0(census.kept[kind], census.translations, len(lines))
+            assert {t: census.nu * c for t, c in hist.items()} == ref_hist and pair_ok
 
 
 def test_measure_duplicated_plane_clique(census_l23, l23):
     planes = census_l23.plane_cliques
     doubled = census_with(census_l23, plane_cliques=planes + [planes[5]])
-    assert not _check_against_oracle(doubled.plane_cliques, doubled.plane_of, closed=False)
+    assert not _check_against_oracle(doubled.plane_cliques, doubled.plane_of)
     rep = build_plane_clique_structure(doubled, l23)
     assert rep.checks["two_points_one_line"] == (True, False)
     assert not rep.ok
@@ -164,4 +147,66 @@ def test_measure_matches_brute_force_on_any_lines(family):
     nu, sets = family
     lines = [tuple(sorted(vs)) for vs in sets]
     through = [sum(1 << i for i, ln in enumerate(lines) if p in ln) for p in range(nu)]
-    _check_against_oracle(lines, through, closed=False)
+    _check_against_oracle(lines, through)
+
+
+def _geometry_models():
+    """Built models with at most 256 ordinary lines, and the invariant
+    mutants of L_2^2, R(3,9) and PG(2,3), their first and last choice."""
+    models = {name: ladder_model(name) for name in CAYLEY_LADDER
+              if ladder_model(name).num_ordinary_lines <= 256}
+    models["PG(2,3)"] = build_plane(3, 1)
+    for name, base in (("L_2^2", build_l2k(2)), ("R(3,9)", build_subplane_rect(3, 1, 2)),
+                       ("PG(2,3)", build_plane(3, 1))):
+        for kind in INVARIANT_MUTATIONS:
+            for end, i in (("first", 0), ("last", -1)):
+                d = model_to_dict(base)
+                d["structure"] = invariant_mutant(base.structure, kind,
+                                                  lambda opts, i=i: opts[i])[0].to_json_dict()
+                models[f"{name} {kind} {end}"] = model_from_dict(d)
+    return models
+
+
+GEOMETRY_MODELS = _geometry_models()
+
+
+@pytest.mark.parametrize("name", list(GEOMETRY_MODELS))
+def test_both_geometries_match_the_pair_by_pair_oracle(name):
+    """Each geometry report, from the census that keeps the cliques through
+    vertex 0 and from the census of every clique, gives the t histogram and
+    the two-Points verdict of oracles.t_histogram, and the Line count and
+    sizes of the Lines listed."""
+    model = GEOMETRY_MODELS[name]
+    g = build_line_graph(model)
+    censuses = [classify_census(g, model)]
+    censuses.append(classify_census(g, model, enumerate_maximal_cliques(g)))
+    assert (censuses[0].translations is None) == (model.structure.translations is None)
+    for kind, build in (("point_cliques", build_point_clique_geometry),
+                        ("plane_cliques", build_plane_clique_structure)):
+        lines = getattr(censuses[1], kind)
+        hist, pair_ok = t_histogram(lines, g.nu)
+        per_point = {sum(1 for ln in lines if p in ln) for p in range(g.nu)}
+        for census in censuses:
+            rep = build(census, model)
+            assert rep.t_histogram == hist, (kind, census.translations)
+            if not (census.trivial and kind == "point_cliques"):  # which checks the count only
+                assert rep.checks["two_points_one_line"] == (True, pair_ok)
+            assert (rep.num_lines, rep.points_per_line, rep.lines_per_point) == \
+                (len(lines), {len(ln) for ln in lines}, per_point)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 4)]).flatmap(
+    lambda pd: st.tuples(st.just(pd), st.lists(st.sets(st.integers(0, pd[0] ** pd[1] - 1),
+                                                       min_size=1), min_size=1, max_size=4))))
+def test_measure_at_0_matches_brute_force_on_closed_families(family):
+    """Every distinct translate of a few base sets is a family of Lines the
+    translations map onto itself, Lines sharing two Points included; at
+    Point 0, from its Lines through 0, the histogram times nu and the
+    two-Points verdict are the oracle's over every Point."""
+    (p, d), bases = family
+    group = Translations(p, d)
+    lines = sorted({tuple(sorted(group.shift(sorted(b), t))) for b in bases
+                    for t in range(group.nu)})
+    hist, pair_ok = _measure_at_0([ln for ln in lines if 0 in ln], group, len(lines))
+    assert ({t: group.nu * c for t, c in hist.items()}, pair_ok) == t_histogram(lines, group.nu)

@@ -406,6 +406,32 @@ def test_sampled_a6_on_a_certified_model_matches_the_oracle(name, monkeypatch):
                 assert fields(uncertified) == fields(rep)
 
 
+@pytest.mark.parametrize("total,bitmap", [(1, True), (2, True), (7, True), (1000, True),
+                                          (384_000, True), (384_001, False),
+                                          (10 ** 9, False), (2 ** 62 + 3, False)])
+def test_a6_draw_count_matches_a_set_of_seeded_ranks(total, bitmap):
+    """_a6_draws against Random(seed).randrange(total) drawn samples times
+    and counted with len(set(...)): 1000 samples keep a bitmap up to
+    total = 384,000 (48,000 bytes) and the sorted ranks past it.  With a
+    test, the draws stop at the first rank it returns a witness for, and
+    count the ranks drawn so far; with one that never does, all are drawn,
+    as with none."""
+    samples = 1000
+    assert ((total + 7) // 8 <= prect.incidence._RANK_BYTES * samples) == bitmap
+    for seed in (0, 1, 7):
+        rng = random.Random(seed)
+        ranks = [rng.randrange(total) for _ in range(samples)]
+        expected = (samples, len(set(ranks)), None)
+        assert prect.incidence._a6_draws(total, samples, seed, None) == expected
+        assert prect.incidence._a6_draws(total, samples, seed, lambda r: None) == expected
+        stop = ranks[len(ranks) // 2]
+        drawn = ranks.index(stop) + 1
+        witness = prect.incidence._a6_draws(total, samples, seed,
+                                            lambda r: {"rank": r} if r == stop else None)
+        assert witness == (drawn, len(set(ranks[:drawn])), {"rank": stop})
+    assert prect.incidence._a6_draws(total, 0, 0, None) == (0, 0, None)
+
+
 def test_unrank_bits_matches_unrank_pair():
     rng = random.Random(5)
     for width, k in ((3, 2), (8, 5), (40, 17), (700, 30)):

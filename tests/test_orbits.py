@@ -26,8 +26,8 @@ from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, census_w
                      invariant_mutant, ladder_model, translation_group, twisted_r39)
 from prect._util import iter_bits
 from prect.cli import main
-from prect.cliques import (CliqueError, classify_census, clique_intersections, extract_plane,
-                           plane_extraction)
+from prect.cliques import (CliqueCensus, CliqueError, classify_census, clique_intersections,
+                           enumerate_maximal_cliques, extract_plane, plane_extraction)
 from prect.construct import build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
@@ -281,3 +281,92 @@ def test_cli_verify_full_is_the_same_on_both_paths(name, tmp_path, monkeypatch):
             _all_vertex(mp)
             assert _cli(*command) == orbit, command
         assert orbit[0] == (1 if name == "twisted R(3,9)" else 0), command
+
+
+def _renumbered_model(name):
+    """The ladder model name with ordinary lines 0 and 5 swapped: no certificate."""
+    model = ladder_model(name)
+    d = model_to_dict(model)
+    d["structure"] = _renumbered(model).to_json_dict()
+    return model_from_dict(d)
+
+
+KINDS = ("point_cliques", "plane_cliques", "anomalous")
+DIFFERENTIAL = {**{name: SOUNDNESS[name] for name in SOUNDNESS
+                   if name not in CAYLEY_LADDER or ladder_model(name).num_ordinary_lines <= 1024},
+                **{f"{name} renumbered": lambda name=name: _renumbered_model(name)
+                   for name in ("L_2^3", "R(3,9)", "R(4,16)", "PG(2,7)")}}
+
+
+def _census_facts(model, g, census):
+    """The census as verify, cliques and geometry read it, and the clique
+    intersection laws, plane extraction and both geometries off it."""
+    inter = clique_intersections(census, g)
+    return {"ok": census.ok, "counts": [census.count(kind) for kind in KINDS],
+            "mismatches": census.mismatches(), "census": fields(census),
+            "intersections": (inter.ok, inter.stats, inter.violations[:1]),
+            "planes": plane_extraction(census, model),
+            "point_geometry": fields(build_point_clique_geometry(census, model)),
+            "plane_structure": fields(build_plane_clique_structure(census, model))}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_orbit_census_equals_the_census_of_every_clique(name):
+    """The census classify_census enumerates keeps, on a certified model,
+    only the cliques through vertex 0; the census of every enumerated
+    clique, supplied by the caller, keeps them all and takes the all-vertex
+    paths.  Both must say the same, and the counts must be the lengths of
+    the lists."""
+    model = DIFFERENTIAL[name]()
+    g = build_line_graph(model)
+    census = classify_census(g, model)
+    supplied = classify_census(g, model, enumerate_maximal_cliques(g))
+    assert supplied.translations is None
+    assert (census.translations is not None) == (model.structure.translations is not None)
+    if census.translations is not None:
+        assert all(0 in clique for kind in KINDS for clique in census.kept[kind])
+    facts = _census_facts(model, g, census)
+    assert facts == _census_facts(model, g, supplied)
+    assert facts["counts"] == [len(getattr(supplied, kind)) for kind in KINDS]
+
+
+def test_verify_full_builds_no_list_of_translates(tmp_path, monkeypatch):
+    """verify --profile full and geometry on L_2^4 read the kept cliques
+    only; cliques writes every clique, so it builds the list."""
+    path = tmp_path / "l24.json"
+    path.write_text(json.dumps(model_to_dict(ladder_model("L_2^4")), sort_keys=True))
+
+    def refuse(cliques, group):
+        raise AssertionError("the list of every clique was built")
+
+    monkeypatch.setattr("prect.cliques._all_translates", refuse)
+    code, out, _ = _cli("verify", str(path), "--profile", "full")
+    assert code == 0 and json.loads(out)["details"]["census_counts"]["plane_cliques"] == 960
+    assert _cli("geometry", str(path))[0] == 0
+    with pytest.raises(AssertionError, match="was built"):
+        _cli("cliques", str(path))
+
+
+def test_plane_point_violations_are_those_of_the_planes_through_vertex_0(census_l23, g_l23):
+    """A census whose point class is L_2^3's plane class, closed under the
+    translations: a plane shares 1 or 4 vertices with each such "point
+    clique" it meets, never m = 2.  From the kept cliques, the orbit path
+    reports the violations of the planes through vertex 0, each naming the
+    translated clique, as the all-vertex path does for those planes."""
+    planes, m, n, nu = census_l23.kept["plane_cliques"], census_l23.m, census_l23.n, census_l23.nu
+    orbit = CliqueCensus(planes, planes, [], m, n, False, nu, census_l23.translations)
+    every = CliqueCensus(orbit.plane_cliques, orbit.plane_cliques, [], m, n, False, nu)
+    rep, ref = clique_intersections(orbit, g_l23), clique_intersections(every, g_l23)
+    assert orbit.certified_by(g_l23.translations) and every.translations is None
+    assert (rep.ok, rep.stats, rep.violations[:1]) == (ref.ok, ref.stats, ref.violations[:1])
+    found = [v for v in rep.violations if v[0] == "plane-point"]
+    assert found and all(k in (1, 4) for *_, k in found)
+    assert found == [v for v in ref.violations if v[0] == "plane-point" and 0 in v[1]]
+
+
+def test_only_the_models_own_certificate_makes_an_orbit_census(census_l23, l23):
+    """The graph of an equal L_2^3 holds its own certificate, not l23's:
+    its census keeps every clique, and carries no translations."""
+    other = build_l2k(3)
+    census = classify_census(build_line_graph(other), l23)
+    assert census.translations is None and census.kept["plane_cliques"] == census_l23.plane_cliques

@@ -5,8 +5,9 @@ holders(blocks, n)[v] is the mask of the blocks that hold v, and
 meeting(blocks, held, which)[i] the mask of the other blocks that share an
 element with block i, for i in which.  The oracle reads both off the blocks
 as sets, pair by pair.  Translations(p, d).translates(mask) lists mask
-translated by t for t = 0..p^d-1; the oracle adds t to each bit digit by
-digit mod p.
+translated by t for t = 0..p^d-1, translate(mask, t) one of them, and
+shift(vertices, t) and negate(x) move single vertices; the oracle adds t to
+each bit digit by digit mod p.
 """
 
 from __future__ import annotations
@@ -65,3 +66,19 @@ def test_translates_match_digit_addition(p, d):
         bits = [x for x in range(nu) if mask >> x & 1]
         for t, moved in enumerate(walk):
             assert moved == sum(1 << _digit_sum(x, t, p, d) for x in bits), (mask, t)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (3, 3)])
+def test_translate_negate_and_shift_match_digit_addition(p, d):
+    """translate(mask, t) is entry t of the walk, shift moves each vertex by
+    t, and x + negate(x) = 0, digit by digit."""
+    nu, group = p ** d, Translations(p, d)
+    rng = random.Random(f"shift {p},{d}")
+    for mask in [0, 1, (1 << nu) - 1] + [rng.getrandbits(nu) for _ in range(5)]:
+        bits = [x for x in range(nu) if mask >> x & 1]
+        for t, moved in enumerate(group.translates(mask)):
+            assert group.translate(mask, t) == moved, (mask, t)
+            shifted = [_digit_sum(x, t, p, d) for x in bits]
+            assert group.shift(bits, t) == (shifted if p == 2 else sorted(shifted)), (mask, t)
+    for x in range(nu):
+        assert _digit_sum(x, group.negate(x), p, d) == 0 and group.negate(x) < nu
