@@ -413,7 +413,8 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("model")
     v.add_argument("--profile", choices=["quick", "full"], default="quick")
     v.add_argument("--seed", type=int, default=A6_DEFAULT_SEED)
-    v.add_argument("--a6-samples", type=int, default=A6_DEFAULT_SAMPLES)
+    v.add_argument("--a6-samples", type=int, default=A6_DEFAULT_SAMPLES,
+                   help="distinct quadruples that quick's sampled A6 draws (default %(default)s)")
     v.add_argument("--timings", action="store_true")
 
     for name, help_ in (("cliques", "enumerate and classify maximal cliques"),

@@ -45,8 +45,8 @@ from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the cliques through vertex 0 are
-# expanded: verify --profile full took 0.14-0.17 s and 22 MB on L_2^6,
-# 1.55-1.76 s and 25 MB on R(8,64), nu = 4096 (README, "Scale")
+# expanded: verify --profile full took 0.24 s and 22 MB on L_2^6,
+# 2.81-2.88 s and 25 MB on R(8,64), nu = 4096 (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 
@@ -117,16 +117,24 @@ def _bron_kerbosch(rows: list[int], r_mask: int, p_mask: int) -> list[int]:
 def _cliques_through_0(g: LineGraph) -> list[tuple[int, ...]]:
     """The maximal cliques through vertex 0 of a certified graph, sorted.
 
-    They are 0 and the maximal cliques of the subgraph on N(0), which is
-    expanded on its own rows: neighbour v of 0 is renumbered by its rank in
-    N(0), so a row has deg(0) bits rather than nu."""
+    They are 0 and the maximal cliques of the subgraph on N(0).  Closed
+    twins there, the neighbours v of 0 with one N(v) & N(0) | v, lie in the
+    same maximal cliques; in H_q(2,k) they are the q - 1 nonzero multiples
+    of a rank-1 matrix (BCN 9.5A).  So Bron-Kerbosch runs on the quotient,
+    one vertex per twin class numbered by its rank, a row of as many bits
+    as there are classes, and each clique it finds takes its classes whole.
+    With no twins, as in L_2^k, the quotient is N(0) itself."""
     row0 = g.rows[0]
     _check_size(g.nu, row0 != (1 << g.nu) - 2)
-    near = list(iter_bits(row0))
-    rank = {v: i for i, v in enumerate(near)}
-    rows = [sum(1 << rank[u] for u in iter_bits(g.rows[v] & row0)) for v in near]
-    return sorted((0, *(near[i] for i in iter_bits(mask)))
-                  for mask in _bron_kerbosch(rows, 0, (1 << len(near)) - 1))
+    classes = {}  # N(v) & N(0) | v -> the twins that share it
+    for v in iter_bits(row0):
+        classes.setdefault(g.rows[v] & row0 | 1 << v, []).append(v)
+    members = list(classes.values())
+    rank = {twins[0]: c for c, twins in enumerate(members)}  # one vertex a class
+    chosen = sum(1 << v for v in rank)
+    rows = [sum(1 << rank[u] for u in iter_bits(g.rows[v] & chosen)) for v in rank]
+    return sorted((0, *sorted(v for c in iter_bits(mask) for v in members[c]))
+                  for mask in _bron_kerbosch(rows, 0, (1 << len(rows)) - 1))
 
 
 def _all_translates(cliques: list[tuple[int, ...]], group: Translations) -> list[tuple[int, ...]]:

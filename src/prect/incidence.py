@@ -21,9 +21,8 @@ of GF(p)^d on the line indices, nu = p^d, extends to incidence
 automorphisms fixing D (IncidenceStructure.translations certifies this
 from the structure).  Full A6 on a certified structure that passes A1 then
 scans only the pairs that start with line 0, and sampled A6 runs that scan
-and, when it passes, only counts its draws; any other structure, such as
-one whose lines were renumbered, takes the scan over every pair or tests
-each draw.
+and, when it passes, makes no draw; any other structure, such as one whose
+lines were renumbered, takes the scan over every pair or tests each draw.
 """
 
 from __future__ import annotations
@@ -32,19 +31,12 @@ import random
 from array import array
 from bisect import bisect_right
 from functools import cached_property
-from itertools import islice, repeat
-from operator import ne
 
 from ._util import (Checks, Translations, Verdicts, comb2, holders, iter_bits, meeting,
                     translations_of)
 
 A6_DEFAULT_SAMPLES = 10 ** 6
 A6_DEFAULT_SEED = 0
-# bytes per draw when sampled A6 keeps the drawn ranks instead of a bitmap:
-# an array entry, and a list slot and an int object in its sorted copy
-_RANK_BYTES = 48
-_SLICE = 1 << 16  # bytes of the bitmap of drawn ranks counted at once
-_BITS = tuple(1 << i for i in range(8))  # [i]: bit i of a byte of that bitmap
 
 
 class StructureError(ValueError):
@@ -172,10 +164,11 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     """Verify axioms A1 to A6, returning verdicts and witnesses.
 
     a6_mode is "full", the whole quadruple enumeration, or "sampled", which
-    draws a6_samples quadruples (seeded, uniform over the quadruple space).
-    Sampled runs record their coverage of the space; when the space is no
-    larger than the sample count they upgrade to exhaustive enumeration,
-    which is cheaper and conclusive.
+    draws a6_samples distinct quadruples (seeded, uniform over the quadruple
+    space).  Sampled runs record their coverage of the space, where drawn
+    and distinct are equal; when the space is no larger than the sample
+    count they upgrade to exhaustive enumeration, which is cheaper and
+    conclusive.
 
     Full A6 on a structure that passes A1 and whose translations are
     certified scans only the pairs (0, l2).  A translation by -l1 moves any
@@ -185,10 +178,11 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     candidates of a pair, commute with the translations.
 
     Sampled A6 on such a structure runs the same scan first.  If it passes,
-    no quadruple of the space fails, so neither does any draw: the verdict
-    is true with no witness, every sample is drawn, and the draws are only
-    counted, giving the coverage the per-draw test would give.  If the
-    scan fails, or the structure is not certified, each draw is tested.
+    no quadruple of the space fails, so neither would any draw: the verdict
+    is true with no witness, and the coverage is the one the per-draw test
+    gives a passing structure, a6_samples distinct quadruples, with no draw
+    made.  If the scan fails, or the structure is not certified, each draw
+    is tested.
     """
     rep = AxiomReport(a6_mode)
     through = s.through
@@ -365,30 +359,27 @@ def _a6_scan(s, through, nbr, blocks=None):
 
 
 def _a6_sampled(s, through, nbr, samples, seed, certified):
-    """Seeded uniform draws over the quadruple space, pair by cumulative weight.
+    """Seeded uniform draws of distinct quadruples, pair by cumulative weight.
 
     certified says that A1 holds, the translations are certified and nbr
     holds line 0 and its neighbours only.  Then the line-0 scan of full A6
     runs first, and if it passes, every quadruple passes (see check_axioms),
-    so every seeded draw would pass: A6 holds with no witness, all samples
-    are drawn, and only the distinct ranks among the same draws are
-    counted.  The space comes from line 0, nu * sum over l2 of
-    C(candidates(0, l2), 2) / 2: translation by -l1 maps pair (l1, l2) onto
-    (0, l2 - l1), and the candidate counts are symmetric under v -> -v, as
-    (0, v) and (-v, 0) are translates.
+    so every seeded draw would pass: A6 holds with no witness, and the
+    coverage is that of the per-draw path on a passing model, `samples`
+    distinct quadruples, with no draw made.  The space comes from line 0,
+    nu * sum over l2 of C(candidates(0, l2), 2) / 2: translation by -l1
+    maps pair (l1, l2) onto (0, l2 - l1), and the candidate counts are
+    symmetric under v -> -v, as (0, v) and (-v, 0) are translates.
 
     Otherwise nbr is widened to every line, and one pass stores each
     intersecting pair and its cumulative weight C(candidates, 2), 16 bytes
     a pair; a draw rebuilds its own pair's _a6_candidates, picks two of its
-    set bits and tests them.  The distinct draws are counted with a bitmap
-    over the space, or, when that would be larger, from the sorted list of
-    the drawn ranks.
+    set bits and tests them (_a6_draws).
     """
     proven = certified and _a6_scan(s, through, nbr, 1)[0]
     if proven:
         nu = len(s.ordinary_lines)
         total = nu * sum(comb2(c.bit_count()) for *_, c in _a6_pairs(s, through, nbr, 1)) // 2
-        test = None
     else:
         if certified:  # nbr covers line 0 and its neighbours only
             nbr = meeting(s.lines, through, range(s.n_lines))
@@ -415,64 +406,40 @@ def _a6_sampled(s, through, nbr, samples, seed, certified):
                 return {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
             return None
 
-    if total == 0:
-        return True, None, {"space": 0, "drawn": 0, "distinct": 0, "exhaustive": True}
-    if total <= samples:
-        # full enumeration is cheaper and stronger than sampling here
-        ok, wit = (True, None) if proven else _a6_scan(s, through, nbr)
-        cov = {"space": total, "drawn": total, "distinct": total, "exhaustive": True}
-        return ok, wit, cov
-    drawn, distinct, witness = _a6_draws(total, samples, seed, test)
-    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
-                "exhaustive": False}
-    return witness is None, witness, coverage
+    # full enumeration is cheaper and stronger than sampling a space this small
+    exhaustive = total <= samples
+    if proven:
+        ok, witness, drawn = True, None, min(total, samples)
+    elif exhaustive:
+        (ok, witness), drawn = _a6_scan(s, through, nbr), total
+    else:
+        drawn, witness = _a6_draws(total, samples, seed, test)
+        ok = witness is None
+    return ok, witness, {"space": total, "drawn": drawn, "distinct": drawn,
+                         "exhaustive": exhaustive}
 
 
 def _a6_draws(total, samples, seed, test):
-    """(drawn, distinct, witness) of up to `samples` seeded ranks below total.
+    """(drawn, witness) of the first `samples` distinct seeded ranks below
+    total, which must exceed samples.
 
-    Each rank is Random(seed).randrange(total), inlined: the same rejection
-    sampling on getrandbits, without two Python calls per draw.  The draws
-    stop at the first rank whose test(rank) is a witness; test None draws
-    them all, and with a bitmap in a loop of its own that only marks them.
-    The distinct ranks are the set bits of a bitmap over the space, or, when
-    that would be larger, the steps of their sorted list.
+    The ranks are Random(seed).randrange(total), inlined: the same rejection
+    sampling on getrandbits, without two Python calls per draw, with every
+    rank drawn before skipped.  Each new rank is tested, and the draws stop
+    at the first rank whose test(rank) is a witness; a rank seen before has
+    passed, so the first witness is that of the stream with its repeats.
     """
     getrandbits = random.Random(seed).getrandbits
     nbits = total.bit_length()
-    seen = bytearray((total + 7) // 8) if (total + 7) // 8 <= _RANK_BYTES * samples else None
-    ranks = array("q")
-    drawn = 0
-    witness = None
-    if test is None and seen is not None:  # proven: the draws are only marked
-        bit = _BITS
-        for _ in repeat(None, samples):
-            r = getrandbits(nbits)
-            while r >= total:
-                r = getrandbits(nbits)
-            seen[r >> 3] |= bit[r & 7]
-        drawn = samples
-    else:
-        for drawn in range(1, samples + 1):
-            r = getrandbits(nbits)
-            while r >= total:
-                r = getrandbits(nbits)
-            if seen is None:
-                ranks.append(r)
-            else:
-                seen[r >> 3] |= 1 << (r & 7)
-            if test is not None:
-                witness = test(r)
-                if witness:
-                    break
-    if seen is not None:  # counted a slice at a time, so no int as large as seen is made
-        view = memoryview(seen)
-        distinct = sum(int.from_bytes(view[i:i + _SLICE], "little").bit_count()
-                       for i in range(0, len(seen), _SLICE))
-    else:
-        ranks = sorted(ranks)
-        distinct = sum(map(ne, ranks, islice(ranks, 1, None))) + bool(ranks)
-    return drawn, distinct, witness
+    seen = set()
+    while len(seen) < samples:
+        r = getrandbits(nbits)
+        if r < total and r not in seen:
+            seen.add(r)
+            witness = test(r)
+            if witness:
+                return len(seen), witness
+    return samples, None
 
 
 def _unrank_bits(rank, mask):

@@ -17,6 +17,8 @@ that a certified model's graph is a Cayley graph and its clique classes are
 closed under translation.  drop_line makes a structure with one line
 removed.  lines_at is the oracles' own point index, read off s.lines, so
 that they share none of the library's incidence index.
+unreduced_cliques_through_0 is Bron-Kerbosch through vertex 0 on the whole
+graph, without the library's twin classes of N(0).
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -35,7 +37,7 @@ import numpy as np
 
 from prect._util import Translations, iter_bits, translations_of
 from prect.bilinear import BilinearError, IsoReport
-from prect.cliques import CliqueCensus
+from prect.cliques import CliqueCensus, _bron_kerbosch
 from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
                              normalize_point)
 from prect.export import model_from_dict, model_to_dict
@@ -50,6 +52,12 @@ def graph_from_edges(nu: int, edges) -> LineGraph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return LineGraph(nu, rows)
+
+
+def unreduced_cliques_through_0(g: LineGraph) -> list[tuple[int, ...]]:
+    """The maximal cliques through vertex 0, sorted, by Bron-Kerbosch on the
+    whole graph from R = {0}, P = N(0), with no twin classes."""
+    return sorted(tuple(iter_bits(mask)) for mask in _bron_kerbosch(g.rows, 1, g.rows[0]))
 
 
 def lines_at(s: IncidenceStructure) -> list[list[int]]:

@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prect.cliques
 from oracles import (CAYLEY_LADDER, census_with, extract_plane_by_axioms, fields,
-                     graph_from_edges, ladder_model, translation_group, without_edge,
-                     without_ordinary_lines)
+                     graph_from_edges, ladder_model, translation_group,
+                     unreduced_cliques_through_0, without_edge, without_ordinary_lines)
 from prect._util import comb2
 from prect.cliques import (CliqueError, classify_census, clique_intersections,
                            enumerate_maximal_cliques, extract_plane)
@@ -291,6 +293,45 @@ def test_translated_census_equals_the_all_vertex_enumeration(name):
     assert enumerate_maximal_cliques(uncertified) == cliques
     assert fields(classify_census(uncertified, model)) == fields(census)
     assert census.ok
+
+
+@pytest.mark.parametrize("name", list(CAYLEY_LADDER))
+def test_twin_quotient_cliques_equal_the_unreduced_enumeration(name, monkeypatch):
+    """Bron-Kerbosch runs on one vertex per twin class of N(0): the
+    (m+1)(n-1) neighbours of 0 fall into classes of m - 1, the nonzero
+    multiples of a rank-1 matrix, none of them twins on L_2^k (m = 2); a
+    plane's complete graph is one class."""
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    expected = unreduced_cliques_through_0(g)
+    sizes = []
+    bron_kerbosch = prect.cliques._bron_kerbosch
+
+    def counted(rows, r_mask, p_mask):
+        sizes.append(len(rows))
+        return bron_kerbosch(rows, r_mask, p_mask)
+
+    monkeypatch.setattr(prect.cliques, "_bron_kerbosch", counted)
+    assert prect.cliques._cliques_through_0(g) == expected
+    m, n = model.m, model.n
+    assert sizes == [1 if model.trivial else (m + 1) * (n - 1) // (m - 1)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_twin_quotient_cliques_on_graphs_with_planted_twins(data):
+    """A random graph on k classes, each a clique of one to four closed
+    twins that meet every member of an adjacent class, numbered at random."""
+    k = data.draw(st.integers(1, 7))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    adjacent = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    label = iter(data.draw(st.permutations(range(sum(sizes)))))
+    classes = [[next(label) for _ in range(size)] for size in sizes]
+    edges = [(u, v) for a, cls in enumerate(classes) for b, other in enumerate(classes)
+             if a == b or (a, b) in adjacent for u in cls for v in other if u < v]
+    g = graph_from_edges(sum(sizes), edges)
+    assert prect.cliques._cliques_through_0(g) == unreduced_cliques_through_0(g)
 
 
 @pytest.mark.parametrize("name", ["L_2^2", "L_2^3", "R(3,9)", "R(2,8)"])

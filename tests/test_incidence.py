@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from bisect import bisect_right
@@ -12,7 +13,9 @@ import prect.incidence
 from oracles import (CAYLEY_LADDER, drop_line, fields, find_isomorphism, ladder_model,
                      recheck_witnesses, twisted_r39)
 from prect._util import comb2, iter_bits
+from prect.cli import main
 from prect.construct import build_l2k
+from prect.export import model_to_dict
 from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
                              check_axioms, elementary_counts, order_of)
 
@@ -202,9 +205,13 @@ def test_find_isomorphism_identity_and_negative(l22):
 # -- A6 oracle: the table-based sampler that the streaming one replaced --
 #
 # Copied from the implementation that built every pair's candidate list up
-# front, with two changes: "drawn" counts the draws made, not the draws asked
-# for, when a failing quadruple stops the run early; and a candidate misses
-# every common point of l1 and l2, not only the highest, where A1 fails.
+# front, with three changes: "drawn" counts the draws made, not the draws
+# asked for, when a failing quadruple stops the run early; a candidate misses
+# every common point of l1 and l2, not only the highest, where A1 fails; and
+# a rank drawn before is skipped, so that the samples are distinct.  With
+# repeats=True the sampler keeps the repeated ranks, as the library did
+# before its samples were distinct: only its verdicts and witnesses are
+# compared, which skipping a rank that has already passed cannot change.
 
 def _oracle_candidates(s):
     masks = s.line_masks
@@ -264,7 +271,7 @@ def _oracle_unrank_pair(rank, n):
     return i, i + 1 + rank
 
 
-def _oracle_sampled(s, samples, seed, table=None):
+def _oracle_sampled(s, samples, seed, table=None, repeats=False):
     table = table or _oracle_candidates(s)
     weights = [comb2(len(c)) for _, _, c in table]
     total = sum(weights)
@@ -280,25 +287,24 @@ def _oracle_sampled(s, samples, seed, table=None):
         acc += w
         cum.append(acc)
     rng = random.Random(seed)
-    seen = bytearray((total + 7) // 8)
-    distinct = 0
+    seen = set()
     drawn = 0
     witness = None
-    for _ in range(samples):
-        drawn += 1
+    while (drawn if repeats else len(seen)) < samples:
         r = rng.randrange(total)
+        if r in seen and not repeats:
+            continue
+        drawn += 1
+        seen.add(r)
         t = bisect_right(cum, r)
         base = cum[t - 1] if t else 0
         rank = r - base
         l1, l2, cands = table[t]
         i, j = _oracle_unrank_pair(rank, len(cands))
-        if not (seen[r >> 3] >> (r & 7) & 1):
-            seen[r >> 3] |= 1 << (r & 7)
-            distinct += 1
         if not _oracle_quadruple_ok(s, cands, i, j):
             witness = {"l1": l1, "l2": l2, "g1": cands[i][0], "g2": cands[j][0]}
             break
-    coverage = {"space": total, "drawn": drawn, "distinct": distinct,
+    coverage = {"space": total, "drawn": drawn, "distinct": len(seen),
                 "exhaustive": False}
     return witness is None, witness, coverage
 
@@ -353,46 +359,29 @@ def test_a6_matches_table_oracle_on_mutants(name, request):
             assert cov["exhaustive"] == (mode == "upgraded")
             assert ok or kind != "none"
             failing[mode] += not ok
+            # a failure found among the samples with repeats is found first among distinct ones
+            old_ok, old_wit, _ = _oracle_sampled(s, samples, seed, repeats=True)
+            assert old_ok or (ok, wit) == (old_ok, old_wit), (where, mode)
     # the unmutated structure passes; the witness path was compared too
     assert all(f > 0 for f in failing.values()), failing
 
 
-
-@pytest.mark.parametrize("name", ["l23", "r39"])
-def test_sampled_a6_without_the_bitmap_matches_the_oracle(name, request, monkeypatch):
-    """With no room for the bitmap, the sorted drawn ranks give the same coverage."""
-    monkeypatch.setattr(prect.incidence, "_RANK_BYTES", 0)
-    s0 = request.getfixturevalue(name).structure
-    failing = 0
-    for seed, (kind, s) in enumerate([("none", s0)] + _mutants(s0, 11)):
-        samples = _oracle_sampled(s, 0, 0)[2]["space"] // 3
-        ok, wit, cov = _oracle_sampled(s, samples, seed)
-        rep = check_axioms(s, "sampled", a6_samples=samples, seed=seed)
-        assert (rep.verdicts["A6"], rep.witnesses.get("A6"), rep.a6_coverage) == (ok, wit, cov), kind
-        assert cov["distinct"] < cov["drawn"] or not ok
-        failing += not ok
-    assert failing
-
-
 @pytest.mark.parametrize("name", [*CAYLEY_LADDER, "twisted R(3,9)"])
 def test_sampled_a6_on_a_certified_model_matches_the_oracle(name, monkeypatch):
-    """A certified model counts its draws after the line-0 scan; the oracle
-    and the uncertified path test each draw.  Verdict, witness and coverage
-    agree in all three regimes: the exhaustive upgrade, the bitmap and the
-    sorted ranks.  twisted R(3,9) is certified, but its line-0 scan fails."""
+    """A certified model makes no draw after the line-0 scan passes; the
+    oracle and the uncertified path test each draw.  Verdict, witness and
+    coverage agree when sampled and in the exhaustive upgrade.  twisted
+    R(3,9) is certified, but its line-0 scan fails."""
     s = twisted_r39().structure if name.startswith("twisted") else ladder_model(name).structure
     assert s.translations is not None
     table = _oracle_candidates(s)
     space = sum(comb2(len(cands)) for *_, cands in table)
     m, n = order_of(s)
     assert space == n * n * (m + 1) * (n - 1) // 2 * comb2(m * m)  # edges * C(m^2, 2)
-    regimes = [("bitmap", max(space // 300, min(space - 1, 500)), 48),
-               ("ranks", min(space - 1, 2000), 0)]
+    regimes = [("sampled", max(space // 300, min(space - 1, 500)))]
     if space <= 50000:
-        regimes.append(("upgrade", space, 48))
-    for regime, samples, rank_bytes in regimes:
-        monkeypatch.setattr(prect.incidence, "_RANK_BYTES", rank_bytes)
-        assert ((space + 7) // 8 <= rank_bytes * samples) == (regime != "ranks")
+        regimes.append(("upgrade", space))
+    for regime, samples in regimes:
         for seed in (0, 1, 2):
             ok, wit, cov = _oracle_sampled(s, samples, seed, table)
             rep = check_axioms(s, "sampled", a6_samples=samples, seed=seed)
@@ -406,30 +395,45 @@ def test_sampled_a6_on_a_certified_model_matches_the_oracle(name, monkeypatch):
                 assert fields(uncertified) == fields(rep)
 
 
-@pytest.mark.parametrize("total,bitmap", [(1, True), (2, True), (7, True), (1000, True),
-                                          (384_000, True), (384_001, False),
-                                          (10 ** 9, False), (2 ** 62 + 3, False)])
-def test_a6_draw_count_matches_a_set_of_seeded_ranks(total, bitmap):
-    """_a6_draws against Random(seed).randrange(total) drawn samples times
-    and counted with len(set(...)): 1000 samples keep a bitmap up to
-    total = 384,000 (48,000 bytes) and the sorted ranks past it.  With a
-    test, the draws stop at the first rank it returns a witness for, and
-    count the ranks drawn so far; with one that never does, all are drawn,
-    as with none."""
-    samples = 1000
-    assert ((total + 7) // 8 <= prect.incidence._RANK_BYTES * samples) == bitmap
+@pytest.mark.parametrize("total", [1, 2, 7, 1000, 384_000, 10 ** 9, 2 ** 62 + 3])
+def test_a6_draw_count_matches_a_set_of_seeded_ranks(total):
+    """_a6_draws tests the first `samples` distinct ranks of
+    Random(seed).randrange(total), in the order drawn, for samples below
+    total.  With a test that never returns a witness all are drawn; with
+    one that does, the draws stop at that rank and count the ranks so far."""
+    samples = min(1000, total - 1)
     for seed in (0, 1, 7):
         rng = random.Random(seed)
-        ranks = [rng.randrange(total) for _ in range(samples)]
-        expected = (samples, len(set(ranks)), None)
-        assert prect.incidence._a6_draws(total, samples, seed, None) == expected
-        assert prect.incidence._a6_draws(total, samples, seed, lambda r: None) == expected
-        stop = ranks[len(ranks) // 2]
-        drawn = ranks.index(stop) + 1
-        witness = prect.incidence._a6_draws(total, samples, seed,
-                                            lambda r: {"rank": r} if r == stop else None)
-        assert witness == (drawn, len(set(ranks[:drawn])), {"rank": stop})
-    assert prect.incidence._a6_draws(total, 0, 0, None) == (0, 0, None)
+        ranks = {}
+        while len(ranks) < samples:
+            ranks[rng.randrange(total)] = None
+        ranks = list(ranks)
+        tested = []
+        assert prect.incidence._a6_draws(total, samples, seed, tested.append) == (samples, None)
+        assert tested == ranks
+        if ranks:
+            stop = ranks[len(ranks) // 2]
+            witness = prect.incidence._a6_draws(total, samples, seed,
+                                                lambda r: {"rank": r} if r == stop else None)
+            assert witness == (len(ranks) // 2 + 1, {"rank": stop})
+    assert prect.incidence._a6_draws(total, 0, 0, None) == (0, None)
+
+
+def test_a_certified_passing_quick_run_makes_no_draw(tmp_path, capsys, monkeypatch):
+    """verify --profile quick on certified rectangles proves A6 by the
+    line-0 scan, so it builds no random number generator, and reports the
+    coverage of the per-draw path on a passing model."""
+    def refuse(*args):
+        raise AssertionError("a random number generator was built")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    for name in ("L_2^4", "R(5,25)", "R(3,27)", "PG(2,7)"):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(ladder_model(name)), sort_keys=True))
+        assert main(["verify", str(path), "--profile", "quick", "--a6-samples", "3000"]) == 0
+        axioms = json.loads(capsys.readouterr().out)["details"]["axioms"]
+        assert axioms["a6_coverage"] == {"space": axioms["a6_coverage"]["space"], "drawn": 3000,
+                                         "distinct": 3000, "exhaustive": False}, name
 
 
 def test_unrank_bits_matches_unrank_pair():

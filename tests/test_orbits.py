@@ -23,11 +23,13 @@ import json
 import pytest
 
 from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, census_with, fields,
-                     invariant_mutant, ladder_model, translation_group, twisted_r39)
+                     invariant_mutant, ladder_model, translation_group, twisted_r39,
+                     unreduced_cliques_through_0)
 from prect._util import iter_bits
 from prect.cli import main
-from prect.cliques import (CliqueCensus, CliqueError, classify_census, clique_intersections,
-                           enumerate_maximal_cliques, extract_plane, plane_extraction)
+from prect.cliques import (CliqueCensus, CliqueError, _cliques_through_0, classify_census,
+                           clique_intersections, enumerate_maximal_cliques, extract_plane,
+                           plane_extraction)
 from prect.construct import build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
@@ -110,6 +112,15 @@ def test_the_incidence_certificate_certifies_the_graph_and_the_census(name):
         oracle = translation_group(g)
         assert oracle is not None and (oracle.p, oracle.d) == (group.p, group.d)
         assert census_closed(census, "point_cliques") and census_closed(census, "plane_cliques")
+
+
+@pytest.mark.parametrize("name", [name for name in SOUNDNESS if name not in MODELS])
+def test_twin_quotient_cliques_of_the_invariant_mutants(name):
+    """On the invariant mutants, certified unless their pencils collide, the
+    cliques through vertex 0 found on the twin classes of N(0) are those of
+    Bron-Kerbosch on the whole graph."""
+    g = build_line_graph(SOUNDNESS[name]())
+    assert _cliques_through_0(g) == unreduced_cliques_through_0(g)
 
 
 def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23, monkeypatch):
@@ -233,7 +244,7 @@ def _no_unranking(rank, mask):
 
 @pytest.mark.parametrize("name", ["L_2^4", "R(3,9)", "R(4,16)", "PG(2,7)"])
 def test_sampled_a6_on_a_certified_model_tests_no_draw(name, monkeypatch):
-    """After the line-0 scan passes, sampled A6 only counts its draws; the
+    """After the line-0 scan passes, sampled A6 makes no draw; the
     renumbered model is not certified and tests each draw."""
     monkeypatch.setattr("prect.incidence._unrank_bits", _no_unranking)
     model = ladder_model(name)
