@@ -67,9 +67,6 @@ class Verdicts:
     def ok(self) -> bool:
         return all(self.verdicts.values())
 
-    def failing(self) -> list[str]:
-        return [k for k, v in self.verdicts.items() if not v]
-
 
 class Translations:
     """The translations of GF(p)^d, acting on masks of nu = p^d vertex bits.

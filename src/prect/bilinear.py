@@ -38,10 +38,6 @@ class BilinearGraph:
         self.q = q
         self.k = k
 
-    @property
-    def nu(self) -> int:
-        return self.graph.nu
-
 
 def _vertex(codes, q: int) -> int:
     """Vertex number of the matrix with these entry codes, row A first."""
@@ -71,7 +67,7 @@ def build_hq2k(p: int, e: int, k: int) -> BilinearGraph:
         raise BilinearError("rank-1 delta enumeration is off")
 
     group = Translations(p, 2 * k * e)
-    return BilinearGraph(LineGraph(nu, list(group.translates(row0)), group), ctx, q, k)
+    return BilinearGraph(LineGraph(list(group.translates(row0)), group), ctx, q, k)
 
 
 def map_line_to_matrix(line_index: int, model: RectangleModel) -> Matrix:

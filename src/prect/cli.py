@@ -1,10 +1,11 @@
 """Command-line front end: build, verify, and report on rectangle models.
 
-Subcommands: build, verify, cliques, iso, geometry, analyze, export.  Every
-run emits a RunReport as JSON with sorted keys; with the same inputs and
-seed the report is byte-identical across runs (timings are only included on
-request, since they are inherently unstable).  The exit code is 0 iff every
-requested verdict passed.
+Subcommands: build, verify, cliques, iso, geometry, analyze, export.  build
+writes the model and one `order (m, n) = ...` line on stderr; every other
+subcommand emits a RunReport as JSON with sorted keys.  With the same inputs
+and seed the output is byte-identical across runs (timings are only included
+on request, since they are inherently unstable).  The exit code is 0 iff
+every requested verdict passed.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class _Run:
 def cmd_build(args, report: RunReport) -> int:
     model = build_model(args.family, args.p, args.e, args.k)
     m, n = order_of(model.structure)
-    report.details["order"] = [m, n]
-    report.details["ordinary_lines"] = model.num_ordinary_lines
-    report.verdicts["built"] = True
     _write(args.out, model_to_json(model), report)
     print(f"order (m, n) = ({m}, {n})", file=sys.stderr)
     return 0

@@ -177,11 +177,11 @@ class CliqueCensus(Checks):
     """
 
     def __init__(self, point_cliques: list[tuple[int, ...]], plane_cliques: list[tuple[int, ...]],
-                 anomalous: list[tuple[int, ...]], m: int, n: int, trivial: bool, nu: int,
+                 anomalous: list[tuple[int, ...]], m: int, n: int, nu: int,
                  translations: Translations | None = None):
         self.kept = {"point_cliques": point_cliques, "plane_cliques": plane_cliques,
                      "anomalous": anomalous}
-        self.m, self.n, self.trivial = m, n, trivial
+        self.m, self.n, self.trivial = m, n, m == n
         self.nu = nu  # the graph's vertex count
         self.translations = translations
         self.checks = {}
@@ -267,10 +267,10 @@ def classify_census(g: LineGraph, model: RectangleModel,
         else:
             anomalous.append(cl)
 
-    census = CliqueCensus(points, planes, anomalous, m, n, model.trivial, g.nu, group)
+    census = CliqueCensus(points, planes, anomalous, m, n, g.nu, group)
     c = census.checks
     c["anomalous"] = (0, census.count("anomalous"))
-    if not model.trivial:
+    if not census.trivial:
         points_expected, planes_expected = census.expected_counts
         c["point_clique_count"] = (points_expected, census.count("point_cliques"))
         c["plane_clique_count"] = (planes_expected, census.count("plane_cliques"))

@@ -39,21 +39,20 @@ class RectangleModel:
     structure.lines lists the ordinary lines first, in construction order,
     followed by the m+1 special lines; graph vertices reuse those indices.
     Coordinates are (x, y, z) triples of field codes: points [x:y:z] and
-    line coefficients <a,b,c>.  Combinatorial models (family "l2k") carry
-    no coordinates.
+    line coefficients <a,b,c>, codes of ctx, GF(p^(ek)).  Combinatorial
+    models (family "l2k") carry no coordinates, and their ctx is None.
     """
 
     def __init__(self, structure: IncidenceStructure, family: str,
-                 p: int, e: int, k: int, *, ctx: FieldCtx | None = None,
-                 point_coords=None, line_coeffs=None, special_coeffs=None,
-                 special_labels=None):
+                 p: int, e: int, k: int, *, point_coords=None, line_coeffs=None,
+                 special_coeffs=None, special_labels=None):
         self.structure = structure
         self.family = family
         self.p, self.e, self.k = p, e, k
         self.q = p ** e
         self.m = self.q
         self.n = self.q ** k
-        self.ctx = ctx
+        self.ctx = None if point_coords is None else field_make(p, e * k)
         self.point_coords = point_coords
         self.line_coeffs = line_coeffs
         self.special_coeffs = special_coeffs
@@ -160,9 +159,8 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
 
     structure = IncidenceStructure(labels, lines + special_pointsets, 0)
     family = "plane" if k == 1 else "subplane"
-    return RectangleModel(structure, family, p, e, k, ctx=ctx,
-                          point_coords=point_coords, line_coeffs=line_coeffs,
-                          special_coeffs=special_coeffs,
+    return RectangleModel(structure, family, p, e, k, point_coords=point_coords,
+                          line_coeffs=line_coeffs, special_coeffs=special_coeffs,
                           special_labels=special_labels)
 
 

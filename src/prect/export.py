@@ -142,7 +142,6 @@ def model_from_dict(d: dict) -> RectangleModel:
         raise ExportError(f"line {structure.special_lines[0]} passes through the special point "
                           f"{d['structure']['special_point']} but comes before an ordinary "
                           f"line: special lines come last in a model file")
-    ctx = None
     point_coords = line_coeffs = special_coeffs = None
     if "point_coords" in d:
         ctx = field_make(params["p"], params["e"] * params["k"])
@@ -150,7 +149,7 @@ def model_from_dict(d: dict) -> RectangleModel:
         line_coeffs = _codes(ctx, d["line_coeffs"])
         special_coeffs = _codes(ctx, d["special_coeffs"])
     return RectangleModel(structure, d["family"], params["p"], params["e"], params["k"],
-                          ctx=ctx, point_coords=point_coords, line_coeffs=line_coeffs,
+                          point_coords=point_coords, line_coeffs=line_coeffs,
                           special_coeffs=special_coeffs,
                           special_labels=list(d["special_labels"]))
 

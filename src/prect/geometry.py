@@ -29,17 +29,22 @@ from .construct import RectangleModel
 
 
 class GeometryReport(Checks):
+    """A clique class as Lines over the graph's vertices.  constant_t is the
+    one t of the histogram, None unless exactly one occurs; a constant t
+    and two_points_one_line, no two Lines sharing two Points, make it a
+    partial geometry."""
+
     def __init__(self, num_points: int, num_lines: int, points_per_line: set,
-                 lines_per_point: set, t_histogram: dict, constant_t: int | None,
-                 is_partial_geometry: bool, checks: dict):
+                 lines_per_point: set, t_histogram: dict, two_points_one_line: bool):
         self.num_points, self.num_lines = num_points, num_lines
         self.points_per_line, self.lines_per_point = points_per_line, lines_per_point
-        self.t_histogram, self.constant_t = t_histogram, constant_t
-        self.is_partial_geometry = is_partial_geometry
+        self.t_histogram = t_histogram
+        self.constant_t = next(iter(t_histogram)) if len(t_histogram) == 1 else None
+        self.is_partial_geometry = self.constant_t is not None and two_points_one_line
         self.pg_label: str | None = None
         self.line_count_matches: str | None = None  # which Line-count formula the data matches
         self.degenerate = not t_histogram
-        self.checks = checks
+        self.checks = {"two_points_one_line": (True, two_points_one_line)}
 
 
 def _measure(lines, through):
@@ -132,14 +137,11 @@ def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryR
         through = census.point_of if kind == "point_cliques" else census.plane_of
         hist, pair_ok = _measure(lines, through)
         lines_per_point = {b.bit_count() for b in through}
-    constant = next(iter(hist)) if len(hist) == 1 else None
     return GeometryReport(
         num_points=census.nu, num_lines=census.count(kind),
         points_per_line={len(ln) for ln in lines},
         lines_per_point=lines_per_point,
-        t_histogram=hist, constant_t=constant,
-        is_partial_geometry=constant is not None and pair_ok,
-        checks={"two_points_one_line": (True, pair_ok)})
+        t_histogram=hist, two_points_one_line=pair_ok)
 
 
 def build_point_clique_geometry(census: CliqueCensus, model: RectangleModel) -> GeometryReport:

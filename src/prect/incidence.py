@@ -225,7 +225,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
              else range(s.n_lines))
     nbr = meeting(s.lines, through, which)
     if a6_mode == "full":
-        ok6, wit6 = _a6_scan(s, through, nbr, 1 if certified else None)
+        ok6, wit6, _ = _a6_scan(s, through, nbr, 1 if certified else None)
     elif a6_mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, nbr, a6_samples, seed, certified)
     else:
@@ -338,13 +338,16 @@ def _a6_pairs(s, through, nbr, blocks=None):
 
 def _a6_scan(s, through, nbr, blocks=None):
     """Every quadruple of the pairs of _a6_pairs, one pair's candidate list at
-    a time, stopping at the first failure.
+    a time, stopping at the first failure: (verdict, witness, weight), the
+    weight being the sum of C(candidates, 2) over the pairs walked.
 
     Only a g2 that misses g1 can fail, so g2 runs over the candidates above
     g1 outside nbr[g1]; the first failure is the same as over all pairs.
     """
     masks = s.line_masks
+    weight = 0
     for l1, l2, cmask in _a6_pairs(s, through, nbr, blocks):
+        weight += comb2(cmask.bit_count())
         m1, m2 = masks[l1], masks[l2]
         for g1 in iter_bits(cmask):
             miss = cmask & ~nbr[g1] & -(2 << g1)
@@ -354,8 +357,8 @@ def _a6_scan(s, through, nbr, blocks=None):
             for g2 in iter_bits(miss):
                 # four distinct points (the highest common points differ), yet g1 misses g2
                 if (masks[g2] & m1).bit_length() != a1 and (masks[g2] & m2).bit_length() != b1:
-                    return False, {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
-    return True, None
+                    return False, {"l1": l1, "l2": l2, "g1": g1, "g2": g2}, weight
+    return True, None, weight
 
 
 def _a6_sampled(s, through, nbr, samples, seed, certified):
@@ -366,20 +369,20 @@ def _a6_sampled(s, through, nbr, samples, seed, certified):
     runs first, and if it passes, every quadruple passes (see check_axioms),
     so every seeded draw would pass: A6 holds with no witness, and the
     coverage is that of the per-draw path on a passing model, `samples`
-    distinct quadruples, with no draw made.  The space comes from line 0,
-    nu * sum over l2 of C(candidates(0, l2), 2) / 2: translation by -l1
-    maps pair (l1, l2) onto (0, l2 - l1), and the candidate counts are
-    symmetric under v -> -v, as (0, v) and (-v, 0) are translates.
+    distinct quadruples, with no draw made.  The space comes from the
+    weight of that scan, nu * sum over l2 of C(candidates(0, l2), 2) / 2:
+    translation by -l1 maps pair (l1, l2) onto (0, l2 - l1), and the
+    candidate counts are symmetric under v -> -v, as (0, v) and (-v, 0)
+    are translates.
 
     Otherwise nbr is widened to every line, and one pass stores each
     intersecting pair and its cumulative weight C(candidates, 2), 16 bytes
     a pair; a draw rebuilds its own pair's _a6_candidates, picks two of its
     set bits and tests them (_a6_draws).
     """
-    proven = certified and _a6_scan(s, through, nbr, 1)[0]
+    proven, _, weight = _a6_scan(s, through, nbr, 1) if certified else (False, None, 0)
     if proven:
-        nu = len(s.ordinary_lines)
-        total = nu * sum(comb2(c.bit_count()) for *_, c in _a6_pairs(s, through, nbr, 1)) // 2
+        total = len(s.ordinary_lines) * weight // 2
     else:
         if certified:  # nbr covers line 0 and its neighbours only
             nbr = meeting(s.lines, through, range(s.n_lines))
@@ -411,7 +414,7 @@ def _a6_sampled(s, through, nbr, samples, seed, certified):
     if proven:
         ok, witness, drawn = True, None, min(total, samples)
     elif exhaustive:
-        (ok, witness), drawn = _a6_scan(s, through, nbr), total
+        (ok, witness, _), drawn = _a6_scan(s, through, nbr), total
     else:
         drawn, witness = _a6_draws(total, samples, seed, test)
         ok = witness is None
@@ -473,8 +476,8 @@ def order_of(s: IncidenceStructure) -> tuple[int, int]:
 class CountReport(Checks):
     """Elementary count checks."""
 
-    def __init__(self, m: int, n: int, trivial: bool):
-        self.m, self.n, self.trivial = m, n, trivial
+    def __init__(self, m: int, n: int):
+        self.m, self.n, self.trivial = m, n, m == n
         self.checks = {}
 
 
@@ -485,7 +488,7 @@ def elementary_counts(s: IncidenceStructure) -> CountReport:
     structure defects in the returned report.
     """
     m, n = order_of(s)
-    rep = CountReport(m=m, n=n, trivial=(m == n))
+    rep = CountReport(m, n)
     c = rep.checks
 
     c["ordinary_line_count"] = (n * n, len(s.ordinary_lines))

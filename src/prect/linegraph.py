@@ -48,11 +48,12 @@ class LineGraphError(ValueError):
 
 
 class LineGraph:
-    """Undirected graph with bitmask rows; translations, when given, certify
-    it as a Cayley graph on GF(p)^d, nu = p^d: row x is row 0 translated by x."""
+    """Undirected graph with bitmask rows, one a vertex; translations, when
+    given, certify it as a Cayley graph on GF(p)^d, nu = p^d: row x is row 0
+    translated by x."""
 
-    def __init__(self, nu: int, rows: list[int], translations: Translations | None = None):
-        self.nu = nu
+    def __init__(self, rows: list[int], translations: Translations | None = None):
+        self.nu = len(rows)
         self.rows = rows
         self.translations = translations
 
@@ -109,16 +110,17 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
                              f"the model has {nu}")
     ordinary = (1 << nu) - 1
     rows = [row & ordinary for row in meeting(s.lines, s.through, range(nu))[:nu]]
-    return LineGraph(nu, rows, s.translations)  # its nu is the count of ordinary lines
+    return LineGraph(rows, s.translations)
 
 
 class SrgCertificate(Verdicts):
-    """Exact strong-regularity evidence for expected parameters (nu,r,lam,mu)."""
+    """Exact strong-regularity evidence for expected parameters (nu,r,lam,mu);
+    the top eigenvalue tau0 is the degree r."""
 
-    def __init__(self, nu: int, r: int, lam: int, mu: int, tau0: int, tau1: int, tau2: int,
+    def __init__(self, nu: int, r: int, lam: int, mu: int, tau1: int, tau2: int,
                  multiplicities: tuple[int, int, int]):
         self.nu, self.r, self.lam, self.mu = nu, r, lam, mu
-        self.tau0, self.tau1, self.tau2 = tau0, tau1, tau2
+        self.tau0, self.tau1, self.tau2 = r, tau1, tau2
         self.multiplicities = multiplicities
         self.verdicts = {}
         self.witness: dict | None = None
@@ -147,7 +149,7 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
     nu, r, lam, mu = expected_srg_parameters(m, n)
     tau1, tau2 = n - m - 1, -(m + 1)
     mult = (1, (m + 1) * (n - 1), (n - m) * (n - 1))
-    cert = SrgCertificate(nu, r, lam, mu, r, tau1, tau2, mult)
+    cert = SrgCertificate(nu, r, lam, mu, tau1, tau2, mult)
     v = cert.verdicts
 
     v["vertex_count"] = g.nu == nu
@@ -160,7 +162,7 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
     if bad is not None:
         cert.witness = {"check": "degree", "vertex": bad, "actual": g.degree(bad)}
 
-    pair_witness, spectral_witness = _square_check(g.rows, lam, mu, tau1, tau2,
+    pair_witness, spectral_witness = _square_check(g.rows, mu, tau1, tau2,
                                                    g.translations is not None)
     v["common_neighbor_counts"] = pair_witness is None
     if pair_witness and cert.witness is None:
@@ -191,20 +193,20 @@ def _first_difference(xs: list[int], ys: list[int]) -> int:
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
-def _square_check(rows: list[int], lam: int, mu: int, tau1: int, tau2: int,
-                  cayley: bool = False):
+def _square_check(rows: list[int], mu: int, tau1: int, tau2: int, cayley: bool = False):
     """(first failing pair, first failing identity entry), each None if none fails.
 
     (A^2)[u,w] is the popcount of rows[u] against column w.  Entry (u,w) of
     (A - tau1*I)(A - tau2*I) is that count minus (tau1+tau2)*A[u,w] plus
     tau1*tau2*[u = w] and must equal mu; off the diagonal this is the pair
-    count, since mu + tau1 + tau2 = lam.  Both witnesses are first in
-    row-major order (pairs with u < w only).  Symmetric rows give a
-    symmetric A^2, whose first failure lies on or above the diagonal, so
-    only those entries are computed.  On a certified Cayley graph (cayley,
-    see LineGraph.translations) (A^2)[u,w] = (A^2)[0,w-u] and the wanted
-    entries translate alike, so a failure anywhere fails row 0 too, which
-    comes first: row 0 is the only one computed.
+    count, which must be lam = mu + tau1 + tau2 on an edge and mu off one.
+    Both witnesses are first in row-major order (pairs with u < w only).
+    Symmetric rows give a symmetric A^2, whose first failure lies on or
+    above the diagonal, so only those entries are computed.  On a certified
+    Cayley graph (cayley, see LineGraph.translations) (A^2)[u,w] =
+    (A^2)[0,w-u] and the wanted entries translate alike, so a failure
+    anywhere fails row 0 too, which comes first: row 0 is the only one
+    computed.
     """
     nu = len(rows)
     s, p = tau1 + tau2, tau1 * tau2

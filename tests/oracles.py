@@ -22,9 +22,10 @@ graph, without the library's twin classes of N(0).
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
-the exact vertex connectivity; and re-checks, on the model file's point
-sets, of the witnesses the CLI reports: the axioms', an anomalous clique of
-the census, and the pair of a failing isomorphism.
+the exact vertex connectivity; the names of a report's failing verdicts
+(failing); and re-checks, on the model file's point sets, of the witnesses
+the CLI reports: the axioms', an anomalous clique of the census, and the
+pair of a failing isomorphism.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def graph_from_edges(nu: int, edges) -> LineGraph:
     for u, v in edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return LineGraph(nu, rows)
+    return LineGraph(rows)
 
 
 def unreduced_cliques_through_0(g: LineGraph) -> list[tuple[int, ...]]:
@@ -81,7 +82,7 @@ def without_edge(g: LineGraph, u: int, v: int) -> LineGraph:
     rows = list(g.rows)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return LineGraph(g.nu, rows)
+    return LineGraph(rows)
 
 
 def adjacency_matrix(g: LineGraph) -> np.ndarray:
@@ -241,7 +242,7 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
                 colors[key] = None if key in colors else c
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return LineGraph(nu, rows), colors
+    return LineGraph(rows), colors
 
 
 def diameter(g: LineGraph):
@@ -508,7 +509,7 @@ def hq2k_with_matrices(p: int, e: int, k: int) -> tuple[LineGraph, list, dict]:
             na = tuple(ctx.add_codes(x, y) for x, y in zip(ra, da))
             nb = tuple(ctx.add_codes(x, y) for x, y in zip(rb, db))
             adj[i] |= 1 << index[(na, nb)]
-    return LineGraph(nu, adj), matrices, index
+    return LineGraph(adj), matrices, index
 
 
 def isomorphism_by_pairs(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> IsoReport:
@@ -608,13 +609,17 @@ def fields(report) -> dict:
     return vars(report)
 
 
+def failing(report) -> list[str]:
+    """The names of a report's failing verdicts, in order."""
+    return [k for k, v in report.verdicts.items() if not v]
+
+
 def census_with(census: CliqueCensus, **classes) -> CliqueCensus:
     """A new CliqueCensus with some of its clique classes replaced, and the
-    other classes, m, n, trivial, nu and checks kept; like any census not
+    other classes, m, n, nu and checks kept; like any census not
     made by classify_census, it carries no translations."""
     kept = {k: getattr(census, k) for k in ("point_cliques", "plane_cliques", "anomalous")}
-    copy = CliqueCensus(**{**kept, **classes}, m=census.m, n=census.n, trivial=census.trivial,
-                        nu=census.nu)
+    copy = CliqueCensus(**{**kept, **classes}, m=census.m, n=census.n, nu=census.nu)
     copy.checks = census.checks
     return copy
 

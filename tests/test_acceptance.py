@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from oracles import (adjacency_matrix, drop_line, extract_plane_by_axioms,
+from oracles import (adjacency_matrix, drop_line, extract_plane_by_axioms, failing,
                      vertex_connectivity, without_edge)
 from prect.analysis import (chromatic_analysis, eulerian_verdict, krein_check,
                             planarity_verdict, validate_cycle)
@@ -67,9 +67,9 @@ def test_criterion_03_axioms(l22, l23, r28, r39, r416):
     with criterion(3, "axioms"):
         for model in (l22, l23, r28, r39):
             rep = check_axioms(model.structure, "full")
-            assert rep.ok, rep.failing()
+            assert rep.ok, failing(rep)
         rep = check_axioms(r416.structure, "sampled", a6_samples=10 ** 6, seed=0)
-        assert rep.ok, rep.failing()
+        assert rep.ok, failing(rep)
         assert rep.a6_coverage["drawn"] == 10 ** 6
 
 

@@ -196,7 +196,7 @@ def test_krein_conditions_pass(fix, m, n, request):
 def test_krein_fails_with_a_failed_certificate(g_l22):
     """The formula eigenvalues pass Krein, but describe the graph only when it is srg."""
     assert krein_check(certify_srg(g_l22, 2, 4)).srg
-    for g in (LineGraph(0, []), without_edge(g_l22, 0, next(iter_bits(g_l22.rows[0])))):
+    for g in (LineGraph([]), without_edge(g_l22, 0, next(iter_bits(g_l22.rows[0])))):
         rep = krein_check(certify_srg(g, 2, 4))
         assert (rep.lhs1, rep.rhs1, rep.lhs2, rep.rhs2) == (8, 40, 0, 24)
         assert not rep.srg and not rep.ok
@@ -292,7 +292,7 @@ def test_tensor_square_report(g_l22):
 
 
 def test_eulerian_connectivity_of_the_empty_graph():
-    assert eulerian_verdict(LineGraph(0, []), 1, 1).connected
+    assert eulerian_verdict(LineGraph([]), 1, 1).connected
 
 
 def test_eulerian_direct_check_detects_disconnection():

@@ -102,7 +102,7 @@ def test_rank_brute_force_gf3_2x2():
 ])
 def test_hq2k_shape(p, e, k, nu, r):
     h = build_hq2k(p, e, k)
-    assert h.nu == nu
+    assert h.graph.nu == nu
     assert all(h.graph.degree(v) == r for v in range(nu))
     q = p ** e
     assert r == (q + 1) * (q ** k - 1)
@@ -120,8 +120,8 @@ def test_hq2k_bound(monkeypatch):
 
 def test_hq2k_adjacency_is_rank_one():
     h = build_hq2k(3, 1, 2)
-    for u in range(h.nu):
-        for v in range(u + 1, h.nu):
+    for u in range(h.graph.nu):
+        for v in range(u + 1, h.graph.nu):
             ma, mb = matrix_of(h, u), matrix_of(h, v)
             da = tuple(h.ctx.sub_codes(x, y) for x, y in zip(ma[0], mb[0]))
             db = tuple(h.ctx.sub_codes(x, y) for x, y in zip(ma[1], mb[1]))
@@ -136,8 +136,8 @@ def test_hq2k_matches_matrix_table_oracle(p, e, k):
     h = build_hq2k(p, e, k)
     graph, matrices, index = hq2k_with_matrices(p, e, k)
     assert h.graph.rows == graph.rows
-    assert [matrix_of(h, u) for u in range(h.nu)] == matrices
-    assert all(index[matrices[u]] == u for u in range(h.nu))
+    assert [matrix_of(h, u) for u in range(h.graph.nu)] == matrices
+    assert all(index[matrices[u]] == u for u in range(h.graph.nu))
 
 
 @pytest.mark.parametrize("p,e,k", HQ2K_PARAMS)
@@ -145,7 +145,7 @@ def test_hq2k_with_and_without_its_translations(p, e, k):
     """H carries the translations of GF(p)^(2ke), and the vertex-0 paths they
     select give the cliques and the srg certificate of the all-vertex paths."""
     h = build_hq2k(p, e, k)
-    group, bare = h.graph.translations, LineGraph(h.nu, h.graph.rows)
+    group, bare = h.graph.translations, LineGraph(h.graph.rows)
     assert (group.p, group.d) == (p, 2 * k * e)
     oracle = translation_group(h.graph)
     assert (oracle.p, oracle.d) == (group.p, group.d)
@@ -162,7 +162,7 @@ def test_hq2k_cliques_past_the_uncertified_bound():
     assert len(cliques) == 2 * 8 * 49 and {len(c) for c in cliques} == {49}
     assert len(set(cliques)) == len(cliques)
     for c in cliques:
-        common = (1 << h.nu) - 1
+        common = (1 << h.graph.nu) - 1
         for v in c:
             common &= h.graph.rows[v] | 1 << v
         assert common == sum(1 << v for v in c)

@@ -289,7 +289,7 @@ def test_translated_census_equals_the_all_vertex_enumeration(name):
     assert census.translations is g.translations
     supplied = classify_census(g, model, cliques)
     assert supplied.translations is None and fields(supplied) == fields(census)
-    uncertified = LineGraph(g.nu, g.rows)  # no certificate: the all-vertex enumeration
+    uncertified = LineGraph(g.rows)  # no certificate: the all-vertex enumeration
     assert enumerate_maximal_cliques(uncertified) == cliques
     assert fields(classify_census(uncertified, model)) == fields(census)
     assert census.ok

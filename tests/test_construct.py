@@ -6,7 +6,8 @@ import pytest
 
 from oracles import common_point, find_isomorphism
 from prect.construct import BuildError, build_l2k, build_plane, build_subplane_rect
-from prect.gf import FieldCtx
+from prect.export import model_from_json, model_to_json
+from prect.gf import FieldCtx, field_make
 from prect.incidence import check_axioms, order_of
 
 # The sixteen ordinary lines of the narrow rectangle with k = 2, with group
@@ -190,3 +191,11 @@ def test_alt_labels_only_for_q2(r24, r39):
 def test_subplane_axioms_r416_sampled(r416):
     rep = check_axioms(r416.structure, "sampled", a6_samples=20000, seed=0)
     assert rep.ok
+
+
+def test_model_field_is_the_one_its_parameters_name(l22, r39):
+    """A coordinatized model's ctx is GF(p^(ek)), the memoized field, whether
+    built or loaded; a combinatorial model has none."""
+    loaded = model_from_json(model_to_json(r39))
+    assert r39.ctx is field_make(3, 2) and loaded.ctx is field_make(3, 2)
+    assert l22.ctx is None and model_from_json(model_to_json(l22)).ctx is None

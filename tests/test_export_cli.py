@@ -36,7 +36,7 @@ def parse_graph6(text: str) -> LineGraph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             idx += 1
-    return LineGraph(n, rows)
+    return LineGraph(rows)
 
 
 def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
@@ -44,7 +44,7 @@ def census_from_dict(d: dict, model: RectangleModel) -> CliqueCensus:
         point_cliques=[tuple(pc["vertices"]) for pc in d["point_cliques"]],
         plane_cliques=[tuple(pc["vertices"]) for pc in d["plane_cliques"]],
         anomalous=[tuple(c) for c in d["anomalous"]],
-        m=d["m"], n=d["n"], trivial=d["trivial"], nu=model.num_ordinary_lines,
+        m=d["m"], n=d["n"], nu=model.num_ordinary_lines,
     )
 
 
@@ -150,11 +150,11 @@ def test_cli_build_l2k(tmp_path, capsys):
 
 
 def test_cli_build_subplane_order(tmp_path, capsys):
+    """build writes the model and one order line on stderr, and no report."""
     out = tmp_path / "m.json"
     assert run_cli("build", "--family", "subplane", "--p", "3", "--e", "1",
                    "--k", "2", "--out", str(out)) == 0
-    err = capsys.readouterr().err
-    assert "(3, 9)" in err
+    assert capsys.readouterr() == ("", "order (m, n) = (3, 9)\n")
 
 
 def test_cli_build_plane_trivial(tmp_path):
@@ -941,3 +941,18 @@ def test_cli_malformed_model_parameters_are_a_typed_error(tmp_path, capsys, fiel
     capsys.readouterr()
     assert run_cli("verify", str(path), "--profile", "full") == 2
     assert capsys.readouterr() == ("", f"error: model parameter {message}\n")
+
+
+@pytest.mark.parametrize("args", [("verify", "--profile", "quick"),
+                                  ("verify", "--profile", "full"), ("cliques",)],
+                         ids=["quick", "full", "cliques"])
+def test_cli_model_over_a_prime_power_p_is_a_typed_error(tmp_path, capsys, args):
+    """An R(4,16) file relabelled p = 4, e = 1 keeps q, m and n consistent;
+    its coordinates name GF(4^2), which does not exist, so loading it exits 2."""
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "2", "--e", "2", "--k", "2")
+    d["params"].update(p=4, e=1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    assert run_cli(args[0], str(path), *args[1:]) == 2
+    assert capsys.readouterr() == ("", "error: p = 4 is not prime\n")

@@ -96,6 +96,18 @@ def test_plane_clique_structure_trivial_degenerate(pp2, g_pp2):
     census = classify_census(g_pp2, pp2)
     rep = build_plane_clique_structure(census, pp2)
     assert rep.degenerate and rep.t_histogram == {}
+    assert census.trivial and rep.constant_t is None and not rep.is_partial_geometry
+
+
+def test_constant_t_is_read_off_the_histogram(census_l23, l23):
+    """One t value is constant_t; the two of a plane structure with n > m^2
+    leave it None, and so no partial geometry."""
+    pt = build_point_clique_geometry(census_l23, l23)
+    pl = build_plane_clique_structure(census_l23, l23)
+    assert not census_l23.trivial
+    assert list(pt.t_histogram) == [pt.constant_t] == [2] and pt.is_partial_geometry
+    assert list(pl.t_histogram) == [0, 2] and pl.constant_t is None
+    assert not pl.is_partial_geometry
 
 
 def test_two_points_at_most_one_line(census_l23, l23):

@@ -118,7 +118,7 @@ def test_color_classes_partition_edges(l22, g_l22):
 def _with_lines(model: RectangleModel, lines) -> RectangleModel:
     s = model.structure
     structure = IncidenceStructure(s.points, lines, s.special_point)
-    return RectangleModel(structure, model.family, model.p, model.e, model.k, ctx=model.ctx,
+    return RectangleModel(structure, model.family, model.p, model.e, model.k,
                           point_coords=model.point_coords, line_coeffs=model.line_coeffs,
                           special_coeffs=model.special_coeffs,
                           special_labels=model.special_labels)
@@ -372,15 +372,15 @@ def test_srg_matches_numpy_reference_on_mutations(fix, m, n, mutate, request):
             continue
         rows = list(g.rows)
         mutate(rows, u, w)
-        mutated = LineGraph(g.nu, rows)
+        mutated = LineGraph(rows)
         cert = certify_srg(mutated, m, n)
         verdicts, witness, spectral = _numpy_srg_reference(rows, m, n)
         assert spectral is not None
         assert {k: cert.verdicts[k] for k in verdicts} == verdicts
         assert not cert.ok
         assert cert.witness == witness
-        _, _, lam, mu = expected_srg_parameters(m, n)
-        assert _square_check(rows, lam, mu, n - m - 1, -(m + 1))[1] == spectral
+        mu = expected_srg_parameters(m, n)[3]
+        assert _square_check(rows, mu, n - m - 1, -(m + 1))[1] == spectral
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -401,7 +401,7 @@ def _renumbered(g: LineGraph, a: int, b: int) -> LineGraph:
     rows = [0] * g.nu
     for u in range(g.nu):
         rows[perm[u]] = sum(1 << perm[v] for v in iter_bits(g.rows[u]))
-    return LineGraph(g.nu, rows)
+    return LineGraph(rows)
 
 
 def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
@@ -415,7 +415,7 @@ def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
     for x in range(g.nu):
         for t in (s, minus_s):
             rows[x] &= ~(1 << add_digits(x, t, p, d))
-    h = LineGraph(g.nu, rows)
+    h = LineGraph(rows)
     h.translations = translation_group(h)
     return h
 
@@ -431,13 +431,28 @@ def test_translation_group_matches_digit_addition_oracle(name):
     assert translation_group(without_edge(g, 0, g.rows[0].bit_length() - 1)) is None
 
 
+def test_a_graph_has_one_vertex_a_row(g_l22, g_r39):
+    """nu is the number of rows, for hand-built, built and empty graphs, so
+    no vertex loop can run past the rows."""
+    for g in (graph_from_edges(3, [(0, 1)]), LineGraph([0b10, 0b01]), g_l22, g_r39,
+              LineGraph([])):
+        assert g.nu == len(g.rows)
+    assert list(LineGraph([0b10, 0b01]).edges()) == [(0, 1)]
+
+
+def test_srg_certificate_top_eigenvalue_is_its_degree(g_l22, g_r39):
+    for g, m, n in ((g_l22, 2, 4), (g_r39, 3, 9)):
+        cert = certify_srg(g, m, n)
+        assert cert.ok and cert.tau0 == cert.r == (m + 1) * (n - 1)
+
+
 def test_translation_group_on_small_graphs():
     cycle = lambda nu: graph_from_edges(nu, [(v, (v + 1) % nu) for v in range(nu)])  # noqa: E731
-    looped = LineGraph(2, [0b11, 0b11])
-    one_way = LineGraph(3, [0b010, 0b100, 0b001])  # x -> x+1 on GF(3): N(0) != -N(0)
+    looped = LineGraph([0b11, 0b11])
+    one_way = LineGraph([0b010, 0b100, 0b001])  # x -> x+1 on GF(3): N(0) != -N(0)
     cases = {"C5": (cycle(5), 5), "C4": (cycle(4), 2), "C6": (cycle(6), None),
-             "K2": (graph_from_edges(2, [(0, 1)]), 2), "K1": (LineGraph(1, [0]), None),
-             "empty": (LineGraph(0, []), None), "looped": (looped, None),
+             "K2": (graph_from_edges(2, [(0, 1)]), 2), "K1": (LineGraph([0]), None),
+             "empty": (LineGraph([]), None), "looped": (looped, None),
              "one-way": (one_way, None)}
     for name, (g, p) in cases.items():
         group = translation_group(g)
@@ -451,7 +466,7 @@ def test_srg_certificate_equals_the_all_rows_check(name):
     m, n = order_of(model.structure)
     cert = certify_srg(g, m, n)
     assert g.translations is not None
-    uncertified = LineGraph(g.nu, g.rows)  # no certificate: every row
+    uncertified = LineGraph(g.rows)  # no certificate: every row
     assert fields(certify_srg(uncertified, m, n)) == fields(cert)
     assert cert.ok or m == n
 
@@ -470,4 +485,4 @@ def test_srg_witnesses_on_a_certified_non_srg_graph(name):
         verdicts, witness, _ = _numpy_srg_reference(h.rows, m, n)
         assert {k: cert.verdicts[k] for k in verdicts} == verdicts
         assert cert.witness == witness and not cert.ok
-        assert fields(certify_srg(LineGraph(h.nu, h.rows), m, n)) == fields(cert)
+        assert fields(certify_srg(LineGraph(h.rows), m, n)) == fields(cert)

@@ -155,8 +155,8 @@ def test_a_census_under_another_certificate_takes_the_all_vertex_path(census_l23
     rows = list(g_l23.rows)
     rows[1] ^= 1 << v
     rows[v] ^= 1 << 1
-    assert clique_intersections(census_l23, LineGraph(g_l23.nu, rows, g_l23.translations)).ok
-    inter = clique_intersections(census_l23, LineGraph(g_l23.nu, rows, g_other.translations))
+    assert clique_intersections(census_l23, LineGraph(rows, g_l23.translations)).ok
+    inter = clique_intersections(census_l23, LineGraph(rows, g_other.translations))
     assert inter.violations == [("cover-of-nonedge", 1, v, 0)]
 
     seen = []
@@ -365,8 +365,8 @@ def test_plane_point_violations_are_those_of_the_planes_through_vertex_0(census_
     reports the violations of the planes through vertex 0, each naming the
     translated clique, as the all-vertex path does for those planes."""
     planes, m, n, nu = census_l23.kept["plane_cliques"], census_l23.m, census_l23.n, census_l23.nu
-    orbit = CliqueCensus(planes, planes, [], m, n, False, nu, census_l23.translations)
-    every = CliqueCensus(orbit.plane_cliques, orbit.plane_cliques, [], m, n, False, nu)
+    orbit = CliqueCensus(planes, planes, [], m, n, nu, census_l23.translations)
+    every = CliqueCensus(orbit.plane_cliques, orbit.plane_cliques, [], m, n, nu)
     rep, ref = clique_intersections(orbit, g_l23), clique_intersections(every, g_l23)
     assert orbit.certified_by(g_l23.translations) and every.translations is None
     assert (rep.ok, rep.stats, rep.violations[:1]) == (ref.ok, ref.stats, ref.violations[:1])
