@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
-from ._util import Checks, Translations, holders, iter_bits, meeting
+from ._util import Checks, Translations, holders, iter_bits
 from .construct import RectangleModel
 from .linegraph import LineGraph
 
@@ -74,12 +74,12 @@ def check_enumeration_bound(model: RectangleModel):
     """Raise CliqueError when the graph of lines of model is past the
     enumeration bound, read off the structure before any graph is built:
     the certificate is computed only between the two bounds, and the
-    certified graph is complete iff vertex 0's row, the concurrence mask of
-    line 0 restricted to the ordinary lines, holds every other vertex."""
+    certified graph is complete iff every ordinary line meets line 0, so
+    iff IncidenceStructure.at_line_0 holds all nu ordinary lines."""
     s, nu = model.structure, model.num_ordinary_lines
     _check_size(nu, ENUMERATION_MAX_VERTICES < nu <= CAYLEY_MAX_VERTICES
                 and s.translations is not None
-                and meeting(s.lines, s.through, [0])[0] & (1 << nu) - 1 != (1 << nu) - 2)
+                and len(s.at_line_0[1].ordinary_lines) < nu)
 
 
 def _bron_kerbosch(rows: list[int], r_mask: int, p_mask: int) -> list[int]:

@@ -123,12 +123,12 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        if p ** m > MAX_ORDER:
+        if p ** m > MAX_ORDER:  # first, so that trial division never sees a large p
             raise FieldError(f"field order {p}^{m} exceeds bound {MAX_ORDER}")
+        if not is_prime(p):
+            raise FieldError(f"p = {p} is not prime")
         self.p = p
         self.m = m
         self.order = p ** m

@@ -19,10 +19,10 @@ table of the lines meeting each line and the graph of lines' rows.
 The built models number their ordinary lines 0..nu-1 so that translation
 of GF(p)^d on the line indices, nu = p^d, extends to incidence
 automorphisms fixing D (IncidenceStructure.translations certifies this
-from the structure).  Full A6 on a certified structure that passes A1 then
-scans only the pairs that start with line 0, and sampled A6 runs that scan
-and, when it passes, makes no draw; any other structure, such as one whose
-lines were renumbered, takes the scan over every pair or tests each draw.
+from the structure).  A6 on a certified structure that passes A1 scans
+only the pairs (0, l2), on IncidenceStructure.at_line_0's narrow masks,
+and sampled A6 makes no draw when that passes; any other structure, such
+as one renumbered, takes the scan over every pair or tests each draw.
 """
 
 from __future__ import annotations
@@ -132,6 +132,15 @@ class IncidenceStructure:
                 return None
         return group
 
+    @cached_property
+    def at_line_0(self) -> tuple[list[int], IncidenceStructure]:
+        """(lines, structure): line 0 and the lines meeting it, in line order,
+        and the structure they form over the same points, its line i being
+        line lines[i] here, so its masks are only as wide as that list."""
+        lines = [0, *iter_bits(meeting(self.lines, self.through, [0])[0])]
+        return lines, IncidenceStructure(self.points, [self.lines[i] for i in lines],
+                                         self.special_point)
+
     # -- JSON interchange: labels only, geometry lives elsewhere --
 
     def to_json_dict(self) -> dict:
@@ -170,14 +179,14 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     count they upgrade to exhaustive enumeration, which is cheaper and
     conclusive.
 
-    Full A6 on a structure that passes A1 and whose translations are
-    certified scans only the pairs (0, l2).  A translation by -l1 moves any
-    failing quadruple to one that starts with line 0, whose block comes
-    first in the scan over every pair, so the verdict and the witness are
-    those of that scan.  A1 makes the common point of two lines, and so the
-    candidates of a pair, commute with the translations.
+    A6 on a structure that passes A1 and whose translations are certified
+    scans only the pairs (0, l2) on at_line_0, which holds their candidates.
+    A translation by -l1 moves any failing quadruple to one that starts with
+    line 0, whose block comes first in the scan over every pair, so the
+    verdict and the witness are those of that scan.  A1 makes the common
+    point of two lines, and so the candidates, commute with the translations.
 
-    Sampled A6 on such a structure runs the same scan first.  If it passes,
+    Sampled A6 on such a structure takes that scan's result.  If it passes,
     no quadruple of the space fails, so neither would any draw: the verdict
     is true with no witness, and the coverage is the one the per-draw test
     gives a passing structure, a6_samples distinct quadruples, with no draw
@@ -185,7 +194,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     is tested.
     """
     rep = AxiomReport(a6_mode)
-    through = s.through
 
     # A1: every point pair on exactly one line.
     a1_witness = _a1_witness(s)
@@ -194,7 +202,7 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
         rep.witnesses["A1"] = a1_witness
 
     # A2: four points, no three collinear.
-    witness4 = _find_quadrangle(s, through)
+    witness4 = _find_quadrangle(s)
     rep.verdicts["A2"] = witness4 is not None
     if witness4 is not None:
         rep.witnesses["A2"] = {"points": witness4}
@@ -218,16 +226,16 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     if a5_witness:
         rep.witnesses["A5"] = a5_witness
 
-    # A6: nbr[i], the lines meeting line i, for every line; on a certified
-    # structure for line 0 and its neighbours, which the pairs (0, l2) read.
-    certified = a1_witness is None and s.translations is not None
-    which = ([0, *iter_bits(meeting(s.lines, through, [0])[0])] if certified
-             else range(s.n_lines))
-    nbr = meeting(s.lines, through, which)
+    # A6: on a certified structure one line-0 scan serves both profiles.
+    scan = None
+    if a1_witness is None and s.translations is not None:
+        lines, local = s.at_line_0
+        ok, witness, weight = _a6_scan(local, 1)
+        scan = ok, witness and {k: lines[v] for k, v in witness.items()}, weight
     if a6_mode == "full":
-        ok6, wit6, _ = _a6_scan(s, through, nbr, 1 if certified else None)
+        ok6, wit6, _ = scan or _a6_scan(s, None)
     elif a6_mode == "sampled":
-        ok6, wit6, rep.a6_coverage = _a6_sampled(s, through, nbr, a6_samples, seed, certified)
+        ok6, wit6, rep.a6_coverage = _a6_sampled(s, a6_samples, seed, scan)
     else:
         raise ValueError(f"unknown a6_mode {a6_mode!r}")
     rep.verdicts["A6"] = ok6
@@ -287,13 +295,13 @@ def _a1_witness(s):
     return None
 
 
-def _find_quadrangle(s, through):
+def _find_quadrangle(s):
     """Four points with no three collinear, or None.
 
     Points a, b, c are collinear iff some line passes through all three,
     that is iff through[a] & through[b] & through[c] is nonzero.
     """
-    np_ = s.n_points
+    np_, through = s.n_points, s.through
     for a in range(np_):
         ta = through[a]
         for b in range(a + 1, np_):
@@ -322,11 +330,11 @@ def _a6_candidates(through, nbr, l1, l2, common):
     return cmask
 
 
-def _a6_pairs(s, through, nbr, blocks=None):
+def _a6_pairs(s, nbr, blocks):
     """Yield (l1, l2, cmask) per intersecting ordinary pair, l1 first, for l1
-    among the first `blocks` ordinary lines (all of them by default); cmask
-    is the pair's _a6_candidates."""
-    masks = s.line_masks
+    among the first `blocks` ordinary lines (all of them if None); cmask is
+    the pair's _a6_candidates."""
+    masks, through = s.line_masks, s.through
     olines = s.ordinary_lines
     for x, l1 in enumerate(olines[:blocks]):
         m1 = masks[l1]
@@ -336,7 +344,7 @@ def _a6_pairs(s, through, nbr, blocks=None):
                 yield l1, l2, _a6_candidates(through, nbr, l1, l2, common)
 
 
-def _a6_scan(s, through, nbr, blocks=None):
+def _a6_scan(s, blocks):
     """Every quadruple of the pairs of _a6_pairs, one pair's candidate list at
     a time, stopping at the first failure: (verdict, witness, weight), the
     weight being the sum of C(candidates, 2) over the pairs walked.
@@ -344,9 +352,9 @@ def _a6_scan(s, through, nbr, blocks=None):
     Only a g2 that misses g1 can fail, so g2 runs over the candidates above
     g1 outside nbr[g1]; the first failure is the same as over all pairs.
     """
-    masks = s.line_masks
+    masks, nbr = s.line_masks, meeting(s.lines, s.through, range(s.n_lines))
     weight = 0
-    for l1, l2, cmask in _a6_pairs(s, through, nbr, blocks):
+    for l1, l2, cmask in _a6_pairs(s, nbr, blocks):
         weight += comb2(cmask.bit_count())
         m1, m2 = masks[l1], masks[l2]
         for g1 in iter_bits(cmask):
@@ -361,34 +369,29 @@ def _a6_scan(s, through, nbr, blocks=None):
     return True, None, weight
 
 
-def _a6_sampled(s, through, nbr, samples, seed, certified):
+def _a6_sampled(s, samples, seed, scan):
     """Seeded uniform draws of distinct quadruples, pair by cumulative weight.
 
-    certified says that A1 holds, the translations are certified and nbr
-    holds line 0 and its neighbours only.  Then the line-0 scan of full A6
-    runs first, and if it passes, every quadruple passes (see check_axioms),
-    so every seeded draw would pass: A6 holds with no witness, and the
-    coverage is that of the per-draw path on a passing model, `samples`
-    distinct quadruples, with no draw made.  The space comes from the
-    weight of that scan, nu * sum over l2 of C(candidates(0, l2), 2) / 2:
-    translation by -l1 maps pair (l1, l2) onto (0, l2 - l1), and the
-    candidate counts are symmetric under v -> -v, as (0, v) and (-v, 0)
-    are translates.
+    scan is check_axioms's line-0 scan, (verdict, witness, weight), or None
+    on a structure that is not certified.  When it passes no draw is made
+    (see check_axioms), and the space comes from its weight, nu * sum over
+    l2 of C(candidates(0, l2), 2) / 2: translation by -l1 maps pair (l1, l2)
+    onto (0, l2 - l1), and the candidate counts are symmetric under v -> -v,
+    as (0, v) and (-v, 0) are translates.
 
-    Otherwise nbr is widened to every line, and one pass stores each
-    intersecting pair and its cumulative weight C(candidates, 2), 16 bytes
-    a pair; a draw rebuilds its own pair's _a6_candidates, picks two of its
-    set bits and tests them (_a6_draws).
+    Otherwise nbr[i] holds the lines meeting line i, for every line, and one
+    pass stores each intersecting pair and its cumulative weight
+    C(candidates, 2), 16 bytes a pair; a draw rebuilds its own pair's
+    _a6_candidates, picks two of its set bits and tests them (_a6_draws).
     """
-    proven, _, weight = _a6_scan(s, through, nbr, 1) if certified else (False, None, 0)
-    if proven:
-        total = len(s.ordinary_lines) * weight // 2
+    if scan and scan[0]:
+        total = len(s.ordinary_lines) * scan[2] // 2
+        ok, witness, drawn = True, None, min(total, samples)
     else:
-        if certified:  # nbr covers line 0 and its neighbours only
-            nbr = meeting(s.lines, through, range(s.n_lines))
+        through, nbr = s.through, meeting(s.lines, s.through, range(s.n_lines))
         first, second, cum = array("i"), array("i"), array("q")
         total = 0
-        for l1, l2, cmask in _a6_pairs(s, through, nbr):
+        for l1, l2, cmask in _a6_pairs(s, nbr, None):
             total += comb2(cmask.bit_count())
             first.append(l1)
             second.append(l2)
@@ -409,17 +412,14 @@ def _a6_sampled(s, through, nbr, samples, seed, certified):
                 return {"l1": l1, "l2": l2, "g1": g1, "g2": g2}
             return None
 
-    # full enumeration is cheaper and stronger than sampling a space this small
-    exhaustive = total <= samples
-    if proven:
-        ok, witness, drawn = True, None, min(total, samples)
-    elif exhaustive:
-        (ok, witness, _), drawn = _a6_scan(s, through, nbr), total
-    else:
-        drawn, witness = _a6_draws(total, samples, seed, test)
-        ok = witness is None
+        # full enumeration is cheaper and stronger than sampling a space this small
+        if total <= samples:
+            (ok, witness, _), drawn = _a6_scan(s, None), total
+        else:
+            drawn, witness = _a6_draws(total, samples, seed, test)
+            ok = witness is None
     return ok, witness, {"space": total, "drawn": drawn, "distinct": drawn,
-                         "exhaustive": exhaustive}
+                         "exhaustive": total <= samples}
 
 
 def _a6_draws(total, samples, seed, test):

@@ -956,3 +956,28 @@ def test_cli_model_over_a_prime_power_p_is_a_typed_error(tmp_path, capsys, args)
     capsys.readouterr()
     assert run_cli(args[0], str(path), *args[1:]) == 2
     assert capsys.readouterr() == ("", "error: p = 4 is not prime\n")
+
+
+@pytest.mark.parametrize("args", [("verify", "--profile", "quick"),
+                                  ("verify", "--profile", "full"), ("cliques",)],
+                         ids=["quick", "full", "cliques"])
+def test_cli_model_over_a_large_prime_p_is_refused_by_the_field_bound(tmp_path, capsys,
+                                                                      monkeypatch, args):
+    """An R(3,9) file relabelled p = q = m = n = 2^61 - 1, e = k = 1, keeps
+    its parameters consistent; its field is past the order bound, which is
+    checked before p is tested for primality (by trial division, minutes
+    at this p), so loading it exits 2 at once."""
+    import prect.gf
+
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    p = 2 ** 61 - 1
+    d["params"].update(p=p, q=p, m=p, n=p, e=1, k=1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    monkeypatch.setattr(prect.gf, "is_prime", no_trial_division)
+    assert run_cli(args[0], str(path), *args[1:]) == 2
+    assert capsys.readouterr() == ("", f"error: field order {p}^1 exceeds bound 8192\n")

@@ -79,6 +79,24 @@ def test_max_order_is_accepted_and_the_next_field_order_refused():
         FieldCtx(*_prime_power(nxt))
 
 
+def test_an_order_past_the_bound_is_refused_before_trial_division(monkeypatch):
+    """A p past MAX_ORDER, prime or not, is refused by the order bound
+    without trial division, which for p = 2^61 - 1 would take minutes; a p
+    within the bound that is not prime is still named as such."""
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    with monkeypatch.context() as mp:
+        mp.setattr("prect.gf.is_prime", no_trial_division)
+        for p in (2 ** 61 - 1, (2 ** 61 - 1) * (2 ** 31 - 1), MAX_ORDER + 1):
+            with pytest.raises(FieldError, match=rf"field order {p}\^1 exceeds bound {MAX_ORDER}"):
+                FieldCtx(p, 1)
+        with pytest.raises(FieldError, match="extension degree must be >= 1"):
+            FieldCtx(2 ** 61 - 1, 0)
+    with pytest.raises(FieldError, match="p = 4 is not prime"):
+        FieldCtx(4, 2)
+
+
 NONPRIME_ORDERS_TO_256 = [(p, m) for p in range(2, 17) if is_prime(p)
                           for m in range(2, 9) if p ** m <= 256]
 

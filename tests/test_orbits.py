@@ -27,9 +27,9 @@ from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, census_w
                      unreduced_cliques_through_0)
 from prect._util import iter_bits
 from prect.cli import main
-from prect.cliques import (CliqueCensus, CliqueError, _cliques_through_0, classify_census,
-                           clique_intersections, enumerate_maximal_cliques, extract_plane,
-                           plane_extraction)
+from prect.cliques import (CliqueCensus, CliqueError, _cliques_through_0,
+                           check_enumeration_bound, classify_census, clique_intersections,
+                           enumerate_maximal_cliques, extract_plane, plane_extraction)
 from prect.construct import build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
@@ -121,6 +121,63 @@ def test_twin_quotient_cliques_of_the_invariant_mutants(name):
     Bron-Kerbosch on the whole graph."""
     g = build_line_graph(SOUNDNESS[name]())
     assert _cliques_through_0(g) == unreduced_cliques_through_0(g)
+
+
+@pytest.mark.parametrize("name", list(SOUNDNESS))
+def test_a6_at_line_0_equals_the_all_pairs_path(name, monkeypatch):
+    """at_line_0 holds line 0 and every line that shares a point with it, in
+    line order, as a structure over the same points with masks that narrow.
+    On a certified structure that passes A1, A6 scans the pairs (0, l2)
+    there: the verdict, first witness and coverage of both profiles are
+    those of the all-pairs path, and a passing scan's nu * weight / 2 (the
+    proven space) is the all-pairs space."""
+    s = SOUNDNESS[name]().structure
+    lines, local = s.at_line_0
+    assert lines == [j for j in range(s.n_lines) if j == 0 or set(s.lines[j]) & set(s.lines[0])]
+    assert local.lines == [s.lines[j] for j in lines] and local.points == s.points
+    assert local.special_point == s.special_point
+    assert max(local.through).bit_length() == len(lines)
+    assert local.ordinary_lines[0] == 0
+    certified = s.translations is not None and check_axioms(s, "full").verdicts["A1"]
+    assert certified or name not in MODELS
+    reports = {mode: check_axioms(s, mode, a6_samples=500, seed=1) for mode in ("full", "sampled")}
+    with monkeypatch.context() as mp:
+        _all_vertex(mp)
+        for mode, rep in reports.items():
+            every = check_axioms(s, mode, a6_samples=500, seed=1)
+            assert (every.verdicts, every.witnesses, every.a6_coverage) == \
+                (rep.verdicts, rep.witnesses, rep.a6_coverage), mode
+    if name == "twisted R(3,9)":
+        assert reports["full"].witnesses["A6"] == {"l1": 0, "l2": 1, "g1": 10, "g2": 18}
+
+
+@pytest.mark.parametrize("name", ["PG(2,2)", "PG(2,3)", "PG(2,4)", "PG(2,7)", "L_2^2", "L_2^3",
+                                  "L_2^4", "R(3,9)", "twisted R(3,9)", "PG(2,3) add point"])
+def test_enumeration_bound_refuses_a_complete_certified_graph(name, monkeypatch):
+    """Between the two bounds a certified graph of lines is refused only when
+    it is complete, as a plane's is (also with a point added to every
+    ordinary line, which breaks A1 and keeps the certificate); the graph
+    itself is the oracle.  A renumbered model is not certified and is
+    refused."""
+    if name == "PG(2,3) add point":
+        model = _mutant("PG(2,3)", "add point", lambda opts: opts[0])
+    else:
+        model = {**MODELS, "PG(2,7)": lambda: ladder_model("PG(2,7)")}[name]()
+    nu = model.num_ordinary_lines
+    assert model.structure.translations is not None
+    monkeypatch.setattr("prect.cliques.ENUMERATION_MAX_VERTICES", nu - 1)
+    monkeypatch.setattr("prect.cliques.CAYLEY_MAX_VERTICES", nu)
+    if build_line_graph(model).is_complete():
+        assert name.startswith("PG")
+        with pytest.raises(CliqueError, match=f"limited to {nu - 1} vertices"):
+            check_enumeration_bound(model)
+    else:
+        check_enumeration_bound(model)
+    if nu > 5:  # PG(2,2) has four ordinary lines
+        d = model_to_dict(model)
+        d["structure"] = _renumbered(model).to_json_dict()
+        with pytest.raises(CliqueError, match=f"limited to {nu - 1} vertices"):
+            check_enumeration_bound(model_from_dict(d))
 
 
 def test_repeated_plane_clique_takes_the_all_vertex_path(census_l23, l23, g_l23, monkeypatch):
