@@ -40,7 +40,7 @@ print(f"   backtracking search finds its own:            {found.cycle}")
 assert walk.verified and found.verified
 
 cert = certify_srg(g, 2, 4)
-chrom = chromatic_by_construction(g, l22, cert, 2, 4)
+chrom = chromatic_by_construction(g, l22, cert)
 searched = chromatic_analysis(g, cert, 2, 4)
 print("chromatic number of G(L_2^2):")
 print(f"   eigenvalue bound {chrom.haemers_bound} = {chrom.haemers_exact}")

@@ -17,8 +17,7 @@ verify reports them without loading this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil
+from math import gcd
 
 from ._util import iter_bits
 from .construct import RectangleModel
@@ -113,12 +112,20 @@ def hamiltonian_by_construction(g: LineGraph, model: RectangleModel,
 
 
 class ChromaticReport:
-    def __init__(self, haemers_bound: int, haemers_exact: str, claimed_bound: int,
-                 clique_lower_bound: int):
+    """The three lower bounds on chi that cert's parameters fix, and no chi
+    yet; haemers_exact writes 1 - tau2/tau1 in lowest terms, 0 if tau1 = 0."""
+
+    def __init__(self, cert: SrgCertificate):
+        mult2, tau1, tau2 = cert.multiplicities[2], cert.tau1, cert.tau2
+        num, den = (tau1 - tau2, tau1) if tau1 else (0, 1)
+        common = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // common, den // common
+        ratio = str(num) if den == 1 else f"{num}/{den}"
+        self.haemers_bound = min(mult2, -(-num // den))
+        self.haemers_exact = f"min({mult2}, {ratio})"
+        self.claimed_bound, self.clique_lower_bound = (cert.n - 1) * (cert.n - cert.m), cert.n
         self.exact_chromatic: int | None = None
         self.witness: list[int] | None = None
-        self.haemers_bound, self.haemers_exact = haemers_bound, haemers_exact
-        self.claimed_bound, self.clique_lower_bound = claimed_bound, clique_lower_bound
         self.flags = {}
         self.provenance: str | None = None
 
@@ -128,12 +135,12 @@ def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> ChromaticReport:
     """Bounds, exact chromatic number where feasible, and consistency flags.
 
-    The eigenvalue bound is min(mult(tau2), 1 - tau2/tau1) evaluated in exact
-    rational arithmetic, the claimed bound is (n-1)(n-m), the clique bound is
-    n.  The exact search is DSATUR-seeded branch and bound within a node
+    The bounds are those cert's parameters fix (ChromaticReport); m and n
+    are cert's own order, taken for perfbench/tracer.py's call and not read.
+    The exact search is DSATUR-seeded branch and bound within a node
     budget; its witness coloring is verified proper before being reported.
     """
-    report = _chromatic_bounds(cert, m, n)
+    report = ChromaticReport(cert)
     if g.nu <= exact_limit:
         chi, colors, exhausted = _exact_chromatic(g, node_budget)
         if not exhausted:
@@ -142,14 +149,14 @@ def chromatic_analysis(g: LineGraph, cert: SrgCertificate, m: int, n: int,
     return report
 
 
-def chromatic_by_construction(g: LineGraph, model: RectangleModel, cert: SrgCertificate,
-                              m: int, n: int) -> ChromaticReport:
+def chromatic_by_construction(g: LineGraph, model: RectangleModel,
+                              cert: SrgCertificate) -> ChromaticReport:
     """The bounds of chromatic_analysis with chi = n certified from the model.
 
     The ordinary lines through one point are an n-clique of g, and
     net_coloring gives a proper n-coloring; both are checked against g.
     """
-    report = _chromatic_bounds(cert, m, n)
+    report = ChromaticReport(cert)
     clique = _point_clique(model, _special_points(model, 0)[0])
     mask = sum(1 << v for v in clique)
     if not all((g.rows[v] | 1 << v) & mask == mask for v in clique):
@@ -158,17 +165,6 @@ def chromatic_by_construction(g: LineGraph, model: RectangleModel, cert: SrgCert
     _accept_coloring(report, g, model.n, colors, report.provenance)
     _flag_chromatic(report)
     return report
-
-
-def _chromatic_bounds(cert: SrgCertificate, m: int, n: int) -> ChromaticReport:
-    mult2 = cert.multiplicities[2]
-    ratio = Fraction(1) - Fraction(cert.tau2, cert.tau1) if cert.tau1 else Fraction(0)
-    return ChromaticReport(
-        haemers_bound=ceil(min(Fraction(mult2), ratio)),
-        haemers_exact=f"min({mult2}, {ratio})",
-        claimed_bound=(n - 1) * (n - m),
-        clique_lower_bound=n,
-    )
 
 
 def _accept_coloring(report: ChromaticReport, g: LineGraph, chi: int, colors, source: str):
@@ -287,9 +283,11 @@ def _exact_chromatic(g: LineGraph, node_budget: int):
 
 
 class EdgeColorReport:
-    def __init__(self, r: int, bracket: tuple[int, int], nu_odd: bool):
-        self.r, self.bracket, self.nu_odd = r, bracket, nu_odd
-        self.verdict = "unresolved"  # or "r+1 (odd order)", "r (coloring found)"
+    """The Vizing bracket {r, r+1} of an r-regular graph; odd order settles r+1."""
+
+    def __init__(self, r: int, nu_odd: bool):
+        self.r, self.bracket, self.nu_odd = r, (r, r + 1), nu_odd
+        self.verdict = "r+1 (odd order)" if nu_odd else "unresolved"  # or "r (coloring found)"
         self.witness: dict | None = None
         self.nodes_expanded = 0
         self.flags = {}
@@ -337,14 +335,12 @@ def _edge_bracket(g: LineGraph, m: int | None, n: int | None) -> EdgeColorReport
     if len(degs) != 1:
         raise AnalysisError("chromatic index bracket needs a regular graph")
     r = degs.pop()
-    rep = EdgeColorReport(r, (r, r + 1), g.nu % 2 == 1)
+    rep = EdgeColorReport(r, g.nu % 2 == 1)
     if m is not None and n is not None:
-        tau1, tau2 = n - m - 1, -(m + 1)
-        x = max(tau1, -tau2)
+        srg = SrgCertificate(m, n)
+        x = max(srg.tau1, -srg.tau2)
         rep.flags["max_eig_lt_r_0.9"] = x ** 10 < r ** 9
         rep.flags["m_plus_1_ge_ninth_root"] = (m + 1) ** 9 >= n - 1
-    if rep.nu_odd:
-        rep.verdict = "r+1 (odd order)"
     return rep
 
 

@@ -101,8 +101,11 @@ def line_matrix_map(model: RectangleModel, h: BilinearGraph) -> list[int]:
 
 
 class IsoReport:
-    def __init__(self, nu: int, bijective: bool, edge_preserving: bool):
-        self.nu, self.bijective, self.edge_preserving = nu, bijective, edge_preserving
+    """An isomorphism check on nu vertices; it starts unproven."""
+
+    def __init__(self, nu: int):
+        self.nu = nu
+        self.bijective = self.edge_preserving = False
         self.witness: dict | None = None
         self.pairs_checked = 0
 
@@ -120,7 +123,7 @@ def certify_isomorphism(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> Iso
     nu(nu-1)/2 when none differs.
     """
     nu = g1.nu
-    rep = IsoReport(nu=nu, bijective=False, edge_preserving=False)
+    rep = IsoReport(nu)
     if g2.nu != nu or len(mapping) != nu:
         rep.witness = {"check": "sizes", "nu1": nu, "nu2": g2.nu, "map": len(mapping)}
         return rep

@@ -35,8 +35,8 @@ NODES_PER_MS = 1000
 class RunReport(Verdicts):
     """Deterministic record of one CLI invocation."""
 
-    def __init__(self, version: str, command: str, params: dict):
-        self.version, self.command, self.params = version, command, params
+    def __init__(self, command: str, params: dict):
+        self.version, self.command, self.params = __version__, command, params
         self.verdicts, self.details, self.outputs = {}, {}, []
         self.timings_ms: dict | None = None
 
@@ -242,7 +242,7 @@ def cmd_cliques(args, report: RunReport) -> int:
 
 def cmd_iso(args, report: RunReport) -> int:
     run = _Run(args.model)
-    if run.model.family != "subplane" or run.model.line_coeffs is None:
+    if run.model.family != "subplane":
         print("iso requires a coordinatized subplane model", file=sys.stderr)
         return 2
     _a1(run, report)
@@ -318,7 +318,7 @@ def cmd_analyze(args, report: RunReport) -> int:
     if m != n:
         report.verdicts["srg"] = run.cert.ok
         chi = _witnessed(report, "chromatic_verified", "chromatic",
-                         lambda: chromatic_by_construction(g, model, run.cert, m, n))
+                         lambda: chromatic_by_construction(g, model, run.cert))
         if chi:
             report.details["chromatic"] = {
                 "exact": chi.exact_chromatic,
@@ -447,8 +447,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     if args.cmd == "export" and args.format is None:  # the first format of --what
         args.format = next(f for what, f in _EXPORTS if what == args.what)
-    report = RunReport(version=__version__, command=args.cmd,
-                       params={k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
+    report = RunReport(args.cmd, {k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
     try:
         code = _DISPATCH[args.cmd](args, report)
     except (ValueError, OSError) as exc:

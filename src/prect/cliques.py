@@ -45,8 +45,8 @@ from .linegraph import LineGraph
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the cliques through vertex 0 are
-# expanded: verify --profile full took 0.24 s and 22 MB on L_2^6,
-# 2.81-2.88 s and 25 MB on R(8,64), nu = 4096 (README, "Scale")
+# expanded: verify --profile full took 0.21-0.26 s on L_2^6 and 2.65-2.86 s
+# on R(8,64), nu = 4096, 92% of it iso; 22-25 MB (README, "Scale")
 CAYLEY_MAX_VERTICES = 4096
 
 

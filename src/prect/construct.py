@@ -66,13 +66,6 @@ class RectangleModel:
     def num_ordinary_lines(self) -> int:
         return len(self.structure.ordinary_lines)
 
-    def special_position(self, structure_line_index: int) -> int:
-        """Position of a special line inside the special block (0..m)."""
-        nu = self.num_ordinary_lines
-        if structure_line_index < nu:
-            raise BuildError(f"line {structure_line_index} is ordinary")
-        return structure_line_index - nu
-
     def alt_special_labels(self):
         """The alternate q=2 labeling that swaps the roles of s_1 and s_inf."""
         if self.q != 2 or self.family == "l2k":

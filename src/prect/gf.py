@@ -17,6 +17,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
+from ._util import add_digits
+
 # Setting up the arrays walks the powers of each candidate element up to the
 # least primitive one.  Each of the 1,078 fields of order up to 2^13 set up
 # within 0.3 s, and 2^14 took 1.4 s (one run each, 2-CPU host, Python 3.11).
@@ -99,20 +101,6 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(f, p):
             return tuple(f)
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-def add_digits(a: int, b: int, p: int, digits: int) -> int:
-    """Digit-wise sum mod p of two numbers of `digits` base-p digits: GF(p)^digits addition."""
-    if p == 2:
-        return a ^ b
-    out = 0
-    mult = 1
-    for _ in range(digits):
-        a, ra = divmod(a, p)
-        b, rb = divmod(b, p)
-        out += ((ra + rb) % p) * mult
-        mult *= p
-    return out
 
 
 class FieldCtx:

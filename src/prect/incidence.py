@@ -89,11 +89,6 @@ class IncidenceStructure:
     def n_lines(self) -> int:
         return len(self.lines)
 
-    def special_line_of_point(self, p: int):
-        """Index of the unique special line through an ordinary point, if unique."""
-        hits = [i for i in self.special_lines if self.through[p] >> i & 1]
-        return hits[0] if len(hits) == 1 else None
-
     @cached_property
     def translations(self) -> Translations | None:
         """The translations of GF(p)^d on the ordinary lines, if each extends

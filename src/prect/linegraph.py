@@ -80,13 +80,14 @@ class LineGraph:
 def edge_class(model: RectangleModel, u: int, v: int):
     """Position of the special line through the common point of lines u and v
     other than D; None unless they share exactly one such point and one
-    special line passes through it."""
+    special line passes through it.  The special lines come last (a model
+    file must list them so), so line nu + j is special line j."""
     s = model.structure
     common = s.line_masks[u] & s.line_masks[v] & ~(1 << s.special_point)
     if common.bit_count() != 1:
         return None
-    special = s.special_line_of_point(common.bit_length() - 1)
-    return model.special_position(special) if special is not None else None
+    special = s.through[common.bit_length() - 1] >> model.num_ordinary_lines
+    return special.bit_length() - 1 if special.bit_count() == 1 else None
 
 
 def build_line_graph(model: RectangleModel) -> LineGraph:
@@ -114,14 +115,17 @@ def build_line_graph(model: RectangleModel) -> LineGraph:
 
 
 class SrgCertificate(Verdicts):
-    """Exact strong-regularity evidence for expected parameters (nu,r,lam,mu);
-    the top eigenvalue tau0 is the degree r."""
+    """Exact strong-regularity evidence for the parameters (m, n) fix:
+    srg(n^2, (m+1)(n-1), n+(m+1)(m-2), m(m+1)), eigenvalues tau0 = r,
+    tau1 = n-m-1 and tau2 = -(m+1) with multiplicities 1, (m+1)(n-1) and
+    (n-m)(n-1).  It starts with no verdict; certify_srg gives them."""
 
-    def __init__(self, nu: int, r: int, lam: int, mu: int, tau1: int, tau2: int,
-                 multiplicities: tuple[int, int, int]):
-        self.nu, self.r, self.lam, self.mu = nu, r, lam, mu
-        self.tau0, self.tau1, self.tau2 = r, tau1, tau2
-        self.multiplicities = multiplicities
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.nu, self.r = n * n, (m + 1) * (n - 1)
+        self.lam, self.mu = n + (m + 1) * (m - 2), m * (m + 1)
+        self.tau0, self.tau1, self.tau2 = self.r, n - m - 1, -(m + 1)
+        self.multiplicities = (1, self.r, (n - m) * (n - 1))
         self.verdicts = {}
         self.witness: dict | None = None
 
@@ -130,26 +134,16 @@ class SrgCertificate(Verdicts):
         return (self.nu, self.r, self.lam, self.mu)
 
 
-def expected_srg_parameters(m: int, n: int) -> tuple[int, int, int, int]:
-    nu = n * n
-    r = (m + 1) * (n - 1)
-    lam = n + (m + 1) * (m - 2)
-    mu = m * (m + 1)
-    return nu, r, lam, mu
-
-
 def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
-    """Certify srg(n^2, (m+1)(n-1), n+(m+1)(m-2), m(m+1)) by direct count.
+    """Certify the parameters of SrgCertificate(m, n) by direct count.
 
     Checks, in exact integer arithmetic: vertex count, degree regularity,
     common-neighbor counts for every pair, the quadratic matrix identity
-    with tau1 = n-m-1 and tau2 = -(m+1), and the eigenvalue multiplicities
-    via the trace equations.
+    in tau1 and tau2, and the eigenvalue multiplicities via the trace
+    equations.
     """
-    nu, r, lam, mu = expected_srg_parameters(m, n)
-    tau1, tau2 = n - m - 1, -(m + 1)
-    mult = (1, (m + 1) * (n - 1), (n - m) * (n - 1))
-    cert = SrgCertificate(nu, r, lam, mu, tau1, tau2, mult)
+    cert = SrgCertificate(m, n)
+    nu, r, mu, tau1, tau2 = cert.nu, cert.r, cert.mu, cert.tau1, cert.tau2
     v = cert.verdicts
 
     v["vertex_count"] = g.nu == nu
@@ -173,7 +167,7 @@ def certify_srg(g: LineGraph, m: int, n: int) -> SrgCertificate:
         cert.witness = spectral_witness
 
     # Multiplicities f1, f2 solve 1+f1+f2 = nu and tau0+f1*tau1+f2*tau2 = 0.
-    f0, f1, f2 = mult
+    f0, f1, f2 = cert.multiplicities
     v["multiplicity_sum"] = f0 + f1 + f2 == nu
     v["trace_zero"] = cert.tau0 * f0 + tau1 * f1 + tau2 * f2 == 0
     v["trace_square"] = cert.tau0 ** 2 * f0 + tau1 ** 2 * f1 + tau2 ** 2 * f2 == nu * r
@@ -269,7 +263,7 @@ def planarity_verdict(g: LineGraph, m: int, n: int) -> PlanarityReport:
     if m == 2 and n == 2:
         is_k4 = g.nu == 4 and g.is_complete()
         return PlanarityReport(is_k4, "graph is K_4, drawable in the plane", is_k4)
-    r = (m + 1) * (n - 1)
+    r = SrgCertificate(m, n).r
     if r >= 6:
         return PlanarityReport(False, f"regular of degree {r} >= 6")
     return PlanarityReport(False, f"unexpected parameters m={m}, n={n}")
@@ -298,9 +292,11 @@ def eulerian_verdict(g: LineGraph, m: int, n: int) -> EulerianReport:
 
 
 class KreinReport:
-    def __init__(self, srg: bool, lhs1: int, rhs1: int, lhs2: int, rhs2: int):
-        self.srg = srg  # the certificate passed, so its eigenvalues are the graph's
-        self.lhs1, self.rhs1, self.lhs2, self.rhs2 = lhs1, rhs1, lhs2, rhs2
+    def __init__(self, cert: SrgCertificate):
+        r, s, t = cert.tau0, cert.tau1, cert.tau2
+        self.srg = cert.ok  # the certificate passed, so its eigenvalues are the graph's
+        self.lhs1, self.rhs1 = (s + 1) * (r + s + 2 * s * t), (r + s) * (t + 1) ** 2
+        self.lhs2, self.rhs2 = (t + 1) * (r + t + 2 * s * t), (r + t) * (s + 1) ** 2
 
     @property
     def ok(self) -> bool:
@@ -315,11 +311,4 @@ def krein_check(cert: SrgCertificate) -> KreinReport:
     eigenvalues are the expected parameters' formulas, which describe the
     graph only when the certificate passes, so a failed certificate fails.
     """
-    r, s, t = cert.tau0, cert.tau1, cert.tau2
-    return KreinReport(
-        srg=cert.ok,
-        lhs1=(s + 1) * (r + s + 2 * s * t),
-        rhs1=(r + s) * (t + 1) ** 2,
-        lhs2=(t + 1) * (r + t + 2 * s * t),
-        rhs2=(r + t) * (s + 1) ** 2,
-    )
+    return KreinReport(cert)

@@ -16,7 +16,9 @@ they show, independently of the incidence certificate that replaced them,
 that a certified model's graph is a Cayley graph and its clique classes are
 closed under translation.  drop_line makes a structure with one line
 removed.  lines_at is the oracles' own point index, read off s.lines, so
-that they share none of the library's incidence index.
+that they share none of the library's incidence index; special_line_at and
+special_position read the special lines off s.lines alike, and digit_sum
+adds vertex numbers digit by digit without the library's adder.
 unreduced_cliques_through_0 is Bron-Kerbosch through vertex 0 on the whole
 graph, without the library's twin classes of N(0).
 
@@ -42,7 +44,7 @@ from prect.cliques import CliqueCensus, _bron_kerbosch
 from prect.construct import (BuildError, RectangleModel, build_l2k, build_subplane_rect,
                              normalize_point)
 from prect.export import model_from_dict, model_to_dict
-from prect.gf import add_digits, field_make
+from prect.gf import field_make
 from prect.incidence import IncidenceStructure, check_axioms, elementary_counts, order_of
 from prect.linegraph import LineGraph, eccentricity, edge_class
 
@@ -68,6 +70,23 @@ def lines_at(s: IncidenceStructure) -> list[list[int]]:
         for p in t:
             at[p].append(i)
     return at
+
+
+def special_line_at(s: IncidenceStructure, p: int):
+    """The index of the one special line through point p, read off s.lines;
+    None unless exactly one passes through it."""
+    hits = [i for i, t in enumerate(s.lines) if p in t and s.special_point in t]
+    return hits[0] if len(hits) == 1 else None
+
+
+def special_position(s: IncidenceStructure, line_index: int) -> int:
+    """The position of special line line_index among the special lines."""
+    return sum(s.special_point in t for t in s.lines[:line_index])
+
+
+def digit_sum(x: int, t: int, p: int, d: int) -> int:
+    """x + t in GF(p)^d, the vectors of their d base-p digits."""
+    return sum((x // p ** i + t // p ** i) % p * p ** i for i in range(d))
 
 
 def drop_line(s: IncidenceStructure, line_index: int) -> IncidenceStructure:
@@ -98,7 +117,7 @@ def adjacency_matrix(g: LineGraph) -> np.ndarray:
 class CommonPoint:
     point: tuple[int, int, int]
     point_index: int
-    special_line: int
+    special_position: int
     special_label: str
 
 
@@ -124,9 +143,8 @@ def common_point(l1: int, l2: int, model: RectangleModel):
     if pt not in model.point_coords:
         return None
     idx = model.point_coords.index(pt)
-    special = model.structure.special_line_of_point(idx)
-    return CommonPoint(pt, idx, special,
-                       model.special_labels[model.special_position(special)])
+    position = special_position(model.structure, special_line_at(model.structure, idx))
+    return CommonPoint(pt, idx, position, model.special_labels[position])
 
 
 def find_isomorphism(s1: IncidenceStructure, s2: IncidenceStructure):
@@ -233,7 +251,7 @@ def colored_line_graph(model: RectangleModel) -> tuple[LineGraph, dict]:
             continue
         through = [i for i in lines if i < nu]
         special = [i for i in lines if s.special_point in s.lines[i]]
-        c = model.special_position(special[0]) if len(special) == 1 else None
+        c = special_position(s, special[0]) if len(special) == 1 else None
         for x in range(len(through)):
             u = through[x]
             for y in range(x + 1, len(through)):
@@ -515,7 +533,7 @@ def hq2k_with_matrices(p: int, e: int, k: int) -> tuple[LineGraph, list, dict]:
 def isomorphism_by_pairs(g1: LineGraph, g2: LineGraph, mapping: list[int]) -> IsoReport:
     """IsoReport from an adjacency probe on every pair u < v, in row-major order."""
     nu = g1.nu
-    rep = IsoReport(nu=nu, bijective=False, edge_preserving=False)
+    rep = IsoReport(nu)
     if g2.nu != nu or len(mapping) != nu:
         rep.witness = {"check": "sizes", "nu1": nu, "nu2": g2.nu, "map": len(mapping)}
         return rep
@@ -567,7 +585,7 @@ def cayley_prime(g: LineGraph):
     negated = sorted(sum(-(s // p ** i) % p * p ** i for i in range(d)) for s in n0)
     if 0 in n0 or negated != n0:
         return None
-    if any(g.rows[x] != sum(1 << add_digits(x, s, p, d) for s in n0) for x in range(nu)):
+    if any(g.rows[x] != sum(1 << digit_sum(x, s, p, d) for s in n0) for x in range(nu)):
         return None
     return p
 
@@ -740,7 +758,7 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
     else:
         q = choose(line0)
         if kind == "slide point":
-            along = s.lines[s.special_line_of_point(q)]
+            along = s.lines[special_line_at(s, q)]
             off = [x for x in along if x != D and x not in line0]
         new = choose(off)
         line0[line0.index(q)] = new
@@ -749,7 +767,7 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
     def image(q, t):
         if q == D:
             return D
-        return point_of[tuple(sorted(add_digits(x, t, p, d) for x in pencils[q]))]
+        return point_of[tuple(sorted(digit_sum(x, t, p, d) for x in pencils[q]))]
 
     lines = [[image(q, t) for q in line0] for t in range(nu)]
     lines += [s.lines[j] for j in s.special_lines]

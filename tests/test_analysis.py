@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,8 @@ import prect
 
 from oracles import graph_from_edges, without_edge
 from prect._util import iter_bits
-from prect.analysis import (AnalysisError, _exact_chromatic, _proper, _proper_edges,
-                            chromatic_analysis, chromatic_by_construction,
+from prect.analysis import (AnalysisError, ChromaticReport, _exact_chromatic, _proper,
+                            _proper_edges, chromatic_analysis, chromatic_by_construction,
                             chromatic_index_bracket, chromatic_index_by_construction,
                             eulerian_verdict, hamiltonian_by_construction,
                             hamiltonian_search, krein_check, net_coloring,
@@ -23,7 +25,7 @@ from prect.analysis import (AnalysisError, _exact_chromatic, _proper, _proper_ed
                             validate_cycle)
 from prect.construct import build_l2k, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
-from prect.linegraph import LineGraph, build_line_graph, certify_srg
+from prect.linegraph import LineGraph, SrgCertificate, build_line_graph, certify_srg
 
 KNOWN_HAMILTON_CYCLE = [4, 5, 6, 7, 8, 9, 10, 11, 3, 2, 1, 0, 15, 14, 13, 12, 4]
 
@@ -160,6 +162,23 @@ def test_chromatic_bounds_only_over_limit(g_r39):
     assert rep.exact_chromatic is None
     assert rep.haemers_bound == 2          # min(48, 9/5) rounded up
     assert rep.claimed_bound == 48
+
+
+PRIME_POWER_ORDERS = [(m, m ** k) for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+                      for k in range(1, 9) if m ** k <= 256]
+
+
+@pytest.mark.parametrize("m,n", PRIME_POWER_ORDERS,
+                         ids=[f"{m},{n}" for m, n in PRIME_POWER_ORDERS])
+def test_integer_haemers_bound_matches_fractions(m, n):
+    """ChromaticReport's integer eigenvalue bound and its text equal the
+    rational computation min(mult2, 1 - tau2/tau1), rounded up."""
+    mult2, tau1, tau2 = (n - m) * (n - 1), n - m - 1, -(m + 1)
+    ratio = Fraction(1) - Fraction(tau2, tau1) if tau1 else Fraction(0)
+    rep = ChromaticReport(SrgCertificate(m, n))
+    assert rep.haemers_bound == ceil(min(Fraction(mult2), ratio))
+    assert rep.haemers_exact == f"min({mult2}, {ratio})"
+    assert (rep.claimed_bound, rep.clique_lower_bound) == ((n - 1) * (n - m), n)
 
 
 def test_chromatic_index_k4(g_pp2):
@@ -374,7 +393,7 @@ analysis.net_coloring = lambda model: ([0] * g.nu, "constant")
 analysis.net_one_factorization = lambda model: ((e, 1) for e in g.edges())
 analysis.rook_walk = lambda model: list(range(g.nu)) + [0]
 raised = 0
-for call in (lambda: analysis.chromatic_by_construction(g, model, certify_srg(g, 2, 4), 2, 4),
+for call in (lambda: analysis.chromatic_by_construction(g, model, certify_srg(g, 2, 4)),
              lambda: analysis.chromatic_index_by_construction(g, model, 2, 4),
              lambda: analysis.hamiltonian_by_construction(g, model, 2, 4)):
     try:
@@ -446,7 +465,7 @@ def test_constructed_chi_equals_exact_search(name):
     model = WITNESS_MODELS[name]()
     g = build_line_graph(model)
     m, n = model.m, model.n
-    rep = chromatic_by_construction(g, model, certify_srg(g, m, n), m, n)
+    rep = chromatic_by_construction(g, model, certify_srg(g, m, n))
     chi, _, exhausted = _exact_chromatic(g, 10 ** 6)
     assert not exhausted and rep.exact_chromatic == chi == n
     assert rep.flags["claimed_bound_consistent"] is False

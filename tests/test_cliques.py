@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import prect.cliques
 from oracles import (CAYLEY_LADDER, census_with, extract_plane_by_axioms, fields,
-                     graph_from_edges, ladder_model, translation_group,
+                     graph_from_edges, ladder_model, special_line_at, translation_group,
                      unreduced_cliques_through_0, without_edge, without_ordinary_lines)
 from prect._util import comb2
 from prect.cliques import (CliqueError, classify_census, clique_intersections,
@@ -137,7 +137,7 @@ def test_point_cliques_same_special_line_disjoint(census_l22, l22):
     by_special = {}
     for pc in census_l22.point_cliques:
         (point,) = set.intersection(*(set(s.lines[v]) for v in pc))
-        by_special.setdefault(s.special_line_of_point(point), []).append(set(pc))
+        by_special.setdefault(special_line_at(s, point), []).append(set(pc))
     for group in by_special.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import diameter, factorization_check, find_isomorphism
+from oracles import colored_line_graph, diameter, factorization_check, find_isomorphism
 from prect.analysis import eulerian_verdict, krein_check
 from prect.bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 from prect.cliques import classify_census, clique_intersections, extract_plane
 from prect.construct import build_l2k, build_subplane_rect
 from prect.geometry import build_plane_clique_structure, build_point_clique_geometry
 from prect.incidence import check_axioms, elementary_counts, order_of
-from prect.linegraph import build_line_graph, certify_srg
+from prect.linegraph import build_line_graph, certify_srg, edge_class
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,13 @@ def test_r525_srg_and_graph_laws(r525, g_r525):
     assert factorization_check(g_r525, r525).ok
     assert eulerian_verdict(g_r525, 5, 25).consistent
     assert krein_check(cert).ok
+
+
+def test_r525_edge_classes_match_the_pairwise_oracle(r525, g_r525):
+    """edge_class agrees with the pair-by-pair colored build on every edge."""
+    h, colors = colored_line_graph(r525)
+    assert h.rows == g_r525.rows
+    assert {(u, v): edge_class(r525, u, v) for u, v in g_r525.edges()} == colors
 
 
 def test_r525_census_and_geometry(r525, g_r525):

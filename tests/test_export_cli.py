@@ -943,6 +943,41 @@ def test_cli_malformed_model_parameters_are_a_typed_error(tmp_path, capsys, fiel
     assert capsys.readouterr() == ("", f"error: model parameter {message}\n")
 
 
+FAMILY_CONTRADICTIONS = {
+    "R(3,9) as l2k": (("subplane", "--p", "3", "--k", "2"), "l2k",
+                      "model family l2k has p = 2, not p = 3"),
+    "R(4,16) as l2k": (("subplane", "--p", "2", "--e", "2", "--k", "2"), "l2k",
+                       "model family l2k has e = 1, not e = 2"),
+    "R(2,4) as l2k": (("subplane", "--p", "2", "--k", "2"), "l2k",
+                      "model family l2k has no point_coords"),
+    "L_2^2 as subplane": (("l2k", "--k", "2"), "subplane", "need a coordinatized subplane model"),
+    "PG(2,3) as subplane": (("plane", "--p", "3"), "subplane",
+                            "model family subplane has k >= 2, not k = 1"),
+    "L_2^2 as plane": (("l2k", "--k", "2"), "plane", "need a coordinatized plane model"),
+    "R(3,9) as plane": (("subplane", "--p", "3", "--k", "2"), "plane",
+                        "model family plane has k = 1, not k = 2"),
+}
+
+
+@pytest.mark.parametrize("build,family,message", FAMILY_CONTRADICTIONS.values(),
+                         ids=FAMILY_CONTRADICTIONS)
+def test_cli_model_whose_family_contradicts_its_fields_is_a_typed_error(tmp_path, capsys, build,
+                                                                         family, message):
+    """A built model file with only its family changed, to one that its p,
+    e, k or coordinates rule out, exits 2 naming the field, under verify,
+    iso and analyze alike (an l2k R(3,9) raised IndexError in analyze, and
+    a plane R(3,9) passed verify with no isomorphism verdict)."""
+    d = _built(tmp_path, "m.json", "--family", *build)
+    d["family"] = family
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    for argv in (("verify", str(path), "--profile", "full"), ("iso", str(path)),
+                 ("analyze", "--graph", str(path))):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("args", [("verify", "--profile", "quick"),
                                   ("verify", "--profile", "full"), ("cliques",)],
                          ids=["quick", "full", "cliques"])

@@ -20,7 +20,9 @@ translate) through the orbit paths.  Through verify in both profiles the
 certified paths must give the A6 verdict, witness and coverage of the
 uncertified ones; through cliques and geometry, whose census carries the
 certificate in place of a closure check, the same exit code, stdout and
-stderr.
+stderr.  Every such mutant of L_2^3, R(3,9) and R(4,16), the first and the
+last choice of each mutation, also runs through iso and analyze: an exit
+code of 0, 1 or 2 and no exception.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ BUILDS = {
     "L_2^2": ("--family", "l2k", "--k", "2"),
     "R(3,9)": ("--family", "subplane", "--p", "3", "--k", "2"),
     "PG(2,3)": ("--family", "plane", "--p", "3"),
+}
+ISO_ANALYZE_BUILDS = {
+    "L_2^3": ("--family", "l2k", "--k", "3"),
+    "R(3,9)": BUILDS["R(3,9)"],
+    "R(4,16)": ("--family", "subplane", "--p", "2", "--e", "2", "--k", "2"),
 }
 
 MUTATIONS = ["drop incidence", "add incidence", "duplicate line", "relabel D", "special triple"]
@@ -97,7 +104,7 @@ def _recheck(argv, out: str, err: str):
 def _model_json(name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
-        assert _run("build", *BUILDS[name], "--out", path)[0] == 0
+        assert _run("build", *{**BUILDS, **ISO_ANALYZE_BUILDS}[name], "--out", path)[0] == 0
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 
@@ -167,19 +174,23 @@ def _a6(out: str):
 
 
 @contextlib.contextmanager
-def _invariant_mutant_file(name: str, kind: str, data):
-    """The path of a model file of name whose structure is an invariant mutant."""
+def _invariant_mutant_file(name: str, kind: str, choose):
+    """(the path of a model file of name whose structure is an invariant
+    mutant, its description), choose(options) picking each choice of the
+    mutation."""
     d = json.loads(_model_json(name))
-    mutant, what = invariant_mutant(model_from_dict(d).structure, kind,
-                                    lambda options: data.draw(st.sampled_from(options)))
-    note(what)
+    mutant, what = invariant_mutant(model_from_dict(d).structure, kind, choose)
     d["structure"] = mutant.to_json_dict()
     _check_index(d["structure"])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(d, fh, sort_keys=True)
-        yield path
+        yield path, what
+
+
+def _drawn(data):
+    return lambda options: data.draw(st.sampled_from(options))
 
 
 @pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
@@ -187,7 +198,8 @@ def _invariant_mutant_file(name: str, kind: str, data):
 @settings(max_examples=6, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
-    with _invariant_mutant_file(name, kind, data) as path:
+    with _invariant_mutant_file(name, kind, _drawn(data)) as (path, what):
+        note(what)
         for argv in VERIFY_COMMANDS:
             argv = [a.format(path) for a in argv]
             code, out, err = _cli(*argv)
@@ -206,7 +218,8 @@ def test_invariant_mutant_gives_the_uncertified_a6(name, kind, data):
 @given(data=st.data())
 def test_invariant_mutant_gives_the_uncertified_census_and_geometry(name, kind, data):
     """Any exception, KeyError, IndexError or RecursionError included, fails the test."""
-    with _invariant_mutant_file(name, kind, data) as path:
+    with _invariant_mutant_file(name, kind, _drawn(data)) as (path, what):
+        note(what)
         for argv in (("cliques", path), ("geometry", path)):
             certified = _cli(*argv)
             with pytest.MonkeyPatch.context() as mp:
@@ -215,3 +228,13 @@ def test_invariant_mutant_gives_the_uncertified_census_and_geometry(name, kind, 
             assert certified[0] in (0, 1, 2), argv
             if certified[0] != 2:
                 _recheck(argv, *certified[1:])
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
+@pytest.mark.parametrize("name", sorted(ISO_ANALYZE_BUILDS))
+def test_invariant_mutant_through_iso_and_analyze_gives_an_exit_code(name, kind, end):
+    """Any exception, KeyError, IndexError or RecursionError included, fails the test."""
+    with _invariant_mutant_file(name, kind, lambda options: options[end]) as (path, what):
+        for argv in (("iso", path), ("analyze", "--graph", path)):
+            assert _cli(*argv)[0] in (0, 1, 2), (argv, what)

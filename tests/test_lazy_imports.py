@@ -4,8 +4,9 @@ The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
 `prect build` process compiles six modules, not twelve.  verify reads its
 planarity, Eulerian and Krein verdicts from linegraph, so it never loads
-analysis.  No module imports dataclasses, which would load inspect, and no
-report class outside _util restates the ok rule of its checks or verdicts.
+analysis.  No module imports dataclasses, which would load inspect, nor
+fractions: analyze's eigenvalue bound is integer work.  No report class
+outside _util restates the ok rule of its checks or verdicts.
 Every run here is a fresh interpreter, since one test process has long
 since loaded them all.
 """
@@ -56,7 +57,7 @@ _LOADED = """if True:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = prect.cli.main(sys.argv[1:])
     print(json.dumps([code, sorted(k[6:] for k in sys.modules if k.startswith("prect.")),
-                      [k for k in ("dataclasses", "inspect") if k in sys.modules]]))
+                      [k for k in ("dataclasses", "inspect", "fractions") if k in sys.modules]]))
 """
 
 

@@ -13,14 +13,13 @@ import pytest
 
 import prect
 from oracles import (CAYLEY_LADDER, adjacency_matrix, cayley_prime, colored_line_graph,
-                     common_point, diameter, factorization_check, fields, graph_from_edges,
-                     ladder_model, translation_group, vertex_connectivity, without_edge)
+                     common_point, diameter, digit_sum, factorization_check, fields,
+                     graph_from_edges, ladder_model, translation_group, vertex_connectivity,
+                     without_edge)
 from prect._util import iter_bits
 from prect.construct import RectangleModel, build_l2k, build_subplane_rect
-from prect.gf import add_digits
 from prect.incidence import IncidenceStructure, order_of
-from prect.linegraph import (LineGraph, build_line_graph, certify_srg, edge_class,
-                             expected_srg_parameters)
+from prect.linegraph import LineGraph, SrgCertificate, build_line_graph, certify_srg, edge_class
 
 
 def test_l22_graph_shape(g_l22):
@@ -51,8 +50,18 @@ def test_certify_srg_parameters(fix, m, n, params, request):
 
 
 def test_expected_parameters_formulas():
-    assert expected_srg_parameters(2, 4) == (16, 9, 4, 6)
-    assert expected_srg_parameters(3, 9) == (81, 32, 13, 12)
+    """SrgCertificate(m, n) holds the closed forms of (m, n) on every rung,
+    and no verdict until certify_srg gives them."""
+    assert SrgCertificate(2, 4).parameters == (16, 9, 4, 6)
+    assert SrgCertificate(3, 9).parameters == (81, 32, 13, 12)
+    for name in CAYLEY_LADDER:
+        m, n = order_of(ladder_model(name).structure)
+        cert = SrgCertificate(m, n)
+        assert (cert.m, cert.n, cert.nu, cert.r, cert.lam, cert.mu) == \
+            (m, n, n * n, (m + 1) * (n - 1), n + (m + 1) * (m - 2), m * (m + 1)), name
+        assert (cert.tau0, cert.tau1, cert.tau2) == ((m + 1) * (n - 1), n - m - 1, -(m + 1))
+        assert cert.multiplicities == (1, (m + 1) * (n - 1), (n - m) * (n - 1))
+        assert (cert.verdicts, cert.witness) == ({}, None)
 
 
 def test_adjacency_from_common_point_matches_sets(r24, g_r24):
@@ -62,8 +71,7 @@ def test_adjacency_from_common_point_matches_sets(r24, g_r24):
             cp = common_point(u, v, r24)
             assert (cp is not None) == g_r24.adjacent(u, v)
             if cp is not None:
-                pos = r24.special_position(cp.special_line)
-                assert edge_class(r24, u, v) == pos
+                assert edge_class(r24, u, v) == cp.special_position
 
 
 def test_a_squared_identity(g_l22):
@@ -315,7 +323,7 @@ def _numpy_srg_reference(rows, m, n):
     mu), then the identity (A - tau1*I)(A - tau2*I) = mu*J, each witness the
     first failure that np.argwhere finds in row-major order.
     """
-    nu, r, lam, mu = expected_srg_parameters(m, n)
+    nu, r, lam, mu = n * n, (m + 1) * (n - 1), n + (m + 1) * (m - 2), m * (m + 1)
     tau1, tau2 = n - m - 1, -(m + 1)
     a = np.zeros((nu, nu), dtype=np.int64)
     for u, row in enumerate(rows):
@@ -379,8 +387,7 @@ def test_srg_matches_numpy_reference_on_mutations(fix, m, n, mutate, request):
         assert {k: cert.verdicts[k] for k in verdicts} == verdicts
         assert not cert.ok
         assert cert.witness == witness
-        mu = expected_srg_parameters(m, n)[3]
-        assert _square_check(rows, mu, n - m - 1, -(m + 1))[1] == spectral
+        assert _square_check(rows, m * (m + 1), n - m - 1, -(m + 1))[1] == spectral
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -414,7 +421,7 @@ def _cayley_without(g: LineGraph, p: int, s: int) -> LineGraph:
     rows = list(g.rows)
     for x in range(g.nu):
         for t in (s, minus_s):
-            rows[x] &= ~(1 << add_digits(x, t, p, d))
+            rows[x] &= ~(1 << digit_sum(x, t, p, d))
     h = LineGraph(rows)
     h.translations = translation_group(h)
     return h
