@@ -289,6 +289,7 @@ def cmd_analyze(args, report: RunReport) -> int:
     if nu > ANALYSIS_MAX_VERTICES:
         raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
                             f"the model has {nu}")
+    _a1(run, report)
     try:
         m, n = run.order
     except StructureError as exc:  # as in verify: a failing verdict, not an error

@@ -289,7 +289,7 @@ def classify_census(g: LineGraph, model: RectangleModel,
 
 class IntersectionReport:
     def __init__(self):
-        self.violations, self.stats = [], {}
+        self.violations = []
 
     @property
     def ok(self) -> bool:
@@ -314,8 +314,8 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     of a plane through vertex 0, or of a pair (0, v); only those are
     checked, from the kept cliques, the point cliques through a vertex v
     being the kept ones translated by v.  Sorted cliques put the planes
-    through vertex 0 first, so the verdict, the stats and the first
-    violation are those of the check of every plane and pair.
+    through vertex 0 first, so the verdict and the first violation are
+    those of the check of every plane and pair.
     """
     rep = IntersectionReport()
     kinds = ("point_cliques", "plane_cliques")
@@ -324,7 +324,6 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
         if census.count(kind) != expected:
             rep.violations.append((label, expected, census.count(kind)))
     m = census.m
-    npoints = census.count("point_cliques")
     orbit = census.certified_by(g.translations)
     if orbit:
         group, kept = census.translations, census.kept["point_cliques"]
@@ -332,36 +331,27 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
         cliques = census.kept
 
         def shared_with(plane):
-            # the point clique pc + v through v shares |(plane - v) & pc| vertices
-            # with the plane, and is found once at each of them
-            found, odd = Counter(), {}
+            # the point clique pc + v shares |(plane - v) & pc| vertices with the plane
+            odd = {}
             whole = sum(1 << v for v in plane)
             for v in plane:
                 moved = group.translate(whole, group.negate(v))
                 for pc, mask in zip(kept, masks):
                     k = (moved & mask).bit_count()
-                    found[k] += 1
                     if k != m:
                         odd[tuple(sorted(group.shift(pc, v)))] = k
-            return sum(c // k for k, c in found.items()), set(found), sorted(odd.items())
+            return sorted(odd.items())
     else:
         points, point_of = census.point_cliques, census.point_of
         cliques = {kind: getattr(census, kind) for kind in kinds}
 
         def shared_with(plane):
             shared = Counter(j for v in plane for j in iter_bits(point_of[v]))
-            return (len(shared), set(shared.values()),
-                    [(points[j], k) for j, k in sorted(shared.items()) if k != m])
+            return [(points[j], k) for j, k in sorted(shared.items()) if k != m]
 
-    sizes = set()
     for plane in cliques["plane_cliques"]:
-        # (point cliques met, the vertices they share, those that share other than m)
-        met, found, odd = shared_with(plane)
-        sizes |= found
-        if met < npoints:
-            sizes.add(0)
-        rep.violations.extend(("plane-point", plane, pc, k) for pc, k in odd)
-    rep.stats["plane_point_intersection_sizes"] = sorted(sizes)
+        # the point cliques that share with the plane a count k other than m
+        rep.violations.extend(("plane-point", plane, pc, k) for pc, k in shared_with(plane))
 
     rows = g.rows[:1] if orbit else g.rows  # once[0] and twice[0] need only the kept cliques
     covered = [0] * g.nu

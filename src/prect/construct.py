@@ -5,7 +5,9 @@ set A, B, C plus D, with ordinary lines {a_g, b_{g+h}, c_h} over the group
 (Z_2)^k.  build_subplane_rect makes the order-(q, q^k) structure inside the
 projective plane over GF(q^k): special lines are the lines through
 D = [0,0,1] meeting the GF(q)-subplane, ordinary lines are the restrictions
-of the plane's lines <a,b,1> to the union of the special lines.
+of the plane's lines <a,b,1> to the union of the special lines.  A model's
+family is read off that data: coordinates make it a plane (k = 1) or a
+subplane model, their absence over (Z_2)^k an l2k model.
 
 Ordinary lines are numbered in construction order; the line graph and every
 report use that numbering.
@@ -40,14 +42,12 @@ class RectangleModel:
     followed by the m+1 special lines; graph vertices reuse those indices.
     Coordinates are (x, y, z) triples of field codes: points [x:y:z] and
     line coefficients <a,b,c>, codes of ctx, GF(p^(ek)).  Combinatorial
-    models (family "l2k") carry no coordinates, and their ctx is None.
+    models carry no coordinates, and their ctx is None.
     """
 
-    def __init__(self, structure: IncidenceStructure, family: str,
-                 p: int, e: int, k: int, *, point_coords=None, line_coeffs=None,
-                 special_coeffs=None, special_labels=None):
+    def __init__(self, structure: IncidenceStructure, p: int, e: int, k: int, *,
+                 special_labels, point_coords=None, line_coeffs=None, special_coeffs=None):
         self.structure = structure
-        self.family = family
         self.p, self.e, self.k = p, e, k
         self.q = p ** e
         self.m = self.q
@@ -57,6 +57,15 @@ class RectangleModel:
         self.line_coeffs = line_coeffs
         self.special_coeffs = special_coeffs
         self.special_labels = special_labels
+
+    @property
+    def family(self) -> str | None:
+        """The family its data gives: a coordinatized model is "plane" when
+        k = 1 and "subplane" otherwise, one without coordinates over (Z_2)^k
+        is "l2k", and any other has None."""
+        if self.point_coords is not None:
+            return "plane" if self.k == 1 else "subplane"
+        return "l2k" if (self.p, self.e) == (2, 1) else None
 
     @property
     def trivial(self) -> bool:
@@ -100,8 +109,7 @@ def build_l2k(k: int) -> RectangleModel:
         tuple([0] + list(range(c0, c0 + n))),
     ]
     structure = IncidenceStructure(points, lines + specials, 0)
-    return RectangleModel(structure, "l2k", 2, 1, k,
-                          special_labels=["A", "B", "C"])
+    return RectangleModel(structure, 2, 1, k, special_labels=["A", "B", "C"])
 
 
 def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
@@ -151,10 +159,9 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
                                 for i, ab in enumerate(a_beta)] + [on_inf]))
 
     structure = IncidenceStructure(labels, lines + special_pointsets, 0)
-    family = "plane" if k == 1 else "subplane"
-    return RectangleModel(structure, family, p, e, k, point_coords=point_coords,
-                          line_coeffs=line_coeffs, special_coeffs=special_coeffs,
-                          special_labels=special_labels)
+    return RectangleModel(structure, p, e, k, special_labels=special_labels,
+                          point_coords=point_coords, line_coeffs=line_coeffs,
+                          special_coeffs=special_coeffs)
 
 
 def build_plane(p: int, e: int) -> RectangleModel:

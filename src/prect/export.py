@@ -124,25 +124,6 @@ def _check_params(params: dict):
                               f"for p = {p}, e = {e}, k = {k}")
 
 
-def _check_family(family: str, params: dict, coordinatized: bool):
-    """Raise ExportError, naming the field, where the file contradicts its
-    family: l2k has p = 2, e = 1 and no coordinates, subplane coordinates
-    and k >= 2, plane coordinates and k = 1; other families pass."""
-    if family == "l2k":
-        for name, value in (("p", 2), ("e", 1)):
-            if params[name] != value:
-                raise ExportError(f"model family l2k has {name} = {value}, "
-                                  f"not {name} = {params[name]}")
-        if coordinatized:
-            raise ExportError("model family l2k has no point_coords")
-    elif family in ("subplane", "plane"):
-        if not coordinatized:
-            raise ExportError(f"need a coordinatized {family} model")
-        if (params["k"] == 1) != (family == "plane"):
-            want = "= 1" if family == "plane" else ">= 2"
-            raise ExportError(f"model family {family} has k {want}, not k = {params['k']}")
-
-
 def model_from_dict(d: dict) -> RectangleModel:
     """Rebuild a model from JSON, keeping whatever incidence the file states.
 
@@ -150,9 +131,9 @@ def model_from_dict(d: dict) -> RectangleModel:
     corrupted files stay corrupted); coordinates are reattached through the
     field context implied by the parameters.  The file must list its special
     lines last, since graph vertex v is structure line v for every ordinary
-    line v; ExportError names the first special line out of place, the
-    first parameter that is malformed or disagrees with p, e and k, or the
-    field that contradicts the family (_check_family).
+    line v; ExportError names the first special line out of place or the
+    first parameter that is malformed or disagrees with p, e and k.  The
+    file's family is written, not read: the model derives it from its data.
     """
     params = d["params"]
     _check_params(params)
@@ -168,11 +149,9 @@ def model_from_dict(d: dict) -> RectangleModel:
         point_coords = _codes(ctx, d["point_coords"])
         line_coeffs = _codes(ctx, d["line_coeffs"])
         special_coeffs = _codes(ctx, d["special_coeffs"])
-    _check_family(d["family"], params, point_coords is not None)
-    return RectangleModel(structure, d["family"], params["p"], params["e"], params["k"],
-                          point_coords=point_coords, line_coeffs=line_coeffs,
-                          special_coeffs=special_coeffs,
-                          special_labels=list(d["special_labels"]))
+    return RectangleModel(structure, params["p"], params["e"], params["k"],
+                          special_labels=list(d["special_labels"]), point_coords=point_coords,
+                          line_coeffs=line_coeffs, special_coeffs=special_coeffs)
 
 
 def model_from_json(text: str) -> RectangleModel:

@@ -719,7 +719,7 @@ def twisted_r39() -> RectangleModel:
                      (a[1] - b[0], a[0] + a[1] - b[1]), (-a[0], -a[1])]
             lines.append([1 + 9 * j + code(t) for j, t in enumerate(meets)])
     specials = [[0] + [1 + 9 * j + t for t in range(9)] for j in range(4)]
-    return RectangleModel(IncidenceStructure(points, lines + specials, 0), "twisted", 3, 1, 2,
+    return RectangleModel(IncidenceStructure(points, lines + specials, 0), 3, 1, 2,
                           special_labels=[f"s{j}" for j in range(4)])
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import common_point, find_isomorphism
+from oracles import CAYLEY_LADDER, common_point, find_isomorphism, twisted_r39
 from prect.construct import BuildError, build_l2k, build_plane, build_subplane_rect
-from prect.export import model_from_json, model_to_json
+from prect.export import model_from_json, model_to_dict, model_to_json
 from prect.gf import FieldCtx, field_make
 from prect.incidence import check_axioms, order_of
 
@@ -67,6 +67,31 @@ def test_subplane_orders(r39, r416):
 def test_plane_family_is_trivial(pp2):
     assert pp2.trivial and pp2.family == "plane"
     assert build_plane(3, 1).trivial
+
+
+# L_2^1 to L_2^6, every ladder rung and the planes; each name's prefix gives
+# the family label its builder used before the family was read off the data.
+BUILT = {**{f"L_2^{k}": lambda k=k: build_l2k(k) for k in (1, 6)}, **CAYLEY_LADDER,
+         **{f"PG(2,{p ** e})": lambda p=p, e=e: build_plane(p, e)
+            for p, e in ((2, 1), (3, 1), (2, 2))}}
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_family_read_off_the_data_is_the_builders_label(name):
+    family = "l2k" if name.startswith("L_2") else "plane" if name.startswith("PG") else "subplane"
+    model = BUILT[name]()
+    assert model.family == family
+    assert model_to_dict(model)["family"] == family
+    assert model_from_json(model_to_json(model)).family == family
+
+
+def test_hand_made_model_has_no_family():
+    """twisted R(3,9) has no coordinates and p = 3: none of the three
+    families, so its file writes a null family."""
+    model = twisted_r39()
+    assert model.family is None
+    assert model_to_dict(model)["family"] is None
+    assert '"family": null' in model_to_json(model)
 
 
 def test_subplane_bound():

@@ -306,6 +306,22 @@ def test_cli_export_census_fails_with_the_verdicts_of_cliques(tmp_path, capsys, 
     assert rep["details"] == want["details"] and "A1" in rep["details"]
 
 
+def test_cli_analyze_reports_a1_and_fails_with_it(tmp_path, capsys, monkeypatch):
+    """PG(2,3) with one new point on every ordinary line fails A1 (every
+    pair of ordinary lines meets twice): analyze exits 1 with a failing A1
+    verdict, as cliques does, and its witness re-checks on the file."""
+    monkeypatch.chdir(tmp_path)
+    _write_golden_mutants(tmp_path)
+    assert run_cli("analyze", "--graph", "thick.json") == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdicts"]["A1"] is False and not rep["ok"]
+    structure = json.loads((tmp_path / "thick.json").read_text())["structure"]
+    recheck_witnesses(structure, {"verdicts": {"A1": False},
+                                  "witnesses": {"A1": rep["details"]["A1"]}})
+    assert run_cli("cliques", "thick.json") == 1
+    assert json.loads(capsys.readouterr().err)["details"]["A1"] == rep["details"]["A1"]
+
+
 @pytest.mark.parametrize("args", [("--family", "plane", "--p", "3", "--k", "5"),
                                   ("--family", "l2k", "--k", "2", "--p", "7"),
                                   ("--family", "l2k", "--k", "2", "--e", "3")],
@@ -364,6 +380,8 @@ def test_cli_unknown_family_errors(capsys):
 # 100,000, and the swapped R(3,9) below) were re-recorded (after their old
 # digests were confirmed) when the samples came to be distinct quadruples:
 # each moved only its a6_coverage "distinct" up to "drawn".
+# The two analyze reports were re-recorded (after their old digests were
+# confirmed) when analyze came to report A1: each gained "A1": true only.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -412,9 +430,9 @@ GOLDEN_STDOUT = [
     (("iso", "r416.json", "--out", "iso.json"), None,
      "6d949e2f172c7b97b6096888cdc3f427491f3b0fa6ba5c1c68a58aabe905d3a8"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
-     "58ac29c89cb6084cdbfa27489640be8f08dcedbd972806d05129170fefe714ad"),
+     "8377827f49657078108d766ec15d1071348354a984363972ab013af32cc8cc86"),
     (("analyze", "--graph", "r39.json"), None,
-     "8c5418279fc7f8f632440916c4a01c60ca6f41a94bccacfa7394d0ff6817614a"),
+     "438c377d79604dfb0e9d42676067f06e26e224ac6b7eb3c41f1bfe56a32bcf58"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
      "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
@@ -636,8 +654,9 @@ def test_cli_verify_keeps_the_axiom_verdicts_when_the_order_cannot_be_read(tmp_p
 
 
 def test_cli_analyze_reports_an_order_that_cannot_be_read(tmp_path, capsys):
-    """The same file through analyze: exit 1 with a failing order verdict
-    and its message, on stdout or in the --out file, and nothing on stderr."""
+    """The same file through analyze: exit 1 with failing A1 and order
+    verdicts, verify's A1 witness and the order's message, on stdout or in
+    the --out file, and nothing on stderr."""
     d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
     s = d["structure"]
     next(ln for ln in s["lines"] if s["special_point"] in ln and "c3" in ln).remove("c3")
@@ -647,8 +666,10 @@ def test_cli_analyze_reports_an_order_that_cannot_be_read(tmp_path, capsys):
     assert run_cli("analyze", "--graph", str(path)) == 1
     out, err = capsys.readouterr()
     report = json.loads(out)
-    assert err == "" and report["verdicts"] == {"order": False} and not report["ok"]
-    assert report["details"] == {"order": "special lines have unequal sizes [4, 5]"}
+    assert err == "" and report["verdicts"] == {"A1": False, "order": False}
+    assert not report["ok"]
+    assert report["details"] == {"A1": {"defect": "not covered", "pair": [0, 12], "lines": []},
+                                 "order": "special lines have unequal sizes [4, 5]"}
     written = tmp_path / "report.json"
     assert run_cli("analyze", "--graph", str(path), "--out", str(written)) == 1
     assert capsys.readouterr() == ("", "")
@@ -901,15 +922,23 @@ def test_cli_relabelled_special_point_names_the_misplaced_line(tmp_path, capsys)
             f"ordinary line: special lines come last in a model file\n")
 
 
-def test_cli_subplane_model_without_coordinates_is_a_typed_error(tmp_path, capsys):
+def test_cli_subplane_model_without_coordinates_runs_as_a_coordinate_free_model(tmp_path,
+                                                                                capsys):
+    """R(2,4) with its coordinates removed is a coordinate-free model over
+    (Z_2)^2, whatever its file's family says: it passes verify --profile
+    full with no isomorphism verdict, and iso refuses it."""
     d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "2", "--k", "2")
     for key in ("point_coords", "line_coeffs", "special_coeffs"):
         del d[key]
     path = tmp_path / "bare.json"
     path.write_text(json.dumps(d, sort_keys=True))
+    assert model_from_json(path.read_text()).family == "l2k"
     capsys.readouterr()
-    assert run_cli("verify", str(path), "--profile", "full") == 2
-    assert capsys.readouterr().err == "error: need a coordinatized subplane model\n"
+    assert run_cli("verify", str(path), "--profile", "full") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and "bilinear_isomorphism" not in report["verdicts"]
+    assert run_cli("iso", str(path)) == 2
+    assert capsys.readouterr() == ("", "iso requires a coordinatized subplane model\n")
 
 
 MALFORMED_PARAMS = [
@@ -943,39 +972,44 @@ def test_cli_malformed_model_parameters_are_a_typed_error(tmp_path, capsys, fiel
     assert capsys.readouterr() == ("", f"error: model parameter {message}\n")
 
 
-FAMILY_CONTRADICTIONS = {
-    "R(3,9) as l2k": (("subplane", "--p", "3", "--k", "2"), "l2k",
-                      "model family l2k has p = 2, not p = 3"),
-    "R(4,16) as l2k": (("subplane", "--p", "2", "--e", "2", "--k", "2"), "l2k",
-                       "model family l2k has e = 1, not e = 2"),
-    "R(2,4) as l2k": (("subplane", "--p", "2", "--k", "2"), "l2k",
-                      "model family l2k has no point_coords"),
-    "L_2^2 as subplane": (("l2k", "--k", "2"), "subplane", "need a coordinatized subplane model"),
-    "PG(2,3) as subplane": (("plane", "--p", "3"), "subplane",
-                            "model family subplane has k >= 2, not k = 1"),
-    "L_2^2 as plane": (("l2k", "--k", "2"), "plane", "need a coordinatized plane model"),
-    "R(3,9) as plane": (("subplane", "--p", "3", "--k", "2"), "plane",
-                        "model family plane has k = 1, not k = 2"),
+# Each built model with the family labels that its p, e, k or coordinates
+# rule out; every model is also relabelled "nope" and has the key deleted.
+RELABELLED = {
+    "R(3,9)": (("subplane", "--p", "3", "--k", "2"), ("l2k", "plane")),
+    "R(4,16)": (("subplane", "--p", "2", "--e", "2", "--k", "2"), ("l2k",)),
+    "R(2,4)": (("subplane", "--p", "2", "--k", "2"), ("l2k",)),
+    "L_2^2": (("l2k", "--k", "2"), ("subplane", "plane")),
+    "PG(2,3)": (("plane", "--p", "3"), ("subplane",)),
 }
 
 
-@pytest.mark.parametrize("build,family,message", FAMILY_CONTRADICTIONS.values(),
-                         ids=FAMILY_CONTRADICTIONS)
-def test_cli_model_whose_family_contradicts_its_fields_is_a_typed_error(tmp_path, capsys, build,
-                                                                         family, message):
-    """A built model file with only its family changed, to one that its p,
-    e, k or coordinates rule out, exits 2 naming the field, under verify,
-    iso and analyze alike (an l2k R(3,9) raised IndexError in analyze, and
-    a plane R(3,9) passed verify with no isomorphism verdict)."""
+@pytest.mark.parametrize("build,labels", RELABELLED.values(), ids=RELABELLED)
+def test_cli_model_file_runs_as_its_data_says_whatever_its_family(tmp_path, capsys, build,
+                                                                  labels):
+    """The file's family is not read: a built model file with its family
+    changed, to a label its data rules out or to none of the three, or with
+    the key deleted, gives the exit code, stdout and stderr of the intact
+    file under verify, iso and analyze, and exports the derived family."""
     d = _built(tmp_path, "m.json", "--family", *build)
-    d["family"] = family
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d, sort_keys=True))
-    for argv in (("verify", str(path), "--profile", "full"), ("iso", str(path)),
-                 ("analyze", "--graph", str(path))):
-        capsys.readouterr()
-        assert run_cli(*argv) == 2, argv
-        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    path = tmp_path / "model.json"
+    commands = (("verify", str(path), "--profile", "full"), ("iso", str(path)),
+                ("analyze", "--graph", str(path)), ("export", str(path), "--what", "model"))
+
+    def runs(model):
+        path.write_text(json.dumps(model, sort_keys=True))
+        out = []
+        for argv in commands:
+            capsys.readouterr()
+            out.append((run_cli(*argv), *capsys.readouterr()))
+        return out
+
+    intact = runs(d)
+    assert json.loads(intact[-1][1])["family"] == build[0]
+    for label in (*labels, "nope", None):
+        relabelled = {key: value for key, value in d.items() if key != "family"}
+        if label:
+            relabelled["family"] = label
+        assert runs(relabelled) == intact, label
 
 
 @pytest.mark.parametrize("args", [("verify", "--profile", "quick"),

@@ -126,10 +126,9 @@ def test_color_classes_partition_edges(l22, g_l22):
 def _with_lines(model: RectangleModel, lines) -> RectangleModel:
     s = model.structure
     structure = IncidenceStructure(s.points, lines, s.special_point)
-    return RectangleModel(structure, model.family, model.p, model.e, model.k,
-                          point_coords=model.point_coords, line_coeffs=model.line_coeffs,
-                          special_coeffs=model.special_coeffs,
-                          special_labels=model.special_labels)
+    return RectangleModel(structure, model.p, model.e, model.k,
+                          special_labels=model.special_labels, point_coords=model.point_coords,
+                          line_coeffs=model.line_coeffs, special_coeffs=model.special_coeffs)
 
 
 def _moved_point(model: RectangleModel, rng: random.Random) -> RectangleModel:

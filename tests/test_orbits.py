@@ -51,7 +51,7 @@ def _facts(model, g, census):
     axioms = check_axioms(model.structure, "full")
     inter = clique_intersections(census, g)
     return {"axioms": (axioms.verdicts, axioms.witnesses),
-            "intersections": (inter.ok, inter.stats, inter.violations[:1]),
+            "intersections": (inter.ok, inter.violations[:1]),
             "planes": plane_extraction(census, model),
             "point_geometry": fields(build_point_clique_geometry(census, model)),
             "plane_structure": fields(build_plane_clique_structure(census, model))}
@@ -372,7 +372,7 @@ def _census_facts(model, g, census):
     inter = clique_intersections(census, g)
     return {"ok": census.ok, "counts": [census.count(kind) for kind in KINDS],
             "mismatches": census.mismatches(), "census": fields(census),
-            "intersections": (inter.ok, inter.stats, inter.violations[:1]),
+            "intersections": (inter.ok, inter.violations[:1]),
             "planes": plane_extraction(census, model),
             "point_geometry": fields(build_point_clique_geometry(census, model)),
             "plane_structure": fields(build_plane_clique_structure(census, model))}
@@ -426,7 +426,7 @@ def test_plane_point_violations_are_those_of_the_planes_through_vertex_0(census_
     every = CliqueCensus(orbit.plane_cliques, orbit.plane_cliques, [], m, n, nu)
     rep, ref = clique_intersections(orbit, g_l23), clique_intersections(every, g_l23)
     assert orbit.certified_by(g_l23.translations) and every.translations is None
-    assert (rep.ok, rep.stats, rep.violations[:1]) == (ref.ok, ref.stats, ref.violations[:1])
+    assert (rep.ok, rep.violations[:1]) == (ref.ok, ref.violations[:1])
     found = [v for v in rep.violations if v[0] == "plane-point"]
     assert found and all(k in (1, 4) for *_, k in found)
     assert found == [v for v in ref.violations if v[0] == "plane-point" and 0 in v[1]]
