@@ -135,13 +135,6 @@ class Translations:
             w *= p
         return y
 
-    def shift(self, vertices, t: int) -> list[int]:
-        """The vertices translated by t (add_digits), in their order."""
-        if self.p == 2:  # add_digits's XOR, inlined: a call a vertex cost R(8,64)'s geometry 10%
-            return [x ^ t for x in vertices]
-        p, d = self.p, self.d
-        return [add_digits(x, t, p, d) for x in vertices]
-
 
 def translations_of(nu: int) -> Translations | None:
     """The translations of GF(p)^d when nu = p^d for a prime p and d >= 1, else None."""

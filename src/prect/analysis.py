@@ -300,7 +300,7 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
 
     Odd vertex count forces r+1 immediately.  For even order a backtracking
     search tries to realize r colors; timeout leaves the bracket only.  With
-    (m, n) given, the degree-versus-eigenvalue condition max(tau1, -tau2) <
+    m != n given, the degree-versus-eigenvalue condition max(tau1, -tau2) <
     r^0.9 and the hypothesis m+1 >= (n-1)^(1/9) are evaluated exactly as
     integer power comparisons and recorded as informational flags.
     """
@@ -314,8 +314,8 @@ def chromatic_index_bracket(g: LineGraph, m: int | None = None, n: int | None = 
     return rep
 
 
-def chromatic_index_by_construction(g: LineGraph, model: RectangleModel, m: int | None = None,
-                                    n: int | None = None) -> EdgeColorReport:
+def chromatic_index_by_construction(g: LineGraph, model: RectangleModel, m: int,
+                                    n: int) -> EdgeColorReport:
     """The bracket and flags of chromatic_index_bracket, settled from the model.
 
     Odd order forces r+1; otherwise net_one_factorization gives an
@@ -336,7 +336,7 @@ def _edge_bracket(g: LineGraph, m: int | None, n: int | None) -> EdgeColorReport
         raise AnalysisError("chromatic index bracket needs a regular graph")
     r = degs.pop()
     rep = EdgeColorReport(r, g.nu % 2 == 1)
-    if m is not None and n is not None:
+    if m != n:  # the flags compare srg eigenvalues, which a trivial model lacks
         srg = SrgCertificate(m, n)
         x = max(srg.tau1, -srg.tau2)
         rep.flags["max_eig_lt_r_0.9"] = x ** 10 < r ** 9

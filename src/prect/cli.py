@@ -332,10 +332,8 @@ def cmd_analyze(args, report: RunReport) -> int:
                 "provenance": chi.provenance,
             }
         report.verdicts["krein"] = krein_check(run.cert).ok
-    # the flags compare srg eigenvalues, which a trivial model lacks
-    order = (m, n) if m != n else ()
     eb = _witnessed(report, "chromatic_index_verified", "chromatic_index",
-                    lambda: chromatic_index_by_construction(g, model, *order))
+                    lambda: chromatic_index_by_construction(g, model, m, n))
     if eb:
         report.details["chromatic_index"] = {
             "bracket": list(eb.bracket),

@@ -326,9 +326,8 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
     m = census.m
     orbit = census.certified_by(g.translations)
     if orbit:
-        group, kept = census.translations, census.kept["point_cliques"]
-        masks = [sum(1 << v for v in pc) for pc in kept]
-        cliques = census.kept
+        group, cliques = census.translations, census.kept
+        masks = [sum(1 << v for v in pc) for pc in cliques["point_cliques"]]
 
         def shared_with(plane):
             # the point clique pc + v shares |(plane - v) & pc| vertices with the plane
@@ -336,10 +335,10 @@ def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionRepo
             whole = sum(1 << v for v in plane)
             for v in plane:
                 moved = group.translate(whole, group.negate(v))
-                for pc, mask in zip(kept, masks):
+                for mask in masks:
                     k = (moved & mask).bit_count()
                     if k != m:
-                        odd[tuple(sorted(group.shift(pc, v)))] = k
+                        odd[tuple(iter_bits(group.translate(mask, v)))] = k
             return sorted(odd.items())
     else:
         points, point_of = census.point_cliques, census.point_of

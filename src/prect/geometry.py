@@ -10,13 +10,13 @@ concurrence masks (_measure).
 
 When the census stands for its orbit under the model's incidence
 certificate (CliqueCensus.certified_by), the translations act regularly on
-the Points and map Lines to Lines, so only Point 0 is measured, from the
-Lines the census keeps, those through Point 0 (_measure_at_0): the Lines
-that meet them are their translates by their own Points, the t histogram
-is nu times its histogram at Point 0, and two Lines share two Points iff
-two Lines through Point 0 share a second one.  The sorted list of every
-clique is never built.  Any other census is measured at every Point, up to
-ENUMERATION_MAX_VERTICES Points.
+the Points and map Lines to Lines: the t histogram is nu times its
+histogram at Point 0, and two Lines share two Points iff two Lines through
+Point 0 share a second one.  When none do, Point 0 is measured from the
+Lines the census keeps, those through it, by one popcount for each of
+their Points and each of them (_measure_at_0), and the sorted list of
+every clique is never built.  Any other census, or one whose Lines share
+two Points, is measured at every Point, up to ENUMERATION_MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -87,52 +87,50 @@ def _measure(lines, through):
 
 
 def _measure_at_0(kept, group: Translations, num_lines: int):
-    """(t histogram, no two Lines share two Points) at Point 0, for a class
-    of num_lines Lines that group maps onto itself; kept are its Lines
-    through Point 0.
+    """The t histogram of a class of num_lines Lines that group maps onto
+    itself, nu times its histogram at Point 0; kept are its Lines through
+    Point 0.  None when two of them share a Point other than 0.
 
     A Line j not through 0 that meets a kept Line holds one of their Points
-    x != 0, and j - x holds 0, so it is kept: j is a kept Line translated by
-    x, and it is counted at the least such x.  t(0, j) counts the kept Lines
-    that hold a Point of j; every other Line not through 0 has t = 0.  Two
-    kept Lines share a second Point iff some x lies on both.
+    x != 0, and j - x holds 0, so j is a kept Line L translated by x.  As
+    j meets each kept Line at most once, t(0, j) is the number h of its
+    Points that kept Lines hold, those of L translated by -x.  Each such j
+    is reached from each of its h held Points, so the pairs (x, L) with a
+    given h, divided by h, count the Lines with t = h; a remainder, from a
+    class that is not closed, gives None too.  Every other Line not through
+    0 has t = 0.
     """
-    owners = {}  # Point x != 0: the mask of the kept Lines (their positions) that hold x
-    for b, line in enumerate(kept):
-        for x in line:
-            if x:
-                owners[x] = owners.get(x, 0) | 1 << b
     masks = [sum(1 << v for v in line) for line in kept]
-    held = sum(1 << x for x in owners)
-    hist = Counter()
-    for x in owners:
+    held = 0  # the Points other than 0 of the kept Lines
+    for mask in masks:
+        if held & mask:
+            return None
+        held |= mask & ~1
+    pairs = Counter()  # h: the pairs (x, L) whose translate L + x holds h held Points
+    for x in iter_bits(held):
         back = group.negate(x)
         near = group.translate(held, back)  # the z with z + x held
-        for mask in masks:
-            if mask >> back & 1:  # the Line translated by x holds Point 0
-                continue
-            mine = group.shift(iter_bits(mask & near), x)  # its held Points, x among them
-            if min(mine) == x:
-                hit = 0
-                for y in mine:
-                    hit |= owners[y]
-                hist[hit.bit_count()] += 1
+        pairs.update((mask & near).bit_count() for mask in masks if not mask >> back & 1)
+    hist = {}
+    for h, count in pairs.items():
+        hist[h], rest = divmod(count, h)
+        if rest:
+            return None
     hist[0] = num_lines - len(kept) - sum(hist.values())
-    return ({t: c for t, c in sorted(hist.items()) if c},
-            all(not b & b - 1 for b in owners.values()))
+    return {t: group.nu * c for t, c in sorted(hist.items()) if c}
 
 
 def _report(kind: str, census: CliqueCensus, model: RectangleModel) -> GeometryReport:
     """The measured report of one clique class as Lines over the graph's vertices."""
+    lines, hist = census.kept[kind], None
     if census.certified_by(model.structure.translations):
-        lines = census.kept[kind]
-        hist, pair_ok = _measure_at_0(lines, census.translations, census.count(kind))
-        hist = {t: census.nu * c for t, c in hist.items()}
-        lines_per_point = {len(lines)}  # at every Point as at Point 0
+        hist = _measure_at_0(lines, census.translations, census.count(kind))
+    if hist is not None:
+        lines_per_point, pair_ok = {len(lines)}, True  # at every Point as at Point 0
     else:
         if census.nu > ENUMERATION_MAX_VERTICES:
-            raise CliqueError(f"the {kind} geometry of a census without a translation "
-                              f"certificate is limited to {ENUMERATION_MAX_VERTICES} Points")
+            raise CliqueError(f"the {kind} geometry measured at every Point is limited "
+                              f"to {ENUMERATION_MAX_VERTICES} Points")
         lines = getattr(census, kind)
         through = census.point_of if kind == "point_cliques" else census.plane_of
         hist, pair_ok = _measure(lines, through)

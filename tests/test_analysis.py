@@ -579,3 +579,36 @@ def test_cli_analyze_refuses_past_its_vertex_bound(tmp_path, capsys):
     assert main(["analyze", "--graph", str(out)]) == 2
     assert capsys.readouterr().err == ("error: analysis limited to 4096 vertices, "
                                        "the model has 16384\n")
+
+
+def _swapped_l23_runs(tmp_path):
+    """verify --profile full and analyze, in fresh processes, on L_2^3 with
+    the points a1 and a3 swapped in its ordinary lines: an isomorphic
+    rectangle whose point numbering is not that of the (Z_2)^3 labels."""
+    from prect.cli import main
+
+    out = tmp_path / "l23.json"
+    main(["build", "--family", "l2k", "--k", "3", "--out", str(out)])
+    d = json.loads(out.read_text())
+    swap = {"a1": "a3", "a3": "a1"}
+    d["structure"]["lines"] = [ln if "D" in ln else [swap.get(x, x) for x in ln]
+                               for ln in d["structure"]["lines"]]
+    out.write_text(json.dumps(d))
+    return (_run_python("-m", "prect.cli", "verify", str(out), "--profile", "full"),
+            _run_python("-m", "prect.cli", "analyze", "--graph", str(out)))
+
+
+def test_cli_analyze_of_a_renumbered_l23_is_a_verdict(tmp_path):
+    verify, analyze = _swapped_l23_runs(tmp_path)
+    assert verify.returncode == 0, verify.stdout[-500:]
+    assert analyze.returncode in (0, 1, 2) and "Traceback" not in analyze.stderr
+    assert json.loads(analyze.stdout)["verdicts"]["A1"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: net_coloring reads the file's point "
+                                       "order on special lines 0 and 2, not the structure")
+def test_cli_analyze_passes_a_renumbered_l23_that_verify_passes(tmp_path):
+    _, analyze = _swapped_l23_runs(tmp_path)
+    report = json.loads(analyze.stdout)
+    assert analyze.returncode == 0, report["details"].get("chromatic")
+    assert report["verdicts"]["chromatic_verified"]

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_with, invariant_mutant,
-                     ladder_model, t_histogram)
+from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_with, digit_sum,
+                     invariant_mutant, ladder_model, t_histogram)
 from prect._util import Translations
-from prect.cliques import classify_census, enumerate_maximal_cliques
+from prect.cliques import (CliqueCensus, CliqueError, classify_census,
+                           enumerate_maximal_cliques)
 from prect.construct import build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_dict, model_to_dict
 from prect.geometry import (_measure, _measure_at_0, build_plane_clique_structure,
@@ -138,8 +141,7 @@ def test_measure_matches_brute_force(census_l23, census_r39):
             lines = getattr(census, kind)
             assert _check_against_oracle(lines, through)
             ref_hist, _ = t_histogram(lines, census.nu)
-            hist, pair_ok = _measure_at_0(census.kept[kind], census.translations, len(lines))
-            assert {t: census.nu * c for t, c in hist.items()} == ref_hist and pair_ok
+            assert _measure_at_0(census.kept[kind], census.translations, len(lines)) == ref_hist
 
 
 def test_measure_duplicated_plane_clique(census_l23, l23):
@@ -207,18 +209,64 @@ def test_both_geometries_match_the_pair_by_pair_oracle(name):
                 (len(lines), {len(ln) for ln in lines}, per_point)
 
 
+def _translates(bases, group):
+    """Every distinct translate of the base sets under group, by digit addition, sorted."""
+    p, d = group.p, group.d
+    return sorted({tuple(sorted(digit_sum(x, t, p, d) for x in b)) for b in bases
+                   for t in range(group.nu)})
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 4)]).flatmap(
     lambda pd: st.tuples(st.just(pd), st.lists(st.sets(st.integers(0, pd[0] ** pd[1] - 1),
                                                        min_size=1), min_size=1, max_size=4))))
 def test_measure_at_0_matches_brute_force_on_closed_families(family):
     """Every distinct translate of a few base sets is a family of Lines the
-    translations map onto itself, Lines sharing two Points included; at
-    Point 0, from its Lines through 0, the histogram times nu and the
-    two-Points verdict are the oracle's over every Point."""
+    translations map onto itself, Lines sharing two Points included.  At
+    Point 0, from its Lines through 0, the histogram is None exactly where
+    the oracle's two-Points verdict over every Point fails, and the
+    oracle's histogram everywhere else."""
     (p, d), bases = family
     group = Translations(p, d)
-    lines = sorted({tuple(sorted(group.shift(sorted(b), t))) for b in bases
-                    for t in range(group.nu)})
-    hist, pair_ok = _measure_at_0([ln for ln in lines if 0 in ln], group, len(lines))
-    assert ({t: group.nu * c for t, c in hist.items()}, pair_ok) == t_histogram(lines, group.nu)
+    lines = _translates(bases, group)
+    hist = _measure_at_0([ln for ln in lines if 0 in ln], group, len(lines))
+    ref_hist, pair_ok = t_histogram(lines, group.nu)
+    assert hist == (ref_hist if pair_ok else None)
+
+
+def _closed_census(group, m, n, point_bases, plane_bases, certified=True):
+    """The census whose classes are every distinct translate of their base
+    sets under group, keeping those through vertex 0 when certified, and
+    every one otherwise."""
+    classes = [_translates(point_bases, group), _translates(plane_bases, group)]
+    if certified:
+        classes = [[c for c in cl if 0 in c] for cl in classes]
+    return CliqueCensus(*classes, [], m, n, group.nu, group if certified else None)
+
+
+def test_census_whose_lines_share_two_points_takes_the_all_vertex_path():
+    """A certified census whose Lines share a second Point (here a point
+    class of four-Point Lines with a two-Point Line among them, and a plane
+    class of three-Point Lines that meet in two) is measured at every
+    Point: both reports equal those of the same cliques listed in full, and
+    carry the failing two-Points verdict.  Past the all-vertex bound the
+    census is refused with a CliqueError that does not say it is
+    uncertified."""
+    group = Translations(2, 4)
+    model = SimpleNamespace(structure=SimpleNamespace(translations=group))
+    points, planes = [(0, 1, 2, 3), (0, 4, 8, 12), (0, 5, 10, 15), (0, 1)], [(0, 1, 2), (0, 1, 6)]
+    census = _closed_census(group, 2, 4, points, planes)
+    full = _closed_census(group, 2, 4, points, planes, certified=False)
+    assert census.certified_by(group) and _measure_at_0(census.kept["plane_cliques"], group,
+                                                        census.count("plane_cliques")) is None
+    for build in (build_point_clique_geometry, build_plane_clique_structure):
+        rep, ref = build(census, model), build(full, model)
+        assert vars(rep) == vars(ref)
+        assert rep.checks["two_points_one_line"] == (True, False) and not rep.ok
+    big = Translations(2, 11)
+    census = _closed_census(big, 2, 4, [(0, 1, 2)], [(0, 1, 2), (0, 1, 4)])
+    model = SimpleNamespace(structure=SimpleNamespace(translations=big))
+    for build in (build_point_clique_geometry, build_plane_clique_structure):
+        with pytest.raises(CliqueError) as err:
+            build(census, model)
+        assert "1024 Points" in str(err.value) and "certificate" not in str(err.value)

@@ -6,8 +6,8 @@ meeting(blocks, held, which)[i] the mask of the other blocks that share an
 element with block i, for i in which.  The oracle reads both off the blocks
 as sets, pair by pair.  Translations(p, d).translates(mask) lists mask
 translated by t for t = 0..p^d-1, translate(mask, t) one of them, and
-shift(vertices, t) and negate(x) move single vertices, shift keeping their
-order; the oracle (oracles.digit_sum) adds t to each bit digit by digit mod p.
+negate(x) the vertex -x; the oracle (oracles.digit_sum) adds t to each bit
+digit by digit mod p.
 """
 
 from __future__ import annotations
@@ -66,17 +66,13 @@ def test_translates_match_digit_addition(p, d):
 
 
 @pytest.mark.parametrize("p,d", [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1), (3, 3)])
-def test_translate_negate_and_shift_match_digit_addition(p, d):
-    """translate(mask, t) is entry t of the walk, shift moves each vertex by
-    t and keeps their order, which here is shuffled, and x + negate(x) = 0,
+def test_translate_and_negate_match_digit_addition(p, d):
+    """translate(mask, t) is entry t of the walk, and x + negate(x) = 0,
     digit by digit."""
     nu, group = p ** d, Translations(p, d)
     rng = random.Random(f"shift {p},{d}")
     for mask in [0, 1, (1 << nu) - 1] + [rng.getrandbits(nu) for _ in range(5)]:
-        bits = [x for x in range(nu) if mask >> x & 1]
-        rng.shuffle(bits)
         for t, moved in enumerate(group.translates(mask)):
             assert group.translate(mask, t) == moved, (mask, t)
-            assert group.shift(bits, t) == [digit_sum(x, t, p, d) for x in bits], (mask, t)
     for x in range(nu):
         assert digit_sum(x, group.negate(x), p, d) == 0 and group.negate(x) < nu
