@@ -15,8 +15,12 @@ report use that numbering.
 
 from __future__ import annotations
 
-from .gf import FieldCtx, field_make
+from typing import TYPE_CHECKING
+
 from .incidence import IncidenceStructure
+
+if TYPE_CHECKING:  # a coordinate-free model never loads gf
+    from .gf import FieldCtx
 
 L2K_MAX_K = 6
 SUBPLANE_MAX_N = 256
@@ -52,7 +56,10 @@ class RectangleModel:
         self.q = p ** e
         self.m = self.q
         self.n = self.q ** k
-        self.ctx = None if point_coords is None else field_make(p, e * k)
+        self.ctx = None
+        if point_coords is not None:  # only a model with coordinates loads gf
+            from .gf import field_make
+            self.ctx = field_make(p, e * k)
         self.point_coords = point_coords
         self.line_coeffs = line_coeffs
         self.special_coeffs = special_coeffs
@@ -125,6 +132,7 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
     n = q ** k
     if n > SUBPLANE_MAX_N:
         raise BuildError(f"q^k = {n} beyond bound {SUBPLANE_MAX_N}")
+    from .gf import field_make
     ctx = field_make(p, e * k)
     sub = ctx.subfield_codes(q)
 

@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING
 
 from ._util import iter_bits
 from .construct import RectangleModel, build_l2k, build_subplane_rect
-from .gf import field_make
 from .incidence import IncidenceStructure
 
 if TYPE_CHECKING:  # annotations only: build and a model export never load these stages
@@ -145,6 +144,7 @@ def model_from_dict(d: dict) -> RectangleModel:
                           f"line: special lines come last in a model file")
     point_coords = line_coeffs = special_coeffs = None
     if "point_coords" in d:
+        from .gf import field_make
         ctx = field_make(params["p"], params["e"] * params["k"])
         point_coords = _codes(ctx, d["point_coords"])
         line_coeffs = _codes(ctx, d["line_coeffs"])

@@ -242,51 +242,42 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
 def _a1_witness(s):
     """The first pair on two lines, else the first pair on none, else None.
 
-    The lines through a point p, taken as point masks, must cover every
-    other point exactly once: an overlap of two masks is a pair on two
-    lines, a point in no mask a pair on none.  A walk over the lines ORs
-    each line's mask into the masks of its points.  When every point's
-    masks cover every point, and the lines hold C(points, 2) pairs counted
-    with multiplicity, no pair is on two lines; otherwise a second walk
-    also finds the overlaps.  Pairs on two lines are ordered by the first
-    line holding them, then by pair order within it; the first uncovered
-    pair is (p, q) for the least such p, then q.
+    One walk ORs each line's mask into its points' covers.  The lines hold
+    sum C(|line|, 2) pairs counted with multiplicity, the covers sum
+    (|cover| - 1) / 2 distinct ones, so only a surplus puts a pair on two
+    lines; both its points then have more partners counted than covered.
+    The witness is on the first line i with two such points that meets
+    another line twice (its points' pencils ORed into once and twice masks):
+    i's least point a on such a line, and a's least partner b on one.  Else
+    the least point whose cover misses a point, and the least it misses.
     """
-    masks = s.line_masks
-    np_ = s.n_points
-    everyone = (1 << np_) - 1
-    seen = [0] * np_
-    for t, mask in zip(s.lines, masks):
+    cover = [1 << p for p in range(s.n_points)]
+    for t, mask in zip(s.lines, s.line_masks):
         for p in t:
-            seen[p] |= mask
-    if seen.count(everyone) == np_ and sum(comb2(len(t)) for t in s.lines) == comb2(np_):
-        return None
-    seen, dup = [0] * np_, [0] * np_  # [p]: partners on a line, on two lines
-    for t, mask in zip(s.lines, masks):
-        for p in t:
-            dup[p] |= seen[p] & mask
-            seen[p] |= mask
-    twice = {}  # point -> mask of the points it shares two lines with
-    gap = None  # the least point missing a partner, and its missing partners
-    for p, (cover, more) in enumerate(zip(seen, dup)):
-        more &= ~(1 << p)
-        if more:
-            twice[p] = more
-        elif gap is None and cover | 1 << p != everyone:
-            gap = p, everyone & ~(cover | 1 << p)
-    if twice:
-        for i, t in enumerate(s.lines):
-            for a in t:
-                # a smaller partner on line i would have been found at it already
-                both = twice.get(a, 0) & masks[i]
-                if both:
-                    b = (both & -both).bit_length() - 1
-                    lines = list(iter_bits(s.through[a] & s.through[b]))
-                    return {"pair": (a, b), "lines": lines, "defect": "covered more than once"}
-    if gap:
-        p, missing = gap
-        return {"pair": (p, (missing & -missing).bit_length() - 1), "lines": [],
-                "defect": "not covered"}
+            cover[p] |= mask
+    if sum(comb2(len(t)) for t in s.lines) > sum(c.bit_count() - 1 for c in cover) // 2:
+        counted = [0] * len(cover)  # [p]: p's partners counted with multiplicity
+        for t in s.lines:
+            for p in t:
+                counted[p] += len(t) - 1
+        doubled = sum(1 << p for p, c in enumerate(cover) if counted[p] >= c.bit_count())
+        through = s.through
+        for i, (t, mask) in enumerate(zip(s.lines, s.line_masks)):
+            if (mask & doubled).bit_count() > 1:
+                once = twice = 0
+                for a in t:
+                    twice |= once & through[a]
+                    once |= through[a]
+                twice &= ~(1 << i)  # the lines other than i meeting line i twice
+                for a in t:
+                    if through[a] & twice:
+                        b = next(b for b in t if b != a and through[a] & through[b] & twice)
+                        return {"pair": (a, b), "lines": list(iter_bits(through[a] & through[b])),
+                                "defect": "covered more than once"}
+    for p, c in enumerate(cover):
+        if c.bit_count() < len(cover):  # ~c & c + 1 is c's lowest zero bit
+            return {"pair": (p, (~c & c + 1).bit_length() - 1), "lines": [],
+                    "defect": "not covered"}
     return None
 
 

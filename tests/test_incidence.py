@@ -567,7 +567,10 @@ def _near_pencil(size):
 @pytest.mark.parametrize("name", ["l22", "l23", "r39", "r28", "pp2"])
 def test_a1_a2_match_pair_cover_oracle(name, request):
     s0 = request.getfixturevalue(name).structure
-    structures = [s0] + _a1_a2_mutants(s0, 17, 45)
+    last = s0.ordinary_lines[-1]  # duplicated and dropped, for late witnesses
+    structures = [s0] + _a1_a2_mutants(s0, 17, 45) + [
+        IncidenceStructure(s0.points, s0.lines[:last + 1] + s0.lines[last:], s0.special_point),
+        drop_line(s0, last)]
     if name == "pp2":
         structures += [_near_pencil(k) for k in (4, 5, 9)]
     failing = {"A1 twice": 0, "A1 uncovered": 0, "A2": 0}

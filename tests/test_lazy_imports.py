@@ -2,11 +2,12 @@
 
 The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
-`prect build` process compiles six modules, not twelve.  verify reads its
-planarity, Eulerian and Krein verdicts from linegraph, so it never loads
-analysis.  No module imports dataclasses, which would load inspect, nor
-fractions: analyze's eigenvalue bound is integer work.  No report class
-outside _util restates the ok rule of its checks or verdicts.
+`prect build` of L_2^k compiles five modules, not twelve: gf is loaded
+only where a model makes or reads coordinates, and by analysis.  verify
+reads its planarity, Eulerian and Krein verdicts from linegraph, so it
+never loads analysis.  No module imports dataclasses, which would load
+inspect, nor fractions: analyze's eigenvalue bound is integer work.  No
+report class outside _util restates the ok rule of its checks or verdicts.
 Every run here is a fresh interpreter, since one test process has long
 since loaded them all.
 """
@@ -30,19 +31,21 @@ from prect.cli import main
 SRC = Path(prect.__file__).resolve().parent.parent
 ROOT = SRC.parent
 
-BUILD = {"cli", "export", "construct", "gf", "incidence", "_util"}
+BUILD = {"cli", "export", "construct", "incidence", "_util"}
 QUICK = BUILD | {"linegraph", "cliques"}
 FULL = QUICK | {"geometry"}
 
 # argv with {} for the model file's directory, and the prect.* modules it loads
 SUBCOMMANDS = {
     "build": (("build", "--family", "l2k", "--k", "2", "--out", "{}/new.json"), BUILD),
+    "build subplane": (("build", "--family", "subplane", "--p", "3", "--k", "2",
+                        "--out", "{}/new.json"), BUILD | {"gf"}),
     "verify quick": (("verify", "{}/l22.json"), QUICK),
     "verify full l2k": (("verify", "{}/l22.json", "--profile", "full"), FULL),
     "verify full subplane": (("verify", "{}/r39.json", "--profile", "full"),
-                             FULL | {"bilinear"}),
-    "analyze": (("analyze", "--graph", "{}/l22.json"), BUILD | {"linegraph", "analysis"}),
-    "iso": (("iso", "{}/r39.json"), BUILD | {"linegraph", "bilinear"}),
+                             FULL | {"gf", "bilinear"}),
+    "analyze": (("analyze", "--graph", "{}/l22.json"), BUILD | {"gf", "linegraph", "analysis"}),
+    "iso": (("iso", "{}/r39.json"), BUILD | {"gf", "linegraph", "bilinear"}),
     "cliques": (("cliques", "{}/l22.json"), QUICK),
     "geometry": (("geometry", "{}/l22.json"), QUICK | {"geometry"}),
     "export model": (("export", "{}/l22.json", "--what", "model"), BUILD),
@@ -78,7 +81,7 @@ def models(tmp_path_factory):
 
 def test_the_module_sets_cover_the_package():
     every = {m.name for m in pkgutil.iter_modules(prect.__path__)}
-    assert every == FULL | {"bilinear", "analysis"}
+    assert every == FULL | {"gf", "bilinear", "analysis"}
     assert set().union(*(s for _, s in SUBCOMMANDS.values())) == every
 
 
@@ -129,7 +132,7 @@ def test_importing_prect_loads_no_module():
     assert _fresh(code).strip() == "[]"
     code = ("import sys; from prect import build_l2k; "
             "print(sorted(k[6:] for k in sys.modules if k.startswith('prect.')))")
-    assert _fresh(code).strip() == str(sorted({"construct", "gf", "incidence", "_util"}))
+    assert _fresh(code).strip() == str(sorted({"construct", "incidence", "_util"}))
 
 
 def test_every_reexport_is_its_home_modules_object():

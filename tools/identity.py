@@ -3,18 +3,24 @@
     python tools/identity.py --parent OLD --change NEW
 
 OLD and NEW are checkout roots, each holding src/prect; OLD also holds
-tests/oracles.py.  The model files are written once, by OLD's code: the 12
-ladder rungs that the build runs also write, twisted R(3,9), the 24
+tests/oracles.py.  The 58 model files are written once, by OLD's code: the
+12 ladder rungs that the build runs also write, twisted R(3,9), the 24
 invariant mutants of L_2^3, R(3,9) and R(4,16) (each kind, first and last
-choice), and 9 files whose "family" says something else or is missing.
-Every file then goes through verify --profile quick at seeds 0-2, verify
---profile full, cliques, iso, geometry, analyze and the 9 export what/format
-pairs, each of which writes --out.  Each run is `python -m prect.cli` in a
-fresh process and temporary directory, once with each tree's src, two at
-a time, and the two runs are compared on their exit code, stdout, stderr and --out bytes, with any
-timings_ms object read as null.  The JSON printed on stdout is the
-byte_identity block of a BENCH_*.json record; it lists each differing run
-and the parts of it that differ.  Standard library only.
+choice), 9 files whose "family" says something else or is missing, and 12
+more of those three models: with the last ordinary line duplicated, with it
+dropped, with the ordinary lines in reverse order, and with ordinary lines
+0 and 5 swapped, each line keeping its coordinates.  Reversal is x -> c - x
+on the digit vectors, so those files keep their translation certificate;
+the swapped ones lose it and take every all-vertex path.  Every file then
+goes through verify --profile quick at seeds 0-2, verify --profile full,
+cliques, iso, geometry, analyze and the 9 export what/format pairs, each of
+which writes --out: with the 12 builds, 998 runs.  Each run is `python -m
+prect.cli` in a fresh process and temporary directory, once with each
+tree's src, two at a time, and the two runs are compared on their exit
+code, stdout, stderr and --out bytes, with any timings_ms object read as
+null.  The JSON printed on stdout is the byte_identity block of a
+BENCH_*.json record; it lists each differing run and the parts of it that
+differ.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ _WRITE_MODELS = r"""
 import json, sys
 from oracles import INVARIANT_MUTATIONS, invariant_mutant, twisted_r39
 from prect.export import build_model, model_to_dict, model_to_json
+from prect.incidence import IncidenceStructure
 
 builds, out = json.loads(sys.argv[2]), sys.argv[1]
 def write(name, text):
@@ -73,6 +80,18 @@ for name, family in (("R(3,9)", "l2k"), ("R(3,9)", "plane"), ("R(3,9)", "nope"),
     else:
         d["family"] = family
     write(f"{name} as {family or 'no family'}", json.dumps(d, sort_keys=True))
+for name in ("L_2^3", "R(3,9)", "R(4,16)"):
+    s = models[name].structure
+    nu = len(s.ordinary_lines)
+    for form, order in (("last line twice", [*range(nu), nu - 1]),
+                        ("last line dropped", range(nu - 1)), ("reversed", range(nu)[::-1]),
+                        ("lines 0 and 5 swapped", [5, 1, 2, 3, 4, 0, *range(6, nu)])):
+        d = model_to_dict(models[name])
+        lines = [s.lines[i] for i in order] + [s.lines[j] for j in s.special_lines]
+        d["structure"] = IncidenceStructure(s.points, lines, s.special_point).to_json_dict()
+        if "line_coeffs" in d:
+            d["line_coeffs"] = [d["line_coeffs"][i] for i in order]
+        write(f"{name} {form}", json.dumps(d, sort_keys=True))
 """
 
 _TIMINGS = re.compile(rb'"timings_ms": (?:null|\{[^{}]*\})')
