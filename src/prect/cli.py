@@ -41,7 +41,7 @@ class RunReport(Verdicts):
         self.timings_ms: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps({**vars(self), "ok": self.ok}, sort_keys=True)
+        return json.dumps({**vars(self), "ok": self.ok}, sort_keys=True, default=sorted)
 
 
 def _write(path: str | None, text: str, report: RunReport):
@@ -133,17 +133,15 @@ class _Run:
                 build_plane_clique_structure(self.census, self.model))
 
 
-def cmd_build(args, report: RunReport) -> int:
+def cmd_build(args, report: RunReport):
     model = build_model(args.family, args.p, args.e, args.k)
     m, n = order_of(model.structure)
     _write(args.out, model_to_json(model), report)
     print(f"order (m, n) = ({m}, {n})", file=sys.stderr)
-    return 0
 
 
-def cmd_verify(args, report: RunReport) -> int:
-    from .cliques import (CAYLEY_MAX_VERTICES, check_enumeration_bound, clique_intersections,
-                          plane_extraction)
+def cmd_verify(args, report: RunReport):
+    from .cliques import CAYLEY_MAX_VERTICES, check_enumeration_bound
 
     if args.a6_samples < 1:
         raise ValueError(f"--a6-samples must be at least 1, not {args.a6_samples}")
@@ -158,28 +156,32 @@ def cmd_verify(args, report: RunReport) -> int:
                           a6_samples=args.a6_samples, seed=args.seed)
     report.verdicts["axioms"] = axioms.ok
     report.details["axioms"] = {"verdicts": axioms.verdicts,
-                                "witnesses": _jsonable(axioms.witnesses),
+                                "witnesses": axioms.witnesses,
                                 "a6_mode": axioms.a6_mode,
                                 "a6_coverage": axioms.a6_coverage}
     axioms_ms = (time.perf_counter() - t_axioms) * 1000
-
-    def done():
-        if args.timings:
-            total_ms = (time.perf_counter() - t0) * 1000
-            report.timings_ms = {**run.timings_ms, "axioms": round(axioms_ms, 1),
-                                 "total": round(total_ms, 1)}
-        print(report.to_json())
-        return 0 if report.ok else 1
-
     try:
         m, n = run.order
     except StructureError as exc:  # the axiom verdicts and witnesses still stand
         report.verdicts["order"] = False
         report.details["order"] = str(exc)
-        return done()
+    else:
+        _verify_stages(run, args.profile == "full", m, n, report)
+    if args.timings:
+        total_ms = (time.perf_counter() - t0) * 1000
+        report.timings_ms = {**run.timings_ms, "axioms": round(axioms_ms, 1),
+                             "total": round(total_ms, 1)}
+    print(report.to_json())
+
+
+def _verify_stages(run: _Run, full: bool, m: int, n: int, report: RunReport):
+    """verify's stages after A1-A6, on a model whose order is (m, n)."""
+    from .cliques import clique_intersections, plane_extraction
+
+    model = run.model
     counts = elementary_counts(model.structure)
     report.verdicts["elementary_counts"] = counts.ok
-    report.details["count_mismatches"] = _jsonable(counts.mismatches())
+    report.details["count_mismatches"] = counts.mismatches()
 
     trivial = m == n
     if not trivial:
@@ -191,10 +193,10 @@ def cmd_verify(args, report: RunReport) -> int:
         "point_cliques": census.count("point_cliques"),
         "plane_cliques": census.count("plane_cliques"),
         "anomalous": census.count("anomalous"),
-        "mismatches": _jsonable(census.mismatches()),
+        "mismatches": census.mismatches(),
     }
 
-    if args.profile == "full":
+    if full:
         if not trivial:
             report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
         report.verdicts["plane_extraction"] = plane_extraction(census, model)
@@ -212,7 +214,6 @@ def cmd_verify(args, report: RunReport) -> int:
             report.verdicts["krein"] = krein_check(run.cert).ok
             report.details["planar"] = planarity_verdict(run.graph, m, n).planar
             report.verdicts["eulerian_consistent"] = eulerian_verdict(run.graph, m, n).consistent
-    return done()
 
 
 def _a1(run: _Run, report: RunReport):
@@ -220,7 +221,7 @@ def _a1(run: _Run, report: RunReport):
     witness = _a1_witness(run.model.structure)
     report.verdicts["A1"] = witness is None
     if witness:
-        report.details["A1"] = _jsonable(witness)
+        report.details["A1"] = witness
 
 
 def _census_verdicts(run: _Run, report: RunReport):
@@ -233,14 +234,13 @@ def _census_verdicts(run: _Run, report: RunReport):
                                 "anomalous": census.count("anomalous")}
 
 
-def cmd_cliques(args, report: RunReport) -> int:
+def cmd_cliques(args, report: RunReport):
     run = _Run(args.model)
     _census_verdicts(run, report)
     _write(args.out, _EXPORTS["census", "json"](run), report)
-    return 0 if report.ok else 1
 
 
-def cmd_iso(args, report: RunReport) -> int:
+def cmd_iso(args, report: RunReport):
     run = _Run(args.model)
     if run.model.family != "subplane":
         print("iso requires a coordinatized subplane model", file=sys.stderr)
@@ -252,10 +252,9 @@ def cmd_iso(args, report: RunReport) -> int:
     if args.out:
         _write(args.out, json.dumps({"line_to_matrix_vertex": mapping}, sort_keys=True), report)
     print(report.to_json())
-    return 0 if report.ok else 1
 
 
-def cmd_geometry(args, report: RunReport) -> int:
+def cmd_geometry(args, report: RunReport):
     run = _Run(args.model)
     _a1(run, report)
     geo_pt, geo_pl = run.geometry
@@ -276,10 +275,9 @@ def cmd_geometry(args, report: RunReport) -> int:
         },
     }
     _write(args.out, json.dumps(payload, sort_keys=True), report)
-    return 0 if report.ok else 1
 
 
-def cmd_analyze(args, report: RunReport) -> int:
+def cmd_analyze(args, report: RunReport):
     from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
                            chromatic_index_by_construction, hamiltonian_by_construction)
     from .linegraph import eulerian_verdict, krein_check, planarity_verdict
@@ -296,7 +294,7 @@ def cmd_analyze(args, report: RunReport) -> int:
         report.verdicts["order"] = False
         report.details["order"] = str(exc)
         _write(args.out, report.to_json(), report)
-        return 1
+        return
     g, model = run.graph, run.model
 
     pl = planarity_verdict(g, m, n)
@@ -342,7 +340,6 @@ def cmd_analyze(args, report: RunReport) -> int:
             "provenance": eb.provenance,
         }
     _write(args.out, report.to_json(), report)
-    return 0 if report.ok else 1
 
 
 def _witnessed(report: RunReport, verdict: str, detail: str, read):
@@ -368,7 +365,7 @@ _EXPORTS = {
 }
 
 
-def cmd_export(args, report: RunReport) -> int:
+def cmd_export(args, report: RunReport):
     run = _Run(args.model)
     writer = _EXPORTS.get((args.what, args.format))
     if writer is None:
@@ -381,17 +378,6 @@ def cmd_export(args, report: RunReport) -> int:
         _census_verdicts(run, report)
     _write(args.out, writer(run), report)
     report.verdicts["exported"] = True
-    return 0 if report.ok else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -448,13 +434,13 @@ def main(argv=None) -> int:
         args.format = next(f for what, f in _EXPORTS if what == args.what)
     report = RunReport(args.cmd, {k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
     try:
-        code = _DISPATCH[args.cmd](args, report)
+        code = _DISPATCH[args.cmd](args, report)  # 2 on a usage error, else None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.cmd in ("cliques", "geometry", "export"):
         print(report.to_json(), file=sys.stderr)
-    return code
+    return code or (0 if report.ok else 1)
 
 
 if __name__ == "__main__":

@@ -731,20 +731,22 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
     and a description of it; choose(options) picks one of a list.
 
     s must have certified translations of GF(p)^d.  Translation by t sends
-    a point other than D to the point whose pencil of ordinary lines is its
-    own pencil plus t, added digit by digit, and fixes D; ordinary line t of
-    the mutant is the image of the mutated line 0 under it, and the special
-    lines are kept.  So the translations stay automorphisms, as in
+    a point to the point whose pencil of ordinary lines is its own pencil
+    plus t, added digit by digit, so D, on none, is fixed; ordinary line t
+    of the mutant is the image of the mutated line 0 under it, and the
+    special lines are kept.  So the translations stay automorphisms, as in
     twisted_r39, and the mutant reaches the orbit paths unless its pencils
     collide.  kind is one of INVARIANT_MUTATIONS: drop a point of line 0,
     add a point, swap one for a point off the line, or slide one along its
-    special line.
+    special line.  Each generator p^i's point map is read off the pencils
+    once, and line t is line t - p^i under it, i the lowest nonzero digit
+    of t.
     """
     group = s.translations
     assert group is not None, "the structure's translations are not certified"
     D, nu, p, d = s.special_point, group.nu, group.p, group.d
     pencils = [[i for i in ls if i < nu] for ls in lines_at(s)]
-    point_of = {tuple(sorted(pen)): q for q, pen in enumerate(pencils) if q != D}
+    point_of = {tuple(sorted(pen)): q for q, pen in enumerate(pencils)}
     line0 = list(s.lines[0])
     off = [q for q in range(s.n_points) if q != D and q not in line0]
     if kind == "drop point":
@@ -764,12 +766,12 @@ def invariant_mutant(s: IncidenceStructure, kind: str, choose) -> tuple[Incidenc
         line0[line0.index(q)] = new
         what = f"line 0 trades {s.points[q]} for {s.points[new]}"
 
-    def image(q, t):
-        if q == D:
-            return D
-        return point_of[tuple(sorted(digit_sum(x, t, p, d) for x in pencils[q]))]
-
-    lines = [[image(q, t) for q in line0] for t in range(nu)]
+    moves = [[point_of[tuple(sorted(digit_sum(x, p ** i, p, d) for x in pen))] for pen in pencils]
+             for i in range(d)]
+    lines = [line0]
+    for t in range(1, nu):
+        i = next(i for i in range(d) if t // p ** i % p)
+        lines.append([moves[i][q] for q in lines[t - p ** i]])
     lines += [s.lines[j] for j in s.special_lines]
     return IncidenceStructure(s.points, lines, D), f"every translate of {what}"
 

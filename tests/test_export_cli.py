@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from oracles import graph_from_edges, recheck_witnesses, twisted_r39
-from prect.cli import main
+from oracles import graph_from_edges, invariant_mutant, recheck_witnesses, twisted_r39
+from prect.cli import RunReport, main
 from prect.cliques import CliqueCensus, classify_census
 from prect.construct import RectangleModel, build_plane, build_subplane_rect
 from prect.export import (census_to_dict, graph6_str, model_from_json, model_to_dict,
@@ -235,6 +235,55 @@ def test_cli_iso_and_geometry(tmp_path, capsys):
     assert run_cli("geometry", str(out), "--out", str(geo)) == 0
     payload = json.loads(geo.read_text())
     assert payload["point_cliques"]["pg_label"] == "pg(4,9,3)"
+
+
+def test_run_report_writes_sets_sorted():
+    report = RunReport("verify", {})
+    report.details = {"set": {3, 1, 2}, "frozen": frozenset({"b", "a"}), "in": [{5, 4}]}
+    assert json.loads(report.to_json())["details"] == {"set": [1, 2, 3], "frozen": ["a", "b"],
+                                                       "in": [[4, 5]]}
+
+
+# (model file, argv with {} for it, where the report is written: stdout,
+# the last line of stderr, the --out file, or None for a usage error)
+ENDINGS = [(model, argv, where) for model in ("r39.json", "r39 drop point.json")
+           for argv, where in ((("verify", "{}"), "stdout"),
+                               (("verify", "{}", "--profile", "full"), "stdout"),
+                               (("cliques", "{}", "--out", "payload"), "stderr"),
+                               (("iso", "{}"), "stdout"),
+                               (("geometry", "{}", "--out", "payload"), "stderr"),
+                               (("analyze", "--graph", "{}", "--out", "payload"), "--out"),
+                               (("export", "{}", "--what", "census"), "stderr"))]
+ENDINGS += [("l22.json", ("iso", "{}"), None),
+            ("r39.json", ("export", "{}", "--what", "model", "--format", "dot"), None)]
+
+
+@pytest.mark.parametrize("model,argv,where", ENDINGS,
+                         ids=[" ".join(argv).format(model) for model, argv, _ in ENDINGS])
+def test_cli_exit_code_is_read_off_the_report(tmp_path, capsys, monkeypatch, model, argv,
+                                              where):
+    """Exit 0 iff the report passes and 1 otherwise, wherever the subcommand
+    writes it; R(3,9) passes and its translates of line 0 less a point
+    fail.  A usage error exits 2."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("build", "--family", "l2k", "--k", "2", "--out", "l22.json")
+    r39 = build_subplane_rect(3, 1, 2)
+    (tmp_path / "r39.json").write_text(model_to_json(r39))
+    d = model_to_dict(r39)
+    d["structure"] = invariant_mutant(r39.structure, "drop point",
+                                      lambda opts: opts[0])[0].to_json_dict()
+    (tmp_path / "r39 drop point.json").write_text(json.dumps(d, sort_keys=True))
+    capsys.readouterr()
+    code = run_cli(*(a.format(model) for a in argv))
+    out, err = capsys.readouterr()
+    if where is None:
+        assert code == 2
+        return
+    if where == "--out":
+        out = (tmp_path / "payload").read_text()
+    report = json.loads(err.splitlines()[-1] if where == "stderr" else out)
+    assert report["ok"] == (model == "r39.json")
+    assert code == (0 if report["ok"] else 1)
 
 
 def test_cli_iso_rejects_combinatorial_model(tmp_path, capsys):

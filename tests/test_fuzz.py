@@ -22,7 +22,10 @@ uncertified ones; through cliques and geometry, whose census carries the
 certificate in place of a closure check, the same exit code, stdout and
 stderr.  Every such mutant of L_2^3, R(3,9) and R(4,16), the first and the
 last choice of each mutation, also runs through iso and analyze: an exit
-code of 0, 1 or 2 and no exception.
+code of 0, 1 or 2 and no exception.  At the advertised bound, nu = 4096,
+the same mutants of L_2^6 run through verify in both profiles: a report
+whose exit code is 0 iff it passes and whose axiom witnesses re-check, or
+an "error:" line and exit 2.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ ISO_ANALYZE_BUILDS = {
     "R(3,9)": BUILDS["R(3,9)"],
     "R(4,16)": ("--family", "subplane", "--p", "2", "--e", "2", "--k", "2"),
 }
+BOUND_BUILDS = {"L_2^6": ("--family", "l2k", "--k", "6")}
 
 MUTATIONS = ["drop incidence", "add incidence", "duplicate line", "relabel D", "special triple"]
 
@@ -104,7 +108,8 @@ def _recheck(argv, out: str, err: str):
 def _model_json(name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
-        assert _run("build", *{**BUILDS, **ISO_ANALYZE_BUILDS}[name], "--out", path)[0] == 0
+        builds = {**BUILDS, **ISO_ANALYZE_BUILDS, **BOUND_BUILDS}
+        assert _run("build", *builds[name], "--out", path)[0] == 0
         with open(path, encoding="utf-8") as fh:
             return fh.read()
 
@@ -238,3 +243,18 @@ def test_invariant_mutant_through_iso_and_analyze_gives_an_exit_code(name, kind,
     with _invariant_mutant_file(name, kind, lambda options: options[end]) as (path, what):
         for argv in (("iso", path), ("analyze", "--graph", path)):
             assert _cli(*argv)[0] in (0, 1, 2), (argv, what)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("kind", INVARIANT_MUTATIONS)
+@pytest.mark.parametrize("name", sorted(BOUND_BUILDS))
+def test_invariant_mutant_at_the_bound_through_verify_gives_a_verdict(name, kind, end):
+    """Any exception, KeyError, IndexError or RecursionError included, fails the test."""
+    with _invariant_mutant_file(name, kind, lambda options: options[end]) as (path, what):
+        for argv in (("verify", path), ("verify", path, "--profile", "full")):
+            code, out, err = _cli(*argv)
+            if code == 2:
+                assert not out and err.startswith("error: ") and err.count("\n") == 1, (argv, what)
+            else:
+                assert code == (0 if json.loads(out)["ok"] else 1), (argv, what)
+                _recheck(argv, out, err)

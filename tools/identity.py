@@ -3,7 +3,7 @@
     python tools/identity.py --parent OLD --change NEW
 
 OLD and NEW are checkout roots, each holding src/prect; OLD also holds
-tests/oracles.py.  The 58 model files are written once, by OLD's code: the
+tests/oracles.py.  The 72 model files are written once, by OLD's code: the
 12 ladder rungs that the build runs also write, twisted R(3,9), the 24
 invariant mutants of L_2^3, R(3,9) and R(4,16) (each kind, first and last
 choice), 9 files whose "family" says something else or is missing, and 12
@@ -11,16 +11,19 @@ more of those three models: with the last ordinary line duplicated, with it
 dropped, with the ordinary lines in reverse order, and with ordinary lines
 0 and 5 swapped, each line keeping its coordinates.  Reversal is x -> c - x
 on the digit vectors, so those files keep their translation certificate;
-the swapped ones lose it and take every all-vertex path.  Every file then
-goes through verify --profile quick at seeds 0-2, verify --profile full,
-cliques, iso, geometry, analyze and the 9 export what/format pairs, each of
-which writes --out: with the 12 builds, 998 runs.  Each run is `python -m
-prect.cli` in a fresh process and temporary directory, once with each
-tree's src, two at a time, and the two runs are compared on their exit
-code, stdout, stderr and --out bytes, with any timings_ms object read as
-null.  The JSON printed on stdout is the byte_identity block of a
-BENCH_*.json record; it lists each differing run and the parts of it that
-differ.  Standard library only.
+the swapped ones lose it and take every all-vertex path.  Two files permute
+points: L_2^3 with a1 and a3 swapped in its ordinary lines, and R(3,9) with
+two points of special line 0 swapped in its ordinary lines.  The last 12
+are L_2^4 with one malformed parameter each, those of the CLI tests.  Every
+file then goes through verify --profile quick at seeds 0-2, verify
+--profile full, cliques, iso, geometry, analyze and the 9 export
+what/format pairs, each of which writes --out: with the 12 builds, 1,236
+runs.  Each run is `python -m prect.cli` in a fresh process and temporary
+directory, once with each tree's src, two at a time, and the two runs are
+compared on their exit code, stdout, stderr and --out bytes, with any
+timings_ms object read as null.  The JSON printed on stdout is the
+byte_identity block of a BENCH_*.json record; it lists each differing run
+and the parts of it that differ.  Standard library only.
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ for name in ("L_2^3", "R(3,9)", "R(4,16)"):
         if "line_coeffs" in d:
             d["line_coeffs"] = [d["line_coeffs"][i] for i in order]
         write(f"{name} {form}", json.dumps(d, sort_keys=True))
+for name, x, y in (("L_2^3", "a1", "a3"), ("R(3,9)", "[0:1:1]", "[0:1:2]")):
+    d, swap = model_to_dict(models[name]), {x: y, y: x}
+    d["structure"]["lines"] = [ln if "D" in ln else [swap.get(v, v) for v in ln]
+                               for ln in d["structure"]["lines"]]
+    write(f"{name} points {x} and {y} swapped", json.dumps(d, sort_keys=True))
+for field, value in (("e", -1), ("e", 0), ("p", 1), ("k", 0), ("e", 1.0), ("k", "4"),
+                     ("p", True), ("q", 4), ("m", 3), ("n", 17), ("n", 16.0), ("e", 10 ** 18)):
+    d = model_to_dict(models["L_2^4"])
+    d["params"][field] = value
+    write(f"L_2^4 {field}={value!r}", json.dumps(d, sort_keys=True))
 """
 
 _TIMINGS = re.compile(rb'"timings_ms": (?:null|\{[^{}]*\})')
