@@ -1,10 +1,11 @@
 """prect: finite projective rectangles and exact certification of their graph of lines.
 
-Subpackages follow the pipeline: gf (field arithmetic), incidence (axioms),
-construct (the two families), linegraph (strong regularity, planarity,
-Euler tours, Krein), cliques (the point/plane census), bilinear (the
-matrix-graph isomorphism), geometry (the partial geometries), analysis
-(coloring, cycles), export and cli.
+Subpackages follow the pipeline: gf (field arithmetic), structure (the
+incidence structure), incidence (the axioms), construct (the two families),
+linegraph (strong regularity, planarity, Euler tours, Krein), cliques (the
+point/plane census), bilinear (the matrix-graph isomorphism), geometry (the
+partial geometries), analysis (coloring, cycles), export, cli (build and the
+parser) and pipeline (the subcommands that read a model).
 
 The names in __all__ are loaded from their home module on first use
 (PEP 562), so importing prect, or one `prect` subcommand, loads only the
@@ -17,7 +18,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "gf": ("FieldCtx", "field_make", "embed_subfield"),
-    "incidence": ("IncidenceStructure", "check_axioms", "order_of", "elementary_counts"),
+    "structure": ("IncidenceStructure", "order_of"),
+    "incidence": ("check_axioms", "elementary_counts"),
     "construct": ("build_l2k", "build_subplane_rect", "build_plane"),
     "linegraph": ("LineGraph", "build_line_graph", "certify_srg", "planarity_verdict",
                   "eulerian_verdict", "krein_check"),

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from math import isqrt
 
+# sampled A6's default draws and seed: incidence.check_axioms and verify's options
+A6_DEFAULT_SAMPLES = 10 ** 6
+A6_DEFAULT_SEED = 0
+
 
 def iter_bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""

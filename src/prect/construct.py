@@ -11,13 +11,20 @@ subplane model, their absence over (Z_2)^k an l2k model.
 
 Ordinary lines are numbered in construction order; the line graph and every
 report use that numbering.
+
+Construction is table work: a subplane model reads each line's point on
+s_beta off one difference table of the field, built once per model, and
+assembles the lines a column at a time.  Only the structure's lines are
+formed here; its masks and pencils wait for the checks that read them
+(prect.structure), so `prect build` forms neither.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .incidence import IncidenceStructure
+from .structure import IncidenceStructure
 
 if TYPE_CHECKING:  # a coordinate-free model never loads gf
     from .gf import FieldCtx
@@ -154,22 +161,28 @@ def build_subplane_rect(p: int, e: int, k: int) -> RectangleModel:
 
     # Ordinary lines <a,b,1>, a-major, restricted to the special-point union.
     # Point t of block s_beta is [-beta:1:t], so <a,b,1> meets s_beta where
-    # t = a*beta - b, and meets s_inf = {[1:0:t]} where t = -a.
-    line_coeffs = []
+    # t = a*beta - b, entry b of the difference table's row a*beta, and meets
+    # s_inf = {[1:0:t]} where t = -a.  The n lines of one a are assembled
+    # column-wise: one column of points per s_beta, then their s_inf point.
+    diff = _difference_table(ctx)
+    line_coeffs = [(a_code, b_code, 1) for a_code in range(n) for b_code in range(n)]
     lines = []
     inf_block = 1 + q * n
     for a_code in range(n):
-        a_beta = [ctx.mul_codes(a_code, beta_code) for beta_code in sub]
-        on_inf = inf_block + ctx.neg_code(a_code)
-        for b_code in range(n):
-            line_coeffs.append((a_code, b_code, 1))
-            lines.append(tuple([1 + i * n + ctx.sub_codes(ab, b_code)
-                                for i, ab in enumerate(a_beta)] + [on_inf]))
+        columns = [[1 + i * n + t for t in diff[ctx.mul_codes(a_code, beta_code)]]
+                   for i, beta_code in enumerate(sub)]
+        lines += zip(*columns, repeat(inf_block + ctx.neg_code(a_code), n))
 
     structure = IncidenceStructure(labels, lines + special_pointsets, 0)
     return RectangleModel(structure, p, e, k, special_labels=special_labels,
                           point_coords=point_coords, line_coeffs=line_coeffs,
                           special_coeffs=special_coeffs)
+
+
+def _difference_table(ctx: FieldCtx) -> list[list[int]]:
+    """[x][b]: the code of x - b, for every two codes of the field."""
+    negs = [ctx.neg_code(b) for b in range(ctx.order)]
+    return [[ctx.add_codes(x, nb) for nb in negs] for x in range(ctx.order)]
 
 
 def build_plane(p: int, e: int) -> RectangleModel:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 from ._util import iter_bits
 from .construct import RectangleModel, build_l2k, build_subplane_rect
-from .incidence import IncidenceStructure
+from .structure import IncidenceStructure
 
 if TYPE_CHECKING:  # annotations only: build and a model export never load these stages
     from .cliques import CliqueCensus
@@ -68,10 +68,6 @@ def to_dot(g: LineGraph, model: RectangleModel) -> str:
 
 # -- model JSON; field codes travel as coefficient vectors, constant term first --
 
-def _vectors(ctx, triples):
-    return [[list(ctx.decode(c)) for c in t] for t in triples]
-
-
 def _codes(ctx, vectors):
     enc = ctx.encode
     return [(enc(list(x)), enc(list(y)), enc(list(z))) for x, y, z in vectors]
@@ -85,10 +81,10 @@ def model_to_dict(model: RectangleModel) -> dict:
         "structure": model.structure.to_json_dict(),
         "special_labels": list(model.special_labels),
     }
-    if model.point_coords is not None:
-        d["point_coords"] = _vectors(model.ctx, model.point_coords)
-        d["line_coeffs"] = _vectors(model.ctx, model.line_coeffs)
-        d["special_coeffs"] = _vectors(model.ctx, model.special_coeffs)
+    if model.point_coords is not None:  # each code decoded once; its vector is shared
+        digits = [list(model.ctx.decode(c)) for c in range(model.ctx.order)]
+        for name in ("point_coords", "line_coeffs", "special_coeffs"):
+            d[name] = [[digits[x], digits[y], digits[z]] for x, y, z in getattr(model, name)]
     if model.alt_special_labels():
         d["alt_special_labels"] = model.alt_special_labels()
     return d

@@ -431,6 +431,10 @@ def test_cli_unknown_family_errors(capsys):
 # each moved only its a6_coverage "distinct" up to "drawn".
 # The two analyze reports were re-recorded (after their old digests were
 # confirmed) when analyze came to report A1: each gained "A1": true only.
+# The builds of R(5,25), R(2,8), R(8,64) (e = 3), R(4,64) (e = 2, k = 3),
+# PG(2,9) (a plane over an extension field) and R(7,49) were recorded from
+# the code before the subplane construction read its lines from a difference
+# table and the model writer decoded each field code once.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -448,6 +452,18 @@ GOLDEN_STDOUT = [
      "2296883a27cb4a51434b304ed3d2255d8b22faa66eebde6e8a04b0463737b070"),
     (("build", "--family", "l2k", "--k", "4"), "l24.json",
      "c74b0c9d907672667562b4aa97617afd4e29a49afdab2cc7b465ea0b58ef753f"),
+    (("build", "--family", "subplane", "--p", "5", "--e", "1", "--k", "2"), None,
+     "9ea38755d274f640c418bb9c523e31a536d8631bc29dc776742853b668762cb4"),
+    (("build", "--family", "subplane", "--p", "2", "--e", "1", "--k", "3"), None,
+     "9895ac28a13bee4f278a4807eed65af5ed809add0953d860c4b9abf8989e6ad1"),
+    (("build", "--family", "subplane", "--p", "2", "--e", "3", "--k", "2"), None,
+     "5ed8bcb270f7c187e077f0689bbfa07bb7c1781add6c49ae7ce392578d233277"),
+    (("build", "--family", "subplane", "--p", "2", "--e", "2", "--k", "3"), None,
+     "5bf01869e33d57507c2c3ed05eae87c1149d9e018ecae59d2f5b97fa30a2b954"),
+    (("build", "--family", "plane", "--p", "3", "--e", "2"), None,
+     "6ebedc3d5f915d85882f6ce2d8d71e68179a0bc2341c578aab8c676136d62029"),
+    (("build", "--family", "subplane", "--p", "7", "--e", "1", "--k", "2"), None,
+     "c451e750fdb90a79b05881260243f98e63d8bca865cb6014121250006911d3da"),
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
      "6832df30ebf045edef73e40dfab5a5e5d6f8b05f97c7bfae1607909e559cb606"),
     (("verify", "r39.json", "--profile", "full"), None,
@@ -781,9 +797,9 @@ def _too_early(*args, **kwargs):
 @pytest.mark.parametrize("profile", ["quick", "full"])
 def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsys,
                                                                  monkeypatch, profile):
-    import prect.cli
     import prect.cliques
     import prect.linegraph
+    import prect.pipeline
 
     d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
     lines = d["structure"]["lines"]
@@ -796,7 +812,7 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 0
     capsys.readouterr()
-    monkeypatch.setattr(prect.cli, "check_axioms", _too_early)
+    monkeypatch.setattr(prect.pipeline, "check_axioms", _too_early)
     assert run_cli("verify", str(tmp_path / "swapped.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
@@ -937,7 +953,7 @@ def test_cli_extra_line_fails_the_isomorphism_and_keeps_the_report(tmp_path, cap
     82 ordinary lines, 81 coefficient triples.  The isomorphism fails its
     sizes check, A1 fails on the three collinear points, and verify still
     reports every other verdict."""
-    from prect.cli import _Run
+    from prect.pipeline import _Run
 
     d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
     lines = d["structure"]["lines"]

@@ -43,9 +43,10 @@ from hypothesis import strategies as st
 
 from oracles import (INVARIANT_MUTATIONS, invariant_mutant, lines_at, recheck_anomalous_clique,
                      recheck_iso_witness, recheck_witnesses)
-from prect.cli import _Run, main
+from prect.cli import main
 from prect.export import model_from_dict
-from prect.incidence import IncidenceStructure
+from prect.pipeline import _Run
+from prect.structure import IncidenceStructure
 
 BUILDS = {
     "L_2^2": ("--family", "l2k", "--k", "2"),

@@ -30,11 +30,11 @@ def test_identical_trees_agree_and_a_planted_byte_shows_in_its_runs(tmp_path):
 
     planted = tmp_path / "planted"
     shutil.copytree(ROOT / "src", planted / "src")
-    cli = planted / "src" / "prect" / "cli.py"
-    text = cli.read_text()
+    pipeline = planted / "src" / "prect" / "pipeline.py"
+    text = pipeline.read_text()
     key = '"degenerate": geo_pl.degenerate'
     assert text.count(key) == 1
-    cli.write_text(text.replace(key, key.replace("degenerate", "degeneratE", 1)))
+    pipeline.write_text(text.replace(key, key.replace("degenerate", "degeneratE", 1)))
     differences = identity.compare(ROOT, planted, cases)
     assert differences == [{"case": "geometry l22", "parts": ["stderr", "out"]}]
     block = identity.byte_identity(cases, differences)

@@ -16,8 +16,8 @@ from prect._util import comb2, iter_bits
 from prect.cli import main
 from prect.construct import build_l2k
 from prect.export import model_to_dict
-from prect.incidence import (IncidenceStructure, StructureError, _unrank_bits,
-                             check_axioms, elementary_counts, order_of)
+from prect.incidence import _unrank_bits, check_axioms, elementary_counts
+from prect.structure import IncidenceStructure, StructureError, order_of
 
 
 def test_l22_all_axioms_pass(l22):

@@ -2,8 +2,11 @@
 
 The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
-`prect build` of L_2^k compiles five modules, not twelve: gf is loaded
-only where a model makes or reads coordinates, and by analysis.  verify
+`prect build` of L_2^k compiles five modules, not thirteen: gf is loaded
+only where a model makes or reads coordinates, and by analysis.  build
+loads neither the axiom checks (incidence) nor the subcommands that read a
+model (pipeline), and pipeline never imports prect.cli, which under
+`python -m prect.cli` would compile cli.py a second time.  verify
 reads its planarity, Eulerian and Krein verdicts from linegraph, so it
 never loads analysis.  No module imports dataclasses, which would load
 inspect, nor fractions: analyze's eigenvalue bound is integer work.  No
@@ -31,8 +34,9 @@ from prect.cli import main
 SRC = Path(prect.__file__).resolve().parent.parent
 ROOT = SRC.parent
 
-BUILD = {"cli", "export", "construct", "incidence", "_util"}
-QUICK = BUILD | {"linegraph", "cliques"}
+BUILD = {"cli", "export", "construct", "structure", "_util"}
+READ = BUILD | {"pipeline", "incidence"}
+QUICK = READ | {"linegraph", "cliques"}
 FULL = QUICK | {"geometry"}
 
 # argv with {} for the model file's directory, and the prect.* modules it loads
@@ -44,13 +48,13 @@ SUBCOMMANDS = {
     "verify full l2k": (("verify", "{}/l22.json", "--profile", "full"), FULL),
     "verify full subplane": (("verify", "{}/r39.json", "--profile", "full"),
                              FULL | {"gf", "bilinear"}),
-    "analyze": (("analyze", "--graph", "{}/l22.json"), BUILD | {"gf", "linegraph", "analysis"}),
-    "iso": (("iso", "{}/r39.json"), BUILD | {"gf", "linegraph", "bilinear"}),
+    "analyze": (("analyze", "--graph", "{}/l22.json"), READ | {"gf", "linegraph", "analysis"}),
+    "iso": (("iso", "{}/r39.json"), READ | {"gf", "linegraph", "bilinear"}),
     "cliques": (("cliques", "{}/l22.json"), QUICK),
     "geometry": (("geometry", "{}/l22.json"), QUICK | {"geometry"}),
-    "export model": (("export", "{}/l22.json", "--what", "model"), BUILD),
-    "export graph6": (("export", "{}/l22.json", "--format", "graph6"), BUILD | {"linegraph"}),
-    "export dot": (("export", "{}/l22.json", "--format", "dot"), BUILD | {"linegraph"}),
+    "export model": (("export", "{}/l22.json", "--what", "model"), READ),
+    "export graph6": (("export", "{}/l22.json", "--format", "graph6"), READ | {"linegraph"}),
+    "export dot": (("export", "{}/l22.json", "--format", "dot"), READ | {"linegraph"}),
     "export census": (("export", "{}/l22.json", "--what", "census"), QUICK),
 }
 
@@ -94,6 +98,25 @@ def test_each_subcommand_loads_only_the_stages_it_runs(models, name):
     assert heavy == []
 
 
+@pytest.mark.parametrize("argv, present, absent", [
+    (("verify", "{}/r39.json"), {"prect.pipeline", "prect.incidence"}, {"prect.cli"}),
+    (("build", "--family", "subplane", "--p", "5", "--k", "2", "--out", "{}/new.json"),
+     {"prect.construct", "prect.structure"}, {"prect.cli", "prect.pipeline", "prect.incidence"}),
+])
+def test_the_command_line_imports_no_module_twice(models, argv, present, absent):
+    """Under `python -m prect.cli` the running cli.py is __main__, so any
+    module that imports prect.cli would compile it a second time; and build
+    imports neither the axiom checks nor the model-reading subcommands."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "prect.cli",
+                           *(a.format(models) for a in argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2}
+    assert present <= imported
+    assert not absent & imported
+
+
 def test_no_module_imports_dataclasses():
     """dataclasses loads inspect, about 10 ms of every process's start."""
     for path in (SRC / "prect").glob("*.py"):
@@ -132,7 +155,7 @@ def test_importing_prect_loads_no_module():
     assert _fresh(code).strip() == "[]"
     code = ("import sys; from prect import build_l2k; "
             "print(sorted(k[6:] for k in sys.modules if k.startswith('prect.')))")
-    assert _fresh(code).strip() == str(sorted({"construct", "incidence", "_util"}))
+    assert _fresh(code).strip() == str(sorted({"construct", "structure", "_util"}))
 
 
 def test_every_reexport_is_its_home_modules_object():
