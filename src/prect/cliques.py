@@ -27,11 +27,14 @@ by the census JSON (export.census_to_dict) and the all-vertex paths.
 CliqueCensus.certified_by makes the one orbit decision: the census carries
 a certificate, and it is the object the caller's graph
 (clique_intersections) or model (plane_extraction and the geometries)
-holds.  Then those work from vertex 0 and the kept cliques, translating
-them to another vertex where they need it.  Any other census (built by
-calling CliqueCensus, or from cliques the caller supplies), or one paired
-with a graph or model that holds another certificate, takes the all-vertex
-loops over every clique, which give the same verdicts.
+holds.  Then those work from vertex 0 and the kept cliques.  The
+intersection laws are checked at a vertex from the cliques through it, and
+translating by -u keeps both classes and the graph, so a violation at any
+vertex u is one at vertex 0: there only vertex 0 is checked, and no clique
+is translated.  Any other census (built by calling CliqueCensus, or from
+cliques the caller supplies), or one paired with a graph or model that
+holds another certificate, takes the all-vertex loops over every clique,
+which give the same verdicts.
 """
 
 from __future__ import annotations
@@ -168,12 +171,12 @@ class CliqueCensus(Checks):
     A census that carries translations (set by classify_census on a graph
     that holds the model's certificate) keeps only the cliques of each class
     through vertex 0, in kept[class].  Every clique is one of them
-    translated, so they give the class counts (count), the clique sizes and
-    the cliques through any vertex v (kept ones translated by v).  The
-    sorted lists of every clique, and the membership masks point_of and
-    plane_of, are built from them on first read (_all_translates), which
-    only the census JSON and the all-vertex paths do.  A census without
-    translations keeps every clique.
+    translated, so they give the class counts (count) and the clique sizes,
+    and the checks at vertex 0 start from them.  The sorted lists of every
+    clique, and the membership masks point_of and plane_of, are built from
+    them on first read (_all_translates), which only the census JSON and
+    the all-vertex paths do.  A census without translations keeps every
+    clique.
     """
 
     def __init__(self, point_cliques: list[tuple[int, ...]], plane_cliques: list[tuple[int, ...]],
@@ -297,79 +300,61 @@ class IntersectionReport:
 
 
 def clique_intersections(census: CliqueCensus, g: LineGraph) -> IntersectionReport:
-    """Pairwise intersection laws and the exactly-one covering of edges.
+    """Pairwise intersection laws and the exactly-one covering of edges,
+    checked at each vertex u from the cliques through it.
 
-    A plane and a point clique share 0 or m vertices, counted from the point
-    cliques through each vertex of the plane, and each adjacent vertex pair
-    lies in exactly one clique of each class.  Two cliques of one class that
-    share two vertices cover that pair twice, so the cover checks also
-    certify that same-class cliques share at most one vertex; the doubly
-    covered pair is the witness.  A cover violation records the count 0, or
-    2 for two or more.  A class with other than its expected number of
-    cliques is a violation too, so that no law holds over zero cliques.  A
-    class expected to be empty, the point cliques of a plane, covers no edge.
+    A plane and a point clique share 0 or m vertices: a pair through u that
+    shares k != m is reported once, at its least shared vertex.  u's
+    partners in the cliques of each class are exactly its neighbours, each
+    covered once: an edge (u, v), v > u, covered 0 times or 2 or more
+    (counted 2) is a violation, and so is a covered non-edge.  Two cliques
+    of one class that share two vertices cover that pair twice, so the cover
+    checks also certify that same-class cliques share at most one vertex.
+    A class with other than its expected number of cliques is a violation
+    too, so that no law holds over zero cliques.  A class expected to be
+    empty, the point cliques of a plane, covers no edge.
 
     When the census stands for its orbit under g's certificate
-    (CliqueCensus.certified_by), a translation moves any violation to one
-    of a plane through vertex 0, or of a pair (0, v); only those are
-    checked, from the kept cliques, the point cliques through a vertex v
-    being the kept ones translated by v.  Sorted cliques put the planes
-    through vertex 0 first, so the verdict and the first violation are
-    those of the check of every plane and pair.
+    (CliqueCensus.certified_by), only u = 0 is checked, from the kept
+    cliques: translating by -u keeps both classes and the graph, so a
+    violation at any u gives one at vertex 0.  Both paths check vertex 0
+    first, from the same cliques in the same order, so they give the same
+    verdict and first violation.
     """
     rep = IntersectionReport()
     kinds = ("point_cliques", "plane_cliques")
-    for label, kind, expected in zip(("point-clique-count", "plane-clique-count"), kinds,
-                                     census.expected_counts):
-        if census.count(kind) != expected:
-            rep.violations.append((label, expected, census.count(kind)))
-    m = census.m
-    orbit = census.certified_by(g.translations)
-    if orbit:
-        group, cliques = census.translations, census.kept
-        masks = [sum(1 << v for v in pc) for pc in cliques["point_cliques"]]
-
-        def shared_with(plane):
-            # the point clique pc + v shares |(plane - v) & pc| vertices with the plane
-            odd = {}
-            whole = sum(1 << v for v in plane)
-            for v in plane:
-                moved = group.translate(whole, group.negate(v))
-                for mask in masks:
-                    k = (moved & mask).bit_count()
-                    if k != m:
-                        odd[tuple(iter_bits(group.translate(mask, v)))] = k
-            return sorted(odd.items())
+    expected = census.expected_counts
+    for label, kind, count in zip(("point-clique-count", "plane-clique-count"), kinds, expected):
+        if census.count(kind) != count:
+            rep.violations.append((label, count, census.count(kind)))
+    if census.certified_by(g.translations):
+        cliques, vertices = census.kept, [0]
+        through = [[(1 << len(cliques[kind])) - 1] for kind in kinds]  # each holds vertex 0
     else:
-        points, point_of = census.point_cliques, census.point_of
-        cliques = {kind: getattr(census, kind) for kind in kinds}
-
-        def shared_with(plane):
-            shared = Counter(j for v in plane for j in iter_bits(point_of[v]))
-            return [(points[j], k) for j, k in sorted(shared.items()) if k != m]
-
-    for plane in cliques["plane_cliques"]:
-        # the point cliques that share with the plane a count k other than m
-        rep.violations.extend(("plane-point", plane, pc, k) for pc, k in shared_with(plane))
-
-    rows = g.rows[:1] if orbit else g.rows  # once[0] and twice[0] need only the kept cliques
-    covered = [0] * g.nu
-    for label, kind, expected in zip(("edge-point-cover", "edge-plane-cover"), kinds,
-                                     census.expected_counts):
-        if not expected:
-            continue
-        once, twice = [0] * g.nu, [0] * g.nu  # partners in one clique, in two
-        for pc in cliques[kind]:
-            members = sum(1 << v for v in pc)
-            for v in pc:
-                twice[v] |= once[v] & members
-                once[v] |= members ^ (1 << v)
-        for u, row in enumerate(rows):
-            for v in iter_bits(row & (~once[u] | twice[u]) & -(2 << u)):
-                rep.violations.append((label, u, v, 2 if twice[u] >> v & 1 else 0))
-            covered[u] |= once[u]
-    for u, row in enumerate(rows):
-        for v in iter_bits(covered[u] & ~row & -(2 << u)):
+        cliques, vertices = {kind: getattr(census, kind) for kind in kinds}, range(g.nu)
+        through = [census.point_of, census.plane_of]
+    masks = [[sum(1 << v for v in c) for c in cliques[kind]] for kind in kinds]
+    m = census.m
+    for u in vertices:
+        at_u = [[masks[c][j] for j in iter_bits(through[c][u])] for c in (0, 1)]
+        for plane in at_u[1]:
+            for pc in at_u[0]:
+                shared = plane & pc
+                if shared.bit_count() != m and shared & -shared == 1 << u:
+                    rep.violations.append(("plane-point", tuple(iter_bits(plane)),
+                                           tuple(iter_bits(pc)), shared.bit_count()))
+        row, later, covered = g.rows[u], -(2 << u), 0
+        for label, c in (("edge-point-cover", 0), ("edge-plane-cover", 1)):
+            if not expected[c]:
+                continue
+            once = twice = 0  # the vertices of the class's cliques through u, of two of them
+            for mask in at_u[c]:
+                twice |= once & mask
+                once |= mask
+            for v in iter_bits(row & (~once | twice) & later):
+                rep.violations.append((label, u, v, 2 if twice >> v & 1 else 0))
+            covered |= once
+        for v in iter_bits(covered & ~row & later):
             rep.violations.append(("cover-of-nonedge", u, v, 0))
     return rep
 

@@ -2,11 +2,12 @@
 analyze and export.
 
 Each reads its file into a _Run, whose facts (translations, graph of lines,
-census, srg certificate, isomorphism, geometries) are computed on first use
-and shared by the verdicts that read them.  cli.main loads this module only
-for these subcommands, so a `prect build` process never compiles it, nor
-the axiom checks of prect.incidence that it imports.  It reaches the report
-only through the RunReport it is handed, never by importing prect.cli: under
+census, clique intersection laws, plane extraction, srg certificate,
+isomorphism, geometries) are computed on first use, timed, and shared by
+the verdicts that read them.  cli.main loads this module only for these
+subcommands, so a `prect build` process never compiles it, nor the axiom
+checks of prect.incidence that it imports.  It reaches the report only
+through the RunReport it is handed, never by importing prect.cli: under
 `python -m prect.cli` that import would compile cli.py a second time.
 """
 
@@ -85,6 +86,20 @@ class _Run:
         return classify_census(self.graph, self.model)
 
     @_timed_fact
+    def intersections(self):
+        """The clique intersection laws (cliques.clique_intersections)."""
+        from .cliques import clique_intersections
+
+        return clique_intersections(self.census, self.graph)
+
+    @_timed_fact
+    def planes(self):
+        """Whether every plane clique rebuilds a plane (cliques.plane_extraction)."""
+        from .cliques import plane_extraction
+
+        return plane_extraction(self.census, self.model)
+
+    @_timed_fact
     def cert(self):
         from .linegraph import certify_srg
 
@@ -147,8 +162,6 @@ def cmd_verify(args, report: RunReport):
 
 def _verify_stages(run: _Run, full: bool, m: int, n: int, report: RunReport):
     """verify's stages after A1-A6, on a model whose order is (m, n)."""
-    from .cliques import clique_intersections, plane_extraction
-
     model = run.model
     counts = elementary_counts(model.structure)
     report.verdicts["elementary_counts"] = counts.ok
@@ -169,8 +182,8 @@ def _verify_stages(run: _Run, full: bool, m: int, n: int, report: RunReport):
 
     if full:
         if not trivial:
-            report.verdicts["clique_intersections"] = clique_intersections(census, run.graph).ok
-        report.verdicts["plane_extraction"] = plane_extraction(census, model)
+            report.verdicts["clique_intersections"] = run.intersections.ok
+        report.verdicts["plane_extraction"] = run.planes
         if model.family == "subplane":
             report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
         if not trivial:

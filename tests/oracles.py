@@ -20,7 +20,9 @@ that they share none of the library's incidence index; special_line_at and
 special_position read the special lines off s.lines alike, and digit_sum
 adds vertex numbers digit by digit without the library's adder.
 unreduced_cliques_through_0 is Bron-Kerbosch through vertex 0 on the whole
-graph, without the library's twin classes of N(0).
+graph, without the library's twin classes of N(0).  intersection_violations
+checks the clique intersection laws pair by pair with plain sets: every
+(plane, point clique) pair and every vertex pair.
 
 It also keeps the graph facts that verify's certificates imply and that no
 CLI path computes: the diameter, the factorization into edge classes and
@@ -32,9 +34,10 @@ pair of a failing isomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -640,6 +643,50 @@ def census_with(census: CliqueCensus, **classes) -> CliqueCensus:
     copy = CliqueCensus(**{**kept, **classes}, m=census.m, n=census.n, nu=census.nu)
     copy.checks = census.checks
     return copy
+
+
+def intersection_violations(census: CliqueCensus, g: LineGraph) -> list[tuple]:
+    """The violations of the clique intersection laws, by brute force and
+    named as clique_intersections names them: each class's size against
+    (m+1)n and n^2(n-1)/(m^2(m-1)) (0 and 1 for a plane), every (plane,
+    point clique) pair as sets, which share 0 or m vertices, and every
+    vertex pair u < v against the rows: an edge lies in exactly one clique
+    of each class expected to be nonempty (the count 0, or 2 for two or
+    more), and a non-edge in none of them.  Every clique of the census is
+    read, so a census that carries translations lists its translates too."""
+    m, n = census.m, census.n
+    expected = (0, 1) if m == n else ((m + 1) * n, n * n * (n - 1) // (m * m * (m - 1)))
+    classes = (census.point_cliques, census.plane_cliques)
+    out = [(label, e, len(cls)) for label, e, cls in
+           zip(("point-clique-count", "plane-clique-count"), expected, classes) if len(cls) != e]
+    point_sets = [set(pc) for pc in classes[0]]
+    for plane in classes[1]:
+        for pc, pc_set in zip(classes[0], point_sets):
+            k = len(pc_set.intersection(plane))
+            if k not in (0, m):
+                out.append(("plane-point", plane, pc, k))
+    covers = [Counter(pair for c in cls for pair in combinations(sorted(c), 2)) if e else None
+              for e, cls in zip(expected, classes)]
+    for u in range(g.nu):
+        for v in range(u + 1, g.nu):
+            counts = [cover[u, v] for cover in covers if cover is not None]
+            if not g.rows[u] >> v & 1:
+                if any(counts):
+                    out.append(("cover-of-nonedge", u, v, 0))
+                continue
+            for label, cover in zip(("edge-point-cover", "edge-plane-cover"), covers):
+                if cover is not None and cover[u, v] != 1:
+                    out.append((label, u, v, min(cover[u, v], 2)))
+    return out
+
+
+def at_vertex_0(violation: tuple) -> bool:
+    """Whether a violation of intersection_violations is one of vertex 0: a
+    pair of cliques that both hold it, or a vertex pair (0, v)."""
+    label, a, b, *_ = violation
+    if label == "plane-point":
+        return 0 in a and 0 in b
+    return not label.endswith("-count") and a == 0
 
 
 def t_histogram(lines, nu: int) -> tuple[dict, bool]:

@@ -906,10 +906,10 @@ def test_cli_verify_timings_report_each_fact(tmp_path, capsys):
     assert set(quick) == {"axioms", "total", "translations", "graph", "cert", "census"}
     run_cli("verify", str(tmp_path / "m.json"), "--profile", "full", "--timings")
     full = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert set(full) == set(quick) | {"iso", "geometry"}
+    assert set(full) == set(quick) | {"intersections", "planes", "iso", "geometry"}
     assert all(t >= 0 for t in full.values())
-    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "iso",
-                                 "geometry")) <= full["total"]
+    assert sum(full[k] for k in ("graph", "translations", "cert", "census", "intersections",
+                                 "planes", "iso", "geometry")) <= full["total"]
 
 
 def _moved_point(d: dict, rng: random.Random) -> dict:

@@ -19,13 +19,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, census_closed, census_with, fields,
-                     invariant_mutant, ladder_model, translation_group, twisted_r39,
-                     unreduced_cliques_through_0)
-from prect._util import iter_bits
+from oracles import (CAYLEY_LADDER, INVARIANT_MUTATIONS, at_vertex_0, census_closed, census_with,
+                     fields, intersection_violations, invariant_mutant, ladder_model,
+                     translation_group, twisted_r39, unreduced_cliques_through_0)
+from prect._util import Translations, iter_bits
 from prect.cli import main
 from prect.cliques import (CliqueCensus, CliqueError, _cliques_through_0,
                            check_enumeration_bound, classify_census, clique_intersections,
@@ -415,21 +416,83 @@ def test_verify_full_builds_no_list_of_translates(tmp_path, monkeypatch):
         _cli("cliques", str(path))
 
 
+def _laws_match_the_oracle(census, g):
+    """clique_intersections against the brute-force oracle: the same verdict;
+    on the all-vertex path every violating pair exactly once, and on the
+    orbit path the count violations and the pairs at vertex 0."""
+    rep, oracle = clique_intersections(census, g), intersection_violations(census, g)
+    assert rep.ok == (not oracle)
+    if census.certified_by(g.translations):
+        oracle = [v for v in oracle if v[0].endswith("-count") or at_vertex_0(v)]
+    assert Counter(rep.violations) == Counter(oracle)
+    return rep
+
+
+LAWS = {**{name: MODELS[name] for name in CAYLEY_LADDER
+           if ladder_model(name).num_ordinary_lines <= 1024},
+        "twisted R(3,9)": twisted_r39,
+        **{f"{name} {kind} {end}": lambda name=name, kind=kind, i=i: _mutant(name, kind,
+                                                                           lambda opts: opts[i])
+           for name in ("L_2^3", "R(3,9)", "R(4,16)") for kind in INVARIANT_MUTATIONS
+           for end, i in (("first", 0), ("last", -1))}}
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_intersection_laws_equal_the_brute_force_oracle(name):
+    """On the census classify_census makes, certified where the model is,
+    and on the census of every enumerated clique, which takes the
+    all-vertex path."""
+    model = LAWS[name]()
+    g = build_line_graph(model)
+    certified = classify_census(g, model)
+    assert certified.certified_by(g.translations) == (model.structure.translations is not None)
+    for census in (certified, classify_census(g, model, enumerate_maximal_cliques(g))):
+        rep = _laws_match_the_oracle(census, g)
+        assert rep.ok or name not in CAYLEY_LADDER
+
+
+def test_intersection_laws_of_doubled_cliques_equal_the_oracle(census_l23, g_l23):
+    points, planes = census_l23.point_cliques, census_l23.plane_cliques
+    doubled = census_with(census_l23, point_cliques=points + [points[3]],
+                          plane_cliques=planes + [planes[5]])
+    rep = _laws_match_the_oracle(doubled, g_l23)
+    assert {v[0] for v in rep.violations} == {"point-clique-count", "plane-clique-count",
+                                              "edge-point-cover", "edge-plane-cover"}
+
+
 def test_plane_point_violations_are_those_of_the_planes_through_vertex_0(census_l23, g_l23):
     """A census whose point class is L_2^3's plane class, closed under the
     translations: a plane shares 1 or 4 vertices with each such "point
     clique" it meets, never m = 2.  From the kept cliques, the orbit path
-    reports the violations of the planes through vertex 0, each naming the
-    translated clique, as the all-vertex path does for those planes."""
+    lists the oracle's pairs whose two cliques both hold vertex 0; the
+    all-vertex path lists every violating pair once; both give the same
+    verdict and first violation."""
     planes, m, n, nu = census_l23.kept["plane_cliques"], census_l23.m, census_l23.n, census_l23.nu
     orbit = CliqueCensus(planes, planes, [], m, n, nu, census_l23.translations)
     every = CliqueCensus(orbit.plane_cliques, orbit.plane_cliques, [], m, n, nu)
-    rep, ref = clique_intersections(orbit, g_l23), clique_intersections(every, g_l23)
     assert orbit.certified_by(g_l23.translations) and every.translations is None
+    rep, ref = _laws_match_the_oracle(orbit, g_l23), _laws_match_the_oracle(every, g_l23)
     assert (rep.ok, rep.violations[:1]) == (ref.ok, ref.violations[:1])
     found = [v for v in rep.violations if v[0] == "plane-point"]
     assert found and all(k in (1, 4) for *_, k in found)
-    assert found == [v for v in ref.violations if v[0] == "plane-point" and 0 in v[1]]
+    assert all(0 in plane and 0 in pc for _, plane, pc, _ in found)
+
+
+def _refuse(*args):
+    raise AssertionError("a clique or a vertex was translated")
+
+
+@pytest.mark.parametrize("name", ["L_2^4", "R(4,16)"])
+def test_orbit_intersection_laws_translate_nothing(name, monkeypatch):
+    """On a certified census the laws are checked at vertex 0 from the kept
+    cliques as they are."""
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    census = classify_census(g, model)
+    assert census.certified_by(g.translations)
+    for attr in ("translate", "negate", "translates"):
+        monkeypatch.setattr(Translations, attr, _refuse)
+    assert clique_intersections(census, g).ok
 
 
 def test_only_the_models_own_certificate_makes_an_orbit_census(census_l23, l23):

@@ -3,29 +3,31 @@
     python tools/identity.py --parent OLD --change NEW
 
 OLD and NEW are checkout roots, each holding src/prect; OLD also holds
-tests/oracles.py.  The 75 model files are written once, by OLD's code: the
+tests/oracles.py.  The 91 model files are written once, by OLD's code: the
 15 models that the build runs also write (every benchmark rung, L_2^6,
-R(8,64) and PG(2,2), and the construction's other shapes R(4,64), with
-e = 2 and k = 3, PG(2,9), a plane over an extension field, and R(7,49)),
-twisted R(3,9), the 24 invariant mutants of L_2^3, R(3,9) and R(4,16) (each
-kind, first and last choice), 9 files whose "family" says something else or
-is missing, and 12 more of those three models: with the last ordinary line
-duplicated, with it dropped, with the ordinary lines in reverse order, and
-with ordinary lines 0 and 5 swapped, each line keeping its
-coordinates.  Reversal is x -> c - x on the digit vectors, so those files
-keep their translation certificate; the swapped ones lose it and take every
-all-vertex path.  Two files permute points: L_2^3 with a1 and a3 swapped in
-its ordinary lines, and R(3,9) with two points of special line 0 swapped in
-its ordinary lines.  The last 12 are L_2^4 with one malformed parameter
-each, those of the CLI tests.  Every file then goes through verify --profile
-quick at seeds 0-2, verify --profile full, cliques, iso, geometry, analyze
-and the 9 export what/format pairs, each of which writes --out: with the 15
-builds, 1,290 runs.  Each run is `python -m prect.cli` in a fresh process
-and temporary directory, once with each tree's src, two at a time, and the
-two runs are compared on their exit code, stdout, stderr and --out bytes,
-with any timings_ms object read as null.  The JSON printed on stdout is the
-byte_identity block of a BENCH_*.json record; it lists each differing run
-and the parts of it that differ.  Standard library only.
+R(8,64) and PG(2,2), and the construction's other shapes R(4,64), with e = 2
+and k = 3, PG(2,9), a plane over an extension field, and R(7,49)), twisted
+R(3,9), the 40 invariant mutants of L_2^3, R(3,9), R(4,16), L_2^6 and
+R(8,64) (each kind, first and last choice; the last two's swapped and slid
+ones keep their certificate and take the orbit paths at nu = 4096), 9 files
+whose "family" says something else or is missing, and 12 more of L_2^3,
+R(3,9) and R(4,16): with the last ordinary line duplicated, with it dropped,
+with the ordinary lines in reverse order, and with ordinary lines 0 and 5
+swapped, each line keeping its coordinates.  Reversal is x -> c - x on the
+digit vectors, so those files keep their translation certificate; the
+swapped ones lose it and take every all-vertex path.  Two files permute
+points: L_2^3 with a1 and a3 swapped in its ordinary lines, and R(3,9) with
+two points of special line 0 swapped in its ordinary lines.  The last 12 are
+L_2^4 with one malformed parameter each, those of the CLI tests.  Every file
+then goes through verify --profile quick at seeds 0-2, verify --profile
+full, cliques, iso, geometry, analyze and the 9 export what/format pairs,
+each of which writes --out: with the 15 builds, 1,562 runs.  Each run is
+`python -m prect.cli` in a fresh process and temporary directory, once with
+each tree's src, two at a time, and the two runs are compared on their exit
+code, stdout, stderr and --out bytes, with any timings_ms object read as
+null.  The JSON printed on stdout is the byte_identity block of a
+BENCH_*.json record; it lists each differing run and the parts of it that
+differ.  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ models["PG(2,3)"] = build_model("plane", 3, 1, 1)
 for name in builds:
     write(name, model_to_json(models[name]))
 write("twisted R(3,9)", model_to_json(twisted_r39()))
-for name in ("L_2^3", "R(3,9)", "R(4,16)"):
+for name in ("L_2^3", "R(3,9)", "R(4,16)", "L_2^6", "R(8,64)"):
     for kind in INVARIANT_MUTATIONS:
         for end in (0, -1):
             d = model_to_dict(models[name])
