@@ -1,11 +1,23 @@
 """prect: finite projective rectangles and exact certification of their graph of lines.
 
-Subpackages follow the pipeline: gf (field arithmetic), structure (the
-incidence structure), incidence (the axioms), construct (the two families),
-linegraph (strong regularity, planarity, Euler tours, Krein), cliques (the
-point/plane census), bilinear (the matrix-graph isomorphism), geometry (the
-partial geometries), analysis (coloring, cycles), export, cli (build and the
-parser) and pipeline (the subcommands that read a model).
+Modules follow the pipeline; each is compiled only by the `prect`
+subcommands named here.
+
+  cli, _util   every subcommand: the parser, build, and shared helpers
+  structure    every subcommand: incidence structures, models, A1's walk
+  export       every subcommand: model JSON, written by build, read by the rest
+  construct    build: the two families
+  gf           build of a coordinatized model, analyze, iso, verify --profile
+               full of a subplane model, export --what model of a
+               coordinatized one: field arithmetic
+  pipeline     every subcommand but build: the runs that read a model
+  incidence    verify: the axioms A1-A6 and the elementary counts
+  linegraph    verify, cliques, iso, geometry, analyze, export of a graph or a
+               census: the graph of lines, srg, planarity, Euler tours, Krein
+  cliques      verify, cliques, geometry, export --what census: the census
+  geometry     verify --profile full, geometry: the partial geometries
+  bilinear     verify --profile full of a subplane model, iso: H_q(2,k)
+  analysis     analyze: coloring, cycles
 
 The names in __all__ are loaded from their home module on first use
 (PEP 562), so importing prect, or one `prect` subcommand, loads only the

@@ -20,11 +20,11 @@ from __future__ import annotations
 from math import gcd
 
 from ._util import iter_bits
-from .construct import RectangleModel
 from .gf import field_make
 from .linegraph import LineGraph, SrgCertificate
 # re-exported for perfbench/tracer.py, which imports them from here
 from .linegraph import eulerian_verdict, krein_check, planarity_verdict  # noqa: F401
+from .structure import RectangleModel
 
 DEFAULT_EXACT_CHI_LIMIT = 100
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -191,7 +191,12 @@ def _flag_chromatic(report: ChromaticReport):
 
 
 def _proper(g: LineGraph, colors) -> bool:
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    """Whether no edge joins two vertices of one color: each row against the
+    mask of its vertex's color class, one AND a vertex."""
+    classes = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.rows, colors))
 
 
 def _greedy_clique(g: LineGraph) -> list[int]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import product
 
 from ._util import Translations, iter_bits
-from .construct import RectangleModel
 from .gf import FieldCtx, embed_subfield, field_make
 from .linegraph import LineGraph
+from .structure import RectangleModel
 
 # iso on R(2,128), nu = 2^14, took 17.1 s and 129 MB; at 2^16 the two
 # nu^2-bit graphs alone would take 2 x 512 MiB (README, "Scale")

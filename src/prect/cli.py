@@ -11,17 +11,16 @@ every requested verdict passed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
 from . import __version__
 from ._util import A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, Verdicts
-from .export import build_model, model_to_json
-from .structure import order_of
 
 # This module holds build and the parser only.  The subcommands that read a
-# model live in prect.pipeline, which main loads only for them, so a build
-# process compiles no axiom check, no stage and no subcommand it cannot run.
+# model live in prect.pipeline, which main loads only for them, and cmd_build
+# imports the builders, so each process compiles only what its subcommand runs.
 
 # search nodes per --budget-ms unit; only perfbench/tracer.py still runs the
 # budgeted searches, since analyze builds its witnesses instead
@@ -50,6 +49,10 @@ class RunReport(Verdicts):
 
 
 def cmd_build(args, report: RunReport):
+    from .construct import build_model
+    from .export import model_to_json
+    from .structure import order_of
+
     model = build_model(args.family, args.p, args.e, args.k)
     m, n = order_of(model.structure)
     report.write(args.out, model_to_json(model))
@@ -120,5 +123,17 @@ def main(argv=None) -> int:
     return code or (0 if report.ok else 1)
 
 
+def run() -> int:
+    """main on the command line, for `prect` and `python -m prect.cli`.
+
+    Once main returns, every live object is frozen (gc.freeze), so the
+    full collection at interpreter exit walks none of them; reference
+    counting still frees them, and stdio is flushed as before.  main itself
+    freezes nothing, so a caller in the same process is unaffected."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -7,7 +7,7 @@ is anomalous and falsifies the rectangle property.  When n = m^2 the two
 kinds have equal size, so classification tests for a common point before
 looking at sizes.  A clique is its sorted vertex tuple; its point (the one
 common point of its lines) or its plane (its lines' points plus D) is read
-off the model where used, by export.census_to_dict and extract_plane.
+off the model where used, by pipeline.census_to_dict and extract_plane.
 
 On a graph that carries translations (LineGraph.translations), a model's
 certificate (see build_line_graph) or H_q(2,k)'s group, the enumeration
@@ -23,7 +23,7 @@ a translation maps maximal cliques to maximal cliques, pencils to pencils
 and m^2-cliques to m^2-cliques, so every clique is a translate of a kept
 one, and the class counts, the sizes and the per-vertex counts follow from
 the kept cliques.  The sorted list of every clique is built only when read,
-by the census JSON (export.census_to_dict) and the all-vertex paths.
+by the census JSON (pipeline.census_to_dict) and the all-vertex paths.
 CliqueCensus.certified_by makes the one orbit decision: the census carries
 a certificate, and it is the object the caller's graph
 (clique_intersections) or model (plane_extraction and the geometries)
@@ -43,8 +43,8 @@ from collections import Counter
 from functools import cached_property
 
 from ._util import Checks, Translations, holders, iter_bits
-from .construct import RectangleModel
 from .linegraph import LineGraph
+from .structure import RectangleModel
 
 ENUMERATION_MAX_VERTICES = 1024
 # past ENUMERATION_MAX_VERTICES only the cliques through vertex 0 are

@@ -17,6 +17,10 @@ s_beta off one difference table of the field, built once per model, and
 assembles the lines a column at a time.  Only the structure's lines are
 formed here; its masks and pencils wait for the checks that read them
 (prect.structure), so `prect build` forms neither.
+
+Only `prect build` compiles this module, through build_model, its family
+dispatch; the subcommands that read a model file take RectangleModel from
+prect.structure and never load it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .structure import IncidenceStructure
+from .structure import IncidenceStructure, RectangleModel
 
 if TYPE_CHECKING:  # a coordinate-free model never loads gf
     from .gf import FieldCtx
@@ -44,57 +48,6 @@ def normalize_point(ctx: FieldCtx, x: int, y: int, z: int) -> tuple[int, int, in
             inv = ctx.inv_code(lead)
             return ctx.mul_codes(x, inv), ctx.mul_codes(y, inv), ctx.mul_codes(z, inv)
     raise BuildError("zero triple is not a projective point")
-
-
-class RectangleModel:
-    """An incidence structure plus construction metadata and coordinates.
-
-    structure.lines lists the ordinary lines first, in construction order,
-    followed by the m+1 special lines; graph vertices reuse those indices.
-    Coordinates are (x, y, z) triples of field codes: points [x:y:z] and
-    line coefficients <a,b,c>, codes of ctx, GF(p^(ek)).  Combinatorial
-    models carry no coordinates, and their ctx is None.
-    """
-
-    def __init__(self, structure: IncidenceStructure, p: int, e: int, k: int, *,
-                 special_labels, point_coords=None, line_coeffs=None, special_coeffs=None):
-        self.structure = structure
-        self.p, self.e, self.k = p, e, k
-        self.q = p ** e
-        self.m = self.q
-        self.n = self.q ** k
-        self.ctx = None
-        if point_coords is not None:  # only a model with coordinates loads gf
-            from .gf import field_make
-            self.ctx = field_make(p, e * k)
-        self.point_coords = point_coords
-        self.line_coeffs = line_coeffs
-        self.special_coeffs = special_coeffs
-        self.special_labels = special_labels
-
-    @property
-    def family(self) -> str | None:
-        """The family its data gives: a coordinatized model is "plane" when
-        k = 1 and "subplane" otherwise, one without coordinates over (Z_2)^k
-        is "l2k", and any other has None."""
-        if self.point_coords is not None:
-            return "plane" if self.k == 1 else "subplane"
-        return "l2k" if (self.p, self.e) == (2, 1) else None
-
-    @property
-    def trivial(self) -> bool:
-        return self.m == self.n
-
-    @property
-    def num_ordinary_lines(self) -> int:
-        return len(self.structure.ordinary_lines)
-
-    def alt_special_labels(self):
-        """The alternate q=2 labeling that swaps the roles of s_1 and s_inf."""
-        if self.q != 2 or self.family == "l2k":
-            return None
-        swap = {"s_1": "s_inf", "s_inf": "s_1"}
-        return [swap.get(lab, lab) for lab in self.special_labels]
 
 
 def build_l2k(k: int) -> RectangleModel:
@@ -188,3 +141,25 @@ def _difference_table(ctx: FieldCtx) -> list[list[int]]:
 def build_plane(p: int, e: int) -> RectangleModel:
     """The projective plane over GF(p^e) as a trivial rectangle."""
     return build_subplane_rect(p, e, 1)
+
+
+def build_model(family: str, p: int | None = None, e: int | None = None,
+                k: int | None = None) -> RectangleModel:
+    """The model `prect build --family family` makes from p, e and k."""
+    if family == "l2k":
+        if k is None:
+            raise BuildError("family l2k needs k")
+        if p is not None or e not in (None, 1):
+            raise BuildError("family l2k takes no p, and no e other than 1")
+        return build_l2k(k)
+    if family == "subplane":
+        if None in (p, e, k):
+            raise BuildError("family subplane needs p, e, k")
+        return build_subplane_rect(p, e, k)
+    if family == "plane":
+        if None in (p, e):
+            raise BuildError("family plane needs p, e")
+        if k not in (None, 1):
+            raise BuildError("family plane has k = 1")
+        return build_subplane_rect(p, e, 1)
+    raise BuildError(f"unknown family {family!r}")

@@ -25,7 +25,7 @@ from collections import Counter
 
 from ._util import Checks, Translations, iter_bits, meeting
 from .cliques import ENUMERATION_MAX_VERTICES, CliqueCensus, CliqueError
-from .construct import RectangleModel
+from .structure import RectangleModel
 
 
 class GeometryReport(Checks):

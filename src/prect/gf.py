@@ -17,31 +17,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
-from ._util import add_digits
-
-# Setting up the arrays walks the powers of each candidate element up to the
-# least primitive one.  Each of the 1,078 fields of order up to 2^13 set up
-# within 0.3 s, and 2^14 took 1.4 s (one run each, 2-CPU host, Python 3.11).
-MAX_ORDER = 1 << 13
-
-
-class FieldError(ValueError):
-    """Invalid field parameters or operands."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+# A field's check and its coefficient code live in _util, so that the model
+# reader applies them without loading this module; MAX_ORDER and is_prime
+# are also served from here.
+from ._util import (MAX_ORDER, FieldError, add_digits, check_field, field_code,  # noqa: F401
+                    is_prime)
 
 
 # -- polynomial helpers over GF(p); coefficient lists, constant term first --
@@ -111,12 +91,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, m: int):
-        if m < 1:
-            raise FieldError(f"extension degree must be >= 1, got {m}")
-        if p ** m > MAX_ORDER:  # first, so that trial division never sees a large p
-            raise FieldError(f"field order {p}^{m} exceeds bound {MAX_ORDER}")
-        if not is_prime(p):
-            raise FieldError(f"p = {p} is not prime")
+        check_field(p, m)
         self.p = p
         self.m = m
         self.order = p ** m
@@ -136,12 +111,7 @@ class FieldCtx:
         return tuple(c)
 
     def encode(self, coeffs) -> int:
-        if len(coeffs) != self.m:
-            raise FieldError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + (c % self.p)
-        return code
+        return field_code(coeffs, self.p, self.m)
 
     def format_code(self, code: int) -> str:
         """Polynomial label in the generator g: "0", "1+2g", "g^3"."""

@@ -15,7 +15,8 @@ The structures judged here are prect.structure's IncidenceStructure,
 purely index-based, with its pencils `through` and its line masks; A6's
 table of the lines meeting each line is read off the pencils
 (_util.meeting).  This module holds only the judging, A1-A6 and the
-elementary counts, so `prect build`, which runs none of it, never loads it.
+elementary counts, so only `prect verify` compiles it; A1's walk, which
+every subcommand that reads a model reports, lives in prect.structure.
 
 The built models number their ordinary lines 0..nu-1 so that translation
 of GF(p)^d on the line indices, nu = p^d, extends to incidence
@@ -34,7 +35,7 @@ from bisect import bisect_right
 
 from ._util import (A6_DEFAULT_SAMPLES, A6_DEFAULT_SEED, Checks, Verdicts, comb2, iter_bits,
                     meeting)
-from .structure import IncidenceStructure, order_of
+from .structure import IncidenceStructure, _a1_witness, order_of
 
 
 class AxiomReport(Verdicts):
@@ -121,48 +122,6 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     if wit6:
         rep.witnesses["A6"] = wit6
     return rep
-
-
-def _a1_witness(s):
-    """The first pair on two lines, else the first pair on none, else None.
-
-    One walk ORs each line's mask into its points' covers.  The lines hold
-    sum C(|line|, 2) pairs counted with multiplicity, the covers sum
-    (|cover| - 1) / 2 distinct ones, so only a surplus puts a pair on two
-    lines; both its points then have more partners counted than covered.
-    The witness is on the first line i with two such points that meets
-    another line twice (its points' pencils ORed into once and twice masks):
-    i's least point a on such a line, and a's least partner b on one.  Else
-    the least point whose cover misses a point, and the least it misses.
-    """
-    cover = [1 << p for p in range(s.n_points)]
-    for t, mask in zip(s.lines, s.line_masks):
-        for p in t:
-            cover[p] |= mask
-    if sum(comb2(len(t)) for t in s.lines) > sum(c.bit_count() - 1 for c in cover) // 2:
-        counted = [0] * len(cover)  # [p]: p's partners counted with multiplicity
-        for t in s.lines:
-            for p in t:
-                counted[p] += len(t) - 1
-        doubled = sum(1 << p for p, c in enumerate(cover) if counted[p] >= c.bit_count())
-        through = s.through
-        for i, (t, mask) in enumerate(zip(s.lines, s.line_masks)):
-            if (mask & doubled).bit_count() > 1:
-                once = twice = 0
-                for a in t:
-                    twice |= once & through[a]
-                    once |= through[a]
-                twice &= ~(1 << i)  # the lines other than i meeting line i twice
-                for a in t:
-                    if through[a] & twice:
-                        b = next(b for b in t if b != a and through[a] & through[b] & twice)
-                        return {"pair": (a, b), "lines": list(iter_bits(through[a] & through[b])),
-                                "defect": "covered more than once"}
-    for p, c in enumerate(cover):
-        if c.bit_count() < len(cover):  # ~c & c + 1 is c's lowest zero bit
-            return {"pair": (p, (~c & c + 1).bit_length() - 1), "lines": [],
-                    "defect": "not covered"}
-    return None
 
 
 def _find_quadrangle(s):

@@ -36,7 +36,7 @@ from __future__ import annotations
 from math import inf
 
 from ._util import Translations, Verdicts, iter_bits, meeting
-from .construct import RectangleModel
+from .structure import RectangleModel
 
 # the largest graph of lines measured: its graph6 export on R(2,128), nu =
 # 2^14, took 12.9 s and 319 MB (README, "Scale")

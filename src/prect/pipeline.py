@@ -5,10 +5,14 @@ Each reads its file into a _Run, whose facts (translations, graph of lines,
 census, clique intersection laws, plane extraction, srg certificate,
 isomorphism, geometries) are computed on first use, timed, and shared by
 the verdicts that read them.  cli.main loads this module only for these
-subcommands, so a `prect build` process never compiles it, nor the axiom
-checks of prect.incidence that it imports.  It reaches the report only
-through the RunReport it is handed, never by importing prect.cli: under
-`python -m prect.cli` that import would compile cli.py a second time.
+subcommands, so a `prect build` process never compiles it.  It imports the
+axiom checks of prect.incidence inside cmd_verify, their one caller, so
+only verify compiles them; the other subcommands report A1 from
+structure._a1_witness.  The graph6, DOT, census and certificate writers
+sit beside _EXPORTS, the exports that use them.  The module reaches the
+report only through the RunReport it is handed, never by importing
+prect.cli: under `python -m prect.cli` that import would compile cli.py a
+second time.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import time
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .export import (census_to_dict, certificate_to_dict, graph6_str, model_from_json,
-                     model_to_json, to_dot)
-from .incidence import _a1_witness, check_axioms, elementary_counts
-from .structure import StructureError, order_of
+from ._util import iter_bits
+from .export import ExportError, model_from_json, model_to_json
+from .structure import StructureError, _a1_witness, order_of
 
 if TYPE_CHECKING:
     from .cli import RunReport
+    from .cliques import CliqueCensus
+    from .linegraph import LineGraph, SrgCertificate
+    from .structure import RectangleModel
 
 # The stage modules (linegraph, cliques, bilinear, geometry, analysis) are
 # imported by the facts and subcommands that use them, so each subcommand
@@ -128,6 +134,7 @@ class _Run:
 
 def cmd_verify(args, report: RunReport):
     from .cliques import CAYLEY_MAX_VERTICES, check_enumeration_bound
+    from .incidence import check_axioms
 
     if args.a6_samples < 1:
         raise ValueError(f"--a6-samples must be at least 1, not {args.a6_samples}")
@@ -162,6 +169,8 @@ def cmd_verify(args, report: RunReport):
 
 def _verify_stages(run: _Run, full: bool, m: int, n: int, report: RunReport):
     """verify's stages after A1-A6, on a model whose order is (m, n)."""
+    from .incidence import elementary_counts
+
     model = run.model
     counts = elementary_counts(model.structure)
     report.verdicts["elementary_counts"] = counts.ok
@@ -337,6 +346,80 @@ def _witnessed(report: RunReport, verdict: str, detail: str, read):
         report.verdicts[verdict] = False
         report.details[detail] = {"verified": False, "witness": str(exc)}
         return None
+
+
+def graph6_str(g: LineGraph) -> str:
+    """g in the standard graph6 format, vertices in construction order."""
+    n = g.nu
+    if n > 62:
+        if n > 258047:
+            raise ExportError("graph too large for this graph6 writer")
+        head = bytes([126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)])
+    else:
+        head = bytes([63 + n])
+    # column j holds the pairs (i, j), i < j, in order of i: row j's low j bits, reversed
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(63 + int(bits[i:i + 6], 2) for i in range(0, len(bits), 6))
+    return (head + body).decode("ascii")
+
+
+def to_dot(g: LineGraph, model: RectangleModel) -> str:
+    """DOT text; each edge carries the label of its special line (see edge_class)."""
+    from .linegraph import edge_class
+
+    labels = model.special_labels
+    out = ["graph lines {"]
+    for u in range(g.nu):
+        out.append(f"  {u};")
+    for u, v in g.edges():
+        c = edge_class(model, u, v)
+        if c is None:
+            raise ExportError(f"lines {u} and {v} meet more than once, or in a point "
+                              f"on no unique special line")
+        if labels and c >= len(labels):
+            raise ExportError(f"lines {u} and {v} meet on special line {c}, but the model "
+                              f"labels only {len(labels)} special lines")
+        label = labels[c] if labels else str(c)
+        out.append(f'  {u} -- {v} [class="{label}"];')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
+    """The census as JSON; a point clique is labelled by the one point its
+    lines share, a plane clique by its plane's points, read off the model."""
+    from .cliques import common_points, plane_mask
+
+    pts = model.structure.points
+
+    def point(clique):
+        return pts[common_points(clique, model).bit_length() - 1]
+
+    def plane(clique):
+        return [pts[p] for p in iter_bits(plane_mask(clique, model))]
+
+    return {
+        "m": census.m,
+        "n": census.n,
+        "trivial": census.trivial,
+        "point_cliques": [{"vertices": list(pc), "point": point(pc)}
+                          for pc in census.point_cliques],
+        "plane_cliques": [{"vertices": list(pc), "plane_points": plane(pc)}
+                          for pc in census.plane_cliques],
+        "anomalous": [list(c) for c in census.anomalous],
+    }
+
+
+def certificate_to_dict(cert: SrgCertificate) -> dict:
+    return {
+        "parameters": list(cert.parameters),
+        "eigenvalues": [cert.tau0, cert.tau1, cert.tau2],
+        "multiplicities": list(cert.multiplicities),
+        "verdicts": dict(cert.verdicts),
+        "witness": cert.witness,
+        "ok": cert.ok,
+    }
 
 
 # (what, format) -> the text that export writes

@@ -574,6 +574,11 @@ def ladder_model(name: str) -> RectangleModel:
     return CAYLEY_LADDER[name]()
 
 
+def proper_by_edges(g: LineGraph, colors) -> bool:
+    """Edge by edge: whether no edge of g joins two vertices of one color."""
+    return all(colors[u] != colors[v] for u, v in g.edges())
+
+
 def cayley_prime(g: LineGraph):
     """p if g is the Cayley graph Cay(GF(p)^d, N(0)), with N(0) = -N(0) and
     no loop, under digit-by-digit addition of vertex numbers; else None."""

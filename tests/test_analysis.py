@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 import prect
 
-from oracles import graph_from_edges, without_edge
+from oracles import CAYLEY_LADDER, graph_from_edges, ladder_model, proper_by_edges, without_edge
 from prect._util import iter_bits
 from prect.analysis import (AnalysisError, ChromaticReport, _exact_chromatic, _proper,
                             _proper_edges, chromatic_analysis, chromatic_by_construction,
@@ -612,3 +613,23 @@ def test_cli_analyze_passes_a_renumbered_l23_that_verify_passes(tmp_path):
     report = json.loads(analyze.stdout)
     assert analyze.returncode == 0, report["details"].get("chromatic")
     assert report["verdicts"]["chromatic_verified"]
+
+
+@pytest.mark.parametrize("name", [name for name in CAYLEY_LADDER
+                                  if ladder_model(name).k >= 2])
+def test_proper_by_color_class_agrees_with_the_edge_by_edge_oracle(name):
+    """_proper ANDs each row with its vertex's color class; on the net
+    coloring of each ladder graph, and on copies with one vertex recolored,
+    to a neighbor's color or to any color, it agrees with every edge read."""
+    model = ladder_model(name)
+    g = build_line_graph(model)
+    colors, _ = net_coloring(model)
+    assert _proper(g, colors) and proper_by_edges(g, colors)
+    rng = random.Random(name)
+    for v in rng.sample(range(g.nu), 8):
+        neighbor = rng.choice(list(iter_bits(g.rows[v])))
+        for color in (colors[neighbor], rng.randrange(model.n), "new"):
+            recolored = [*colors[:v], color, *colors[v + 1:]]
+            assert _proper(g, recolored) == proper_by_edges(g, recolored), (v, color)
+            assert _proper(g, recolored) is (color not in {colors[u]
+                                                          for u in iter_bits(g.rows[v])})

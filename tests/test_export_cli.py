@@ -8,13 +8,15 @@ import random
 
 import pytest
 
-from oracles import graph_from_edges, invariant_mutant, recheck_witnesses, twisted_r39
+from oracles import (CAYLEY_LADDER, graph_from_edges, invariant_mutant, ladder_model,
+                     recheck_witnesses, twisted_r39)
 from prect.cli import RunReport, main
 from prect.cliques import CliqueCensus, classify_census
 from prect.construct import RectangleModel, build_plane, build_subplane_rect
-from prect.export import (census_to_dict, graph6_str, model_from_json, model_to_dict,
-                          model_to_json, to_dot)
+from prect.export import model_from_json, model_to_dict, model_to_json
+from prect.gf import field_make
 from prect.linegraph import LineGraph, build_line_graph
+from prect.pipeline import census_to_dict, graph6_str, to_dot
 
 
 def parse_graph6(text: str) -> LineGraph:
@@ -798,8 +800,8 @@ def _too_early(*args, **kwargs):
 def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsys,
                                                                  monkeypatch, profile):
     import prect.cliques
+    import prect.incidence
     import prect.linegraph
-    import prect.pipeline
 
     d = _built(tmp_path, "m.json", "--family", "l2k", "--k", "2")
     lines = d["structure"]["lines"]
@@ -812,7 +814,7 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 0
     capsys.readouterr()
-    monkeypatch.setattr(prect.pipeline, "check_axioms", _too_early)
+    monkeypatch.setattr(prect.incidence, "check_axioms", _too_early)
     assert run_cli("verify", str(tmp_path / "swapped.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
@@ -1115,3 +1117,74 @@ def test_cli_model_over_a_large_prime_p_is_refused_by_the_field_bound(tmp_path, 
     monkeypatch.setattr(prect.gf, "is_prime", no_trial_division)
     assert run_cli(args[0], str(path), *args[1:]) == 2
     assert capsys.readouterr() == ("", f"error: field order {p}^1 exceeds bound 8192\n")
+
+
+@pytest.mark.parametrize("name", CAYLEY_LADDER)
+def test_reading_a_model_restores_its_coordinates_and_field(name):
+    """The reader codes coordinates by the field's own rule without making
+    the field: a ladder model read back has the built coordinates, and its
+    field, made on first use, is the built model's GF(p^(ek))."""
+    built = ladder_model(name)
+    read = model_from_json(model_to_json(built))
+    for attr in ("point_coords", "line_coeffs", "special_coeffs"):
+        assert getattr(read, attr) == getattr(built, attr), attr
+    if built.point_coords is None:
+        assert read.ctx is None
+    else:
+        assert read.ctx is field_make(built.p, built.e * built.k) is built.ctx
+
+
+def _r39_runs(tmp_path, capsys, edit):
+    """(exit, stdout, stderr) of verify, analyze and export --what model on
+    R(3,9)'s file after edit(file dict)."""
+    d = _built(tmp_path, "m.json", "--family", "subplane", "--p", "3", "--k", "2")
+    edit(d)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(d, sort_keys=True))
+    runs = []
+    for argv in (("verify", str(path)), ("analyze", "--graph", str(path)),
+                 ("export", str(path), "--what", "model")):
+        capsys.readouterr()
+        runs.append((run_cli(*argv), *capsys.readouterr()))
+    return runs
+
+
+@pytest.mark.parametrize("key, index", [("point_coords", 1), ("line_coeffs", 4),
+                                        ("special_coeffs", 2)])
+def test_a_coordinate_vector_of_the_wrong_length_exits_2(tmp_path, capsys, key, index):
+    def edit(d):
+        d[key][index][0] = [*d[key][index][0], 0]
+
+    assert _r39_runs(tmp_path, capsys, edit) == [(2, "", "error: expected 2 coefficients, "
+                                                         "got 3\n")] * 3
+
+
+@pytest.mark.parametrize("shift", [3, 6, -3])
+def test_a_digit_out_of_range_is_read_mod_p(tmp_path, capsys, shift):
+    """A digit is taken mod p, as gf.FieldCtx.encode takes it: a file with
+    one digit of a point and one of a line moved by a multiple of p runs as
+    the file with the digits in range."""
+    def edit(d):
+        d["point_coords"][5][1][0] += shift
+        d["line_coeffs"][7][1][1] += shift
+
+    assert _r39_runs(tmp_path, capsys, edit) == _r39_runs(tmp_path, capsys, lambda d: None)
+
+
+def test_the_reader_checks_the_field_order_before_primality(tmp_path, capsys, monkeypatch):
+    """The reader applies the field check of _util itself: with its trial
+    division patched to fail, a file over p = 2^61 - 1 exits 2 by the order
+    bound."""
+    import prect._util
+
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    p = 2 ** 61 - 1
+    monkeypatch.setattr(prect._util, "is_prime", no_trial_division)
+
+    def edit(d):
+        d["params"].update(p=p, q=p, m=p, n=p, e=1, k=1)
+
+    assert _r39_runs(tmp_path, capsys, edit) == [
+        (2, "", f"error: field order {p}^1 exceeds bound 8192\n")] * 3

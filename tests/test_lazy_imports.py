@@ -3,21 +3,24 @@
 The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
 `prect build` of L_2^k compiles five modules, not thirteen: gf is loaded
-only where a model makes or reads coordinates, and by analysis.  build
-loads neither the axiom checks (incidence) nor the subcommands that read a
-model (pipeline), and pipeline never imports prect.cli, which under
-`python -m prect.cli` would compile cli.py a second time.  verify
-reads its planarity, Eulerian and Krein verdicts from linegraph, so it
-never loads analysis.  No module imports dataclasses, which would load
-inspect, nor fractions: analyze's eigenvalue bound is integer work.  No
-report class outside _util restates the ok rule of its checks or verdicts.
-Every run here is a fresh interpreter, since one test process has long
-since loaded them all.
+only where a model makes coordinates or does field arithmetic, and by
+analysis; reading a file's coordinates does not load it.  build loads
+neither the axiom checks (incidence) nor the subcommands that read a model
+(pipeline); no subcommand that reads a model loads the builders
+(construct), and only verify loads incidence.  pipeline never imports
+prect.cli, which under `python -m prect.cli` would compile cli.py a second
+time.  verify reads its planarity, Eulerian and Krein verdicts from
+linegraph, so it never loads analysis.  No module imports dataclasses,
+which would load inspect, nor fractions: analyze's eigenvalue bound is
+integer work.  No report class outside _util restates the ok rule of its
+checks or verdicts.  Every run here is a fresh interpreter, since one test
+process has long since loaded them all.
 """
 
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -35,8 +38,9 @@ SRC = Path(prect.__file__).resolve().parent.parent
 ROOT = SRC.parent
 
 BUILD = {"cli", "export", "construct", "structure", "_util"}
-READ = BUILD | {"pipeline", "incidence"}
-QUICK = READ | {"linegraph", "cliques"}
+READ = {"cli", "export", "structure", "_util", "pipeline"}
+CENSUS = READ | {"linegraph", "cliques"}
+QUICK = CENSUS | {"incidence"}
 FULL = QUICK | {"geometry"}
 
 # argv with {} for the model file's directory, and the prect.* modules it loads
@@ -45,17 +49,18 @@ SUBCOMMANDS = {
     "build subplane": (("build", "--family", "subplane", "--p", "3", "--k", "2",
                         "--out", "{}/new.json"), BUILD | {"gf"}),
     "verify quick": (("verify", "{}/l22.json"), QUICK),
+    "verify quick subplane": (("verify", "{}/r39.json"), QUICK),
     "verify full l2k": (("verify", "{}/l22.json", "--profile", "full"), FULL),
     "verify full subplane": (("verify", "{}/r39.json", "--profile", "full"),
                              FULL | {"gf", "bilinear"}),
     "analyze": (("analyze", "--graph", "{}/l22.json"), READ | {"gf", "linegraph", "analysis"}),
     "iso": (("iso", "{}/r39.json"), READ | {"gf", "linegraph", "bilinear"}),
-    "cliques": (("cliques", "{}/l22.json"), QUICK),
-    "geometry": (("geometry", "{}/l22.json"), QUICK | {"geometry"}),
+    "cliques": (("cliques", "{}/l22.json"), CENSUS),
+    "geometry": (("geometry", "{}/l22.json"), CENSUS | {"geometry"}),
     "export model": (("export", "{}/l22.json", "--what", "model"), READ),
     "export graph6": (("export", "{}/l22.json", "--format", "graph6"), READ | {"linegraph"}),
     "export dot": (("export", "{}/l22.json", "--format", "dot"), READ | {"linegraph"}),
-    "export census": (("export", "{}/l22.json", "--what", "census"), QUICK),
+    "export census": (("export", "{}/l22.json", "--what", "census"), CENSUS),
 }
 
 _LOADED = """if True:
@@ -85,7 +90,7 @@ def models(tmp_path_factory):
 
 def test_the_module_sets_cover_the_package():
     every = {m.name for m in pkgutil.iter_modules(prect.__path__)}
-    assert every == FULL | {"gf", "bilinear", "analysis"}
+    assert every == FULL | {"construct", "gf", "bilinear", "analysis"}
     assert set().union(*(s for _, s in SUBCOMMANDS.values())) == every
 
 
@@ -96,17 +101,25 @@ def test_each_subcommand_loads_only_the_stages_it_runs(models, name):
     assert code == 0
     assert set(loaded) == expected
     assert heavy == []
+    if argv[0] != "build":  # a model file is read, never built
+        assert "construct" not in loaded
+    if argv[0] != "verify":
+        assert "incidence" not in loaded
 
 
 @pytest.mark.parametrize("argv, present, absent", [
-    (("verify", "{}/r39.json"), {"prect.pipeline", "prect.incidence"}, {"prect.cli"}),
+    (("verify", "{}/r39.json"), {"prect.pipeline", "prect.incidence"},
+     {"prect.cli", "prect.construct", "prect.gf"}),
+    (("analyze", "--graph", "{}/l22.json"), {"prect.pipeline", "prect.analysis"},
+     {"prect.cli", "prect.construct", "prect.incidence"}),
     (("build", "--family", "subplane", "--p", "5", "--k", "2", "--out", "{}/new.json"),
      {"prect.construct", "prect.structure"}, {"prect.cli", "prect.pipeline", "prect.incidence"}),
 ])
 def test_the_command_line_imports_no_module_twice(models, argv, present, absent):
     """Under `python -m prect.cli` the running cli.py is __main__, so any
-    module that imports prect.cli would compile it a second time; and build
-    imports neither the axiom checks nor the model-reading subcommands."""
+    module that imports prect.cli would compile it a second time; build
+    imports neither the axiom checks nor the model-reading subcommands, and
+    those import no builder."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "prect.cli",
                            *(a.format(models) for a in argv)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -115,6 +128,22 @@ def test_the_command_line_imports_no_module_twice(models, argv, present, absent)
                 if line.startswith("import time:") and line.count("|") == 2}
     assert present <= imported
     assert not absent & imported
+
+
+def test_main_in_process_freezes_nothing_and_the_command_line_entry_freezes(models):
+    """cli.run, the entry of `prect` and `python -m prect.cli`, freezes the
+    heap after main returns, so the collection at exit walks no object;
+    main called in-process leaves the collector as it found it."""
+    assert gc.get_freeze_count() == 0
+    assert main(["verify", str(models / "l22.json")]) == 0
+    assert gc.get_freeze_count() == 0
+    code = ("import contextlib, gc, io, sys, prect.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = prect.cli.run()\n"
+            "print(code, gc.get_freeze_count() > 0)")
+    assert _fresh(code, "verify", str(models / "l22.json")).split() == ["0", "True"]
+    script = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'prect = "prect.cli:run"' in script
 
 
 def test_no_module_imports_dataclasses():

@@ -60,8 +60,12 @@ BUILDS = {  # name: build arguments
 _WRITE_MODELS = r"""
 import json, sys
 from oracles import INVARIANT_MUTATIONS, invariant_mutant, twisted_r39
-from prect.export import build_model, model_to_dict, model_to_json
+from prect.export import model_to_dict, model_to_json
 from prect.incidence import IncidenceStructure
+try:
+    from prect.construct import build_model
+except ImportError:  # a tree that keeps build_model in prect.export
+    from prect.export import build_model
 
 builds, out = json.loads(sys.argv[2]), sys.argv[1]
 def write(name, text):
