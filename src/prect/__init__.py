@@ -8,8 +8,7 @@ subcommands named here.
   export       every subcommand: model JSON, written by build, read by the rest
   construct    build: the two families
   gf           build of a coordinatized model, analyze, iso, verify --profile
-               full of a subplane model, export --what model of a
-               coordinatized one: field arithmetic
+               full of a subplane model: field arithmetic
   pipeline     every subcommand but build: the runs that read a model
   incidence    verify: the axioms A1-A6 and the elementary counts
   linegraph    verify, cliques, iso, geometry, analyze, export of a graph or a

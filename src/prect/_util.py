@@ -58,6 +58,12 @@ def field_code(coeffs, p: int, m: int) -> int:
     return code
 
 
+def field_digits(code: int, p: int, m: int) -> tuple[int, ...]:
+    """The m coefficients of code, constant term first: field_code's inverse
+    (gf.FieldCtx.decode)."""
+    return tuple(code // p ** i % p for i in range(m))
+
+
 def iter_bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:

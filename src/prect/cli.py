@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     if args.cmd != "build":
         from . import pipeline
 
-        command = getattr(pipeline, f"cmd_{args.cmd}")
+        command = getattr(pipeline, f"cmd_{args.cmd}", pipeline.cmd_product)  # a _PRODUCTS row
         if args.cmd == "export" and args.format is None:  # the first format of --what
             args.format = next(f for what, f in pipeline._EXPORTS if what == args.what)
     report = RunReport(args.cmd, {k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
@@ -118,8 +118,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.cmd in ("cliques", "geometry", "export"):
-        print(report.to_json(), file=sys.stderr)
     return code or (0 if report.ok else 1)
 
 

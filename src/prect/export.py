@@ -4,16 +4,16 @@ JSON is emitted with sorted keys and the construction order of points and
 lines, so outputs are byte-stable for fixed inputs.  Every subcommand
 compiles this module: build to write its model, the others to read theirs.
 Reading a file with coordinates applies the field's check and coefficient
-code from _util, so it loads no gf.  The graph6, DOT, census and srg
-certificate writers live in prect.pipeline, beside the exports that use
-them.
+code from _util, and writing one that code's inverse, so neither loads gf.
+The graph6, DOT and census writers live in prect.pipeline, beside the
+exports that use them.
 """
 
 from __future__ import annotations
 
 import json
 
-from ._util import check_field, field_code
+from ._util import check_field, field_code, field_digits
 from .structure import IncidenceStructure, RectangleModel
 
 
@@ -36,8 +36,8 @@ def model_to_dict(model: RectangleModel) -> dict:
         "structure": model.structure.to_json_dict(),
         "special_labels": list(model.special_labels),
     }
-    if model.point_coords is not None:  # each code decoded once; its vector is shared
-        digits = [list(model.ctx.decode(c)) for c in range(model.ctx.order)]
+    if model.point_coords is not None:  # each code of GF(n) decoded once; its vector is shared
+        digits = [list(field_digits(c, model.p, model.e * model.k)) for c in range(model.n)]
         for name in ("point_coords", "line_coeffs", "special_coeffs"):
             d[name] = [[digits[x], digits[y], digits[z]] for x, y, z in getattr(model, name)]
     if model.alt_special_labels():

@@ -17,11 +17,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 
-# A field's check and its coefficient code live in _util, so that the model
-# reader applies them without loading this module; MAX_ORDER and is_prime
-# are also served from here.
+# A field's check and its coefficient code and its inverse live in _util, so
+# that the model reader and writer apply them without loading this module;
+# MAX_ORDER and is_prime are also served from here.
 from ._util import (MAX_ORDER, FieldError, add_digits, check_field, field_code,  # noqa: F401
-                    is_prime)
+                    field_digits, is_prime)
 
 
 # -- polynomial helpers over GF(p); coefficient lists, constant term first --
@@ -104,11 +104,7 @@ class FieldCtx:
     # -- integer-coded element helpers --
 
     def decode(self, code: int) -> tuple[int, ...]:
-        c = []
-        for _ in range(self.m):
-            code, r = divmod(code, self.p)
-            c.append(r)
-        return tuple(c)
+        return field_digits(code, self.p, self.m)
 
     def encode(self, coeffs) -> int:
         return field_code(coeffs, self.p, self.m)

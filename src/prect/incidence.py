@@ -41,23 +41,23 @@ from .structure import IncidenceStructure, _a1_witness, order_of
 class AxiomReport(Verdicts):
     """Per-axiom verdicts with re-checkable witnesses on failure."""
 
-    def __init__(self, a6_mode: str):
+    def __init__(self, a6_mode: str | None):
         self.verdicts, self.witnesses = {}, {}
         self.a6_mode = a6_mode
         self.a6_coverage: dict | None = None
 
 
-def check_axioms(s: IncidenceStructure, a6_mode: str,
+def check_axioms(s: IncidenceStructure, a6_mode: str | None,
                  a6_samples: int = A6_DEFAULT_SAMPLES,
                  seed: int = A6_DEFAULT_SEED) -> AxiomReport:
     """Verify axioms A1 to A6, returning verdicts and witnesses.
 
-    a6_mode is "full", the whole quadruple enumeration, or "sampled", which
+    a6_mode is "full", the whole quadruple enumeration, "sampled", which
     draws a6_samples distinct quadruples (seeded, uniform over the quadruple
-    space).  Sampled runs record their coverage of the space, where drawn
-    and distinct are equal; when the space is no larger than the sample
-    count they upgrade to exhaustive enumeration, which is cheaper and
-    conclusive.
+    space), or None, which stops after A5 and reports no A6.  Sampled runs
+    record their coverage of the space, where drawn and distinct are equal;
+    when the space is no larger than the sample count they upgrade to
+    exhaustive enumeration, which is cheaper and conclusive.
 
     A6 on a structure that passes A1 and whose translations are certified
     scans only the pairs (0, l2) on at_line_0, which holds their candidates.
@@ -105,6 +105,8 @@ def check_axioms(s: IncidenceStructure, a6_mode: str,
     rep.verdicts["A5"] = a5_witness is None
     if a5_witness:
         rep.witnesses["A5"] = a5_witness
+    if a6_mode is None:
+        return rep
 
     # A6: on a certified structure one line-0 scan serves both profiles.
     scan = None

@@ -1,18 +1,15 @@
 """The subcommands that read a model file: verify, cliques, iso, geometry,
 analyze and export.
 
-Each reads its file into a _Run, whose facts (translations, graph of lines,
-census, clique intersection laws, plane extraction, srg certificate,
-isomorphism, geometries) are computed on first use, timed, and shared by
-the verdicts that read them.  cli.main loads this module only for these
-subcommands, so a `prect build` process never compiles it.  It imports the
-axiom checks of prect.incidence inside cmd_verify, their one caller, so
-only verify compiles them; the other subcommands report A1 from
-structure._a1_witness.  The graph6, DOT, census and certificate writers
-sit beside _EXPORTS, the exports that use them.  The module reaches the
-report only through the RunReport it is handed, never by importing
-prect.cli: under `python -m prect.cli` that import would compile cli.py a
-second time.
+Each reads its file into a _Run, whose facts are computed on first use,
+timed and shared.  Each fact a report states has one entry, a function of
+(run, report) that is the one writer of the fact's verdict and detail
+keys.  A subcommand is a list of entries, each under the conditions its
+list sets, run in order until one returns True to stop the run.  The
+entries import their stage modules, so a subcommand compiles only the
+stages it runs.  cli.main loads this module for these subcommands only,
+and it never imports prect.cli: under `python -m prect.cli` that would
+compile cli.py a second time.
 """
 
 from __future__ import annotations
@@ -30,12 +27,8 @@ from .structure import StructureError, _a1_witness, order_of
 if TYPE_CHECKING:
     from .cli import RunReport
     from .cliques import CliqueCensus
-    from .linegraph import LineGraph, SrgCertificate
+    from .linegraph import LineGraph
     from .structure import RectangleModel
-
-# The stage modules (linegraph, cliques, bilinear, geometry, analysis) are
-# imported by the facts and subcommands that use them, so each subcommand
-# loads only the stages it runs.
 
 
 def _timed_fact(compute):
@@ -56,11 +49,10 @@ def _timed_fact(compute):
 
 
 class _Run:
-    """One model file and the facts derived from it, each computed on first use."""
+    """A model file and its subcommand's arguments, with facts computed on first use."""
 
-    def __init__(self, path: str):
-        self.timings_ms = {}
-        self._nested_s = 0.0
+    def __init__(self, path: str, args):
+        self.args, self.timings_ms, self._nested_s = args, {}, 0.0
         with open(path, encoding="utf-8") as fh:
             try:
                 self.model = model_from_json(fh.read())
@@ -70,6 +62,27 @@ class _Run:
     @cached_property
     def order(self):
         return order_of(self.model.structure)
+
+    @_timed_fact
+    def axioms(self):
+        """A1-A6 (incidence.check_axioms) at verify's profile.  Past the
+        enumeration bound, where the census would refuse after A6, A1-A5 run
+        alone: their report, with no A6, when one fails, else the refusal."""
+        from .cliques import CAYLEY_MAX_VERTICES, CliqueError, check_enumeration_bound
+        from .incidence import check_axioms
+
+        s, args = self.model.structure, self.args
+        if len(s.ordinary_lines) <= CAYLEY_MAX_VERTICES:
+            self.translations  # certified once, for the bound, A6, the graph and the census
+        try:
+            check_enumeration_bound(self.model)
+        except CliqueError:
+            refuted = check_axioms(s, None)
+            if refuted.ok:
+                raise
+            return refuted
+        return check_axioms(s, "full" if args.profile == "full" else "sampled",
+                            a6_samples=args.a6_samples, seed=args.seed)
 
     @_timed_fact
     def translations(self):
@@ -118,9 +131,8 @@ class _Run:
         H is built first, so past its bound the graph of lines is never built."""
         from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
 
-        model = self.model
-        h = build_hq2k(model.p, model.e, model.k)
-        mapping = line_matrix_map(model, h)
+        h = build_hq2k(self.model.p, self.model.e, self.model.k)
+        mapping = line_matrix_map(self.model, h)
         return mapping, certify_isomorphism(self.graph, h.graph, mapping)
 
     @_timed_fact
@@ -132,220 +144,195 @@ class _Run:
                 build_plane_clique_structure(self.census, self.model))
 
 
-def cmd_verify(args, report: RunReport):
-    from .cliques import CAYLEY_MAX_VERTICES, check_enumeration_bound
-    from .incidence import check_axioms
-
-    if args.a6_samples < 1:
-        raise ValueError(f"--a6-samples must be at least 1, not {args.a6_samples}")
-    run = _Run(args.model)
-    model = run.model
-    t0 = time.perf_counter()
-    if model.num_ordinary_lines <= CAYLEY_MAX_VERTICES:
-        run.translations  # certified once, for the bound, A6, the graph and the census
-    check_enumeration_bound(model)  # the census would refuse after A6
-    t_axioms = time.perf_counter()
-    axioms = check_axioms(model.structure, "full" if args.profile == "full" else "sampled",
-                          a6_samples=args.a6_samples, seed=args.seed)
-    report.verdicts["axioms"] = axioms.ok
-    report.details["axioms"] = {"verdicts": axioms.verdicts,
-                                "witnesses": axioms.witnesses,
-                                "a6_mode": axioms.a6_mode,
-                                "a6_coverage": axioms.a6_coverage}
-    axioms_ms = (time.perf_counter() - t_axioms) * 1000
-    try:
-        m, n = run.order
-    except StructureError as exc:  # the axiom verdicts and witnesses still stand
-        report.verdicts["order"] = False
-        report.details["order"] = str(exc)
-    else:
-        _verify_stages(run, args.profile == "full", m, n, report)
-    if args.timings:
-        total_ms = (time.perf_counter() - t0) * 1000
-        report.timings_ms = {**run.timings_ms, "axioms": round(axioms_ms, 1),
-                             "total": round(total_ms, 1)}
-    print(report.to_json())
-
-
-def _verify_stages(run: _Run, full: bool, m: int, n: int, report: RunReport):
-    """verify's stages after A1-A6, on a model whose order is (m, n)."""
-    from .incidence import elementary_counts
-
-    model = run.model
-    counts = elementary_counts(model.structure)
-    report.verdicts["elementary_counts"] = counts.ok
-    report.details["count_mismatches"] = counts.mismatches()
-
-    trivial = m == n
-    if not trivial:
-        report.verdicts["srg"] = run.cert.ok
-        report.details["srg"] = certificate_to_dict(run.cert)
-    census = run.census
-    report.verdicts["census"] = census.ok
-    report.details["census_counts"] = {
-        "point_cliques": census.count("point_cliques"),
-        "plane_cliques": census.count("plane_cliques"),
-        "anomalous": census.count("anomalous"),
-        "mismatches": census.mismatches(),
-    }
-
-    if full:
-        if not trivial:
-            report.verdicts["clique_intersections"] = run.intersections.ok
-        report.verdicts["plane_extraction"] = run.planes
-        if model.family == "subplane":
-            report.verdicts["bilinear_isomorphism"] = run.iso[1].ok
-        if not trivial:
-            from .linegraph import eulerian_verdict, krein_check, planarity_verdict
-
-            geo_pt, geo_pl = run.geometry
-            report.verdicts["point_clique_geometry"] = geo_pt.ok
-            report.verdicts["plane_clique_structure"] = geo_pl.ok
-            report.details["pg_label"] = geo_pt.pg_label
-            report.details["plane_t_histogram"] = {str(k): v for k, v in
-                                                   sorted(geo_pl.t_histogram.items())}
-            report.verdicts["krein"] = krein_check(run.cert).ok
-            report.details["planar"] = planarity_verdict(run.graph, m, n).planar
-            report.verdicts["eulerian_consistent"] = eulerian_verdict(run.graph, m, n).consistent
-
+# -- the entries, each one fact's writer, and the subcommands, lists of entries --
 
 def _a1(run: _Run, report: RunReport):
-    """A1 on the model, one pass over the incidences, with its witness on failure."""
+    """A1, one pass over the incidences, with its witness on failure."""
     witness = _a1_witness(run.model.structure)
     report.verdicts["A1"] = witness is None
     if witness:
         report.details["A1"] = witness
 
 
-def _census_verdicts(run: _Run, report: RunReport):
-    """A1 with its witness, the census verdict and the clique counts."""
-    _a1(run, report)
+def _axioms(run: _Run, report: RunReport):
+    """A1-A6 with their witnesses; stops a run that A1-A5 alone refuted."""
+    axioms = run.axioms
+    report.verdicts["axioms"] = axioms.ok
+    report.details["axioms"] = _fields(axioms, "verdicts", "witnesses", "a6_mode", "a6_coverage")
+    return axioms.a6_mode is None
+
+
+def _order(run: _Run, report: RunReport):
+    """A model with no order fails, with the reason, and stops the run."""
+    try:
+        run.order
+    except StructureError as exc:
+        report.verdicts["order"] = False
+        report.details["order"] = str(exc)
+        return True
+
+
+def _elementary_counts(run: _Run, report: RunReport):
+    from .incidence import elementary_counts
+
+    counts = elementary_counts(run.model.structure)
+    report.verdicts["elementary_counts"] = counts.ok
+    report.details["count_mismatches"] = counts.mismatches()
+
+
+def _srg(run: _Run, report: RunReport):
+    cert = run.cert
+    report.verdicts["srg"] = cert.ok
+    report.details["srg"] = {"eigenvalues": [cert.tau0, cert.tau1, cert.tau2], **_fields(
+        cert, "parameters", "multiplicities", "verdicts", "witness", "ok")}
+
+
+def _census(run: _Run, report: RunReport):
     census = run.census
     report.verdicts["census"] = census.ok
-    report.details["counts"] = {"point": census.count("point_cliques"),
-                                "plane": census.count("plane_cliques"),
-                                "anomalous": census.count("anomalous")}
+    report.details["census_counts"] = {"mismatches": census.mismatches(), **{
+        kind: census.count(kind) for kind in ("point_cliques", "plane_cliques", "anomalous")}}
 
 
-def cmd_cliques(args, report: RunReport):
-    run = _Run(args.model)
-    _census_verdicts(run, report)
-    report.write(args.out, _EXPORTS["census", "json"](run))
+def _intersections(run: _Run, report: RunReport):
+    report.verdicts["clique_intersections"] = run.intersections.ok
 
 
-def cmd_iso(args, report: RunReport):
-    run = _Run(args.model)
-    if run.model.family != "subplane":
-        print("iso requires a coordinatized subplane model", file=sys.stderr)
-        return 2
-    _a1(run, report)
-    mapping, iso = run.iso
+def _planes(run: _Run, report: RunReport):
+    report.verdicts["plane_extraction"] = run.planes
+
+
+def _iso(run: _Run, report: RunReport):
+    iso = run.iso[1]
     report.verdicts["bilinear_isomorphism"] = iso.ok
     report.details["pairs_checked"] = iso.pairs_checked
-    if args.out:
-        report.write(args.out, json.dumps({"line_to_matrix_vertex": mapping}, sort_keys=True))
-    print(report.to_json())
 
 
-def cmd_geometry(args, report: RunReport):
-    run = _Run(args.model)
-    _a1(run, report)
+def _geometry(run: _Run, report: RunReport):
     geo_pt, geo_pl = run.geometry
     report.verdicts["point_clique_geometry"] = geo_pt.ok
     report.verdicts["plane_clique_structure"] = geo_pl.ok
-    report.details["geometry"] = payload = {
-        "point_cliques": {
-            "pg_label": geo_pt.pg_label,
-            "t_histogram": {str(k): v for k, v in sorted(geo_pt.t_histogram.items())},
-            "is_partial_geometry": geo_pt.is_partial_geometry,
-            "num_lines": geo_pt.num_lines,
-            "line_count_matches": geo_pt.line_count_matches,
-        },
-        "plane_cliques": {
-            "t_histogram": {str(k): v for k, v in sorted(geo_pl.t_histogram.items())},
-            "is_partial_geometry": geo_pl.is_partial_geometry,
-            "degenerate": geo_pl.degenerate,
-        },
-    }
-    report.write(args.out, json.dumps(payload, sort_keys=True))
+    report.details["pg_label"] = geo_pt.pg_label
+    report.details["plane_t_histogram"] = _histogram(geo_pl)
+
+
+def _krein(run: _Run, report: RunReport):
+    from .linegraph import krein_check
+
+    report.verdicts["krein"] = krein_check(run.cert).ok
+
+
+def _planar(run: _Run, report: RunReport):
+    from .linegraph import planarity_verdict
+
+    report.details["planar"] = _fields(planarity_verdict(run.graph, *run.order),
+                                       "planar", "reason")
+
+
+def _eulerian(run: _Run, report: RunReport):
+    from .linegraph import eulerian_verdict
+
+    eu = eulerian_verdict(run.graph, *run.order)
+    report.verdicts["eulerian_consistent"] = eu.consistent
+    report.details["eulerian"] = _fields(eu, "eulerian", "predicate")
+
+
+def _analysis_bound(run: _Run, report: RunReport):
+    """Past ANALYSIS_MAX_VERTICES, stops a run that A1 refuted, and refuses any other."""
+    from .analysis import ANALYSIS_MAX_VERTICES, AnalysisError
+
+    nu = run.model.num_ordinary_lines
+    if nu > ANALYSIS_MAX_VERTICES and report.verdicts["A1"]:
+        raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
+                            f"the model has {nu}")
+    return nu > ANALYSIS_MAX_VERTICES
+
+
+def _hamiltonian(run: _Run, report: RunReport):
+    ham, report.details["hamiltonian"] = _witnessed(
+        lambda analysis: analysis.hamiltonian_by_construction(run.graph, run.model, *run.order),
+        lambda ham: {"found": True, **_fields(ham, "verified", "condition_n_le_3m_plus_1",
+                                              "cycle", "provenance")})
+    report.verdicts["hamilton_cycle_verified"] = ham is not None and ham.verified
+
+
+def _chromatic(run: _Run, report: RunReport):
+    chi, report.details["chromatic"] = _witnessed(
+        lambda analysis: analysis.chromatic_by_construction(run.graph, run.model, run.cert),
+        lambda chi: {"exact": chi.exact_chromatic, **_fields(
+            chi, "haemers_bound", "haemers_exact", "claimed_bound", "clique_lower_bound",
+            "flags", "witness", "provenance")})
+    if chi is None:
+        report.verdicts["chromatic_verified"] = False
+
+
+def _chromatic_index(run: _Run, report: RunReport):
+    eb, report.details["chromatic_index"] = _witnessed(
+        lambda analysis: analysis.chromatic_index_by_construction(run.graph, run.model,
+                                                                  *run.order),
+        lambda eb: _fields(eb, "bracket", "verdict", "flags", "provenance"))
+    if eb is None:
+        report.verdicts["chromatic_index_verified"] = False
+
+
+def _witnessed(read, details):
+    """(read(prect.analysis), a witness read off the model, details(it)); or, when
+    it fails its check, (None, details whose witness is the AnalysisError message)."""
+    from . import analysis
+
+    try:
+        found = read(analysis)
+    except analysis.AnalysisError as exc:
+        return None, {"verified": False, "witness": str(exc)}
+    return found, details(found)
+
+
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _histogram(geo) -> dict:
+    return {str(k): v for k, v in sorted(geo.t_histogram.items())}
+
+
+def _when(holds, entry):
+    """entry, on a run for which holds(run)."""
+    return lambda run, report: holds(run) and entry(run, report)
+
+
+def _nontrivial(run: _Run) -> bool:
+    return run.order[0] != run.order[1]
+
+
+def _subplane(run: _Run) -> bool:
+    return run.model.family == "subplane"
+
+
+_QUICK = (_axioms, _order, _elementary_counts, _when(_nontrivial, _srg), _census)
+_FULL = (*_QUICK, _when(_nontrivial, _intersections), _planes, _when(_subplane, _iso),
+         *(_when(_nontrivial, entry) for entry in (_geometry, _krein, _planar, _eulerian)))
+_ANALYZE = (_a1, _analysis_bound, _order, _planar, _eulerian, _hamiltonian,
+            *(_when(_nontrivial, entry) for entry in (_srg, _chromatic, _krein)),
+            _chromatic_index)
+_CENSUS = (_a1, _census)
+
+
+def cmd_verify(args, report: RunReport):
+    if args.a6_samples < 1:
+        raise ValueError(f"--a6-samples must be at least 1, not {args.a6_samples}")
+    run = _Run(args.model, args)
+    t0 = time.perf_counter()
+    any(entry(run, report) for entry in (_FULL if args.profile == "full" else _QUICK))
+    if args.timings:
+        report.timings_ms = {**run.timings_ms,
+                             "total": round((time.perf_counter() - t0) * 1000, 1)}
+    print(report.to_json())
 
 
 def cmd_analyze(args, report: RunReport):
-    from .analysis import (ANALYSIS_MAX_VERTICES, AnalysisError, chromatic_by_construction,
-                           chromatic_index_by_construction, hamiltonian_by_construction)
-    from .linegraph import eulerian_verdict, krein_check, planarity_verdict
-
-    run = _Run(args.graph)
-    nu = run.model.num_ordinary_lines
-    if nu > ANALYSIS_MAX_VERTICES:
-        raise AnalysisError(f"analysis limited to {ANALYSIS_MAX_VERTICES} vertices, "
-                            f"the model has {nu}")
-    _a1(run, report)
-    try:
-        m, n = run.order
-    except StructureError as exc:  # as in verify: a failing verdict, not an error
-        report.verdicts["order"] = False
-        report.details["order"] = str(exc)
-        report.write(args.out, report.to_json())
-        return
-    g, model = run.graph, run.model
-
-    pl = planarity_verdict(g, m, n)
-    eu = eulerian_verdict(g, m, n)
-    report.verdicts["eulerian_consistent"] = eu.consistent
-    report.details["planar"] = {"planar": pl.planar, "reason": pl.reason}
-    report.details["eulerian"] = {"eulerian": eu.eulerian, "predicate": eu.predicate}
-    ham = _witnessed(report, "hamilton_cycle_verified", "hamiltonian",
-                     lambda: hamiltonian_by_construction(g, model, m, n))
-    if ham:
-        report.details["hamiltonian"] = {
-            "found": True,
-            "verified": ham.verified,
-            "condition_n_le_3m_plus_1": ham.condition_n_le_3m_plus_1,
-            "cycle": ham.cycle,
-            "provenance": ham.provenance,
-        }
-        report.verdicts["hamilton_cycle_verified"] = ham.verified
-
-    if m != n:
-        report.verdicts["srg"] = run.cert.ok
-        chi = _witnessed(report, "chromatic_verified", "chromatic",
-                         lambda: chromatic_by_construction(g, model, run.cert))
-        if chi:
-            report.details["chromatic"] = {
-                "exact": chi.exact_chromatic,
-                "haemers_bound": chi.haemers_bound,
-                "haemers_exact": chi.haemers_exact,
-                "claimed_bound": chi.claimed_bound,
-                "clique_lower_bound": chi.clique_lower_bound,
-                "flags": chi.flags,
-                "witness": chi.witness,
-                "provenance": chi.provenance,
-            }
-        report.verdicts["krein"] = krein_check(run.cert).ok
-    eb = _witnessed(report, "chromatic_index_verified", "chromatic_index",
-                    lambda: chromatic_index_by_construction(g, model, m, n))
-    if eb:
-        report.details["chromatic_index"] = {
-            "bracket": list(eb.bracket),
-            "verdict": eb.verdict,
-            "flags": eb.flags,
-            "provenance": eb.provenance,
-        }
+    run = _Run(args.graph, args)
+    any(entry(run, report) for entry in _ANALYZE)
     report.write(args.out, report.to_json())
-
-
-def _witnessed(report: RunReport, verdict: str, detail: str, read):
-    """read(), a witness read off the model; or, when it fails its check,
-    None and a failing verdict whose witness is the AnalysisError message."""
-    from .analysis import AnalysisError
-
-    try:
-        return read()
-    except AnalysisError as exc:
-        report.verdicts[verdict] = False
-        report.details[detail] = {"verified": False, "witness": str(exc)}
-        return None
 
 
 def graph6_str(g: LineGraph) -> str:
@@ -369,9 +356,7 @@ def to_dot(g: LineGraph, model: RectangleModel) -> str:
     from .linegraph import edge_class
 
     labels = model.special_labels
-    out = ["graph lines {"]
-    for u in range(g.nu):
-        out.append(f"  {u};")
+    out = ["graph lines {", *(f"  {u};" for u in range(g.nu))]
     for u, v in g.edges():
         c = edge_class(model, u, v)
         if c is None:
@@ -392,33 +377,15 @@ def census_to_dict(census: CliqueCensus, model: RectangleModel) -> dict:
     from .cliques import common_points, plane_mask
 
     pts = model.structure.points
-
-    def point(clique):
-        return pts[common_points(clique, model).bit_length() - 1]
-
-    def plane(clique):
-        return [pts[p] for p in iter_bits(plane_mask(clique, model))]
-
     return {
-        "m": census.m,
-        "n": census.n,
-        "trivial": census.trivial,
-        "point_cliques": [{"vertices": list(pc), "point": point(pc)}
+        "m": census.m, "n": census.n, "trivial": census.trivial,
+        "point_cliques": [{"vertices": list(pc),
+                           "point": pts[common_points(pc, model).bit_length() - 1]}
                           for pc in census.point_cliques],
-        "plane_cliques": [{"vertices": list(pc), "plane_points": plane(pc)}
+        "plane_cliques": [{"vertices": list(pc),
+                           "plane_points": [pts[p] for p in iter_bits(plane_mask(pc, model))]}
                           for pc in census.plane_cliques],
         "anomalous": [list(c) for c in census.anomalous],
-    }
-
-
-def certificate_to_dict(cert: SrgCertificate) -> dict:
-    return {
-        "parameters": list(cert.parameters),
-        "eigenvalues": [cert.tau0, cert.tau1, cert.tau2],
-        "multiplicities": list(cert.multiplicities),
-        "verdicts": dict(cert.verdicts),
-        "witness": cert.witness,
-        "ok": cert.ok,
     }
 
 
@@ -432,16 +399,44 @@ _EXPORTS = {
 }
 
 
-def cmd_export(args, report: RunReport):
-    run = _Run(args.model)
-    writer = _EXPORTS.get((args.what, args.format))
-    if writer is None:
-        formats = [f for what, f in _EXPORTS if what == args.what]
-        allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
-        print(f"{args.what} exports as {allowed}", file=sys.stderr)
-        report.verdicts["exported"] = False
+def _geometry_json(run: _Run) -> str:
+    geo_pt, geo_pl = run.geometry
+    return json.dumps({
+        "point_cliques": {"t_histogram": _histogram(geo_pt), **_fields(
+            geo_pt, "pg_label", "is_partial_geometry", "num_lines", "line_count_matches")},
+        "plane_cliques": {"t_histogram": _histogram(geo_pl), **_fields(
+            geo_pl, "is_partial_geometry", "degenerate")},
+    }, sort_keys=True)
+
+
+# subcommand: (its entries, its product, the stream of its report).  The
+# product goes to --out, or to stdout when the report goes to stderr.
+_PRODUCTS = {
+    "cliques": (_CENSUS, _EXPORTS["census", "json"], "stderr"),
+    "geometry": ((_a1, _geometry), _geometry_json, "stderr"),
+    "iso": ((_a1, _iso), lambda run: json.dumps({"line_to_matrix_vertex": run.iso[0]},
+                                                sort_keys=True), "stdout"),
+    "export": (tuple(_when(lambda run: run.args.what == "census", entry) for entry in _CENSUS),
+               lambda run: _EXPORTS[run.args.what, run.args.format](run), "stderr"),
+}
+
+
+def cmd_product(args, report: RunReport):
+    """cliques, geometry, iso and export, by their rows of _PRODUCTS; iso
+    refuses a model that is not a subplane one, export a --what with no --format."""
+    run = _Run(args.model, args)
+    entries, product, stream = _PRODUCTS[args.cmd]
+    if args.cmd == "iso" and not _subplane(run):
+        print("iso requires a coordinatized subplane model", file=sys.stderr)
         return 2
-    if args.what == "census":
-        _census_verdicts(run, report)
-    report.write(args.out, writer(run))
-    report.verdicts["exported"] = True
+    if args.cmd == "export":
+        report.verdicts["exported"] = (args.what, args.format) in _EXPORTS
+        if not report.ok:
+            formats = [f for what, f in _EXPORTS if what == args.what]
+            allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
+            print(f"{args.what} exports as {allowed}\n{report.to_json()}", file=sys.stderr)
+            return 2
+    any(entry(run, report) for entry in entries)
+    if args.out or stream == "stderr":
+        report.write(args.out, product(run))
+    print(report.to_json(), file=getattr(sys, stream))

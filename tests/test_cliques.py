@@ -362,8 +362,8 @@ def test_cli_cliques_on_a_plane_runs_at_recursion_depth_60(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLIQUES, str(path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr[-500:]
-    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["counts"]
-    assert counts == {"point": 0, "plane": 1, "anomalous": 0}
+    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["census_counts"]
+    assert counts == {"point_cliques": 0, "plane_cliques": 1, "anomalous": 0, "mismatches": {}}
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["as-built", "lines-0-5-swapped"])
@@ -384,5 +384,6 @@ def test_cli_cliques_on_l25_runs_at_recursion_depth_60(tmp_path, swapped):
     proc = subprocess.run([sys.executable, "-c", _SHALLOW_CLIQUES, str(path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr[-500:]
-    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["counts"]
-    assert counts == {"point": 96, "plane": 7936, "anomalous": 0}
+    counts = json.loads(proc.stderr.splitlines()[-1])["details"]["census_counts"]
+    assert counts == {"point_cliques": 96, "plane_cliques": 7936, "anomalous": 0,
+                      "mismatches": {}}

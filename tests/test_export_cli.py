@@ -437,6 +437,17 @@ def test_cli_unknown_family_errors(capsys):
 # PG(2,9) (a plane over an extension field) and R(7,49) were recorded from
 # the code before the subplane construction read its lines from a difference
 # table and the model writer decoded each field code once.
+# When each fact came to have one report entry, these were re-recorded (after
+# their old digests were confirmed): the verify --profile full reports of
+# r39, l23, r416 and l24 (details.planar became {planar, reason}; each gained
+# details.eulerian, and r39 and r416 details.pairs_checked), the cliques
+# reports of r39, l23 and r327 and the census exports of r39 and l24
+# (details.counts became details.census_counts), the geometry reports of
+# r39, l23 and l24 (details.geometry gave way to details.pg_label and
+# details.plane_t_histogram; stdout and the --out file are unchanged) and
+# the two analyze reports (each gained details.srg).  GOLDEN_MUTANTS' verify
+# --profile full, cliques and geometry runs of swapped and twisted and
+# cliques and geometry runs of thick were re-recorded with them.
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -469,25 +480,25 @@ GOLDEN_STDOUT = [
     (("verify", "r39.json", "--profile", "quick", "--seed", "3", "--a6-samples", "5000"), None,
      "6832df30ebf045edef73e40dfab5a5e5d6f8b05f97c7bfae1607909e559cb606"),
     (("verify", "r39.json", "--profile", "full"), None,
-     "3b99dac7a1bedc2e664de0e64489b3fbe6e305bf7932e00311a387d85522008c"),
+     "d671b61e6c7c8cc8613564fb9ef429001975a2f6d88ce7429e3470e467fff9af"),
     (("verify", "l23.json", "--profile", "full"), None,
-     "ffff2afdc0d3e0d1c9a98a2a58fc5962bb40fab461961e2ad4bd3280a5c898de"),
+     "56008c1654ca8d3a50c0a36b45c6d8fa8354a57e167c873b7c02168295894084"),
     (("verify", "r416.json", "--profile", "full"), None,
-     "49b23517bc9c6efb0940920d57c0de7720f105707eb26ed907a8ac11bea78a56"),
+     "a0ea126a9348d3a300e8b3da8057452e8de56ee6ae27a355eaee425fd80d5764"),
     (("verify", "l24.json", "--profile", "full"), None,
-     "353abf4b0c285041aa5753e0ca1441cadfae8d1f8be5cba7063059cc4b767a53"),
+     "492ccd2ea0e400e12ae4a2db746b478ea601eceb3b081e24f1883be8eddaeeb9"),
     (("verify", "pg27.json", "--profile", "full"), None,
      "522ea1b27a966c8e55c13b95eef6d4322db3a5905ae65bee91b2e36b01084e50"),
     (("cliques", "r39.json"), None,
-     "f64e4f80f4c3f6df80a8004cf3c24521e49083065fa92570782b78daf75cceb4"),
+     "970e73eb2840cdf70e7e9371a8566acc253e431a25eb2cf7456cd5d2bf25ee16"),
     (("geometry", "r39.json"), None,
-     "d480b560220b8a6357975be506b9ba4e1900225b47acb393c013a8526ef61122"),
+     "180e3ff50169b4f3ff29ca8ab42a4663869a1fd137944ca88955dd5b6c37dd8e"),
     (("geometry", "l23.json", "--out", "geo.json"), None,
-     "f3ac1acf6729cf5de17091d474ba7de8bd8e2e3cee471236240e720fd1486c31"),
+     "0d55f92e050c54ae960bef71e61aefe34a4c5754e6363e197321116521b782f2"),
     (("geometry", "l24.json"), None,
-     "2c87bd9faaf16a007f99ae2cf6f788c0603b0a83449ebb7ea8c6513977dfc8f4"),
+     "7a185016338eaa06dfba4f88e7895a3fb990d066941de1dd465e138ba8cf0f66"),
     (("cliques", "l23.json", "--out", "census.json"), None,
-     "7aa82600e231741a2a213ab373a75684336ad90d29c0b8571014ad1481908683"),
+     "dc9634f99f5d17b4ca50b5751258e24b41ed30cbd54b0567d5c6580b25e25d2c"),
     (("iso", "r39.json"), None,
      "792d071c57505142f4db4ebcbf4b1e619a8bd4badbf258fdca05d4566f0a0a80"),
     (("iso", "r39.json", "--out", "iso.json"), None,
@@ -497,20 +508,20 @@ GOLDEN_STDOUT = [
     (("iso", "r416.json", "--out", "iso.json"), None,
      "6d949e2f172c7b97b6096888cdc3f427491f3b0fa6ba5c1c68a58aabe905d3a8"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
-     "8377827f49657078108d766ec15d1071348354a984363972ab013af32cc8cc86"),
+     "27de80062dd138aee9d1242524b1a718bda1244e3563439f96007629fa1d0b3d"),
     (("analyze", "--graph", "r39.json"), None,
-     "438c377d79604dfb0e9d42676067f06e26e224ac6b7eb3c41f1bfe56a32bcf58"),
+     "02c727ae0e61326ce73fbeb10ca8f91a80a777a219bdca72888500f2cc9650d2"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
      "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
      "b95f0806cd2a71c8faa635149478aa63275e92d404ec14099e06c920fcbc92ed"),
     (("export", "r39.json", "--what", "census", "--format", "json"), None,
-     "423488398a92dc8ec3308bbd12cc8a4cfbd5415ea28e63bbe47b259c8f7947b3"),
+     "63ffcae289079b13ecce57bfa698a987f174f71bacf22034944e26580ba26fed"),
     # censuses with n > m^2, where the plane cliques are smaller than the point cliques
     (("export", "l24.json", "--what", "census", "--format", "json"), None,
-     "61286214e304ed4dc08174ebc84bf2b2f40c7fe262165505ca41a576bd9cb000"),
+     "154cde07acd21678c0c376910e5b4e83a4fada1d08e4b0f4b78f777158838ee5"),
     (("cliques", "r327.json", "--out", "census.json"), None,
-     "ba922b4b2c955965509f3a539b73aa7896e74febd41863c18596c0c3923a10e4"),
+     "9a7daa46cb4173a3dea36966eb8e26a40605efa605164c8cb01a3973bb07f191"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
      "0447b350204b163b14243786491245e72b37b0db6f265ecde2f7b35282d1725a"),
     (("export", "l23.json", "--what", "graph", "--format", "dot"), None,
@@ -563,29 +574,29 @@ def _write_golden_mutants(where):
 # pairs that meet twice.
 GOLDEN_MUTANTS = [
     (("verify", "swapped.json", "--profile", "full"),
-     "22036be2665c6faef2b10b6f900de43b4c5a130fbe0451015a25f91e3494395e"),
+     "9280b65e6a4b6bf6bcaeb254959f83f7eaae39f0ba0819cfdc2b561bbfde9c8b"),
     (("verify", "swapped.json", "--seed", "3", "--a6-samples", "2000"),
      "f29ac4944ab770c2ac0eea0af53efe0bb3c5fede9d1bd6c1bfc04bce23fff8d0"),
     (("cliques", "swapped.json"),
-     "84fd05a0b9b0a6de02d2638571450900db15f487a38dba74b4de5027f23e26de"),
+     "2c2bc6a3874cb043920d7b03be2bb774089f1f5c273dcba9916f39a1b1f666e9"),
     (("geometry", "swapped.json"),
-     "a1cabbb252d37fe8a9ad3a2bec0fd0daba7baa23940bbde8d7c3a5306c8b2923"),
+     "502cc1983dc231b27901bac83b9e62f3a28f652080a51194b82a6dd34ad644df"),
     (("verify", "twisted.json", "--profile", "full"),
-     "9a69eaecef43cd3eac3565aaabb4bbadfadaefff44eb9a3f3b979aca1ca86e82"),
+     "f9afcfb41c2a03fa65b0b790f5644082fcd51042d32166b1a9e900b1572fa243"),
     (("verify", "twisted.json", "--seed", "3", "--a6-samples", "2000"),
      "7a6027415fa85808999dba14e283bcd4108290b3f114065f04bfce630ba9da8a"),
     (("cliques", "twisted.json"),
-     "9af5265470a79ac5ceee8664596a9736259e67f2dcc9ecf438c1ecfb81f1f5a4"),
+     "b70ad9343074e50d60d9912785ca88a17e4f9042016ea26117303f8a9a588b6a"),
     (("geometry", "twisted.json"),
-     "cb943ee148b8805a21b24288b602b196d89e7b93a0669dd17fcc43559abbb12c"),
+     "9219c59cff4578b7b090e9cdb3a7ae5551b4457b190d407eda33bad267905870"),
     (("verify", "thick.json", "--profile", "full"),
      "035559d0872ca1cc319a6eeaa105bb22616345f72f4da15c9499d2d56eae0984"),
     (("verify", "thick.json", "--seed", "3", "--a6-samples", "2000"),
      "4132991579da80c9ef5ba47cbf1fa36ace4c13d6ff4633e06b4bea83f14daa7a"),
     (("cliques", "thick.json"),
-     "c54d5de48c22fc73afdd43d31101258f7b646c25129630f3fc2f42de5b4207a1"),
+     "1539c2d397d46768c3d219e1e308f8d63366f95a4a1ba55f01c454a73e5ab256"),
     (("geometry", "thick.json"),
-     "be35ff3a5c3b78acef497220f5d2cf22b1b04a623fcde86033ada65d6523babb"),
+     "4b0774a026c192e19a0accc5d23e85771a87a906d3c130066495a0b594da0dd0"),
 ]
 
 
@@ -598,6 +609,43 @@ def test_cli_stdout_matches_golden_hashes_off_the_built_models(tmp_path, capsys,
     out, err = capsys.readouterr()
     run = json.dumps([code, out, err, None])
     assert hashlib.sha256(run.encode()).hexdigest() == digest
+
+
+# every subcommand that reports, with {} for the model file
+REPORTING = [("verify", "{}"), ("verify", "{}", "--profile", "full"), ("cliques", "{}"),
+             ("geometry", "{}"), ("iso", "{}"), ("analyze", "--graph", "{}"),
+             ("export", "{}", "--what", "census"), ("export", "{}", "--what", "model"),
+             ("export", "{}")]
+
+
+@pytest.mark.parametrize("name", ["r39", "l23", "swapped", "twisted"])
+def test_a_key_two_subcommands_report_has_one_value(tmp_path, capsys, name):
+    """Each fact has one report entry, so a verdict or detail key that the
+    reports of two subcommands both carry has the same value in each."""
+    _write_golden_mutants(tmp_path)
+    assert run_cli("build", "--family", "subplane", "--p", "3", "--k", "2",
+                   "--out", str(tmp_path / "r39.json")) == 0
+    assert run_cli("build", "--family", "l2k", "--k", "3", "--out", str(tmp_path / "l23.json")) == 0
+    capsys.readouterr()
+    reports = []
+    for argv in REPORTING:
+        code = run_cli(*(a.format(tmp_path / f"{name}.json") for a in argv))
+        out, err = capsys.readouterr()
+        if code != 2:  # iso refuses a model that is not a subplane one
+            text = err.splitlines()[-1] if argv[0] in ("cliques", "geometry", "export") else out
+            reports.append((argv[0], json.loads(text)))
+    shared = set()
+    for section in ("verdicts", "details"):
+        for key in {k for _, rep in reports for k in rep[section]}:
+            values = {}
+            for command, rep in reports:
+                if key in rep[section]:
+                    values.setdefault(command, set()).add(json.dumps(rep[section][key]))
+            if len(values) > 1:
+                shared.add(key)
+                assert len(set().union(*values.values())) == 1, (section, key, values)
+    assert {"census", "census_counts", "srg", "krein", "planar", "eulerian", "pg_label",
+            "plane_t_histogram", "point_clique_geometry", "plane_clique_structure"} <= shared
 
 
 def _built(tmp_path, name, *args) -> dict:
@@ -657,10 +705,11 @@ def test_cli_geometry_passes_on_a_projective_plane(tmp_path, capsys, args):
     d = _built(tmp_path, "m.json", *args)
     capsys.readouterr()
     assert run_cli("geometry", str(tmp_path / "m.json")) == 0
-    rep = json.loads(capsys.readouterr().err.splitlines()[-1])
+    out, err = capsys.readouterr()
+    rep = json.loads(err.splitlines()[-1])
     assert rep["verdicts"] == {"A1": True, "plane_clique_structure": True,
                                "point_clique_geometry": True}
-    assert rep["details"]["geometry"]["point_cliques"]["num_lines"] == 0
+    assert json.loads(out)["point_cliques"]["num_lines"] == 0
     s = d["structure"]
     s["lines"] = [ln for ln in s["lines"] if s["special_point"] in ln]
     path = tmp_path / "empty.json"
@@ -814,7 +863,10 @@ def test_cli_verify_refuses_past_the_enumeration_bound_before_a6(tmp_path, capsy
     monkeypatch.setattr(prect.cliques, "CAYLEY_MAX_VERTICES", 17)
     assert run_cli("verify", str(tmp_path / "m.json"), "--profile", profile) == 0
     capsys.readouterr()
-    monkeypatch.setattr(prect.incidence, "check_axioms", _too_early)
+    # A1-A5 run first, so that a broken model is refuted, but A6 never
+    check_axioms = prect.incidence.check_axioms
+    monkeypatch.setattr(prect.incidence, "check_axioms",
+                        lambda s, a6_mode: _too_early() if a6_mode else check_axioms(s, None))
     assert run_cli("verify", str(tmp_path / "swapped.json"), "--profile", profile) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: enumeration limited to 15 vertices\n"
@@ -970,7 +1022,8 @@ def test_cli_extra_line_fails_the_isomorphism_and_keeps_the_report(tmp_path, cap
     assert run_cli("verify", str(path), "--profile", "full") == 1
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert len(verdicts) == 11 and verdicts["bilinear_isomorphism"] is False
-    assert _Run(str(path)).iso[1].witness == {"check": "sizes", "nu1": 82, "nu2": 81, "map": 81}
+    assert _Run(str(path), None).iso[1].witness == {"check": "sizes", "nu1": 82, "nu2": 81,
+                                                    "map": 81}
 
 
 def test_cli_relabelled_special_point_names_the_misplaced_line(tmp_path, capsys):

@@ -25,7 +25,10 @@ last choice of each mutation, also runs through iso and analyze: an exit
 code of 0, 1 or 2 and no exception.  At the advertised bound, nu = 4096,
 the same mutants of L_2^6 run through verify in both profiles: a report
 whose exit code is 0 iff it passes and whose axiom witnesses re-check, or
-an "error:" line and exit 2.
+an "error:" line and exit 2.  One that drops or adds a point fails A1-A5,
+which run before the enumeration bound refuses, so it exits 1 with those
+witnesses and no A6; analyze, too, reports a failing A1 before its own
+bound refuses.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _recheck(argv, out: str, err: str):
     recheck_witnesses(d["structure"], report["details"]["axioms"] if command == "verify" else
                       {"verdicts": report["verdicts"], "witnesses": report["details"]})
     if report["verdicts"].get("bilinear_isomorphism") is False:
-        mapping, iso = _Run(path).iso
+        mapping, iso = _Run(path, None).iso
         assert not iso.ok
         recheck_iso_witness(d, mapping, iso.witness)
     if command == "cliques" or command == "export" and "census" in argv:
@@ -254,8 +257,31 @@ def test_invariant_mutant_at_the_bound_through_verify_gives_a_verdict(name, kind
     with _invariant_mutant_file(name, kind, lambda options: options[end]) as (path, what):
         for argv in (("verify", path), ("verify", path, "--profile", "full")):
             code, out, err = _cli(*argv)
+            if kind in ("drop point", "add point"):  # refuted before the bound refuses
+                assert code == 1, (argv, what, err)
+                axioms = json.loads(out)["details"]["axioms"]
+                assert "A6" not in axioms["verdicts"] and not all(axioms["verdicts"].values())
             if code == 2:
                 assert not out and err.startswith("error: ") and err.count("\n") == 1, (argv, what)
             else:
                 assert code == (0 if json.loads(out)["ok"] else 1), (argv, what)
                 _recheck(argv, out, err)
+
+
+def test_analyze_reports_a_failing_a1_past_its_bound_and_refuses_a_valid_model(monkeypatch):
+    import prect.analysis
+
+    monkeypatch.setattr(prect.analysis, "ANALYSIS_MAX_VERTICES", 8)
+    with _invariant_mutant_file("L_2^3", "drop point", lambda options: options[0]) as (path, _):
+        code, out, err = _cli("analyze", "--graph", path)
+        report = json.loads(out)
+        assert code == 1 and not err and report["verdicts"] == {"A1": False}
+        with open(path, encoding="utf-8") as fh:
+            recheck_witnesses(json.load(fh)["structure"],
+                              {"verdicts": report["verdicts"], "witnesses": report["details"]})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_model_json("L_2^3"))
+        assert _cli("analyze", "--graph", path) == (
+            2, "", "error: analysis limited to 8 vertices, the model has 64\n")

@@ -1,7 +1,8 @@
 """tools/identity.py, the byte-identity corpus, on a few of its runs: one
-tree against itself differs nowhere, and a copy with one byte planted in
-the geometry report differs in exactly the run that writes it, on its
-stderr and its --out file."""
+tree against itself differs nowhere, and a copy with a byte planted in a
+key of the census counts and one in a key of the census export differs in
+exactly the runs that write them, on the parts that hold them, and names
+the report keys that differ."""
 
 from __future__ import annotations
 
@@ -32,10 +33,26 @@ def test_identical_trees_agree_and_a_planted_byte_shows_in_its_runs(tmp_path):
     shutil.copytree(ROOT / "src", planted / "src")
     pipeline = planted / "src" / "prect" / "pipeline.py"
     text = pipeline.read_text()
-    key = '"degenerate": geo_pl.degenerate'
-    assert text.count(key) == 1
-    pipeline.write_text(text.replace(key, key.replace("degenerate", "degeneratE", 1)))
+    for key, planted_key in (('"mismatches":', '"mismatcheS":'), ('"trivial":', '"triviaL":')):
+        assert text.count(key) == 1
+        text = text.replace(key, planted_key)
+    pipeline.write_text(text)
     differences = identity.compare(ROOT, planted, cases)
-    assert differences == [{"case": "geometry l22", "parts": ["stderr", "out"]}]
+    keys = ["details.census_counts.mismatcheS", "details.census_counts.mismatches"]
+    assert differences == [
+        {"case": "verify --profile full l22", "parts": ["stdout"], "keys": keys},
+        {"case": "export --what census --format json l22", "parts": ["stderr", "out"],
+         "keys": keys}]
     block = identity.byte_identity(cases, differences)
-    assert (block["cases"], block["identical"], block["differ"]) == (5, 4, 1)
+    assert (block["cases"], block["identical"], block["differ"]) == (5, 3, 2)
+
+
+def test_report_keys_are_the_dotted_keys_that_differ():
+    old = b'{"verdicts": {"A1": true}, "details": {"counts": {"point": 1}, "planar": true}}\n'
+    new = (b'usage line\n{"verdicts": {"A1": true}, "details": {"census_counts": {"point": 1}, '
+           b'"planar": {"planar": true}}}\n')
+    assert identity.report_keys(old, new) == ["details.census_counts", "details.counts",
+                                              "details.planar"]
+    assert identity.report_keys(old, old) == []
+    assert identity.report_keys(old, b'{"m": 2}') == []  # a product, not a report
+    assert identity.report_keys(None, old) == []

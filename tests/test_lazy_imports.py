@@ -4,17 +4,17 @@ The package serves its re-exports on first use (PEP 562) and the CLI
 imports a stage module inside the facts and subcommands that use it, so a
 `prect build` of L_2^k compiles five modules, not thirteen: gf is loaded
 only where a model makes coordinates or does field arithmetic, and by
-analysis; reading a file's coordinates does not load it.  build loads
-neither the axiom checks (incidence) nor the subcommands that read a model
-(pipeline); no subcommand that reads a model loads the builders
-(construct), and only verify loads incidence.  pipeline never imports
-prect.cli, which under `python -m prect.cli` would compile cli.py a second
-time.  verify reads its planarity, Eulerian and Krein verdicts from
-linegraph, so it never loads analysis.  No module imports dataclasses,
-which would load inspect, nor fractions: analyze's eigenvalue bound is
-integer work.  No report class outside _util restates the ok rule of its
-checks or verdicts.  Every run here is a fresh interpreter, since one test
-process has long since loaded them all.
+analysis; reading a file's coordinates, or writing them back, does not
+load it.  build loads neither the axiom checks (incidence) nor the
+subcommands that read a model (pipeline); no subcommand that reads a model
+loads the builders (construct), and only verify loads incidence.  pipeline
+never imports prect.cli, which under `python -m prect.cli` would compile
+cli.py a second time.  verify reads its planarity, Eulerian and Krein
+verdicts from linegraph, so it never loads analysis.  No module imports
+dataclasses, which would load inspect, nor fractions: analyze's eigenvalue
+bound is integer work.  No report class outside _util restates the ok
+rule of its checks or verdicts.  Every run here is a fresh interpreter,
+since one test process has long since loaded them all.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ SUBCOMMANDS = {
     "cliques": (("cliques", "{}/l22.json"), CENSUS),
     "geometry": (("geometry", "{}/l22.json"), CENSUS | {"geometry"}),
     "export model": (("export", "{}/l22.json", "--what", "model"), READ),
+    "export model subplane": (("export", "{}/r39.json", "--what", "model"), READ),
     "export graph6": (("export", "{}/l22.json", "--format", "graph6"), READ | {"linegraph"}),
     "export dot": (("export", "{}/l22.json", "--format", "dot"), READ | {"linegraph"}),
     "export census": (("export", "{}/l22.json", "--what", "census"), CENSUS),

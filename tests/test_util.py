@@ -7,7 +7,8 @@ element with block i, for i in which.  The oracle reads both off the blocks
 as sets, pair by pair.  Translations(p, d).translates(mask) lists mask
 translated by t for t = 0..p^d-1, translate(mask, t) one of them, and
 negate(x) the vertex -x; the oracle (oracles.digit_sum) adds t to each bit
-digit by digit mod p.
+digit by digit mod p.  field_digits(code, p, m) reads the m coefficients
+that field_code(coeffs, p, m) codes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import digit_sum
-from prect._util import Translations, holders, meeting
+from prect._util import Translations, field_code, field_digits, holders, meeting
 
 
 def _oracle(blocks, n, which):
@@ -76,3 +77,11 @@ def test_translate_and_negate_match_digit_addition(p, d):
             assert group.translate(mask, t) == moved, (mask, t)
     for x in range(nu):
         assert digit_sum(x, group.negate(x), p, d) == 0 and group.negate(x) < nu
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 2), (5, 2), (7, 3)])
+def test_field_digits_inverts_field_code(p, m):
+    for code in range(p ** m):
+        digits = field_digits(code, p, m)
+        assert len(digits) == m and all(0 <= c < p for c in digits)
+        assert field_code(digits, p, m) == code

@@ -26,8 +26,11 @@ each of which writes --out: with the 15 builds, 1,562 runs.  Each run is
 each tree's src, two at a time, and the two runs are compared on their exit
 code, stdout, stderr and --out bytes, with any timings_ms object read as
 null.  The JSON printed on stdout is the byte_identity block of a
-BENCH_*.json record; it lists each differing run and the parts of it that
-differ.  Standard library only.
+BENCH_*.json record; it lists each differing run, the parts of it that
+differ and, where a differing part holds a report (a JSON object with
+"verdicts", on the part's last line), the dotted keys whose values differ
+between the two reports, such as details.census_counts.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -162,17 +165,47 @@ def run_case(tree: Path, args: list[str]) -> dict:
 
 
 def compare(parent: Path, change: Path, cases) -> list[dict]:
-    """{"case", "parts"} for each case whose runs with the two trees differ, in order."""
+    """{"case", "parts", "keys"} for each case whose runs with the two trees
+    differ, in order; keys are those of report_keys over the differing parts."""
     def one(index_case):
         i, (name, args) = index_case
         sides = [("parent", parent), ("change", change)][::1 if i % 2 else -1]  # alternate
         runs = {side: run_case(tree, args) for side, tree in sides}
         parts = [part for part in ("exit", "stdout", "stderr", "out")
                  if runs["parent"][part] != runs["change"][part]]
-        return {"case": name, "parts": parts} if parts else None
+        keys = sorted({key for part in parts if part != "exit"
+                       for key in report_keys(runs["parent"][part], runs["change"][part])})
+        return {"case": name, "parts": parts, "keys": keys} if parts else None
 
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         return [d for d in pool.map(one, enumerate(cases)) if d]
+
+
+def report_keys(old: bytes | None, new: bytes | None) -> list[str]:
+    """The dotted keys whose values differ between the reports that old and
+    new hold on their last lines; none unless both hold a report."""
+    reports = [_report(data) for data in (old, new)]
+    return [] if None in reports else _differing(*reports, "")
+
+
+def _report(data: bytes | None) -> dict | None:
+    lines = (data or b"").strip().splitlines()
+    try:
+        report = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        return None
+    return report if isinstance(report, dict) and "verdicts" in report else None
+
+
+def _differing(old, new, prefix: str) -> list[str]:
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [prefix]
+    return [key for name in sorted(old.keys() | new.keys())
+            for key in _differing(old.get(name, _ABSENT), new.get(name, _ABSENT),
+                                  f"{prefix}.{name}" if prefix else name)]
+
+
+_ABSENT = object()  # a key one report lacks; it differs from any value
 
 
 def byte_identity(cases, differences) -> dict:
