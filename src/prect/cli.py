@@ -4,8 +4,9 @@ Subcommands: build, verify, cliques, iso, geometry, analyze, export.  build
 writes the model and one `order (m, n) = ...` line on stderr; every other
 subcommand emits a RunReport as JSON with sorted keys.  With the same inputs
 and seed the output is byte-identical across runs (timings are only included
-on request, since they are inherently unstable).  The exit code is 0 iff
-every requested verdict passed.
+on request, since they are inherently unstable).  The exit code is 0 when
+every verdict passed and 1 when one failed; a refusal exits 2, with one
+`error: ...` line on stderr and nothing on stdout, no report, no --out file.
 """
 
 from __future__ import annotations
@@ -110,15 +111,13 @@ def main(argv=None) -> int:
         from . import pipeline
 
         command = getattr(pipeline, f"cmd_{args.cmd}", pipeline.cmd_product)  # a _PRODUCTS row
-        if args.cmd == "export" and args.format is None:  # the first format of --what
-            args.format = next(f for what, f in pipeline._EXPORTS if what == args.what)
     report = RunReport(args.cmd, {k: v for k, v in sorted(vars(args).items()) if k != "cmd"})
     try:
-        code = command(args, report)  # 2 on a usage error, else None
+        command(args, report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code or (0 if report.ok else 1)
+    return 0 if report.ok else 1
 
 
 def run() -> int:

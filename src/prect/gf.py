@@ -15,7 +15,7 @@ codes are reproducible across runs.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 # A field's check and its coefficient code and its inverse live in _util, so
 # that the model reader and writer apply them without loading this module;
@@ -207,7 +207,7 @@ class FieldCtx:
         key = ("coords", q)
         if key not in self._subfield_cache:
             k = self.m // self.subfield_degree(q)
-            powers = [self.pow_code(self.p, i) for i in range(k)]  # code p is the class of x
+            powers = list(accumulate([self.p] * (k - 1), self.mul_codes, initial=1))  # code p is x
             table = {}
             for coords in product(self.subfield_codes(q), repeat=k):
                 acc = 0

@@ -112,10 +112,11 @@ def check_axioms(s: IncidenceStructure, a6_mode: str | None,
     scan = None
     if a1_witness is None and s.translations is not None:
         lines, local = s.at_line_0
-        ok, witness, weight = _a6_scan(local, 1)
+        nbr = meeting(local.lines, local.through, range(local.n_lines))
+        ok, witness, weight = _a6_scan(local, nbr, 1)
         scan = ok, witness and {k: lines[v] for k, v in witness.items()}, weight
     if a6_mode == "full":
-        ok6, wit6, _ = scan or _a6_scan(s, None)
+        ok6, wit6, _ = scan or _a6_scan(s, meeting(s.lines, s.through, range(s.n_lines)), None)
     elif a6_mode == "sampled":
         ok6, wit6, rep.a6_coverage = _a6_sampled(s, a6_samples, seed, scan)
     else:
@@ -175,7 +176,7 @@ def _a6_pairs(s, nbr, blocks):
                 yield l1, l2, _a6_candidates(through, nbr, l1, l2, common)
 
 
-def _a6_scan(s, blocks):
+def _a6_scan(s, nbr, blocks):
     """Every quadruple of the pairs of _a6_pairs, one pair's candidate list at
     a time, stopping at the first failure: (verdict, witness, weight), the
     weight being the sum of C(candidates, 2) over the pairs walked.
@@ -183,8 +184,7 @@ def _a6_scan(s, blocks):
     Only a g2 that misses g1 can fail, so g2 runs over the candidates above
     g1 outside nbr[g1]; the first failure is the same as over all pairs.
     """
-    masks, nbr = s.line_masks, meeting(s.lines, s.through, range(s.n_lines))
-    weight = 0
+    masks, weight = s.line_masks, 0
     for l1, l2, cmask in _a6_pairs(s, nbr, blocks):
         weight += comb2(cmask.bit_count())
         m1, m2 = masks[l1], masks[l2]
@@ -245,7 +245,7 @@ def _a6_sampled(s, samples, seed, scan):
 
         # full enumeration is cheaper and stronger than sampling a space this small
         if total <= samples:
-            (ok, witness, _), drawn = _a6_scan(s, None), total
+            (ok, witness, _), drawn = _a6_scan(s, nbr, None), total
         else:
             drawn, witness = _a6_draws(total, samples, seed, test)
             ok = witness is None

@@ -129,8 +129,10 @@ class _Run:
         """(line -> matrix vertex map, its isomorphism certificate) onto H_q(2,k).
 
         H is built first, so past its bound the graph of lines is never built."""
-        from .bilinear import build_hq2k, certify_isomorphism, line_matrix_map
+        from .bilinear import BilinearError, build_hq2k, certify_isomorphism, line_matrix_map
 
+        if not _subplane(self):
+            raise BilinearError("iso requires a coordinatized subplane model")
         h = build_hq2k(self.model.p, self.model.e, self.model.k)
         mapping = line_matrix_map(self.model, h)
         return mapping, certify_isomorphism(self.graph, h.graph, mapping)
@@ -414,28 +416,27 @@ def _geometry_json(run: _Run) -> str:
 _PRODUCTS = {
     "cliques": (_CENSUS, _EXPORTS["census", "json"], "stderr"),
     "geometry": ((_a1, _geometry), _geometry_json, "stderr"),
-    "iso": ((_a1, _iso), lambda run: json.dumps({"line_to_matrix_vertex": run.iso[0]},
+    "iso": ((_iso, _a1), lambda run: json.dumps({"line_to_matrix_vertex": run.iso[0]},
                                                 sort_keys=True), "stdout"),
     "export": (tuple(_when(lambda run: run.args.what == "census", entry) for entry in _CENSUS),
                lambda run: _EXPORTS[run.args.what, run.args.format](run), "stderr"),
 }
 
 
+def cmd_export(args, report: RunReport):
+    """export, its --format (by default --what's first) checked before the model is read."""
+    formats = [f for what, f in _EXPORTS if what == args.what]
+    report.params["format"] = args.format = args.format or formats[0]
+    if args.format not in formats:
+        allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
+        raise ValueError(f"{args.what} exports as {allowed}")
+    cmd_product(args, report)
+
+
 def cmd_product(args, report: RunReport):
-    """cliques, geometry, iso and export, by their rows of _PRODUCTS; iso
-    refuses a model that is not a subplane one, export a --what with no --format."""
+    """cliques, geometry, iso and export, by their rows of _PRODUCTS."""
     run = _Run(args.model, args)
     entries, product, stream = _PRODUCTS[args.cmd]
-    if args.cmd == "iso" and not _subplane(run):
-        print("iso requires a coordinatized subplane model", file=sys.stderr)
-        return 2
-    if args.cmd == "export":
-        report.verdicts["exported"] = (args.what, args.format) in _EXPORTS
-        if not report.ok:
-            formats = [f for what, f in _EXPORTS if what == args.what]
-            allowed = " or ".join(formats) if len(formats) > 1 else f"{formats[0]} only"
-            print(f"{args.what} exports as {allowed}\n{report.to_json()}", file=sys.stderr)
-            return 2
     any(entry(run, report) for entry in entries)
     if args.out or stream == "stderr":
         report.write(args.out, product(run))

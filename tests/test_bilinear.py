@@ -229,6 +229,19 @@ def test_certified_isomorphisms(fix, hparams, request):
     assert rep.pairs_checked == g.nu * (g.nu - 1) // 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_prime_plane_maps_onto_h_p_2_1(p):
+    """PG(2,p) and H_p(2,1) are both complete on p^2 vertices, so the line map
+    certifies: the coordinates over GF(p) itself need no power of x, which
+    that field lacks."""
+    from prect.construct import build_plane
+    from prect.linegraph import build_line_graph
+
+    model, h = build_plane(p, 1), build_hq2k(p, 1, 1)
+    rep = certify_isomorphism(build_line_graph(model), h.graph, line_matrix_map(model, h))
+    assert rep.ok and rep.pairs_checked == p ** 2 * (p ** 2 - 1) // 2
+
+
 def test_isomorphism_detects_violation(g_r24, r24):
     h = build_hq2k(2, 1, 2)
     mapping = line_matrix_map(r24, h)

@@ -12,7 +12,7 @@ from oracles import (CAYLEY_LADDER, graph_from_edges, invariant_mutant, ladder_m
                      recheck_witnesses, twisted_r39)
 from prect.cli import RunReport, main
 from prect.cliques import CliqueCensus, classify_census
-from prect.construct import RectangleModel, build_plane, build_subplane_rect
+from prect.construct import RectangleModel, build_l2k, build_plane, build_subplane_rect
 from prect.export import model_from_json, model_to_dict, model_to_json
 from prect.gf import field_make
 from prect.linegraph import LineGraph, build_line_graph
@@ -317,10 +317,41 @@ def test_cli_export_rejected_format_fails(tmp_path, capsys):
     run_cli("build", "--family", "l2k", "--k", "2", "--out", str(model_file))
     capsys.readouterr()
     assert run_cli("export", str(model_file), "--what", "model", "--format", "dot") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == "model exports as json only"
-    rep = json.loads(err[1])
-    assert rep["ok"] is False and rep["verdicts"] == {"exported": False}
+    assert capsys.readouterr() == ("", "error: model exports as json only\n")
+
+
+# Each refusal of a subcommand that reads a model: its arguments, and the
+# bounds patched down so that the model is past them.
+REFUSALS = {
+    "iso L_2^2": (("iso", "l22.json"), {}),
+    "iso PG(2,3)": (("iso", "pg23.json"), {}),
+    "export model as dot": (("export", "l22.json", "--what", "model", "--format", "dot"), {}),
+    "export graph as json": (("export", "l22.json", "--what", "graph", "--format", "json"), {}),
+    "export census as graph6": (("export", "l22.json", "--what", "census", "--format",
+                                 "graph6"), {}),
+    "verify --a6-samples 0": (("verify", "l22.json", "--a6-samples", "0"), {}),
+    "verify past its bound": (("verify", "l22.json"), {
+        "prect.cliques.ENUMERATION_MAX_VERTICES": 14, "prect.cliques.CAYLEY_MAX_VERTICES": 14}),
+    "analyze past its bound": (("analyze", "--graph", "l22.json"),
+                               {"prect.analysis.ANALYSIS_MAX_VERTICES": 14}),
+}
+
+
+@pytest.mark.parametrize("argv,bounds", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_is_one_error_line_and_nothing_else(tmp_path, capsys, monkeypatch, argv,
+                                                      bounds):
+    """Every refusal exits 2 with one `error: ` line on stderr, nothing on
+    stdout and, where the subcommand takes --out, no file written there."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l22.json").write_text(model_to_json(build_l2k(2)))
+    (tmp_path / "pg23.json").write_text(model_to_json(build_plane(3, 1)))
+    for name, value in bounds.items():
+        monkeypatch.setattr(name, value)
+    out = () if argv[0] == "verify" else ("--out", "out")
+    assert run_cli(*argv, *out) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("what,fmt", [(None, "graph6"), ("graph", "graph6"), ("model", "json"),
@@ -352,7 +383,7 @@ def test_cli_export_census_fails_with_the_verdicts_of_cliques(tmp_path, capsys, 
     export = capsys.readouterr()
     assert export.out == cliques.out
     rep, want = json.loads(export.err), json.loads(cliques.err)
-    assert rep["verdicts"] == {**want["verdicts"], "exported": True}
+    assert rep["verdicts"] == want["verdicts"]
     assert rep["verdicts"]["A1"] is False and rep["verdicts"]["census"] is False
     assert rep["details"] == want["details"] and "A1" in rep["details"]
 
@@ -448,6 +479,11 @@ def test_cli_unknown_family_errors(capsys):
 # the two analyze reports (each gained details.srg).  GOLDEN_MUTANTS' verify
 # --profile full, cliques and geometry runs of swapped and twisted and
 # cliques and geometry runs of thick were re-recorded with them.
+# When every refusal became one error: line, these were re-recorded (after
+# their old digests were confirmed): the iso refusal of l22 (its stderr gained
+# "error: "), the rejected export (its stderr became that one line, with no
+# report after it) and the eight other exports (each report lost its
+# "exported" verdict, which only a refused export had failed).
 # Models are read by relative path, since the path is part of the report's
 # params.
 GOLDEN_STDOUT = [
@@ -504,7 +540,7 @@ GOLDEN_STDOUT = [
     (("iso", "r39.json", "--out", "iso.json"), None,
      "eebb4295a9278c31f7e16f0780267a947be7b5832a64076ceb45aee483a682fe"),
     (("iso", "l22.json"), None,
-     "bd014368ac66efa322fbcbb647e3a6c026ced9b35ca6e2729f98278163b52508"),
+     "4b1a1785bb90c036dc55cafb7fac3953823d1c078e906f22a3c32c5d946fba92"),
     (("iso", "r416.json", "--out", "iso.json"), None,
      "6d949e2f172c7b97b6096888cdc3f427491f3b0fa6ba5c1c68a58aabe905d3a8"),
     (("analyze", "--graph", "l22.json", "--budget-ms", "5000"), None,
@@ -512,24 +548,24 @@ GOLDEN_STDOUT = [
     (("analyze", "--graph", "r39.json"), None,
      "02c727ae0e61326ce73fbeb10ca8f91a80a777a219bdca72888500f2cc9650d2"),
     (("export", "r39.json", "--what", "model", "--format", "json"), None,
-     "6b60656735aa187d45894647849d844194c95c96b21fe774c9aa113b49432bb4"),
+     "2d28f511c2b187b03322fea257d8c79c4160a1b8c1906e580b5e4f095d39eaf5"),
     (("export", "r39.json", "--what", "graph", "--format", "graph6"), None,
-     "b95f0806cd2a71c8faa635149478aa63275e92d404ec14099e06c920fcbc92ed"),
+     "0235363770bae9c14e1de48fed066c846bbbcb97a7d9741676ef67f5d76fac25"),
     (("export", "r39.json", "--what", "census", "--format", "json"), None,
-     "63ffcae289079b13ecce57bfa698a987f174f71bacf22034944e26580ba26fed"),
+     "fcca941c98eb083839430a8d18c30abe88f05b679bc715008a3522baf7ae9a21"),
     # censuses with n > m^2, where the plane cliques are smaller than the point cliques
     (("export", "l24.json", "--what", "census", "--format", "json"), None,
-     "154cde07acd21678c0c376910e5b4e83a4fada1d08e4b0f4b78f777158838ee5"),
+     "31c6daf63cd3c5ab4c93ea89e4ff2c8f35340bab38edd6000acd38494ec944f4"),
     (("cliques", "r327.json", "--out", "census.json"), None,
      "9a7daa46cb4173a3dea36966eb8e26a40605efa605164c8cb01a3973bb07f191"),
     (("export", "r39.json", "--what", "model", "--format", "dot"), None,
-     "0447b350204b163b14243786491245e72b37b0db6f265ecde2f7b35282d1725a"),
+     "48ba8da824e6ff4c10ff988bd1434524a5834269670d9fecab521090422d8247"),
     (("export", "l23.json", "--what", "graph", "--format", "dot"), None,
-     "20f2bd72fd63c9ec85e1b880d81e591526bd0a6cf78e41077176aac24d410918"),
+     "93cb9b2e6ca59d77f658a6f09cfbfe31d9e940b3308873e2527f083c25cc8732"),
     (("export", "r39.json", "--what", "graph", "--format", "dot"), None,
-     "79dc5c66254fc7fce9fabd67fcd28c9b0be96b50ace9d44d2e27969fd85a3c1b"),
+     "6f0400a3642641c6c13d0ba2cc73a5460af8f313da9797622dd3481aed8e5f7e"),
     (("export", "r416.json", "--what", "graph", "--format", "dot"), None,
-     "11e75c0751abe3239ed61763476657456c4005397726b627f49decc539457963"),
+     "450ebafcfbb8823c5be7d67426d5c119638170ba63c34eabbbf1939c07e48b92"),
     # sampled A6 in a space larger than the samples, and the exhaustive upgrade
     (("verify", "r327.json", "--profile", "quick", "--seed", "1", "--a6-samples", "100000"), None,
      "c92093e556de1d5cbda75951d68725efb80d19c2e8d337e59dbadeaad0c4e30d"),
@@ -1058,7 +1094,7 @@ def test_cli_subplane_model_without_coordinates_runs_as_a_coordinate_free_model(
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and "bilinear_isomorphism" not in report["verdicts"]
     assert run_cli("iso", str(path)) == 2
-    assert capsys.readouterr() == ("", "iso requires a coordinatized subplane model\n")
+    assert capsys.readouterr() == ("", "error: iso requires a coordinatized subplane model\n")
 
 
 MALFORMED_PARAMS = [

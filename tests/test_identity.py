@@ -45,6 +45,7 @@ def test_identical_trees_agree_and_a_planted_byte_shows_in_its_runs(tmp_path):
          "keys": keys}]
     block = identity.byte_identity(cases, differences)
     assert (block["cases"], block["identical"], block["differ"]) == (5, 3, 2)
+    assert block["kinds"] == identity.kinds(differences)
 
 
 def test_report_keys_are_the_dotted_keys_that_differ():
@@ -56,3 +57,21 @@ def test_report_keys_are_the_dotted_keys_that_differ():
     assert identity.report_keys(old, old) == []
     assert identity.report_keys(old, b'{"m": 2}') == []  # a product, not a report
     assert identity.report_keys(None, old) == []
+
+
+def test_kinds_count_the_differing_runs_by_subcommand_parts_and_keys():
+    exported = ["verdicts.exported"]
+    differences = [
+        {"case": "iso L_2^2", "parts": ["stderr"], "keys": []},
+        {"case": "export --what model --format dot L_2^2", "parts": ["stderr"], "keys": []},
+        {"case": "export R(3,9)", "parts": ["stderr"], "keys": exported},
+        {"case": "iso PG(2,3)", "parts": ["stderr"], "keys": []},
+        {"case": "export --what census R(3,9)", "parts": ["stderr", "out"], "keys": exported},
+        {"case": "export --what census L_2^2", "parts": ["stderr", "out"], "keys": exported},
+    ]
+    assert identity.kinds(differences) == [
+        {"subcommand": "export", "parts": ["stderr"], "keys": [], "runs": 1},
+        {"subcommand": "export", "parts": ["stderr"], "keys": exported, "runs": 1},
+        {"subcommand": "export", "parts": ["stderr", "out"], "keys": exported, "runs": 2},
+        {"subcommand": "iso", "parts": ["stderr"], "keys": [], "runs": 2}]
+    assert identity.kinds([]) == []

@@ -14,7 +14,7 @@ from oracles import (CAYLEY_LADDER, drop_line, failing, fields, find_isomorphism
                      ladder_model, recheck_witnesses, twisted_r39)
 from prect._util import comb2, iter_bits
 from prect.cli import main
-from prect.construct import build_l2k
+from prect.construct import build_l2k, build_subplane_rect
 from prect.export import model_to_dict
 from prect.incidence import _unrank_bits, check_axioms, elementary_counts
 from prect.structure import IncidenceStructure, StructureError, order_of
@@ -152,6 +152,23 @@ def test_sampled_a6_upgrades_to_exhaustive_on_small_spaces(l23):
     cov = rep.a6_coverage
     assert cov["exhaustive"] and cov["drawn"] == cov["space"] == cov["distinct"]
     assert rep.verdicts["A6"]
+
+
+def test_the_exhaustive_upgrade_reads_the_concurrence_table_of_the_draws(monkeypatch):
+    """R(3,9) with ordinary lines 0 and 5 swapped is not certified, so sampled
+    A6 builds the table of the lines meeting each line to weigh its pairs;
+    in a space no larger than its samples the exhaustive scan reads that
+    same table, one full-width pass of _util.meeting in all."""
+    s = build_subplane_rect(3, 1, 2).structure
+    s = IncidenceStructure(s.points, [s.lines[i] for i in (5, 1, 2, 3, 4, 0)] + s.lines[6:],
+                           s.special_point)
+    widths, meeting = [], prect.incidence.meeting
+    monkeypatch.setattr(prect.incidence, "meeting",
+                        lambda blocks, held, which: widths.append(len(which)) or
+                        meeting(blocks, held, which))
+    rep = check_axioms(s, "sampled", a6_samples=10 ** 6, seed=0)
+    assert s.translations is None and rep.a6_coverage["exhaustive"] and rep.verdicts["A6"]
+    assert widths == [s.n_lines]
 
 
 @pytest.mark.parametrize("point", ["a0", "a2"])

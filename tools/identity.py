@@ -20,8 +20,10 @@ points: L_2^3 with a1 and a3 swapped in its ordinary lines, and R(3,9) with
 two points of special line 0 swapped in its ordinary lines.  The last 12 are
 L_2^4 with one malformed parameter each, those of the CLI tests.  Every file
 then goes through verify --profile quick at seeds 0-2, verify --profile
-full, cliques, iso, geometry, analyze and the 9 export what/format pairs,
-each of which writes --out: with the 15 builds, 1,562 runs.  Each run is
+full, cliques, iso, geometry, analyze, the 9 export what/format pairs, and
+export with neither --what nor --format and with --what census alone (the
+default formats), each of which writes --out: with the 15 builds, 1,744
+runs.  Each run is
 `python -m prect.cli` in a fresh process and temporary directory, once with
 each tree's src, two at a time, and the two runs are compared on their exit
 code, stdout, stderr and --out bytes, with any timings_ms object read as
@@ -29,8 +31,9 @@ null.  The JSON printed on stdout is the byte_identity block of a
 BENCH_*.json record; it lists each differing run, the parts of it that
 differ and, where a differing part holds a report (a JSON object with
 "verdicts", on the part's last line), the dotted keys whose values differ
-between the two reports, such as details.census_counts.  Standard library
-only.
+between the two reports, such as details.census_counts.  Its kinds count
+the differing runs of each subcommand, set of differing parts and set of
+keys.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -131,7 +135,7 @@ def write_models(tree: Path, models: Path) -> list[Path]:
 
 
 def corpus(models: list[Path]) -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) of every run: the builds, then 17 per model file."""
+    """(name, CLI arguments) of every run: the builds, then 19 per model file."""
     cases = []
     for name, (family, p, e, k) in BUILDS.items():
         args = ["build", "--family", family, "--k", str(k)]
@@ -146,6 +150,8 @@ def corpus(models: list[Path]) -> list[tuple[str, list[str]]]:
         runs.append(["analyze", "--graph", model, "--out", OUT])
         runs += [["export", model, "--what", what, "--format", fmt, "--out", OUT]
                  for what in ("model", "graph", "census") for fmt in ("json", "dot", "graph6")]
+        runs += [["export", model, "--out", OUT],
+                 ["export", model, "--what", "census", "--out", OUT]]
         cases += [(f"{' '.join(a for a in args if a not in (model, '--out', OUT))} {path.stem}",
                    args) for args in runs]
     return cases
@@ -211,7 +217,16 @@ _ABSENT = object()  # a key one report lacks; it differs from any value
 def byte_identity(cases, differences) -> dict:
     return {"method": " ".join(__doc__.split("\n\n")[2].split()),
             "cases": len(cases), "identical": len(cases) - len(differences),
-            "differ": len(differences), "differences": differences}
+            "differ": len(differences), "kinds": kinds(differences), "differences": differences}
+
+
+def kinds(differences) -> list[dict]:
+    """{"subcommand", "parts", "keys", "runs"}: the count of differing runs
+    that share a subcommand, differing parts and keys, one per such kind."""
+    count = Counter((d["case"].split()[0], tuple(d["parts"]), tuple(d["keys"]))
+                    for d in differences)
+    return [{"subcommand": cmd, "parts": list(parts), "keys": list(keys), "runs": runs}
+            for (cmd, parts, keys), runs in sorted(count.items())]
 
 
 def _env(tree: Path, *dirs: str) -> dict:
